@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from . import linalg
 from .diffpoly import DiffPoly
-from .lie import (GradedSetup, MINIMAL, SHORT, build_sl, build_sp)
+from .lie import (GradedSetup, GradeMismatch, MINIMAL, SHORT, build_sl,
+                  build_sp)
 from .pva import ReductionFrame, check_pva_axioms
 from .walgebra import WGenerators, verify_table
 from .hierarchy import (conserved_densities, dressing_defect,
@@ -55,15 +56,11 @@ def default_nilpotent(g, name: str, kind: str):
 def find_isotropic_s(setup: GradedSetup):
     """First embeddable element over small integer coefficient patterns."""
     g = setup.algebra
-    half = setup.eig_indices(Fraction(1, 2))
+    half = [setup.basis[i] for i in setup.eig_indices(Fraction(1, 2))]
     for coeffs in itertools.product((1, 0, -1), repeat=len(half)):
         if not any(coeffs):
             continue
-        s = g.zero_vec()
-        for c, i in zip(coeffs, half):
-            if c:
-                s = linalg.vec_add(
-                    s, linalg.vec_scale(setup.basis[i], g.ring.const(c)))
+        s = linalg.combine([g.ring.const(c) for c in coeffs], half)
         if setup.find_embeddable(s) is not None:
             return s
     raise UsageError(
@@ -84,15 +81,14 @@ def parse_s(setup: GradedSetup, choice: str):
             raise UsageError("diag s requires a short nilpotent")
         entries = choice[5:].split(",")
         m = len(entries)
-        s = g.zero_vec()
-        for i, ent in enumerate(entries):
+        coeffs = []
+        for ent in entries:
             try:
-                c = g.ring.const(Fraction(ent))
+                coeffs.append(g.ring.const(Fraction(ent)))
             except ValueError:
-                c = g.ring.param(ent)
-            vec = g.parse({f"E{i + 1}{m + i + 1}": 1})
-            s = linalg.vec_add(s, linalg.vec_scale(vec, c))
-        return s, False
+                coeffs.append(g.ring.param(ent))
+        vecs = [g.parse({f"E{i}{m + i}": 1}) for i in range(1, m + 1)]
+        return linalg.combine(coeffs, vecs), False
     if choice.startswith("explicit:"):
         terms = {}
         for part in choice[9:].split(","):
@@ -126,10 +122,7 @@ def parse_a_choice(setup, frame, choice: str, emb_s_star=None):
             if base else []
         if not ker:
             raise UsageError("the centralizer core is trivial; no center element")
-        c = g.zero_vec()
-        for co, v in zip(ker[0], base):
-            c = linalg.vec_add(c, linalg.vec_scale(v, co))
-        return {0: c}
+        return {0: linalg.combine(ker[0], base)}
     raise UsageError(f"unknown a(z) choice {choice!r}")
 
 
@@ -153,7 +146,10 @@ def make_frame(args):
         f = default_nilpotent(g, args.algebra, kind)
     setup = GradedSetup(g, f, kind)
     s, isotropic = parse_s(setup, args.s)
-    frame = ReductionFrame(setup, s, isotropic=isotropic)
+    try:
+        frame = ReductionFrame(setup, s, isotropic=isotropic)
+    except GradeMismatch as e:
+        raise UsageError(f"--s {args.s}: {e}") from None
     return g, setup, frame
 
 

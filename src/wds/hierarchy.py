@@ -33,19 +33,6 @@ class WindowOverflow(ValueError):
     pass
 
 
-def z_degree(frame: ReductionFrame) -> Fraction:
-    """Loop degree of z: -(1 + grade of s)."""
-    got = getattr(frame, "_loop_z_degree", None)
-    if got is None:
-        co = frame.to_adapted(frame.s)
-        grades = {frame.eig_of[i] for i, c in enumerate(co) if c}
-        if len(grades) != 1:
-            raise ValueError("s must be homogeneous")
-        got = -(Fraction(1) + grades.pop())
-        frame._loop_z_degree = got
-    return got
-
-
 class LoopElement:
     """Finite map (basis index, z power) -> DiffPoly coefficient."""
 
@@ -93,10 +80,10 @@ class LoopElement:
 
     def degree_of(self, key) -> Fraction:
         i, k = key
-        return self.frame.eig_of[i] + z_degree(self.frame) * k
+        return self.frame.eig_of[i] + self.frame.z_degree * k
 
     def trim(self, max_deg: Fraction) -> "LoopElement":
-        zd = z_degree(self.frame)
+        zd = self.frame.z_degree
         return LoopElement(
             self.frame, self.ctx,
             {
@@ -107,7 +94,7 @@ class LoopElement:
         )
 
     def component(self, deg: Fraction) -> "LoopElement":
-        zd = z_degree(self.frame)
+        zd = self.frame.z_degree
         return LoopElement(
             self.frame, self.ctx,
             {
@@ -118,8 +105,8 @@ class LoopElement:
         )
 
     def bracket(self, other: "LoopElement", max_deg: Fraction | None = None) -> "LoopElement":
-        struct = _struct(self.frame)
-        zd = z_degree(self.frame)
+        struct = self.frame.struct
+        zd = self.frame.z_degree
         eig = self.frame.eig_of
         out = LoopElement(self.frame, self.ctx)
         for (i, k1), p in self.terms.items():
@@ -128,7 +115,7 @@ class LoopElement:
                 if max_deg is not None and d1 + eig[j] + zd * k2 > max_deg:
                     continue
                 co = struct[i][j]
-                if co is None:
+                if not co:
                     continue
                 pq = p * q
                 if not pq:
@@ -182,21 +169,6 @@ class LoopElement:
         ]
 
 
-def _struct(frame: ReductionFrame):
-    got = getattr(frame, "_loop_struct", None)
-    if got is None:
-        n = len(frame.basis)
-        got = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                co = frame.to_adapted(
-                    frame.algebra.bracket(frame.basis[i], frame.basis[j]))
-                entries = [(r, c) for r, c in enumerate(co) if c]
-                got[i][j] = entries or None
-        frame._loop_struct = got
-    return got
-
-
 def loop_const(frame: ReductionFrame, ctx: Context, vec, zpow: int = 0) -> LoopElement:
     out = LoopElement(frame, ctx)
     for i, c in enumerate(frame.to_adapted(vec)):
@@ -241,7 +213,9 @@ class HDecomposition:
         ):
             raise NotSemisimple("f + s is not semisimple")
         self.frame = frame
-        self.zd = z_degree(frame)
+        self.zd = frame.z_degree
+        self._ad_fzs = ((frame.ad_adapted(frame.setup.f), 0),
+                        (frame.ad_adapted(frame.s), 1))
         self.min_deg = Fraction(min_deg)
         self.max_deg = Fraction(max_deg)
         self.slices: dict[Fraction, list[tuple[int, int]]] = {}
@@ -272,22 +246,18 @@ class HDecomposition:
 
     def _ad_matrix(self, deg: Fraction):
         """Matrix of ad(f+zs): slice(deg) -> slice(deg - 1) in slice coords."""
-        fr = self.frame
         src = self.slices[deg]
         dst = self.slices.get(deg - 1)
         if dst is None:
             dst = self._slice(deg - 1)
             self.slices[deg - 1] = dst
         pos = {key: p for p, key in enumerate(dst)}
-        ring = fr.ring
         cols = []
         for (i, k) in src:
-            col = [ring.zero()] * len(dst)
-            for vec, dz in ((fr.setup.f, 0), (fr.s, 1)):
-                br = fr.algebra.bracket(vec, fr.basis[i])
-                for r, c in enumerate(fr.to_adapted(br)):
-                    if c:
-                        col[pos[(r, k + dz)]] = col[pos[(r, k + dz)]] + c
+            col = [self.frame.ring.zero()] * len(dst)
+            for ad, dz in self._ad_fzs:
+                for r, c in ad[i]:
+                    col[pos[(r, k + dz)]] = col[pos[(r, k + dz)]] + c
             cols.append(col)
         return linalg.transpose(cols) if cols else []
 

@@ -1,9 +1,9 @@
 """Finite-dimensional Lie algebras over an exact scalar field.
 
 Provides sl_n / sp_n with their trace forms, sl2-triple completion through
-a nilpotent element, the ad(x)-eigenspace grading with all cached dual
-bases, projections, Jordan products on the +-1 eigenspaces of a short
-nilpotent, and embeddable elements of the half eigenspace.
+a nilpotent element, the ad(x)-eigenspace grading with its dual bases,
+projections, Jordan products on the +-1 eigenspaces of a short nilpotent,
+and embeddable elements of the half eigenspace.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ class GradeMismatch(ValueError):
 
 class SingularPairing(ValueError):
     pass
+
+
+class InvariantFailed(ValueError):
+    """A structural identity that holds by construction came out false."""
 
 
 class LieAlgebra:
@@ -183,7 +187,8 @@ def _matrix_algebra(ring: ParamRing, labels: list[str],
 
     def mul(a, b):
         return [
-            [sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+            [sum((a[i][k] * b[k][j] for k in range(n) if a[i][k] and b[k][j]),
+                 Fraction(0)) for j in range(n)]
             for i in range(n)
         ]
 
@@ -198,8 +203,11 @@ def _matrix_algebra(ring: ParamRing, labels: list[str],
             brackets[i][j] = [ring.const(c) for c in coords_of(comm(mats[i], mats[j]))]
     form = [[None] * dim for _ in range(dim)]
     for i in range(dim):
+        a = mats[i]
         for j in range(dim):
-            tr = sum((mul(mats[i], mats[j])[k][k] for k in range(n)), Fraction(0))
+            b = mats[j]
+            tr = sum((a[r][k] * b[k][r] for r in range(n) for k in range(n)
+                      if a[r][k] and b[k][r]), Fraction(0))
             form[i][j] = form_scale * ring.const(tr)
     return LieAlgebra(ring, labels, brackets, form)
 
@@ -353,7 +361,8 @@ class GradedSetup:
         if e is None:
             raise NotNilpotent("no sl2-completion: e equations unsolvable")
         self.e = e
-        assert self._is_triple(), "sl2-triple relations failed"
+        if not self._is_triple():
+            raise InvariantFailed("sl2-triple relations failed")
 
     def _is_triple(self) -> bool:
         g = self.algebra
@@ -437,11 +446,7 @@ class GradedSetup:
                 rows_gf = [linalg.mat_vec(adf, v, ring) for v in vecs]
                 coef = linalg.kernel(
                     linalg.transpose(rows_gf), ring, len(vecs))
-                g0f = [
-                    [sum((c * v[i] for c, v in zip(cs, vecs)), ring.zero())
-                     for i in range(g.dim)]
-                    for cs in coef
-                ]
+                g0f = [linalg.combine(cs, vecs) for cs in coef]
                 neg1 = grading.get(Fraction(-1), [])
                 comp = [g.bracket(self.e, basis[i]) for i in neg1]
                 if self.kind == MINIMAL:
@@ -452,7 +457,8 @@ class GradedSetup:
                 for v in comp:
                     push(v, ev, False)
                     self.g0c_indices.append(len(basis) - 1)
-                assert len(g0f) + len(comp) == len(vecs)
+                if len(g0f) + len(comp) != len(vecs):
+                    raise InvariantFailed("g_0 does not split as g_0^f + complement")
             else:
                 if ev == 1 and self.kind == MINIMAL:
                     vecs = [self.e]
@@ -462,9 +468,8 @@ class GradedSetup:
         self.basis = basis
         self.eig_of = eig_of
         self.grading = grading
-        A = linalg.transpose(basis)  # columns are the adapted vectors
-        self._orig_from_adapted = A
-        self._adapted_from_orig = linalg.inverse(A, ring)
+        # columns of the transpose are the adapted vectors
+        self._adapted_from_orig = linalg.inverse(linalg.transpose(basis), ring)
         self.labels = self._make_labels()
 
     def _make_labels(self) -> list[str]:
@@ -506,43 +511,31 @@ class GradedSetup:
     def to_adapted(self, v: Vec) -> Vec:
         return linalg.mat_vec(self._adapted_from_orig, v, self.ring)
 
-    def from_adapted(self, coeffs: Vec) -> Vec:
-        return linalg.mat_vec(self._orig_from_adapted, coeffs, self.ring)
-
     def eig_indices(self, ev) -> list[int]:
         return self.grading.get(Fraction(ev), [])
-
-    def component(self, v: Vec, ev) -> Vec:
-        """Projection of v onto the ad(x)-eigenspace of eigenvalue ev."""
-        co = self.to_adapted(v)
-        keep = set(self.eig_indices(ev))
-        out = self.algebra.zero_vec()
-        for i in keep:
-            if co[i]:
-                out = linalg.vec_add(
-                    out, linalg.vec_scale(self.basis[i], co[i]))
-        return out
 
     # -- dual bases --------------------------------------------------------
 
     def _dual_in(self, vecs_p: list[Vec], vecs_q: list[Vec], pairing) -> list[Vec]:
-        ring = self.ring
-        M = [[pairing(p, q) for q in vecs_q] for p in vecs_p]
-        if len(vecs_p) != len(vecs_q) or (
-            vecs_p and linalg.rank(M, ring) != len(vecs_p)
-        ):
+        if len(vecs_p) != len(vecs_q):
             raise SingularPairing("degenerate pairing between subspaces")
-        if not vecs_p:
+        return self.dual_of_gram(
+            [[pairing(p, q) for q in vecs_q] for p in vecs_p], vecs_q)
+
+    def dual_of_gram(self, gram: list[list[Scalar]], vecs: list[Vec]) -> list[Vec]:
+        """The basis v^h of span(vecs) dual to vectors p_h, given the Gram
+        matrix gram[h][k] = pairing(p_h, vecs[k]): pairing(p_h, v^k) = delta.
+
+        Raises SingularPairing when gram is singular.
+        """
+        if not vecs:
             return []
-        Minv = linalg.inverse(M, ring)
-        out = []
-        for h in range(len(vecs_p)):
-            col = [Minv[s][h] for s in range(len(vecs_q))]
-            v = self.algebra.zero_vec()
-            for c, q in zip(col, vecs_q):
-                v = linalg.vec_add(v, linalg.vec_scale(q, c))
-            out.append(v)
-        return out
+        try:
+            inv = linalg.inverse(gram, self.ring)
+        except ArithmeticError:
+            raise SingularPairing("degenerate pairing between subspaces") from None
+        return [linalg.combine([row[h] for row in inv], vecs)
+                for h in range(len(vecs))]
 
     def omega_minus(self, u: Vec, u1: Vec) -> Scalar:
         return self.algebra.pair(self.e, self.algebra.bracket(u, u1))
@@ -552,8 +545,6 @@ class GradedSetup:
 
     def _build_duals(self):
         g = self.algebra
-        # full dual basis of the adapted basis w.r.t. the invariant form
-        self.dual_basis_full = self._dual_in(self.basis, self.basis, g.pair)
         self.a_pairs = (
             [self.basis[i] for i in self.g0f_indices],
             self._dual_in(
@@ -583,29 +574,19 @@ class GradedSetup:
 
     def sharp(self, a: Vec) -> Vec:
         """Projection of a in g_0 onto g_0^f (orthogonal complement split)."""
-        co = self.to_adapted(a)
-        if any(
-            co[i]
-            for i in range(len(co))
-            if i not in self.eig_indices(0)
-        ):
-            raise GradeMismatch("sharp projection needs a in g_0")
+        coords_in(self, a, self.eig_indices(0), "sharp projection needs a in g_0")
         a_basis, a_dual = self.a_pairs
-        out = self.algebra.zero_vec()
-        for b, bd in zip(a_basis, a_dual):
-            out = linalg.vec_add(
-                out, linalg.vec_scale(b, self.algebra.pair(a, bd)))
-        return out
+        if not a_basis:
+            return self.algebra.zero_vec()
+        return linalg.combine([self.algebra.pair(a, bd) for bd in a_dual], a_basis)
 
     def jordan(self, a: Vec, b: Vec, eigen: int = -1) -> Vec:
         """a o b = [[e,a],b] on g_-1, or a * b = [[f,a],b] on g_+1."""
         if self.kind != SHORT:
             raise GradeMismatch("Jordan products need a short grading")
         for w in (a, b):
-            co = self.to_adapted(w)
-            if any(co[i] for i in range(len(co))
-                   if i not in self.eig_indices(eigen)):
-                raise GradeMismatch(f"arguments must lie in g_{eigen}")
+            coords_in(self, w, self.eig_indices(eigen),
+                      f"arguments must lie in g_{eigen}")
         mid = self.e if eigen == -1 else self.f
         return self.algebra.bracket(self.algebra.bracket(mid, a), b)
 
@@ -624,11 +605,10 @@ class GradedSetup:
         co = linalg.solve(rows, rhs, self.ring)
         if co is None:
             return None
-        out = self.algebra.zero_vec()
-        for c, i in zip(co, half):
-            out = linalg.vec_add(out, linalg.vec_scale(self.basis[i], c))
+        out = linalg.combine(co, [self.basis[i] for i in half])
         bad = embeddable_structure(self, s, out).check()
-        assert not bad, f"embeddable structure checks failed: {bad}"
+        if bad:
+            raise InvariantFailed(f"embeddable structure checks failed: {bad}")
         return out
 
     def is_semisimple(self, v: Vec) -> bool:
@@ -657,6 +637,17 @@ class GradedSetup:
                 self.labels[i]: g.vec_str(v) for i, v in enumerate(self.basis)
             },
         }
+
+
+def coords_in(owner, v: Vec, allowed, what: str) -> Vec:
+    """Adapted coordinates of v in owner's basis (a setup or a frame).
+
+    Raises GradeMismatch(what) unless they vanish off the indices allowed.
+    """
+    co = owner.to_adapted(v)
+    if any(c and i not in allowed for i, c in enumerate(co)):
+        raise GradeMismatch(what)
+    return co
 
 
 def dual_basis(setup: GradedSetup, vecs_a: list, vecs_b: list,
@@ -730,11 +721,7 @@ class EmbeddableData:
             vecs = [setup.basis[i] for i in indices]
             rows = [g.bracket(v, w) for w in vecs]
             coef = linalg.kernel(linalg.transpose(rows), ring, len(vecs))
-            return [
-                [sum((c * w[i] for c, w in zip(cs, vecs)), ring.zero())
-                 for i in range(g.dim)]
-                for cs in coef
-            ]
+            return [linalg.combine(cs, vecs) for cs in coef]
 
         self.g0s = centralizer(setup.g0f_indices, s)
         self.gs_half = centralizer(setup.eig_indices(half), s)
@@ -807,23 +794,22 @@ class EmbeddableData:
         return bad
 
 
-class SubspaceMap:
-    """A linear map between index-labelled subspaces, stored as a matrix."""
+def quotient_images(setup: GradedSetup, basis: list[Vec], eig_of: list,
+                    keep) -> list[Vec]:
+    """The quotient p -> g^f on a graded basis, as the image of each vector.
 
-    def __init__(self, setup: GradedSetup, name: str, fn):
-        self.setup = setup
-        self.name = name
-        self._fn = fn
-
-    def __call__(self, v: Vec) -> Vec:
-        return self._fn(v)
-
-    def is_idempotent(self, vecs: list[Vec]) -> bool:
-        return all(self._fn(self._fn(v)) == self._fn(v) for v in vecs)
+    The vectors indexed by keep (a basis of g^f) stay, those in g_0 go
+    through sharp, and all others die.  A vector maps to
+    linalg.combine(adapted coordinates, images).
+    """
+    zero = setup.algebra.zero_vec()
+    return [b if i in keep else setup.sharp(b) if eig_of[i] == 0 else zero
+            for i, b in enumerate(basis)]
 
 
-def project(setup: GradedSetup, target: str, frame=None) -> SubspaceMap:
-    """Named projections: g_f_sharp, perp, p_leq_half, pi_gf, pi_l.
+def project(setup: GradedSetup, target: str, frame=None):
+    """Named projections as functions on vectors: g_f_sharp, perp,
+    p_leq_half, pi_gf, pi_l.
 
     pi_l (the quotient p -> g^f with kernel F x + l') needs the isotropic
     reduction frame that fixes l.
@@ -831,52 +817,19 @@ def project(setup: GradedSetup, target: str, frame=None) -> SubspaceMap:
     if target == "pi_l":
         if frame is None or not frame.isotropic:
             raise ValueError("pi_l needs an isotropic reduction frame")
-
-        def pi_l(v: Vec) -> Vec:
-            co = frame.to_adapted(v)
-            out = setup.algebra.zero_vec()
-            for i, c in enumerate(co):
-                if not c:
-                    continue
-                if i in frame._w_pos:
-                    out = linalg.vec_add(
-                        out, linalg.vec_scale(frame.basis[i], c))
-                elif frame.eig_of[i] == 0:
-                    out = linalg.vec_add(out, linalg.vec_scale(
-                        setup.sharp(frame.basis[i]), c))
-            return out
-        return SubspaceMap(setup, target, pi_l)
-
-    if target == "g_f_sharp":
-        return SubspaceMap(setup, target, setup.sharp)
-    if target == "perp":
-        return SubspaceMap(
-            setup, target, lambda v: linalg.vec_sub(v, setup.sharp(v)))
-    if target == "p_leq_half":
-        def leq_half(v: Vec) -> Vec:
-            co = setup.to_adapted(v)
-            out = setup.algebra.zero_vec()
-            for i, c in enumerate(co):
-                if c and setup.eig_of[i] <= Fraction(1, 2):
-                    out = linalg.vec_add(
-                        out, linalg.vec_scale(setup.basis[i], c))
-            return out
-        return SubspaceMap(setup, target, leq_half)
+        return lambda v: linalg.combine(frame.to_adapted(v), frame.quotient_images)
     if target == "pi_gf":
-        def pi_gf(v: Vec) -> Vec:
-            co = setup.to_adapted(v)
-            keep = set(setup.gf_indices)
-            out = setup.algebra.zero_vec()
-            for i, c in enumerate(co):
-                if not c:
-                    continue
-                if i in keep:
-                    out = linalg.vec_add(
-                        out, linalg.vec_scale(setup.basis[i], c))
-                elif setup.eig_of[i] == 0:
-                    out = linalg.vec_add(out, linalg.vec_scale(
-                        setup.sharp(setup.basis[i]), c))
-                # half-eigenspace components die
-            return out
-        return SubspaceMap(setup, target, pi_gf)
+        images = quotient_images(setup, setup.basis, setup.eig_of,
+                                 set(setup.gf_indices))
+        return lambda v: linalg.combine(setup.to_adapted(v), images)
+    if target == "g_f_sharp":
+        return setup.sharp
+    if target == "perp":
+        return lambda v: linalg.vec_sub(v, setup.sharp(v))
+    if target == "p_leq_half":
+        half = Fraction(1, 2)
+        return lambda v: linalg.combine(
+            [c if ev <= half else 0
+             for c, ev in zip(setup.to_adapted(v), setup.eig_of)],
+            setup.basis)
     raise ValueError(f"unknown projection {target}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .scalars import ParamRing, Scalar
 
 Vec = list
@@ -24,6 +26,15 @@ def vec_scale(a: Vec, c: Scalar) -> Vec:
 
 def vec_is_zero(a: Vec) -> bool:
     return not any(a)
+
+
+def combine(coeffs: Sequence[Scalar], vecs: Sequence[Vec]) -> Vec:
+    """The linear combination sum_k coeffs[k] * vecs[k] of a non-empty list."""
+    out = [vecs[0][0].ring.zero()] * len(vecs[0])
+    for c, v in zip(coeffs, vecs):
+        if c:
+            out = [a + c * x if x else a for a, x in zip(out, v)]
+    return out
 
 
 def mat_vec(m: Mat, v: Vec, ring: ParamRing) -> Vec:
@@ -112,8 +123,3 @@ def inverse(rows: Mat, ring: ParamRing) -> Mat:
 
 def transpose(rows: Mat) -> Mat:
     return [list(col) for col in zip(*rows)]
-
-
-def in_span(rows: Mat, v: Vec, ring: ParamRing) -> Vec | None:
-    """Coefficients expressing v over the row vectors, or None."""
-    return solve(transpose(rows), v, ring)

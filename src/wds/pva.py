@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from . import linalg
-from .diffpoly import Context, DiffPoly, LambdaPoly, subst_minus_lambda_d
-from .lie import GradedSetup, GradeMismatch, MINIMAL, darboux_split
+from .diffpoly import (Context, DiffPoly, LambdaPoly, neg_lambda_d_power,
+                       subst_minus_lambda_d)
+from .lie import (GradedSetup, GradeMismatch, MINIMAL, coords_in,
+                  darboux_split, quotient_images)
 
 
 class NotInW(ValueError):
@@ -75,12 +77,8 @@ def master_bracket(
         acc = zero
         for m in range(g.max_order(i) + 1):
             p = g.partial(i, m)
-            if not p:
-                continue
-            term = LambdaPoly.of(p)
-            for _ in range(m):
-                term = -(term.apply_d_plus_lambda())
-            acc = acc + term
+            if p:
+                acc = acc + neg_lambda_d_power(p, m)
         if acc:
             P[i] = acc
 
@@ -129,78 +127,54 @@ def master_bracket(
 class ReductionFrame:
     """Coordinate data of one Hamiltonian reduction W(g, f; l).
 
-    Holds the graded setup, the element s defining the z-deformation, the
-    generator contexts for V(g), the coordinate ring and V(g^f), and the
-    generator-level bracket tables.
+    Owns the adapted basis of the reduction: the setup's basis, with g_1/2
+    re-split into l and l' for the isotropic variant.  Everything derived
+    from that basis is computed once, here: the coordinate map, the Gram
+    matrix and dual basis, the sparse structure constants, the loop degree
+    of z, the generator contexts for V(g), the coordinate ring and V(g^f),
+    the reduction maps and the generator-level bracket tables.
     """
 
     def __init__(self, setup: GradedSetup, s: list, isotropic: bool = False):
         self.setup = setup
-        self.algebra = setup.algebra
+        self.algebra = g = setup.algebra
         self.ring = setup.ring
         self.s = list(s)
         self.isotropic = isotropic
+        self.basis = list(setup.basis)
+        self.labels = list(setup.labels)
+        self.eig_of = list(setup.eig_of)
+        self._adapted_from_orig = setup._adapted_from_orig
+        self._l_indices = self._lp_indices = []
+        n = len(self.basis)
+        half = Fraction(1, 2)
 
         if isotropic:
             if setup.kind != MINIMAL:
                 raise GradeMismatch("isotropic variant needs a minimal grading")
-            l_side, lp_side = darboux_split(setup, seed=self._seed_for_l())
+            l_side, lp_side = darboux_split(
+                setup, seed=self.s if any(self.s) else None)
             self.l_pairs = (l_side, lp_side)
-            basis, labels, eig = [], [], []
-            for i, v in enumerate(setup.basis):
-                if setup.eig_of[i] == Fraction(1, 2):
-                    continue
-                basis.append(v)
-                labels.append(setup.labels[i])
-                eig.append(setup.eig_of[i])
-            for k, v in enumerate(l_side):
-                basis.append(v)
-                labels.append(f"l{k + 1}")
-                eig.append(Fraction(1, 2))
-            for k, v in enumerate(lp_side):
-                basis.append(v)
-                labels.append(f"m{k + 1}")
-                eig.append(Fraction(1, 2))
-            order = sorted(range(len(basis)), key=lambda i: (eig[i], 0))
-            self.basis = [basis[i] for i in order]
-            self.labels = [labels[i] for i in order]
-            self.eig_of = [eig[i] for i in order]
-            self._l_indices = [
-                i for i, lb in enumerate(self.labels) if lb.startswith("l")
-            ]
-            self._lp_indices = [
-                i for i, lb in enumerate(self.labels) if lb.startswith("m")
-            ]
-        else:
-            self.basis = list(setup.basis)
-            self.labels = list(setup.labels)
-            self.eig_of = list(setup.eig_of)
-            self._l_indices = []
-            self._lp_indices = []
+            # l then l' take the place of the setup's g_1/2 block
+            half_idx = setup.eig_indices(half)
+            self._l_indices = half_idx[:len(l_side)]
+            self._lp_indices = half_idx[len(l_side):]
+            names = ([f"l{k + 1}" for k in range(len(l_side))]
+                     + [f"m{k + 1}" for k in range(len(lp_side))])
+            for i, v, name in zip(half_idx, l_side + lp_side, names):
+                self.basis[i] = v
+                self.labels[i] = name
+            self._adapted_from_orig = linalg.inverse(
+                linalg.transpose(self.basis), self.ring)
+        # coordinates: g_<=1/2, or p = g_<=0 + l' when isotropic; the
+        # annihilating generators: g_>=1/2, or g_>=1 + l
+        self.coord_idx = [i for i, ev in enumerate(self.eig_of)
+                          if ev < half or ev == half and i not in self._l_indices]
+        self.ann_idx = [i for i, ev in enumerate(self.eig_of)
+                        if ev > half or ev == half and i not in self._lp_indices]
+        self.w_idx = list(setup.gf_indices)
 
-        A = linalg.transpose(self.basis)
-        self._orig_from_adapted = A
-        self._adapted_from_orig = linalg.inverse(A, self.ring)
-
-        half = Fraction(1, 2)
-        n = len(self.basis)
-        if isotropic:
-            self.coord_idx = [
-                i for i in range(n)
-                if self.eig_of[i] <= 0 or i in self._lp_indices
-            ]
-            self.ann_idx = [
-                i for i in range(n)
-                if self.eig_of[i] >= 1 or i in self._l_indices
-            ]
-        else:
-            self.coord_idx = [i for i in range(n) if self.eig_of[i] <= half]
-            self.ann_idx = [i for i in range(n) if self.eig_of[i] >= half]
-
-        gf_set = self._gf_index_set()
-        self.w_idx = [i for i in self.coord_idx if i in gf_set]
-
-        weights_full = [Fraction(1) - self.eig_of[i] for i in range(n)]
+        weights_full = [Fraction(1) - ev for ev in self.eig_of]
         self.full_ctx = Context(self.ring, self.labels, weights_full)
         self.coord_ctx = Context(
             self.ring,
@@ -212,99 +186,80 @@ class ReductionFrame:
             [self.labels[i] for i in self.w_idx],
             [weights_full[i] for i in self.w_idx],
         )
-
         self._coord_pos = {b: p for p, b in enumerate(self.coord_idx)}
         self._w_pos = {b: p for p, b in enumerate(self.w_idx)}
-        gram = [
-            [self.algebra.pair(u, v) for v in self.basis] for u in self.basis
+
+        self.gram = [[g.pair(u, v) for v in self.basis] for u in self.basis]
+        self.dual_basis = setup.dual_of_gram(self.gram, self.basis)
+        # struct[i][j] lists the (r, c) with [b_i, b_j] = sum c b_r
+        self.struct = [
+            [[(r, c) for r, c in enumerate(self.to_adapted(g.bracket(u, v))) if c]
+             for v in self.basis]
+            for u in self.basis
         ]
-        ginv = linalg.inverse(gram, self.ring)
-        self.dual_basis = [
-            [
-                sum(
-                    (ginv[k][j] * self.basis[k][i] for k in range(n)),
-                    self.ring.zero(),
-                )
-                for i in range(self.algebra.dim)
-            ]
-            for j in range(n)
-        ]
+        # loop degree of z, so that f + zs is homogeneous of degree -1
+        co = self.to_adapted(self.s)
+        grades = {self.eig_of[i] for i, c in enumerate(co) if c}
+        if len(grades) > 1:
+            raise GradeMismatch("s must be homogeneous in the ad(x)-grading")
+        self.z_degree = -(Fraction(1) + grades.pop()) if grades else None
+
+        self.quotient_images = quotient_images(
+            setup, self.basis, self.eig_of, self._w_pos)
         self._build_maps()
-        self.full_table = self._build_table(full=True)
-        self.w_table = self._build_table(full=False)
+        self.full_table = self._build_table(
+            range(n), self.full_ctx,
+            [self.full_ctx.gen(i) for i in range(n)])
+        self.w_table = self._build_table(
+            self.coord_idx, self.coord_ctx, self._rho_images)
 
     # -- construction helpers -------------------------------------------
 
-    def _seed_for_l(self):
-        return self.s if any(self.s) else None
-
-    def _gf_index_set(self) -> set:
-        out = set()
-        for i in range(len(self.basis)):
-            if self.eig_of[i] < 0:
-                out.add(i)
-            elif self.eig_of[i] == 0 and linalg.vec_is_zero(
-                self.algebra.bracket(self.setup.f, self.basis[i])
-            ):
-                out.add(i)
-        return out
-
     def to_adapted(self, v: list) -> list:
         return linalg.mat_vec(self._adapted_from_orig, v, self.ring)
+
+    def ad_adapted(self, v: list) -> list:
+        """ad(v) in adapted coordinates: entry i lists the (r, c) with
+        [v, b_i] = sum c b_r."""
+        out = []
+        co = [(j, c) for j, c in enumerate(self.to_adapted(v)) if c]
+        for i in range(len(self.basis)):
+            acc = {}
+            for j, cj in co:
+                for r, c in self.struct[j][i]:
+                    acc[r] = acc[r] + cj * c if r in acc else cj * c
+            out.append([(r, c) for r, c in sorted(acc.items()) if c])
+        return out
 
     def _build_maps(self):
         g = self.algebra
         # rho on full generators: pi_coord(b) + (f|b)
         self._rho_images = []
-        for i in range(len(self.basis)):
-            const = g.pair(self.setup.f, self.basis[i])
+        for i, b in enumerate(self.basis):
+            img = self.coord_ctx.const(g.pair(self.setup.f, b))
             if i in self._coord_pos:
-                img = self.coord_ctx.gen(self._coord_pos[i])
-                if const:
-                    img = img + self.coord_ctx.const(const)
-            else:
-                img = self.coord_ctx.const(const)
+                img = self.coord_ctx.gen(self._coord_pos[i]) + img
             self._rho_images.append(img)
         # pi on coordinate generators: quotient onto V(g^f)
         self._pi_images = []
         for i in self.coord_idx:
-            if i in self._w_pos:
-                self._pi_images.append(self.w_ctx.gen(self._w_pos[i]))
-            elif self.eig_of[i] == 0:
-                sh = self.setup.sharp(self.basis[i])
-                co = self.to_adapted(sh)
-                self._pi_images.append(
-                    self.w_ctx.linear(
-                        [co[b] for b in self.w_idx]))
-            else:
-                self._pi_images.append(self.w_ctx.zero())
+            co = self.to_adapted(self.quotient_images[i])
+            self._pi_images.append(self.w_ctx.linear([co[b] for b in self.w_idx]))
 
-    def _build_table(self, full: bool) -> BracketTable:
-        g = self.algebra
-        idx = range(len(self.basis)) if full else self.coord_idx
-        ctx = self.full_ctx if full else self.coord_ctx
+    def _build_table(self, idx, ctx: Context, images: list) -> BracketTable:
+        """{b_i lambda b_j}_z = [b_i,b_j] + (b_i|b_j) lambda + z (s|[b_i,b_j])
+        for i, j in idx, with each b_r replaced by images[r]."""
+        s_pair = [self.algebra.pair(self.s, b) for b in self.basis]
+        pos = {b: p for p, b in enumerate(idx)}
         table = BracketTable(ctx)
         for i in idx:
             for j in idx:
-                br = g.bracket(self.basis[i], self.basis[j])
-                co = self.to_adapted(br)
-                if full:
-                    lin = ctx.linear(co)
-                else:
-                    lin = ctx.linear([co[b] for b in self.coord_idx])
-                    const = g.pair(self.setup.f, br)
-                    if const:
-                        lin = lin + ctx.const(const)
-                pairing = g.pair(self.basis[i], self.basis[j])
-                h = LambdaPoly(ctx, [lin, ctx.const(pairing)])
-                kconst = -g.pair(self.s, br)
-                k = LambdaPoly(ctx, [ctx.const(kconst)])
-                table.set(
-                    i if full else self._coord_pos[i],
-                    j if full else self._coord_pos[j],
-                    h,
-                    k,
-                )
+                lin, kconst = ctx.zero(), self.ring.zero()
+                for r, c in self.struct[i][j]:
+                    lin = lin + images[r].scale(c)
+                    kconst = kconst - c * s_pair[r]
+                h = LambdaPoly(ctx, [lin, ctx.const(self.gram[i][j])])
+                table.set(pos[i], pos[j], h, LambdaPoly(ctx, [ctx.const(kconst)]))
         return table
 
     # -- element builders --------------------------------------------------
@@ -314,17 +269,17 @@ class ReductionFrame:
 
     def coord_lin(self, v: list, order: int = 0) -> DiffPoly:
         """v in g_<=1/2 (resp. p) as a linear coordinate polynomial."""
+        coords_in(self, v, self._coord_pos, "vector leaves the coordinate subspace")
+        return self.p_lin(v, order)
+
+    def p_lin(self, v: list, order: int = 0) -> DiffPoly:
+        """As coord_lin, but first drop the components of v off the
+        coordinate subspace (g_>=1, and l for the isotropic variant)."""
         co = self.to_adapted(v)
-        for i, c in enumerate(co):
-            if c and i not in self._coord_pos:
-                raise GradeMismatch("vector leaves the coordinate subspace")
         return self.coord_ctx.linear([co[b] for b in self.coord_idx], order)
 
     def w_lin(self, v: list, order: int = 0) -> DiffPoly:
-        co = self.to_adapted(v)
-        for i, c in enumerate(co):
-            if c and i not in self._w_pos:
-                raise GradeMismatch("vector leaves g^f")
+        co = coords_in(self, v, self._w_pos, "vector leaves g^f")
         return self.w_ctx.linear([co[b] for b in self.w_idx], order)
 
     # -- the reduction maps -------------------------------------------------
@@ -339,17 +294,9 @@ class ReductionFrame:
         images = [self.full_ctx.gen(i) for i in self.coord_idx]
         return p.map_generators(self.full_ctx, images)
 
-    def embed_w(self, p: DiffPoly) -> DiffPoly:
-        """V(g^f) into the coordinate ring along the subspace inclusion."""
-        images = [self.coord_ctx.gen(self._coord_pos[i]) for i in self.w_idx]
-        return p.map_generators(self.coord_ctx, images)
-
     def rho_action(self, a: list, p: DiffPoly) -> LambdaPoly:
         """a^rho_lambda p = rho {a_lambda p}_z for a annihilating generator."""
-        co = self.to_adapted(a)
-        for i, c in enumerate(co):
-            if c and i not in self.ann_idx:
-                raise GradeMismatch("action vector must lie in the annihilator")
+        coords_in(self, a, self.ann_idx, "action vector must lie in the annihilator")
         h, k = master_bracket(
             self.full_table, self.full_lin(a), self.embed_coord(p))
         if k:
@@ -367,16 +314,6 @@ class ReductionFrame:
         if check and not (self.is_in_w(p) and self.is_in_w(q)):
             raise NotInW("w_bracket arguments must pass membership")
         return master_bracket(self.w_table, p, q)
-
-
-def affine_bracket(frame: ReductionFrame, a: list, b: list):
-    """{a_lambda b}_z = [a,b] + (a|b) lambda + z (s|[a,b]) for g-vectors.
-
-    Returned as the (H, K) pair with {.}_z = H - z K, coefficients linear in
-    the full coordinate ring.
-    """
-    return master_bracket(frame.full_table, frame.full_lin(a),
-                          frame.full_lin(b))
 
 
 # ---------------------------------------------------------------------------

@@ -102,12 +102,6 @@ def mp_mul(a: MP, b: MP) -> MP:
     return out
 
 
-def mp_scale(a: MP, q: Fraction) -> MP:
-    if not q:
-        return {}
-    return {e: c * q for e, c in a.items()}
-
-
 def mp_is_const(a: MP) -> bool:
     return len(a) == 0 or (len(a) == 1 and not any(next(iter(a))))
 

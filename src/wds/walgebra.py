@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .diffpoly import DiffPoly, LambdaPoly
-from .lie import MINIMAL, SHORT, GradeMismatch
+from .lie import MINIMAL, SHORT, coords_in
 from .pva import ReductionFrame
 
 
@@ -65,17 +65,15 @@ class WGenerators:
         setup = fr.setup
         if linalg.vec_is_zero(a):
             return fr.coord_ctx.zero()
-        co = setup.to_adapted(a)
-        if any(co[i] for i in range(len(co)) if i not in setup.g0f_indices):
-            raise GradeMismatch("phi argument must lie in g_0^f")
+        coords_in(setup, a, setup.g0f_indices, "phi argument must lie in g_0^f")
         out = fr.coord_lin(a)
         if setup.kind == SHORT:
             return out
         if fr.isotropic:
             l_side, lp_side = fr.l_pairs
             for vk, vkd in zip(l_side, lp_side):
-                br = self._pi_p(setup.algebra.bracket(a, vk))
-                out += fr.coord_lin(br) * fr.coord_lin(vkd) * Fraction(1, 2)
+                out += fr.p_lin(setup.algebra.bracket(a, vk)) \
+                    * fr.coord_lin(vkd) * Fraction(1, 2)
         else:
             vs, vds = setup.v_pairs
             for vk, vkd in zip(vs, vds):
@@ -105,13 +103,12 @@ class WGenerators:
             out = fr.coord_lin(u)
             for vh, vhd in zip(l_side, lp_side):
                 for vk, vkd in zip(l_side, lp_side):
-                    inner = self._pi_p(g.bracket(g.bracket(u, vh), vk))
-                    out += fr.coord_lin(inner) * fr.coord_lin(vhd) \
+                    inner = g.bracket(g.bracket(u, vh), vk)
+                    out += fr.p_lin(inner) * fr.coord_lin(vhd) \
                         * fr.coord_lin(vkd) * Fraction(1, 3)
             for vk, vkd in zip(l_side, lp_side):
                 out += fr.coord_lin(g.bracket(u, vk)) * fr.coord_lin(vkd)
-            out += fr.coord_lin(
-                self._pi_p(g.bracket(setup.e, u)), order=1)
+            out += fr.p_lin(g.bracket(setup.e, u), order=1)
             return out
         vs, vds = setup.v_pairs
         out = fr.coord_lin(u)
@@ -136,20 +133,9 @@ class WGenerators:
     # -- helpers -------------------------------------------------------------
 
     def _check_grade(self, v, ev: Fraction):
-        co = self.frame.setup.to_adapted(v)
-        idx = set(self.frame.setup.eig_indices(ev))
-        if any(co[i] for i in range(len(co)) if i not in idx):
-            raise GradeMismatch(f"argument must lie in the {ev} eigenspace")
-
-    def _pi_p(self, v):
-        """Kill the l-components of a vector (projection onto p)."""
-        fr = self.frame
-        co = fr.to_adapted(v)
-        out = fr.algebra.zero_vec()
-        for i, c in enumerate(co):
-            if c and i in fr._coord_pos:
-                out = linalg.vec_add(out, linalg.vec_scale(fr.basis[i], c))
-        return out
+        setup = self.frame.setup
+        coords_in(setup, v, setup.eig_indices(ev),
+                  f"argument must lie in the {ev} eigenspace")
 
     # -- the inverse of pi ----------------------------------------------------
 

@@ -117,3 +117,12 @@ def test_max_degree_env_override(capsys, monkeypatch):
                        "--nilpotent", "minimal", "--n", "0")
     assert code == 0
     assert "int g_0" in out
+
+
+def test_non_homogeneous_s_usage_error(capsys):
+    for command in ("setup", "hierarchy"):
+        code, out, err = run(capsys, command, "--algebra", "sl4",
+                             "--nilpotent", "short",
+                             "--s", "explicit:E13,E12")
+        assert code == 2
+        assert err.count("\n") == 1 and "homogeneous" in err

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from wds import linalg
-from wds.lie import (GradedSetup, GradeMismatch, InvalidDimension, MINIMAL,
-                     NotNilpotent, SHORT, SingularPairing, WrongKind,
-                     build_sl, build_sp, darboux_split, dual_basis,
-                     embeddable_structure, project)
+from wds.lie import (EmbeddableData, GradedSetup, GradeMismatch,
+                     InvalidDimension, InvariantFailed, MINIMAL, NotNilpotent,
+                     SHORT, SingularPairing, WrongKind, build_sl, build_sp,
+                     darboux_split, dual_basis, embeddable_structure, project)
 
 
 def test_build_sl2_relations():
@@ -188,11 +188,11 @@ def test_projections(sl3):
         h1, linalg.vec_scale(s.x, g.pair(h1, s.x) / s.xx()))
     assert got == want
     g0 = [s.basis[i] for i in s.eig_indices(0)]
-    assert sharp.is_idempotent(g0)
+    assert all(sharp(sharp(v)) == sharp(v) for v in g0)
     pi = project(s, "pi_gf")
     assert pi(s.f) == s.f
     assert pi(s.basis[s.eig_indices(Fraction(1, 2))[0]]) == g.zero_vec()
-    assert pi.is_idempotent([s.x, s.f, h1])
+    assert all(pi(pi(v)) == pi(v) for v in [s.x, s.f, h1])
     leq = project(s, "p_leq_half")
     assert leq(s.e) == g.zero_vec()
     assert leq(s.f) == s.f
@@ -291,6 +291,14 @@ def test_find_embeddable_sl3():
     assert data.check() == []
     assert data.g0s == []  # trivial s-centralizer in g_0^f for sl3
     assert len(data.gs_half) == 1
+
+
+def test_failed_embeddable_structure_raises(monkeypatch):
+    g = build_sl(3)
+    s = GradedSetup(g, g.parse({"E31": 1}), MINIMAL)
+    monkeypatch.setattr(EmbeddableData, "check", lambda self: ["chi degenerate"])
+    with pytest.raises(InvariantFailed, match="chi degenerate"):
+        s.find_embeddable(g.parse({"E12": 1, "E23": 1}))
 
 
 def test_sp4_admits_no_embeddable():

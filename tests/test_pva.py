@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from wds.diffpoly import LambdaPoly
-from wds.lie import GradeMismatch
+from wds.lie import GradeMismatch, project
 from wds.pva import (BracketTable, check_pva_axioms, jacobi_defect,
                      master_bracket, random_element, skew_defect)
 
@@ -298,3 +298,23 @@ def test_short_affine_bracket_table(sl4_short):
         for iu1 in negs:
             h, k = rho_pair_short(s.basis[iu], s.basis[iu1])
             assert not h and not k
+
+
+def test_isotropic_quotient_pi_l(sl3_iso, sl3_min):
+    """pi_l keeps g^f, sends g_0 through sharp, kills l, l' and g_1."""
+    fr = sl3_iso.frame
+    pi_l = project(fr.setup, "pi_l", fr)
+    for i, b in enumerate(fr.basis):
+        img = pi_l(b)
+        assert pi_l(img) == img
+        if i in fr.w_idx:
+            assert img == b
+        elif fr.eig_of[i] == 0:
+            assert img == fr.setup.sharp(b)
+        else:
+            assert img == fr.algebra.zero_vec()
+    # pi on the coordinate generators is pi_l in V(g^f) coordinates
+    for pos, i in enumerate(fr.coord_idx):
+        assert fr.pi(fr.coord_ctx.gen(pos)) == fr.w_lin(pi_l(fr.basis[i]))
+    with pytest.raises(ValueError):
+        project(sl3_min.setup, "pi_l", sl3_min.frame)
