@@ -72,7 +72,7 @@ class LieAlgebra:
                     continue
                 w = self.brackets[i][j]
                 c = ci * cj
-                out = [a + c * b for a, b in zip(out, w)]
+                out = [a + c * b if b else a for a, b in zip(out, w)]
         return out
 
     def pair(self, u: Vec, v: Vec) -> Scalar:

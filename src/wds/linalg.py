@@ -38,12 +38,13 @@ def combine(coeffs: Sequence[Scalar], vecs: Sequence[Vec]) -> Vec:
 
 
 def mat_vec(m: Mat, v: Vec, ring: ParamRing) -> Vec:
+    nonzero = [(k, x) for k, x in enumerate(v) if x]
     out = []
     for row in m:
         acc = ring.zero()
-        for c, x in zip(row, v):
-            if c and x:
-                acc = acc + c * x
+        for k, x in nonzero:
+            if row[k]:
+                acc = acc + row[k] * x
         out.append(acc)
     return out
 
