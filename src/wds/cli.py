@@ -15,11 +15,12 @@ from fractions import Fraction
 
 from . import linalg
 from .diffpoly import DiffPoly
-from .lie import (GradedSetup, GradeMismatch, MINIMAL, SHORT, build_sl,
+from .lie import (GradedSetup, GradeMismatch, InvalidDimension, MINIMAL,
+                  NotNilpotent, SHORT, UnknownLabel, WrongKind, build_sl,
                   build_sp)
 from .pva import ReductionFrame, check_pva_axioms
 from .walgebra import WGenerators, verify_table
-from .hierarchy import (conserved_densities, dressing_defect,
+from .hierarchy import (NotSemisimple, conserved_densities, dressing_defect,
                         hierarchy_equation, reduce_mod_jk, solve_dressing,
                         verify_lenard_magri)
 
@@ -32,10 +33,13 @@ class UsageError(SystemExit):
 
 def build_algebra(name: str, params: list[str], form_scale: str | None):
     kind, n = name[:2], name[2:]
-    if kind == "sl" and n.isdigit():
-        return build_sl(int(n), params, form_scale)
-    if kind == "sp" and n.isdigit():
-        return build_sp(int(n), params)
+    try:
+        if kind == "sl" and n.isdigit():
+            return build_sl(int(n), params, form_scale)
+        if kind == "sp" and n.isdigit():
+            return build_sp(int(n), params)
+    except InvalidDimension as e:
+        raise UsageError(f"--algebra {name}: {e}") from None
     raise UsageError(f"unknown algebra {name!r}; use slN or spN")
 
 
@@ -91,13 +95,16 @@ def parse_s(setup: GradedSetup, choice: str):
         return linalg.combine(coeffs, vecs), False
     if choice.startswith("explicit:"):
         terms = {}
-        for part in choice[9:].split(","):
-            if "*" in part:
-                co, lab = part.split("*")
-                terms[lab] = Fraction(co)
-            else:
-                terms[part] = 1
-        return g.parse(terms), False
+        try:
+            for part in choice[9:].split(","):
+                if "*" in part:
+                    co, lab = part.split("*")
+                    terms[lab] = Fraction(co)
+                else:
+                    terms[part] = 1
+            return g.parse(terms), False
+        except ValueError as e:
+            raise UsageError(f"--s {choice}: {e}") from None
     raise UsageError(f"unknown s choice {choice!r}")
 
 
@@ -141,10 +148,16 @@ def make_frame(args):
     g = build_algebra(args.algebra, params, scale)
     kind = MINIMAL if args.nilpotent == "minimal" else SHORT
     if args.f:
-        f = g.parse({p: 1 for p in args.f.split(",")})
+        try:
+            f = g.parse({p: 1 for p in args.f.split(",")})
+        except UnknownLabel as e:
+            raise UsageError(f"--f {args.f}: {e}") from None
     else:
         f = default_nilpotent(g, args.algebra, kind)
-    setup = GradedSetup(g, f, kind)
+    try:
+        setup = GradedSetup(g, f, kind)
+    except (NotNilpotent, WrongKind) as e:
+        raise UsageError(f"--f {g.vec_str(f)}: {e}") from None
     s, isotropic = parse_s(setup, args.s)
     try:
         frame = ReductionFrame(setup, s, isotropic=isotropic)
@@ -216,11 +229,20 @@ def cmd_tables(args):
     return status
 
 
+def dress(frame, max_deg, args):
+    """solve_dressing, with an s that makes f + s non-semisimple reported
+    as a usage error."""
+    try:
+        return solve_dressing(frame, max_deg, projected=True)
+    except NotSemisimple as e:
+        raise UsageError(f"--s {args.s}: {e}") from None
+
+
 def cmd_hierarchy(args):
     g, setup, frame = make_frame(args)
     gens = WGenerators(frame)
     max_deg = Fraction(args.max_degree)
-    U, h, dec = solve_dressing(frame, max_deg, projected=True)
+    U, h, dec = dress(frame, max_deg, args)
     emb_star = None
     if frame.isotropic:
         emb_star = setup.find_embeddable(frame.s)
@@ -247,6 +269,8 @@ def cmd_verify_all(args):
 
     def report(name, bad):
         print(f"[{'PASS' if not bad else 'FAIL'}] {name}")
+        for entry in bad:
+            print(f"  {entry}")
         if bad:
             failures.append((name, bad))
 
@@ -263,7 +287,7 @@ def cmd_verify_all(args):
     for which in table_names(frame):
         report(f"bracket table {which}", verify_table(frame, gens, which))
     max_deg = Fraction(args.max_degree)
-    U, h, dec = solve_dressing(frame, max_deg, projected=True)
+    U, h, dec = dress(frame, max_deg, args)
     defect = dressing_defect(frame, U, h, max_deg)
     report("dressing conjugation oracle", [] if not defect else ["nonzero"])
     emb_star = setup.find_embeddable(frame.s) if frame.isotropic else None
@@ -275,6 +299,21 @@ def cmd_verify_all(args):
         return 1
     print("all verifications passed")
     return 0
+
+
+def check_ranges(args):
+    """Reject values argparse accepts but the engine cannot use."""
+    if args.max_degree is None:
+        env = os.environ.get("WDS_MAX_DEGREE", "4")
+        try:
+            args.max_degree = int(env)
+        except ValueError:
+            raise UsageError(
+                f"WDS_MAX_DEGREE must be an integer, got {env!r}") from None
+    if args.n < 0:
+        raise UsageError(f"--n must be >= 0, got {args.n}")
+    if args.max_degree < 1:
+        raise UsageError(f"--max-degree must be >= 1, got {args.max_degree}")
 
 
 def main(argv=None) -> int:
@@ -303,8 +342,9 @@ def main(argv=None) -> int:
                        help="f_plus_ze | e_plus_s_star | center")
         p.add_argument("--n", type=int, default=1,
                        help="highest hierarchy time index")
-        p.add_argument("--max-degree", type=int,
-                       default=int(os.environ.get("WDS_MAX_DEGREE", 4)))
+        p.add_argument("--max-degree", type=int, default=None,
+                       help="highest loop degree of the dressing "
+                            "(default: $WDS_MAX_DEGREE, else 4)")
         p.add_argument("--format", choices=("text", "latex", "json"),
                        default="text")
         p.add_argument("--seed", type=int, default=1729)
@@ -314,6 +354,7 @@ def main(argv=None) -> int:
         p.add_argument("--form-scale", default=None,
                        help="scale the trace form by a named parameter")
     args = parser.parse_args(argv)
+    check_ranges(args)
     return args.fn(args)
 
 

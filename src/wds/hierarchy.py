@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import linalg
 from .diffpoly import Context, DiffPoly, functional_equal
-from .pva import ReductionFrame
+from .pva import ReductionFrame, master_bracket
 from .scalars import Scalar
 
 
@@ -560,10 +560,29 @@ def hierarchy_equation(
     w_elt: DiffPoly,
     use_k: bool = False,
 ) -> DiffPoly:
-    """dw/dt = {g_n lambda w}_H at lambda = 0, in V(g^f) coordinates."""
-    G = gens.pi_inverse(density)
-    h, k = frame.w_bracket(G, w_elt)
-    return frame.pi((k if use_k else h).at_zero())
+    """dw/dt = {g_n lambda w}_H at lambda = 0, in V(g^f) coordinates.
+
+    The bracket is taken on V(g^f) through the generator table of W; the
+    element w of W enters through its image under pi.
+    """
+    hk = master_bracket(gens.table, density, frame.pi(w_elt))
+    return hk[1 if use_k else 0].at_zero()
+
+
+def _involution_defects(gens, da: list, db: list, what: str,
+                        upper: bool = False) -> list[str]:
+    """The pairs (m, n) with int{g_m lambda g_n} != 0 at lambda = 0, per
+    structure; upper restricts to n >= m."""
+    bad = []
+    zero = gens.frame.w_ctx.zero()
+    for m, gm in enumerate(da):
+        for n in range(m if upper else 0, len(db)):
+            h, k = master_bracket(gens.table, gm, db[n])
+            if not functional_equal(h.at_zero(), zero):
+                bad.append(f"H{what} ({m},{n})")
+            if not functional_equal(k.at_zero(), zero):
+                bad.append(f"K{what} ({m},{n})")
+    return bad
 
 
 def verify_lenard_magri(frame: ReductionFrame, gens, densities: list) -> list[str]:
@@ -582,30 +601,13 @@ def verify_lenard_magri(frame: ReductionFrame, gens, densities: list) -> list[st
             rhs = hierarchy_equation(frame, gens, densities[n + 1], w, use_k=True)
             if not functional_equal(lhs, rhs):
                 bad.append(f"recursion n={n} fails on {name}")
-    lifted = [gens.pi_inverse(g) for g in densities]
-    for m in range(len(densities)):
-        for n in range(m, len(densities)):
-            h, k = frame.w_bracket(lifted[m], lifted[n])
-            if not functional_equal(frame.pi(h.at_zero()), zero):
-                bad.append(f"H-involutivity ({m},{n})")
-            if not functional_equal(frame.pi(k.at_zero()), zero):
-                bad.append(f"K-involutivity ({m},{n})")
-    return bad
+    return bad + _involution_defects(gens, densities, densities,
+                                     "-involutivity", upper=True)
 
 
 def involution_cross(frame: ReductionFrame, gens, da: list, db: list) -> list[str]:
     """Involutivity across two density families (both structures)."""
-    bad = []
-    zero = frame.w_ctx.zero()
-    for m, gm in enumerate(da):
-        Gm = gens.pi_inverse(gm)
-        for n, gn in enumerate(db):
-            h, k = frame.w_bracket(Gm, gens.pi_inverse(gn))
-            if not functional_equal(frame.pi(h.at_zero()), zero):
-                bad.append(f"H cross-involutivity ({m},{n})")
-            if not functional_equal(frame.pi(k.at_zero()), zero):
-                bad.append(f"K cross-involutivity ({m},{n})")
-    return bad
+    return _involution_defects(gens, da, db, " cross-involutivity")
 
 
 def reduce_mod_jk(frame: ReductionFrame, p: DiffPoly) -> DiffPoly:

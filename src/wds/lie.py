@@ -21,6 +21,10 @@ class InvalidDimension(ValueError):
     pass
 
 
+class UnknownLabel(ValueError):
+    pass
+
+
 class NotNilpotent(ValueError):
     pass
 
@@ -155,6 +159,8 @@ class LieAlgebra:
     def parse(self, expr: dict[str, ScalarLike]) -> Vec:
         v = self.zero_vec()
         for label, c in expr.items():
+            if label not in self.labels:
+                raise UnknownLabel(f"unknown basis label {label!r}")
             v[self.labels.index(label)] = (
                 c if isinstance(c, Scalar) else self.ring.const(c)
             )

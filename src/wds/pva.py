@@ -210,7 +210,7 @@ class ReductionFrame:
         self.full_table = self._build_table(
             range(n), self.full_ctx,
             [self.full_ctx.gen(i) for i in range(n)])
-        self.w_table = self._build_table(
+        self.coord_table = self._build_table(
             self.coord_idx, self.coord_ctx, self._rho_images)
 
     # -- construction helpers -------------------------------------------
@@ -313,7 +313,7 @@ class ReductionFrame:
     ) -> tuple[LambdaPoly, LambdaPoly]:
         if check and not (self.is_in_w(p) and self.is_in_w(q)):
             raise NotInW("w_bracket arguments must pass membership")
-        return master_bracket(self.w_table, p, q)
+        return master_bracket(self.coord_table, p, q)
 
 
 # ---------------------------------------------------------------------------

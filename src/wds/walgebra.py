@@ -10,11 +10,12 @@ V(g^f) restricts to an isomorphism on W; pi_inverse substitutes generators.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .diffpoly import DiffPoly, LambdaPoly
 from .lie import MINIMAL, SHORT, coords_in
-from .pva import ReductionFrame
+from .pva import BracketTable, ReductionFrame
 
 
 class WGenerators:
@@ -129,6 +130,26 @@ class WGenerators:
         for b, bd in zip(a_basis, a_dual):
             out -= self.phi(b) * self.phi(bd) * Fraction(1, 2)
         return out
+
+    # -- the bracket on W itself -----------------------------------------------
+
+    @cached_property
+    def table(self) -> BracketTable:
+        """The lambda-brackets of W as a generator table on V(g^f).
+
+        Entry (i, j) is pi{pi^-1(w_i) lambda pi^-1(w_j)}.  Since pi is an
+        isomorphism of differential algebras W -> V(g^f) and W is closed
+        under both brackets, master_bracket on this table gives
+        pi{pi^-1(a) lambda pi^-1(b)} for every a, b in V(g^f), with no lift
+        to the coordinate ring.  Built on first use.
+        """
+        fr = self.frame
+        table = BracketTable(fr.w_ctx)
+        images = self._pi_inv_images
+        for i, wi in enumerate(images):
+            for j, wj in enumerate(images):
+                table.set(i, j, *_pi_pair(fr, fr.w_bracket(wi, wj)))
+        return table
 
     # -- helpers -------------------------------------------------------------
 

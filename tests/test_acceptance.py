@@ -325,11 +325,11 @@ def test_a10_randomized_pva_axioms(sl3_min):
                                             max_order=1))
         w3 = gens.pi_inverse(random_element(fr.w_ctx, rng, max_degree=1,
                                             max_order=0))
-        dh, dk = skew_defect(fr.w_table, w1, w2)
+        dh, dk = skew_defect(fr.coord_table, w1, w2)
         assert not dh and not dk
         cases += 1
         for parts in ((0, 0), (1, 1), (0, 1)):
-            assert jacobi_defect(fr.w_table, w1, w2, w3, parts) == {}
+            assert jacobi_defect(fr.coord_table, w1, w2, w3, parts) == {}
             cases += 1
     assert cases >= 200
     ok(10, f"randomized PVA axiom suite, {cases} cases, zero failures")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wds.cli import main
 
 
@@ -126,3 +128,38 @@ def test_non_homogeneous_s_usage_error(capsys):
                              "--s", "explicit:E13,E12")
         assert code == 2
         assert err.count("\n") == 1 and "homogeneous" in err
+
+
+@pytest.mark.parametrize("argv, env", [
+    (("verify-all", "--algebra", "sl2", "--n", "-1"), None),
+    (("hierarchy", "--algebra", "sl2", "--n", "-1"), None),
+    (("hierarchy", "--algebra", "sl2", "--max-degree", "0"), None),
+    (("hierarchy", "--algebra", "sl2", "--max-degree", "-3"), None),
+    (("setup", "--algebra", "sl1"), None),
+    (("setup", "--algebra", "sp3"), None),
+    (("setup", "--algebra", "sl3", "--f", "E12,E99"), None),
+    (("hierarchy", "--algebra", "sl2"), "x"),
+    (("hierarchy", "--algebra", "sl3", "--s", "explicit:E99"), None),
+    (("hierarchy", "--algebra", "sl3", "--s", "explicit:E12"), None),
+    (("setup", "--algebra", "sl3", "--f", "H1"), None),
+], ids=["verify_n_neg", "hierarchy_n_neg", "max_degree_0",
+        "max_degree_neg", "sl1", "sp3", "unknown_f_label", "env_max_degree",
+        "unknown_s_label", "s_not_semisimple", "f_not_nilpotent"])
+def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
+    else:
+        monkeypatch.setenv("WDS_MAX_DEGREE", env)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err + out
+
+
+def test_verify_all_prints_failing_entries(capsys, monkeypatch):
+    import wds.cli
+    monkeypatch.setattr(wds.cli, "verify_lenard_magri", lambda *a: ["x"])
+    code, out, _ = run(capsys, "verify-all", "--algebra", "sl2")
+    assert code == 1
+    assert "[FAIL] lenard-magri recursion\n  x\n" in out
+    assert "1 verification group(s) failed" in out

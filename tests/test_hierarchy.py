@@ -592,3 +592,34 @@ def test_generic_s_case_c(sl4_generic):
     dens = conserved_densities(fr, h, {0: A11v}, n_max=1, dec=dec)
     assert dens[0] == fr.w_lin(A11v)
     assert verify_lenard_magri(fr, gens, dens) == []
+
+
+
+@pytest.mark.parametrize("name, window", [("sl3_min", 5), ("sl3_iso", 4),
+                                          ("sl4_short", 5)])
+def test_table_path_matches_lift_oracle(name, window, request):
+    """The bracket on V(g^f) through the generator table of W equals the
+    slow path: lift with pi_inverse, bracket in the coordinate ring, then
+    apply pi.  Flows of g_0, g_1, g_2 on every generator, both parts, and
+    the full lambda-brackets {g_m lambda g_n} for m + n <= 2 (the lifted
+    (1,2) and (2,2) brackets take minutes)."""
+    from wds.pva import master_bracket
+    from wds.walgebra import _pi_pair
+    cfg = request.getfixturevalue(name)
+    fr, gens = cfg.frame, cfg.gens
+    U, h, dec = cfg.dressing(window)
+    dens = conserved_densities(fr, h, {0: cfg.setup.f, 1: fr.s},
+                               n_max=2, dec=dec)
+    assert len(dens) == 3 and all(dens)
+    lifted = [gens.pi_inverse(g) for g in dens]
+    for G, g in zip(lifted, dens):
+        for wname, w in gens.all_generators():
+            slow = fr.w_bracket(G, w)
+            for part in (0, 1):
+                want = fr.pi(slow[part].at_zero())
+                got = hierarchy_equation(fr, gens, g, w, use_k=bool(part))
+                assert got == want, (wname, part)
+    for m in range(3):
+        for n in range(3 - m):
+            want = _pi_pair(fr, fr.w_bracket(lifted[m], lifted[n]))
+            assert master_bracket(gens.table, dens[m], dens[n]) == want, (m, n)

@@ -5,7 +5,7 @@ import pytest
 
 from wds import linalg
 from wds.diffpoly import LambdaPoly
-from wds.lie import GradeMismatch
+from wds.lie import MINIMAL, GradeMismatch
 from wds.pva import random_element
 from wds.walgebra import verify_table
 
@@ -217,3 +217,42 @@ def test_primary_fields_isotropic(sl3_iso):
         h, _ = fr.w_bracket(gens.L, w)
         assert h == LambdaPoly(fr.coord_ctx,
                                [w.total_derivative(), w.scale(delta)])
+
+
+def _table_keys(cfg):
+    """Closed-form keys of the table rows: ("phi", a) / ("psi", u), and
+    None for the Ltilde row of a minimal nilpotent (the closed forms are
+    keyed on L)."""
+    fr, g = cfg.frame, cfg.algebra
+    keys = []
+    for b in fr.w_idx:
+        ev = fr.eig_of[b]
+        if ev == 0:
+            keys.append(("phi", g.vec_str(fr.basis[b])))
+        elif cfg.setup.kind == MINIMAL and ev == -1:
+            keys.append(None)
+        else:
+            keys.append(("psi", g.vec_str(fr.basis[b])))
+    return keys
+
+
+@pytest.mark.parametrize("name", ["sl3_min", "sl4_short"])
+def test_w_table_is_pva_and_matches_closed_forms(name, request):
+    """The generator table of W on V(g^f) is a Poisson vertex algebra in its
+    own right, and its phi/psi entries are the paper's closed forms."""
+    from wds.pva import check_pva_axioms
+    from wds.walgebra import _expected_minimal, _expected_short
+    cfg = request.getfixturevalue(name)
+    fr, gens = cfg.frame, cfg.gens
+    assert check_pva_axioms(gens.table, seed=11, samples=8) == []
+    expected = (_expected_minimal if cfg.setup.kind == MINIMAL
+                else _expected_short)(fr, gens)
+    keys = _table_keys(cfg)
+    checked = 0
+    for i, ki in enumerate(keys):
+        for j, kj in enumerate(keys):
+            if ki is None or kj is None:
+                continue
+            assert gens.table.get(i, j) == expected[(ki, kj)], (ki, kj)
+            checked += 1
+    assert checked == sum(k is not None for k in keys) ** 2
