@@ -26,8 +26,8 @@ print("l' = span{", ", ".join(g.vec_str(v) for v in lp), "}")
 
 gens = WGenerators(frame)
 print("\nL_l =", gens.L)
-for which in ("isotropic_h_brackets", "isotropic_k_brackets"):
-    bad = verify_table(frame, gens, which)
+for which, rows in verify_table(frame, gens).items():
+    bad = [m for ms in rows.values() for m in ms]
     print(which, ":", "all entries PASS" if not bad else bad)
 
 U, h, dec = solve_dressing(frame, 3)

@@ -108,6 +108,17 @@ def parse_s(setup: GradedSetup, choice: str):
     raise UsageError(f"unknown s choice {choice!r}")
 
 
+def kernel_span(vecs: list, images) -> list:
+    """A basis of the v in span(vecs) with images(v) all zero; images maps a
+    vector to a list of vectors, linearly."""
+    if not vecs:
+        return []
+    rows = linalg.transpose([[x for w in images(v) for x in w] for v in vecs])
+    ring = vecs[0][0].ring
+    return [linalg.combine(c, vecs)
+            for c in linalg.kernel(rows, ring, len(vecs))]
+
+
 def parse_a_choice(setup, frame, choice: str, emb_s_star=None):
     g = setup.algebra
     if choice == "f_plus_ze":
@@ -117,19 +128,13 @@ def parse_a_choice(setup, frame, choice: str, emb_s_star=None):
             raise UsageError("e_plus_s_star needs an embeddable isotropic s")
         return {0: setup.e, -1: emb_s_star}
     if choice.startswith("center"):
-        # central element of g_0^f (or of g_0^s for the isotropic variant)
+        # a central element of the centralizer of s in g_0^f
         base = [setup.basis[i] for i in setup.g0f_indices]
-        if frame.isotropic:
-            base = [
-                v for v in base
-                if not any(g.bracket(v, frame.s))
-            ]
-        rows = [[x for v2 in base for x in g.bracket(v1, v2)] for v1 in base]
-        ker = linalg.kernel(linalg.transpose(rows), g.ring, len(base)) \
-            if base else []
+        cent = kernel_span(base, lambda v: [g.bracket(v, frame.s)])
+        ker = kernel_span(cent, lambda v: [g.bracket(v, w) for w in cent])
         if not ker:
             raise UsageError("the centralizer core is trivial; no center element")
-        return {0: linalg.combine(ker[0], base)}
+        return {0: ker[0]}
     raise UsageError(f"unknown a(z) choice {choice!r}")
 
 
@@ -206,27 +211,13 @@ def cmd_generators(args):
     return 0
 
 
-def table_names(frame) -> list[str]:
-    if frame.isotropic:
-        return ["isotropic_h_brackets", "isotropic_k_brackets"]
-    if frame.setup.kind == MINIMAL:
-        return ["minimal_generators"]
-    return ["short_generators"]
-
-
 def cmd_tables(args):
     g, setup, frame = make_frame(args)
-    gens = WGenerators(frame)
-    status = 0
-    doc = {}
-    for which in table_names(frame):
-        per_entry: dict = {}
-        bad = verify_table(frame, gens, which, report=per_entry)
-        doc[which] = per_entry
-        if bad:
-            status = 1
-    emit(doc, args)
-    return status
+    tables = verify_table(frame, WGenerators(frame))
+    emit({which: {entry: "FAIL" if bad else "PASS"
+                  for entry, bad in rows.items()}
+          for which, rows in tables.items()}, args)
+    return int(any(any(rows.values()) for rows in tables.values()))
 
 
 def dress(frame, max_deg, args):
@@ -284,8 +275,8 @@ def cmd_verify_all(args):
     memb = [name for name, p in gens.all_generators()
             if not frame.is_in_w(p)]
     report("generator membership", memb)
-    for which in table_names(frame):
-        report(f"bracket table {which}", verify_table(frame, gens, which))
+    for which, rows in verify_table(frame, gens).items():
+        report(f"bracket table {which}", [m for bad in rows.values() for m in bad])
     max_deg = Fraction(args.max_degree)
     U, h, dec = dress(frame, max_deg, args)
     defect = dressing_defect(frame, U, h, max_deg)

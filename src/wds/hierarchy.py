@@ -281,7 +281,7 @@ class HDecomposition:
         if Mnext:
             for j in range(msrc):
                 col = [Mnext[r][j] for r in range(m)]
-                if linalg.rank(im_cols + [col], ring) > len(im_cols):
+                if linalg.rank(im_cols + [col]) > len(im_cols):
                     im_cols.append(col)
                     im_src.append(j)
         basis_mat = linalg.transpose([list(v) for v in K] + im_cols)

@@ -139,7 +139,7 @@ class LieAlgebra:
                         bad.append(
                             f"invariance ({self.labels[i]},{self.labels[j]},{self.labels[k]})"
                         )
-        if linalg.rank(self.form, self.ring) != n:
+        if linalg.rank(self.form) != n:
             bad.append("degenerate form")
         return bad
 
@@ -403,7 +403,8 @@ class GradedSetup:
             raise WrongKind("ad(x) not diagonalizable over half-integers")
         if not set(spaces) <= _ALLOWED[self.kind]:
             raise WrongKind(
-                f"eigenvalues {sorted(spaces)} invalid for kind {self.kind}")
+                f"eigenvalues [{', '.join(map(str, sorted(spaces)))}] invalid "
+                f"for kind {self.kind}")
         if self.kind == MINIMAL and (
             len(spaces.get(Fraction(1), ())) != 1
             or len(spaces.get(Fraction(-1), ())) != 1
@@ -417,7 +418,7 @@ class GradedSetup:
     def _extend_echelon(self, seed: list[Vec], pool: list[Vec]) -> list[Vec]:
         out = list(seed)
         for v in pool:
-            if linalg.rank(out + [v], self.ring) > len(out):
+            if linalg.rank(out + [v]) > len(out):
                 out.append(v)
         return out
 
@@ -624,8 +625,7 @@ class GradedSetup:
             linalg.mat_vec(ad, col, self.ring)
             for col in linalg.transpose(ad)
         ]
-        return linalg.rank(ad, self.ring) == linalg.rank(
-            linalg.transpose(ad2), self.ring)
+        return linalg.rank(ad) == linalg.rank(linalg.transpose(ad2))
 
     def to_json(self) -> dict:
         g = self.algebra
@@ -765,12 +765,12 @@ class EmbeddableData:
              for u in self.gs_half],
         ]
         for m, im in enumerate(imgs):
-            if im and linalg.rank(im, ring) != len(self.gs_half):
+            if im and linalg.rank(im) != len(self.gs_half):
                 bad.append(f"ad-map {m} not injective on g^s_1/2")
         # (e) g_0^f = g_0^s + [s, [f, g^s_1/2]], orthogonal direct sum
         comp = imgs[1]
         span = [list(v) for v in self.g0s] + [list(v) for v in comp]
-        if span and linalg.rank(span, ring) != len(setup.g0f_indices):
+        if span and linalg.rank(span) != len(setup.g0f_indices):
             bad.append("g_0^f does not split as g_0^s + [s,[f,g^s_1/2]]")
         for a in self.g0s:
             for b in comp:
@@ -778,17 +778,17 @@ class EmbeddableData:
                     bad.append("g_0^s not orthogonal to [s,[f,g^s_1/2]]")
         # (f) dual decompositions of the half eigenspaces
         top = [list(v) for v in imgs[2]] + [list(s)]
-        if linalg.rank(top, ring) != len(setup.eig_indices(half)):
+        if linalg.rank(top) != len(setup.eig_indices(half)):
             bad.append("g_1/2 != [s,[s,[f,g^s_1/2]]] + F s")
         bottom = [list(g.bracket(setup.f, u)) for u in self.gs_half] + [list(st)]
-        if linalg.rank(bottom, ring) != len(setup.eig_indices(half)):
+        if linalg.rank(bottom) != len(setup.eig_indices(half)):
             bad.append("g_-1/2 != [f, g^s_1/2] + F s*")
         for u in imgs[2]:
             if g.pair(u, st):
                 bad.append("[s,[s,[f,g^s_1/2]]] not orthogonal to s*")
         # (h) chi nondegenerate and g_0^s invariant
         M = [[self.chi(u, v) for v in self.gs_half] for u in self.gs_half]
-        if self.gs_half and linalg.rank(M, ring) != len(self.gs_half):
+        if self.gs_half and linalg.rank(M) != len(self.gs_half):
             bad.append("chi degenerate")
         for c in self.g0s:
             for u in self.gs_half:

@@ -49,7 +49,7 @@ def mat_vec(m: Mat, v: Vec, ring: ParamRing) -> Vec:
     return out
 
 
-def rref(rows: Mat, ring: ParamRing) -> tuple[Mat, list[int]]:
+def rref(rows: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form; returns (rref rows, pivot column list)."""
     m = [list(r) for r in rows]
     nrow = len(m)
@@ -74,10 +74,10 @@ def rref(rows: Mat, ring: ParamRing) -> tuple[Mat, list[int]]:
     return m[:r], pivots
 
 
-def rank(rows: Mat, ring: ParamRing) -> int:
+def rank(rows: Mat) -> int:
     if not rows:
         return 0
-    return len(rref(rows, ring)[0])
+    return len(rref(rows)[0])
 
 
 def kernel(rows: Mat, ring: ParamRing, ncols: int) -> list[Vec]:
@@ -85,7 +85,7 @@ def kernel(rows: Mat, ring: ParamRing, ncols: int) -> list[Vec]:
     if not rows:
         return [[ring.one() if j == i else ring.zero() for j in range(ncols)]
                 for i in range(ncols)]
-    red, pivots = rref(rows, ring)
+    red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -103,7 +103,7 @@ def solve(rows: Mat, rhs: Vec, ring: ParamRing) -> Vec | None:
         return None
     ncol = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ring)
+    red, pivots = rref(aug)
     if ncol in pivots:
         return None  # inconsistent
     x = zeros(ring, ncol)
@@ -116,7 +116,7 @@ def inverse(rows: Mat, ring: ParamRing) -> Mat:
     n = len(rows)
     aug = [list(r) + [ring.one() if j == i else ring.zero() for j in range(n)]
            for i, r in enumerate(rows)]
-    red, pivots = rref(aug, ring)
+    red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ArithmeticError("singular matrix")
     return [row[n:] for row in red]

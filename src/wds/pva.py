@@ -166,6 +166,10 @@ class ReductionFrame:
                 self.labels[i] = name
             self._adapted_from_orig = linalg.inverse(
                 linalg.transpose(self.basis), self.ring)
+        if setup.kind == MINIMAL:
+            # the g_1/2 pairs the minimal generators sum over: l with l', or
+            # a basis of g_1/2 with its omega_+ dual
+            self.half_pairs = self.l_pairs if isotropic else setup.v_pairs
         # coordinates: g_<=1/2, or p = g_<=0 + l' when isotropic; the
         # annihilating generators: g_>=1/2, or g_>=1 + l
         self.coord_idx = [i for i, ev in enumerate(self.eig_of)

@@ -15,49 +15,42 @@ from functools import cached_property
 from . import linalg
 from .diffpoly import DiffPoly, LambdaPoly
 from .lie import MINIMAL, SHORT, coords_in
-from .pva import BracketTable, ReductionFrame
+from .pva import BracketTable, ReductionFrame, master_bracket
 
 
 class WGenerators:
     def __init__(self, frame: ReductionFrame):
         self.frame = frame
-        self.variant = (
-            "minimal_isotropic" if frame.isotropic
-            else frame.setup.kind
-        )
         self.L = self.build_virasoro()
         half = Fraction(-1, 2) if frame.setup.kind == MINIMAL else Fraction(-1)
-        self.psi_args = [
-            frame.basis[i] for i in frame.w_idx if frame.eig_of[i] == half
-        ]
-        self.phi_args = [
-            frame.basis[i] for i in frame.w_idx if frame.eig_of[i] == 0
-        ]
+        phi_idx = [i for i in frame.w_idx if frame.eig_of[i] == 0]
+        psi_idx = [i for i in frame.w_idx if frame.eig_of[i] == half]
+        self.psi_args = [frame.basis[i] for i in psi_idx]
+        self.phi_args = [frame.basis[i] for i in phi_idx]
         self.psis = [self.psi(u) for u in self.psi_args]
         self.phis = [self.phi(a) for a in self.phi_args]
         self.Ltilde = self.build_ltilde()
-        self._pi_inv_images = self._pi_inverse_images()
+        # pi^-1 on the generators of V(g^f): a -> phi(a), u -> psi(u), and
+        # f -> Ltilde for a minimal nilpotent
+        lifts = dict(zip(phi_idx + psi_idx, self.phis + self.psis))
+        self._pi_inv_images = [lifts.get(i, self.Ltilde) for i in frame.w_idx]
 
     # -- generator formulas ------------------------------------------------
 
     def build_virasoro(self) -> DiffPoly:
-        """L = f + x' + 1/2 sum a_j a^j (+ the g_1/2 tail when present)."""
+        """L = f + x' + 1/2 sum a_j a^j (+ the g_1/2 tail when minimal)."""
         fr = self.frame
         setup = fr.setup
         L = fr.coord_lin(setup.f) + fr.coord_lin(setup.x, order=1)
         g0, g0d = setup.g0_pairs
         for b, bd in zip(g0, g0d):
             L += fr.coord_lin(b) * fr.coord_lin(bd) * Fraction(1, 2)
-        if fr.isotropic:
-            l_side, lp_side = fr.l_pairs
-            for vk, vkd in zip(l_side, lp_side):
-                L += fr.coord_lin(setup.algebra.bracket(setup.f, vk)) * fr.coord_lin(vkd)
-        elif setup.kind == MINIMAL:
-            vs, vds = setup.v_pairs
-            for vk, vkd in zip(vs, vds):
+        if setup.kind == MINIMAL:
+            # v_k' vanishes in the coordinate ring when v_k lies in l
+            for vk, vkd in zip(*fr.half_pairs):
                 L += fr.coord_lin(vkd) * fr.coord_lin(
                     setup.algebra.bracket(setup.f, vk))
-                L += fr.coord_lin(vkd) * fr.coord_lin(vk, order=1) * Fraction(1, 2)
+                L += fr.coord_lin(vkd) * fr.p_lin(vk, order=1) * Fraction(1, 2)
         return L
 
     def phi(self, a) -> DiffPoly:
@@ -68,17 +61,9 @@ class WGenerators:
             return fr.coord_ctx.zero()
         coords_in(setup, a, setup.g0f_indices, "phi argument must lie in g_0^f")
         out = fr.coord_lin(a)
-        if setup.kind == SHORT:
-            return out
-        if fr.isotropic:
-            l_side, lp_side = fr.l_pairs
-            for vk, vkd in zip(l_side, lp_side):
+        if setup.kind == MINIMAL:
+            for vk, vkd in zip(*fr.half_pairs):
                 out += fr.p_lin(setup.algebra.bracket(a, vk)) \
-                    * fr.coord_lin(vkd) * Fraction(1, 2)
-        else:
-            vs, vds = setup.v_pairs
-            for vk, vkd in zip(vs, vds):
-                out += fr.coord_lin(setup.algebra.bracket(a, vk)) \
                     * fr.coord_lin(vkd) * Fraction(1, 2)
         return out
 
@@ -99,28 +84,16 @@ class WGenerators:
             out += fr.coord_lin(g.bracket(setup.e, u), order=1) * Fraction(1, 2)
             return out
         self._check_grade(u, Fraction(-1, 2))
-        if fr.isotropic:
-            l_side, lp_side = fr.l_pairs
-            out = fr.coord_lin(u)
-            for vh, vhd in zip(l_side, lp_side):
-                for vk, vkd in zip(l_side, lp_side):
-                    inner = g.bracket(g.bracket(u, vh), vk)
-                    out += fr.p_lin(inner) * fr.coord_lin(vhd) \
-                        * fr.coord_lin(vkd) * Fraction(1, 3)
-            for vk, vkd in zip(l_side, lp_side):
-                out += fr.coord_lin(g.bracket(u, vk)) * fr.coord_lin(vkd)
-            out += fr.p_lin(g.bracket(setup.e, u), order=1)
-            return out
-        vs, vds = setup.v_pairs
+        vs, vds = fr.half_pairs
         out = fr.coord_lin(u)
         for vh, vhd in zip(vs, vds):
             for vk, vkd in zip(vs, vds):
                 inner = g.bracket(g.bracket(u, vh), vk)
-                out += fr.coord_lin(inner) * fr.coord_lin(vhd) \
+                out += fr.p_lin(inner) * fr.coord_lin(vhd) \
                     * fr.coord_lin(vkd) * Fraction(1, 3)
         for vk, vkd in zip(vs, vds):
             out += fr.coord_lin(g.bracket(u, vk)) * fr.coord_lin(vkd)
-        out += fr.coord_lin(g.bracket(setup.e, u), order=1)
+        out += fr.p_lin(g.bracket(setup.e, u), order=1)
         return out
 
     def build_ltilde(self) -> DiffPoly:
@@ -160,31 +133,20 @@ class WGenerators:
 
     # -- the inverse of pi ----------------------------------------------------
 
-    def _pi_inverse_images(self) -> list[DiffPoly]:
-        fr = self.frame
-        images = []
-        for b in fr.w_idx:
-            ev = fr.eig_of[b]
-            if ev == 0:
-                images.append(self.phi(fr.basis[b]))
-            elif fr.setup.kind == MINIMAL and ev == Fraction(-1):
-                images.append(self.Ltilde)
-            else:
-                images.append(self.psi(fr.basis[b]))
-        return images
-
     def pi_inverse(self, p: DiffPoly) -> DiffPoly:
         """Substitute a -> phi(a), u -> psi(u) (and f -> Ltilde, minimal)."""
         return p.map_generators(self.frame.coord_ctx, self._pi_inv_images)
 
     def all_generators(self) -> list[tuple[str, DiffPoly]]:
-        fr = self.frame
-        named = [("L", self.L)]
-        for a, p in zip(self.phi_args, self.phis):
-            named.append((f"phi({fr.algebra.vec_str(a)})", p))
-        for u, p in zip(self.psi_args, self.psis):
-            named.append((f"psi({fr.algebra.vec_str(u)})", p))
-        return named
+        names = [n for n, _ in _named(self, "phi") + _named(self, "psi")]
+        return [("L", self.L)] + list(zip(names, self.phis + self.psis))
+
+
+def _named(gens: WGenerators, kind: str) -> list[tuple[str, list]]:
+    """(name, argument) of each phi or psi generator."""
+    g = gens.frame.algebra
+    args = gens.phi_args if kind == "phi" else gens.psi_args
+    return [(f"{kind}({g.vec_str(v)})", v) for v in args]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +174,7 @@ def _expected_minimal(frame: ReductionFrame, gens: WGenerators):
     wz = frame.w_ctx.zero()
     piL = frame.pi(gens.L)
     piLt = frame.pi(gens.Ltilde)
-    vs, vds = (frame.l_pairs if frame.isotropic else setup.v_pairs)
+    vs, vds = frame.half_pairs
     if frame.isotropic:
         vs = vs + vds
         vds = vds + [linalg.vec_scale(v, frame.ring.const(-1)) for v in vs[: len(vds)]]
@@ -220,49 +182,50 @@ def _expected_minimal(frame: ReductionFrame, gens: WGenerators):
     def wl(v, order=0):
         return frame.w_lin(v, order)
 
+    phis, psis = _named(gens, "phi"), _named(gens, "psi")
     rows = {}
     rows[("L", "L")] = (
         _lam(frame, piL.d(), piL.scale(2), wz, frame.w_ctx.const(-xx)),
         _lam(frame, wz, frame.w_ctx.const(
             -2 * g.pair(setup.f, frame.s))),
     )
-    for a in gens.phi_args:
-        rows[("L", ("phi", g.vec_str(a)))] = (
+    for na, a in phis:
+        rows[("L", na)] = (
             _lam(frame, wl(a, 1), wl(a)),
             LambdaPoly.zero(frame.w_ctx),
         )
-        rows[(("phi", g.vec_str(a)), "L")] = (
+        rows[(na, "L")] = (
             _lam(frame, wz, wl(a)),
             LambdaPoly.zero(frame.w_ctx),
         )
-        for b in gens.phi_args:
-            rows[(("phi", g.vec_str(a)), ("phi", g.vec_str(b)))] = (
+        for nb, b in phis:
+            rows[(na, nb)] = (
                 _lam(frame, wl(g.bracket(a, b)),
                      frame.w_ctx.const(g.pair(a, b))),
                 LambdaPoly.zero(frame.w_ctx),
             )
-        for u1 in gens.psi_args:
-            rows[(("phi", g.vec_str(a)), ("psi", g.vec_str(u1)))] = (
+        for nu1, u1 in psis:
+            rows[(na, nu1)] = (
                 _lam(frame, wl(g.bracket(a, u1))),
                 _lam(frame, frame.w_ctx.const(
                     -g.pair(frame.s, g.bracket(a, u1)))),
             )
-            rows[(("psi", g.vec_str(u1)), ("phi", g.vec_str(a)))] = (
+            rows[(nu1, na)] = (
                 _lam(frame, wl(g.bracket(u1, a))),
                 _lam(frame, frame.w_ctx.const(
                     -g.pair(frame.s, g.bracket(u1, a)))),
             )
-    for u in gens.psi_args:
-        rows[("L", ("psi", g.vec_str(u)))] = (
+    for nu, u in psis:
+        rows[("L", nu)] = (
             _lam(frame, wl(u, 1), wl(u).scale(Fraction(3, 2))),
             LambdaPoly.zero(frame.w_ctx),
         )
-        rows[(("psi", g.vec_str(u)), "L")] = (
+        rows[(nu, "L")] = (
             _lam(frame, wl(u, 1).scale(Fraction(1, 2)),
                  wl(u).scale(Fraction(3, 2))),
             LambdaPoly.zero(frame.w_ctx),
         )
-        for u1 in gens.psi_args:
+        for nu1, u1 in psis:
             om = setup.omega_minus(u, u1)
             quad = frame.w_ctx.zero()
             for vk, vkd in zip(vs, vds):
@@ -280,7 +243,7 @@ def _expected_minimal(frame: ReductionFrame, gens: WGenerators):
             )
             k = _lam(frame, frame.w_ctx.const(
                 -om * g.pair(frame.s, setup.f) / (2 * xx)))
-            rows[(("psi", g.vec_str(u)), ("psi", g.vec_str(u1)))] = (h, k)
+            rows[(nu, nu1)] = (h, k)
     return rows
 
 
@@ -298,25 +261,26 @@ def _expected_short(frame: ReductionFrame, gens: WGenerators):
     def sharp(v):
         return setup.sharp(v)
 
+    phis, psis = _named(gens, "phi"), _named(gens, "psi")
     rows = {}
-    for a in gens.phi_args:
-        for b in gens.phi_args:
-            rows[(("phi", g.vec_str(a)), ("phi", g.vec_str(b)))] = (
+    for na, a in phis:
+        for nb, b in phis:
+            rows[(na, nb)] = (
                 _lam(frame, wl(g.bracket(a, b)),
                      frame.w_ctx.const(g.pair(a, b))),
                 LambdaPoly.zero(frame.w_ctx),
             )
-        for u1 in gens.psi_args:
-            rows[(("phi", g.vec_str(a)), ("psi", g.vec_str(u1)))] = (
+        for nu1, u1 in psis:
+            rows[(na, nu1)] = (
                 _lam(frame, wl(g.bracket(a, u1))),
                 _lam(frame, frame.w_ctx.const(-g.pair(s, g.bracket(a, u1)))),
             )
-            rows[(("psi", g.vec_str(u1)), ("phi", g.vec_str(a)))] = (
+            rows[(nu1, na)] = (
                 _lam(frame, wl(g.bracket(u1, a))),
                 _lam(frame, frame.w_ctx.const(-g.pair(s, g.bracket(u1, a)))),
             )
-    for u in gens.psi_args:
-        for u1 in gens.psi_args:
+    for nu, u in psis:
+        for nu1, u1 in psis:
             circ_uu1 = setup.jordan(u, u1)
             ad_e = lambda w: g.bracket(setup.e, w)
             hsum = wz
@@ -360,16 +324,16 @@ def _expected_short(frame: ReductionFrame, gens: WGenerators):
                 frame.w_ctx,
                 [kz0, frame.w_ctx.const(g.pair(s, circ_uu1))],
             )
-            rows[(("psi", g.vec_str(u)), ("psi", g.vec_str(u1)))] = (h, k)
+            rows[(nu, nu1)] = (h, k)
     # L-brackets; L = psi(f) + 1/2 sum a_i a^i
     piL = frame.pi(gens.L)
-    for a in gens.phi_args:
-        rows[("L", ("phi", g.vec_str(a)))] = (
+    for na, a in phis:
+        rows[("L", na)] = (
             _lam(frame, wl(a, 1), wl(a)), LambdaPoly.zero(frame.w_ctx))
-    for u in gens.psi_args:
+    for nu, u in psis:
         # the z-part is 2(s|u)z lambda, as forced by the psi-psi bracket at
         # u1 = f together with skew-symmetry
-        rows[("L", ("psi", g.vec_str(u)))] = (
+        rows[("L", nu)] = (
             _lam(frame, wl(u, 1), wl(u).scale(2), wz,
                  frame.w_ctx.const(-g.pair(setup.e, u) / 2)),
             _lam(frame, wz, frame.w_ctx.const(-2 * g.pair(s, u))),
@@ -387,78 +351,62 @@ def _expected_isotropic_k(frame: ReductionFrame, gens: WGenerators):
     g = frame.algebra
     wz = frame.w_ctx.zero()
     s = frame.s
+    phis, psis = _named(gens, "phi"), _named(gens, "psi")
     rows = {}
     rows[("L", "L")] = _lam(frame, wz)
-    for a in gens.phi_args:
-        rows[("L", ("phi", g.vec_str(a)))] = _lam(frame, wz)
-        rows[(("phi", g.vec_str(a)), "L")] = _lam(frame, wz)
-        for b in gens.phi_args:
-            rows[(("phi", g.vec_str(a)), ("phi", g.vec_str(b)))] = _lam(frame, wz)
-        for u1 in gens.psi_args:
-            rows[(("phi", g.vec_str(a)), ("psi", g.vec_str(u1)))] = _lam(
+    for na, a in phis:
+        rows[("L", na)] = _lam(frame, wz)
+        rows[(na, "L")] = _lam(frame, wz)
+        for nb, b in phis:
+            rows[(na, nb)] = _lam(frame, wz)
+        for nu1, u1 in psis:
+            rows[(na, nu1)] = _lam(
                 frame, frame.w_ctx.const(g.pair(s, g.bracket(u1, a))))
-            rows[(("psi", g.vec_str(u1)), ("phi", g.vec_str(a)))] = _lam(
+            rows[(nu1, na)] = _lam(
                 frame, frame.w_ctx.const(g.pair(s, g.bracket(a, u1))))
-    for u in gens.psi_args:
-        rows[("L", ("psi", g.vec_str(u)))] = _lam(
+    for nu, u in psis:
+        rows[("L", nu)] = _lam(
             frame, wz,
             frame.w_ctx.const(g.pair(s, u) * Fraction(-3, 2)))
-        rows[(("psi", g.vec_str(u)), "L")] = _lam(
+        rows[(nu, "L")] = _lam(
             frame, wz,
             frame.w_ctx.const(g.pair(s, u) * Fraction(-3, 2)))
-        for u1 in gens.psi_args:
-            rows[(("psi", g.vec_str(u)), ("psi", g.vec_str(u1)))] = _lam(frame, wz)
+        for nu1, u1 in psis:
+            rows[(nu, nu1)] = _lam(frame, wz)
     return rows
 
 
-def verify_table(frame: ReductionFrame, gens: WGenerators, which: str,
-                 report: dict | None = None) -> list[str]:
-    """Compare computed generator brackets with their closed forms.
+def verify_table(frame: ReductionFrame, gens: WGenerators
+                 ) -> dict[str, dict[str, list[str]]]:
+    """Check the generator table of W against the paper's closed forms.
 
-    Both sides are pushed through pi into V(g^f) and compared exactly.
-    Returns a list of mismatch descriptions; empty means full agreement.
-    When a report dict is supplied it receives a PASS/FAIL entry per pair.
+    Each closed-form entry {a lambda b} is compared exactly, in V(g^f), with
+    master_bracket(gens.table, pi(a), pi(b)).  The closed forms follow the
+    frame: minimal, short, or for the isotropic variant the minimal H-parts
+    with the isotropic K-parts.  Returns {table name: {entry: mismatches}};
+    an entry passes when its list is empty.
     """
-    named = {"L": gens.L}
-    for a, p in zip(gens.phi_args, gens.phis):
-        named[("phi", frame.algebra.vec_str(a))] = p
-    for u, p in zip(gens.psi_args, gens.psis):
-        named[("psi", frame.algebra.vec_str(u))] = p
-
-    if which in ("minimal_generators", "psi_psi_minimal", "isotropic_h_brackets"):
-        expected = _expected_minimal(frame, gens)
-    elif which in ("short_generators", "psi_psi_short", "L_brackets_short"):
-        expected = _expected_short(frame, gens)
-    elif which == "isotropic_k_brackets":
-        expected = _expected_isotropic_k(frame, gens)
+    if frame.isotropic:
+        tables = {
+            "isotropic_h_brackets": {
+                key: (h, None)
+                for key, (h, _) in _expected_minimal(frame, gens).items()},
+            "isotropic_k_brackets": {
+                key: (None, k)
+                for key, k in _expected_isotropic_k(frame, gens).items()},
+        }
+    elif frame.setup.kind == MINIMAL:
+        tables = {"minimal_generators": _expected_minimal(frame, gens)}
     else:
-        raise ValueError(f"unknown table {which}")
-
-    if which == "psi_psi_minimal" or which == "psi_psi_short":
-        expected = {k: v for k, v in expected.items()
-                    if k[0][0] == "psi" and k[1][0] == "psi"}
-    if which == "L_brackets_short":
-        expected = {k: v for k, v in expected.items() if "L" in k}
-
-    bad = []
-    for (kg, kh), want in expected.items():
-        mismatches = []
-        got = _pi_pair(frame, frame.w_bracket(named[kg], named[kh]))
-        if which == "isotropic_k_brackets":
-            if got[1] != want:
-                mismatches.append(
-                    f"K-bracket ({kg},{kh}): got {got[1]}, want {want}")
-        else:
-            if got[0] != want[0]:
-                mismatches.append(
-                    f"H-bracket ({kg},{kh}): got {got[0]}, want {want[0]}")
-            if which != "isotropic_h_brackets" and got[1] != want[1]:
-                mismatches.append(
-                    f"K-bracket ({kg},{kh}): got {got[1]}, want {want[1]}")
-        bad.extend(mismatches)
-        if report is not None:
-            def tag(k):
-                return k if isinstance(k, str) else f"{k[0]}({k[1]})"
-            report[f"{{{tag(kg)}, {tag(kh)}}}"] = (
-                "PASS" if not mismatches else "FAIL")
-    return bad
+        tables = {"short_generators": _expected_short(frame, gens)}
+    images = {name: frame.pi(p) for name, p in gens.all_generators()}
+    out = {}
+    for which, expected in tables.items():
+        rows = out[which] = {}
+        for (a, b), want in expected.items():
+            got = master_bracket(gens.table, images[a], images[b])
+            rows[f"{{{a}, {b}}}"] = [
+                f"{part}-bracket {{{a}, {b}}}: got {x}, want {y}"
+                for part, x, y in zip("HK", got, want)
+                if y is not None and x != y]
+    return out

@@ -48,19 +48,10 @@ def test_a02_generator_membership(sl3_min, sl4_min, sl4_short):
 
 
 def test_a03_bracket_tables(sl3_min, sl4_min, sl4_short, sl3_iso):
-    for cfg in (sl3_min, sl4_min):
-        assert verify_table(cfg.frame, cfg.gens, "minimal_generators") == []
-        assert verify_table(cfg.frame, cfg.gens, "psi_psi_minimal") == []
-    assert verify_table(sl4_short.frame, sl4_short.gens,
-                        "short_generators") == []
-    assert verify_table(sl4_short.frame, sl4_short.gens,
-                        "psi_psi_short") == []
-    assert verify_table(sl4_short.frame, sl4_short.gens,
-                        "L_brackets_short") == []
-    assert verify_table(sl3_iso.frame, sl3_iso.gens,
-                        "isotropic_k_brackets") == []
-    assert verify_table(sl3_iso.frame, sl3_iso.gens,
-                        "isotropic_h_brackets") == []
+    for cfg in (sl3_min, sl4_min, sl4_short, sl3_iso):
+        tables = verify_table(cfg.frame, cfg.gens)
+        assert all(not bad for rows in tables.values()
+                   for bad in rows.values()), list(tables)
     ok(3, "generator bracket tables (minimal, short, isotropic)")
 
 

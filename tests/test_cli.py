@@ -142,9 +142,12 @@ def test_non_homogeneous_s_usage_error(capsys):
     (("hierarchy", "--algebra", "sl3", "--s", "explicit:E99"), None),
     (("hierarchy", "--algebra", "sl3", "--s", "explicit:E12"), None),
     (("setup", "--algebra", "sl3", "--f", "H1"), None),
+    (("setup", "--algebra", "sl3", "--nilpotent", "short", "--f", "E31"),
+     None),
 ], ids=["verify_n_neg", "hierarchy_n_neg", "max_degree_0",
         "max_degree_neg", "sl1", "sp3", "unknown_f_label", "env_max_degree",
-        "unknown_s_label", "s_not_semisimple", "f_not_nilpotent"])
+        "unknown_s_label", "s_not_semisimple", "f_not_nilpotent",
+        "f_wrong_kind"])
 def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
     if env is None:
         monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
@@ -154,6 +157,18 @@ def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err + out
+    assert "Fraction(" not in err
+
+
+def test_center_choice_short_symbolic(capsys):
+    """The center of the centralizer of s in g_0^f: for sl4 short with
+    s = diag(s1, s2) that is the span of H1 + H3."""
+    code, out, err = run(capsys, "hierarchy", "--algebra", "sl4",
+                         "--nilpotent", "short", "--s", "diag:s1,s2",
+                         "--a-choice", "center", "--n", "1",
+                         "--max-degree", "2")
+    assert code == 0, err
+    assert "int g_0" in out
 
 
 def test_verify_all_prints_failing_entries(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from wds import linalg
 from wds.diffpoly import LambdaPoly
-from wds.lie import MINIMAL, GradeMismatch
+from wds.lie import MINIMAL, SHORT, GradeMismatch
 from wds.pva import random_element
 from wds.walgebra import verify_table
 
@@ -142,26 +142,60 @@ def test_weight_one_and_three_half_uniqueness(sl3_min):
         assert not fr.is_in_w(psi + pert)
 
 
+def _failures(cfg):
+    """Every mismatching entry of the full closed-form table check."""
+    tables = verify_table(cfg.frame, cfg.gens)
+    n = len(cfg.gens.all_generators())
+    # every ordered pair of generators, except {phi, L} and {psi, L} in the
+    # short table
+    for rows in tables.values():
+        assert len(rows) == n * n - (n - 1) * (cfg.setup.kind == SHORT)
+    return [m for rows in tables.values() for bad in rows.values() for m in bad]
+
+
 def test_minimal_tables_sl3_sl4(sl3_min, sl4_min):
     for cfg in (sl3_min, sl4_min):
-        assert verify_table(cfg.frame, cfg.gens, "minimal_generators") == []
-        assert verify_table(cfg.frame, cfg.gens, "psi_psi_minimal") == []
+        assert _failures(cfg) == []
 
 
 def test_short_tables_sl4(sl4_short):
-    assert verify_table(sl4_short.frame, sl4_short.gens,
-                        "short_generators") == []
-    assert verify_table(sl4_short.frame, sl4_short.gens,
-                        "psi_psi_short") == []
-    assert verify_table(sl4_short.frame, sl4_short.gens,
-                        "L_brackets_short") == []
+    assert _failures(sl4_short) == []
 
 
 def test_isotropic_tables_sl3(sl3_iso):
-    assert verify_table(sl3_iso.frame, sl3_iso.gens,
-                        "isotropic_h_brackets") == []
-    assert verify_table(sl3_iso.frame, sl3_iso.gens,
-                        "isotropic_k_brackets") == []
+    tables = verify_table(sl3_iso.frame, sl3_iso.gens)
+    assert list(tables) == ["isotropic_h_brackets", "isotropic_k_brackets"]
+    assert _failures(sl3_iso) == []
+
+
+def test_table_entry_mutation_is_reported(sl3_min, capsys, monkeypatch):
+    """Scaling one entry of the generator table of W makes verify_table
+    report that entry, and `wds tables` exit 1."""
+    from functools import cached_property
+    import wds.cli
+    from wds.walgebra import WGenerators
+    fr = sl3_min.frame
+    # table rows follow w_idx; pick the (psi, phi) entry of the first of each
+    i = next(k for k, b in enumerate(fr.w_idx) if fr.eig_of[b] == -HALF)
+    j = next(k for k, b in enumerate(fr.w_idx) if fr.eig_of[b] == 0)
+
+    class Mutated(WGenerators):
+        @cached_property
+        def table(self):
+            table = WGenerators.table.func(self)
+            h, k = table.get(i, j)
+            table.set(i, j, h.scale(2), k)
+            return table
+
+    gens = Mutated(fr)
+    names = [name for name, _ in gens.all_generators()]
+    entry = f"{{{names[1 + len(gens.phis)]}, {names[1]}}}"
+    rows = verify_table(fr, gens)["minimal_generators"]
+    assert rows[entry] and rows[entry][0].startswith(f"H-bracket {entry}: got")
+    monkeypatch.setattr(wds.cli, "WGenerators", Mutated)
+    code = wds.cli.main(["tables", "--algebra", "sl3"])
+    assert code == 1
+    assert f"  {entry}: FAIL\n" in capsys.readouterr().out
 
 
 def test_short_psi_psi_skew_symmetry(sl4_short):
@@ -220,19 +254,19 @@ def test_primary_fields_isotropic(sl3_iso):
 
 
 def _table_keys(cfg):
-    """Closed-form keys of the table rows: ("phi", a) / ("psi", u), and
-    None for the Ltilde row of a minimal nilpotent (the closed forms are
-    keyed on L)."""
+    """Closed-form keys of the table rows: the generator names phi(a) /
+    psi(u), and None for the Ltilde row of a minimal nilpotent (the closed
+    forms are keyed on L)."""
     fr, g = cfg.frame, cfg.algebra
     keys = []
     for b in fr.w_idx:
         ev = fr.eig_of[b]
         if ev == 0:
-            keys.append(("phi", g.vec_str(fr.basis[b])))
+            keys.append(f"phi({g.vec_str(fr.basis[b])})")
         elif cfg.setup.kind == MINIMAL and ev == -1:
             keys.append(None)
         else:
-            keys.append(("psi", g.vec_str(fr.basis[b])))
+            keys.append(f"psi({g.vec_str(fr.basis[b])})")
     return keys
 
 
