@@ -17,7 +17,7 @@ from . import linalg
 from .diffpoly import DiffPoly
 from .lie import (GradedSetup, GradeMismatch, InvalidDimension, MINIMAL,
                   NotNilpotent, SHORT, UnknownLabel, WrongKind, build_sl,
-                  build_sp)
+                  build_sp, coords_in)
 from .pva import ReductionFrame, check_pva_axioms
 from .walgebra import WGenerators, verify_table
 from .hierarchy import (NotSemisimple, conserved_densities, dressing_defect,
@@ -72,6 +72,22 @@ def find_isotropic_s(setup: GradedSetup):
         "(small-coefficient search exhausted; e.g. sp4 minimal admits none)")
 
 
+def diag_entries(choice: str) -> list:
+    """The entries of --s diag:a,b,...: Fractions, or parameter names."""
+    out = []
+    for ent in choice[5:].split(","):
+        try:
+            out.append(Fraction(ent))
+        except ValueError:
+            if not ent.isidentifier():
+                raise UsageError(f"--s {choice}: {ent!r} is neither a number "
+                                 "nor a parameter name") from None
+            out.append(ent)
+        except ZeroDivisionError:
+            raise UsageError(f"--s {choice}: zero denominator in {ent!r}") from None
+    return out
+
+
 def parse_s(setup: GradedSetup, choice: str):
     g = setup.algebra
     if choice == "e":
@@ -83,15 +99,18 @@ def parse_s(setup: GradedSetup, choice: str):
     if choice.startswith("diag:"):
         if setup.kind != SHORT:
             raise UsageError("diag s requires a short nilpotent")
-        entries = choice[5:].split(",")
+        entries = diag_entries(choice)
         m = len(entries)
-        coeffs = []
-        for ent in entries:
-            try:
-                coeffs.append(g.ring.const(Fraction(ent)))
-            except ValueError:
-                coeffs.append(g.ring.param(ent))
-        vecs = [g.parse({f"E{i}{m + i}": 1}) for i in range(1, m + 1)]
+        coeffs = [g.ring.param(e) if isinstance(e, str) else g.ring.const(e)
+                  for e in entries]
+        try:
+            vecs = [g.parse({f"E{i}{m + i}": 1}) for i in range(1, m + 1)]
+            for v in vecs:
+                coords_in(setup, v, setup.eig_indices(1), "not in g_1")
+        except (UnknownLabel, GradeMismatch):
+            raise UsageError(
+                f"--s {choice}: the sum of the E_i,i+{m} is not in g_1; "
+                "give one entry per row of the top block") from None
         return linalg.combine(coeffs, vecs), False
     if choice.startswith("explicit:"):
         terms = {}
@@ -105,6 +124,8 @@ def parse_s(setup: GradedSetup, choice: str):
             return g.parse(terms), False
         except ValueError as e:
             raise UsageError(f"--s {choice}: {e}") from None
+        except ZeroDivisionError:
+            raise UsageError(f"--s {choice}: zero denominator") from None
     raise UsageError(f"unknown s choice {choice!r}")
 
 
@@ -141,11 +162,7 @@ def parse_a_choice(setup, frame, choice: str, emb_s_star=None):
 def make_frame(args):
     params, scale = [], None
     if args.s.startswith("diag:"):
-        for ent in args.s[5:].split(","):
-            try:
-                Fraction(ent)
-            except ValueError:
-                params.append(ent)
+        params = [e for e in diag_entries(args.s) if isinstance(e, str)]
         if params and args.form_scale is None:
             scale = "c"
     if args.form_scale:
@@ -256,14 +273,16 @@ def cmd_hierarchy(args):
 
 def cmd_verify_all(args):
     g, setup, frame = make_frame(args)
-    failures = []
+    groups = []
 
     def report(name, bad):
+        groups.append({"name": name, "passed": not bad,
+                       "failures": [str(entry) for entry in bad]})
+        if args.format == "json":
+            return
         print(f"[{'PASS' if not bad else 'FAIL'}] {name}")
         for entry in bad:
             print(f"  {entry}")
-        if bad:
-            failures.append((name, bad))
 
     report("lie algebra axioms", g.check_axioms())
     grading_ok = sum(len(v) for v in setup.grading.values()) == g.dim
@@ -285,11 +304,14 @@ def cmd_verify_all(args):
     a_z = parse_a_choice(setup, frame, args.a_choice, emb_star)
     dens = conserved_densities(frame, h, a_z, n_max=args.n, dec=dec)
     report("lenard-magri recursion", verify_lenard_magri(frame, gens, dens))
-    if failures:
-        print(f"{len(failures)} verification group(s) failed")
-        return 1
-    print("all verifications passed")
-    return 0
+    failed = sum(not group["passed"] for group in groups)
+    if args.format == "json":
+        print(json.dumps({"groups": groups, "failed": failed}, indent=2))
+    elif failed:
+        print(f"{failed} verification group(s) failed")
+    else:
+        print("all verifications passed")
+    return int(failed > 0)
 
 
 def check_ranges(args):

@@ -78,7 +78,7 @@ class ContextMismatch(ValueError):
 
 
 def _check_ctx(a: "DiffPoly", b: "DiffPoly"):
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise ContextMismatch(f"{a.ctx} vs {b.ctx}")
 
 

@@ -63,8 +63,13 @@ class LoopElement:
             out.add_term(i, k, p)
         return out
 
+    def __neg__(self) -> "LoopElement":
+        return LoopElement(
+            self.frame, self.ctx, {key: -p for key, p in self.terms.items()}
+        )
+
     def __sub__(self, other: "LoopElement") -> "LoopElement":
-        return self + other.scale(Fraction(-1))
+        return self + (-other)
 
     def scale(self, c) -> "LoopElement":
         return LoopElement(

@@ -279,17 +279,29 @@ class Scalar:
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("scalars from different parameter rings")
             return other
         return self.ring.const(other)
 
+    # Sums and products over Q, and products with a constant over Q(p), are
+    # built directly in canonical form, without the canonicalising
+    # constructor: gcd(q*num, den) = gcd(num, den) = 1, and den stays monic.
+
+    def _scaled(self, q: Fraction) -> "Scalar":
+        return Scalar(self.ring, {e: c * q for e, c in self.num.items()},
+                      self.den, True)
+
     def __add__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not Scalar or other.ring is not self.ring:
+            other = self._coerce(other)
         if not other.num:
             return self
         if not self.num:
             return other
+        if not self.ring.nvars:
+            q = self.num[()] + other.num[()]
+            return Scalar(self.ring, {(): q} if q else {}, self.den, True)
         if self.den == other.den:
             return Scalar(self.ring, mp_add(self.num, other.num), dict(self.den))
         num = mp_add(mp_mul(self.num, other.den), mp_mul(other.num, self.den))
@@ -307,12 +319,18 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if not self.num or not other.num:
+        if other.__class__ is not Scalar or other.ring is not self.ring:
+            other = self._coerce(other)
+        a, b = self.num, other.num
+        if not a or not b:
             return self.ring.zero()
-        return Scalar(
-            self.ring, mp_mul(self.num, other.num), mp_mul(self.den, other.den)
-        )
+        if not self.ring.nvars:
+            return Scalar(self.ring, {(): a[()] * b[()]}, self.den, True)
+        if other.is_const():
+            return self._scaled(b[self.ring._zero_expo])
+        if self.is_const():
+            return other._scaled(a[self.ring._zero_expo])
+        return Scalar(self.ring, mp_mul(a, b), mp_mul(self.den, other.den))
 
     __rmul__ = __mul__
 

@@ -1,8 +1,17 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wds.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -144,10 +153,20 @@ def test_non_homogeneous_s_usage_error(capsys):
     (("setup", "--algebra", "sl3", "--f", "H1"), None),
     (("setup", "--algebra", "sl3", "--nilpotent", "short", "--f", "E31"),
      None),
+    (("setup", "--algebra", "sl2", "--nilpotent", "short", "--s=diag:1/0"),
+     None),
+    (("setup", "--algebra", "sl2", "--nilpotent", "short", "--s=diag:a-b"),
+     None),
+    (("setup", "--algebra", "sl2", "--s=explicit:1/0*E12"), None),
+    (("tables", "--algebra", "sl2", "--nilpotent", "short",
+      "--s=diag:s1,s2"), None),
+    (("tables", "--algebra", "sl4", "--nilpotent", "short", "--s=diag:a"),
+     None),
 ], ids=["verify_n_neg", "hierarchy_n_neg", "max_degree_0",
         "max_degree_neg", "sl1", "sp3", "unknown_f_label", "env_max_degree",
         "unknown_s_label", "s_not_semisimple", "f_not_nilpotent",
-        "f_wrong_kind"])
+        "f_wrong_kind", "diag_zero_denominator", "diag_bad_name",
+        "explicit_zero_denominator", "diag_too_many", "diag_too_few"])
 def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
     if env is None:
         monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
@@ -178,3 +197,110 @@ def test_verify_all_prints_failing_entries(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] lenard-magri recursion\n  x\n" in out
     assert "1 verification group(s) failed" in out
+    code, out, _ = run(capsys, "verify-all", "--algebra", "sl2",
+                       "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["failed"] == 1
+    bad = [grp for grp in doc["groups"] if not grp["passed"]]
+    assert bad == [{"name": "lenard-magri recursion", "passed": False,
+                    "failures": ["x"]}]
+
+
+def test_verify_all_json_pass(capsys):
+    argv = ("verify-all", "--algebra", "sl3", "--nilpotent", "minimal")
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["failed"] == 0
+    names = [grp["name"] for grp in doc["groups"]]
+    # the same groups, in the same order, as the text report
+    assert [f"[PASS] {name}" for name in names] == text.splitlines()[:-1]
+    assert all(grp["passed"] and grp["failures"] == [] for grp in doc["groups"])
+
+
+# -- fuzz over flag combinations -----------------------------------------------
+
+LABELS = {
+    "sl2": ["E12", "E21", "H1"],
+    "sl3": ["E12", "E13", "E21", "E23", "E31", "E32", "H1", "H2"],
+    "sp4": ["A11", "A12", "A21", "A22", "B11", "B12", "B22", "C11", "C12",
+            "C22"],
+}
+S_CHOICES = ["e", "isotropic", "diag:s1", "diag:1", "diag:s1,s2", "diag:",
+             "diag:1/0", "diag:a-b", "explicit:E12", "explicit:2*E13",
+             "explicit:E99", "explicit:", "explicit:1/0*E12",
+             "explicit:x*E12", "bogus"]
+
+
+def optional(values):
+    return st.one_of(st.none(), values)
+
+
+@st.composite
+def cli_argv(draw):
+    algebra = draw(st.sampled_from(sorted(LABELS)))
+    junk = st.text(alphabet="diagexplct:E123*,/0s-", max_size=10)
+    labels = st.lists(st.sampled_from(LABELS[algebra] + ["E99", "X", ""]),
+                      min_size=1, max_size=3).map(",".join)
+    options = {
+        "--nilpotent": optional(st.sampled_from(["minimal", "short"])),
+        "--s": optional(st.sampled_from(S_CHOICES) | junk),
+        "--f": optional(labels),
+        "--a-choice": optional(st.sampled_from(
+            ["f_plus_ze", "e_plus_s_star", "center", "junk"])),
+        "--format": optional(st.sampled_from(["text", "latex", "json"])),
+        "--n": optional(st.integers(-2, 3)),
+        "--max-degree": optional(st.integers(-1, 5)),
+    }
+    argv = [draw(st.sampled_from(["setup", "generators", "tables"])),
+            "--algebra", algebra]
+    for flag, values in options.items():
+        value = draw(values)
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_argv())
+def test_cli_fuzz_exits_cleanly(capsys, argv):
+    """Any flag combination exits 0, 1 or 2, and never with a traceback."""
+    try:
+        code, out, err = run(capsys, *argv)
+    except Exception as e:  # an uncaught engine error is the failure
+        pytest.fail(f"{argv}: {type(e).__name__}: {e}")
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in out + err, argv
+    if code == 2:
+        assert err.count("\n") >= 1 and "error:" in err, (argv, err)
+
+
+# -- invariants that survive python -O ---------------------------------------
+
+
+def test_no_assert_statements_in_src():
+    """Runtime invariants raise real exceptions: python -O strips asserts."""
+    found = []
+    for path in sorted((ROOT / "src" / "wds").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_verify_all_same_under_python_O():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("WDS_MAX_DEGREE", None)
+    argv = ["-m", "wds.cli", "verify-all", "--algebra", "sl3",
+            "--nilpotent", "minimal"]
+    plain, optimized = [
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                       text=True, env=env, cwd=ROOT, timeout=300)
+        for flags in ([], ["-O"])]
+    assert plain.returncode == 0, plain.stderr
+    assert (optimized.returncode, optimized.stdout) == (
+        plain.returncode, plain.stdout)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wds.scalars import ParamRing, Q, mp_gcd, mp_div_exact
+from wds.scalars import (ParamRing, Q, Scalar, mp_add, mp_div_exact, mp_gcd,
+                         mp_mul)
 
 
 def test_rational_arithmetic():
@@ -97,3 +98,100 @@ def test_str_rendering():
     e = (s1 + s2) / (s1 * s1 - s2)
     assert str(e) == "(s1 + s2)/(s1^2 - s2)"
     assert str(r.const(Fraction(-1, 2))) == "-1/2"
+
+
+# -- the fast paths against the canonicalising constructor -----------------
+#
+# Scalar.__add__ and __mul__ build sums and products over Q, and products
+# with a constant over Q(p), directly in canonical form.  The general
+# constructor, which runs the gcd, is the oracle: the two must agree on num,
+# den and hash.
+
+RINGS = [Q, ParamRing(["t"]), ParamRing(["x", "y"])]
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def mul_oracle(a, b):
+    return Scalar(a.ring, mp_mul(a.num, b.num), mp_mul(a.den, b.den))
+
+
+def add_oracle(a, b):
+    num = mp_add(mp_mul(a.num, b.den), mp_mul(b.num, a.den))
+    return Scalar(a.ring, num, mp_mul(a.den, b.den))
+
+
+def assert_same(got, want):
+    assert (got.num, got.den, hash(got)) == (want.num, want.den, hash(want))
+
+
+@st.composite
+def polys(draw, ring):
+    expos = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    terms = draw(st.dictionaries(expos, small, min_size=1, max_size=3))
+    return {e: c for e, c in terms.items() if c}
+
+
+@st.composite
+def scalars(draw, ring):
+    """Zero, a constant, a polynomial or a quotient, each in canonical form."""
+    kind = draw(st.sampled_from(["zero", "const", "poly", "ratio"]))
+    if kind == "zero":
+        return ring.zero()
+    if kind == "const":
+        return ring.const(draw(small.filter(bool)))
+    num = draw(polys(ring))
+    den = draw(polys(ring)) if kind == "ratio" else {}
+    return Scalar(ring, num, den or {ring._zero_expo: Fraction(1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_fast_paths_match_canonicalising_constructor(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    a, b = data.draw(scalars(ring)), data.draw(scalars(ring))
+    assert_same(a * b, mul_oracle(a, b))
+    assert_same(b * a, mul_oracle(b, a))
+    assert_same(a + b, add_oracle(a, b))
+    assert_same(b + a, add_oracle(b, a))
+    assert_same(a - b, add_oracle(a, -b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fast_paths_with_int_and_fraction_operands(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    a = data.draw(scalars(ring))
+    q = data.draw(st.one_of(st.integers(-3, 3), small))
+    c = ring.const(q)
+    for got in (a * q, q * a):
+        assert_same(got, mul_oracle(a, c))
+    for got in (a + q, q + a):
+        assert_same(got, add_oracle(a, c))
+    assert_same(a - q, add_oracle(a, -c))
+
+
+def test_equal_but_distinct_rings_combine():
+    r1, r2 = ParamRing(["a"]), ParamRing(["a"])
+    assert r1 is not r2 and r1 == r2
+    x = r1.param("a")
+    for y in (r2.param("a") + 1, r2.const(3), r2.zero(), (r2.param("a") + 2).inv()):
+        assert_same(x * y, mul_oracle(x, y))
+        assert_same(y * x, mul_oracle(y, x))
+        assert_same(x + y, add_oracle(x, y))
+        assert_same(y + x, add_oracle(y, x))
+        assert x * y == y * x and x + y == y + x
+
+
+def test_distinct_rings_rejected_on_every_path():
+    a, b = ParamRing(["a"]), ParamRing(["b"])
+    pairs = [(a.param("a"), b.param("b")), (a.const(2), b.const(3)),
+             (a.const(2), b.param("b")), (Q.const(2), a.param("a")),
+             (Q.const(2), a.const(5)), (a.zero(), b.zero())]
+    for x, y in pairs:
+        for u, v in ((x, y), (y, x)):
+            with pytest.raises(ValueError):
+                u + v
+            with pytest.raises(ValueError):
+                u * v
+            with pytest.raises(ValueError):
+                u - v
