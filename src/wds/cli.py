@@ -183,6 +183,8 @@ def make_frame(args):
     s, isotropic = parse_s(setup, args.s)
     try:
         frame = ReductionFrame(setup, s, isotropic=isotropic)
+        if not isotropic:  # the reduction takes s in g_1
+            coords_in(setup, s, setup.eig_indices(1), "s is not in g_1")
     except GradeMismatch as e:
         raise UsageError(f"--s {args.s}: {e}") from None
     return g, setup, frame

@@ -166,13 +166,14 @@ class DiffPoly:
 
     def total_derivative(self) -> "DiffPoly":
         """The derivation with d(u_i^(n)) = u_i^(n+1) and d(const) = 0."""
-        out = self.ctx.zero()
+        out: dict = {}
         for m, c in self.terms.items():
             for k in range(len(m)):
                 g, n = m[k]
                 bumped = tuple(sorted(m[:k] + ((g, n + 1),) + m[k + 1 :]))
-                out += DiffPoly(self.ctx, {bumped: c})
-        return out
+                v = out.get(bumped)
+                out[bumped] = c if v is None else v + c
+        return DiffPoly(self.ctx, {m: c for m, c in out.items() if c})
 
     def d(self, times: int = 1) -> "DiffPoly":
         p = self
@@ -252,13 +253,15 @@ class DiffPoly:
                 cache[(g, n)] = got
             return got
 
-        out = target.zero()
+        out: dict = {}
         for m, c in self.terms.items():
             p = target.const(c)
             for g, n in m:
                 p = p * img(g, n)
-            out += p
-        return out
+            for pm, v in p.terms.items():
+                got = out.get(pm)
+                out[pm] = v if got is None else got + v
+        return DiffPoly(target, {m: c for m, c in out.items() if c})
 
     # -- rendering --------------------------------------------------------
 

@@ -113,7 +113,8 @@ class LoopElement:
         struct = self.frame.struct
         zd = self.frame.z_degree
         eig = self.frame.eig_of
-        out = LoopElement(self.frame, self.ctx)
+        # (basis index, z power) -> {monomial: coefficient}, zeros dropped last
+        acc: dict = {}
         for (i, k1), p in self.terms.items():
             d1 = eig[i] + zd * k1
             for (j, k2), q in other.terms.items():
@@ -122,12 +123,21 @@ class LoopElement:
                 co = struct[i][j]
                 if not co:
                     continue
-                pq = p * q
+                pq = (p * q).terms
                 if not pq:
                     continue
                 for r, c in co:
-                    out.add_term(r, k1 + k2, pq.scale(c))
-        return out
+                    slot = acc.setdefault((r, k1 + k2), {})
+                    for m, v in pq.items():
+                        cv = c * v
+                        got = slot.get(m)
+                        slot[m] = cv if got is None else got + cv
+        terms = {}
+        for key, slot in acc.items():
+            slot = {m: v for m, v in slot.items() if v}
+            if slot:
+                terms[key] = DiffPoly(self.ctx, slot)
+        return LoopElement(self.frame, self.ctx, terms)
 
     def map_coeffs(self, fn, ctx: Context) -> "LoopElement":
         out = LoopElement(self.frame, ctx)

@@ -111,10 +111,25 @@ def mp_leading(a: MP) -> tuple[Expo, Fraction]:
     return e, a[e]
 
 
+def _min_expo(a: MP) -> Expo:
+    """The componentwise minimum exponent over the terms of a nonzero a."""
+    return tuple(map(min, zip(*a)))
+
+
+def _mono_shift(a: MP, m: Expo) -> MP:
+    """a / x^m, for a monomial x^m that divides every term of a."""
+    return {tuple(x - y for x, y in zip(e, m)): c for e, c in a.items()}
+
+
 def mp_div_exact(a: MP, b: MP) -> MP:
     """Exact division a / b; raises ArithmeticError if not divisible."""
     if not a:
         return {}
+    if len(b) == 1:  # a monomial divisor: one pass over the exponents
+        (eb, cb), = b.items()
+        if any(x < y for x, y in zip(_min_expo(a), eb)):
+            raise ArithmeticError("inexact polynomial division")
+        return {e: c / cb for e, c in _mono_shift(a, eb).items()}
     eb, cb = mp_leading(b)
     rem = dict(a)
     quo: MP = {}
@@ -183,7 +198,35 @@ def _content(p: list[MP]) -> MP:
 
 
 def mp_gcd(a: MP, b: MP) -> MP:
-    """Monic gcd over Q; returns {(): 1}-style unit for coprime input."""
+    """Monic gcd over Q; returns {(): 1}-style unit for coprime input.
+
+    The monomial part is split off first: x^m, with m the componentwise
+    minimum exponent over both operands, is the gcd when either operand is a
+    single term, and otherwise multiplies the gcd of the two monomial-free
+    parts (`mp_gcd_prs`).  A monomial factor keeps grlex leading terms, so
+    the result is monic.
+    """
+    if not a or not b:
+        return mp_gcd_prs(a, b)
+    ma, mb = _min_expo(a), _min_expo(b)
+    m = tuple(map(min, ma, mb))
+    if len(a) == 1 or len(b) == 1:
+        return {m: Fraction(1)}
+    if any(ma):
+        a = _mono_shift(a, ma)
+    if any(mb):
+        b = _mono_shift(b, mb)
+    g = mp_gcd_prs(a, b)
+    if any(m):
+        g = {tuple(x + y for x, y in zip(e, m)): c for e, c in g.items()}
+    return g
+
+
+def mp_gcd_prs(a: MP, b: MP) -> MP:
+    """Monic gcd over Q by the recursive primitive PRS (Brown, 1971).
+
+    The general path of `mp_gcd`, and its oracle in the tests.
+    """
     if not a and not b:
         return {}
     if not a:

@@ -149,7 +149,10 @@ def test_non_homogeneous_s_usage_error(capsys):
     (("setup", "--algebra", "sl3", "--f", "E12,E99"), None),
     (("hierarchy", "--algebra", "sl2"), "x"),
     (("hierarchy", "--algebra", "sl3", "--s", "explicit:E99"), None),
+    (("hierarchy", "--algebra", "sl3", "--s", "explicit:0*E13"), None),
     (("hierarchy", "--algebra", "sl3", "--s", "explicit:E12"), None),
+    (("verify-all", "--algebra", "sl3", "--s", "explicit:E12,E23"), None),
+    (("tables", "--algebra", "sl3", "--s", "explicit:E12,E23"), None),
     (("setup", "--algebra", "sl3", "--f", "H1"), None),
     (("setup", "--algebra", "sl3", "--nilpotent", "short", "--f", "E31"),
      None),
@@ -164,7 +167,8 @@ def test_non_homogeneous_s_usage_error(capsys):
      None),
 ], ids=["verify_n_neg", "hierarchy_n_neg", "max_degree_0",
         "max_degree_neg", "sl1", "sp3", "unknown_f_label", "env_max_degree",
-        "unknown_s_label", "s_not_semisimple", "f_not_nilpotent",
+        "unknown_s_label", "s_not_semisimple", "s_in_g_half",
+        "verify_s_not_in_g1", "tables_s_not_in_g1", "f_not_nilpotent",
         "f_wrong_kind", "diag_zero_denominator", "diag_bad_name",
         "explicit_zero_denominator", "diag_too_many", "diag_too_few"])
 def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
@@ -177,6 +181,16 @@ def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err + out
     assert "Fraction(" not in err
+
+
+def test_s_outside_g1_and_not_semisimple_reasons(capsys):
+    """An s outside g_1 is refused before any reduction runs; an s in g_1
+    with f + s not semisimple is refused by the dressing."""
+    for s, reason in (("explicit:E12", "s is not in g_1"),
+                      ("explicit:0*E13", "f + s is not semisimple")):
+        code, out, err = run(capsys, "hierarchy", "--algebra", "sl3",
+                             "--s", s)
+        assert code == 2 and reason in err
 
 
 def test_center_choice_short_symbolic(capsys):

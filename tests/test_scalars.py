@@ -1,11 +1,13 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wds import scalars as scalars_mod
 from wds.scalars import (ParamRing, Q, Scalar, mp_add, mp_div_exact, mp_gcd,
-                         mp_mul)
+                         mp_gcd_prs, mp_leading, mp_mul)
 
 
 def test_rational_arithmetic():
@@ -195,3 +197,70 @@ def test_distinct_rings_rejected_on_every_path():
                 u * v
             with pytest.raises(ValueError):
                 u - v
+
+
+# -- the monomial split of mp_gcd against the primitive PRS ----------------
+#
+# mp_gcd splits off the monomial content x^m of its operands before the
+# pseudo-remainder sequence.  The oracle is mp_gcd_prs with its own
+# recursion (the contents of the coefficients) routed back into itself, so
+# no part of it goes through the split.
+
+GCD_RINGS = [ParamRing(["x", "y"]), ParamRing(["c", "s1", "s2"])]
+
+
+def gcd_oracle(a, b):
+    with mock.patch.object(scalars_mod, "mp_gcd", mp_gcd_prs):
+        return mp_gcd_prs(a, b)
+
+
+@st.composite
+def monomials(draw, ring):
+    e = draw(st.tuples(*[st.integers(0, 2)] * ring.nvars))
+    return {e: draw(small.filter(bool))}
+
+
+@st.composite
+def gcd_operands(draw, ring):
+    """monomial x random polynomial x an optional shared factor with two or
+    more terms, for both operands; sometimes one operand is a monomial."""
+    shared = draw(st.one_of(st.just({ring._zero_expo: Fraction(1)}),
+                            polys(ring).filter(lambda p: len(p) > 1)))
+    ops = []
+    for _ in range(2):
+        body = draw(st.one_of(polys(ring), monomials(ring)).filter(bool))
+        p = mp_mul(draw(monomials(ring)), body)
+        if draw(st.booleans()):
+            p = mp_mul(p, shared)
+        ops.append(p)
+    if draw(st.booleans()):
+        ops[draw(st.integers(0, 1))] = draw(monomials(ring))
+    return ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gcd_monomial_split_matches_prs(data):
+    ring = data.draw(st.sampled_from(GCD_RINGS))
+    a, b = data.draw(gcd_operands(ring))
+    g = mp_gcd(a, b)
+    assert g == gcd_oracle(a, b)
+    assert mp_leading(g)[1] == 1
+    for p in (a, b):
+        assert mp_mul(mp_div_exact(p, g), g) == p
+    if len(a) == 1 or len(b) == 1:
+        m = tuple(min(e[i] for e in (*a, *b)) for i in range(ring.nvars))
+        assert g == {m: 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_div_exact_by_a_monomial(data):
+    ring = data.draw(st.sampled_from(GCD_RINGS))
+    p = data.draw(polys(ring).filter(bool))
+    mono = data.draw(monomials(ring))
+    assert mp_div_exact(mp_mul(p, mono), mono) == p
+    (e, _), = mono.items()
+    if any(min(t[i] for t in p) < e[i] for i in range(ring.nvars)):
+        with pytest.raises(ArithmeticError):
+            mp_div_exact(p, mono)
