@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -20,9 +21,9 @@ from .lie import (GradedSetup, GradeMismatch, InvalidDimension, MINIMAL,
                   build_sp, coords_in)
 from .pva import ReductionFrame, check_pva_axioms
 from .walgebra import WGenerators, verify_table
-from .hierarchy import (NotSemisimple, conserved_densities, dressing_defect,
-                        hierarchy_equation, reduce_mod_jk, solve_dressing,
-                        verify_lenard_magri)
+from .hierarchy import (NotSemisimple, WindowOverflow, conserved_densities,
+                        dressing_defect, hierarchy_equation, reduce_mod_jk,
+                        solve_dressing, verify_lenard_magri)
 
 
 class UsageError(SystemExit):
@@ -248,6 +249,16 @@ def dress(frame, max_deg, args):
         raise UsageError(f"--s {args.s}: {e}") from None
 
 
+def densities(frame, h, a_z, dec, args):
+    """conserved_densities up to --n, with an --n past the solved window
+    reported as a usage error."""
+    try:
+        return conserved_densities(frame, h, a_z, n_max=args.n, dec=dec)
+    except WindowOverflow as e:
+        raise UsageError(f"--n {args.n} needs --max-degree >= "
+                         f"{math.ceil(e.needed)}") from None
+
+
 def cmd_hierarchy(args):
     g, setup, frame = make_frame(args)
     gens = WGenerators(frame)
@@ -257,7 +268,7 @@ def cmd_hierarchy(args):
     if frame.isotropic:
         emb_star = setup.find_embeddable(frame.s)
     a_z = parse_a_choice(setup, frame, args.a_choice, emb_star)
-    dens = conserved_densities(frame, h, a_z, n_max=args.n, dec=dec)
+    dens = densities(frame, h, a_z, dec, args)
     doc = {}
     for n, gn in enumerate(dens):
         doc[f"int g_{n}"] = fmt_poly(gn, args)
@@ -304,7 +315,7 @@ def cmd_verify_all(args):
     report("dressing conjugation oracle", [] if not defect else ["nonzero"])
     emb_star = setup.find_embeddable(frame.s) if frame.isotropic else None
     a_z = parse_a_choice(setup, frame, args.a_choice, emb_star)
-    dens = conserved_densities(frame, h, a_z, n_max=args.n, dec=dec)
+    dens = densities(frame, h, a_z, dec, args)
     report("lenard-magri recursion", verify_lenard_magri(frame, gens, dens))
     failed = sum(not group["passed"] for group in groups)
     if args.format == "json":

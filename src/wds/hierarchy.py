@@ -13,6 +13,7 @@ ker(ad(f+zs)) yields the conserved densities and the hierarchy flows.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import linalg
@@ -30,7 +31,12 @@ class InvalidCenter(ValueError):
 
 
 class WindowOverflow(ValueError):
-    pass
+    """A request past the solved loop-degree window; `needed` is the loop
+    degree it needs, when known."""
+
+    def __init__(self, msg: str, needed: Fraction | None = None):
+        super().__init__(msg)
+        self.needed = needed
 
 
 class LoopElement:
@@ -110,6 +116,61 @@ class LoopElement:
         )
 
     def bracket(self, other: "LoopElement", max_deg: Fraction | None = None) -> "LoopElement":
+        """[self, other], dropping products of loop degree above max_deg."""
+        if self.frame.ring.nvars:
+            return self._bracket_scalar(other, max_deg)
+        struct = self.frame.struct
+        zd = self.frame.z_degree
+        eig = self.frame.eig_of
+        # Over Q each coefficient is read once as integer numerators over the
+        # lcm of its denominators; products and sums stay in Python ints.
+        rhs = [(j, k2, eig[j] + zd * k2, _int_coeffs(q))
+               for (j, k2), q in other.terms.items()]
+        # (basis index, z power) -> {denominator: {monomial: numerator}}
+        acc: dict = {}
+        for (i, k1), p in self.terms.items():
+            d1 = eig[i] + zd * k1
+            L1, ps = _int_coeffs(p)
+            row = struct[i]
+            for j, k2, d2, (L2, qs) in rhs:
+                if max_deg is not None and d1 + d2 > max_deg:
+                    continue
+                co = row[j]
+                if not co:
+                    continue
+                pq: dict = {}
+                for m1, a in ps:
+                    for m2, b in qs:
+                        m = tuple(sorted(m1 + m2))
+                        pq[m] = pq.get(m, 0) + a * b
+                den = L1 * L2
+                for r, c in co:
+                    c = c.num[()]
+                    cn = c.numerator
+                    slot = acc.setdefault((r, k1 + k2), {}).setdefault(
+                        den * c.denominator, {})
+                    for m, v in pq.items():
+                        slot[m] = slot.get(m, 0) + cn * v
+        ring = self.frame.ring
+        one = ring.one().den
+        terms = {}
+        for key, by_den in acc.items():
+            L = math.lcm(*by_den)
+            total: dict = {}
+            for d, slot in by_den.items():
+                scale = L // d
+                for m, v in slot.items():
+                    total[m] = total.get(m, 0) + v * scale
+            poly = {m: Scalar(ring, {(): Fraction(v, L)}, one, True)
+                    for m, v in total.items() if v}
+            if poly:
+                terms[key] = DiffPoly(self.ctx, poly)
+        return LoopElement(self.frame, self.ctx, terms)
+
+    def _bracket_scalar(self, other: "LoopElement",
+                        max_deg: Fraction | None = None) -> "LoopElement":
+        """`bracket` in Scalar arithmetic: the path over Q(p), and the
+        oracle of the path over Q."""
         struct = self.frame.struct
         zd = self.frame.z_degree
         eig = self.frame.eig_of
@@ -182,6 +243,14 @@ class LoopElement:
             }
             for (i, k) in sorted(self.terms)
         ]
+
+
+def _int_coeffs(p: DiffPoly) -> tuple[int, list]:
+    """(L, [(monomial, L * coefficient)]) for a DiffPoly over Q, with L the
+    lcm of its coefficient denominators."""
+    qs = [(m, c.num[()]) for m, c in p.terms.items() if c]
+    L = math.lcm(*(q.denominator for _, q in qs))
+    return L, [(m, q.numerator * (L // q.denominator)) for m, q in qs]
 
 
 def loop_const(frame: ReductionFrame, ctx: Context, vec, zpow: int = 0) -> LoopElement:
@@ -547,7 +616,10 @@ def conserved_densities(
     """Densities g_n from int g(z) = int (a(z) x 1 | h(z)), in V(g^f) coordinates.
 
     a_z maps z powers to g-vectors; the leading power is read off as the top
-    nonzero z power of the pairing.
+    nonzero z power of the pairing.  g_n needs h up to loop degree
+    d_0 + |z_degree| n, where d_0 is the degree of the h that g_0 reads.
+    When dec is given, its max_deg is the solved window: an n_max past it
+    raises WindowOverflow, and n_max=None gives the densities it resolves.
     """
     if dec is not None and not check_central(frame, dec, a_z):
         raise InvalidCenter("a(z) does not lie in the center of ker ad(f+zs)")
@@ -563,9 +635,25 @@ def conserved_densities(
     if not total:
         return []
     top = max(total)
-    ns = range(0, (top - min(total)) + 1 if n_max is None else n_max + 1)
+    last = top - min(total) if n_max is None else n_max
+    if dec is not None:
+        # the pairing puts the h of degree -deg(a) + zd k at z power k, for
+        # each homogeneous piece of a(z); the lowest piece reaches highest
+        zd = frame.z_degree
+        low = min(frame.eig_of[i] + zd * k
+                  for k, vec in a_z.items()
+                  for i, c in enumerate(frame.to_adapted(vec)) if c)
+        d0 = zd * top - low
+        resolved = math.floor((dec.max_deg - d0) / -zd)
+        if n_max is None:
+            last = resolved
+        elif n_max > resolved:
+            needed = d0 - zd * n_max
+            raise WindowOverflow(
+                f"g_{n_max} needs h up to loop degree {needed}; the dressing"
+                f" is solved up to {dec.max_deg}", needed)
     zero = frame.w_ctx.zero()
-    return [total.get(top - n, zero) for n in ns]
+    return [total.get(top - n, zero) for n in range(last + 1)]
 
 
 def hierarchy_equation(

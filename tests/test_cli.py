@@ -144,6 +144,8 @@ def test_non_homogeneous_s_usage_error(capsys):
     (("hierarchy", "--algebra", "sl2", "--n", "-1"), None),
     (("hierarchy", "--algebra", "sl2", "--max-degree", "0"), None),
     (("hierarchy", "--algebra", "sl2", "--max-degree", "-3"), None),
+    (("hierarchy", "--algebra", "sl2", "--nilpotent", "minimal", "--n", "2"),
+     None),
     (("setup", "--algebra", "sl1"), None),
     (("setup", "--algebra", "sp3"), None),
     (("setup", "--algebra", "sl3", "--f", "E12,E99"), None),
@@ -166,7 +168,7 @@ def test_non_homogeneous_s_usage_error(capsys):
     (("tables", "--algebra", "sl4", "--nilpotent", "short", "--s=diag:a"),
      None),
 ], ids=["verify_n_neg", "hierarchy_n_neg", "max_degree_0",
-        "max_degree_neg", "sl1", "sp3", "unknown_f_label", "env_max_degree",
+        "max_degree_neg", "n_past_window", "sl1", "sp3", "unknown_f_label", "env_max_degree",
         "unknown_s_label", "s_not_semisimple", "s_in_g_half",
         "verify_s_not_in_g1", "tables_s_not_in_g1", "f_not_nilpotent",
         "f_wrong_kind", "diag_zero_denominator", "diag_bad_name",
@@ -291,6 +293,37 @@ def test_cli_fuzz_exits_cleanly(capsys, argv):
     assert "Traceback" not in out + err, argv
     if code == 2:
         assert err.count("\n") >= 1 and "error:" in err, (argv, err)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["sl2", "sl3"]), st.integers(1, 3), st.integers(0, 3),
+       st.sampled_from(["f_plus_ze", "center"]))
+def test_hierarchy_fuzz_exits_cleanly(capsys, algebra, max_degree, n, a_choice):
+    """hierarchy exits 0 with every density up to --n, or 2 with one line;
+    never with a traceback."""
+    argv = ["hierarchy", "--algebra", algebra, "--nilpotent", "minimal",
+            f"--max-degree={max_degree}", f"--n={n}", f"--a-choice={a_choice}"]
+    try:
+        code, out, err = run(capsys, *argv)
+    except Exception as e:  # an uncaught engine error is the failure
+        pytest.fail(f"{argv}: {type(e).__name__}: {e}")
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in out + err, argv
+    if code == 0:
+        assert f"int g_{n}:" in out, argv
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+def test_n_past_window_names_the_degree(capsys, monkeypatch):
+    monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
+    code, out, err = run(capsys, "hierarchy", "--algebra", "sl2", "--n", "2")
+    assert (code, out, err) == (
+        2, "", "error: --n 2 needs --max-degree >= 5\n")
+    code, out, err = run(capsys, "verify-all", "--algebra", "sl2",
+                         "--n", "3", "--max-degree", "1")
+    assert code == 2 and err == "error: --n 3 needs --max-degree >= 7\n"
 
 
 # -- invariants that survive python -O ---------------------------------------

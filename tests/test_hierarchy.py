@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wds import linalg
 from wds.hierarchy import (HDecomposition, InvalidCenter, LoopElement,
@@ -10,6 +12,7 @@ from wds.hierarchy import (HDecomposition, InvalidCenter, LoopElement,
                            loop_from_zmap, loop_fzs, reduce_mod_jk,
                            solve_dressing, verify_lenard_magri)
 from wds.pva import ReductionFrame
+from wds.scalars import Scalar
 
 
 def expected_loop(cfg, pieces, ctx=None):
@@ -347,6 +350,97 @@ def test_window_overflow_error(sl3_min):
     dec = HDecomposition(fr, F(-1), F(1))
     with pytest.raises(WindowOverflow):
         solve_dressing(fr, 4, dec=dec)
+
+
+def test_densities_past_the_window_refused(sl2_min, sl3_iso):
+    """g_n needs h up to loop degree d_0 + |z_degree| n: past the solved
+    window conserved_densities refuses, and with n_max=None it stops at the
+    last density the window resolves."""
+    cfg = sl2_min
+    s = cfg.setup
+    U, h, dec = cfg.dressing(4)
+    a_z = {0: s.f, 1: s.e}
+    with pytest.raises(WindowOverflow) as e:
+        conserved_densities(cfg.frame, h, a_z, n_max=2, dec=dec)
+    assert e.value.needed == 5
+    assert len(conserved_densities(cfg.frame, h, a_z, dec=dec)) == 2
+    U, h, dec = cfg.dressing(5)
+    dens = conserved_densities(cfg.frame, h, a_z, n_max=2, dec=dec)
+    assert dens[2] and dens == conserved_densities(cfg.frame, h, a_z, dec=dec)
+    # isotropic: z has loop degree -3/2, so the needed degree is fractional
+    cfg = sl3_iso
+    U, h, dec = cfg.dressing(4)
+    a_z = {0: cfg.setup.f, 1: cfg.frame.s}
+    last = len(conserved_densities(cfg.frame, h, a_z, dec=dec)) - 1
+    with pytest.raises(WindowOverflow) as e:
+        conserved_densities(cfg.frame, h, a_z, n_max=last + 1, dec=dec)
+    assert 4 < e.value.needed <= 4 + F(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# the bracket kernel over Q against its Scalar oracle
+# ---------------------------------------------------------------------------
+
+MIXED = [F(1, 3), F(-7, 4), F(2, 5), F(1), F(-2), F(3)]
+
+
+@st.composite
+def loop_elements(draw, frame):
+    """A LoopElement on V(g^f) with small monomials and coefficients of
+    mixed denominators."""
+    ctx = frame.w_ctx
+    el = LoopElement(frame, ctx)
+    for _ in range(draw(st.integers(1, 5))):
+        p = ctx.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            mono = ctx.const(draw(st.sampled_from(MIXED)))
+            for _ in range(draw(st.integers(0, 2))):
+                mono = mono * ctx.gen(draw(st.integers(0, ctx.ngens - 1)),
+                                      draw(st.integers(0, 2)))
+            p = p + mono
+        el.add_term(draw(st.integers(0, len(frame.basis) - 1)),
+                    draw(st.integers(-1, 1)), p)
+    return el
+
+
+@pytest.mark.parametrize("name", ["sl3_min", "sl3_iso", "sl4_short"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_q_bracket_matches_scalar_oracle(name, data, request):
+    """The integer-numerator kernel over Q equals the Scalar path, drops
+    what cancels, and builds every coefficient in canonical form."""
+    fr = request.getfixturevalue(name).frame
+    X = data.draw(loop_elements(fr))
+    Y = data.draw(loop_elements(fr))
+    degs = sorted(X.degree_of(a) + Y.degree_of(b)
+                  for a in X.terms for b in Y.terms)
+    for max_deg in (None, degs[len(degs) // 2]):
+        got = X.bracket(Y, max_deg)
+        assert got.terms == X._bracket_scalar(Y, max_deg).terms
+        for p in got.terms.values():
+            for c in p.terms.values():
+                want = Scalar(c.ring, dict(c.num), dict(c.den))
+                assert (c.num, c.den, hash(c)) == (
+                    want.num, want.den, hash(want))
+    assert not X.bracket(X).terms
+
+
+@pytest.mark.parametrize("name, window", [("sl3_min", 6), ("sl4_short", 5)])
+def test_solve_dressing_same_on_scalar_path(name, window, request,
+                                            monkeypatch):
+    """solve_dressing and its oracle agree term for term whether the bracket
+    runs the Q kernel or the Scalar body."""
+    fr = request.getfixturevalue(name).frame
+    runs = []
+    for scalar_path in (False, True):
+        if scalar_path:
+            monkeypatch.setattr(LoopElement, "bracket",
+                                LoopElement._bracket_scalar)
+        U, h, _ = solve_dressing(fr, window)
+        assert not dressing_defect(fr, U, h, window)
+        runs.append([{d: el.terms for d, el in parts.items()}
+                     for parts in (U, h)])
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------
