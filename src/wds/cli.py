@@ -130,17 +130,6 @@ def parse_s(setup: GradedSetup, choice: str):
     raise UsageError(f"unknown s choice {choice!r}")
 
 
-def kernel_span(vecs: list, images) -> list:
-    """A basis of the v in span(vecs) with images(v) all zero; images maps a
-    vector to a list of vectors, linearly."""
-    if not vecs:
-        return []
-    rows = linalg.transpose([[x for w in images(v) for x in w] for v in vecs])
-    ring = vecs[0][0].ring
-    return [linalg.combine(c, vecs)
-            for c in linalg.kernel(rows, ring, len(vecs))]
-
-
 def parse_a_choice(setup, frame, choice: str, emb_s_star=None):
     g = setup.algebra
     if choice == "f_plus_ze":
@@ -152,8 +141,8 @@ def parse_a_choice(setup, frame, choice: str, emb_s_star=None):
     if choice.startswith("center"):
         # a central element of the centralizer of s in g_0^f
         base = [setup.basis[i] for i in setup.g0f_indices]
-        cent = kernel_span(base, lambda v: [g.bracket(v, frame.s)])
-        ker = kernel_span(cent, lambda v: [g.bracket(v, w) for w in cent])
+        cent = linalg.kernel_span(base, lambda v: [g.bracket(v, frame.s)])
+        ker = linalg.kernel_span(cent, lambda v: [g.bracket(v, w) for w in cent])
         if not ker:
             raise UsageError("the centralizer core is trivial; no center element")
         return {0: ker[0]}
@@ -329,6 +318,10 @@ def cmd_verify_all(args):
 
 def check_ranges(args):
     """Reject values argparse accepts but the engine cannot use."""
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse reads --opt=-- as []
+            raise UsageError(f"--{name.replace('_', '-')} needs a value, "
+                             "got '--'")
     if args.max_degree is None:
         env = os.environ.get("WDS_MAX_DEGREE", "4")
         try:

@@ -90,29 +90,22 @@ class LoopElement:
         return out
 
     def degree_of(self, key) -> Fraction:
+        """Loop degree of the (basis index, z power) key."""
         i, k = key
         return self.frame.eig_of[i] + self.frame.z_degree * k
 
     def trim(self, max_deg: Fraction) -> "LoopElement":
-        zd = self.frame.z_degree
         return LoopElement(
             self.frame, self.ctx,
-            {
-                (i, k): p
-                for (i, k), p in self.terms.items()
-                if self.frame.eig_of[i] + zd * k <= max_deg
-            },
+            {key: p for key, p in self.terms.items()
+             if self.degree_of(key) <= max_deg},
         )
 
     def component(self, deg: Fraction) -> "LoopElement":
-        zd = self.frame.z_degree
         return LoopElement(
             self.frame, self.ctx,
-            {
-                (i, k): p
-                for (i, k), p in self.terms.items()
-                if self.frame.eig_of[i] + zd * k == deg
-            },
+            {key: p for key, p in self.terms.items()
+             if self.degree_of(key) == deg},
         )
 
     def bracket(self, other: "LoopElement", max_deg: Fraction | None = None) -> "LoopElement":
@@ -289,7 +282,12 @@ def build_q(frame: ReductionFrame, projected: bool = True) -> LoopElement:
 
 
 class HDecomposition:
-    """Per-degree kernel/image split of ad(f+zs) on loop-degree slices."""
+    """Per-degree kernel/image split of ad(f+zs) on loop-degree slices.
+
+    Each split degree d keeps two matrices on slice(d), built from one
+    inverse: the projection onto ker ad(f+zs) along the image, and the
+    inverse of ad(f+zs) from hperp(d+1), the image part of slice(d+1).
+    """
 
     def __init__(self, frame: ReductionFrame, min_deg: Fraction, max_deg: Fraction):
         if not frame.setup.is_semisimple(
@@ -302,21 +300,16 @@ class HDecomposition:
                         (frame.ad_adapted(frame.s), 1))
         self.min_deg = Fraction(min_deg)
         self.max_deg = Fraction(max_deg)
-        self.slices: dict[Fraction, list[tuple[int, int]]] = {}
-        self._mats: dict[Fraction, list[list[Scalar]]] = {}
         self.h_basis: dict[Fraction, list[list[Scalar]]] = {}
-        self._p_h: dict[Fraction, list[list[Scalar]]] = {}
-        self._inv: dict[Fraction, list[list[Scalar]]] = {}
-        deg = self.min_deg
-        degs = []
-        while deg <= self.max_deg + 2:
-            degs.append(deg)
-            deg += Fraction(1, 2)
-        for d in degs:
-            self.slices[d] = self._slice(d)
-        for d in degs:
-            self._mats[d] = self._ad_matrix(d)
-        for d in degs[:-2]:
+        self._proj: dict[Fraction, list[list[Scalar]]] = {}
+        self._solve: dict[Fraction, list[list[Scalar]]] = {}
+        # split degrees min_deg .. max_deg + 1; splitting d reads ad(f+zs)
+        # on slice(d), slice(d+1) and slice(d+2)
+        top = int(2 * (self.max_deg + 1 - self.min_deg))
+        degs = [self.min_deg + Fraction(j, 2) for j in range(-2, top + 5)]
+        self.slices = {d: self._slice(d) for d in degs}
+        self._mats = {d: self._ad_matrix(d) for d in degs[2:]}
+        for d in degs[2:top + 3]:
             self._split(d)
 
     def _slice(self, deg: Fraction) -> list[tuple[int, int]]:
@@ -330,99 +323,52 @@ class HDecomposition:
 
     def _ad_matrix(self, deg: Fraction):
         """Matrix of ad(f+zs): slice(deg) -> slice(deg - 1) in slice coords."""
-        src = self.slices[deg]
-        dst = self.slices.get(deg - 1)
-        if dst is None:
-            dst = self._slice(deg - 1)
-            self.slices[deg - 1] = dst
+        dst = self.slices[deg - 1]
         pos = {key: p for p, key in enumerate(dst)}
         cols = []
-        for (i, k) in src:
+        for (i, k) in self.slices[deg]:
             col = [self.frame.ring.zero()] * len(dst)
             for ad, dz in self._ad_fzs:
                 for r, c in ad[i]:
                     col[pos[(r, k + dz)]] = col[pos[(r, k + dz)]] + c
             cols.append(col)
-        return linalg.transpose(cols) if cols else []
+        return linalg.transpose(cols)
 
     def _split(self, deg: Fraction):
-        fr = self.frame
-        ring = fr.ring
+        ring = self.frame.ring
         m = len(self.slices[deg])
-        if m == 0:
-            self.h_basis[deg] = []
-            self._p_h[deg] = []
-            self._inv[deg] = []
-            return
-        M = self._mats[deg]
-        K = linalg.kernel(M, ring, m) if M else [
-            [ring.one() if j == i else ring.zero() for j in range(m)]
-            for i in range(m)
-        ]
-        Mnext = self._mats[deg + 1]
-        msrc = len(self.slices[deg + 1])
-        im_cols, im_src = [], []
-        if Mnext:
-            for j in range(msrc):
-                col = [Mnext[r][j] for r in range(m)]
-                if linalg.rank(im_cols + [col]) > len(im_cols):
-                    im_cols.append(col)
-                    im_src.append(j)
-        basis_mat = linalg.transpose([list(v) for v in K] + im_cols)
-        if len(K) + len(im_cols) != m:
+        K = linalg.kernel(self._mats[deg], ring, m)
+        # hperp(deg+1) = ad(f+zs) slice(deg+2), spanned by its pivot columns
+        hperp = linalg.independent(linalg.transpose(self._mats[deg + 2]))
+        cols = K + [linalg.mat_vec(self._mats[deg + 1], v, ring) for v in hperp]
+        if len(cols) != m:
             raise NotSemisimple(
                 f"slice at degree {deg} does not split (kernel + image)")
-        T = linalg.inverse(basis_mat, ring)
+        T = linalg.inverse(linalg.transpose(cols), ring)
+
+        def lift(vecs, rows, n):
+            # sum_a vecs[a] (x) rows[a]: the n x m matrix taking slice(deg)
+            # coordinates through T to the span of vecs
+            return [[sum((v[i] * r[j] for v, r in zip(vecs, rows) if v[i]),
+                         ring.zero()) for j in range(m)] for i in range(n)]
+
         self.h_basis[deg] = K
-        # projection onto the kernel part along the image
-        Pk = [
-            [
-                sum((K[a][i] * T[a][j] for a in range(len(K))), ring.zero())
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-        self._p_h[deg] = Pk
-        # inverse of ad(f+zs): image coords at deg -> hperp part of slice(deg+1)
-        self._inv[deg] = (im_src, T)
+        self._proj[deg] = lift(K, T[:len(K)], m)
+        self._solve[deg] = lift(hperp, T[len(K):], len(self.slices[deg + 1]))
 
     def h_project(self, deg: Fraction, coeffs: list) -> list:
         """Kernel component of a slice coefficient vector (DiffPoly entries)."""
-        P = self._p_h[deg]
-        z = self._zero_like(coeffs)
-        return [
-            _lin_comb(P[i], coeffs, z) for i in range(len(coeffs))
-        ]
-
-    def _zero_like(self, coeffs):
-        for c in coeffs:
-            return c.ctx.zero()
-        return None
+        return self._apply(self._proj, deg, coeffs)
 
     def solve_for(self, deg: Fraction, coeffs: list) -> list:
-        """u in slice(deg+1) with [f+zs, u] = perp part of coeffs.
+        """The u in hperp(deg+1) with [f+zs, u] = the image part of coeffs."""
+        return self._apply(self._solve, deg, coeffs)
 
-        The result is normalized to the hperp part of slice(deg+1).
-        """
-        if deg not in self._inv:
+    def _apply(self, mats: dict, deg: Fraction, coeffs: list) -> list:
+        if deg not in mats:
             raise WindowOverflow(
                 f"degree {deg} outside the solved window; extend max_deg")
-        im_src, T = self._inv[deg]
-        nk = len(self.h_basis[deg])
-        z = self._zero_like(coeffs)
-        msrc = len(self.slices[deg + 1])
-        out = [z] * msrc
-        for a, j in enumerate(im_src):
-            c = _lin_comb(T[nk + a], coeffs, z)
-            if c:
-                out[j] = out[j] + c
-        # remove any kernel component at degree deg + 1
-        Pn = self._p_h.get(deg + 1)
-        if Pn is None:
-            raise WindowOverflow(
-                f"degree {deg + 1} outside the solved window; extend max_deg")
-        kp = [_lin_comb(Pn[i], out, z) for i in range(msrc)]
-        return [o - k for o, k in zip(out, kp)]
+        return [_lin_comb(row, coeffs) for row in mats[deg]]
 
     # -- conversions -------------------------------------------------------
 
@@ -439,17 +385,13 @@ class HDecomposition:
         out = []
         for key in self.slices[deg]:
             out.append(got.pop(key, z))
-        if any(self.degree_ok(k, deg) for k in got):
+        if any(el.degree_of(k) == deg for k in got):
             raise WindowOverflow(f"element leaves the degree-{deg} slice")
         return out
 
-    def degree_ok(self, key, deg) -> bool:
-        i, k = key
-        return self.frame.eig_of[i] + self.zd * k == deg
 
-
-def _lin_comb(row, coeffs, zero):
-    acc = zero
+def _lin_comb(row, coeffs):
+    acc = coeffs[0].ctx.zero()
     for c, p in zip(row, coeffs):
         if c and p:
             acc = acc + p.scale(c)
@@ -573,10 +515,7 @@ def center_of_h(frame: ReductionFrame, dec: HDecomposition,
                 rows.append([
                     b.terms.get(key, ctx.zero()).const_term() for b in brs
                 ])
-        coefs = linalg.kernel(rows, ring, len(cands)) if rows else [
-            [ring.one() if j == i else ring.zero() for j in range(len(cands))]
-            for i in range(len(cands))
-        ]
+        coefs = linalg.kernel(rows, ring, len(cands))
         basis = []
         for co in coefs:
             el = LoopElement(frame, ctx)
@@ -611,17 +550,18 @@ def conserved_densities(
     h_parts: dict,
     a_z: dict,
     n_max: int | None = None,
-    dec: HDecomposition | None = None,
+    *,
+    dec: HDecomposition,
 ) -> list[DiffPoly]:
     """Densities g_n from int g(z) = int (a(z) x 1 | h(z)), in V(g^f) coordinates.
 
     a_z maps z powers to g-vectors; the leading power is read off as the top
     nonzero z power of the pairing.  g_n needs h up to loop degree
     d_0 + |z_degree| n, where d_0 is the degree of the h that g_0 reads.
-    When dec is given, its max_deg is the solved window: an n_max past it
-    raises WindowOverflow, and n_max=None gives the densities it resolves.
+    dec.max_deg is the solved window: an n_max past it raises
+    WindowOverflow, and n_max=None gives the densities it resolves.
     """
-    if dec is not None and not check_central(frame, dec, a_z):
+    if not check_central(frame, dec, a_z):
         raise InvalidCenter("a(z) does not lie in the center of ker ad(f+zs)")
     total: dict[int, DiffPoly] = {}
     for h in h_parts.values():
@@ -635,23 +575,20 @@ def conserved_densities(
     if not total:
         return []
     top = max(total)
-    last = top - min(total) if n_max is None else n_max
-    if dec is not None:
-        # the pairing puts the h of degree -deg(a) + zd k at z power k, for
-        # each homogeneous piece of a(z); the lowest piece reaches highest
-        zd = frame.z_degree
-        low = min(frame.eig_of[i] + zd * k
-                  for k, vec in a_z.items()
-                  for i, c in enumerate(frame.to_adapted(vec)) if c)
-        d0 = zd * top - low
-        resolved = math.floor((dec.max_deg - d0) / -zd)
-        if n_max is None:
-            last = resolved
-        elif n_max > resolved:
-            needed = d0 - zd * n_max
-            raise WindowOverflow(
-                f"g_{n_max} needs h up to loop degree {needed}; the dressing"
-                f" is solved up to {dec.max_deg}", needed)
+    # the pairing puts the h of degree -deg(a) + zd k at z power k, for each
+    # homogeneous piece of a(z); the lowest piece reaches highest
+    zd = frame.z_degree
+    low = min(frame.eig_of[i] + zd * k
+              for k, vec in a_z.items()
+              for i, c in enumerate(frame.to_adapted(vec)) if c)
+    d0 = zd * top - low
+    resolved = math.floor((dec.max_deg - d0) / -zd)
+    if n_max is not None and n_max > resolved:
+        needed = d0 - zd * n_max
+        raise WindowOverflow(
+            f"g_{n_max} needs h up to loop degree {needed}; the dressing"
+            f" is solved up to {dec.max_deg}", needed)
+    last = resolved if n_max is None else n_max
     zero = frame.w_ctx.zero()
     return [total.get(top - n, zero) for n in range(last + 1)]
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .scalars import ParamRing, Q, Scalar, ScalarLike
+from .scalars import ParamRing, Scalar, ScalarLike
 
 Vec = list  # coordinate vector over the algebra's ordered basis
 
@@ -415,13 +415,6 @@ class GradedSetup:
 
     # -- adapted basis ------------------------------------------------------
 
-    def _extend_echelon(self, seed: list[Vec], pool: list[Vec]) -> list[Vec]:
-        out = list(seed)
-        for v in pool:
-            if linalg.rank(out + [v]) > len(out):
-                out.append(v)
-        return out
-
     def _build_adapted_basis(self):
         g, ring = self.algebra, self.ring
         spaces = self._eigenspaces
@@ -445,15 +438,12 @@ class GradedSetup:
                 if ev == -1 and self.kind == MINIMAL:
                     vecs = [self.f]
                 elif ev == -1:
-                    vecs = self._extend_echelon([self.f], vecs)
+                    vecs = linalg.independent([self.f] + vecs)
                 for v in vecs:
                     push(v, ev, True)
             elif ev == 0:
-                adf = g.ad(self.f)
-                rows_gf = [linalg.mat_vec(adf, v, ring) for v in vecs]
-                coef = linalg.kernel(
-                    linalg.transpose(rows_gf), ring, len(vecs))
-                g0f = [linalg.combine(cs, vecs) for cs in coef]
+                g0f = linalg.kernel_span(
+                    vecs, lambda v: [g.bracket(self.f, v)])
                 neg1 = grading.get(Fraction(-1), [])
                 comp = [g.bracket(self.e, basis[i]) for i in neg1]
                 if self.kind == MINIMAL:
@@ -679,10 +669,9 @@ def darboux_split(setup: GradedSetup, seed: Vec | None = None):
     """
     if setup.kind != MINIMAL:
         raise GradeMismatch("isotropic splits need a minimal grading")
-    ring = setup.ring
     pool = [setup.basis[i] for i in setup.eig_indices(Fraction(1, 2))]
     if seed is not None:
-        pool = setup._extend_echelon([seed], pool)
+        pool = linalg.independent([seed] + pool)
     l_side, lp_side = [], []
     while pool:
         v1 = pool[0]
@@ -720,14 +709,12 @@ class EmbeddableData:
         self.setup = setup
         self.s = list(s)
         self.s_star = list(s_star)
-        g, ring = setup.algebra, setup.ring
+        g = setup.algebra
         half = Fraction(1, 2)
 
         def centralizer(indices, v):
-            vecs = [setup.basis[i] for i in indices]
-            rows = [g.bracket(v, w) for w in vecs]
-            coef = linalg.kernel(linalg.transpose(rows), ring, len(vecs))
-            return [linalg.combine(cs, vecs) for cs in coef]
+            return linalg.kernel_span([setup.basis[i] for i in indices],
+                                      lambda w: [g.bracket(v, w)])
 
         self.g0s = centralizer(setup.g0f_indices, s)
         self.gs_half = centralizer(setup.eig_indices(half), s)

@@ -97,6 +97,22 @@ def kernel(rows: Mat, ring: ParamRing, ncols: int) -> list[Vec]:
     return basis
 
 
+def independent(vecs: Sequence[Vec]) -> list[Vec]:
+    """The vecs outside the span of those before them: the pivot columns of
+    one rref, which are the vectors a greedy rank test would keep."""
+    return [vecs[c] for c in rref(transpose(vecs))[1]]
+
+
+def kernel_span(vecs: Sequence[Vec], images) -> list[Vec]:
+    """A basis of the v in span(vecs) with images(v) all zero; images maps a
+    vector to a list of vectors, linearly."""
+    if not vecs:
+        return []
+    rows = transpose([[x for w in images(v) for x in w] for v in vecs])
+    ring = vecs[0][0].ring
+    return [combine(c, vecs) for c in kernel(rows, ring, len(vecs))]
+
+
 def solve(rows: Mat, rhs: Vec, ring: ParamRing) -> Vec | None:
     """One solution of M x = b (free variables set to zero), or None."""
     if not rows:

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wds.cli import main
@@ -167,12 +167,22 @@ def test_non_homogeneous_s_usage_error(capsys):
       "--s=diag:s1,s2"), None),
     (("tables", "--algebra", "sl4", "--nilpotent", "short", "--s=diag:a"),
      None),
+    (("setup", "--algebra", "sl2", "--s=--"), None),
+    (("hierarchy", "--algebra", "sl2", "--a-choice=--"), None),
+    (("hierarchy", "--algebra", "sl2", "--n=--"), None),
+    (("hierarchy", "--algebra", "sl2", "--max-degree=--"), None),
+    (("setup", "--algebra", "sl2", "--f=--"), None),
+    (("setup", "--algebra", "sl2", "--form-scale=--"), None),
+    (("setup", "--algebra", "sl2", "--seed=--"), None),
+    (("setup", "--algebra=--"), None),
 ], ids=["verify_n_neg", "hierarchy_n_neg", "max_degree_0",
         "max_degree_neg", "n_past_window", "sl1", "sp3", "unknown_f_label", "env_max_degree",
         "unknown_s_label", "s_not_semisimple", "s_in_g_half",
         "verify_s_not_in_g1", "tables_s_not_in_g1", "f_not_nilpotent",
         "f_wrong_kind", "diag_zero_denominator", "diag_bad_name",
-        "explicit_zero_denominator", "diag_too_many", "diag_too_few"])
+        "explicit_zero_denominator", "diag_too_many", "diag_too_few",
+        "s_dashes", "a_choice_dashes", "n_dashes", "max_degree_dashes",
+        "f_dashes", "form_scale_dashes", "seed_dashes", "algebra_dashes"])
 def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
     if env is None:
         monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
@@ -181,6 +191,8 @@ def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+    if argv[-1].endswith("=--"):  # the option argparse read as []
+        assert err.startswith(f"error: {argv[-1][:-3]} ")
     assert "Traceback" not in err + out
     assert "Fraction(" not in err
 
@@ -283,6 +295,7 @@ def cli_argv(draw):
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cli_argv())
+@example(["setup", "--algebra", "sl2", "--s=--"])
 def test_cli_fuzz_exits_cleanly(capsys, argv):
     """Any flag combination exits 0, 1 or 2, and never with a traceback."""
     try:
@@ -336,6 +349,30 @@ def test_no_assert_statements_in_src():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_unused_imports_in_src():
+    """Every name a module of src/wds imports is read in it; the package
+    __init__ counts its __all__ as a use."""
+    found = []
+    for path in sorted((ROOT / "src" / "wds").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used]
     assert found == []
 
 

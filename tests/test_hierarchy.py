@@ -333,8 +333,13 @@ def test_unprojected_solve_matches_projection(sl3_min):
         assert dict(pied.terms) == dict(want.terms if want else {})
 
 
-def test_homogeneity_of_solution(sl3_min):
-    U, h, dec = sl3_min.dressing(4)
+@pytest.mark.parametrize("name, window", [
+    ("sl3_min", 4), ("sl4_short", 4), ("sl4_generic", 2),
+], ids=["sl3_min", "sl4_short", "sl4_generic"])
+def test_homogeneity_of_solution(name, window, request):
+    """Each U part lies in hperp and each h part in the kernel of its slice,
+    over Q and over Q(c, s1, s2)."""
+    U, h, dec = request.getfixturevalue(name).dressing(window)
     for deg, el in U.items():
         assert not (el - el.component(deg))
         co = dec.coeffs_of(deg, el)
@@ -364,6 +369,8 @@ def test_densities_past_the_window_refused(sl2_min, sl3_iso):
         conserved_densities(cfg.frame, h, a_z, n_max=2, dec=dec)
     assert e.value.needed == 5
     assert len(conserved_densities(cfg.frame, h, a_z, dec=dec)) == 2
+    with pytest.raises(TypeError):  # the window is never optional
+        conserved_densities(cfg.frame, h, a_z, n_max=2)
     U, h, dec = cfg.dressing(5)
     dens = conserved_densities(cfg.frame, h, a_z, n_max=2, dec=dec)
     assert dens[2] and dens == conserved_densities(cfg.frame, h, a_z, dec=dec)

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wds import linalg
+from wds.scalars import Q
 from wds.lie import (EmbeddableData, GradedSetup, GradeMismatch,
                      InvalidDimension, InvariantFailed, MINIMAL, NotNilpotent,
                      SHORT, SingularPairing, WrongKind, build_sl, build_sp,
@@ -362,3 +365,46 @@ def test_loop_kernel_image_split(sl3):
     adf2 = linalg.transpose(
         [linalg.mat_vec(adf, col, ring) for col in linalg.transpose(adf)])
     assert linalg.rank(adf) != linalg.rank(adf2)
+
+
+@st.composite
+def vectors_and_map(draw):
+    """Vectors over Q, some of them combinations of earlier ones, and a
+    linear map given by one to three matrices."""
+    dim = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2).map(Q.const)
+    vecs = []
+    for _ in range(draw(st.integers(0, 6))):
+        if vecs and draw(st.booleans()):
+            coeffs = [Q.const(draw(st.integers(-2, 2))) for _ in vecs]
+            vecs.append(linalg.combine(coeffs, vecs))
+        else:
+            vecs.append(draw(st.lists(entry, min_size=dim, max_size=dim)))
+    mats = [draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                          min_size=1, max_size=3))
+            for _ in range(draw(st.integers(1, 3)))]
+    return vecs, mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(vectors_and_map())
+def test_independent_and_kernel_span_match_oracles(data):
+    """independent keeps exactly the vectors a greedy rank test keeps;
+    every kernel_span vector maps to zero, and there are len(vecs) - rank
+    of them."""
+    vecs, mats = data
+    greedy = []
+    for v in vecs:
+        if linalg.rank(greedy + [v]) > len(greedy):
+            greedy.append(v)
+    got = linalg.independent(vecs)
+    assert got == greedy
+    assert all(any(w is v for v in vecs) for w in got)
+
+    def images(v):
+        return [linalg.mat_vec(m, v, Q) for m in mats]
+
+    span = linalg.kernel_span(vecs, images)
+    assert all(not any(x for w in images(v) for x in w) for v in span)
+    flat = [[x for w in images(v) for x in w] for v in vecs]
+    assert len(span) == len(vecs) - linalg.rank(flat)
