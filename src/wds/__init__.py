@@ -1,7 +1,7 @@
 """Exact classical W-algebras and generalized Drinfeld-Sokolov hierarchies."""
 
 from .scalars import ParamRing, Q, Scalar
-from .diffpoly import Context, DiffPoly, Functional, LambdaPoly, functional_equal
+from .diffpoly import Context, DiffPoly, LambdaPoly, functional_equal
 from .lie import (
     GradedSetup,
     LieAlgebra,
@@ -10,7 +10,6 @@ from .lie import (
     build_sl,
     build_sp,
     darboux_split,
-    project,
 )
 from .pva import BracketTable, ReductionFrame, check_pva_axioms, master_bracket
 from .walgebra import WGenerators, verify_table
@@ -28,9 +27,9 @@ from .hierarchy import (
 )
 
 __all__ = [
-    "ParamRing", "Q", "Scalar", "Context", "DiffPoly", "Functional",
-    "LambdaPoly", "functional_equal", "GradedSetup", "LieAlgebra",
-    "MINIMAL", "SHORT", "build_sl", "build_sp", "darboux_split", "project",
+    "ParamRing", "Q", "Scalar", "Context", "DiffPoly", "LambdaPoly",
+    "functional_equal", "GradedSetup", "LieAlgebra", "MINIMAL", "SHORT",
+    "build_sl", "build_sp", "darboux_split",
     "BracketTable", "ReductionFrame", "check_pva_axioms", "master_bracket",
     "WGenerators", "verify_table", "HDecomposition", "LoopElement",
     "build_q", "center_of_h", "conserved_densities", "dressing_defect",

@@ -117,6 +117,9 @@ def parse_s(setup: GradedSetup, choice: str):
         terms = {}
         try:
             for part in choice[9:].split(","):
+                if part.count("*") > 1:
+                    raise UsageError(f"--s {choice}: {part!r} is neither "
+                                     "COEFF*LABEL nor LABEL")
                 if "*" in part:
                     co, lab = part.split("*")
                     terms[lab] = Fraction(co)
@@ -138,7 +141,7 @@ def parse_a_choice(setup, frame, choice: str, emb_s_star=None):
         if emb_s_star is None:
             raise UsageError("e_plus_s_star needs an embeddable isotropic s")
         return {0: setup.e, -1: emb_s_star}
-    if choice.startswith("center"):
+    if choice == "center":
         # a central element of the centralizer of s in g_0^f
         base = [setup.basis[i] for i in setup.g0f_indices]
         cent = linalg.kernel_span(base, lambda v: [g.bracket(v, frame.s)])

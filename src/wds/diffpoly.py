@@ -221,9 +221,9 @@ class DiffPoly:
 
     # -- grading --------------------------------------------------------
 
-    def conformal_weight(self, weights: Sequence[Fraction] | None = None):
+    def conformal_weight(self):
         """Weight if homogeneous (constants have weight 0), else None."""
-        w = weights if weights is not None else self.ctx.weights
+        w = self.ctx.weights
         if w is None:
             raise ValueError("context has no weights")
         found = None
@@ -369,35 +369,6 @@ def functional_equal(f: DiffPoly, g: DiffPoly) -> bool:
     if d.const_term():
         return False
     return all(not d.variational(i) for i in sorted(d.gens_used()))
-
-
-class Functional:
-    """A local functional int(f), compared modulo total derivatives."""
-
-    __slots__ = ("rep",)
-
-    def __init__(self, rep: DiffPoly):
-        self.rep = rep
-
-    def __eq__(self, other):
-        if not isinstance(other, Functional):
-            return NotImplemented
-        return functional_equal(self.rep, other.rep)
-
-    def __add__(self, other):
-        return Functional(self.rep + other.rep)
-
-    def __sub__(self, other):
-        return Functional(self.rep - other.rep)
-
-    def scale(self, c) -> "Functional":
-        return Functional(self.rep.scale(c))
-
-    def is_zero(self) -> bool:
-        return functional_equal(self.rep, self.rep.ctx.zero())
-
-    def __repr__(self):
-        return f"int({self.rep})"
 
 
 # ---------------------------------------------------------------------------

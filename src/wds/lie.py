@@ -1,9 +1,9 @@
 """Finite-dimensional Lie algebras over an exact scalar field.
 
 Provides sl_n / sp_n with their trace forms, sl2-triple completion through
-a nilpotent element, the ad(x)-eigenspace grading with its dual bases,
-projections, Jordan products on the +-1 eigenspaces of a short nilpotent,
-and embeddable elements of the half eigenspace.
+a nilpotent element, the ad(x)-eigenspace grading with its dual bases, the
+projection sharp onto g_0^f, Jordan products on the +-1 eigenspaces of a
+short nilpotent, and embeddable elements of the half eigenspace.
 """
 
 from __future__ import annotations
@@ -386,22 +386,26 @@ class GradedSetup:
     def _grade(self):
         g, ring = self.algebra, self.ring
         adx = g.ad(self.x)
-        spaces: dict[Fraction, list[Vec]] = {}
-        total = 0
-        for k in range(-8, 9):
-            ev = Fraction(k, 2)
+        allowed = _ALLOWED[self.kind]
+
+        def eigenspace(ev: Fraction) -> list[Vec]:
             rows = [
                 [adx[i][j] - (ring.const(ev) if i == j else ring.zero())
                  for j in range(g.dim)]
                 for i in range(g.dim)
             ]
-            ker = linalg.kernel(rows, ring, g.dim)
-            if ker:
-                spaces[ev] = ker
-                total += len(ker)
-        if total != g.dim:
-            raise WrongKind("ad(x) not diagonalizable over half-integers")
-        if not set(spaces) <= _ALLOWED[self.kind]:
+            return linalg.kernel(rows, ring, g.dim)
+
+        spaces = {ev: ker for ev in sorted(allowed) if (ker := eigenspace(ev))}
+        if sum(map(len, spaces.values())) != g.dim:
+            # x of an sl2-triple has half-integer ad-eigenvalues below
+            # dim g / 2 in size; find the others only to name them
+            for k in range(1, g.dim):
+                for ev in (Fraction(-k, 2), Fraction(k, 2)):
+                    if ev not in allowed and (ker := eigenspace(ev)):
+                        spaces[ev] = ker
+                if sum(map(len, spaces.values())) == g.dim:
+                    break
             raise WrongKind(
                 f"eigenvalues [{', '.join(map(str, sorted(spaces)))}] invalid "
                 f"for kind {self.kind}")
@@ -483,7 +487,7 @@ class GradedSetup:
                 name = "f"
             elif ev == 1 and self.kind == MINIMAL:
                 name = "e"
-            elif idx in getattr(self, "g0c_indices", ()) and self.kind == MINIMAL:
+            elif idx in self.g0c_indices and self.kind == MINIMAL:
                 name = "x"
             else:
                 stem = (
@@ -603,7 +607,7 @@ class GradedSetup:
         if co is None:
             return None
         out = linalg.combine(co, [self.basis[i] for i in half])
-        bad = embeddable_structure(self, s, out).check()
+        bad = EmbeddableData(self, s, out).check()
         if bad:
             raise InvariantFailed(f"embeddable structure checks failed: {bad}")
         return out
@@ -646,21 +650,6 @@ def coords_in(owner, v: Vec, allowed, what: str) -> Vec:
     return co
 
 
-def dual_basis(setup: GradedSetup, vecs_a: list, vecs_b: list,
-               pairing: str = "form"):
-    """Bases (one per subspace) with pairing(v_h, v^k) = delta_hk.
-
-    pairing is one of form / omega_plus / omega_minus; raises
-    SingularPairing when the pairing between the two spans degenerates.
-    """
-    fn = {
-        "form": setup.algebra.pair,
-        "omega_plus": setup.omega_plus,
-        "omega_minus": setup.omega_minus,
-    }[pairing]
-    return list(vecs_a), setup._dual_in(vecs_a, vecs_b, fn)
-
-
 def darboux_split(setup: GradedSetup, seed: Vec | None = None):
     """Split g_1/2 into omega_+-dual maximal isotropic halves (l, l').
 
@@ -694,10 +683,6 @@ def darboux_split(setup: GradedSetup, seed: Vec | None = None):
     return l_side, lp_side
 
 
-def embeddable_structure(setup: GradedSetup, s: Vec, s_star: Vec) -> "EmbeddableData":
-    return EmbeddableData(setup, s, s_star)
-
-
 class EmbeddableData:
     """Caches attached to an embeddable s: centralizer bases and the form chi.
 
@@ -718,7 +703,6 @@ class EmbeddableData:
 
         self.g0s = centralizer(setup.g0f_indices, s)
         self.gs_half = centralizer(setup.eig_indices(half), s)
-        self.g0s_dual = setup._dual_in(self.g0s, self.g0s, g.pair)
         self.gs_half_dual = setup._dual_in(
             self.gs_half, self.gs_half, self.chi)
 
@@ -785,44 +769,3 @@ class EmbeddableData:
                     if lhs + rhs:
                         bad.append("chi not g_0^s invariant")
         return bad
-
-
-def quotient_images(setup: GradedSetup, basis: list[Vec], eig_of: list,
-                    keep) -> list[Vec]:
-    """The quotient p -> g^f on a graded basis, as the image of each vector.
-
-    The vectors indexed by keep (a basis of g^f) stay, those in g_0 go
-    through sharp, and all others die.  A vector maps to
-    linalg.combine(adapted coordinates, images).
-    """
-    zero = setup.algebra.zero_vec()
-    return [b if i in keep else setup.sharp(b) if eig_of[i] == 0 else zero
-            for i, b in enumerate(basis)]
-
-
-def project(setup: GradedSetup, target: str, frame=None):
-    """Named projections as functions on vectors: g_f_sharp, perp,
-    p_leq_half, pi_gf, pi_l.
-
-    pi_l (the quotient p -> g^f with kernel F x + l') needs the isotropic
-    reduction frame that fixes l.
-    """
-    if target == "pi_l":
-        if frame is None or not frame.isotropic:
-            raise ValueError("pi_l needs an isotropic reduction frame")
-        return lambda v: linalg.combine(frame.to_adapted(v), frame.quotient_images)
-    if target == "pi_gf":
-        images = quotient_images(setup, setup.basis, setup.eig_of,
-                                 set(setup.gf_indices))
-        return lambda v: linalg.combine(setup.to_adapted(v), images)
-    if target == "g_f_sharp":
-        return setup.sharp
-    if target == "perp":
-        return lambda v: linalg.vec_sub(v, setup.sharp(v))
-    if target == "p_leq_half":
-        half = Fraction(1, 2)
-        return lambda v: linalg.combine(
-            [c if ev <= half else 0
-             for c, ev in zip(setup.to_adapted(v), setup.eig_of)],
-            setup.basis)
-    raise ValueError(f"unknown projection {target}")

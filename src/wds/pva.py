@@ -15,12 +15,7 @@ from fractions import Fraction
 from . import linalg
 from .diffpoly import (Context, DiffPoly, LambdaPoly, neg_lambda_d_power,
                        subst_minus_lambda_d)
-from .lie import (GradedSetup, GradeMismatch, MINIMAL, coords_in,
-                  darboux_split, quotient_images)
-
-
-class NotInW(ValueError):
-    pass
+from .lie import GradedSetup, GradeMismatch, MINIMAL, coords_in, darboux_split
 
 
 class ZDependence(ArithmeticError):
@@ -208,8 +203,11 @@ class ReductionFrame:
             raise GradeMismatch("s must be homogeneous in the ad(x)-grading")
         self.z_degree = -(Fraction(1) + grades.pop()) if grades else None
 
-        self.quotient_images = quotient_images(
-            setup, self.basis, self.eig_of, self._w_pos)
+        # the quotient p -> g^f: g^f stays, g_0 goes through sharp and the
+        # rest dies; v maps to linalg.combine(to_adapted(v), quotient_images)
+        self.quotient_images = [
+            b if i in self._w_pos else setup.sharp(b) if ev == 0 else g.zero_vec()
+            for i, (b, ev) in enumerate(zip(self.basis, self.eig_of))]
         self._build_maps()
         self.full_table = self._build_table(
             range(n), self.full_ctx,
@@ -312,11 +310,7 @@ class ReductionFrame:
             not self.rho_action(self.basis[i], p) for i in self.ann_idx
         )
 
-    def w_bracket(
-        self, p: DiffPoly, q: DiffPoly, check: bool = False
-    ) -> tuple[LambdaPoly, LambdaPoly]:
-        if check and not (self.is_in_w(p) and self.is_in_w(q)):
-            raise NotInW("w_bracket arguments must pass membership")
+    def w_bracket(self, p: DiffPoly, q: DiffPoly) -> tuple[LambdaPoly, LambdaPoly]:
         return master_bracket(self.coord_table, p, q)
 
 

@@ -179,8 +179,7 @@ def _expected_minimal(frame: ReductionFrame, gens: WGenerators):
         vs = vs + vds
         vds = vds + [linalg.vec_scale(v, frame.ring.const(-1)) for v in vs[: len(vds)]]
 
-    def wl(v, order=0):
-        return frame.w_lin(v, order)
+    wl = frame.w_lin
 
     phis, psis = _named(gens, "phi"), _named(gens, "psi")
     rows = {}
@@ -255,11 +254,7 @@ def _expected_short(frame: ReductionFrame, gens: WGenerators):
     wz = frame.w_ctx.zero()
     us, uds = setup.u_pairs
 
-    def wl(v, order=0):
-        return frame.w_lin(v, order)
-
-    def sharp(v):
-        return setup.sharp(v)
+    wl, sharp = frame.w_lin, setup.sharp
 
     phis, psis = _named(gens, "phi"), _named(gens, "psi")
     rows = {}

@@ -175,6 +175,7 @@ def test_non_homogeneous_s_usage_error(capsys):
     (("setup", "--algebra", "sl2", "--form-scale=--"), None),
     (("setup", "--algebra", "sl2", "--seed=--"), None),
     (("setup", "--algebra=--"), None),
+    (("hierarchy", "--algebra", "sl3", "--a-choice", "centerfoo"), None),
 ], ids=["verify_n_neg", "hierarchy_n_neg", "max_degree_0",
         "max_degree_neg", "n_past_window", "sl1", "sp3", "unknown_f_label", "env_max_degree",
         "unknown_s_label", "s_not_semisimple", "s_in_g_half",
@@ -182,7 +183,8 @@ def test_non_homogeneous_s_usage_error(capsys):
         "f_wrong_kind", "diag_zero_denominator", "diag_bad_name",
         "explicit_zero_denominator", "diag_too_many", "diag_too_few",
         "s_dashes", "a_choice_dashes", "n_dashes", "max_degree_dashes",
-        "f_dashes", "form_scale_dashes", "seed_dashes", "algebra_dashes"])
+        "f_dashes", "form_scale_dashes", "seed_dashes", "algebra_dashes",
+        "a_choice_unknown"])
 def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
     if env is None:
         monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
@@ -195,6 +197,21 @@ def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
         assert err.startswith(f"error: {argv[-1][:-3]} ")
     assert "Traceback" not in err + out
     assert "Fraction(" not in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("setup", "--algebra", "sl6", "--nilpotent", "short",
+      "--f", "E21,E32,E43,E54,E65"),
+     "eigenvalues [-5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5] invalid for kind short"),
+    (("setup", "--algebra", "sl3", "--nilpotent", "short", "--f", "E31"),
+     "eigenvalues [-1, -1/2, 0, 1/2, 1] invalid for kind short"),
+    (("setup", "--algebra", "sl2", "--s", "explicit:2*E12*3"),
+     "'2*E12*3' is neither COEFF*LABEL nor LABEL"),
+], ids=["f_deep_grading", "f_wrong_kind", "explicit_two_stars"])
+def test_usage_error_reason(argv, reason, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err.count("\n") == 1
+    assert reason in err
 
 
 def test_s_outside_g1_and_not_semisimple_reasons(capsys):

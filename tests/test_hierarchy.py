@@ -276,8 +276,8 @@ def test_isotropic_dressing_values(sl3_iso):
     xx = s.xx()
     sv = fr.s
     s_star = s.find_embeddable(sv)
-    from wds.lie import embeddable_structure
-    data = embeddable_structure(s, sv, s_star)
+    from wds.lie import EmbeddableData
+    data = EmbeddableData(s, sv, s_star)
     # no g_0^s part on sl3, so pi h_0 = 0 and pi h_3/2 = 0
     assert F(0) not in h and F(3, 2) not in h
     # pi U_1 = sum [f,u_k] z^-1 (x) [s,[f,u^k]]

@@ -11,7 +11,8 @@ from wds.scalars import Q
 from wds.lie import (EmbeddableData, GradedSetup, GradeMismatch,
                      InvalidDimension, InvariantFailed, MINIMAL, NotNilpotent,
                      SHORT, SingularPairing, WrongKind, build_sl, build_sp,
-                     darboux_split, dual_basis, embeddable_structure, project)
+                     darboux_split)
+from wds.pva import ReductionFrame
 
 
 def test_build_sl2_relations():
@@ -171,34 +172,35 @@ def test_omega_invariance_identities(sl3):
 
 def test_dual_basis_op_and_errors(sl3):
     g, s = sl3
-    vs = [s.basis[i] for i in s.eig_indices(Fraction(1, 2))]
-    _, dual = dual_basis(s, vs, vs, "omega_plus")
+    vs, dual = s.v_pairs  # g_1/2 with its omega_+ dual
     assert s.omega_plus(vs[0], dual[0]) == g.ring.one()
-    with pytest.raises(SingularPairing):
-        dual_basis(s, vs, vs, "form")  # (g_1/2 | g_1/2) = 0
-    a_basis = [s.basis[i] for i in s.g0f_indices]
-    _, ad = dual_basis(s, a_basis, a_basis, "form")
+    with pytest.raises(SingularPairing):  # (g_1/2 | g_1/2) = 0
+        s.dual_of_gram([[g.pair(p, q) for q in vs] for p in vs], vs)
+    a_basis, ad = s.a_pairs  # g_0^f with its (.|.) dual
     assert g.pair(a_basis[0], ad[0]) == g.ring.one()
 
 
 def test_projections(sl3):
+    """sharp on g_0, and the frame's quotient p -> g^f and coordinates."""
     g, s = sl3
-    sharp = project(s, "g_f_sharp")
-    assert sharp(s.x) == g.zero_vec()
+    assert s.sharp(s.x) == g.zero_vec()
     h1 = g.parse({"H1": 1})
-    got = sharp(h1)
     want = linalg.vec_sub(
         h1, linalg.vec_scale(s.x, g.pair(h1, s.x) / s.xx()))
-    assert got == want
+    assert s.sharp(h1) == want
     g0 = [s.basis[i] for i in s.eig_indices(0)]
-    assert all(sharp(sharp(v)) == sharp(v) for v in g0)
-    pi = project(s, "pi_gf")
+    assert all(s.sharp(s.sharp(v)) == s.sharp(v) for v in g0)
+    fr = ReductionFrame(s, s.e)
+
+    def pi(v):
+        return linalg.combine(fr.to_adapted(v), fr.quotient_images)
+
     assert pi(s.f) == s.f
     assert pi(s.basis[s.eig_indices(Fraction(1, 2))[0]]) == g.zero_vec()
     assert all(pi(pi(v)) == pi(v) for v in [s.x, s.f, h1])
-    leq = project(s, "p_leq_half")
-    assert leq(s.e) == g.zero_vec()
-    assert leq(s.f) == s.f
+    # the coordinate ring V(g_<=1/2) drops g_1
+    assert fr.p_lin(s.e) == fr.coord_ctx.zero()
+    assert fr.p_lin(s.f) == fr.coord_lin(s.f)
 
 
 def test_sl2_completion_failure_on_non_nilpotent():
@@ -290,7 +292,7 @@ def test_find_embeddable_sl3():
     assert st == g.parse({"E21": 1, "E32": 1})
     assert g.bracket(sv, st) == linalg.vec_scale(s.x, g.ring.const(2))
     assert s.find_embeddable(g.zero_vec()) is None
-    data = embeddable_structure(s, sv, st)
+    data = EmbeddableData(s, sv, st)
     assert data.check() == []
     assert data.g0s == []  # trivial s-centralizer in g_0^f for sl3
     assert len(data.gs_half) == 1
@@ -337,11 +339,9 @@ def test_darboux_split_sl3():
     assert s.omega_plus(l[0], lp[0]) == g.ring.one()
     assert s.omega_plus(l[0], l[0]) == g.ring.zero()
     # l and l' assemble the omega_+-dual structure of the full half space
-    l4, lp4 = darboux_split(GradedSetup(build_sl(4),
-                                        build_sl(4).parse({"E41": 1}),
-                                        MINIMAL))
+    g4 = build_sl(4)
+    l4, lp4 = darboux_split(GradedSetup(g4, g4.parse({"E41": 1}), MINIMAL))
     assert len(l4) == len(lp4) == 2
-    s4 = GradedSetup(build_sl(4), build_sl(4).parse({"E41": 1}), MINIMAL)
 
 
 def test_setup_serialization(sl3):
