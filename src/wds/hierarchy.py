@@ -110,6 +110,8 @@ class LoopElement:
 
     def bracket(self, other: "LoopElement", max_deg: Fraction | None = None) -> "LoopElement":
         """[self, other], dropping products of loop degree above max_deg."""
+        if not other:
+            return LoopElement(self.frame, self.ctx)
         if self.frame.ring.nvars:
             return self._bracket_scalar(other, max_deg)
         struct = self.frame.struct
@@ -119,10 +121,13 @@ class LoopElement:
         # lcm of its denominators; products and sums stay in Python ints.
         rhs = [(j, k2, eig[j] + zd * k2, _int_coeffs(q))
                for (j, k2), q in other.terms.items()]
+        low = min(d2 for _, _, d2, _ in rhs)
         # (basis index, z power) -> {denominator: {monomial: numerator}}
         acc: dict = {}
         for (i, k1), p in self.terms.items():
             d1 = eig[i] + zd * k1
+            if max_deg is not None and d1 + low > max_deg:
+                continue
             L1, ps = _int_coeffs(p)
             row = struct[i]
             for j, k2, d2, (L2, qs) in rhs:
@@ -167,10 +172,13 @@ class LoopElement:
         struct = self.frame.struct
         zd = self.frame.z_degree
         eig = self.frame.eig_of
+        low = min(map(other.degree_of, other.terms))
         # (basis index, z power) -> {monomial: coefficient}, zeros dropped last
         acc: dict = {}
         for (i, k1), p in self.terms.items():
             d1 = eig[i] + zd * k1
+            if max_deg is not None and d1 + low > max_deg:
+                continue
             for (j, k2), q in other.terms.items():
                 if max_deg is not None and d1 + eig[j] + zd * k2 > max_deg:
                     continue
@@ -409,7 +417,7 @@ def exp_ad_apply(U: LoopElement, D: LoopElement, max_deg: Fraction) -> LoopEleme
     ad U acts on d by [U, d] = -dU/dx; the series terminates inside the
     window because U has strictly positive loop degree.
     """
-    base = (U.bracket(D, max_deg) - U.derivative()).trim(max_deg)
+    base = U.bracket(D, max_deg) - U.trim(max_deg).derivative()
     acc = D.trim(max_deg) + base
     cur = base
     n = 2
@@ -430,22 +438,44 @@ def solve_dressing(
 
     Returns (U_parts, h_parts, dec): U_parts[j] and h_parts[j] are homogeneous
     loop elements keyed by their degree, with U in hperp and h in ker.
+
+    The series exp(ad U)(d + D) - d = sum_n T_n, T_0 = D and
+    T_n = [U, T_{n-1}]/n (with [U, d] = -dU/dx in T_1), is kept degree by
+    degree: at degree d only the degree-d piece of each T_n is formed, from
+    the U_j and the lower-degree pieces already known, so every bracket of
+    the series is taken once.  U_{d+1}, solved at degree d, enters T_1 at d
+    through [U_{d+1}, f+zs] only after the split.
     """
     max_deg = Fraction(max_deg)
     if dec is None:
         dec = HDecomposition(frame, Fraction(-1), max_deg)
     ctx = frame.w_ctx if projected else frame.coord_ctx
-    D = loop_fzs(frame, ctx) + build_q(frame, projected)
     fzs = loop_fzs(frame, ctx)
+    D = fzs + build_q(frame, projected)
 
     U_parts: dict[Fraction, LoopElement] = {}
     h_parts: dict[Fraction, LoopElement] = {}
+    # series[n][d]: the degree-d piece of T_n
+    series = [{d: D.component(d) for d in map(D.degree_of, D.terms)}, {}]
     deg = Fraction(-1, 2)
-    Usum = LoopElement(frame, ctx)
     while deg <= max_deg:
         if dec.slices.get(deg):
-            current = exp_ad_apply(Usum, D, deg)
-            R = (current - fzs).component(deg)
+            R = series[0].get(deg, LoopElement(frame, ctx))
+            for n in range(1, len(series) + 1):
+                piece = LoopElement(frame, ctx)
+                for j, u in U_parts.items():
+                    prev = series[n - 1].get(deg - j)
+                    if prev:
+                        piece = piece + u.bracket(prev)
+                if n == 1 and deg in U_parts:
+                    piece = piece - U_parts[deg].derivative()
+                elif n > 1:
+                    piece = piece.scale(Fraction(1, n))
+                if piece:
+                    if n == len(series):
+                        series.append({})
+                    series[n][deg] = piece
+                    R = R + piece
             coeffs = dec.coeffs_of(deg, R)
             h_co = dec.h_project(deg, coeffs)
             h_el = dec.to_loop(deg, h_co, ctx)
@@ -455,7 +485,10 @@ def solve_dressing(
             u_el = dec.to_loop(deg + 1, u_co, ctx)
             if u_el:
                 U_parts[deg + 1] = u_el
-                Usum = Usum + u_el
+                # later degrees read T_1 at deg; past the window nothing does
+                if deg + Fraction(1, 2) <= max_deg:
+                    series[1][deg] = series[1].get(
+                        deg, LoopElement(frame, ctx)) + u_el.bracket(fzs)
         deg += Fraction(1, 2)
     return U_parts, h_parts, dec
 

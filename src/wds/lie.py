@@ -684,10 +684,10 @@ def darboux_split(setup: GradedSetup, seed: Vec | None = None):
 
 
 class EmbeddableData:
-    """Caches attached to an embeddable s: centralizer bases and the form chi.
+    """Centralizer bases g_0^s, g^s_1/2 and the form chi of an s in g_1/2.
 
-    g_0^s and g^s_1/2 come with dual bases ((.|.) resp. chi-dual), so every
-    orthonormal-basis sum can be written basis/dual pairwise over Q.
+    Nothing is inverted here, so check() can report a degenerate chi; a
+    chi-dual basis of g^s_1/2 is setup._dual_in(gs_half, gs_half, chi).
     """
 
     def __init__(self, setup: GradedSetup, s: Vec, s_star: Vec):
@@ -703,8 +703,6 @@ class EmbeddableData:
 
         self.g0s = centralizer(setup.g0f_indices, s)
         self.gs_half = centralizer(setup.eig_indices(half), s)
-        self.gs_half_dual = setup._dual_in(
-            self.gs_half, self.gs_half, self.chi)
 
     def chi(self, u: Vec, v: Vec) -> Scalar:
         g, setup = self.setup.algebra, self.setup

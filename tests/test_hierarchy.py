@@ -8,7 +8,8 @@ from wds import linalg
 from wds.hierarchy import (HDecomposition, InvalidCenter, LoopElement,
                            NotSemisimple, WindowOverflow, build_q,
                            center_of_h, check_central, conserved_densities,
-                           dressing_defect, hierarchy_equation, loop_const,
+                           dressing_defect, exp_ad_apply,
+                           hierarchy_equation, loop_const,
                            loop_from_zmap, loop_fzs, reduce_mod_jk,
                            solve_dressing, verify_lenard_magri)
 from wds.pva import ReductionFrame
@@ -278,13 +279,14 @@ def test_isotropic_dressing_values(sl3_iso):
     s_star = s.find_embeddable(sv)
     from wds.lie import EmbeddableData
     data = EmbeddableData(s, sv, s_star)
+    gs_half_dual = s._dual_in(data.gs_half, data.gs_half, data.chi)
     # no g_0^s part on sl3, so pi h_0 = 0 and pi h_3/2 = 0
     assert F(0) not in h and F(3, 2) not in h
     # pi U_1 = sum [f,u_k] z^-1 (x) [s,[f,u^k]]
     pieces = [
         (g.bracket(s.f, uk), -1,
          fr.w_lin(g.bracket(sv, g.bracket(s.f, ukd))))
-        for uk, ukd in zip(data.gs_half, data.gs_half_dual)
+        for uk, ukd in zip(data.gs_half, gs_half_dual)
     ]
     assert not (U[F(1)] - expected_loop(cfg, pieces))
     # pi h_1/2 = (f + zs) z^-1 (x) s^* / (6(x|x))
@@ -295,14 +297,14 @@ def test_isotropic_dressing_values(sl3_iso):
     assert not (h[F(1, 2)] - want)
     # pi U_3/2 = -x z^-1 (x) s^*/(6(x|x)) - sum [s,[f,u^k]] z^-1 (x) [f,u_k]
     pieces = [(s.x, -1, fr.w_lin(s_star).scale(-(6 * xx).inv()))]
-    for uk, ukd in zip(data.gs_half, data.gs_half_dual):
+    for uk, ukd in zip(data.gs_half, gs_half_dual):
         pieces.append((g.bracket(sv, g.bracket(s.f, ukd)), -1,
                        -fr.w_lin(g.bracket(s.f, uk))))
     assert not (U[F(3, 2)] - expected_loop(cfg, pieces))
     # pi h_1 = (e + z^-1 s*) (x) (f/(6(x|x))
     #          + sum [s,[f,u_k]][s,[f,u^k]] / (12(x|x)))
     coeff = fr.w_lin(s.f).scale((6 * xx).inv())
-    for uk, ukd in zip(data.gs_half, data.gs_half_dual):
+    for uk, ukd in zip(data.gs_half, gs_half_dual):
         coeff += (
             fr.w_lin(s.sharp(g.bracket(sv, g.bracket(s.f, uk))))
             * fr.w_lin(s.sharp(g.bracket(sv, g.bracket(s.f, ukd))))
@@ -315,6 +317,54 @@ def test_conjugation_oracle(sl3_min, sl4_short, sl3_iso):
     for cfg, deg in ((sl3_min, 4), (sl4_short, 4), (sl3_iso, 3)):
         U, h, dec = cfg.dressing(deg)
         assert not dressing_defect(cfg.frame, U, h, deg)
+
+
+def reexpanding_solve(frame, max_deg, dec):
+    """The solve that re-expands exp(ad U) from scratch at every degree and
+    keeps its degree-d component: the oracle of the incremental series."""
+    ctx = frame.w_ctx
+    fzs = loop_fzs(frame, ctx)
+    D = fzs + build_q(frame)
+    U_parts, h_parts = {}, {}
+    Usum = LoopElement(frame, ctx)
+    deg = F(-1, 2)
+    while deg <= max_deg:
+        if dec.slices.get(deg):
+            R = (exp_ad_apply(Usum, D, deg) - fzs).component(deg)
+            coeffs = dec.coeffs_of(deg, R)
+            h_el = dec.to_loop(deg, dec.h_project(deg, coeffs), ctx)
+            if h_el:
+                h_parts[deg] = h_el
+            u_el = dec.to_loop(deg + 1, dec.solve_for(deg, coeffs), ctx)
+            if u_el:
+                U_parts[deg + 1] = u_el
+                Usum = Usum + u_el
+        deg += F(1, 2)
+    return U_parts, h_parts
+
+
+def assert_parts_equal(got, want):
+    assert got.keys() == want.keys()
+    for deg in want:
+        assert got[deg].terms == want[deg].terms, deg
+
+
+@pytest.mark.parametrize("name, window", [
+    ("sl3_min", 6), ("sl3_iso", 4), ("sl4_short", 5), ("sl4_generic", 2),
+], ids=["sl3_min", "sl3_iso", "sl4_short", "sl4_generic"])
+def test_incremental_solve_matches_reexpansion(name, window, request):
+    """solve_dressing forms each degree of each series order once; U and h
+    equal, term for term, those of the per-degree re-expansion, over Q and
+    over Q(c, s1, s2), and the solve at window m is a prefix of the one at
+    window m + 2."""
+    cfg = request.getfixturevalue(name)
+    U, h, dec = cfg.dressing(window)
+    U_ref, h_ref = reexpanding_solve(cfg.frame, window, dec)
+    assert_parts_equal(U, U_ref)
+    assert_parts_equal(h, h_ref)
+    U_low, h_low, _ = cfg.dressing(window - 2)
+    assert_parts_equal(U_low, {d: u for d, u in U.items() if d <= window - 1})
+    assert_parts_equal(h_low, {d: v for d, v in h.items() if d <= window - 2})
 
 
 def test_unprojected_solve_matches_projection(sl3_min):

@@ -298,6 +298,17 @@ def test_find_embeddable_sl3():
     assert len(data.gs_half) == 1
 
 
+def test_degenerate_chi_reported_by_check():
+    """The zero s makes chi vanish on g^s_1/2 = g_1/2: the data still builds,
+    and check() names the degenerate form."""
+    g = build_sl(3)
+    s = GradedSetup(g, g.parse({"E31": 1}), MINIMAL)
+    zero = g.zero_vec()
+    data = EmbeddableData(s, zero, zero)
+    assert len(data.gs_half) == 2
+    assert "chi degenerate" in data.check()
+
+
 def test_failed_embeddable_structure_raises(monkeypatch):
     g = build_sl(3)
     s = GradedSetup(g, g.parse({"E31": 1}), MINIMAL)
