@@ -110,8 +110,6 @@ class LoopElement:
 
     def bracket(self, other: "LoopElement", max_deg: Fraction | None = None) -> "LoopElement":
         """[self, other], dropping products of loop degree above max_deg."""
-        if not other:
-            return LoopElement(self.frame, self.ctx)
         if self.frame.ring.nvars:
             return self._bracket_scalar(other, max_deg)
         struct = self.frame.struct
@@ -121,7 +119,7 @@ class LoopElement:
         # lcm of its denominators; products and sums stay in Python ints.
         rhs = [(j, k2, eig[j] + zd * k2, _int_coeffs(q))
                for (j, k2), q in other.terms.items()]
-        low = min(d2 for _, _, d2, _ in rhs)
+        low = min((d2 for _, _, d2, _ in rhs), default=0)
         # (basis index, z power) -> {denominator: {monomial: numerator}}
         acc: dict = {}
         for (i, k1), p in self.terms.items():
@@ -172,7 +170,7 @@ class LoopElement:
         struct = self.frame.struct
         zd = self.frame.z_degree
         eig = self.frame.eig_of
-        low = min(map(other.degree_of, other.terms))
+        low = min(map(other.degree_of, other.terms), default=0)
         # (basis index, z power) -> {monomial: coefficient}, zeros dropped last
         acc: dict = {}
         for (i, k1), p in self.terms.items():
