@@ -15,6 +15,13 @@ from .scalars import ParamRing, Scalar, ScalarLike
 Monomial = tuple  # ((gen, order), ...) sorted
 
 
+def monomial_derivative(m: Monomial) -> list:
+    """The monomials of d(m) by the Leibniz rule, one per factor of m (a
+    power contributes once per copy)."""
+    return [tuple(sorted(m[:k] + ((g, n + 1),) + m[k + 1 :]))
+            for k, (g, n) in enumerate(m)]
+
+
 class Context:
     """Generator context: labels and conformal weights over a parameter ring."""
 
@@ -168,9 +175,7 @@ class DiffPoly:
         """The derivation with d(u_i^(n)) = u_i^(n+1) and d(const) = 0."""
         out: dict = {}
         for m, c in self.terms.items():
-            for k in range(len(m)):
-                g, n = m[k]
-                bumped = tuple(sorted(m[:k] + ((g, n + 1),) + m[k + 1 :]))
+            for bumped in monomial_derivative(m):
                 v = out.get(bumped)
                 out[bumped] = c if v is None else v + c
         return DiffPoly(self.ctx, {m: c for m, c in out.items() if c})

@@ -9,6 +9,8 @@ fixed-degree slice is finite dimensional.  The dressing equation
 
 is solved degree by degree; pairing h against a central element a(z) of
 ker(ad(f+zs)) yields the conserved densities and the hierarchy flows.
+Over Q the dressing runs in integer numerators (IntLoop) and converts to
+Scalars once, on the way out; over Q(p) it runs in Scalars.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .diffpoly import Context, DiffPoly, functional_equal
+from .diffpoly import (Context, DiffPoly, functional_equal,
+                       monomial_derivative)
 from .pva import ReductionFrame, master_bracket
 from .scalars import Scalar
 
@@ -39,8 +42,8 @@ class WindowOverflow(ValueError):
         self.needed = needed
 
 
-class LoopElement:
-    """Finite map (basis index, z power) -> DiffPoly coefficient."""
+class _Loop:
+    """Finite map (basis index, z power) -> coefficient, never zero."""
 
     __slots__ = ("frame", "ctx", "terms")
 
@@ -48,6 +51,37 @@ class LoopElement:
         self.frame = frame
         self.ctx = ctx
         self.terms = terms or {}
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def degree_of(self, key) -> Fraction:
+        """Loop degree of the (basis index, z power) key."""
+        i, k = key
+        return self.frame.eig_of[i] + self.frame.z_degree * k
+
+    def trim(self, max_deg: Fraction):
+        return type(self)(
+            self.frame, self.ctx,
+            {key: p for key, p in self.terms.items()
+             if self.degree_of(key) <= max_deg},
+        )
+
+    def component(self, deg: Fraction):
+        return type(self)(
+            self.frame, self.ctx,
+            {key: p for key, p in self.terms.items()
+             if self.degree_of(key) == deg},
+        )
+
+
+class LoopElement(_Loop):
+    """Loop element with DiffPoly coefficients."""
+
+    __slots__ = ()
 
     def add_term(self, i: int, k: int, p: DiffPoly):
         if not p:
@@ -60,9 +94,6 @@ class LoopElement:
         else:
             self.terms.pop(key, None)
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __add__(self, other: "LoopElement") -> "LoopElement":
         out = LoopElement(self.frame, self.ctx, dict(self.terms))
         for (i, k), p in other.terms.items():
@@ -74,10 +105,9 @@ class LoopElement:
             self.frame, self.ctx, {key: -p for key, p in self.terms.items()}
         )
 
-    def __sub__(self, other: "LoopElement") -> "LoopElement":
-        return self + (-other)
-
     def scale(self, c) -> "LoopElement":
+        if not c:
+            return LoopElement(self.frame, self.ctx)
         return LoopElement(
             self.frame, self.ctx,
             {key: p.scale(c) for key, p in self.terms.items()},
@@ -89,79 +119,11 @@ class LoopElement:
             out.add_term(i, k, p.total_derivative())
         return out
 
-    def degree_of(self, key) -> Fraction:
-        """Loop degree of the (basis index, z power) key."""
-        i, k = key
-        return self.frame.eig_of[i] + self.frame.z_degree * k
-
-    def trim(self, max_deg: Fraction) -> "LoopElement":
-        return LoopElement(
-            self.frame, self.ctx,
-            {key: p for key, p in self.terms.items()
-             if self.degree_of(key) <= max_deg},
-        )
-
-    def component(self, deg: Fraction) -> "LoopElement":
-        return LoopElement(
-            self.frame, self.ctx,
-            {key: p for key, p in self.terms.items()
-             if self.degree_of(key) == deg},
-        )
-
     def bracket(self, other: "LoopElement", max_deg: Fraction | None = None) -> "LoopElement":
         """[self, other], dropping products of loop degree above max_deg."""
-        if self.frame.ring.nvars:
+        if not _int_form(self.frame):
             return self._bracket_scalar(other, max_deg)
-        struct = self.frame.struct
-        zd = self.frame.z_degree
-        eig = self.frame.eig_of
-        # Over Q each coefficient is read once as integer numerators over the
-        # lcm of its denominators; products and sums stay in Python ints.
-        rhs = [(j, k2, eig[j] + zd * k2, _int_coeffs(q))
-               for (j, k2), q in other.terms.items()]
-        low = min((d2 for _, _, d2, _ in rhs), default=0)
-        # (basis index, z power) -> {denominator: {monomial: numerator}}
-        acc: dict = {}
-        for (i, k1), p in self.terms.items():
-            d1 = eig[i] + zd * k1
-            if max_deg is not None and d1 + low > max_deg:
-                continue
-            L1, ps = _int_coeffs(p)
-            row = struct[i]
-            for j, k2, d2, (L2, qs) in rhs:
-                if max_deg is not None and d1 + d2 > max_deg:
-                    continue
-                co = row[j]
-                if not co:
-                    continue
-                pq: dict = {}
-                for m1, a in ps:
-                    for m2, b in qs:
-                        m = tuple(sorted(m1 + m2))
-                        pq[m] = pq.get(m, 0) + a * b
-                den = L1 * L2
-                for r, c in co:
-                    c = c.num[()]
-                    cn = c.numerator
-                    slot = acc.setdefault((r, k1 + k2), {}).setdefault(
-                        den * c.denominator, {})
-                    for m, v in pq.items():
-                        slot[m] = slot.get(m, 0) + cn * v
-        ring = self.frame.ring
-        one = ring.one().den
-        terms = {}
-        for key, by_den in acc.items():
-            L = math.lcm(*by_den)
-            total: dict = {}
-            for d, slot in by_den.items():
-                scale = L // d
-                for m, v in slot.items():
-                    total[m] = total.get(m, 0) + v * scale
-            poly = {m: Scalar(ring, {(): Fraction(v, L)}, one, True)
-                    for m, v in total.items() if v}
-            if poly:
-                terms[key] = DiffPoly(self.ctx, poly)
-        return LoopElement(self.frame, self.ctx, terms)
+        return IntLoop.of(self).bracket(IntLoop.of(other), max_deg).to_loop()
 
     def _bracket_scalar(self, other: "LoopElement",
                         max_deg: Fraction | None = None) -> "LoopElement":
@@ -244,12 +206,198 @@ class LoopElement:
         ]
 
 
-def _int_coeffs(p: DiffPoly) -> tuple[int, list]:
-    """(L, [(monomial, L * coefficient)]) for a DiffPoly over Q, with L the
-    lcm of its coefficient denominators."""
-    qs = [(m, c.num[()]) for m, c in p.terms.items() if c]
+# ---------------------------------------------------------------------------
+# loop elements over Q in integer numerators
+# ---------------------------------------------------------------------------
+#
+# A coefficient over Q is kept as a pair (L, {monomial: n}), the sum of
+# n/L * monomial, with L > 0, no zero n, and gcd(L, all n) = 1, so L is the
+# lcm of the reduced denominators and equal values have equal pairs.
+
+
+def _int_form(frame: ReductionFrame) -> bool:
+    """Whether loop elements on frame run as IntLoops: over Q they do, over
+    Q(p) they stay LoopElements with Scalar coefficients."""
+    return not frame.ring.nvars
+
+
+def _term(L: int, nums: dict):
+    """(L, nums) in lowest terms with zero numerators dropped, or None."""
+    nums = {m: v for m, v in nums.items() if v}
+    if not nums:
+        return None
+    g = math.gcd(L, *nums.values())
+    if g > 1:
+        L //= g
+        nums = {m: v // g for m, v in nums.items()}
+    return L, nums
+
+
+def _term_add(a: tuple, b: tuple):
+    """The sum of two pairs, over the lcm of their denominators, or None."""
+    (La, na), (Lb, nb) = a, b
+    L = math.lcm(La, Lb)
+    sa, sb = L // La, L // Lb
+    out = {m: v * sa for m, v in na.items()}
+    for m, v in nb.items():
+        out[m] = out.get(m, 0) + v * sb
+    return _term(L, out)
+
+
+def _int_poly(p: DiffPoly):
+    """The integer-numerator pair of a DiffPoly over Q, or None for 0."""
+    if not p:
+        return None
+    qs = [(m, c.num[()]) for m, c in p.terms.items()]
     L = math.lcm(*(q.denominator for _, q in qs))
-    return L, [(m, q.numerator * (L // q.denominator)) for m, q in qs]
+    return L, {m: q.numerator * (L // q.denominator) for m, q in qs}
+
+
+def _scalar_poly(ctx: Context, term) -> DiffPoly:
+    """The DiffPoly, with canonical Scalar coefficients, of a pair or None."""
+    if term is None:
+        return ctx.zero()
+    L, nums = term
+    ring = ctx.ring
+    one = ring.one().den
+    return DiffPoly(ctx, {m: Scalar(ring, {(): Fraction(v, L)}, one, True)
+                          for m, v in nums.items()})
+
+
+class IntLoop(_Loop):
+    """Loop element over Q with integer-numerator pairs as coefficients.
+
+    The dressing runs in this form over Q from its inputs to its outputs;
+    `of` and `to_loop` convert from and to a LoopElement.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, el: LoopElement) -> "IntLoop":
+        return cls(el.frame, el.ctx,
+                   {key: _int_poly(p) for key, p in el.terms.items()})
+
+    def to_loop(self) -> LoopElement:
+        return LoopElement(self.frame, self.ctx,
+                           {key: _scalar_poly(self.ctx, t)
+                            for key, t in self.terms.items()})
+
+    def __add__(self, other: "IntLoop") -> "IntLoop":
+        terms = dict(self.terms)
+        for key, t in other.terms.items():
+            got = terms.get(key)
+            if got is not None:
+                t = _term_add(got, t)
+            if t is None:
+                del terms[key]
+            else:
+                terms[key] = t
+        return IntLoop(self.frame, self.ctx, terms)
+
+    def __neg__(self) -> "IntLoop":
+        return IntLoop(self.frame, self.ctx,
+                       {key: (L, {m: -v for m, v in nums.items()})
+                        for key, (L, nums) in self.terms.items()})
+
+    def scale(self, c) -> "IntLoop":
+        c = Fraction(c)
+        if not c:
+            return IntLoop(self.frame, self.ctx)
+        p, q = c.numerator, c.denominator
+        return IntLoop(self.frame, self.ctx,
+                       {key: _term(L * q, {m: v * p for m, v in nums.items()})
+                        for key, (L, nums) in self.terms.items()})
+
+    def derivative(self) -> "IntLoop":
+        terms = {}
+        for key, (L, nums) in self.terms.items():
+            out: dict = {}
+            for m, v in nums.items():
+                for dm in monomial_derivative(m):
+                    out[dm] = out.get(dm, 0) + v
+            t = _term(L, out)
+            if t is not None:
+                terms[key] = t
+        return IntLoop(self.frame, self.ctx, terms)
+
+    def bracket(self, other: "IntLoop", max_deg: Fraction | None = None) -> "IntLoop":
+        """[self, other], dropping products of loop degree above max_deg;
+        products and sums stay in Python ints."""
+        struct = self.frame.struct
+        zd = self.frame.z_degree
+        eig = self.frame.eig_of
+        rhs = [(j, k2, eig[j] + zd * k2, L2, list(qs.items()))
+               for (j, k2), (L2, qs) in other.terms.items()]
+        low = min((d2 for _, _, d2, _, _ in rhs), default=0)
+        # (basis index, z power) -> {denominator: {monomial: numerator}}
+        acc: dict = {}
+        for (i, k1), (L1, ps) in self.terms.items():
+            d1 = eig[i] + zd * k1
+            if max_deg is not None and d1 + low > max_deg:
+                continue
+            ps = ps.items()
+            row = struct[i]
+            for j, k2, d2, L2, qs in rhs:
+                if max_deg is not None and d1 + d2 > max_deg:
+                    continue
+                co = row[j]
+                if not co:
+                    continue
+                pq: dict = {}
+                for m1, a in ps:
+                    for m2, b in qs:
+                        m = tuple(sorted(m1 + m2))
+                        pq[m] = pq.get(m, 0) + a * b
+                den = L1 * L2
+                for r, c in co:
+                    c = c.num[()]
+                    cn = c.numerator
+                    slot = acc.setdefault((r, k1 + k2), {}).setdefault(
+                        den * c.denominator, {})
+                    for m, v in pq.items():
+                        slot[m] = slot.get(m, 0) + cn * v
+        terms = {}
+        for key, by_den in acc.items():
+            L = math.lcm(*by_den)
+            total: dict = {}
+            for d, slot in by_den.items():
+                scale = L // d
+                for m, v in slot.items():
+                    total[m] = total.get(m, 0) + v * scale
+            t = _term(L, total)
+            if t is not None:
+                terms[key] = t
+        return IntLoop(self.frame, self.ctx, terms)
+
+
+def _int_rows(mat: list) -> list:
+    """A matrix over Q as integer rows (R, [(column, R * entry)]), with R
+    the lcm of the row's denominators."""
+    rows = []
+    for row in mat:
+        qs = [(j, c.num[()]) for j, c in enumerate(row) if c]
+        R = math.lcm(*(q.denominator for _, q in qs))
+        rows.append((R, [(j, q.numerator * (R // q.denominator))
+                         for j, q in qs]))
+    return rows
+
+
+def _apply_int_rows(rows: list, coeffs: list) -> list:
+    """Integer rows applied to a vector of pairs (or None for 0): the pairs
+    (or None) of sum_j row[j] * coeffs[j], one per row, over the common
+    denominator R * M, with M the lcm of the vector's denominators."""
+    M = math.lcm(*(t[0] for t in coeffs if t is not None))
+    vec = {j: [(m, v * (M // t[0])) for m, v in t[1].items()]
+           for j, t in enumerate(coeffs) if t is not None}
+    out = []
+    for R, entries in rows:
+        acc: dict = {}
+        for j, c in entries:
+            for m, v in vec.get(j, ()):
+                acc[m] = acc.get(m, 0) + c * v
+        out.append(_term(R * M, acc))
+    return out
 
 
 def loop_const(frame: ReductionFrame, ctx: Context, vec, zpow: int = 0) -> LoopElement:
@@ -293,6 +441,8 @@ class HDecomposition:
     Each split degree d keeps two matrices on slice(d), built from one
     inverse: the projection onto ker ad(f+zs) along the image, and the
     inverse of ad(f+zs) from hperp(d+1), the image part of slice(d+1).
+    Over Q they are kept as integer rows too, which `split` applies to an
+    IntLoop.
     """
 
     def __init__(self, frame: ReductionFrame, min_deg: Fraction, max_deg: Fraction):
@@ -309,6 +459,8 @@ class HDecomposition:
         self.h_basis: dict[Fraction, list[list[Scalar]]] = {}
         self._proj: dict[Fraction, list[list[Scalar]]] = {}
         self._solve: dict[Fraction, list[list[Scalar]]] = {}
+        self._int_proj: dict[Fraction, list] = {}
+        self._int_solve: dict[Fraction, list] = {}
         # split degrees min_deg .. max_deg + 1; splitting d reads ad(f+zs)
         # on slice(d), slice(d+1) and slice(d+2)
         top = int(2 * (self.max_deg + 1 - self.min_deg))
@@ -361,6 +513,9 @@ class HDecomposition:
         self.h_basis[deg] = K
         self._proj[deg] = lift(K, T[:len(K)], m)
         self._solve[deg] = lift(hperp, T[len(K):], len(self.slices[deg + 1]))
+        if _int_form(self.frame):
+            self._int_proj[deg] = _int_rows(self._proj[deg])
+            self._int_solve[deg] = _int_rows(self._solve[deg])
 
     def h_project(self, deg: Fraction, coeffs: list) -> list:
         """Kernel component of a slice coefficient vector (DiffPoly entries)."""
@@ -371,10 +526,30 @@ class HDecomposition:
         return self._apply(self._solve, deg, coeffs)
 
     def _apply(self, mats: dict, deg: Fraction, coeffs: list) -> list:
+        return [_lin_comb(row, coeffs) for row in self._rows(mats, deg)]
+
+    def _rows(self, mats: dict, deg: Fraction) -> list:
         if deg not in mats:
             raise WindowOverflow(
                 f"degree {deg} outside the solved window; extend max_deg")
-        return [_lin_comb(row, coeffs) for row in mats[deg]]
+        return mats[deg]
+
+    def split(self, deg: Fraction, el):
+        """(h, u) for el of degree deg, both in el's form: h the kernel
+        component of el, and u in hperp(deg+1) with [f+zs, u] its image
+        component."""
+        coeffs = self.coeffs_of(deg, el)
+        if not isinstance(el, IntLoop):
+            return (self.to_loop(deg, self.h_project(deg, coeffs), el.ctx),
+                    self.to_loop(deg + 1, self.solve_for(deg, coeffs), el.ctx))
+
+        def loop(d, rows):
+            co = _apply_int_rows(rows, coeffs)
+            return IntLoop(self.frame, el.ctx,
+                           {key: t for key, t in zip(self.slices[d], co) if t})
+
+        return (loop(deg, self._rows(self._int_proj, deg)),
+                loop(deg + 1, self._rows(self._int_solve, deg)))
 
     # -- conversions -------------------------------------------------------
 
@@ -385,8 +560,10 @@ class HDecomposition:
                 out.add_term(key[0], key[1], p)
         return out
 
-    def coeffs_of(self, deg: Fraction, el: LoopElement) -> list:
-        z = el.ctx.zero()
+    def coeffs_of(self, deg: Fraction, el) -> list:
+        """Slice coordinates of el: DiffPolys for a LoopElement, pairs (None
+        for 0) for an IntLoop."""
+        z = None if isinstance(el, IntLoop) else el.ctx.zero()
         got = dict(el.terms)
         out = []
         for key in self.slices[deg]:
@@ -409,12 +586,26 @@ def _lin_comb(row, coeffs):
 # ---------------------------------------------------------------------------
 
 
+def _working(el: LoopElement):
+    """el in the form the dressing runs in: an IntLoop over Q."""
+    return IntLoop.of(el) if _int_form(el.frame) else el
+
+
+def _scalars(el) -> LoopElement:
+    return el.to_loop() if isinstance(el, IntLoop) else el
+
+
 def exp_ad_apply(U: LoopElement, D: LoopElement, max_deg: Fraction) -> LoopElement:
     """Loop part of exp(ad U)(d + D) - d, truncated above max_deg.
 
     ad U acts on d by [U, d] = -dU/dx; the series terminates inside the
     window because U has strictly positive loop degree.
     """
+    return _scalars(_exp_ad(_working(U), _working(D), max_deg))
+
+
+def _exp_ad(U, D, max_deg: Fraction):
+    """`exp_ad_apply` on U and D in one working form, which it keeps."""
     base = U.bracket(D, max_deg) - U.trim(max_deg).derivative()
     acc = D.trim(max_deg) + base
     cur = base
@@ -442,25 +633,27 @@ def solve_dressing(
     degree: at degree d only the degree-d piece of each T_n is formed, from
     the U_j and the lower-degree pieces already known, so every bracket of
     the series is taken once.  U_{d+1}, solved at degree d, enters T_1 at d
-    through [U_{d+1}, f+zs] only after the split.
+    through [U_{d+1}, f+zs] only after the split.  Over Q all of this runs
+    in integer numerators (IntLoop), and only U and h are converted back.
     """
     max_deg = Fraction(max_deg)
     if dec is None:
         dec = HDecomposition(frame, Fraction(-1), max_deg)
     ctx = frame.w_ctx if projected else frame.coord_ctx
-    fzs = loop_fzs(frame, ctx)
-    D = fzs + build_q(frame, projected)
+    fzs = _working(loop_fzs(frame, ctx))
+    D = fzs + _working(build_q(frame, projected))
+    Loop = type(D)  # IntLoop over Q, LoopElement over Q(p)
 
-    U_parts: dict[Fraction, LoopElement] = {}
-    h_parts: dict[Fraction, LoopElement] = {}
+    U_parts: dict = {}
+    h_parts: dict = {}
     # series[n][d]: the degree-d piece of T_n
     series = [{d: D.component(d) for d in map(D.degree_of, D.terms)}, {}]
     deg = Fraction(-1, 2)
     while deg <= max_deg:
         if dec.slices.get(deg):
-            R = series[0].get(deg, LoopElement(frame, ctx))
+            R = series[0].get(deg, Loop(frame, ctx))
             for n in range(1, len(series) + 1):
-                piece = LoopElement(frame, ctx)
+                piece = Loop(frame, ctx)
                 for j, u in U_parts.items():
                     prev = series[n - 1].get(deg - j)
                     if prev:
@@ -474,21 +667,18 @@ def solve_dressing(
                         series.append({})
                     series[n][deg] = piece
                     R = R + piece
-            coeffs = dec.coeffs_of(deg, R)
-            h_co = dec.h_project(deg, coeffs)
-            h_el = dec.to_loop(deg, h_co, ctx)
+            h_el, u_el = dec.split(deg, R)
             if h_el:
                 h_parts[deg] = h_el
-            u_co = dec.solve_for(deg, coeffs)
-            u_el = dec.to_loop(deg + 1, u_co, ctx)
             if u_el:
                 U_parts[deg + 1] = u_el
                 # later degrees read T_1 at deg; past the window nothing does
                 if deg + Fraction(1, 2) <= max_deg:
                     series[1][deg] = series[1].get(
-                        deg, LoopElement(frame, ctx)) + u_el.bracket(fzs)
+                        deg, Loop(frame, ctx)) + u_el.bracket(fzs)
         deg += Fraction(1, 2)
-    return U_parts, h_parts, dec
+    return ({d: _scalars(u) for d, u in U_parts.items()},
+            {d: _scalars(h) for d, h in h_parts.items()}, dec)
 
 
 def dressing_defect(
@@ -505,15 +695,16 @@ def dressing_defect(
     """
     max_deg = Fraction(max_deg)
     ctx = frame.w_ctx if projected else frame.coord_ctx
-    D = loop_fzs(frame, ctx) + build_q(frame, projected)
-    U = LoopElement(frame, ctx)
+    fzs = _working(loop_fzs(frame, ctx))
+    D = fzs + _working(build_q(frame, projected))
+    U = type(D)(frame, ctx)
     for u in U_parts.values():
-        U = U + u
-    result = exp_ad_apply(U, D, max_deg)
-    want = loop_fzs(frame, ctx)
+        U = U + _working(u)
+    result = _exp_ad(U, D, max_deg)
+    want = fzs
     for h in h_parts.values():
-        want = want + h
-    return (result - want.trim(max_deg)).trim(max_deg)
+        want = want + _working(h)
+    return _scalars((result - want.trim(max_deg)).trim(max_deg))
 
 
 # ---------------------------------------------------------------------------

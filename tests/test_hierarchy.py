@@ -4,16 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wds import linalg
-from wds.hierarchy import (HDecomposition, InvalidCenter, LoopElement,
-                           NotSemisimple, WindowOverflow, build_q,
-                           center_of_h, check_central, conserved_densities,
-                           dressing_defect, exp_ad_apply,
+from wds import hierarchy, linalg
+from wds.diffpoly import Context
+from wds.hierarchy import (HDecomposition, IntLoop, InvalidCenter,
+                           LoopElement, NotSemisimple, WindowOverflow,
+                           _apply_int_rows, _int_poly, _int_rows, _lin_comb,
+                           _scalar_poly, build_q, center_of_h, check_central,
+                           conserved_densities, dressing_defect, exp_ad_apply,
                            hierarchy_equation, loop_const,
                            loop_from_zmap, loop_fzs, reduce_mod_jk,
                            solve_dressing, verify_lenard_magri)
 from wds.pva import ReductionFrame
-from wds.scalars import Scalar
+from wds.scalars import Q, Scalar
 
 
 def expected_loop(cfg, pieces, ctx=None):
@@ -460,6 +462,15 @@ def loop_elements(draw, frame):
     return el
 
 
+def assert_canonical(polys):
+    """Every coefficient is in the form the canonicalising constructor
+    gives."""
+    for p in polys:
+        for c in p.terms.values():
+            want = Scalar(c.ring, dict(c.num), dict(c.den))
+            assert (c.num, c.den, hash(c)) == (want.num, want.den, hash(want))
+
+
 @pytest.mark.parametrize("name", ["sl3_min", "sl3_iso", "sl4_short"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
@@ -474,30 +485,97 @@ def test_q_bracket_matches_scalar_oracle(name, data, request):
     for max_deg in (None, degs[len(degs) // 2]):
         got = X.bracket(Y, max_deg)
         assert got.terms == X._bracket_scalar(Y, max_deg).terms
-        for p in got.terms.values():
-            for c in p.terms.values():
-                want = Scalar(c.ring, dict(c.num), dict(c.den))
-                assert (c.num, c.den, hash(c)) == (
-                    want.num, want.den, hash(want))
+        assert_canonical(got.terms.values())
     assert not X.bracket(X).terms
 
 
-@pytest.mark.parametrize("name, window", [("sl3_min", 6), ("sl4_short", 5)])
+@pytest.mark.parametrize("name, window", [
+    ("sl3_min", 6), ("sl3_iso", 4), ("sl4_short", 5),
+])
 def test_solve_dressing_same_on_scalar_path(name, window, request,
                                             monkeypatch):
-    """solve_dressing and its oracle agree term for term whether the bracket
-    runs the Q kernel or the Scalar body."""
+    """solve_dressing and its oracle agree term for term, with canonical
+    coefficients, whether they run in integer numerators over Q or in
+    Scalars throughout: brackets, sums, derivatives, scales, and _lin_comb
+    on the slice matrices."""
     fr = request.getfixturevalue(name).frame
+    lin_combs = []
+
+    def counted(row, coeffs):
+        lin_combs.append(1)
+        return _lin_comb(row, coeffs)
+
+    def refused(*args):
+        raise AssertionError("an IntLoop on the Scalar path")
+
+    monkeypatch.setattr(hierarchy, "_lin_comb", counted)
     runs = []
     for scalar_path in (False, True):
         if scalar_path:
-            monkeypatch.setattr(LoopElement, "bracket",
-                                LoopElement._bracket_scalar)
+            monkeypatch.setattr(hierarchy, "_int_form", lambda frame: False)
+            monkeypatch.setattr(IntLoop, "__init__", refused)
+        lin_combs.clear()
         U, h, _ = solve_dressing(fr, window)
         assert not dressing_defect(fr, U, h, window)
+        assert bool(lin_combs) == scalar_path
+        for parts in (U, h):
+            for el in parts.values():
+                assert_canonical(el.terms.values())
         runs.append([{d: el.terms for d, el in parts.items()}
                      for parts in (U, h)])
     assert runs[0] == runs[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_int_rows_match_lin_comb(data):
+    """A slice matrix applied as integer rows gives the DiffPolys of
+    _lin_comb, with canonical coefficients: rows of mixed denominators,
+    zero rows, zero entries and coefficients, and rows whose contributions
+    cancel."""
+    ctx = Context(Q, ["u", "v"])
+    n = data.draw(st.integers(1, 4))
+    coeffs = []
+    for _ in range(n):
+        p = ctx.zero()
+        for _ in range(data.draw(st.integers(0, 3))):
+            mono = ctx.const(data.draw(st.sampled_from(MIXED)))
+            for _ in range(data.draw(st.integers(0, 2))):
+                mono = mono * ctx.gen(data.draw(st.integers(0, 1)),
+                                      data.draw(st.integers(0, 2)))
+            p = p + mono
+        coeffs.append(p)
+    entry = st.sampled_from(MIXED + [F(0)])
+    rows = [[Q.const(data.draw(entry)) for _ in range(n)]
+            for _ in range(data.draw(st.integers(0, 3)))]
+    rows.append([Q.zero()] * n)
+    vanish = [len(rows) - 1]
+    if n > 1:  # coeffs[1] a multiple of coeffs[0], weighted to cancel it
+        q = data.draw(st.sampled_from(MIXED))
+        c = data.draw(st.sampled_from(MIXED))
+        coeffs[1] = coeffs[0].scale(q)
+        rows.append([Q.const(c), Q.const(-c / q)] + [Q.zero()] * (n - 2))
+        vanish.append(len(rows) - 1)
+    got = _apply_int_rows(_int_rows(rows), [_int_poly(p) for p in coeffs])
+    got = [_scalar_poly(ctx, t) for t in got]
+    assert got == [_lin_comb(row, coeffs) for row in rows]
+    assert_canonical(got)
+    assert not any(got[i] for i in vanish)
+
+
+def test_scale_by_zero_keeps_no_zero_term(sl3_min):
+    """Scaling by 0 leaves no zero term, in either form: the series stops at
+    the first empty order (`while cur:`) and the solve keeps only nonempty
+    pieces."""
+    fr = sl3_min.frame
+    z = loop_fzs(fr, fr.w_ctx)
+    zero = z.scale(0)
+    for el in (zero, -zero, zero - zero, z.scale(fr.ring.zero()), z - z):
+        assert not el and el.terms == {}
+    iz = IntLoop.of(z)
+    for el in (iz.scale(0), -iz.scale(0), iz - iz, iz.derivative()):
+        assert not el and el.terms == {}
+    assert iz.scale(F(-2, 3)).to_loop().terms == z.scale(F(-2, 3)).terms
 
 
 # ---------------------------------------------------------------------------
