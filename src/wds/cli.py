@@ -158,9 +158,15 @@ def make_frame(args):
         params = [e for e in diag_entries(args.s) if isinstance(e, str)]
         if params and args.form_scale is None:
             scale = "c"
-    if args.form_scale:
+    if args.form_scale is not None:
+        if not args.form_scale.isidentifier():
+            raise UsageError(f"--form-scale {args.form_scale!r} is not a "
+                             "parameter name; give an identifier such as c")
         scale = args.form_scale
     g = build_algebra(args.algebra, params, scale)
+    if args.form_scale is not None and args.algebra.startswith("sp"):
+        raise UsageError(f"--form-scale {args.form_scale}: {args.algebra} has "
+                         "no scaled trace form; only slN takes one")
     kind = MINIMAL if args.nilpotent == "minimal" else SHORT
     if args.f:
         try:

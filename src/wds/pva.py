@@ -12,6 +12,9 @@ projection pi onto V(g^f).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from math import comb
+from typing import Callable
 from . import linalg
 from .diffpoly import (Context, DiffPoly, LambdaPoly, neg_lambda_d_power,
                        subst_minus_lambda_d)
@@ -319,41 +322,32 @@ class ReductionFrame:
 # ---------------------------------------------------------------------------
 
 
+Bracket = Callable[[DiffPoly, DiffPoly], tuple[LambdaPoly, LambdaPoly]]
+BiLambda = dict  # {(lambda_power, mu_power): DiffPoly}
+
+
 def skew_defect(table: BracketTable, g: DiffPoly, h: DiffPoly):
     """{g_l h} + {h_-l-d g} per part; zero iff skew-symmetry holds."""
-    gh_H, gh_K = master_bracket(table, g, h)
-    hg_H, hg_K = master_bracket(table, h, g)
+    return _skew_defect(partial(master_bracket, table), g, h)
+
+
+def _skew_defect(bracket: Bracket, g: DiffPoly, h: DiffPoly):
+    gh_H, gh_K = bracket(g, h)
+    hg_H, hg_K = bracket(h, g)
     return (
         gh_H + subst_minus_lambda_d(hg_H),
         gh_K + subst_minus_lambda_d(hg_K),
     )
 
 
-BiLambda = dict  # {(lambda_power, mu_power): DiffPoly}
-
-
-def _bi_add(a: BiLambda, b: BiLambda) -> BiLambda:
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        w = v if w is None else w + v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _bi_neg(a: BiLambda) -> BiLambda:
-    return {k: -v for k, v in a.items()}
-
-
-def _binom_rows(n: int) -> list[list[int]]:
-    rows = [[1]]
-    for _ in range(n):
-        prev = rows[-1]
-        rows.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-    return rows
+def _bi_acc(out: BiLambda, key: tuple[int, int], c: DiffPoly) -> None:
+    """out[key] += c in place, dropping the key when the sum vanishes."""
+    w = out.get(key)
+    w = c if w is None else w + c
+    if w:
+        out[key] = w
+    else:
+        out.pop(key, None)
 
 
 def jacobi_defect(
@@ -368,48 +362,35 @@ def jacobi_defect(
     parts = (outer, inner) selects the H (0) or K (1) structure in each slot;
     symmetrised over the two orders so (0, 1) is the H/K compatibility check.
     """
-    zero: BiLambda = {}
+    return _jacobi_defect(partial(master_bracket, table), g1, g2, h, parts)
 
-    def outer_on_lambda(first: DiffPoly, inner: LambdaPoly, part: int,
-                        mu_slot: bool) -> BiLambda:
-        out: BiLambda = {}
-        for k, ck in enumerate(inner.coeffs):
-            if not ck:
-                continue
-            res = master_bracket(table, first, ck)[part]
-            for a, c in enumerate(res.coeffs):
-                if c:
-                    key = (a, k) if mu_slot else (a + k, 0)
-                    out = _bi_add(out, {key: c})
-        return out
 
-    def shifted_bracket(inner: LambdaPoly, part: int) -> BiLambda:
-        out: BiLambda = {}
-        for k, ck in enumerate(inner.coeffs):
-            if not ck:
-                continue
-            res = master_bracket(table, ck, h)[part]
-            for m, c in enumerate(res.coeffs):
-                if not c:
-                    continue
-                row = _binom_rows(m)[m]
-                for a in range(m + 1):
-                    out = _bi_add(out, {(a + k, m - a): c.scale(row[a])})
-        return out
-
+def _jacobi_defect(bracket: Bracket, g1: DiffPoly, g2: DiffPoly, h: DiffPoly,
+                   parts: tuple[int, int]) -> BiLambda:
     po, pi_ = parts
     combos = [(po, pi_)] if po == pi_ else [(po, pi_), (pi_, po)]
-    total: BiLambda = zero
+    total: BiLambda = {}
     for outer, inner in combos:
-        g2h = master_bracket(table, g2, h)[inner]
-        t1 = outer_on_lambda(g1, g2h, outer, mu_slot=True)
-        g1h = master_bracket(table, g1, h)[inner]
-        t2 = outer_on_lambda(g2, g1h, outer, mu_slot=True)
-        # swap lambda and mu in t2
-        t2 = {(b, a): v for (a, b), v in t2.items()}
-        g1g2 = master_bracket(table, g1, g2)[inner]
-        t3 = shifted_bracket(g1g2, outer)
-        total = _bi_add(total, _bi_add(t1, _bi_add(_bi_neg(t2), _bi_neg(t3))))
+        # {g1 l {g2 m h}} - {g2 m {g1 l h}}: the inner bracket's variable
+        # is mu in the first term and lambda in the second
+        for first, second, sign in ((g1, g2, 1), (g2, g1, -1)):
+            for k, ck in enumerate(bracket(second, h)[inner].coeffs):
+                if not ck:
+                    continue
+                for a, c in enumerate(bracket(first, ck)[outer].coeffs):
+                    if c:
+                        if sign > 0:
+                            _bi_acc(total, (a, k), c)
+                        else:
+                            _bi_acc(total, (k, a), -c)
+        # - {{g1 l g2} l+m h}, with (l+m)^m expanded binomially
+        for k, ck in enumerate(bracket(g1, g2)[inner].coeffs):
+            if not ck:
+                continue
+            for m, c in enumerate(bracket(ck, h)[outer].coeffs):
+                if c:
+                    for a in range(m + 1):
+                        _bi_acc(total, (a + k, m - a), c.scale(-comb(m, a)))
     return total
 
 
@@ -419,8 +400,21 @@ def check_pva_axioms(
     samples: int = 40,
     gens_cap: int | None = None,
 ) -> list[str]:
-    """Generator-level skew/Jacobi scan plus randomized composite checks."""
+    """Generator-level skew/Jacobi scan plus randomized composite checks.
+
+    Every bracket of the scan is computed by master_bracket once per
+    distinct operand pair (g, h) and read from a memo local to this call
+    after that: the generator triples share most of their brackets.
+    """
     import random
+
+    memo: dict[tuple[DiffPoly, DiffPoly], tuple[LambdaPoly, LambdaPoly]] = {}
+
+    def bracket(g: DiffPoly, h: DiffPoly) -> tuple[LambdaPoly, LambdaPoly]:
+        res = memo.get((g, h))
+        if res is None:
+            res = memo[(g, h)] = master_bracket(table, g, h)
+        return res
 
     ctx = table.ctx
     n = ctx.ngens if gens_cap is None else min(ctx.ngens, gens_cap)
@@ -428,14 +422,14 @@ def check_pva_axioms(
     gens = [ctx.gen(i) for i in range(n)]
     for i in range(n):
         for j in range(i, n):
-            dh, dk = skew_defect(table, gens[i], gens[j])
+            dh, dk = _skew_defect(bracket, gens[i], gens[j])
             if dh or dk:
                 bad.append(f"skew ({ctx.labels[i]},{ctx.labels[j]})")
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for parts in ((0, 0), (1, 1), (0, 1)):
-                    if jacobi_defect(table, gens[i], gens[j], gens[k], parts):
+                    if _jacobi_defect(bracket, gens[i], gens[j], gens[k], parts):
                         bad.append(
                             "jacobi "
                             f"({ctx.labels[i]},{ctx.labels[j]},{ctx.labels[k]})"
@@ -446,23 +440,23 @@ def check_pva_axioms(
         g1 = random_element(ctx, rng)
         g2 = random_element(ctx, rng)
         # sesquilinearity
-        lhsH, lhsK = master_bracket(table, g1.total_derivative(), g2)
-        rhsH, rhsK = master_bracket(table, g1, g2)
+        lhsH, lhsK = bracket(g1.total_derivative(), g2)
+        rhsH, rhsK = bracket(g1, g2)
         if lhsH + rhsH.shift() or lhsK + rhsK.shift():
             bad.append(f"sesquilinearity-left sample {t}")
-        lhsH, lhsK = master_bracket(table, g1, g2.total_derivative())
+        lhsH, lhsK = bracket(g1, g2.total_derivative())
         if lhsH - rhsH.apply_d_plus_lambda() or lhsK - rhsK.apply_d_plus_lambda():
             bad.append(f"sesquilinearity-right sample {t}")
         # left Leibniz {g1 (g2*g3)} = {g1 g2} g3 + {g1 g3} g2
         g3 = random_element(ctx, rng)
-        lhsH, lhsK = master_bracket(table, g1, g2 * g3)
-        bH, bK = master_bracket(table, g1, g2)
-        cH, cK = master_bracket(table, g1, g3)
+        lhsH, lhsK = bracket(g1, g2 * g3)
+        bH, bK = bracket(g1, g2)
+        cH, cK = bracket(g1, g3)
         if lhsH - (bH.mul_poly(g3) + cH.mul_poly(g2)) or lhsK - (
             bK.mul_poly(g3) + cK.mul_poly(g2)
         ):
             bad.append(f"leibniz sample {t}")
-        dh, dk = skew_defect(table, g1, g2)
+        dh, dk = _skew_defect(bracket, g1, g2)
         if dh or dk:
             bad.append(f"skew sample {t}")
     return bad

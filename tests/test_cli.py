@@ -207,7 +207,20 @@ def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
      "eigenvalues [-1, -1/2, 0, 1/2, 1] invalid for kind short"),
     (("setup", "--algebra", "sl2", "--s", "explicit:2*E12*3"),
      "'2*E12*3' is neither COEFF*LABEL nor LABEL"),
-], ids=["f_deep_grading", "f_wrong_kind", "explicit_two_stars"])
+    (("hierarchy", "--algebra", "sl2", "--nilpotent", "minimal",
+      "--form-scale", "2", "--n", "1", "--max-degree", "4"),
+     "--form-scale '2' is not a parameter name"),
+    (("setup", "--algebra", "sl2", "--form-scale", "1/0"),
+     "--form-scale '1/0' is not a parameter name"),
+    (("setup", "--algebra", "sl2", "--form-scale", "0"),
+     "--form-scale '0' is not a parameter name"),
+    (("setup", "--algebra", "sl2", "--form-scale="),
+     "--form-scale '' is not a parameter name"),
+    (("setup", "--algebra", "sp4", "--form-scale", "c"),
+     "--form-scale c: sp4 has no scaled trace form"),
+], ids=["f_deep_grading", "f_wrong_kind", "explicit_two_stars",
+        "form_scale_number", "form_scale_zero_denominator", "form_scale_zero",
+        "form_scale_empty", "form_scale_on_sp"])
 def test_usage_error_reason(argv, reason, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2 and err.count("\n") == 1

@@ -1,10 +1,11 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from wds import linalg
+from wds import linalg, pva
 from wds.diffpoly import LambdaPoly
 from wds.lie import GradeMismatch
 from wds.pva import (BracketTable, check_pva_axioms, jacobi_defect,
@@ -243,9 +244,45 @@ def test_energy_momentum_property(sl3_min):
         assert h.coeff(1) == w.scale(delta)
 
 
-def test_axiom_scan_full_table(sl3_min):
+def test_axiom_scan_full_table(sl3_min, monkeypatch):
+    """The scan passes, and brackets each distinct operand pair once."""
+    seen = collections.Counter()
+    bracket = pva.master_bracket
+
+    def counted(table, g, h):
+        seen[(g, h)] += 1
+        return bracket(table, g, h)
+
+    monkeypatch.setattr(pva, "master_bracket", counted)
     bad = check_pva_axioms(sl3_min.frame.full_table, samples=6, gens_cap=8)
     assert bad == []
+    assert seen and max(seen.values()) == 1
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["h_sign_flipped", "k_perturbed"])
+def test_scan_failures_match_oracle(sl3_min, part):
+    """On a table with one corrupted entry, the scan's skew and Jacobi lines
+    are, in order, those the memo-free skew_defect and jacobi_defect give."""
+    ctx = sl3_min.frame.full_ctx
+    table = BracketTable(ctx)
+    table.entries = dict(sl3_min.frame.full_table.entries)
+    key, (h, k) = next((key, e) for key, e in table.entries.items() if e[part])
+    table.entries[key] = ((-h, k) if part == 0
+                          else (h, k + LambdaPoly.of(ctx.one())))
+    got = [line for line in check_pva_axioms(table, samples=2, gens_cap=8)
+           if line.startswith(("skew (", "jacobi ("))]
+    n, lab = ctx.ngens, ctx.labels
+    gens = [ctx.gen(i) for i in range(n)]
+    want = [f"skew ({lab[i]},{lab[j]})" for i in range(n) for j in range(i, n)
+            if any(skew_defect(table, gens[i], gens[j]))]
+    want += [f"jacobi ({lab[i]},{lab[j]},{lab[k]}) parts={parts}"
+             for i, j, k in itertools.product(range(n), repeat=3)
+             for parts in ((0, 0), (1, 1), (0, 1))
+             if jacobi_defect(table, gens[i], gens[j], gens[k], parts)]
+    assert n == 8
+    assert any(line.startswith("skew") for line in want)
+    assert any(line.startswith("jacobi") for line in want)
+    assert got == want
 
 
 def test_short_affine_bracket_table(sl4_short):
