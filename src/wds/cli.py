@@ -18,7 +18,7 @@ from . import linalg
 from .diffpoly import DiffPoly
 from .lie import (GradedSetup, GradeMismatch, InvalidDimension, MINIMAL,
                   NotNilpotent, SHORT, UnknownLabel, WrongKind, build_sl,
-                  build_sp, coords_in)
+                  build_sp, coords_in, index_label)
 from .pva import ReductionFrame, check_pva_axioms
 from .walgebra import WGenerators, verify_table
 from .hierarchy import (NotSemisimple, WindowOverflow, conserved_densities,
@@ -50,12 +50,12 @@ def default_nilpotent(g, name: str, kind: str):
     n = int(name[2:])
     if kind == MINIMAL:
         if name.startswith("sl"):
-            return g.parse({f"E{n}1": 1})
+            return g.parse({index_label("E", n, 1): 1})
         return g.parse({"C11": 1})
     if not name.startswith("sl") or n % 2:
         raise UsageError(f"no short nilpotent constructor for {name}")
     m = n // 2
-    return g.parse({f"E{m + i}{i}": 1 for i in range(1, m + 1)})
+    return g.parse({index_label("E", m + i, i): 1 for i in range(1, m + 1)})
 
 
 def find_isotropic_s(setup: GradedSetup):
@@ -105,7 +105,8 @@ def parse_s(setup: GradedSetup, choice: str):
         coeffs = [g.ring.param(e) if isinstance(e, str) else g.ring.const(e)
                   for e in entries]
         try:
-            vecs = [g.parse({f"E{i}{m + i}": 1}) for i in range(1, m + 1)]
+            vecs = [g.parse({index_label("E", i, m + i): 1})
+                    for i in range(1, m + 1)]
             for v in vecs:
                 coords_in(setup, v, setup.eig_indices(1), "not in g_1")
         except (UnknownLabel, GradeMismatch):

@@ -46,14 +46,23 @@ class InvariantFailed(ValueError):
 
 
 class LieAlgebra:
-    """Ordered basis, sparse structure constants and an invariant form."""
+    """Ordered basis, sparse structure constants and an invariant form.
+
+    struct[i][j] lists the (k, c) with [e_i, e_j] = sum c e_k, and
+    form[i] lists the (j, c) with (e_i|e_j) = c, both with c nonzero and
+    k, j increasing.
+    """
 
     def __init__(self, ring: ParamRing, labels: Sequence[str],
-                 brackets: list[list[Vec]], form: list[list[Scalar]]):
+                 struct: list[list[list[tuple[int, Scalar]]]],
+                 form: list[list[tuple[int, Scalar]]]):
+        if len(set(labels)) != len(labels):
+            dup = sorted({x for x in labels if labels.count(x) > 1})
+            raise InvariantFailed(f"duplicate basis labels {dup}")
         self.ring = ring
         self.labels = tuple(labels)
         self.dim = len(labels)
-        self.brackets = brackets  # brackets[i][j] = [e_i, e_j] as a Vec
+        self.struct = struct
         self.form = form
 
     # -- bilinear operations ------------------------------------------
@@ -66,17 +75,31 @@ class LieAlgebra:
         v[i] = self.ring.one()
         return v
 
-    def bracket(self, u: Vec, v: Vec) -> Vec:
-        out = self.zero_vec()
+    def _ad_columns(self, u: Vec) -> list[dict[int, Scalar]]:
+        """Entry j maps k to the coefficient of e_k in [u, e_j]."""
+        cols = [{} for _ in range(self.dim)]
         for i, ci in enumerate(u):
             if not ci:
                 continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                w = self.brackets[i][j]
+            for col, row in zip(cols, self.struct[i]):
+                for k, c in row:
+                    col[k] = col[k] + ci * c if k in col else ci * c
+        return cols
+
+    def bracket(self, u: Vec, v: Vec) -> Vec:
+        vs = [(j, cj) for j, cj in enumerate(v) if cj]
+        acc = {}
+        for i, ci in enumerate(u):
+            if not ci:
+                continue
+            row = self.struct[i]
+            for j, cj in vs:
                 c = ci * cj
-                out = [a + c * b if b else a for a, b in zip(out, w)]
+                for k, b in row[j]:
+                    acc[k] = acc[k] + c * b if k in acc else c * b
+        out = self.zero_vec()
+        for k, a in acc.items():
+            out[k] = a
         return out
 
     def pair(self, u: Vec, v: Vec) -> Scalar:
@@ -84,64 +107,85 @@ class LieAlgebra:
         for i, ci in enumerate(u):
             if not ci:
                 continue
-            row = self.form[i]
-            for j, cj in enumerate(v):
-                if cj and row[j]:
-                    acc = acc + ci * cj * row[j]
+            for j, c in self.form[i]:
+                cj = v[j]
+                if cj:
+                    acc = acc + ci * cj * c
         return acc
 
     def ad(self, u: Vec) -> list[list[Scalar]]:
         """Matrix of ad(u) acting on coordinate columns."""
-        cols = [self.bracket(u, self.basis_vec(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        z = self.ring.zero()
+        cols = self._ad_columns(u)
+        return [[col.get(i, z) for col in cols] for i in range(self.dim)]
 
     def killing(self, u: Vec, v: Vec) -> Scalar:
-        au, av = self.ad(u), self.ad(v)
+        """tr(ad u ad v)."""
+        au, av = self._ad_columns(u), self._ad_columns(v)
         acc = self.ring.zero()
-        for i in range(self.dim):
-            for k in range(self.dim):
-                if au[i][k] and av[k][i]:
-                    acc = acc + au[i][k] * av[k][i]
+        for k, col in enumerate(au):
+            for i, a in col.items():
+                b = av[i].get(k)
+                if a and b:
+                    acc = acc + a * b
         return acc
 
     # -- structural checks ---------------------------------------------
 
     def check_axioms(self) -> list[str]:
-        """Antisymmetry, Jacobi and invariance on all basis triples."""
+        """Antisymmetry, Jacobi and invariance on all basis triples, read
+        off the structure constants c_ij^k and the form entries."""
         bad = []
-        n = self.dim
-        br = self.brackets
+        n, lab, st = self.dim, self.labels, self.struct
         for i in range(n):
             for j in range(n):
-                if any(x + y for x, y in zip(br[i][j], br[j][i])):
-                    bad.append(f"antisymmetry [{self.labels[i]},{self.labels[j]}]")
+                sym = dict(st[i][j])
+                for k, c in st[j][i]:
+                    sym[k] = sym[k] + c if k in sym else c
+                if any(sym.values()):
+                    bad.append(f"antisymmetry [{lab[i]},{lab[j]}]")
+
+        def brackets_with(terms, k, acc):
+            # acc += sum_m c_m [e_m, e_k] over the (m, c_m) in terms
+            for m, c in terms:
+                for l, b in st[m][k]:
+                    acc[l] = acc[l] + c * b if l in acc else c * b
+
         for i in range(n):
             for j in range(i + 1, n):
-                bij = br[i][j]
                 for k in range(j, n):
-                    jac = linalg.vec_add(
-                        self.bracket(bij, self.basis_vec(k)),
-                        linalg.vec_add(
-                            self.bracket(br[j][k], self.basis_vec(i)),
-                            self.bracket(br[k][i], self.basis_vec(j)),
-                        ),
-                    )
-                    if any(jac):
-                        bad.append(
-                            f"jacobi ({self.labels[i]},{self.labels[j]},{self.labels[k]})"
-                        )
+                    jac = {}
+                    brackets_with(st[i][j], k, jac)
+                    brackets_with(st[j][k], i, jac)
+                    brackets_with(st[k][i], j, jac)
+                    if any(jac.values()):
+                        bad.append(f"jacobi ({lab[i]},{lab[j]},{lab[k]})")
         for i in range(n):
+            # into[m] lists the (k, c_ik^m)
+            into = [[] for _ in range(n)]
+            for k, row in enumerate(st[i]):
+                for m, c in row:
+                    into[m].append((k, c))
             for j in range(n):
-                for k in range(n):
-                    lhs = self.pair(br[i][j], self.basis_vec(k))
-                    rhs = self.pair(self.basis_vec(j), br[i][k])
-                    if lhs + rhs:
-                        bad.append(
-                            f"invariance ({self.labels[i]},{self.labels[j]},{self.labels[k]})"
-                        )
-        if linalg.rank(self.form) != n:
+                # sum_m c_ij^m (e_m|e_k) + sum_m (e_j|e_m) c_ik^m, by k
+                inv = {}
+                for m, c in st[i][j]:
+                    for k, b in self.form[m]:
+                        inv[k] = inv[k] + c * b if k in inv else c * b
+                for m, b in self.form[j]:
+                    for k, c in into[m]:
+                        inv[k] = inv[k] + b * c if k in inv else b * c
+                for k in sorted(inv):
+                    if inv[k]:
+                        bad.append(f"invariance ({lab[i]},{lab[j]},{lab[k]})")
+        if linalg.rank(self._dense_form()) != n:
             bad.append("degenerate form")
         return bad
+
+    def _dense_form(self) -> list[list[Scalar]]:
+        z = self.ring.zero()
+        return [[dict(row).get(j, z) for j in range(self.dim)]
+                for row in self.form]
 
     def vec_str(self, v: Vec) -> str:
         parts = []
@@ -167,17 +211,17 @@ class LieAlgebra:
         return v
 
     def to_json(self) -> dict:
+        lab = self.labels
         entries = {}
         for i in range(self.dim):
             for j in range(self.dim):
-                for k, c in enumerate(self.brackets[i][j]):
-                    if c:
-                        entries[f"{self.labels[i]},{self.labels[j]},{self.labels[k]}"] = str(c)
+                for k, c in self.struct[i][j]:
+                    entries[f"{lab[i]},{lab[j]},{lab[k]}"] = str(c)
         return {
             "dim": self.dim,
-            "basis": list(self.labels),
+            "basis": list(lab),
             "structure": entries,
-            "form": [[str(c) for c in row] for row in self.form],
+            "form": [[str(c) for c in row] for row in self._dense_form()],
         }
 
 
@@ -190,32 +234,36 @@ def _matrix_algebra(ring: ParamRing, labels: list[str],
                     mats: list[list[list[Fraction]]],
                     coords_of, form_scale: Scalar) -> LieAlgebra:
     n = len(mats[0])
-
-    def mul(a, b):
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(n) if a[i][k] and b[k][j]),
-                 Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
+    # the nonzero entries (r, c, x) of each matrix
+    nz = [[(r, c, x) for r, row in enumerate(m) for c, x in enumerate(row) if x]
+          for m in mats]
 
     def comm(a, b):
-        ab, ba = mul(a, b), mul(b, a)
-        return [[ab[i][j] - ba[i][j] for j in range(n)] for i in range(n)]
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for left, right, sign in ((a, b, 1), (b, a, -1)):
+            for r, k, x in left:
+                for k1, c, y in right:
+                    if k == k1:
+                        out[r][c] += sign * x * y
+        return out
 
-    dim = len(labels)
-    brackets = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            brackets[i][j] = [ring.const(c) for c in coords_of(comm(mats[i], mats[j]))]
-    form = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        a = mats[i]
-        for j in range(dim):
-            b = mats[j]
-            tr = sum((a[r][k] * b[k][r] for r in range(n) for k in range(n)
-                      if a[r][k] and b[k][r]), Fraction(0))
-            form[i][j] = form_scale * ring.const(tr)
-    return LieAlgebra(ring, labels, brackets, form)
+    def trace(a, b):
+        return sum((x * y for r, k, x in a for k1, c, y in b
+                    if k == k1 and c == r), Fraction(0))
+
+    struct = [[[(k, ring.const(c))
+                for k, c in enumerate(coords_of(comm(a, b))) if c]
+               for b in nz] for a in nz]
+    form = [[(j, form_scale * ring.const(tr)) for j, b in enumerate(nz)
+             if (tr := trace(a, b))] for a in nz]
+    return LieAlgebra(ring, labels, struct, form)
+
+
+def index_label(stem: str, i: int, j: int) -> str:
+    """The basis label stem + i + j of a matrix algebra; an underscore
+    separates indices of two or more digits, so that E1_11 and E11_1
+    differ while E12 stays E12."""
+    return f"{stem}{i}{j}" if i < 10 and j < 10 else f"{stem}{i}_{j}"
 
 
 def build_sl(n: int, params: Sequence[str] = (), form_scale: str | None = None) -> LieAlgebra:
@@ -236,7 +284,7 @@ def build_sl(n: int, params: Sequence[str] = (), form_scale: str | None = None) 
     for i in range(n):
         for j in range(n):
             if i != j:
-                labels.append(f"E{i + 1}{j + 1}")
+                labels.append(index_label("E", i + 1, j + 1))
                 m = [[Fraction(0)] * n for _ in range(n)]
                 m[i][j] = Fraction(1)
                 mats.append(m)
@@ -282,18 +330,18 @@ def build_sp(n: int, params: Sequence[str] = ()) -> LieAlgebra:
 
     for i in range(m):
         for j in range(m):
-            labels.append(f"A{i + 1}{j + 1}")
+            labels.append(index_label("A", i + 1, j + 1))
             mats.append(mat_from([emb(0, 0, i, j), emb(1, 1, j, i, Fraction(-1))]))
     for i in range(m):
         for j in range(i, m):
-            labels.append(f"B{i + 1}{j + 1}")
+            labels.append(index_label("B", i + 1, j + 1))
             ent = [emb(0, 1, i, j)]
             if i != j:
                 ent.append(emb(0, 1, j, i))
             mats.append(mat_from(ent))
     for i in range(m):
         for j in range(i, m):
-            labels.append(f"C{i + 1}{j + 1}")
+            labels.append(index_label("C", i + 1, j + 1))
             ent = [emb(1, 0, i, j)]
             if i != j:
                 ent.append(emb(1, 0, j, i))

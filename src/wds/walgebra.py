@@ -179,9 +179,13 @@ def _expected_minimal(frame: ReductionFrame, gens: WGenerators):
         vs = vs + vds
         vds = vds + [linalg.vec_scale(v, frame.ring.const(-1)) for v in vs[: len(vds)]]
 
-    wl = frame.w_lin
+    wl, sharp = frame.w_lin, setup.sharp
 
     phis, psis = _named(gens, "phi"), _named(gens, "psi")
+    # per psi argument u: [e, u], wl(sharp([u, v^k])) and wl(sharp([u, v_k]))
+    e_u = {nu: g.bracket(setup.e, u) for nu, u in psis}
+    sh_d = {nu: [wl(sharp(g.bracket(u, vkd))) for vkd in vds] for nu, u in psis}
+    sh_v = {nu: [wl(sharp(g.bracket(u, vk))) for vk in vs] for nu, u in psis}
     rows = {}
     rows[("L", "L")] = (
         _lam(frame, piL.d(), piL.scale(2), wz, frame.w_ctx.const(-xx)),
@@ -227,11 +231,9 @@ def _expected_minimal(frame: ReductionFrame, gens: WGenerators):
         for nu1, u1 in psis:
             om = setup.omega_minus(u, u1)
             quad = frame.w_ctx.zero()
-            for vk, vkd in zip(vs, vds):
-                quad += frame.w_lin(setup.sharp(g.bracket(u, vkd))) \
-                    * frame.w_lin(setup.sharp(g.bracket(u1, vk)))
-            mid = frame.w_lin(
-                setup.sharp(g.bracket(u, g.bracket(setup.e, u1))))
+            for p, q in zip(sh_d[nu], sh_v[nu1]):
+                quad += p * q
+            mid = wl(sharp(g.bracket(u, e_u[nu1])))
             h = LambdaPoly(
                 frame.w_ctx,
                 [
@@ -274,37 +276,42 @@ def _expected_short(frame: ReductionFrame, gens: WGenerators):
                 _lam(frame, wl(g.bracket(u1, a))),
                 _lam(frame, frame.w_ctx.const(-g.pair(s, g.bracket(u1, a)))),
             )
+    e_us = [g.bracket(setup.e, uk) for uk in us]
+    # wl([[e, u_h], [e, u_k]]), and per psi argument u: [e, u], [s, u],
+    # wl(sharp([u, u^k])), wl(u o u_k) and wl([[e, u], [e, u_k]])
+    ee = [[wl(g.bracket(eh, ek)) for ek in e_us] for eh in e_us]
+    e_u, s_u, sh, circ, ee_u = {}, {}, {}, {}, {}
+    for nu, u in psis:
+        e_u[nu] = g.bracket(setup.e, u)
+        s_u[nu] = g.bracket(s, u)
+        sh[nu] = [wl(sharp(g.bracket(u, ukd))) for ukd in uds]
+        circ[nu] = [wl(setup.jordan(u, uk)) for uk in us]
+        ee_u[nu] = [wl(g.bracket(e_u[nu], ek)) for ek in e_us]
+    ks = range(len(us))
     for nu, u in psis:
         for nu1, u1 in psis:
             circ_uu1 = setup.jordan(u, u1)
-            ad_e = lambda w: g.bracket(setup.e, w)
             hsum = wz
-            for uk, ukd in zip(us, uds):
-                hsum += wl(setup.jordan(u, uk)) \
-                    * wl(sharp(g.bracket(u1, ukd))).scale(Fraction(1, 2))
-                hsum -= wl(setup.jordan(u1, uk)) \
-                    * wl(sharp(g.bracket(u, ukd))).scale(Fraction(1, 2))
-            for uh, uhd in zip(us, uds):
-                for uk, ukd in zip(us, uds):
-                    hsum += (
-                        wl(g.bracket(ad_e(uh), ad_e(uk)))
-                        * wl(sharp(g.bracket(u, uhd)))
-                        * wl(sharp(g.bracket(u1, ukd)))
-                    ).scale(Fraction(1, 4))
+            for k in ks:
+                hsum += circ[nu][k] * sh[nu1][k].scale(Fraction(1, 2))
+                hsum -= circ[nu1][k] * sh[nu][k].scale(Fraction(1, 2))
+            for h in ks:
+                for k in ks:
+                    hsum += (ee[h][k] * sh[nu][h] * sh[nu1][k]
+                             ).scale(Fraction(1, 4))
             lam0 = hsum - wl(circ_uu1, 1).scale(Fraction(1, 2))
             lam1 = -wl(circ_uu1).scale(1)
             p_crossed = wz
-            for uk, ukd in zip(us, uds):
-                p_crossed += wl(g.bracket(ad_e(u), ad_e(uk))) \
-                    * wl(sharp(g.bracket(u1, ukd)))
+            for k in ks:
+                p_crossed += ee_u[nu][k] * sh[nu1][k]
             lam0 += p_crossed.d().scale(Fraction(1, 4))
             lam1 += p_crossed.scale(Fraction(1, 2))
-            for uk, ukd in zip(us, uds):
-                q = wl(sharp(g.bracket(u, ukd)))
-                c = wl(g.bracket(ad_e(u1), ad_e(uk)))
+            for k in ks:
+                q = sh[nu][k]
+                c = ee_u[nu1][k]
                 lam0 += (c * q.d()).scale(Fraction(1, 4))
                 lam1 += (c * q).scale(Fraction(1, 4))
-            brkt = wl(g.bracket(ad_e(u), ad_e(u1)))
+            brkt = wl(g.bracket(e_u[nu], e_u[nu1]))
             lam0 -= brkt.d(2).scale(Fraction(1, 4))
             lam1 -= brkt.d().scale(Fraction(3, 4))
             lam2 = -brkt.scale(Fraction(3, 4))
@@ -312,8 +319,8 @@ def _expected_short(frame: ReductionFrame, gens: WGenerators):
                 g.pair(setup.e, circ_uu1) * Fraction(1, 4))
             h = LambdaPoly(frame.w_ctx, [lam0, lam1, lam2, lam3])
             kz0 = (
-                wl(sharp(g.bracket(ad_e(u), g.bracket(s, u1))))
-                - wl(sharp(g.bracket(ad_e(u1), g.bracket(s, u))))
+                wl(sharp(g.bracket(e_u[nu], s_u[nu1])))
+                - wl(sharp(g.bracket(e_u[nu1], s_u[nu])))
             ).scale(Fraction(-1, 2))
             k = LambdaPoly(
                 frame.w_ctx,

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from wds import linalg
 from wds.scalars import Q
 from wds.lie import (EmbeddableData, GradedSetup, GradeMismatch,
-                     InvalidDimension, InvariantFailed, MINIMAL, NotNilpotent,
-                     SHORT, SingularPairing, WrongKind, build_sl, build_sp,
-                     darboux_split)
+                     InvalidDimension, InvariantFailed, LieAlgebra, MINIMAL,
+                     NotNilpotent, SHORT, SingularPairing, WrongKind,
+                     build_sl, build_sp, darboux_split, index_label)
+from wds.cli import default_nilpotent
 from wds.pva import ReductionFrame
 
 
@@ -419,3 +421,285 @@ def test_independent_and_kernel_span_match_oracles(data):
     assert all(not any(x for w in images(v) for x in w) for v in span)
     flat = [[x for w in images(v) for x in w] for v in vecs]
     assert len(span) == len(vecs) - linalg.rank(flat)
+
+
+# ---------------------------------------------------------------------------
+# the sparse structure constants against the dense layer they replaced
+# ---------------------------------------------------------------------------
+
+
+class DenseLie:
+    """The dense Lie layer, kept as an oracle for the sparse one:
+    brackets[i][j] is [e_i, e_j] as a full vector and form[i][j] is
+    (e_i|e_j)."""
+
+    def __init__(self, ring, labels, brackets, form):
+        self.ring, self.labels, self.dim = ring, tuple(labels), len(labels)
+        self.brackets, self.form = brackets, form
+
+    @classmethod
+    def of(cls, g):
+        z = g.ring.zero()
+        brackets = [[[z] * g.dim for _ in range(g.dim)] for _ in range(g.dim)]
+        for i, row in enumerate(g.struct):
+            for j, terms in enumerate(row):
+                for k, c in terms:
+                    brackets[i][j][k] = c
+        form = [[z] * g.dim for _ in range(g.dim)]
+        for i, terms in enumerate(g.form):
+            for j, c in terms:
+                form[i][j] = c
+        return cls(g.ring, g.labels, brackets, form)
+
+    def sparse(self):
+        """The LieAlgebra with the same constants."""
+        nz = lambda vec: [(k, c) for k, c in enumerate(vec) if c]
+        return LieAlgebra(self.ring, self.labels,
+                          [[nz(v) for v in row] for row in self.brackets],
+                          [nz(row) for row in self.form])
+
+    def zero_vec(self):
+        return linalg.zeros(self.ring, self.dim)
+
+    def basis_vec(self, i):
+        v = self.zero_vec()
+        v[i] = self.ring.one()
+        return v
+
+    def bracket(self, u, v):
+        out = self.zero_vec()
+        for i, ci in enumerate(u):
+            if not ci:
+                continue
+            for j, cj in enumerate(v):
+                if not cj:
+                    continue
+                w = self.brackets[i][j]
+                c = ci * cj
+                out = [a + c * b if b else a for a, b in zip(out, w)]
+        return out
+
+    def pair(self, u, v):
+        acc = self.ring.zero()
+        for i, ci in enumerate(u):
+            if not ci:
+                continue
+            row = self.form[i]
+            for j, cj in enumerate(v):
+                if cj and row[j]:
+                    acc = acc + ci * cj * row[j]
+        return acc
+
+    def ad(self, u):
+        cols = [self.bracket(u, self.basis_vec(j)) for j in range(self.dim)]
+        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+
+    def killing(self, u, v):
+        au, av = self.ad(u), self.ad(v)
+        acc = self.ring.zero()
+        for i in range(self.dim):
+            for k in range(self.dim):
+                if au[i][k] and av[k][i]:
+                    acc = acc + au[i][k] * av[k][i]
+        return acc
+
+    def check_axioms(self):
+        bad = []
+        n = self.dim
+        br = self.brackets
+        for i in range(n):
+            for j in range(n):
+                if any(x + y for x, y in zip(br[i][j], br[j][i])):
+                    bad.append(f"antisymmetry [{self.labels[i]},{self.labels[j]}]")
+        for i in range(n):
+            for j in range(i + 1, n):
+                bij = br[i][j]
+                for k in range(j, n):
+                    jac = linalg.vec_add(
+                        self.bracket(bij, self.basis_vec(k)),
+                        linalg.vec_add(
+                            self.bracket(br[j][k], self.basis_vec(i)),
+                            self.bracket(br[k][i], self.basis_vec(j)),
+                        ),
+                    )
+                    if any(jac):
+                        bad.append(
+                            f"jacobi ({self.labels[i]},{self.labels[j]},{self.labels[k]})"
+                        )
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    lhs = self.pair(br[i][j], self.basis_vec(k))
+                    rhs = self.pair(self.basis_vec(j), br[i][k])
+                    if lhs + rhs:
+                        bad.append(
+                            f"invariance ({self.labels[i]},{self.labels[j]},{self.labels[k]})"
+                        )
+        if linalg.rank(self.form) != n:
+            bad.append("degenerate form")
+        return bad
+
+
+ORACLE_ALGEBRAS = {
+    "sl3": lambda: build_sl(3),
+    "sp4": lambda: build_sp(4),
+    "sl3_form_scale": lambda: build_sl(3, form_scale="c"),
+}
+
+
+@functools.cache
+def oracle_pair(name):
+    g = ORACLE_ALGEBRAS[name]()
+    return g, DenseLie.of(g)
+
+
+@st.composite
+def algebra_and_vectors(draw):
+    """An oracle algebra and three sparse vectors; over Q(c) the
+    coefficients are a + b c."""
+    g, dense = oracle_pair(draw(st.sampled_from(sorted(ORACLE_ALGEBRAS))))
+    ring = g.ring
+
+    def coeff():
+        c = ring.const(draw(st.integers(-3, 3)))
+        if ring.names:
+            c = c + ring.const(draw(st.integers(-2, 2))) * ring.param("c")
+        return c
+
+    vecs = []
+    for _ in range(3):
+        v = g.zero_vec()
+        for i in draw(st.lists(st.integers(0, g.dim - 1), max_size=4)):
+            v[i] = coeff()
+        vecs.append(v)
+    return g, dense, vecs
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_and_vectors())
+def test_sparse_layer_matches_dense_oracle(data):
+    """bracket, pair, ad and killing read off the sparse constants agree
+    with the dense layer on sl3, sp4 and sl3 over Q(c) with form_scale."""
+    g, dense, (u, v, w) = data
+    assert g.bracket(u, v) == dense.bracket(u, v)
+    assert g.pair(u, w) == dense.pair(u, w)
+    assert g.ad(w) == dense.ad(w)
+    assert g.killing(u, v) == dense.killing(u, v)
+
+
+def _matrix_of(label, n):
+    """The matrix of an sl_n or sp_n basis label (indices below 10)."""
+    m = [[0] * n for _ in range(n)]
+    stem, i, j = label[0], int(label[1]) - 1, int(label[2:] or 0) - 1
+    if stem == "E":
+        m[i][j] = 1
+    elif stem == "H":
+        m[i][i], m[i + 1][i + 1] = 1, -1
+    else:
+        h = n // 2
+        if stem == "A":
+            m[i][j], m[h + j][h + i] = 1, -1
+        else:
+            r0, c0 = (0, h) if stem == "B" else (h, 0)
+            m[r0 + i][c0 + j] = 1
+            m[r0 + j][c0 + i] = 1
+    return m
+
+
+@pytest.mark.parametrize("build, n", [(build_sl, 2), (build_sl, 3),
+                                      (build_sl, 4), (build_sp, 4)])
+def test_structure_constants_match_matrices(build, n):
+    """[e_a, e_b] = sum c_ab^k e_k and (e_a|e_b) = tr(e_a e_b) for the
+    matrix realisation, so the sparse table is right, not only
+    self-consistent."""
+    g = build(n)
+    mats = [_matrix_of(lab, n) for lab in g.labels]
+
+    def mul(a, b):
+        return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)]
+                for r in range(n)]
+
+    for a, ma in enumerate(mats):
+        for b, mb in enumerate(mats):
+            ab, ba = mul(ma, mb), mul(mb, ma)
+            want = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+            got = [[0] * n for _ in range(n)]
+            for k, c in g.struct[a][b]:
+                q = c.as_fraction()
+                got = [[x + q * y for x, y in zip(r1, r2)]
+                       for r1, r2 in zip(got, mats[k])]
+            assert got == want, (g.labels[a], g.labels[b])
+            tr = sum(ab[r][r] for r in range(n))
+            assert g.pair(g.basis_vec(a), g.basis_vec(b)) == g.ring.const(tr)
+
+
+def _corrupt_constant(dense, i, j, k, delta):
+    """Add delta to c_ij^k and subtract it from c_ji^k."""
+    dense.brackets[i][j][k] = dense.brackets[i][j][k] + delta
+    if i != j:
+        dense.brackets[j][i][k] = dense.brackets[j][i][k] - delta
+
+
+def _break_antisymmetry(dense, i, j, k, delta):
+    """Add delta to c_ij^k alone."""
+    dense.brackets[i][j][k] = dense.brackets[i][j][k] + delta
+
+
+def _degenerate_form(dense, i, j, k, delta):
+    """Zero the form row and column of e_i: (e_i|-) = 0."""
+    z = dense.ring.zero()
+    for r in range(dense.dim):
+        dense.form[i][r] = dense.form[r][i] = z
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from(["sl3", "sp4", "sl3_form_scale"]),
+       st.sampled_from([_corrupt_constant, _break_antisymmetry,
+                        _degenerate_form]),
+       st.data())
+def test_check_axioms_reports_corruption_like_dense_oracle(name, corrupt, data):
+    """On an algebra with one constant changed (antisymmetry kept or
+    broken) or a degenerate form, check_axioms returns the dense oracle's
+    non-empty report, entry for entry and in order."""
+    g, _ = oracle_pair(name)
+    dense = DenseLie.of(g)  # a fresh copy to corrupt
+    i, j, k = (data.draw(st.integers(0, g.dim - 1)) for _ in range(3))
+    corrupt(dense, i, j, k, g.ring.const(data.draw(st.integers(1, 3))))
+    want = dense.check_axioms()
+    assert want
+    assert dense.sparse().check_axioms() == want
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_check_axioms_clean_like_dense_oracle(name):
+    g, dense = oracle_pair(name)
+    assert g.check_axioms() == dense.check_axioms() == []
+
+
+def test_index_labels_unique_and_unchanged_below_ten():
+    """The E/A/B/C index labels are unique for every size, and for
+    indices below 10 they are the bare digit pairs."""
+    labels = [index_label("E", i, j) for i in range(1, 31) for j in range(1, 31)]
+    assert len(set(labels)) == len(labels)
+    assert index_label("E", 1, 2) == "E12"
+    assert index_label("E", 1, 11) == "E1_11"
+    assert index_label("E", 11, 1) == "E11_1"
+    assert build_sl(4).labels[:3] == ("E12", "E13", "E14")
+    assert build_sp(4).labels == ("A11", "A12", "A21", "A22", "B11", "B12",
+                                  "B22", "C11", "C12", "C22")
+
+
+def test_sl11_labels_are_distinct():
+    g = build_sl(11)
+    assert len(set(g.labels)) == g.dim == 120
+    assert g.labels[:10] == ("E12", "E13", "E14", "E15", "E16", "E17", "E18",
+                             "E19", "E1_10", "E1_11")
+    assert g.parse({"E1_11": 1}) != g.parse({"E11_1": 1})
+    # the CLI's lowest-root default names E_11,1, not E_1,11
+    f = default_nilpotent(g, "sl11", MINIMAL)
+    assert f == g.parse({"E11_1": 1})
+
+
+def test_duplicate_labels_rejected():
+    with pytest.raises(InvariantFailed, match="duplicate basis labels"):
+        LieAlgebra(Q, ["a", "a"], [[[], []], [[], []]], [[], []])
