@@ -183,9 +183,11 @@ class LieAlgebra:
         return bad
 
     def _dense_form(self) -> list[list[Scalar]]:
-        z = self.ring.zero()
-        return [[dict(row).get(j, z) for j in range(self.dim)]
-                for row in self.form]
+        out = [self.zero_vec() for _ in range(self.dim)]
+        for i, row in enumerate(self.form):
+            for j, c in row:
+                out[i][j] = c
+        return out
 
     def vec_str(self, v: Vec) -> str:
         parts = []
