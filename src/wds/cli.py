@@ -145,8 +145,9 @@ def parse_a_choice(setup, frame, choice: str, emb_s_star=None):
     if choice == "center":
         # a central element of the centralizer of s in g_0^f
         base = [setup.basis[i] for i in setup.g0f_indices]
-        cent = linalg.kernel_span(base, lambda v: [g.bracket(v, frame.s)])
-        ker = linalg.kernel_span(cent, lambda v: [g.bracket(v, w) for w in cent])
+        cent = linalg.kernel_span(base, lambda v: [g.bracket(v, frame.s)], g.ring)
+        ker = linalg.kernel_span(cent, lambda v: [g.bracket(v, w) for w in cent],
+                                 g.ring)
         if not ker:
             raise UsageError("the centralizer core is trivial; no center element")
         return {0: ker[0]}

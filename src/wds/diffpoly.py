@@ -1,7 +1,8 @@
 """Differential polynomials in variables u_i^(n) and polynomials in lambda.
 
 A monomial is a sorted tuple of (generator index, derivative order) pairs,
-with repetition for powers; coefficients are exact Scalars.  The canonical
+with repetition for powers; coefficients are exact elements of the
+context's ParamRing (Fractions over Q, Scalars over Q(p)).  The canonical
 sorted/sparse representation makes equality of values representational.
 """
 
@@ -210,13 +211,12 @@ class DiffPoly:
         return mo
 
     def variational(self, gen: int) -> "DiffPoly":
-        """delta/delta(u_gen) = sum_n (-d)^n d/d(u_gen^(n))."""
-        out = self.ctx.zero()
-        for n in range(self.max_order(gen) + 1):
-            p = self.partial(gen, n)
-            if p:
-                out += p.d(n).scale((-1) ** n) if n else p
-        return out
+        """delta/delta(u_gen) = sum_n (-d)^n d/d(u_gen^(n)), in Horner form:
+        acc = d/d(u_gen^(n)) - d(acc), from the top order n down."""
+        acc = self.ctx.zero()
+        for n in range(self.max_order(gen), -1, -1):
+            acc = self.partial(gen, n) - acc.total_derivative()
+        return acc
 
     def gens_used(self) -> set:
         return {g for m in self.terms for g, _ in m}

@@ -10,7 +10,7 @@ fixed-degree slice is finite dimensional.  The dressing equation
 is solved degree by degree; pairing h against a central element a(z) of
 ker(ad(f+zs)) yields the conserved densities and the hierarchy flows.
 Over Q the dressing runs in integer numerators (IntLoop) and converts to
-Scalars once, on the way out; over Q(p) it runs in Scalars.
+Fractions once, on the way out; over Q(p) it runs in Scalars.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from . import linalg
 from .diffpoly import (Context, DiffPoly, functional_equal,
                        monomial_derivative)
 from .pva import ReductionFrame, master_bracket
-from .scalars import Scalar
 
 
 class NotSemisimple(ValueError):
@@ -121,14 +120,6 @@ class LoopElement(_Loop):
 
     def bracket(self, other: "LoopElement", max_deg: Fraction | None = None) -> "LoopElement":
         """[self, other], dropping products of loop degree above max_deg."""
-        if not _int_form(self.frame):
-            return self._bracket_scalar(other, max_deg)
-        return IntLoop.of(self).bracket(IntLoop.of(other), max_deg).to_loop()
-
-    def _bracket_scalar(self, other: "LoopElement",
-                        max_deg: Fraction | None = None) -> "LoopElement":
-        """`bracket` in Scalar arithmetic: the path over Q(p), and the
-        oracle of the path over Q."""
         struct = self.frame.struct
         zd = self.frame.z_degree
         eig = self.frame.eig_of
@@ -248,20 +239,16 @@ def _int_poly(p: DiffPoly):
     """The integer-numerator pair of a DiffPoly over Q, or None for 0."""
     if not p:
         return None
-    qs = [(m, c.num[()]) for m, c in p.terms.items()]
-    L = math.lcm(*(q.denominator for _, q in qs))
-    return L, {m: q.numerator * (L // q.denominator) for m, q in qs}
+    L = math.lcm(*(q.denominator for q in p.terms.values()))
+    return L, {m: q.numerator * (L // q.denominator) for m, q in p.terms.items()}
 
 
-def _scalar_poly(ctx: Context, term) -> DiffPoly:
-    """The DiffPoly, with canonical Scalar coefficients, of a pair or None."""
+def _fraction_poly(ctx: Context, term) -> DiffPoly:
+    """The DiffPoly over Q, with Fraction coefficients, of a pair or None."""
     if term is None:
         return ctx.zero()
     L, nums = term
-    ring = ctx.ring
-    one = ring.one().den
-    return DiffPoly(ctx, {m: Scalar(ring, {(): Fraction(v, L)}, one, True)
-                          for m, v in nums.items()})
+    return DiffPoly(ctx, {m: Fraction(v, L) for m, v in nums.items()})
 
 
 class IntLoop(_Loop):
@@ -280,7 +267,7 @@ class IntLoop(_Loop):
 
     def to_loop(self) -> LoopElement:
         return LoopElement(self.frame, self.ctx,
-                           {key: _scalar_poly(self.ctx, t)
+                           {key: _fraction_poly(self.ctx, t)
                             for key, t in self.terms.items()})
 
     def __add__(self, other: "IntLoop") -> "IntLoop":
@@ -351,7 +338,6 @@ class IntLoop(_Loop):
                         pq[m] = pq.get(m, 0) + a * b
                 den = L1 * L2
                 for r, c in co:
-                    c = c.num[()]
                     cn = c.numerator
                     slot = acc.setdefault((r, k1 + k2), {}).setdefault(
                         den * c.denominator, {})
@@ -376,7 +362,7 @@ def _int_rows(mat: list) -> list:
     the lcm of the row's denominators."""
     rows = []
     for row in mat:
-        qs = [(j, c.num[()]) for j, c in enumerate(row) if c]
+        qs = [(j, c) for j, c in enumerate(row) if c]
         R = math.lcm(*(q.denominator for _, q in qs))
         rows.append((R, [(j, q.numerator * (R // q.denominator))
                          for j, q in qs]))
@@ -456,9 +442,9 @@ class HDecomposition:
                         (frame.ad_adapted(frame.s), 1))
         self.min_deg = Fraction(min_deg)
         self.max_deg = Fraction(max_deg)
-        self.h_basis: dict[Fraction, list[list[Scalar]]] = {}
-        self._proj: dict[Fraction, list[list[Scalar]]] = {}
-        self._solve: dict[Fraction, list[list[Scalar]]] = {}
+        self.h_basis: dict[Fraction, list[list]] = {}
+        self._proj: dict[Fraction, list[list]] = {}
+        self._solve: dict[Fraction, list[list]] = {}
         self._int_proj: dict[Fraction, list] = {}
         self._int_solve: dict[Fraction, list] = {}
         # split degrees min_deg .. max_deg + 1; splitting d reads ad(f+zs)
@@ -591,7 +577,7 @@ def _working(el: LoopElement):
     return IntLoop.of(el) if _int_form(el.frame) else el
 
 
-def _scalars(el) -> LoopElement:
+def _as_loop(el) -> LoopElement:
     return el.to_loop() if isinstance(el, IntLoop) else el
 
 
@@ -601,7 +587,7 @@ def exp_ad_apply(U: LoopElement, D: LoopElement, max_deg: Fraction) -> LoopEleme
     ad U acts on d by [U, d] = -dU/dx; the series terminates inside the
     window because U has strictly positive loop degree.
     """
-    return _scalars(_exp_ad(_working(U), _working(D), max_deg))
+    return _as_loop(_exp_ad(_working(U), _working(D), max_deg))
 
 
 def _exp_ad(U, D, max_deg: Fraction):
@@ -677,8 +663,8 @@ def solve_dressing(
                     series[1][deg] = series[1].get(
                         deg, Loop(frame, ctx)) + u_el.bracket(fzs)
         deg += Fraction(1, 2)
-    return ({d: _scalars(u) for d, u in U_parts.items()},
-            {d: _scalars(h) for d, h in h_parts.items()}, dec)
+    return ({d: _as_loop(u) for d, u in U_parts.items()},
+            {d: _as_loop(h) for d, h in h_parts.items()}, dec)
 
 
 def dressing_defect(
@@ -704,7 +690,7 @@ def dressing_defect(
     want = fzs
     for h in h_parts.values():
         want = want + _working(h)
-    return _scalars((result - want.trim(max_deg)).trim(max_deg))
+    return _as_loop((result - want.trim(max_deg)).trim(max_deg))
 
 
 # ---------------------------------------------------------------------------

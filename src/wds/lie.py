@@ -497,7 +497,7 @@ class GradedSetup:
                     push(v, ev, True)
             elif ev == 0:
                 g0f = linalg.kernel_span(
-                    vecs, lambda v: [g.bracket(self.f, v)])
+                    vecs, lambda v: [g.bracket(self.f, v)], ring)
                 neg1 = grading.get(Fraction(-1), [])
                 comp = [g.bracket(self.e, basis[i]) for i in neg1]
                 if self.kind == MINIMAL:
@@ -718,7 +718,7 @@ def darboux_split(setup: GradedSetup, seed: Vec | None = None):
         wi = next((i for i, u in enumerate(rest) if setup.omega_plus(v1, u)), None)
         if wi is None:
             raise SingularPairing("omega_+ degenerate on remaining space")
-        w = linalg.vec_scale(rest[wi], setup.omega_plus(v1, rest[wi]).inv())
+        w = linalg.vec_scale(rest[wi], 1 / setup.omega_plus(v1, rest[wi]))
         l_side.append(v1)
         lp_side.append(w)
         new_pool = []
@@ -749,7 +749,7 @@ class EmbeddableData:
 
         def centralizer(indices, v):
             return linalg.kernel_span([setup.basis[i] for i in indices],
-                                      lambda w: [g.bracket(v, w)])
+                                      lambda w: [g.bracket(v, w)], setup.ring)
 
         self.g0s = centralizer(setup.g0f_indices, s)
         self.gs_half = centralizer(setup.eig_indices(half), s)

@@ -1,4 +1,5 @@
-"""Exact dense linear algebra over a Scalar field (fraction-free-ish Gauss)."""
+"""Exact dense linear algebra over a ParamRing: entries are Fractions over Q
+and Scalars over Q(p), and only the operations they share are used."""
 
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ def vec_is_zero(a: Vec) -> bool:
 
 def combine(coeffs: Sequence[Scalar], vecs: Sequence[Vec]) -> Vec:
     """The linear combination sum_k coeffs[k] * vecs[k] of a non-empty list."""
-    out = [vecs[0][0].ring.zero()] * len(vecs[0])
-    for c, v in zip(coeffs, vecs):
+    out = [coeffs[0] * x if x else x for x in vecs[0]]
+    for c, v in zip(coeffs[1:], vecs[1:]):
         if c:
             out = [a + c * x if x else a for a, x in zip(out, v)]
     return out
@@ -61,7 +62,7 @@ def rref(rows: Mat) -> tuple[Mat, list[int]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inv()
+        inv = 1 / m[r][c]
         m[r] = [inv * x for x in m[r]]
         for i in range(nrow):
             if i != r and m[i][c]:
@@ -103,13 +104,12 @@ def independent(vecs: Sequence[Vec]) -> list[Vec]:
     return [vecs[c] for c in rref(transpose(vecs))[1]]
 
 
-def kernel_span(vecs: Sequence[Vec], images) -> list[Vec]:
+def kernel_span(vecs: Sequence[Vec], images, ring: ParamRing) -> list[Vec]:
     """A basis of the v in span(vecs) with images(v) all zero; images maps a
     vector to a list of vectors, linearly."""
     if not vecs:
         return []
     rows = transpose([[x for w in images(v) for x in w] for v in vecs])
-    ring = vecs[0][0].ring
     return [combine(c, vecs) for c in kernel(rows, ring, len(vecs))]
 
 

@@ -1,11 +1,12 @@
-"""Exact scalar arithmetic: the field Q(p1, ..., pk) of rational functions.
+"""Exact scalar arithmetic: Q, and the field Q(p1, ..., pk) of rational functions.
 
-Scalars are quotients num/den of sparse multivariate polynomials with
-Fraction coefficients over a fixed, lexicographically ordered tuple of
-parameter names.  Canonical form: gcd(num, den) = 1 and den monic under
-graded-lex monomial order, so equality of values is equality of
-representations.  With no parameters everything collapses to plain
-rational arithmetic.
+A ParamRing with no parameters is Q: its constants are plain Fractions.
+Over k >= 1 parameters they are Scalars, quotients num/den of sparse
+multivariate polynomials with Fraction coefficients over a fixed,
+lexicographically ordered tuple of parameter names.  Canonical form:
+gcd(num, den) = 1 and den monic under graded-lex monomial order, so
+equality of values is equality of representations.  Fraction and Scalar
+share the operations the engine uses: + - * /, ==, bool and str.
 """
 
 from __future__ import annotations
@@ -18,15 +19,17 @@ MP = dict  # sparse polynomial {exponent tuple: Fraction}
 
 
 class ParamRing:
-    """A fixed ordered set of parameter names (possibly empty)."""
+    """A fixed ordered set of parameter names (possibly empty): Q(names)."""
 
-    __slots__ = ("names", "nvars", "_zero_expo")
+    __slots__ = ("names", "nvars", "_zero_expo", "_zero", "_one")
 
     def __init__(self, names: Iterable[str] = ()):
         ordered = tuple(sorted(set(names)))
         self.names = ordered
         self.nvars = len(ordered)
         self._zero_expo = (0,) * self.nvars
+        # elements are never mutated, so 0 and 1 are built once and shared
+        self._zero, self._one = self.const(0), self.const(1)
 
     def __eq__(self, other):
         return isinstance(other, ParamRing) and self.names == other.names
@@ -39,15 +42,18 @@ class ParamRing:
 
     # -- constructors ------------------------------------------------
 
-    def zero(self) -> "Scalar":
-        return Scalar(self, {}, {self._zero_expo: Fraction(1)}, True)
+    def zero(self) -> Scalar | Fraction:
+        return self._zero
 
-    def one(self) -> "Scalar":
-        return self.const(1)
+    def one(self) -> Scalar | Fraction:
+        return self._one
 
-    def const(self, q) -> "Scalar":
+    def const(self, q) -> Scalar | Fraction:
+        """q in this ring: a Fraction over Q, a Scalar over Q(p)."""
         q = Fraction(q)
-        num = {} if q == 0 else {self._zero_expo: q}
+        if not self.nvars:
+            return q
+        num = {self._zero_expo: q} if q else {}
         return Scalar(self, num, {self._zero_expo: Fraction(1)}, True)
 
     def param(self, name: str) -> "Scalar":
@@ -274,7 +280,7 @@ def _mp_monic(a: MP) -> MP:
 
 
 class Scalar:
-    """Element of Q(p1,...,pk) in canonical form."""
+    """Element of Q(p1,...,pk), k >= 1, in canonical form."""
 
     __slots__ = ("ring", "num", "den")
 
@@ -311,13 +317,6 @@ class Scalar:
     def is_const(self) -> bool:
         return mp_is_const(self.num) and mp_is_const(self.den)
 
-    def as_fraction(self) -> Fraction:
-        if not self.num:
-            return Fraction(0)
-        if not self.is_const():
-            raise ValueError(f"not a constant: {self}")
-        return next(iter(self.num.values()))
-
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
@@ -327,9 +326,9 @@ class Scalar:
             return other
         return self.ring.const(other)
 
-    # Sums and products over Q, and products with a constant over Q(p), are
-    # built directly in canonical form, without the canonicalising
-    # constructor: gcd(q*num, den) = gcd(num, den) = 1, and den stays monic.
+    # Products with a constant are built directly in canonical form, without
+    # the canonicalising constructor: gcd(q*num, den) = gcd(num, den) = 1,
+    # and den stays monic.
 
     def _scaled(self, q: Fraction) -> "Scalar":
         return Scalar(self.ring, {e: c * q for e, c in self.num.items()},
@@ -342,9 +341,6 @@ class Scalar:
             return self
         if not self.num:
             return other
-        if not self.ring.nvars:
-            q = self.num[()] + other.num[()]
-            return Scalar(self.ring, {(): q} if q else {}, self.den, True)
         if self.den == other.den:
             return Scalar(self.ring, mp_add(self.num, other.num), dict(self.den))
         num = mp_add(mp_mul(self.num, other.den), mp_mul(other.num, self.den))
@@ -367,8 +363,6 @@ class Scalar:
         a, b = self.num, other.num
         if not a or not b:
             return self.ring.zero()
-        if not self.ring.nvars:
-            return Scalar(self.ring, {(): a[()] * b[()]}, self.den, True)
         if other.is_const():
             return self._scaled(b[self.ring._zero_expo])
         if self.is_const():

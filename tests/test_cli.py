@@ -406,6 +406,16 @@ def test_no_unused_imports_in_src():
     assert found == []
 
 
+def test_no_assert_in_src():
+    """src/wds raises real exceptions for its invariants: an assert
+    statement vanishes under python -O."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "wds").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_verify_all_same_under_python_O():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("WDS_MAX_DEGREE", None)

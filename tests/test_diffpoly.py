@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wds.diffpoly import Context, ContextMismatch, functional_equal
-from wds.scalars import Q
+from wds.scalars import ParamRing, Q
 
 UV = Context(Q, ["u", "v"], [Fraction(1), Fraction(1)])
 u, v = UV.gen(0), UV.gen(1)
@@ -44,6 +44,47 @@ def test_variational_kills_total_derivatives():
         dp = p.total_derivative()
         assert dp.variational(0) == UV.zero()
         assert dp.variational(1) == UV.zero()
+
+
+def variational_oracle(p, gen):
+    """delta p / delta u_gen as sum_n (-d)^n dp/du_gen^(n), each order
+    differentiated n times over."""
+    out = p.ctx.zero()
+    for n in range(p.max_order(gen) + 1):
+        out = out + p.partial(gen, n).d(n).scale((-1) ** n)
+    return out
+
+
+UV_C = Context(ParamRing(["c"]), ["u", "v"])
+
+
+@st.composite
+def diffpolys(draw, ctx):
+    """A sum of up to five monomials of degree up to 3 and order up to 3;
+    over Q(c) the coefficients are a + b c."""
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    p = ctx.zero()
+    for _ in range(draw(st.integers(0, 5))):
+        coeff = ctx.ring.const(draw(q))
+        if ctx.ring.nvars:
+            coeff = coeff + draw(q) * ctx.ring.param("c")
+        mono = ctx.const(coeff)
+        for _ in range(draw(st.integers(0, 3))):
+            mono = mono * ctx.gen(draw(st.integers(0, 1)), draw(st.integers(0, 3)))
+        p = p + mono
+    return p
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_variational_horner_matches_oracle(data):
+    """The Horner form of the variational derivative equals the sum of
+    (-d)^n d/du^(n), over Q and over Q(c), also on total derivatives."""
+    ctx = data.draw(st.sampled_from([UV, UV_C]))
+    p = data.draw(diffpolys(ctx))
+    for f in (p, p.total_derivative()):
+        for gen in range(ctx.ngens):
+            assert f.variational(gen) == variational_oracle(f, gen)
 
 
 def test_functional_equality():
@@ -92,11 +133,12 @@ def test_leibniz_rule(c1, c2, n1, n2):
 
 
 def test_context_mismatch_errors():
-    other = Context(Q, ["w"])
-    with pytest.raises(ContextMismatch):
-        u + other.gen(0)
-    with pytest.raises(ContextMismatch):
-        u * other.gen(0)
+    """Contexts differing in labels, or only in their ring, do not mix."""
+    for other in (Context(Q, ["w"]), Context(ParamRing(["a"]), ["u", "v"])):
+        with pytest.raises(ContextMismatch):
+            u + other.gen(0)
+        with pytest.raises(ContextMismatch):
+            u * other.gen(0)
 
 
 def test_substitution_homomorphism():

@@ -9,7 +9,7 @@ from wds.diffpoly import Context
 from wds.hierarchy import (HDecomposition, IntLoop, InvalidCenter,
                            LoopElement, NotSemisimple, WindowOverflow,
                            _apply_int_rows, _int_poly, _int_rows, _lin_comb,
-                           _scalar_poly, build_q, center_of_h, check_central,
+                           _fraction_poly, build_q, center_of_h, check_central,
                            conserved_densities, dressing_defect, exp_ad_apply,
                            hierarchy_equation, loop_const,
                            loop_from_zmap, loop_fzs, reduce_mod_jk,
@@ -136,7 +136,7 @@ def test_q_expansion_minimal(sl3_min):
     vs, vds = s.v_pairs
     for vk, vdk in zip(vs, vds):
         pieces.append((vdk, 0, fr.w_lin(g.bracket(s.f, vk))))
-    pieces.append((linalg.vec_scale(s.e, (2 * xx).inv()), 0, fr.w_lin(s.f)))
+    pieces.append((linalg.vec_scale(s.e, 1 / (2 * xx)), 0, fr.w_lin(s.f)))
     assert not (q - expected_loop(cfg, pieces))
 
 
@@ -192,12 +192,12 @@ def test_minimal_dressing_low_degrees(sl3_min, sl4_min):
              for vk, vdk in zip(vs, vds)])
         assert not (U[F(3, 2)] - want_u32)
         want_h1 = expected_loop(cfg, [
-            (s.f, -1, fr.w_lin(s.f).scale((4 * xx).inv())),
-            (s.e, 0, fr.w_lin(s.f).scale((4 * xx).inv())),
+            (s.f, -1, fr.w_lin(s.f).scale(1 / (4 * xx))),
+            (s.e, 0, fr.w_lin(s.f).scale(1 / (4 * xx))),
         ])
         assert not (h[F(1)] - want_h1)
         want_u2 = expected_loop(cfg, [
-            (s.x, -1, fr.w_lin(s.f).scale(-(4 * xx).inv()))])
+            (s.x, -1, fr.w_lin(s.f).scale(-1 / (4 * xx)))])
         assert not (U[F(2)] - want_u2)
         # pi U_5/2 = -sum v^k (x) d[f,v_k] - sum [a^i, v^k] (x) a_i [f,v_k]
         pieces = []
@@ -219,22 +219,22 @@ def test_minimal_dressing_low_degrees(sl3_min, sl4_min):
         assert not (h[F(2)] - expected_loop(cfg, pieces))
         # pi U_3 = (f - ze) z^-2 (x) df / (16(x|x))
         want_u3 = expected_loop(cfg, [
-            (s.f, -2, fr.w_lin(s.f, 1).scale((16 * xx).inv())),
-            (s.e, -1, fr.w_lin(s.f, 1).scale(-(16 * xx).inv())),
+            (s.f, -2, fr.w_lin(s.f, 1).scale(1 / (16 * xx))),
+            (s.e, -1, fr.w_lin(s.f, 1).scale(-1 / (16 * xx))),
         ])
         assert not (U[F(3)] - want_u3)
         # pi h_3 = (f+ze) z^-2 (x) (-f^2/(32(x|x)^2)
         #          - sum [f,v^k] d[f,v_k]/(8(x|x))
         #          - sum [a^i,[f,v^k]] a_i [f,v_k] / (8(x|x)))
-        coeff = (fr.w_lin(s.f) * fr.w_lin(s.f)).scale(-(32 * xx * xx).inv())
+        coeff = (fr.w_lin(s.f) * fr.w_lin(s.f)).scale(-1 / (32 * xx * xx))
         for vk, vdk in zip(vs, vds):
             coeff -= (fr.w_lin(g.bracket(s.f, vdk))
-                      * fr.w_lin(g.bracket(s.f, vk), 1)).scale((8 * xx).inv())
+                      * fr.w_lin(g.bracket(s.f, vk), 1)).scale(1 / (8 * xx))
             for b, bd in zip(a_basis, a_dual):
                 coeff -= (
                     fr.w_lin(g.bracket(bd, g.bracket(s.f, vdk)))
                     * fr.w_lin(b) * fr.w_lin(g.bracket(s.f, vk))
-                ).scale((8 * xx).inv())
+                ).scale(1 / (8 * xx))
         want_h3 = expected_loop(cfg, [(s.f, -2, coeff), (s.e, -1, coeff)])
         assert not (h[F(3)] - want_h3)
 
@@ -293,24 +293,24 @@ def test_isotropic_dressing_values(sl3_iso):
     assert not (U[F(1)] - expected_loop(cfg, pieces))
     # pi h_1/2 = (f + zs) z^-1 (x) s^* / (6(x|x))
     want = expected_loop(cfg, [
-        (s.f, -1, fr.w_lin(s_star).scale((6 * xx).inv())),
-        (sv, 0, fr.w_lin(s_star).scale((6 * xx).inv())),
+        (s.f, -1, fr.w_lin(s_star).scale(1 / (6 * xx))),
+        (sv, 0, fr.w_lin(s_star).scale(1 / (6 * xx))),
     ])
     assert not (h[F(1, 2)] - want)
     # pi U_3/2 = -x z^-1 (x) s^*/(6(x|x)) - sum [s,[f,u^k]] z^-1 (x) [f,u_k]
-    pieces = [(s.x, -1, fr.w_lin(s_star).scale(-(6 * xx).inv()))]
+    pieces = [(s.x, -1, fr.w_lin(s_star).scale(-1 / (6 * xx)))]
     for uk, ukd in zip(data.gs_half, gs_half_dual):
         pieces.append((g.bracket(sv, g.bracket(s.f, ukd)), -1,
                        -fr.w_lin(g.bracket(s.f, uk))))
     assert not (U[F(3, 2)] - expected_loop(cfg, pieces))
     # pi h_1 = (e + z^-1 s*) (x) (f/(6(x|x))
     #          + sum [s,[f,u_k]][s,[f,u^k]] / (12(x|x)))
-    coeff = fr.w_lin(s.f).scale((6 * xx).inv())
+    coeff = fr.w_lin(s.f).scale(1 / (6 * xx))
     for uk, ukd in zip(data.gs_half, gs_half_dual):
         coeff += (
             fr.w_lin(s.sharp(g.bracket(sv, g.bracket(s.f, uk))))
             * fr.w_lin(s.sharp(g.bracket(sv, g.bracket(s.f, ukd))))
-        ).scale((12 * xx).inv())
+        ).scale(1 / (12 * xx))
     want = expected_loop(cfg, [(s.e, 0, coeff), (s_star, -1, coeff)])
     assert not (h[F(1)] - want)
 
@@ -463,29 +463,56 @@ def loop_elements(draw, frame):
 
 
 def assert_canonical(polys):
-    """Every coefficient is in the form the canonicalising constructor
-    gives."""
+    """Every coefficient is canonical: a Fraction over Q, and over Q(p) in
+    the form the canonicalising constructor gives."""
     for p in polys:
         for c in p.terms.values():
+            if not p.ctx.ring.nvars:
+                assert type(c) is F
+                continue
             want = Scalar(c.ring, dict(c.num), dict(c.den))
             assert (c.num, c.den, hash(c)) == (want.num, want.den, hash(want))
+
+
+@pytest.mark.parametrize("name, window, kind", [
+    ("sl3_min", 4, F), ("sl4_short", 4, F), ("sl4_generic", 2, Scalar),
+])
+def test_one_representation_per_ring(name, window, kind, request):
+    """Over Q every coefficient is a Fraction, and over Q(c, s1, s2) every
+    one is a Scalar: the frame's structure constants and Gram matrix, the
+    generator table of W, and the U and h parts of the dressing."""
+    cfg = request.getfixturevalue(name)
+    fr = cfg.frame
+    found = [c for row in fr.struct for entry in row for _, c in entry]
+    found += [c for row in fr.gram for c in row]
+    polys = [p for pair in cfg.gens.table.entries.values()
+             for lam in pair for p in lam.coeffs]
+    U, h, _ = cfg.dressing(window)
+    polys += [p for parts in (U, h) for el in parts.values()
+              for p in el.terms.values()]
+    found += [c for p in polys for c in p.terms.values()]
+    assert polys and found
+    assert {type(c) for c in found} == {kind}
 
 
 @pytest.mark.parametrize("name", ["sl3_min", "sl3_iso", "sl4_short"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_q_bracket_matches_scalar_oracle(name, data, request):
-    """The integer-numerator kernel over Q equals the Scalar path, drops
-    what cancels, and builds every coefficient in canonical form."""
+    """The integer-numerator kernel over Q equals the LoopElement bracket in
+    Fraction arithmetic, drops what cancels, and builds every coefficient in
+    canonical form."""
     fr = request.getfixturevalue(name).frame
     X = data.draw(loop_elements(fr))
     Y = data.draw(loop_elements(fr))
     degs = sorted(X.degree_of(a) + Y.degree_of(b)
                   for a in X.terms for b in Y.terms)
+    iX, iY = IntLoop.of(X), IntLoop.of(Y)
     for max_deg in (None, degs[len(degs) // 2]):
-        got = X.bracket(Y, max_deg)
-        assert got.terms == X._bracket_scalar(Y, max_deg).terms
+        got = iX.bracket(iY, max_deg).to_loop()
+        assert got.terms == X.bracket(Y, max_deg).terms
         assert_canonical(got.terms.values())
+    assert not iX.bracket(iX).terms
     assert not X.bracket(X).terms
 
 
@@ -496,8 +523,9 @@ def test_solve_dressing_same_on_scalar_path(name, window, request,
                                             monkeypatch):
     """solve_dressing and its oracle agree term for term, with canonical
     coefficients, whether they run in integer numerators over Q or in
-    Scalars throughout: brackets, sums, derivatives, scales, and _lin_comb
-    on the slice matrices."""
+    LoopElements with Fraction coefficients throughout (the path Scalars
+    over Q(p) take): brackets, sums, derivatives, scales, and _lin_comb on
+    the slice matrices."""
     fr = request.getfixturevalue(name).frame
     lin_combs = []
 
@@ -506,7 +534,7 @@ def test_solve_dressing_same_on_scalar_path(name, window, request,
         return _lin_comb(row, coeffs)
 
     def refused(*args):
-        raise AssertionError("an IntLoop on the Scalar path")
+        raise AssertionError("an IntLoop on the LoopElement path")
 
     monkeypatch.setattr(hierarchy, "_lin_comb", counted)
     runs = []
@@ -557,7 +585,7 @@ def test_int_rows_match_lin_comb(data):
         rows.append([Q.const(c), Q.const(-c / q)] + [Q.zero()] * (n - 2))
         vanish.append(len(rows) - 1)
     got = _apply_int_rows(_int_rows(rows), [_int_poly(p) for p in coeffs])
-    got = [_scalar_poly(ctx, t) for t in got]
+    got = [_fraction_poly(ctx, t) for t in got]
     assert got == [_lin_comb(row, coeffs) for row in rows]
     assert_canonical(got)
     assert not any(got[i] for i in vanish)

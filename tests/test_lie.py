@@ -417,7 +417,7 @@ def test_independent_and_kernel_span_match_oracles(data):
     def images(v):
         return [linalg.mat_vec(m, v, Q) for m in mats]
 
-    span = linalg.kernel_span(vecs, images)
+    span = linalg.kernel_span(vecs, images, Q)
     assert all(not any(x for w in images(v) for x in w) for v in span)
     flat = [[x for w in images(v) for x in w] for v in vecs]
     assert len(span) == len(vecs) - linalg.rank(flat)
@@ -625,8 +625,7 @@ def test_structure_constants_match_matrices(build, n):
             want = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
             got = [[0] * n for _ in range(n)]
             for k, c in g.struct[a][b]:
-                q = c.as_fraction()
-                got = [[x + q * y for x, y in zip(r1, r2)]
+                got = [[x + c * y for x, y in zip(r1, r2)]
                        for r1, r2 in zip(got, mats[k])]
             assert got == want, (g.labels[a], g.labels[b])
             tr = sum(ab[r][r] for r in range(n))
