@@ -190,8 +190,8 @@ def test_distinct_rings_rejected_on_every_path():
     """Scalars of distinct parameter rings do not mix; an element of Q, a
     Fraction, coerces into any Q(p), which contains Q."""
     a, b = ParamRing(["a"]), ParamRing(["b"])
+    two = a.const(2)
     for y in (a.param("a"), a.const(5)):
-        two = a.const(2)
         assert (Q.const(2) + y, y + Q.const(2)) == (two + y, two + y)
         assert (Q.const(2) * y, y * Q.const(2)) == (two * y, two * y)
         assert (Q.const(2) - y, y - Q.const(2)) == (two - y, y - two)
