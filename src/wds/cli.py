@@ -44,6 +44,17 @@ def build_algebra(name: str, params: list[str], form_scale: str | None):
     raise UsageError(f"unknown algebra {name!r}; use slN or spN")
 
 
+def unique_terms(option: str, pairs) -> dict:
+    """{label: coefficient} of (label, coefficient) pairs; a label given
+    twice is refused."""
+    terms = {}
+    for label, c in pairs:
+        if label in terms:
+            raise UsageError(f"{option}: label {label!r} is repeated")
+        terms[label] = c
+    return terms
+
+
 def default_nilpotent(g, name: str, kind: str):
     """Deterministic representative: lowest-root vector, or the half-rank
     block for a short element."""
@@ -115,7 +126,7 @@ def parse_s(setup: GradedSetup, choice: str):
                 "give one entry per row of the top block") from None
         return linalg.combine(coeffs, vecs), False
     if choice.startswith("explicit:"):
-        terms = {}
+        pairs = []
         try:
             for part in choice[9:].split(","):
                 if part.count("*") > 1:
@@ -123,10 +134,10 @@ def parse_s(setup: GradedSetup, choice: str):
                                      "COEFF*LABEL nor LABEL")
                 if "*" in part:
                     co, lab = part.split("*")
-                    terms[lab] = Fraction(co)
+                    pairs.append((lab, Fraction(co)))
                 else:
-                    terms[part] = 1
-            return g.parse(terms), False
+                    pairs.append((part, 1))
+            return g.parse(unique_terms(f"--s {choice}", pairs)), False
         except ValueError as e:
             raise UsageError(f"--s {choice}: {e}") from None
         except ZeroDivisionError:
@@ -172,7 +183,8 @@ def make_frame(args):
     kind = MINIMAL if args.nilpotent == "minimal" else SHORT
     if args.f:
         try:
-            f = g.parse({p: 1 for p in args.f.split(",")})
+            f = g.parse(unique_terms(f"--f {args.f}",
+                                     ((p, 1) for p in args.f.split(","))))
         except UnknownLabel as e:
             raise UsageError(f"--f {args.f}: {e}") from None
     else:

@@ -64,7 +64,7 @@ class Context:
         return self.const(1)
 
     def const(self, c: ScalarLike) -> "DiffPoly":
-        c = c if isinstance(c, Scalar) else self.ring.const(c)
+        c = self.ring.coerce(c)
         return DiffPoly(self, {(): c} if c else {})
 
     def gen(self, i: int, order: int = 0) -> "DiffPoly":
@@ -75,7 +75,7 @@ class Context:
     def linear(self, coeffs: Sequence[ScalarLike], order: int = 0) -> "DiffPoly":
         terms = {}
         for i, c in enumerate(coeffs):
-            c = c if isinstance(c, Scalar) else self.ring.const(c)
+            c = self.ring.coerce(c)
             if c:
                 terms[((i, order),)] = c
         return DiffPoly(self, terms)
@@ -152,7 +152,7 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def scale(self, c: ScalarLike) -> "DiffPoly":
-        c = c if isinstance(c, Scalar) else self.ctx.ring.const(c)
+        c = self.ctx.ring.coerce(c)
         if not c:
             return self.ctx.zero()
         return DiffPoly(self.ctx, {m: c * v for m, v in self.terms.items()})

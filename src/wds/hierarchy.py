@@ -9,8 +9,8 @@ fixed-degree slice is finite dimensional.  The dressing equation
 
 is solved degree by degree; pairing h against a central element a(z) of
 ker(ad(f+zs)) yields the conserved densities and the hierarchy flows.
-Over Q the dressing runs in integer numerators (IntLoop) and converts to
-Fractions once, on the way out; over Q(p) it runs in Scalars.
+The dressing runs in numerator form (NumLoop), over Q and over Q(p) alike,
+and converts to DiffPoly coefficients once, on the way out.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from . import linalg
 from .diffpoly import (Context, DiffPoly, functional_equal,
                        monomial_derivative)
 from .pva import ReductionFrame, master_bracket
+from .scalars import Scalar
 
 
 class NotSemisimple(ValueError):
@@ -112,46 +113,6 @@ class LoopElement(_Loop):
             {key: p.scale(c) for key, p in self.terms.items()},
         )
 
-    def derivative(self) -> "LoopElement":
-        out = LoopElement(self.frame, self.ctx)
-        for (i, k), p in self.terms.items():
-            out.add_term(i, k, p.total_derivative())
-        return out
-
-    def bracket(self, other: "LoopElement", max_deg: Fraction | None = None) -> "LoopElement":
-        """[self, other], dropping products of loop degree above max_deg."""
-        struct = self.frame.struct
-        zd = self.frame.z_degree
-        eig = self.frame.eig_of
-        low = min(map(other.degree_of, other.terms), default=0)
-        # (basis index, z power) -> {monomial: coefficient}, zeros dropped last
-        acc: dict = {}
-        for (i, k1), p in self.terms.items():
-            d1 = eig[i] + zd * k1
-            if max_deg is not None and d1 + low > max_deg:
-                continue
-            for (j, k2), q in other.terms.items():
-                if max_deg is not None and d1 + eig[j] + zd * k2 > max_deg:
-                    continue
-                co = struct[i][j]
-                if not co:
-                    continue
-                pq = (p * q).terms
-                if not pq:
-                    continue
-                for r, c in co:
-                    slot = acc.setdefault((r, k1 + k2), {})
-                    for m, v in pq.items():
-                        cv = c * v
-                        got = slot.get(m)
-                        slot[m] = cv if got is None else got + cv
-        terms = {}
-        for key, slot in acc.items():
-            slot = {m: v for m, v in slot.items() if v}
-            if slot:
-                terms[key] = DiffPoly(self.ctx, slot)
-        return LoopElement(self.frame, self.ctx, terms)
-
     def map_coeffs(self, fn, ctx: Context) -> "LoopElement":
         out = LoopElement(self.frame, ctx)
         for (i, k), p in self.terms.items():
@@ -198,25 +159,39 @@ class LoopElement(_Loop):
 
 
 # ---------------------------------------------------------------------------
-# loop elements over Q in integer numerators
+# loop elements in numerator form, over Q and over Q(p)
 # ---------------------------------------------------------------------------
 #
-# A coefficient over Q is kept as a pair (L, {monomial: n}), the sum of
-# n/L * monomial, with L > 0, no zero n, and gcd(L, all n) = 1, so L is the
-# lcm of the reduced denominators and equal values have equal pairs.
+# A coefficient is kept as a pair (L, {monomial: n}), the sum of
+# n/L * monomial, with L > 0 and no zero n.  Over Q each n is an int and
+# gcd(L, all n) = 1, so L is the lcm of the reduced denominators; over Q(p)
+# each n is a Scalar and L = 1, since a Scalar absorbs any rational factor.
+# Either way equal values have equal pairs.  Only `_num_den`, `_value` and
+# `_term` read which ring an element is in.
 
 
-def _int_form(frame: ReductionFrame) -> bool:
-    """Whether loop elements on frame run as IntLoops: over Q they do, over
-    Q(p) they stay LoopElements with Scalar coefficients."""
-    return not frame.ring.nvars
+def _num_den(c) -> tuple:
+    """A ring element as (numerator, integer denominator)."""
+    if isinstance(c, Scalar):
+        return c, 1
+    return c.numerator, c.denominator
+
+
+def _value(n, L: int):
+    """The ring element n/L of a numerator n and its denominator L."""
+    return n if isinstance(n, Scalar) else Fraction(n, L)
 
 
 def _term(L: int, nums: dict):
-    """(L, nums) in lowest terms with zero numerators dropped, or None."""
+    """(L, nums) in normal form with zero numerators dropped, or None."""
     nums = {m: v for m, v in nums.items() if v}
     if not nums:
         return None
+    if isinstance(next(iter(nums.values())), Scalar):
+        if L != 1:
+            q = Fraction(1, L)
+            nums = {m: v * q for m, v in nums.items()}
+        return 1, nums
     g = math.gcd(L, *nums.values())
     if g > 1:
         L //= g
@@ -224,93 +199,92 @@ def _term(L: int, nums: dict):
     return L, nums
 
 
-def _term_add(a: tuple, b: tuple):
-    """The sum of two pairs, over the lcm of their denominators, or None."""
-    (La, na), (Lb, nb) = a, b
-    L = math.lcm(La, Lb)
-    sa, sb = L // La, L // Lb
-    out = {m: v * sa for m, v in na.items()}
-    for m, v in nb.items():
-        out[m] = out.get(m, 0) + v * sb
-    return _term(L, out)
+def _common(items) -> tuple:
+    """(key, ring element) items as (L, {key: numerator}) over the lcm L of
+    their denominators."""
+    split = [(k, *_num_den(c)) for k, c in items]
+    L = math.lcm(*(d for _, _, d in split))
+    return L, {k: n if d == L else n * (L // d) for k, n, d in split}
 
 
-def _int_poly(p: DiffPoly):
-    """The integer-numerator pair of a DiffPoly over Q, or None for 0."""
-    if not p:
-        return None
-    L = math.lcm(*(q.denominator for q in p.terms.values()))
-    return L, {m: q.numerator * (L // q.denominator) for m, q in p.terms.items()}
+def _add_into(out: dict, nums, s: int = 1) -> None:
+    """out[m] += s * v for the (m, v) of nums; a Scalar is never multiplied
+    by 1 nor added to 0."""
+    if s != 1:
+        nums = [(m, v * s) for m, v in nums]
+    for m, v in nums:
+        got = out.get(m)
+        out[m] = v if got is None else got + v
 
 
-def _fraction_poly(ctx: Context, term) -> DiffPoly:
-    """The DiffPoly over Q, with Fraction coefficients, of a pair or None."""
-    if term is None:
-        return ctx.zero()
-    L, nums = term
-    return DiffPoly(ctx, {m: Fraction(v, L) for m, v in nums.items()})
+class NumLoop(_Loop):
+    """Loop element with numerator pairs as coefficients.
 
-
-class IntLoop(_Loop):
-    """Loop element over Q with integer-numerator pairs as coefficients.
-
-    The dressing runs in this form over Q from its inputs to its outputs;
-    `of` and `to_loop` convert from and to a LoopElement.
+    The dressing runs in this form from its inputs to its outputs, over Q
+    and over Q(p); `of` and `to_loop` convert from and to a LoopElement.
     """
 
     __slots__ = ()
 
     @classmethod
-    def of(cls, el: LoopElement) -> "IntLoop":
+    def of(cls, el: LoopElement) -> "NumLoop":
         return cls(el.frame, el.ctx,
-                   {key: _int_poly(p) for key, p in el.terms.items()})
+                   {key: _common(p.terms.items())
+                    for key, p in el.terms.items() if p})
 
     def to_loop(self) -> LoopElement:
-        return LoopElement(self.frame, self.ctx,
-                           {key: _fraction_poly(self.ctx, t)
-                            for key, t in self.terms.items()})
+        return LoopElement(self.frame, self.ctx, {
+            key: DiffPoly(self.ctx, {m: _value(v, L) for m, v in nums.items()})
+            for key, (L, nums) in self.terms.items()})
 
-    def __add__(self, other: "IntLoop") -> "IntLoop":
+    def __add__(self, other: "NumLoop") -> "NumLoop":
         terms = dict(self.terms)
         for key, t in other.terms.items():
             got = terms.get(key)
             if got is not None:
-                t = _term_add(got, t)
+                (La, na), (Lb, nb) = got, t
+                L = math.lcm(La, Lb)
+                out = dict(na) if L == La else {
+                    m: v * (L // La) for m, v in na.items()}
+                _add_into(out, nb.items(), L // Lb)
+                t = _term(L, out)
             if t is None:
                 del terms[key]
             else:
                 terms[key] = t
-        return IntLoop(self.frame, self.ctx, terms)
+        return NumLoop(self.frame, self.ctx, terms)
 
-    def __neg__(self) -> "IntLoop":
-        return IntLoop(self.frame, self.ctx,
+    def __neg__(self) -> "NumLoop":
+        return NumLoop(self.frame, self.ctx,
                        {key: (L, {m: -v for m, v in nums.items()})
                         for key, (L, nums) in self.terms.items()})
 
-    def scale(self, c) -> "IntLoop":
-        c = Fraction(c)
+    def scale(self, c) -> "NumLoop":
         if not c:
-            return IntLoop(self.frame, self.ctx)
-        p, q = c.numerator, c.denominator
-        return IntLoop(self.frame, self.ctx,
-                       {key: _term(L * q, {m: v * p for m, v in nums.items()})
-                        for key, (L, nums) in self.terms.items()})
+            return NumLoop(self.frame, self.ctx)
+        n, d = _num_den(c)
+        unit = n == 1
+        return NumLoop(self.frame, self.ctx, {
+            key: _term(L * d, nums if unit else
+                       {m: v * n for m, v in nums.items()})
+            for key, (L, nums) in self.terms.items()})
 
-    def derivative(self) -> "IntLoop":
+    def derivative(self) -> "NumLoop":
         terms = {}
         for key, (L, nums) in self.terms.items():
             out: dict = {}
             for m, v in nums.items():
                 for dm in monomial_derivative(m):
-                    out[dm] = out.get(dm, 0) + v
+                    got = out.get(dm)
+                    out[dm] = v if got is None else got + v
             t = _term(L, out)
             if t is not None:
                 terms[key] = t
-        return IntLoop(self.frame, self.ctx, terms)
+        return NumLoop(self.frame, self.ctx, terms)
 
-    def bracket(self, other: "IntLoop", max_deg: Fraction | None = None) -> "IntLoop":
+    def bracket(self, other: "NumLoop", max_deg: Fraction | None = None) -> "NumLoop":
         """[self, other], dropping products of loop degree above max_deg;
-        products and sums stay in Python ints."""
+        over Q products and sums stay in Python ints."""
         struct = self.frame.struct
         zd = self.frame.z_degree
         eig = self.frame.eig_of
@@ -335,53 +309,63 @@ class IntLoop(_Loop):
                 for m1, a in ps:
                     for m2, b in qs:
                         m = tuple(sorted(m1 + m2))
-                        pq[m] = pq.get(m, 0) + a * b
+                        ab = a * b
+                        got = pq.get(m)
+                        pq[m] = ab if got is None else got + ab
+                pq = [(m, v) for m, v in pq.items() if v]
                 den = L1 * L2
                 for r, c in co:
-                    cn = c.numerator
+                    cn, cd = _num_den(c)
                     slot = acc.setdefault((r, k1 + k2), {}).setdefault(
-                        den * c.denominator, {})
-                    for m, v in pq.items():
-                        slot[m] = slot.get(m, 0) + cn * v
+                        den * cd, {})
+                    for m, v in pq:
+                        cv = cn * v
+                        got = slot.get(m)
+                        slot[m] = cv if got is None else got + cv
         terms = {}
         for key, by_den in acc.items():
             L = math.lcm(*by_den)
-            total: dict = {}
-            for d, slot in by_den.items():
-                scale = L // d
-                for m, v in slot.items():
-                    total[m] = total.get(m, 0) + v * scale
+            if len(by_den) == 1:
+                total = by_den[L]
+            else:
+                total = {}
+                for d, slot in by_den.items():
+                    _add_into(total, slot.items(), L // d)
             t = _term(L, total)
             if t is not None:
                 terms[key] = t
-        return IntLoop(self.frame, self.ctx, terms)
+        return NumLoop(self.frame, self.ctx, terms)
 
 
-def _int_rows(mat: list) -> list:
-    """A matrix over Q as integer rows (R, [(column, R * entry)]), with R
-    the lcm of the row's denominators."""
+def _num_rows(mat: list) -> list:
+    """A matrix as numerator rows (R, [(column, R * entry)]), with R the lcm
+    of the row's denominators; zero entries are dropped."""
     rows = []
     for row in mat:
-        qs = [(j, c) for j, c in enumerate(row) if c]
-        R = math.lcm(*(q.denominator for _, q in qs))
-        rows.append((R, [(j, q.numerator * (R // q.denominator))
-                         for j, q in qs]))
+        R, nums = _common((j, c) for j, c in enumerate(row) if c)
+        rows.append((R, list(nums.items())))
     return rows
 
 
-def _apply_int_rows(rows: list, coeffs: list) -> list:
-    """Integer rows applied to a vector of pairs (or None for 0): the pairs
-    (or None) of sum_j row[j] * coeffs[j], one per row, over the common
-    denominator R * M, with M the lcm of the vector's denominators."""
+def _apply_rows(rows: list, coeffs: list) -> list:
+    """Numerator rows applied to a vector of pairs (or None for 0): the
+    pairs (or None) of sum_j row[j] * coeffs[j], one per row, over the
+    common denominator R * M, with M the lcm of the vector's denominators."""
     M = math.lcm(*(t[0] for t in coeffs if t is not None))
-    vec = {j: [(m, v * (M // t[0])) for m, v in t[1].items()]
-           for j, t in enumerate(coeffs) if t is not None}
+    vec = {}
+    for j, t in enumerate(coeffs):
+        if t is not None:
+            L, nums = t
+            vec[j] = list(nums.items()) if L == M else [
+                (m, v * (M // L)) for m, v in nums.items()]
     out = []
     for R, entries in rows:
         acc: dict = {}
         for j, c in entries:
             for m, v in vec.get(j, ()):
-                acc[m] = acc.get(m, 0) + c * v
+                cv = c * v
+                got = acc.get(m)
+                acc[m] = cv if got is None else got + cv
         out.append(_term(R * M, acc))
     return out
 
@@ -427,8 +411,7 @@ class HDecomposition:
     Each split degree d keeps two matrices on slice(d), built from one
     inverse: the projection onto ker ad(f+zs) along the image, and the
     inverse of ad(f+zs) from hperp(d+1), the image part of slice(d+1).
-    Over Q they are kept as integer rows too, which `split` applies to an
-    IntLoop.
+    Both are kept as numerator rows, which `split` applies to a NumLoop.
     """
 
     def __init__(self, frame: ReductionFrame, min_deg: Fraction, max_deg: Fraction):
@@ -443,10 +426,8 @@ class HDecomposition:
         self.min_deg = Fraction(min_deg)
         self.max_deg = Fraction(max_deg)
         self.h_basis: dict[Fraction, list[list]] = {}
-        self._proj: dict[Fraction, list[list]] = {}
-        self._solve: dict[Fraction, list[list]] = {}
-        self._int_proj: dict[Fraction, list] = {}
-        self._int_solve: dict[Fraction, list] = {}
+        self._proj: dict[Fraction, list] = {}
+        self._solve: dict[Fraction, list] = {}
         # split degrees min_deg .. max_deg + 1; splitting d reads ad(f+zs)
         # on slice(d), slice(d+1) and slice(d+2)
         top = int(2 * (self.max_deg + 1 - self.min_deg))
@@ -497,45 +478,24 @@ class HDecomposition:
                          ring.zero()) for j in range(m)] for i in range(n)]
 
         self.h_basis[deg] = K
-        self._proj[deg] = lift(K, T[:len(K)], m)
-        self._solve[deg] = lift(hperp, T[len(K):], len(self.slices[deg + 1]))
-        if _int_form(self.frame):
-            self._int_proj[deg] = _int_rows(self._proj[deg])
-            self._int_solve[deg] = _int_rows(self._solve[deg])
+        self._proj[deg] = _num_rows(lift(K, T[:len(K)], m))
+        self._solve[deg] = _num_rows(
+            lift(hperp, T[len(K):], len(self.slices[deg + 1])))
 
-    def h_project(self, deg: Fraction, coeffs: list) -> list:
-        """Kernel component of a slice coefficient vector (DiffPoly entries)."""
-        return self._apply(self._proj, deg, coeffs)
-
-    def solve_for(self, deg: Fraction, coeffs: list) -> list:
-        """The u in hperp(deg+1) with [f+zs, u] = the image part of coeffs."""
-        return self._apply(self._solve, deg, coeffs)
-
-    def _apply(self, mats: dict, deg: Fraction, coeffs: list) -> list:
-        return [_lin_comb(row, coeffs) for row in self._rows(mats, deg)]
-
-    def _rows(self, mats: dict, deg: Fraction) -> list:
-        if deg not in mats:
-            raise WindowOverflow(
-                f"degree {deg} outside the solved window; extend max_deg")
-        return mats[deg]
-
-    def split(self, deg: Fraction, el):
-        """(h, u) for el of degree deg, both in el's form: h the kernel
-        component of el, and u in hperp(deg+1) with [f+zs, u] its image
-        component."""
+    def split(self, deg: Fraction, el: NumLoop) -> tuple:
+        """(h, u) for el of degree deg: h the kernel component of el, and u
+        in hperp(deg+1) with [f+zs, u] its image component."""
         coeffs = self.coeffs_of(deg, el)
-        if not isinstance(el, IntLoop):
-            return (self.to_loop(deg, self.h_project(deg, coeffs), el.ctx),
-                    self.to_loop(deg + 1, self.solve_for(deg, coeffs), el.ctx))
 
-        def loop(d, rows):
-            co = _apply_int_rows(rows, coeffs)
-            return IntLoop(self.frame, el.ctx,
+        def loop(d, mats):
+            if deg not in mats:
+                raise WindowOverflow(
+                    f"degree {deg} outside the solved window; extend max_deg")
+            co = _apply_rows(mats[deg], coeffs)
+            return NumLoop(self.frame, el.ctx,
                            {key: t for key, t in zip(self.slices[d], co) if t})
 
-        return (loop(deg, self._rows(self._int_proj, deg)),
-                loop(deg + 1, self._rows(self._int_solve, deg)))
+        return loop(deg, self._proj), loop(deg + 1, self._solve)
 
     # -- conversions -------------------------------------------------------
 
@@ -547,38 +507,17 @@ class HDecomposition:
         return out
 
     def coeffs_of(self, deg: Fraction, el) -> list:
-        """Slice coordinates of el: DiffPolys for a LoopElement, pairs (None
-        for 0) for an IntLoop."""
-        z = None if isinstance(el, IntLoop) else el.ctx.zero()
+        """Slice coordinates of el, None where it has no term."""
         got = dict(el.terms)
-        out = []
-        for key in self.slices[deg]:
-            out.append(got.pop(key, z))
+        out = [got.pop(key, None) for key in self.slices[deg]]
         if any(el.degree_of(k) == deg for k in got):
             raise WindowOverflow(f"element leaves the degree-{deg} slice")
         return out
 
 
-def _lin_comb(row, coeffs):
-    acc = coeffs[0].ctx.zero()
-    for c, p in zip(row, coeffs):
-        if c and p:
-            acc = acc + p.scale(c)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # the dressing recursion
 # ---------------------------------------------------------------------------
-
-
-def _working(el: LoopElement):
-    """el in the form the dressing runs in: an IntLoop over Q."""
-    return IntLoop.of(el) if _int_form(el.frame) else el
-
-
-def _as_loop(el) -> LoopElement:
-    return el.to_loop() if isinstance(el, IntLoop) else el
 
 
 def exp_ad_apply(U: LoopElement, D: LoopElement, max_deg: Fraction) -> LoopElement:
@@ -587,11 +526,11 @@ def exp_ad_apply(U: LoopElement, D: LoopElement, max_deg: Fraction) -> LoopEleme
     ad U acts on d by [U, d] = -dU/dx; the series terminates inside the
     window because U has strictly positive loop degree.
     """
-    return _as_loop(_exp_ad(_working(U), _working(D), max_deg))
+    return _exp_ad(NumLoop.of(U), NumLoop.of(D), max_deg).to_loop()
 
 
-def _exp_ad(U, D, max_deg: Fraction):
-    """`exp_ad_apply` on U and D in one working form, which it keeps."""
+def _exp_ad(U: NumLoop, D: NumLoop, max_deg: Fraction) -> NumLoop:
+    """`exp_ad_apply` in numerator form."""
     base = U.bracket(D, max_deg) - U.trim(max_deg).derivative()
     acc = D.trim(max_deg) + base
     cur = base
@@ -619,16 +558,15 @@ def solve_dressing(
     degree: at degree d only the degree-d piece of each T_n is formed, from
     the U_j and the lower-degree pieces already known, so every bracket of
     the series is taken once.  U_{d+1}, solved at degree d, enters T_1 at d
-    through [U_{d+1}, f+zs] only after the split.  Over Q all of this runs
-    in integer numerators (IntLoop), and only U and h are converted back.
+    through [U_{d+1}, f+zs] only after the split.  All of this runs in
+    numerator form (NumLoop), and only U and h are converted back.
     """
     max_deg = Fraction(max_deg)
     if dec is None:
         dec = HDecomposition(frame, Fraction(-1), max_deg)
     ctx = frame.w_ctx if projected else frame.coord_ctx
-    fzs = _working(loop_fzs(frame, ctx))
-    D = fzs + _working(build_q(frame, projected))
-    Loop = type(D)  # IntLoop over Q, LoopElement over Q(p)
+    fzs = NumLoop.of(loop_fzs(frame, ctx))
+    D = fzs + NumLoop.of(build_q(frame, projected))
 
     U_parts: dict = {}
     h_parts: dict = {}
@@ -637,9 +575,9 @@ def solve_dressing(
     deg = Fraction(-1, 2)
     while deg <= max_deg:
         if dec.slices.get(deg):
-            R = series[0].get(deg, Loop(frame, ctx))
+            R = series[0].get(deg, NumLoop(frame, ctx))
             for n in range(1, len(series) + 1):
-                piece = Loop(frame, ctx)
+                piece = NumLoop(frame, ctx)
                 for j, u in U_parts.items():
                     prev = series[n - 1].get(deg - j)
                     if prev:
@@ -661,10 +599,10 @@ def solve_dressing(
                 # later degrees read T_1 at deg; past the window nothing does
                 if deg + Fraction(1, 2) <= max_deg:
                     series[1][deg] = series[1].get(
-                        deg, Loop(frame, ctx)) + u_el.bracket(fzs)
+                        deg, NumLoop(frame, ctx)) + u_el.bracket(fzs)
         deg += Fraction(1, 2)
-    return ({d: _as_loop(u) for d, u in U_parts.items()},
-            {d: _as_loop(h) for d, h in h_parts.items()}, dec)
+    return ({d: u.to_loop() for d, u in U_parts.items()},
+            {d: h.to_loop() for d, h in h_parts.items()}, dec)
 
 
 def dressing_defect(
@@ -681,16 +619,16 @@ def dressing_defect(
     """
     max_deg = Fraction(max_deg)
     ctx = frame.w_ctx if projected else frame.coord_ctx
-    fzs = _working(loop_fzs(frame, ctx))
-    D = fzs + _working(build_q(frame, projected))
-    U = type(D)(frame, ctx)
+    fzs = NumLoop.of(loop_fzs(frame, ctx))
+    D = fzs + NumLoop.of(build_q(frame, projected))
+    U = NumLoop(frame, ctx)
     for u in U_parts.values():
-        U = U + _working(u)
+        U = U + NumLoop.of(u)
     result = _exp_ad(U, D, max_deg)
     want = fzs
     for h in h_parts.values():
-        want = want + _working(h)
-    return _as_loop((result - want.trim(max_deg)).trim(max_deg))
+        want = want + NumLoop.of(h)
+    return (result - want.trim(max_deg)).trim(max_deg).to_loop()
 
 
 # ---------------------------------------------------------------------------
@@ -698,15 +636,18 @@ def dressing_defect(
 # ---------------------------------------------------------------------------
 
 
+def _h_loops(dec: HDecomposition, ctx: Context, d: Fraction) -> list:
+    """The kernel basis of slice(d), as NumLoops."""
+    return [NumLoop.of(dec.to_loop(d, [ctx.const(c) for c in v], ctx))
+            for v in dec.h_basis.get(d, [])]
+
+
 def center_of_h(frame: ReductionFrame, dec: HDecomposition,
                 degrees: list) -> dict:
     """Degree-wise center of ker(ad(f+zs)) within the decomposition window."""
     ring = frame.ring
     ctx = frame.w_ctx
-    all_h: list[LoopElement] = []
-    for d, K in sorted(dec.h_basis.items()):
-        for v in K:
-            all_h.append(dec.to_loop(d, [ctx.const(c) for c in v], ctx))
+    all_h = [w for d in sorted(dec.h_basis) for w in _h_loops(dec, ctx, d)]
     out = {}
     for d in degrees:
         d = Fraction(d)
@@ -714,23 +655,18 @@ def center_of_h(frame: ReductionFrame, dec: HDecomposition,
         if not K:
             out[d] = []
             continue
-        cands = [dec.to_loop(d, [ctx.const(c) for c in v], ctx) for v in K]
+        cands = _h_loops(dec, ctx, d)
         rows = []
         for w in all_h:
-            brs = [c.bracket(w) for c in cands]
+            brs = [c.bracket(w).to_loop() for c in cands]
             keys = sorted({key for b in brs for key in b.terms})
             for key in keys:
                 rows.append([
                     b.terms.get(key, ctx.zero()).const_term() for b in brs
                 ])
         coefs = linalg.kernel(rows, ring, len(cands))
-        basis = []
-        for co in coefs:
-            el = LoopElement(frame, ctx)
-            for c, cand in zip(co, cands):
-                el = el + cand.scale(c)
-            basis.append(el)
-        out[d] = basis
+        out[d] = [dec.to_loop(d, [ctx.const(c) for c in linalg.combine(co, K)],
+                              ctx) for co in coefs]
     return out
 
 
@@ -743,14 +679,11 @@ def loop_from_zmap(frame: ReductionFrame, ctx: Context, zmap: dict) -> LoopEleme
 
 def check_central(frame: ReductionFrame, dec: HDecomposition, a_z: dict) -> bool:
     ctx = frame.w_ctx
-    el = loop_from_zmap(frame, ctx, a_z)
-    for d, K in dec.h_basis.items():
-        for v in K:
-            w = dec.to_loop(d, [ctx.const(c) for c in v], ctx)
-            if el.bracket(w):
-                return False
+    el = NumLoop.of(loop_from_zmap(frame, ctx, a_z))
+    if any(el.bracket(w) for d in dec.h_basis for w in _h_loops(dec, ctx, d)):
+        return False
     # membership of a(z) itself in ker ad(f+zs)
-    return not loop_fzs(frame, ctx).bracket(el)
+    return not NumLoop.of(loop_fzs(frame, ctx)).bracket(el)
 
 
 def conserved_densities(

@@ -207,9 +207,7 @@ class LieAlgebra:
         for label, c in expr.items():
             if label not in self.labels:
                 raise UnknownLabel(f"unknown basis label {label!r}")
-            v[self.labels.index(label)] = (
-                c if isinstance(c, Scalar) else self.ring.const(c)
-            )
+            v[self.labels.index(label)] = self.ring.coerce(c)
         return v
 
     def to_json(self) -> dict:

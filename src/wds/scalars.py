@@ -56,6 +56,15 @@ class ParamRing:
         num = {self._zero_expo: q} if q else {}
         return Scalar(self, num, {self._zero_expo: Fraction(1)}, True)
 
+    def coerce(self, c) -> Scalar | Fraction:
+        """c in this ring: a Scalar of this ring as it is, a rational through
+        `const`; a Scalar of another ring raises ValueError."""
+        if c.__class__ is Scalar:
+            if c.ring is not self and c.ring != self:
+                raise ValueError("scalars from different parameter rings")
+            return c
+        return self.const(c)
+
     def param(self, name: str) -> "Scalar":
         i = self.names.index(name)
         expo = tuple(1 if j == i else 0 for j in range(self.nvars))
@@ -319,13 +328,6 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise ValueError("scalars from different parameter rings")
-            return other
-        return self.ring.const(other)
-
     # Products with a constant are built directly in canonical form, without
     # the canonicalising constructor: gcd(q*num, den) = gcd(num, den) = 1,
     # and den stays monic.
@@ -336,7 +338,7 @@ class Scalar:
 
     def __add__(self, other):
         if other.__class__ is not Scalar or other.ring is not self.ring:
-            other = self._coerce(other)
+            other = self.ring.coerce(other)
         if not other.num:
             return self
         if not self.num:
@@ -352,14 +354,14 @@ class Scalar:
         return Scalar(self.ring, mp_neg(self.num), self.den, True)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-self.ring.coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if other.__class__ is not Scalar or other.ring is not self.ring:
-            other = self._coerce(other)
+            other = self.ring.coerce(other)
         a, b = self.num, other.num
         if not a or not b:
             return self.ring.zero()
@@ -377,10 +379,10 @@ class Scalar:
         return Scalar(self.ring, dict(self.den), dict(self.num))
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inv()
+        return self * self.ring.coerce(other).inv()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inv()
+        return self.ring.coerce(other) * self.inv()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -176,6 +176,8 @@ def test_non_homogeneous_s_usage_error(capsys):
     (("setup", "--algebra", "sl2", "--seed=--"), None),
     (("setup", "--algebra=--"), None),
     (("hierarchy", "--algebra", "sl3", "--a-choice", "centerfoo"), None),
+    (("setup", "--algebra", "sl3", "--s", "explicit:E13,2*E13"), None),
+    (("setup", "--algebra", "sl3", "--f", "E31,E31"), None),
 ], ids=["verify_n_neg", "hierarchy_n_neg", "max_degree_0",
         "max_degree_neg", "n_past_window", "sl1", "sp3", "unknown_f_label", "env_max_degree",
         "unknown_s_label", "s_not_semisimple", "s_in_g_half",
@@ -184,7 +186,7 @@ def test_non_homogeneous_s_usage_error(capsys):
         "explicit_zero_denominator", "diag_too_many", "diag_too_few",
         "s_dashes", "a_choice_dashes", "n_dashes", "max_degree_dashes",
         "f_dashes", "form_scale_dashes", "seed_dashes", "algebra_dashes",
-        "a_choice_unknown"])
+        "a_choice_unknown", "explicit_repeated_label", "f_repeated_label"])
 def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
     if env is None:
         monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
@@ -218,9 +220,14 @@ def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
      "--form-scale '' is not a parameter name"),
     (("setup", "--algebra", "sp4", "--form-scale", "c"),
      "--form-scale c: sp4 has no scaled trace form"),
+    (("setup", "--algebra", "sl3", "--s", "explicit:E13,2*E13"),
+     "--s explicit:E13,2*E13: label 'E13' is repeated"),
+    (("setup", "--algebra", "sl3", "--f", "E31,E31"),
+     "--f E31,E31: label 'E31' is repeated"),
 ], ids=["f_deep_grading", "f_wrong_kind", "explicit_two_stars",
         "form_scale_number", "form_scale_zero_denominator", "form_scale_zero",
-        "form_scale_empty", "form_scale_on_sp"])
+        "form_scale_empty", "form_scale_on_sp", "explicit_repeated_label",
+        "f_repeated_label"])
 def test_usage_error_reason(argv, reason, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2 and err.count("\n") == 1
@@ -404,6 +411,24 @@ def test_no_unused_imports_in_src():
         found += [f"{path.name}:{line} {name}"
                   for name, line in imported.items() if name not in used]
     assert found == []
+
+
+def test_no_unused_private_defs_in_src():
+    """Every private function, method or class (`_name`, not a dunder)
+    defined in src/wds is referenced somewhere in src/wds: a helper that
+    only the tests call belongs in the tests."""
+    defs, used = [], set()
+    for path in sorted((ROOT / "src" / "wds").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defs.append((f"{path.name}:{node.lineno}", node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defs
+    assert [f"{where} {name}" for where, name in defs if name not in used] == []
 
 
 def test_no_assert_in_src():

@@ -4,18 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wds import hierarchy, linalg
-from wds.diffpoly import Context
-from wds.hierarchy import (HDecomposition, IntLoop, InvalidCenter,
-                           LoopElement, NotSemisimple, WindowOverflow,
-                           _apply_int_rows, _int_poly, _int_rows, _lin_comb,
-                           _fraction_poly, build_q, center_of_h, check_central,
-                           conserved_densities, dressing_defect, exp_ad_apply,
-                           hierarchy_equation, loop_const,
+from wds import linalg
+from wds.diffpoly import Context, DiffPoly
+from wds.hierarchy import (HDecomposition, InvalidCenter, LoopElement,
+                           NotSemisimple, NumLoop, WindowOverflow,
+                           _apply_rows, _common, _num_rows, _value, build_q,
+                           center_of_h, check_central, conserved_densities,
+                           dressing_defect, hierarchy_equation,
                            loop_from_zmap, loop_fzs, reduce_mod_jk,
                            solve_dressing, verify_lenard_magri)
 from wds.pva import ReductionFrame
-from wds.scalars import Q, Scalar
+from wds.scalars import ParamRing, Q, Scalar
 
 
 def expected_loop(cfg, pieces, ctx=None):
@@ -28,6 +27,80 @@ def expected_loop(cfg, pieces, ctx=None):
             if c:
                 out.add_term(i, k, coeff.scale(c))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-wise oracle of the numerator kernel: loop arithmetic on
+# DiffPoly coefficients, one coefficient at a time
+# ---------------------------------------------------------------------------
+
+
+def loop_bracket(X, Y, max_deg=None):
+    """[X, Y] of two LoopElements in DiffPoly arithmetic, dropping products
+    of loop degree above max_deg."""
+    struct = X.frame.struct
+    out = LoopElement(X.frame, X.ctx)
+    for (i, k1), p in X.terms.items():
+        for (j, k2), q in Y.terms.items():
+            if max_deg is not None and \
+                    X.degree_of((i, k1)) + Y.degree_of((j, k2)) > max_deg:
+                continue
+            for r, c in struct[i][j]:
+                out.add_term(r, k1 + k2, (p * q).scale(c))
+    return out
+
+
+def loop_derivative(X):
+    out = LoopElement(X.frame, X.ctx)
+    for (i, k), p in X.terms.items():
+        out.add_term(i, k, p.total_derivative())
+    return out
+
+
+def exp_ad_oracle(U, D, max_deg):
+    """Loop part of exp(ad U)(d + D) - d up to max_deg: the series of
+    [U, .]/n, with [U, d] = -U'."""
+    base = loop_bracket(U, D, max_deg) - loop_derivative(U.trim(max_deg))
+    acc = D.trim(max_deg) + base
+    cur, n = base, 2
+    while cur:
+        cur = loop_bracket(U, cur, max_deg).scale(F(1, n))
+        acc = acc + cur
+        n += 1
+    return acc
+
+
+def lin_comb(row, coeffs):
+    """sum_j row[j] * coeffs[j], one DiffPoly scale and sum per entry."""
+    acc = coeffs[0].ctx.zero()
+    for c, p in zip(row, coeffs):
+        if c and p:
+            acc = acc + p.scale(c)
+    return acc
+
+
+def dense(rows, ncols):
+    """Numerator rows (R, [(column, numerator)]) as rows of ring elements."""
+    out = []
+    for R, entries in rows:
+        row = [F(0)] * ncols
+        for j, n in entries:
+            row[j] = F(1, R) * n
+        out.append(row)
+    return out
+
+
+def poly_pair(p):
+    """The numerator pair of a DiffPoly, or None for 0."""
+    return _common(p.terms.items()) if p else None
+
+
+def pair_poly(ctx, t):
+    """The DiffPoly of a numerator pair, or 0 for None."""
+    if t is None:
+        return ctx.zero()
+    L, nums = t
+    return DiffPoly(ctx, {m: _value(v, L) for m, v in nums.items()})
 
 
 def central_g0f_element(cfg):
@@ -87,13 +160,12 @@ def test_short_h_slices(sl4_short):
         adf2 = g.bracket(s.f, g.bracket(s.f, v))
         el = loop_from_zmap(fr, fr.w_ctx, {-1: adf2}) \
             + loop_from_zmap(fr, fr.w_ctx, {0: [(-2) * c for c in v]})
-        co = dec.coeffs_of(F(1), el)
-        got = dec.h_project(F(1), co)
-        assert got == co  # already in the kernel part
+        h_el, u_el = dec.split(F(1), NumLoop.of(el))
+        assert h_el.terms == NumLoop.of(el).terms and not u_el
         el2 = loop_from_zmap(fr, fr.w_ctx, {-1: adf2}) \
             + loop_from_zmap(fr, fr.w_ctx, {0: [2 * c for c in v]})
-        co2 = dec.coeffs_of(F(1), el2)
-        assert all(not c for c in dec.h_project(F(1), co2))
+        h_el, u_el = dec.split(F(1), NumLoop.of(el2))
+        assert not h_el and u_el
 
 
 def test_generic_s_h_structure(sl4_generic):
@@ -323,7 +395,8 @@ def test_conjugation_oracle(sl3_min, sl4_short, sl3_iso):
 
 def reexpanding_solve(frame, max_deg, dec):
     """The solve that re-expands exp(ad U) from scratch at every degree and
-    keeps its degree-d component: the oracle of the incremental series."""
+    keeps its degree-d component, all in DiffPoly arithmetic: the oracle of
+    the incremental series and of the numerator kernel."""
     ctx = frame.w_ctx
     fzs = loop_fzs(frame, ctx)
     D = fzs + build_q(frame)
@@ -332,12 +405,15 @@ def reexpanding_solve(frame, max_deg, dec):
     deg = F(-1, 2)
     while deg <= max_deg:
         if dec.slices.get(deg):
-            R = (exp_ad_apply(Usum, D, deg) - fzs).component(deg)
-            coeffs = dec.coeffs_of(deg, R)
-            h_el = dec.to_loop(deg, dec.h_project(deg, coeffs), ctx)
+            R = (exp_ad_oracle(Usum, D, deg) - fzs).component(deg)
+            coeffs = [R.terms.get(key, ctx.zero()) for key in dec.slices[deg]]
+            h_el, u_el = (
+                dec.to_loop(d, [lin_comb(row, coeffs) for row in
+                                dense(rows, len(coeffs))], ctx)
+                for d, rows in ((deg, dec._proj[deg]),
+                                (deg + 1, dec._solve[deg])))
             if h_el:
                 h_parts[deg] = h_el
-            u_el = dec.to_loop(deg + 1, dec.solve_for(deg, coeffs), ctx)
             if u_el:
                 U_parts[deg + 1] = u_el
                 Usum = Usum + u_el
@@ -355,15 +431,20 @@ def assert_parts_equal(got, want):
     ("sl3_min", 6), ("sl3_iso", 4), ("sl4_short", 5), ("sl4_generic", 2),
 ], ids=["sl3_min", "sl3_iso", "sl4_short", "sl4_generic"])
 def test_incremental_solve_matches_reexpansion(name, window, request):
-    """solve_dressing forms each degree of each series order once; U and h
-    equal, term for term, those of the per-degree re-expansion, over Q and
-    over Q(c, s1, s2), and the solve at window m is a prefix of the one at
-    window m + 2."""
+    """solve_dressing forms each degree of each series order once, in
+    numerator form; U and h equal, term for term and with canonical
+    coefficients, those of the per-degree re-expansion done coefficient by
+    coefficient (brackets, -U', the 1/n series and the slice matrices on
+    DiffPolys), over Q and over Q(c, s1, s2); and the solve at window m is a
+    prefix of the one at window m + 2."""
     cfg = request.getfixturevalue(name)
     U, h, dec = cfg.dressing(window)
     U_ref, h_ref = reexpanding_solve(cfg.frame, window, dec)
     assert_parts_equal(U, U_ref)
     assert_parts_equal(h, h_ref)
+    for parts in (U, h):
+        for el in parts.values():
+            assert_canonical(el.terms.values())
     U_low, h_low, _ = cfg.dressing(window - 2)
     assert_parts_equal(U_low, {d: u for d, u in U.items() if d <= window - 1})
     assert_parts_equal(h_low, {d: v for d, v in h.items() if d <= window - 2})
@@ -394,12 +475,12 @@ def test_homogeneity_of_solution(name, window, request):
     U, h, dec = request.getfixturevalue(name).dressing(window)
     for deg, el in U.items():
         assert not (el - el.component(deg))
-        co = dec.coeffs_of(deg, el)
-        assert all(not c for c in dec.h_project(deg, co))
+        h_el, _ = dec.split(deg, NumLoop.of(el))
+        assert not h_el
     for deg, el in h.items():
         assert not (el - el.component(deg))
-        co = dec.coeffs_of(deg, el)
-        assert dec.h_project(deg, co) == co
+        h_el, u_el = dec.split(deg, NumLoop.of(el))
+        assert h_el.terms == NumLoop.of(el).terms and not u_el
 
 
 def test_window_overflow_error(sl3_min):
@@ -437,28 +518,47 @@ def test_densities_past_the_window_refused(sl2_min, sl3_iso):
 
 
 # ---------------------------------------------------------------------------
-# the bracket kernel over Q against its Scalar oracle
+# the numerator kernel against the coefficient-wise oracle
 # ---------------------------------------------------------------------------
 
 MIXED = [F(1, 3), F(-7, 4), F(2, 5), F(1), F(-2), F(3)]
+QC = ParamRing(["c"])
+
+
+def ring_values(ring):
+    """Nonzero values of ring: rationals of mixed denominators, and over
+    Q(p) also parameters and quotients of them."""
+    if not ring.nvars:
+        return MIXED
+    x, y = ring.param(ring.names[0]), ring.param(ring.names[-1])
+    one = ring.one()
+    return [ring.const(q) for q in MIXED] + [
+        x, y * F(-2, 3), one / (x + one),
+        (x + F(1, 2)) / (y - 3), x * y / 5]
+
+
+def random_poly(draw, ctx, values, min_terms=0):
+    """A DiffPoly on ctx, a sum of min_terms to 3 small monomials."""
+    p = ctx.zero()
+    for _ in range(draw(st.integers(min_terms, 3))):
+        mono = ctx.const(draw(st.sampled_from(values)))
+        for _ in range(draw(st.integers(0, 2))):
+            mono = mono * ctx.gen(draw(st.integers(0, ctx.ngens - 1)),
+                                  draw(st.integers(0, 2)))
+        p = p + mono
+    return p
 
 
 @st.composite
 def loop_elements(draw, frame):
     """A LoopElement on V(g^f) with small monomials and coefficients of
-    mixed denominators."""
+    mixed denominators, and over Q(p) of mixed parameters."""
     ctx = frame.w_ctx
+    values = ring_values(frame.ring)
     el = LoopElement(frame, ctx)
     for _ in range(draw(st.integers(1, 5))):
-        p = ctx.zero()
-        for _ in range(draw(st.integers(1, 3))):
-            mono = ctx.const(draw(st.sampled_from(MIXED)))
-            for _ in range(draw(st.integers(0, 2))):
-                mono = mono * ctx.gen(draw(st.integers(0, ctx.ngens - 1)),
-                                      draw(st.integers(0, 2)))
-            p = p + mono
         el.add_term(draw(st.integers(0, len(frame.basis) - 1)),
-                    draw(st.integers(-1, 1)), p)
+                    draw(st.integers(-1, 1)), random_poly(draw, ctx, values, 1))
     return el
 
 
@@ -495,98 +595,57 @@ def test_one_representation_per_ring(name, window, kind, request):
     assert {type(c) for c in found} == {kind}
 
 
-@pytest.mark.parametrize("name", ["sl3_min", "sl3_iso", "sl4_short"])
+@pytest.mark.parametrize("name", ["sl3_min", "sl3_iso", "sl4_short",
+                                  "sl4_generic"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_q_bracket_matches_scalar_oracle(name, data, request):
-    """The integer-numerator kernel over Q equals the LoopElement bracket in
-    Fraction arithmetic, drops what cancels, and builds every coefficient in
-    canonical form."""
+    """The numerator kernel's bracket and derivative equal the
+    coefficient-wise ones, over Q and over Q(c, s1, s2), drop what cancels,
+    and build every coefficient in canonical form."""
     fr = request.getfixturevalue(name).frame
     X = data.draw(loop_elements(fr))
     Y = data.draw(loop_elements(fr))
     degs = sorted(X.degree_of(a) + Y.degree_of(b)
                   for a in X.terms for b in Y.terms)
-    iX, iY = IntLoop.of(X), IntLoop.of(Y)
+    nX, nY = NumLoop.of(X), NumLoop.of(Y)
     for max_deg in (None, degs[len(degs) // 2]):
-        got = iX.bracket(iY, max_deg).to_loop()
-        assert got.terms == X.bracket(Y, max_deg).terms
+        got = nX.bracket(nY, max_deg).to_loop()
+        assert got.terms == loop_bracket(X, Y, max_deg).terms
         assert_canonical(got.terms.values())
-    assert not iX.bracket(iX).terms
-    assert not X.bracket(X).terms
-
-
-@pytest.mark.parametrize("name, window", [
-    ("sl3_min", 6), ("sl3_iso", 4), ("sl4_short", 5),
-])
-def test_solve_dressing_same_on_scalar_path(name, window, request,
-                                            monkeypatch):
-    """solve_dressing and its oracle agree term for term, with canonical
-    coefficients, whether they run in integer numerators over Q or in
-    LoopElements with Fraction coefficients throughout (the path Scalars
-    over Q(p) take): brackets, sums, derivatives, scales, and _lin_comb on
-    the slice matrices."""
-    fr = request.getfixturevalue(name).frame
-    lin_combs = []
-
-    def counted(row, coeffs):
-        lin_combs.append(1)
-        return _lin_comb(row, coeffs)
-
-    def refused(*args):
-        raise AssertionError("an IntLoop on the LoopElement path")
-
-    monkeypatch.setattr(hierarchy, "_lin_comb", counted)
-    runs = []
-    for scalar_path in (False, True):
-        if scalar_path:
-            monkeypatch.setattr(hierarchy, "_int_form", lambda frame: False)
-            monkeypatch.setattr(IntLoop, "__init__", refused)
-        lin_combs.clear()
-        U, h, _ = solve_dressing(fr, window)
-        assert not dressing_defect(fr, U, h, window)
-        assert bool(lin_combs) == scalar_path
-        for parts in (U, h):
-            for el in parts.values():
-                assert_canonical(el.terms.values())
-        runs.append([{d: el.terms for d, el in parts.items()}
-                     for parts in (U, h)])
-    assert runs[0] == runs[1]
+    got = nX.derivative().to_loop()
+    assert got.terms == loop_derivative(X).terms
+    assert_canonical(got.terms.values())
+    assert not nX.bracket(nX).terms
+    assert not loop_bracket(X, X).terms
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_int_rows_match_lin_comb(data):
-    """A slice matrix applied as integer rows gives the DiffPolys of
-    _lin_comb, with canonical coefficients: rows of mixed denominators,
-    zero rows, zero entries and coefficients, and rows whose contributions
-    cancel."""
-    ctx = Context(Q, ["u", "v"])
+    """A slice matrix applied as numerator rows gives the DiffPolys of
+    lin_comb, with canonical coefficients, over Q and over Q(c): rows of
+    mixed denominators, zero rows, zero entries and coefficients, and rows
+    whose contributions cancel."""
+    ring = data.draw(st.sampled_from([Q, QC]))
+    values = ring_values(ring)
+    ctx = Context(ring, ["u", "v"])
     n = data.draw(st.integers(1, 4))
-    coeffs = []
-    for _ in range(n):
-        p = ctx.zero()
-        for _ in range(data.draw(st.integers(0, 3))):
-            mono = ctx.const(data.draw(st.sampled_from(MIXED)))
-            for _ in range(data.draw(st.integers(0, 2))):
-                mono = mono * ctx.gen(data.draw(st.integers(0, 1)),
-                                      data.draw(st.integers(0, 2)))
-            p = p + mono
-        coeffs.append(p)
-    entry = st.sampled_from(MIXED + [F(0)])
-    rows = [[Q.const(data.draw(entry)) for _ in range(n)]
+    coeffs = [random_poly(data.draw, ctx, values) for _ in range(n)]
+    entry = st.sampled_from(values + [ring.zero()])
+    rows = [[data.draw(entry) for _ in range(n)]
             for _ in range(data.draw(st.integers(0, 3)))]
-    rows.append([Q.zero()] * n)
+    rows.append([ring.zero()] * n)
     vanish = [len(rows) - 1]
     if n > 1:  # coeffs[1] a multiple of coeffs[0], weighted to cancel it
-        q = data.draw(st.sampled_from(MIXED))
-        c = data.draw(st.sampled_from(MIXED))
+        q = data.draw(st.sampled_from(values))
+        c = data.draw(st.sampled_from(values))
         coeffs[1] = coeffs[0].scale(q)
-        rows.append([Q.const(c), Q.const(-c / q)] + [Q.zero()] * (n - 2))
+        rows.append([c, -c / q] + [ring.zero()] * (n - 2))
         vanish.append(len(rows) - 1)
-    got = _apply_int_rows(_int_rows(rows), [_int_poly(p) for p in coeffs])
-    got = [_fraction_poly(ctx, t) for t in got]
-    assert got == [_lin_comb(row, coeffs) for row in rows]
+    got = _apply_rows(_num_rows(rows), [poly_pair(p) for p in coeffs])
+    got = [pair_poly(ctx, t) for t in got]
+    assert got == [lin_comb(row, coeffs) for row in rows]
     assert_canonical(got)
     assert not any(got[i] for i in vanish)
 
@@ -600,10 +659,10 @@ def test_scale_by_zero_keeps_no_zero_term(sl3_min):
     zero = z.scale(0)
     for el in (zero, -zero, zero - zero, z.scale(fr.ring.zero()), z - z):
         assert not el and el.terms == {}
-    iz = IntLoop.of(z)
-    for el in (iz.scale(0), -iz.scale(0), iz - iz, iz.derivative()):
+    nz = NumLoop.of(z)
+    for el in (nz.scale(0), -nz.scale(0), nz - nz, nz.derivative()):
         assert not el and el.terms == {}
-    assert iz.scale(F(-2, 3)).to_loop().terms == z.scale(F(-2, 3)).terms
+    assert nz.scale(F(-2, 3)).to_loop().terms == z.scale(F(-2, 3)).terms
 
 
 # ---------------------------------------------------------------------------

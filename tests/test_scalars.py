@@ -207,6 +207,37 @@ def test_distinct_rings_rejected_on_every_path():
                 u - v
 
 
+# each entry point, and the coefficient it stores for c
+ENTRY_POINTS = {
+    "context_const": lambda ctx, g, c: ctx.const(c).const_term(),
+    "context_linear": lambda ctx, g, c: ctx.linear([1, c]).terms[((1, 0),)],
+    "diffpoly_scale": lambda ctx, g, c: ctx.gen(0).scale(c).terms[((0, 0),)],
+    "lie_parse": lambda ctx, g, c: g.parse({"E12": c})[g.labels.index("E12")],
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("ring", [Q, ParamRing(["c"])], ids=["Q", "Qc"])
+def test_scalar_entry_points_refuse_foreign_rings(entry, ring):
+    """Context.const, Context.linear, DiffPoly.scale and LieAlgebra.parse
+    take rationals and Scalars of their own ring (or an equal one), and
+    refuse a Scalar of another parameter ring."""
+    from wds import build_sl
+    from wds.diffpoly import Context
+    ctx = Context(ring, ["u", "v"])
+    g = build_sl(2, params=ring.names)
+    call = ENTRY_POINTS[entry]
+    own = [Fraction(2, 3), 5]
+    if ring.nvars:
+        own += [ring.param("c"), ParamRing(["c"]).param("c") + 1]
+    for c in own:
+        got = call(ctx, g, c)
+        assert got == ring.coerce(c) and type(got) is type(ring.one())
+    for foreign in (ParamRing(["a"]).param("a"), ParamRing(["a"]).const(2)):
+        with pytest.raises(ValueError, match="different parameter rings"):
+            call(ctx, g, foreign)
+
+
 # -- the monomial split of mp_gcd against the primitive PRS ----------------
 #
 # mp_gcd splits off the monomial content x^m of its operands before the
