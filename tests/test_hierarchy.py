@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wds import linalg
+from wds import MINIMAL, SHORT, GradedSetup, build_sl, linalg
 from wds.diffpoly import Context, DiffPoly
 from wds.hierarchy import (HDecomposition, InvalidCenter, LoopElement,
                            NotSemisimple, NumLoop, WindowOverflow,
@@ -448,6 +448,48 @@ def test_incremental_solve_matches_reexpansion(name, window, request):
     U_low, h_low, _ = cfg.dressing(window - 2)
     assert_parts_equal(U_low, {d: u for d, u in U.items() if d <= window - 1})
     assert_parts_equal(h_low, {d: v for d, v in h.items() if d <= window - 2})
+
+
+SPECS = {
+    "sl3_min": (3, {"E31": 1}, MINIMAL, None),
+    "sl3_iso": (3, {"E31": 1}, MINIMAL, {"E12": 1, "E23": 1}),
+    "sl4_short": (4, {"E31": 1, "E42": 1}, SHORT, None),
+}
+
+
+def frame_over_qa(name):
+    """The reduction frame of the fixture `name`, built over Q(a) with the
+    parameter a unused: every constant a Scalar of Q(a)."""
+    n, f_labels, kind, s = SPECS[name]
+    g = build_sl(n, params=["a"])
+    setup = GradedSetup(g, g.parse(f_labels), kind)
+    if s is None:
+        return ReductionFrame(setup, setup.e)
+    return ReductionFrame(setup, g.parse(s), isotropic=True)
+
+
+@pytest.mark.parametrize("name, window", [
+    ("sl3_min", 6), ("sl3_iso", 4), ("sl4_short", 5),
+])
+def test_solve_dressing_same_on_scalar_path(name, window, request):
+    """solve_dressing agrees term for term, with canonical coefficients,
+    whether the numerator kernel runs on integer numerators over Q or on
+    Scalar numerators over Q(a) (the path every parameter ring takes), for
+    the same reduction with a unused."""
+    U, h, _ = request.getfixturevalue(name).dressing(window)
+    fr = frame_over_qa(name)
+    ring = fr.ring
+    U_a, h_a, _ = solve_dressing(fr, window)
+    assert U and h and not dressing_defect(fr, U_a, h_a, window)
+    for parts, parts_a in ((U, U_a), (h, h_a)):
+        assert parts.keys() == parts_a.keys()
+        for deg, el in parts.items():
+            got = parts_a[deg].terms
+            assert got.keys() == el.terms.keys(), deg
+            for key, p in el.terms.items():
+                assert got[key].terms == {
+                    m: ring.const(c) for m, c in p.terms.items()}, (deg, key)
+            assert_canonical(got.values())
 
 
 def test_unprojected_solve_matches_projection(sl3_min):
