@@ -147,16 +147,6 @@ class LoopElement(_Loop):
             parts.append(f"{self.frame.labels[i]}{zs} (x) [{p}]")
         return " + ".join(parts)
 
-    def to_json(self) -> list:
-        return [
-            {
-                "basis": self.frame.labels[i],
-                "z_power": k,
-                "coeff": self.terms[(i, k)].to_json(),
-            }
-            for (i, k) in sorted(self.terms)
-        ]
-
 
 # ---------------------------------------------------------------------------
 # loop elements in numerator form, over Q and over Q(p)

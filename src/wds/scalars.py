@@ -7,15 +7,23 @@ lexicographically ordered tuple of parameter names.  Canonical form:
 gcd(num, den) = 1 and den monic under graded-lex monomial order, so
 equality of values is equality of representations.  Fraction and Scalar
 share the operations the engine uses: + - * /, ==, bool and str.
+
+Every canonical quotient pays one polynomial gcd (`mp_gcd`).  It splits off
+the shared monomial, then runs the heuristic gcd over Z of Char, Geddes and
+Gonnet (1989), which accepts a candidate only when it divides both operands
+exactly, and falls back to the primitive PRS (`mp_gcd_prs`) when the
+heuristic gives up.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
 Expo = tuple  # exponent tuple, one entry per parameter
 MP = dict  # sparse polynomial {exponent tuple: Fraction}
+ZP = dict  # sparse integer polynomial {exponent tuple: int}
 
 
 class ParamRing:
@@ -218,8 +226,9 @@ def mp_gcd(a: MP, b: MP) -> MP:
     The monomial part is split off first: x^m, with m the componentwise
     minimum exponent over both operands, is the gcd when either operand is a
     single term, and otherwise multiplies the gcd of the two monomial-free
-    parts (`mp_gcd_prs`).  A monomial factor keeps grlex leading terms, so
-    the result is monic.
+    parts.  That gcd comes from the heuristic gcd over Z (`_heu_gcd`), and
+    from the primitive PRS (`mp_gcd_prs`) when the heuristic gives up.  A
+    monomial factor keeps grlex leading terms, so the result is monic.
     """
     if not a or not b:
         return mp_gcd_prs(a, b)
@@ -231,10 +240,113 @@ def mp_gcd(a: MP, b: MP) -> MP:
         a = _mono_shift(a, ma)
     if any(mb):
         b = _mono_shift(b, mb)
-    g = mp_gcd_prs(a, b)
+    g = _heu_gcd(_zz_clear(a), _zz_clear(b), len(m) - 1)
+    if g is None:
+        g = mp_gcd_prs(a, b)
+    else:
+        g = _mp_monic({e: Fraction(c) for e, c in g.items()})
     if any(m):
         g = {tuple(x + y for x, y in zip(e, m)): c for e, c in g.items()}
     return g
+
+
+# -- the heuristic gcd over Z (GCDHEU; Char, Geddes and Gonnet, 1989) ------
+#
+# Evaluating the main variable at an integer xi maps a gcd problem over Z
+# to one in a variable fewer, down to an integer gcd; the symmetric xi-adic
+# digits of that gcd, read as coefficients of the main variable, give a
+# candidate.  For xi >= 2 min(|a|, |b|) + 2 (max norms of the primitive
+# parts; the code adds 29), a candidate that divides both primitive parts is
+# their gcd.  That needs the evaluated gcd to be the whole gcd of the
+# evaluated polynomials, integer content included, so each level returns
+# its content with it; a constant candidate needs no division check.
+
+_HEU_TRIES = 6
+
+
+def _zz_clear(a: MP) -> ZP:
+    """The integer polynomial L*a, for L the lcm of a's denominators."""
+    lcm = math.lcm(*(c.denominator for c in a.values()))
+    return {e: c.numerator * (lcm // c.denominator) for e, c in a.items()}
+
+
+def _heu_gcd(a: ZP, b: ZP, v: int) -> ZP | None:
+    """The gcd over Z of integer polynomials a, b in variables 0..v, not
+    both zero, with the gcd of their contents as its content (sign free);
+    None when the heuristic gives up."""
+    if not a or not b:  # an evaluation at xi can vanish
+        return a or b
+    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
+    c = math.gcd(ca, cb)
+    if mp_is_const(a) or mp_is_const(b):
+        return {(0,) * len(next(iter(a))): c}
+    while not any(e[v] for e in a) and not any(e[v] for e in b):
+        v -= 1
+    if ca != 1:
+        a = {e: x // ca for e, x in a.items()}
+    if cb != 1:
+        b = {e: x // cb for e, x in b.items()}
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        g = _heu_gcd(_zz_eval(a, v, xi), _zz_eval(b, v, xi), v - 1)
+        if g is None:
+            return None
+        g = _zz_interp(g, v, xi)
+        if mp_is_const(g) or (_zz_divides(a, g) and _zz_divides(b, g)):
+            return {e: c * x for e, x in g.items()} if c != 1 else g
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _zz_eval(a: ZP, v: int, xi: int) -> ZP:
+    """a with variable v set to xi (its exponent becomes 0)."""
+    out: ZP = {}
+    for e, c in a.items():
+        k = e[v]
+        if k:
+            c *= xi**k
+            e = e[:v] + (0,) + e[v + 1 :]
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _zz_interp(g: ZP, v: int, xi: int) -> ZP:
+    """The primitive part of the polynomial whose coefficients in variable v
+    are the symmetric xi-adic digits of g's coefficients."""
+    half = xi // 2
+    out: ZP = {}
+    for e, c in g.items():
+        k = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[e[:v] + (k,) + e[v + 1 :]] = d
+            c = (c - d) // xi
+            k += 1
+    cont = math.gcd(*out.values())
+    return {e: d // cont for e, d in out.items()} if cont != 1 else out
+
+
+def _zz_divides(a: ZP, g: ZP) -> bool:
+    """Whether g divides a over Z: division by lex leading terms."""
+    eg, cg = max(g.items())
+    rem = dict(a)
+    while rem:
+        ea = max(rem)
+        de = tuple(x - y for x, y in zip(ea, eg))
+        q, r = divmod(rem[ea], cg)
+        if r or min(de) < 0:
+            return False
+        for e, c in g.items():
+            e = tuple(x + y for x, y in zip(e, de))
+            x = rem.get(e, 0) - q * c
+            if x:
+                rem[e] = x
+            else:
+                del rem[e]
+    return True
 
 
 def mp_gcd_prs(a: MP, b: MP) -> MP:

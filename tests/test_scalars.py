@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wds import scalars as scalars_mod
-from wds.scalars import (ParamRing, Q, Scalar, mp_add, mp_div_exact, mp_gcd,
-                         mp_gcd_prs, mp_leading, mp_mul)
+from wds.scalars import (ParamRing, Q, Scalar, _mp_monic, mp_add, mp_div_exact,
+                         mp_gcd, mp_gcd_prs, mp_leading, mp_mul, mp_neg)
 
 
 def test_rational_arithmetic():
@@ -129,8 +129,8 @@ def assert_same(got, want):
 
 
 @st.composite
-def polys(draw, ring):
-    expos = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+def polys(draw, ring, degree=2):
+    expos = st.tuples(*[st.integers(0, degree)] * ring.nvars)
     terms = draw(st.dictionaries(expos, small, min_size=1, max_size=3))
     return {e: c for e, c in terms.items() if c}
 
@@ -238,12 +238,13 @@ def test_scalar_entry_points_refuse_foreign_rings(entry, ring):
             call(ctx, g, foreign)
 
 
-# -- the monomial split of mp_gcd against the primitive PRS ----------------
+# -- mp_gcd against the primitive PRS --------------------------------------
 #
-# mp_gcd splits off the monomial content x^m of its operands before the
-# pseudo-remainder sequence.  The oracle is mp_gcd_prs with its own
-# recursion (the contents of the coefficients) routed back into itself, so
-# no part of it goes through the split.
+# mp_gcd splits off the monomial content x^m of its operands, then takes the
+# gcd of the two monomial-free parts by the heuristic gcd over Z, and by the
+# primitive PRS when the heuristic gives up.  The oracle is mp_gcd_prs with
+# its own recursion (the contents of the coefficients) routed back into
+# itself, so no part of it goes through the split or the heuristic.
 
 GCD_RINGS = [ParamRing(["x", "y"]), ParamRing(["c", "s1", "s2"])]
 
@@ -290,6 +291,92 @@ def test_gcd_monomial_split_matches_prs(data):
     if len(a) == 1 or len(b) == 1:
         m = tuple(min(e[i] for e in (*a, *b)) for i in range(ring.nvars))
         assert g == {m: 1}
+
+
+# The heuristic on wider inputs: coefficients up to 10^6 over denominators
+# up to 60, so that an evaluated gcd spans several xi-adic digits; negative
+# leading coefficients; a shared factor in every variable; a one-variable
+# ring.
+
+HEU_RINGS = [ParamRing(["t"]), ParamRing(["x", "y"]), ParamRing(["c", "s1", "s2"])]
+wide = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60)
+
+
+@st.composite
+def wide_polys(draw, ring, every_variable=False):
+    """Two or three terms of degree <= 2 in each variable, coefficients from
+    `wide`, a negative leading coefficient half the time; with
+    every_variable, each variable of the ring occurs."""
+    expos = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    p = draw(st.dictionaries(expos, wide.filter(bool), min_size=2, max_size=3)
+             .filter(lambda p: not every_variable
+                     or all(any(e[i] for e in p) for i in range(ring.nvars))))
+    if (mp_leading(p)[1] > 0) == draw(st.booleans()):
+        p = mp_neg(p)
+    return p
+
+
+def assert_gcd(a, b, want):
+    """mp_gcd(a, b) is the monic `want`, and so is the heuristic alone on
+    the integer forms of a and b, monomial factors included."""
+    assert mp_gcd(a, b) == want
+    assert mp_leading(want)[1] == 1
+    nv = len(next(iter(a)))
+    h = scalars_mod._heu_gcd(scalars_mod._zz_clear(a), scalars_mod._zz_clear(b),
+                             nv - 1)
+    if h is not None:
+        assert _mp_monic({e: Fraction(c) for e, c in h.items()}) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_gcd_heuristic_matches_prs(data):
+    ring = data.draw(st.sampled_from(HEU_RINGS))
+    shared = data.draw(wide_polys(ring, every_variable=True))
+    a, b = (mp_mul(shared, data.draw(st.one_of(wide_polys(ring), monomials(ring))))
+            for _ in range(2))
+    want = gcd_oracle(a, b)
+    assert mp_div_exact(want, _mp_monic(shared))
+    assert_gcd(a, b, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gcd_of_symbolic_denominators(data):
+    """Products c^k (s1 - s2)^m s2^n, the denominators of the symbolic sl4
+    short hierarchy over Q(c, s1, s2): exponents up to 3 alone, and up to
+    2 times a small polynomial of degree <= 1 in each variable (larger ones
+    stall the PRS oracle)."""
+    ring = GCD_RINGS[1]
+    c, s1, s2 = (ring.param(n).num for n in ring.names)
+    diff = mp_add(s1, mp_neg(s2))
+
+    def denominator(k, m, n):
+        out = {ring._zero_expo: Fraction(1)}
+        for p, e in ((c, k), (diff, m), (s2, n)):
+            for _ in range(e):
+                out = mp_mul(out, p)
+        return out
+
+    ks = [data.draw(st.tuples(*[st.integers(0, 3)] * 3)) for _ in range(2)]
+    a, b = (denominator(*k) for k in ks)
+    assert_gcd(a, b, denominator(*map(min, *ks)))
+    ks = [data.draw(st.tuples(*[st.integers(0, 2)] * 3)) for _ in range(2)]
+    a, b = (mp_mul(denominator(*k), data.draw(polys(ring, degree=1).filter(bool)))
+            for k in ks)
+    assert_gcd(a, b, gcd_oracle(a, b))
+
+
+def test_gcd_falls_back_to_prs():
+    """When the heuristic gives up, mp_gcd returns the PRS gcd."""
+    r = GCD_RINGS[1]
+    c, s1, s2 = (r.param(n) for n in r.names)
+    a = ((s1 - s2) * (s1 - s2) * c * (s2 + 3)).num
+    b = ((s1 - s2) * c * c * (c * s1 + 2)).num
+    with mock.patch.object(scalars_mod, "_heu_gcd", return_value=None) as heu:
+        got = mp_gcd(a, b)
+    assert heu.called
+    assert got == gcd_oracle(a, b) == ((s1 - s2) * c).num
 
 
 @settings(max_examples=100, deadline=None)
