@@ -294,6 +294,7 @@ def _heu_gcd(a: ZP, b: ZP, v: int) -> ZP | None:
         g = _zz_interp(g, v, xi)
         if mp_is_const(g) or (_zz_divides(a, g) and _zz_divides(b, g)):
             return {e: c * x for e, x in g.items()} if c != 1 else g
+        # a larger xi, by the paper's odd factor 73794/27011 and xi^(1/4)
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
