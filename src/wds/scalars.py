@@ -2,17 +2,24 @@
 
 A ParamRing with no parameters is Q: its constants are plain Fractions.
 Over k >= 1 parameters they are Scalars, quotients num/den of sparse
-multivariate polynomials with Fraction coefficients over a fixed,
+multivariate polynomials with integer coefficients over a fixed,
 lexicographically ordered tuple of parameter names.  Canonical form:
-gcd(num, den) = 1 and den monic under graded-lex monomial order, so
+gcd(num, den) = 1 in Z[p], so their integer contents are coprime too, and
+den has a positive leading coefficient under graded-lex monomial order;
 equality of values is equality of representations.  Fraction and Scalar
-share the operations the engine uses: + - * /, ==, bool and str.
+share the operations the engine uses: + - * /, ==, bool and str.  `str`
+prints the quotient with a monic denominator over Q.
 
-Every canonical quotient pays one polynomial gcd (`mp_gcd`).  It splits off
-the shared monomial, then runs the heuristic gcd over Z of Char, Geddes and
-Gonnet (1989), which accepts a candidate only when it divides both operands
-exactly, and falls back to the primitive PRS (`mp_gcd_prs`) when the
-heuristic gives up.
+Sums follow Henrici (1956; Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(d, e),
+a/d + b/e = (t/g2) / ((d/g)(e/g2)) for t = a(e/g) + b(d/g) and
+g2 = gcd(t, g), with no gcd of t when g = 1.  Products cancel across,
+a/d * b/e = (a/g1)(b/g2) / ((d/g2)(e/g1)) for g1 = gcd(a, e) and
+g2 = gcd(b, d), and a product with a rational needs only integer gcds.
+
+Every gcd is `mp_gcd`.  It splits off the shared monomial, then runs the
+heuristic gcd over Z of Char, Geddes and Gonnet (1989), which accepts a
+candidate only when it divides both operands exactly, and falls back to
+the subresultant PRS (`mp_gcd_prs`) when the heuristic gives up.
 """
 
 from __future__ import annotations
@@ -22,20 +29,20 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 Expo = tuple  # exponent tuple, one entry per parameter
-MP = dict  # sparse polynomial {exponent tuple: Fraction}
-ZP = dict  # sparse integer polynomial {exponent tuple: int}
+MP = dict  # sparse polynomial {exponent tuple: int}
 
 
 class ParamRing:
     """A fixed ordered set of parameter names (possibly empty): Q(names)."""
 
-    __slots__ = ("names", "nvars", "_zero_expo", "_zero", "_one")
+    __slots__ = ("names", "nvars", "_zero_expo", "_unit", "_zero", "_one")
 
     def __init__(self, names: Iterable[str] = ()):
         ordered = tuple(sorted(set(names)))
         self.names = ordered
         self.nvars = len(ordered)
         self._zero_expo = (0,) * self.nvars
+        self._unit = {self._zero_expo: 1}  # the polynomial 1
         # elements are never mutated, so 0 and 1 are built once and shared
         self._zero, self._one = self.const(0), self.const(1)
 
@@ -61,8 +68,10 @@ class ParamRing:
         q = Fraction(q)
         if not self.nvars:
             return q
-        num = {self._zero_expo: q} if q else {}
-        return Scalar(self, num, {self._zero_expo: Fraction(1)}, True)
+        if not q:
+            return Scalar(self, {}, self._unit, True)
+        return Scalar(self, {self._zero_expo: q.numerator},
+                      {self._zero_expo: q.denominator}, True)
 
     def coerce(self, c) -> Scalar | Fraction:
         """c in this ring: a Scalar of this ring as it is, a rational through
@@ -76,7 +85,7 @@ class ParamRing:
     def param(self, name: str) -> "Scalar":
         i = self.names.index(name)
         expo = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Scalar(self, {expo: Fraction(1)}, {self._zero_expo: Fraction(1)}, True)
+        return Scalar(self, {expo: 1}, self._unit, True)
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +115,17 @@ def mp_add(a: MP, b: MP) -> MP:
 def mp_neg(a: MP) -> MP:
     return {e: -c for e, c in a.items()}
 
+
 def mp_mul(a: MP, b: MP) -> MP:
     if not a or not b:
         return {}
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:  # a monomial factor: one pass, no collisions
+        (eb, cb), = b.items()
+        if not any(eb):
+            return a if cb == 1 else {e: c * cb for e, c in a.items()}
+        return {tuple(x + y for x, y in zip(e, eb)): c * cb for e, c in a.items()}
     out: MP = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -125,13 +142,25 @@ def mp_mul(a: MP, b: MP) -> MP:
     return out
 
 
+def _mp_pow(a: MP, k: int) -> MP:
+    out = {(0,) * len(next(iter(a))): 1}
+    for _ in range(k):
+        out = mp_mul(out, a)
+    return out
+
+
 def mp_is_const(a: MP) -> bool:
     return len(a) == 0 or (len(a) == 1 and not any(next(iter(a))))
 
 
-def mp_leading(a: MP) -> tuple[Expo, Fraction]:
+def mp_leading(a: MP) -> tuple[Expo, int]:
     e = max(a, key=_grlex_key)
     return e, a[e]
+
+
+def _positive(a: MP) -> MP:
+    """a or -a, whichever has a positive leading coefficient."""
+    return mp_neg(a) if a and mp_leading(a)[1] < 0 else a
 
 
 def _min_expo(a: MP) -> Expo:
@@ -144,107 +173,76 @@ def _mono_shift(a: MP, m: Expo) -> MP:
     return {tuple(x - y for x, y in zip(e, m)): c for e, c in a.items()}
 
 
-def mp_div_exact(a: MP, b: MP) -> MP:
-    """Exact division a / b; raises ArithmeticError if not divisible."""
+def mp_quo(a: MP, b: MP) -> MP | None:
+    """a / b over Z when b divides a, else None; b nonzero.
+
+    Division by lex leading terms.  A quotient term whose degree in some
+    variable exceeds deg(a) - deg(b) in that variable shows that b does not
+    divide a; the check also bounds the number of steps."""
     if not a:
         return {}
-    if len(b) == 1:  # a monomial divisor: one pass over the exponents
+    if len(b) == 1:  # a monomial divisor: one pass over the terms
         (eb, cb), = b.items()
         if any(x < y for x, y in zip(_min_expo(a), eb)):
-            raise ArithmeticError("inexact polynomial division")
-        return {e: c / cb for e, c in _mono_shift(a, eb).items()}
-    eb, cb = mp_leading(b)
+            return None
+        out: MP = {}
+        for e, c in a.items():
+            q, r = divmod(c, cb)
+            if r:
+                return None
+            out[tuple(x - y for x, y in zip(e, eb))] = q
+        return out
+    bound = [x - y for x, y in zip(map(max, zip(*a)), map(max, zip(*b)))]
+    eb, cb = max(b.items())
     rem = dict(a)
     quo: MP = {}
     while rem:
-        ea, ca = mp_leading(rem)
+        ea = max(rem)
         de = tuple(x - y for x, y in zip(ea, eb))
-        if any(x < 0 for x in de):
-            raise ArithmeticError("inexact polynomial division")
-        q = ca / cb
-        quo[de] = quo.get(de, Fraction(0)) + q
-        rem = mp_add(rem, mp_neg(mp_mul({de: q}, b)))
-    return {e: c for e, c in quo.items() if c}
+        q, r = divmod(rem[ea], cb)
+        if r or any(x < 0 or x > m for x, m in zip(de, bound)):
+            return None
+        quo[de] = q
+        for e, c in b.items():
+            e = tuple(x + y for x, y in zip(e, de))
+            x = rem.get(e, 0) - q * c
+            if x:
+                rem[e] = x
+            else:
+                del rem[e]
+    return quo
 
 
-def _degree_in(a: MP, v: int) -> int:
-    return max((e[v] for e in a), default=-1)
-
-
-def _to_uni(a: MP, v: int) -> list[MP]:
-    """View a as a polynomial in variable v with MP coefficients."""
-    d = _degree_in(a, v)
-    coeffs: list[MP] = [{} for _ in range(d + 1)]
-    for e, c in a.items():
-        rest = e[:v] + (0,) + e[v + 1 :]
-        coeffs[e[v]][rest] = coeffs[e[v]].get(rest, Fraction(0)) + c
-    return [{e: c for e, c in p.items() if c} for p in coeffs]
-
-
-def _from_uni(coeffs: list[MP], v: int) -> MP:
-    out: MP = {}
-    for k, p in enumerate(coeffs):
-        for e, c in p.items():
-            ee = e[:v] + (k,) + e[v + 1 :]
-            out[ee] = out.get(ee, Fraction(0)) + c
-    return {e: c for e, c in out.items() if c}
-
-
-def _uni_trim(p: list[MP]) -> list[MP]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _uni_prem(a: list[MP], b: list[MP]) -> list[MP]:
-    """Pseudo-remainder of a by b (univariate over MP coefficients)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _uni_trim(a):
-        da, la = len(a) - 1, a[-1]
-        a = [mp_mul(c, lb) for c in a]
-        shift = da - db
-        for i, c in enumerate(b):
-            a[i + shift] = mp_add(a[i + shift], mp_neg(mp_mul(c, la)))
-        _uni_trim(a)
-        if len(a) - 1 == da and a:  # no progress should be impossible
-            raise ArithmeticError("pseudo-division failed")
-    return a
-
-
-def _content(p: list[MP]) -> MP:
-    g: MP = {}
-    for c in p:
-        if c:
-            g = mp_gcd(g, c)
-    return g
+def _zz_clear(a: MP) -> tuple[MP, int]:
+    """(L*a, L) for a polynomial a with rational coefficients, L the lcm of
+    their denominators."""
+    lcm = math.lcm(*(c.denominator for c in a.values()))
+    return {e: int(c * lcm) for e, c in a.items()}, lcm
 
 
 def mp_gcd(a: MP, b: MP) -> MP:
-    """Monic gcd over Q; returns {(): 1}-style unit for coprime input.
+    """The gcd in Z[p] of a and b, not both zero, with a positive leading
+    coefficient; its integer content is the gcd of theirs.
 
     The monomial part is split off first: x^m, with m the componentwise
-    minimum exponent over both operands, is the gcd when either operand is a
-    single term, and otherwise multiplies the gcd of the two monomial-free
-    parts.  That gcd comes from the heuristic gcd over Z (`_heu_gcd`), and
-    from the primitive PRS (`mp_gcd_prs`) when the heuristic gives up.  A
-    monomial factor keeps grlex leading terms, so the result is monic.
+    minimum exponent over both operands, times the gcd of all coefficients
+    is the gcd when either operand is a single term, and otherwise
+    multiplies the gcd of the two monomial-free parts.  That gcd comes from
+    the heuristic gcd over Z (`_heu_gcd`), and from the subresultant PRS
+    (`mp_gcd_prs`) when the heuristic gives up.
     """
     if not a or not b:
-        return mp_gcd_prs(a, b)
+        return _positive(a or b)
     ma, mb = _min_expo(a), _min_expo(b)
     m = tuple(map(min, ma, mb))
     if len(a) == 1 or len(b) == 1:
-        return {m: Fraction(1)}
+        return {m: math.gcd(*a.values(), *b.values())}
     if any(ma):
         a = _mono_shift(a, ma)
     if any(mb):
         b = _mono_shift(b, mb)
-    g = _heu_gcd(_zz_clear(a), _zz_clear(b), len(m) - 1)
-    if g is None:
-        g = mp_gcd_prs(a, b)
-    else:
-        g = _mp_monic({e: Fraction(c) for e, c in g.items()})
+    g = _heu_gcd(a, b, len(m) - 1)
+    g = mp_gcd_prs(a, b) if g is None else _positive(g)
     if any(m):
         g = {tuple(x + y for x, y in zip(e, m)): c for e, c in g.items()}
     return g
@@ -264,13 +262,7 @@ def mp_gcd(a: MP, b: MP) -> MP:
 _HEU_TRIES = 6
 
 
-def _zz_clear(a: MP) -> ZP:
-    """The integer polynomial L*a, for L the lcm of a's denominators."""
-    lcm = math.lcm(*(c.denominator for c in a.values()))
-    return {e: c.numerator * (lcm // c.denominator) for e, c in a.items()}
-
-
-def _heu_gcd(a: ZP, b: ZP, v: int) -> ZP | None:
+def _heu_gcd(a: MP, b: MP, v: int) -> MP | None:
     """The gcd over Z of integer polynomials a, b in variables 0..v, not
     both zero, with the gcd of their contents as its content (sign free);
     None when the heuristic gives up."""
@@ -292,16 +284,17 @@ def _heu_gcd(a: ZP, b: ZP, v: int) -> ZP | None:
         if g is None:
             return None
         g = _zz_interp(g, v, xi)
-        if mp_is_const(g) or (_zz_divides(a, g) and _zz_divides(b, g)):
+        if mp_is_const(g) or (mp_quo(a, g) is not None
+                              and mp_quo(b, g) is not None):
             return {e: c * x for e, x in g.items()} if c != 1 else g
         # a larger xi, by the paper's odd factor 73794/27011 and xi^(1/4)
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
 
-def _zz_eval(a: ZP, v: int, xi: int) -> ZP:
+def _zz_eval(a: MP, v: int, xi: int) -> MP:
     """a with variable v set to xi (its exponent becomes 0)."""
-    out: ZP = {}
+    out: MP = {}
     for e, c in a.items():
         k = e[v]
         if k:
@@ -311,11 +304,11 @@ def _zz_eval(a: ZP, v: int, xi: int) -> ZP:
     return {e: c for e, c in out.items() if c}
 
 
-def _zz_interp(g: ZP, v: int, xi: int) -> ZP:
+def _zz_interp(g: MP, v: int, xi: int) -> MP:
     """The primitive part of the polynomial whose coefficients in variable v
     are the symmetric xi-adic digits of g's coefficients."""
     half = xi // 2
-    out: ZP = {}
+    out: MP = {}
     for e, c in g.items():
         k = 0
         while c:
@@ -330,75 +323,109 @@ def _zz_interp(g: ZP, v: int, xi: int) -> ZP:
     return {e: d // cont for e, d in out.items()} if cont != 1 else out
 
 
-def _zz_divides(a: ZP, g: ZP) -> bool:
-    """Whether g divides a over Z: division by lex leading terms."""
-    eg, cg = max(g.items())
-    rem = dict(a)
-    while rem:
-        ea = max(rem)
-        de = tuple(x - y for x, y in zip(ea, eg))
-        q, r = divmod(rem[ea], cg)
-        if r or min(de) < 0:
-            return False
-        for e, c in g.items():
-            e = tuple(x + y for x, y in zip(e, de))
-            x = rem.get(e, 0) - q * c
-            if x:
-                rem[e] = x
-            else:
-                del rem[e]
-    return True
+# -- the subresultant PRS over Z[p] (Collins 1967; Brown, J. ACM 18, 1971) -
+#
+# A polynomial is viewed in its main variable v as a list of coefficients
+# in the other variables (exponent tuples with 0 at v), lowest degree first.
+
+
+def _to_uni(a: MP, v: int) -> list[MP]:
+    coeffs: list[MP] = [{} for _ in range(max(e[v] for e in a) + 1)]
+    for e, c in a.items():
+        coeffs[e[v]][e[:v] + (0,) + e[v + 1 :]] = c
+    return coeffs
+
+
+def _from_uni(coeffs: list[MP], v: int) -> MP:
+    return {e[:v] + (k,) + e[v + 1 :]: c
+            for k, p in enumerate(coeffs) for e, c in p.items()}
+
+
+def _uni_prem(a: list[MP], b: list[MP]) -> list[MP]:
+    """The exact pseudo-remainder lc(b)^(deg a - deg b + 1) a mod b, with
+    trailing zero coefficients dropped; deg a >= deg b."""
+    a = list(a)
+    db, lb = len(b) - 1, b[-1]
+    k = len(a) - db
+    while len(a) > db:
+        la, shift = a.pop(), len(a) - db
+        a = [mp_mul(c, lb) for c in a]
+        for i, c in enumerate(b[:-1]):
+            a[i + shift] = mp_add(a[i + shift], mp_neg(mp_mul(c, la)))
+        k -= 1
+        while a and not a[-1]:
+            a.pop()
+    if k and a:
+        f = _mp_pow(lb, k)
+        a = [mp_mul(c, f) for c in a]
+    return a
+
+
+def _content(p: list[MP]) -> MP:
+    """The gcd of the coefficients, positive leading coefficient."""
+    g: MP = {}
+    for c in p:
+        if c:
+            g = mp_gcd_prs(g, c)
+            if mp_is_const(g) and next(iter(g.values())) == 1:
+                break
+    return g
 
 
 def mp_gcd_prs(a: MP, b: MP) -> MP:
-    """Monic gcd over Q by the recursive primitive PRS (Brown, 1971).
+    """The gcd of `mp_gcd`, by the recursive subresultant PRS (Knuth, TAOCP
+    vol. 2, 4.6.1, algorithm C); the contents recurse into mp_gcd_prs.
 
-    The general path of `mp_gcd`, and its oracle in the tests.
+    The fallback of `mp_gcd`, and its oracle in the tests.
     """
-    if not a and not b:
-        return {}
-    if not a:
-        return _mp_monic(b)
-    if not b:
-        return _mp_monic(a)
+    if not a or not b:
+        return _positive(a or b)
     if mp_is_const(a) or mp_is_const(b):
-        e = next(iter(a))
-        return {(0,) * len(e): Fraction(1)}
+        return {(0,) * len(next(iter(a))): math.gcd(*a.values(), *b.values())}
     # main variable: highest index occurring in either
-    nv = len(next(iter(a)))
-    v = max(
-        i for i in range(nv) if _degree_in(a, i) > 0 or _degree_in(b, i) > 0
-    )
+    v = max(i for i, (x, y) in enumerate(zip(map(max, zip(*a)), map(max, zip(*b))))
+            if x or y)
     ua, ub = _to_uni(a, v), _to_uni(b, v)
     ca, cb = _content(ua), _content(ub)
-    pa = [mp_div_exact(c, ca) if c else {} for c in ua]
-    pb = [mp_div_exact(c, cb) if c else {} for c in ub]
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    while any(pb):
-        r = _uni_prem(pa, pb)
-        if not any(r):
-            pa, pb = pb, []
+    u = [mp_quo(c, ca) for c in ua]
+    w = [mp_quo(c, cb) for c in ub]
+    if len(u) < len(w):
+        u, w = w, u
+    g = h = {(0,) * len(next(iter(a))): 1}
+    while len(w) > 1:
+        delta = len(u) - len(w)
+        r = _uni_prem(u, w)
+        if not r:
             break
-        cr = _content(r)
-        pa, pb = pb, [mp_div_exact(c, cr) if c else {} for c in r]
-    cpart = mp_gcd(ca, cb)
-    return _mp_monic(mp_mul(_from_uni(pa, v), cpart))
-
-
-def _mp_monic(a: MP) -> MP:
-    if not a:
-        return a
-    _, lc = mp_leading(a)
-    if lc == 1:
-        return a
-    inv = 1 / lc
-    return {e: c * inv for e, c in a.items()}
+        q = mp_mul(g, _mp_pow(h, delta))
+        u, w = w, [mp_quo(c, q) for c in r]
+        g = u[-1]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = mp_quo(_mp_pow(g, delta), _mp_pow(h, delta - 1))
+    d = mp_gcd_prs(ca, cb)
+    if len(w) == 1:  # the primitive parts are coprime
+        return d
+    return _positive(mp_mul(mp_quo(_from_uni(w, v), _content(w)), d))
 
 
 # ---------------------------------------------------------------------------
 # the field element
 # ---------------------------------------------------------------------------
+
+
+def _cancel(a: MP, b: MP, unit: MP) -> tuple[MP, MP, MP]:
+    """(g, a/g, b/g) for g = mp_gcd(a, b); no gcd is taken when a or b is
+    the polynomial 1 or when a == b."""
+    if a == unit or b == unit:
+        return unit, a, b
+    if a == b:
+        return a, unit, unit
+    g = mp_gcd(a, b)
+    if g == unit:
+        return unit, a, b
+    return g, mp_quo(a, g), mp_quo(b, g)
 
 
 class Scalar:
@@ -407,6 +434,8 @@ class Scalar:
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: ParamRing, num: MP, den: MP, _canonical: bool = False):
+        """num/den for polynomials with rational coefficients, den nonzero;
+        with _canonical, num and den are already in canonical form."""
         self.ring = ring
         if _canonical:
             self.num = num
@@ -416,18 +445,16 @@ class Scalar:
             raise ZeroDivisionError("zero denominator")
         if not num:
             self.num = {}
-            self.den = {ring._zero_expo: Fraction(1)}
+            self.den = ring._unit
             return
-        if not mp_is_const(den):
-            g = mp_gcd(num, den)
-            if not mp_is_const(g):
-                num = mp_div_exact(num, g)
-                den = mp_div_exact(den, g)
-        _, lc = mp_leading(den)
-        if lc != 1:
-            inv = 1 / lc
-            num = {e: c * inv for e, c in num.items()}
-            den = {e: c * inv for e, c in den.items()}
+        (num, ln), (den, ld) = _zz_clear(num), _zz_clear(den)
+        if ld != 1:
+            num = {e: c * ld for e, c in num.items()}
+        if ln != 1:
+            den = {e: c * ln for e, c in den.items()}
+        _, num, den = _cancel(num, den, ring._unit)
+        if mp_leading(den)[1] < 0:
+            num, den = mp_neg(num), mp_neg(den)
         self.num = num
         self.den = den
 
@@ -441,13 +468,30 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------
 
-    # Products with a constant are built directly in canonical form, without
-    # the canonicalising constructor: gcd(q*num, den) = gcd(num, den) = 1,
-    # and den stays monic.
+    # gcd(a, d) = gcd(b, e) = 1 for self = a/d and other = b/e, and d, e
+    # have positive leading coefficients.  A quotient of two polynomials with
+    # positive leading coefficients has one, as has their product, so no
+    # result below needs a sign fix.
 
-    def _scaled(self, q: Fraction) -> "Scalar":
-        return Scalar(self.ring, {e: c * q for e, c in self.num.items()},
-                      self.den, True)
+    def _scaled(self, n: int, d: int) -> "Scalar":
+        """self * n/d, for coprime integers n != 0 and d > 0: only integer
+        gcds with the contents of num and den."""
+        num, den = self.num, self.den
+        if n != 1 and n != -1:
+            g = math.gcd(n, *den.values())
+            if g != 1:
+                n //= g
+                den = {e: c // g for e, c in den.items()}
+        if d != 1:
+            g = math.gcd(d, *num.values())
+            if g != 1:
+                d //= g
+                num = {e: c // g for e, c in num.items()}
+        if n != 1:
+            num = {e: c * n for e, c in num.items()}
+        if d != 1:
+            den = {e: c * d for e, c in den.items()}
+        return Scalar(self.ring, num, den, True)
 
     def __add__(self, other):
         if other.__class__ is not Scalar or other.ring is not self.ring:
@@ -456,10 +500,16 @@ class Scalar:
             return self
         if not self.num:
             return other
-        if self.den == other.den:
-            return Scalar(self.ring, mp_add(self.num, other.num), dict(self.den))
-        num = mp_add(mp_mul(self.num, other.den), mp_mul(other.num, self.den))
-        return Scalar(self.ring, num, mp_mul(self.den, other.den))
+        unit = self.ring._unit
+        a, d, b, e = self.num, self.den, other.num, other.den
+        g, dg, eg = _cancel(d, e, unit)
+        t = mp_add(mp_mul(a, eg), mp_mul(b, dg))
+        if not t:
+            return self.ring._zero
+        g2, t, _ = _cancel(t, g, unit)
+        if g2 != unit:
+            e = mp_quo(e, g2)
+        return Scalar(self.ring, t, mp_mul(dg, e), True)
 
     __radd__ = __add__
 
@@ -478,18 +528,25 @@ class Scalar:
         a, b = self.num, other.num
         if not a or not b:
             return self.ring.zero()
+        z = self.ring._zero_expo
         if other.is_const():
-            return self._scaled(b[self.ring._zero_expo])
+            return self._scaled(b[z], other.den[z])
         if self.is_const():
-            return other._scaled(a[self.ring._zero_expo])
-        return Scalar(self.ring, mp_mul(a, b), mp_mul(self.den, other.den))
+            return other._scaled(a[z], self.den[z])
+        unit = self.ring._unit
+        _, a, e = _cancel(a, other.den, unit)
+        _, b, d = _cancel(b, self.den, unit)
+        return Scalar(self.ring, mp_mul(a, b), mp_mul(d, e), True)
 
     __rmul__ = __mul__
 
     def inv(self) -> "Scalar":
         if not self.num:
             raise ZeroDivisionError("inverting zero scalar")
-        return Scalar(self.ring, dict(self.den), dict(self.num))
+        num, den = self.den, self.num
+        if mp_leading(den)[1] < 0:
+            num, den = mp_neg(num), mp_neg(den)
+        return Scalar(self.ring, num, den, True)
 
     def __truediv__(self, other):
         return self * self.ring.coerce(other).inv()
@@ -539,11 +596,17 @@ class Scalar:
         return s.replace("+ -", "- ")
 
     def __str__(self):
-        ns = self._poly_str(self.num)
-        if mp_is_const(self.den):
+        """num/den with den monic over Q."""
+        num, den = self.num, self.den
+        _, lc = mp_leading(den)
+        if lc != 1:
+            num = {e: Fraction(c, lc) for e, c in num.items()}
+            den = {e: Fraction(c, lc) for e, c in den.items()}
+        ns = self._poly_str(num)
+        if mp_is_const(den):
             return ns
-        ds = self._poly_str(self.den)
-        if len(self.num) > 1:
+        ds = self._poly_str(den)
+        if len(num) > 1:
             ns = f"({ns})"
         return f"{ns}/({ds})"
 
