@@ -35,20 +35,24 @@ class UsageError(SystemExit):
 def build_algebra(name: str, params: list[str], form_scale: str | None):
     kind, n = name[:2], name[2:]
     try:
-        if kind == "sl" and n.isdigit():
+        if kind == "sl" and n.isascii() and n.isdigit():
             return build_sl(int(n), params, form_scale)
-        if kind == "sp" and n.isdigit():
+        if kind == "sp" and n.isascii() and n.isdigit():
             return build_sp(int(n), params)
     except InvalidDimension as e:
         raise UsageError(f"--algebra {name}: {e}") from None
+    except OverflowError:
+        raise UsageError(f"--algebra {name}: n is too large") from None
     raise UsageError(f"unknown algebra {name!r}; use slN or spN")
 
 
 def unique_terms(option: str, pairs) -> dict:
-    """{label: coefficient} of (label, coefficient) pairs; a label given
-    twice is refused."""
+    """{label: coefficient} of (label, coefficient) pairs; an empty label,
+    or a label given twice, is refused."""
     terms = {}
     for label, c in pairs:
+        if not label:
+            raise UsageError(f"{option}: unknown basis label ''")
         if label in terms:
             raise UsageError(f"{option}: label {label!r} is repeated")
         terms[label] = c

@@ -9,8 +9,10 @@ fixed-degree slice is finite dimensional.  The dressing equation
 
 is solved degree by degree; pairing h against a central element a(z) of
 ker(ad(f+zs)) yields the conserved densities and the hierarchy flows.
-The dressing runs in numerator form (NumLoop), over Q and over Q(p) alike,
-and converts to DiffPoly coefficients once, on the way out.
+Every loop element here is a NumLoop (numerator form), over Q and over Q(p)
+alike: the inputs f + zs, q and a(z), the kernel bases, U and the oracle's
+defect.  h is the one output with DiffPoly coefficients (a LoopElement),
+converted once, on the way out of the solve.
 """
 
 from __future__ import annotations
@@ -55,9 +57,6 @@ class _Loop:
     def __bool__(self):
         return bool(self.terms)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def degree_of(self, key) -> Fraction:
         """Loop degree of the (basis index, z power) key."""
         i, k = key
@@ -79,45 +78,9 @@ class _Loop:
 
 
 class LoopElement(_Loop):
-    """Loop element with DiffPoly coefficients."""
+    """Loop element with DiffPoly coefficients: the form h is returned in."""
 
     __slots__ = ()
-
-    def add_term(self, i: int, k: int, p: DiffPoly):
-        if not p:
-            return
-        key = (i, k)
-        got = self.terms.get(key)
-        got = p if got is None else got + p
-        if got:
-            self.terms[key] = got
-        else:
-            self.terms.pop(key, None)
-
-    def __add__(self, other: "LoopElement") -> "LoopElement":
-        out = LoopElement(self.frame, self.ctx, dict(self.terms))
-        for (i, k), p in other.terms.items():
-            out.add_term(i, k, p)
-        return out
-
-    def __neg__(self) -> "LoopElement":
-        return LoopElement(
-            self.frame, self.ctx, {key: -p for key, p in self.terms.items()}
-        )
-
-    def scale(self, c) -> "LoopElement":
-        if not c:
-            return LoopElement(self.frame, self.ctx)
-        return LoopElement(
-            self.frame, self.ctx,
-            {key: p.scale(c) for key, p in self.terms.items()},
-        )
-
-    def map_coeffs(self, fn, ctx: Context) -> "LoopElement":
-        out = LoopElement(self.frame, ctx)
-        for (i, k), p in self.terms.items():
-            out.add_term(i, k, fn(p))
-        return out
 
     def pair_with(self, a_z: dict) -> dict:
         """Pairing (a(z) x 1 | self): a_z maps z powers to g vectors."""
@@ -210,8 +173,9 @@ def _add_into(out: dict, nums, s: int = 1) -> None:
 class NumLoop(_Loop):
     """Loop element with numerator pairs as coefficients.
 
-    The dressing runs in this form from its inputs to its outputs, over Q
-    and over Q(p); `of` and `to_loop` convert from and to a LoopElement.
+    Every loop computation runs in this form, over Q and over Q(p); `to_loop`
+    converts h to a LoopElement on the way out of the solve, and `of`
+    converts it back for the oracle.
     """
 
     __slots__ = ()
@@ -248,6 +212,9 @@ class NumLoop(_Loop):
         return NumLoop(self.frame, self.ctx,
                        {key: (L, {m: -v for m, v in nums.items()})
                         for key, (L, nums) in self.terms.items()})
+
+    def __sub__(self, other: "NumLoop") -> "NumLoop":
+        return self + (-other)
 
     def scale(self, c) -> "NumLoop":
         if not c:
@@ -360,34 +327,37 @@ def _apply_rows(rows: list, coeffs: list) -> list:
     return out
 
 
-def loop_const(frame: ReductionFrame, ctx: Context, vec, zpow: int = 0) -> LoopElement:
-    out = LoopElement(frame, ctx)
-    for i, c in enumerate(frame.to_adapted(vec)):
-        if c:
-            out.add_term(i, zpow, ctx.const(c))
+def loop_const(frame: ReductionFrame, ctx: Context, vec, zpow: int = 0) -> NumLoop:
+    return NumLoop(frame, ctx, {(i, zpow): _common([((), c)])
+                                for i, c in enumerate(frame.to_adapted(vec)) if c})
+
+
+def loop_from_zmap(frame: ReductionFrame, ctx: Context, zmap: dict) -> NumLoop:
+    out = NumLoop(frame, ctx)
+    for k, vec in zmap.items():
+        out = out + loop_const(frame, ctx, vec, k)
     return out
 
 
-def loop_fzs(frame: ReductionFrame, ctx: Context) -> LoopElement:
-    return loop_const(frame, ctx, frame.setup.f, 0) + loop_const(
-        frame, ctx, frame.s, 1)
+def loop_fzs(frame: ReductionFrame, ctx: Context) -> NumLoop:
+    return loop_from_zmap(frame, ctx, {0: frame.setup.f, 1: frame.s})
 
 
-def build_q(frame: ReductionFrame, projected: bool = True) -> LoopElement:
+def build_q(frame: ReductionFrame, projected: bool = True) -> NumLoop:
     """q = sum_i q^i (x) q_i over the coordinate basis and its dual."""
     ctx = frame.w_ctx if projected else frame.coord_ctx
-    out = LoopElement(frame, ctx)
+    coeffs: dict = {}  # basis index -> DiffPoly coefficient
     for pos, b in enumerate(frame.coord_idx):
-        dual = frame.dual_basis[b]
         coeff = frame.coord_ctx.gen(pos)
         if projected:
             coeff = frame.pi(coeff)
         if not coeff:
             continue
-        for i, c in enumerate(frame.to_adapted(dual)):
+        for i, c in enumerate(frame.to_adapted(frame.dual_basis[b])):
             if c:
-                out.add_term(i, 0, coeff.scale(c))
-    return out
+                coeffs[i] = coeffs.get(i, ctx.zero()) + coeff.scale(c)
+    return NumLoop(frame, ctx, {(i, 0): _common(p.terms.items())
+                                for i, p in coeffs.items() if p})
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +457,11 @@ class HDecomposition:
 
         return loop(deg, self._proj), loop(deg + 1, self._solve)
 
-    # -- conversions -------------------------------------------------------
-
-    def to_loop(self, deg: Fraction, coeffs: list, ctx: Context) -> LoopElement:
-        out = LoopElement(self.frame, ctx)
-        for (key, p) in zip(self.slices[deg], coeffs):
-            if p:
-                out.add_term(key[0], key[1], p)
-        return out
+    def const_loop(self, deg: Fraction, vec: list, ctx: Context) -> NumLoop:
+        """The constant loop element with slice(deg) coordinates vec."""
+        coords = zip(self.slices[deg], vec)
+        return NumLoop(self.frame, ctx,
+                       {key: _common([((), c)]) for key, c in coords if c})
 
     def coeffs_of(self, deg: Fraction, el) -> list:
         """Slice coordinates of el, None where it has no term."""
@@ -510,17 +477,12 @@ class HDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def exp_ad_apply(U: LoopElement, D: LoopElement, max_deg: Fraction) -> LoopElement:
+def _exp_ad(U: NumLoop, D: NumLoop, max_deg: Fraction) -> NumLoop:
     """Loop part of exp(ad U)(d + D) - d, truncated above max_deg.
 
     ad U acts on d by [U, d] = -dU/dx; the series terminates inside the
     window because U has strictly positive loop degree.
     """
-    return _exp_ad(NumLoop.of(U), NumLoop.of(D), max_deg).to_loop()
-
-
-def _exp_ad(U: NumLoop, D: NumLoop, max_deg: Fraction) -> NumLoop:
-    """`exp_ad_apply` in numerator form."""
     base = U.bracket(D, max_deg) - U.trim(max_deg).derivative()
     acc = D.trim(max_deg) + base
     cur = base
@@ -541,7 +503,9 @@ def solve_dressing(
     """Solve the dressing equation up to loop degree max_deg.
 
     Returns (U_parts, h_parts, dec): U_parts[j] and h_parts[j] are homogeneous
-    loop elements keyed by their degree, with U in hperp and h in ker.
+    loop elements keyed by their degree, with U in hperp and h in ker.  U
+    stays in numerator form (NumLoop); h is a LoopElement, with DiffPoly
+    coefficients.
 
     The series exp(ad U)(d + D) - d = sum_n T_n, T_0 = D and
     T_n = [U, T_{n-1}]/n (with [U, d] = -dU/dx in T_1), is kept degree by
@@ -549,14 +513,14 @@ def solve_dressing(
     the U_j and the lower-degree pieces already known, so every bracket of
     the series is taken once.  U_{d+1}, solved at degree d, enters T_1 at d
     through [U_{d+1}, f+zs] only after the split.  All of this runs in
-    numerator form (NumLoop), and only U and h are converted back.
+    numerator form, and only h is converted to DiffPoly coefficients.
     """
     max_deg = Fraction(max_deg)
     if dec is None:
         dec = HDecomposition(frame, Fraction(-1), max_deg)
     ctx = frame.w_ctx if projected else frame.coord_ctx
-    fzs = NumLoop.of(loop_fzs(frame, ctx))
-    D = fzs + NumLoop.of(build_q(frame, projected))
+    fzs = loop_fzs(frame, ctx)
+    D = fzs + build_q(frame, projected)
 
     U_parts: dict = {}
     h_parts: dict = {}
@@ -591,8 +555,7 @@ def solve_dressing(
                     series[1][deg] = series[1].get(
                         deg, NumLoop(frame, ctx)) + u_el.bracket(fzs)
         deg += Fraction(1, 2)
-    return ({d: u.to_loop() for d, u in U_parts.items()},
-            {d: h.to_loop() for d, h in h_parts.items()}, dec)
+    return U_parts, {d: h.to_loop() for d, h in h_parts.items()}, dec
 
 
 def dressing_defect(
@@ -601,7 +564,7 @@ def dressing_defect(
     h_parts: dict,
     max_deg,
     projected: bool = True,
-) -> LoopElement:
+) -> NumLoop:
     """Full-exponential re-expansion oracle.
 
     Applies exp(ad U) with the complete U to d + (f+zs) + q in one shot and
@@ -609,16 +572,15 @@ def dressing_defect(
     """
     max_deg = Fraction(max_deg)
     ctx = frame.w_ctx if projected else frame.coord_ctx
-    fzs = NumLoop.of(loop_fzs(frame, ctx))
-    D = fzs + NumLoop.of(build_q(frame, projected))
+    fzs = loop_fzs(frame, ctx)
+    D = fzs + build_q(frame, projected)
     U = NumLoop(frame, ctx)
     for u in U_parts.values():
-        U = U + NumLoop.of(u)
-    result = _exp_ad(U, D, max_deg)
+        U = U + u
     want = fzs
     for h in h_parts.values():
         want = want + NumLoop.of(h)
-    return (result - want.trim(max_deg)).trim(max_deg).to_loop()
+    return (_exp_ad(U, D, max_deg) - want.trim(max_deg)).trim(max_deg)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +590,7 @@ def dressing_defect(
 
 def _h_loops(dec: HDecomposition, ctx: Context, d: Fraction) -> list:
     """The kernel basis of slice(d), as NumLoops."""
-    return [NumLoop.of(dec.to_loop(d, [ctx.const(c) for c in v], ctx))
-            for v in dec.h_basis.get(d, [])]
+    return [dec.const_loop(d, v, ctx) for v in dec.h_basis.get(d, [])]
 
 
 def center_of_h(frame: ReductionFrame, dec: HDecomposition,
@@ -648,32 +609,23 @@ def center_of_h(frame: ReductionFrame, dec: HDecomposition,
         cands = _h_loops(dec, ctx, d)
         rows = []
         for w in all_h:
-            brs = [c.bracket(w).to_loop() for c in cands]
-            keys = sorted({key for b in brs for key in b.terms})
-            for key in keys:
-                rows.append([
-                    b.terms.get(key, ctx.zero()).const_term() for b in brs
-                ])
+            # brackets of constant loops: every coefficient is (L, {(): n})
+            brs = [c.bracket(w).terms for c in cands]
+            for key in sorted({key for b in brs for key in b}):
+                rows.append([_value(b[key][1][()], b[key][0]) if key in b
+                             else ring.zero() for b in brs])
         coefs = linalg.kernel(rows, ring, len(cands))
-        out[d] = [dec.to_loop(d, [ctx.const(c) for c in linalg.combine(co, K)],
-                              ctx) for co in coefs]
-    return out
-
-
-def loop_from_zmap(frame: ReductionFrame, ctx: Context, zmap: dict) -> LoopElement:
-    out = LoopElement(frame, ctx)
-    for k, vec in zmap.items():
-        out = out + loop_const(frame, ctx, vec, k)
+        out[d] = [dec.const_loop(d, linalg.combine(co, K), ctx) for co in coefs]
     return out
 
 
 def check_central(frame: ReductionFrame, dec: HDecomposition, a_z: dict) -> bool:
     ctx = frame.w_ctx
-    el = NumLoop.of(loop_from_zmap(frame, ctx, a_z))
+    el = loop_from_zmap(frame, ctx, a_z)
     if any(el.bracket(w) for d in dec.h_basis for w in _h_loops(dec, ctx, d)):
         return False
     # membership of a(z) itself in ker ad(f+zs)
-    return not NumLoop.of(loop_fzs(frame, ctx)).bracket(el)
+    return not loop_fzs(frame, ctx).bracket(el)
 
 
 def conserved_densities(

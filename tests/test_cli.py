@@ -178,6 +178,10 @@ def test_non_homogeneous_s_usage_error(capsys):
     (("hierarchy", "--algebra", "sl3", "--a-choice", "centerfoo"), None),
     (("setup", "--algebra", "sl3", "--s", "explicit:E13,2*E13"), None),
     (("setup", "--algebra", "sl3", "--f", "E31,E31"), None),
+    (("setup", "--algebra", "sl\u00b2"), None),
+    (("setup", "--algebra", "sp\u2074"), None),
+    (("setup", "--algebra", "sl99999999999999999999"), None),
+    (("setup", "--algebra", "sp99999999999999999998"), None),
 ], ids=["verify_n_neg", "hierarchy_n_neg", "max_degree_0",
         "max_degree_neg", "n_past_window", "sl1", "sp3", "unknown_f_label", "env_max_degree",
         "unknown_s_label", "s_not_semisimple", "s_in_g_half",
@@ -186,7 +190,9 @@ def test_non_homogeneous_s_usage_error(capsys):
         "explicit_zero_denominator", "diag_too_many", "diag_too_few",
         "s_dashes", "a_choice_dashes", "n_dashes", "max_degree_dashes",
         "f_dashes", "form_scale_dashes", "seed_dashes", "algebra_dashes",
-        "a_choice_unknown", "explicit_repeated_label", "f_repeated_label"])
+        "a_choice_unknown", "explicit_repeated_label", "f_repeated_label",
+        "sl_superscript_digit", "sp_superscript_digit", "sl_overflow",
+        "sp_overflow"])
 def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
     if env is None:
         monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
@@ -224,10 +230,17 @@ def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
      "--s explicit:E13,2*E13: label 'E13' is repeated"),
     (("setup", "--algebra", "sl3", "--f", "E31,E31"),
      "--f E31,E31: label 'E31' is repeated"),
+    (("setup", "--algebra", "sl3", "--f", ","),
+     "--f ,: unknown basis label ''"),
+    (("setup", "--algebra", "sl3", "--s", "explicit:,"),
+     "--s explicit:,: unknown basis label ''"),
+    (("setup", "--algebra", "sl99999999999999999999"),
+     "--algebra sl99999999999999999999: n is too large"),
 ], ids=["f_deep_grading", "f_wrong_kind", "explicit_two_stars",
         "form_scale_number", "form_scale_zero_denominator", "form_scale_zero",
         "form_scale_empty", "form_scale_on_sp", "explicit_repeated_label",
-        "f_repeated_label"])
+        "f_repeated_label", "f_empty_label", "explicit_empty_label",
+        "sl_overflow"])
 def test_usage_error_reason(argv, reason, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2 and err.count("\n") == 1
@@ -429,16 +442,6 @@ def test_no_unused_private_defs_in_src():
                 used.add(node.attr)
     assert defs
     assert [f"{where} {name}" for where, name in defs if name not in used] == []
-
-
-def test_no_assert_in_src():
-    """src/wds raises real exceptions for its invariants: an assert
-    statement vanishes under python -O."""
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted((ROOT / "src" / "wds").glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(node, ast.Assert)]
-    assert found == []
 
 
 def test_verify_all_same_under_python_O():
