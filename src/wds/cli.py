@@ -401,7 +401,15 @@ def main(argv=None) -> int:
                        help="scale the trace form by a named parameter")
     args = parser.parse_args(argv)
     check_ranges(args)
-    return args.fn(args)
+    try:
+        status = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): exit quietly, with stdout
+        # on devnull so that the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

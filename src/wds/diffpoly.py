@@ -1,13 +1,20 @@
 """Differential polynomials in variables u_i^(n) and polynomials in lambda.
 
 A monomial is a sorted tuple of (generator index, derivative order) pairs,
-with repetition for powers; coefficients are exact elements of the
-context's ParamRing (Fractions over Q, Scalars over Q(p)).  The canonical
-sorted/sparse representation makes equality of values representational.
+with repetition for powers.  A DiffPoly is kept in numerator form: `terms`
+maps each monomial of nonzero coefficient to its numerator over one common
+denominator `den`, so the polynomial is sum(terms[m] / den * m).  Over Q
+the numerators are ints and den is a positive int with gcd(den, all
+numerators) = 1; over Q(p) they are Scalars and den is 1, since a Scalar
+absorbs any rational factor.  The form is canonical, so equality of values
+is equality of representations.  A coefficient becomes an element of the
+context's ParamRing (a Fraction over Q, a Scalar over Q(p)) only on its
+way out: `coeffs`, `const_term` and the renderers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -21,6 +28,29 @@ def monomial_derivative(m: Monomial) -> list:
     power contributes once per copy)."""
     return [tuple(sorted(m[:k] + ((g, n + 1),) + m[k + 1 :]))
             for k, (g, n) in enumerate(m)]
+
+
+def numerator_form(c) -> tuple:
+    """A ring element as (numerator, den): the reduced numerator and
+    denominator of a rational, and (c, 1) for a Scalar.  The one place that
+    reads which ring a coefficient is in; the kernel runs on the pairs."""
+    if c.__class__ is Scalar:
+        return c, 1
+    return c.numerator, c.denominator
+
+
+def _join(ring: ParamRing, n, den: int):
+    """The ring element n / den; over Q(p), den is always 1."""
+    return ring.coerce(n) if den == 1 else Fraction(n, den)
+
+
+def common_denominator(values) -> tuple:
+    """Ring elements as (L, numerators) over their least common denominator
+    L; the numerators of rationals are then coprime to L as a whole, and
+    over Q(p) L is 1."""
+    parts = [numerator_form(c) for c in values]
+    L = math.lcm(*(d for _, d in parts))
+    return L, [n if d == L else n * (L // d) for n, d in parts]
 
 
 class Context:
@@ -65,20 +95,20 @@ class Context:
 
     def const(self, c: ScalarLike) -> "DiffPoly":
         c = self.ring.coerce(c)
-        return DiffPoly(self, {(): c} if c else {})
+        if not c:
+            return self.zero()
+        n, den = numerator_form(c)
+        return DiffPoly(self, {(): n}, den)
 
     def gen(self, i: int, order: int = 0) -> "DiffPoly":
         if not 0 <= i < self.ngens:
             raise IndexError(f"no generator {i} in {self}")
-        return DiffPoly(self, {((i, order),): self.ring.one()})
+        return DiffPoly(self, {((i, order),): numerator_form(self.ring.one())[0]})
 
     def linear(self, coeffs: Sequence[ScalarLike], order: int = 0) -> "DiffPoly":
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = self.ring.coerce(c)
-            if c:
-                terms[((i, order),)] = c
-        return DiffPoly(self, terms)
+        L, nums = common_denominator(self.ring.coerce(c) for c in coeffs)
+        return DiffPoly(
+            self, {((i, order),): n for i, n in enumerate(nums) if n}, L)
 
 
 class ContextMismatch(ValueError):
@@ -90,39 +120,77 @@ def _check_ctx(a: "DiffPoly", b: "DiffPoly"):
         raise ContextMismatch(f"{a.ctx} vs {b.ctx}")
 
 
-class DiffPoly:
-    __slots__ = ("ctx", "terms")
+def _accumulate(out: dict, items, s=1) -> None:
+    """out[m] += v * s for the (m, v) of items; s = 1 multiplies nothing."""
+    if s != 1:
+        items = [(m, v * s) for m, v in items]
+    for m, v in items:
+        got = out.get(m)
+        out[m] = v if got is None else got + v
 
-    def __init__(self, ctx: Context, terms: dict):
+
+class DiffPoly:
+    __slots__ = ("ctx", "terms", "den")
+
+    def __init__(self, ctx: Context, terms: dict, den: int = 1):
+        """terms and den already in numerator form; `collect` builds one
+        from any numerators."""
         self.ctx = ctx
         self.terms = terms
+        self.den = den
+
+    @classmethod
+    def collect(cls, ctx: Context, slots: dict) -> "DiffPoly":
+        """The sum over d of slots[d] / d, each slots[d] a {monomial:
+        numerator} map, in numerator form: over the lcm of the d, with zero
+        numerators dropped and the gcd with den divided out."""
+        if len(slots) == 1:
+            (den, nums), = slots.items()
+        else:
+            den = math.lcm(*slots)
+            nums = {}
+            for d, slot in slots.items():
+                _accumulate(nums, slot.items(), den // d)
+        nums = {m: v for m, v in nums.items() if v}
+        if not nums:
+            return cls(ctx, {})
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {m: v // g for m, v in nums.items()}
+        return cls(ctx, nums, den)
+
+    def coeffs(self) -> dict:
+        """{monomial: coefficient} with coefficients in the context's ring."""
+        ring, den = self.ctx.ring, self.den
+        return {m: _join(ring, v, den) for m, v in self.terms.items()}
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        if other.__class__ is not DiffPoly:
             other = self.ctx.const(other)
         _check_ctx(self, other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        if self.den != other.den:
+            return DiffPoly.collect(
+                self.ctx, {self.den: self.terms, other.den: other.terms})
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m)
-            if v is None:
-                out[m] = c
-            else:
-                v = v + c
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
-        return DiffPoly(self.ctx, out)
+        _accumulate(out, other.terms.items())
+        return DiffPoly.collect(self.ctx, {self.den: out})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffPoly(self.ctx, {m: -c for m, c in self.terms.items()})
+        return DiffPoly(self.ctx, {m: -v for m, v in self.terms.items()},
+                        self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        if other.__class__ is not DiffPoly:
             other = self.ctx.const(other)
         return self + (-other)
 
@@ -134,20 +202,13 @@ class DiffPoly:
             return self.scale(other)
         _check_ctx(self, other)
         out: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        for ma, va in self.terms.items():
+            for mb, vb in other.terms.items():
                 m = tuple(sorted(ma + mb))
-                c = ca * cb
-                v = out.get(m)
-                if v is None:
-                    out[m] = c
-                else:
-                    v = v + c
-                    if v:
-                        out[m] = v
-                    else:
-                        del out[m]
-        return DiffPoly(self.ctx, out)
+                v = va * vb
+                got = out.get(m)
+                out[m] = v if got is None else got + v
+        return DiffPoly.collect(self.ctx, {self.den * other.den: out})
 
     __rmul__ = __mul__
 
@@ -155,7 +216,10 @@ class DiffPoly:
         c = self.ctx.ring.coerce(c)
         if not c:
             return self.ctx.zero()
-        return DiffPoly(self.ctx, {m: c * v for m, v in self.terms.items()})
+        n, d = numerator_form(c)
+        nums = self.terms if n == 1 else {
+            m: v * n for m, v in self.terms.items()}
+        return DiffPoly.collect(self.ctx, {self.den * d: nums})
 
     def __bool__(self):
         return bool(self.terms)
@@ -165,7 +229,8 @@ class DiffPoly:
             other = self.ctx.const(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
+        return (self.ctx == other.ctx and self.den == other.den
+                and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.ctx, tuple(sorted(self.terms))))
@@ -175,11 +240,11 @@ class DiffPoly:
     def total_derivative(self) -> "DiffPoly":
         """The derivation with d(u_i^(n)) = u_i^(n+1) and d(const) = 0."""
         out: dict = {}
-        for m, c in self.terms.items():
+        for m, v in self.terms.items():
             for bumped in monomial_derivative(m):
-                v = out.get(bumped)
-                out[bumped] = c if v is None else v + c
-        return DiffPoly(self.ctx, {m: c for m, c in out.items() if c})
+                got = out.get(bumped)
+                out[bumped] = v if got is None else got + v
+        return DiffPoly.collect(self.ctx, {self.den: out})
 
     def d(self, times: int = 1) -> "DiffPoly":
         p = self
@@ -191,16 +256,16 @@ class DiffPoly:
         """d/d(u_gen^(order)), a plain algebra partial derivative."""
         out: dict = {}
         key = (gen, order)
-        for m, c in self.terms.items():
+        for m, v in self.terms.items():
             mult = m.count(key)
             if not mult:
                 continue
             idx = m.index(key)
             reduced = m[:idx] + m[idx + 1 :]
-            v = c * mult
-            prev = out.get(reduced)
-            out[reduced] = v if prev is None else prev + v
-        return DiffPoly(self.ctx, {m: c for m, c in out.items() if c})
+            v = v * mult
+            got = out.get(reduced)
+            out[reduced] = v if got is None else got + v
+        return DiffPoly.collect(self.ctx, {self.den: out})
 
     def max_order(self, gen: int | None = None) -> int:
         mo = -1
@@ -222,7 +287,9 @@ class DiffPoly:
         return {g for m in self.terms for g, _ in m}
 
     def const_term(self) -> Scalar:
-        return self.terms.get((), self.ctx.ring.zero())
+        v = self.terms.get(())
+        ring = self.ctx.ring
+        return ring.zero() if v is None else _join(ring, v, self.den)
 
     # -- grading --------------------------------------------------------
 
@@ -258,17 +325,23 @@ class DiffPoly:
                 cache[(g, n)] = got
             return got
 
-        out: dict = {}
-        for m, c in self.terms.items():
-            p = target.const(c)
+        # sum_m v_m * image(m) / den, one numerator map per image denominator
+        slots: dict = {}
+        for m, v in self.terms.items():
+            p = None
             for g, n in m:
-                p = p * img(g, n)
-            for pm, v in p.terms.items():
-                got = out.get(pm)
-                out[pm] = v if got is None else got + v
-        return DiffPoly(target, {m: c for m, c in out.items() if c})
+                p = img(g, n) if p is None else p * img(g, n)
+            if p is None:
+                p = target.one()
+            _accumulate(slots.setdefault(p.den * self.den, {}),
+                        p.terms.items(), v)
+        return DiffPoly.collect(target, slots) if slots else target.zero()
 
     # -- rendering --------------------------------------------------------
+
+    def _ordered(self) -> list:
+        """(monomial, coefficient) pairs, by degree and then monomial."""
+        return sorted(self.coeffs().items(), key=lambda t: (len(t[0]), t[0]))
 
     def _mono_str(self, m: Monomial, prime: bool = True) -> str:
         if not m:
@@ -297,8 +370,7 @@ class DiffPoly:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=lambda m: (len(m), m)):
-            c = self.terms[m]
+        for m, c in self._ordered():
             ms = self._mono_str(m)
             if ms == "1":
                 parts.append(str(c))
@@ -320,8 +392,7 @@ class DiffPoly:
         if not self.terms:
             return "0"
         parts = []
-        for m in sorted(self.terms, key=lambda m: (len(m), m)):
-            c = self.terms[m]
+        for m, c in self._ordered():
             factors = []
             i = 0
             while i < len(m):
@@ -347,15 +418,9 @@ class DiffPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self) -> list:
-        out = []
-        for m in sorted(self.terms, key=lambda m: (len(m), m)):
-            out.append(
-                {
-                    "coeff": str(self.terms[m]),
-                    "monomial": [[self.ctx.labels[g], n] for g, n in m],
-                }
-            )
-        return out
+        return [{"coeff": str(c),
+                 "monomial": [[self.ctx.labels[g], n] for g, n in m]}
+                for m, c in self._ordered()]
 
 
 # ---------------------------------------------------------------------------
@@ -491,20 +556,14 @@ class LambdaPoly:
         ]
 
 
-def neg_lambda_d_power(p: DiffPoly, m: int) -> LambdaPoly:
-    """(-lambda - d)^m applied to p, as a LambdaPoly."""
-    out = LambdaPoly.of(p)
-    for _ in range(m):
-        out = -(out.apply_d_plus_lambda())
-    return out
-
-
 def subst_minus_lambda_d(x: LambdaPoly) -> LambdaPoly:
-    """Substitute lambda -> -lambda - d, moving d to act on coefficients.
+    """Substitute lambda -> -lambda - d, moving d to act on coefficients:
+    sum_m (-lambda - d)^m x_m, in Horner form acc = x_m - (d + lambda) acc
+    from the top power m down.
 
     This realizes the right side of PVA skew-symmetry {h_{-lambda-d} g}.
     """
-    out = LambdaPoly.zero(x.ctx)
-    for m, c in enumerate(x.coeffs):
-        out = out + neg_lambda_d_power(c, m)
-    return out
+    acc = LambdaPoly.zero(x.ctx)
+    for c in reversed(x.coeffs):
+        acc = -acc.apply_d_plus_lambda() + c
+    return acc

@@ -9,10 +9,11 @@ fixed-degree slice is finite dimensional.  The dressing equation
 
 is solved degree by degree; pairing h against a central element a(z) of
 ker(ad(f+zs)) yields the conserved densities and the hierarchy flows.
-Every loop element here is a NumLoop (numerator form), over Q and over Q(p)
-alike: the inputs f + zs, q and a(z), the kernel bases, U and the oracle's
-defect.  h is the one output with DiffPoly coefficients (a LoopElement),
-converted once, on the way out of the solve.
+Every loop element is a LoopElement with DiffPoly coefficients, which are
+in numerator form over Q and over Q(p) alike: the inputs f + zs, q and
+a(z), the kernel bases, U, h and the oracle's defect.  The bracket
+multiplies coefficients on their numerators, and the slice matrices act as
+numerator rows.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .diffpoly import (Context, DiffPoly, functional_equal,
-                       monomial_derivative)
+from .diffpoly import (Context, DiffPoly, common_denominator,
+                       functional_equal, numerator_form)
 from .pva import ReductionFrame, master_bracket
-from .scalars import Scalar
 
 
 class NotSemisimple(ValueError):
@@ -44,8 +44,12 @@ class WindowOverflow(ValueError):
         self.needed = needed
 
 
-class _Loop:
-    """Finite map (basis index, z power) -> coefficient, never zero."""
+class LoopElement:
+    """Finite map (basis index, z power) -> DiffPoly coefficient, never zero.
+
+    Sums, scalings and derivatives act coefficient by coefficient; the
+    bracket multiplies the coefficients' numerators in one fused loop.
+    """
 
     __slots__ = ("frame", "ctx", "terms")
 
@@ -62,25 +66,98 @@ class _Loop:
         i, k = key
         return self.frame.eig_of[i] + self.frame.z_degree * k
 
-    def trim(self, max_deg: Fraction):
-        return type(self)(
-            self.frame, self.ctx,
-            {key: p for key, p in self.terms.items()
-             if self.degree_of(key) <= max_deg},
-        )
+    def _with(self, terms: dict) -> "LoopElement":
+        return LoopElement(self.frame, self.ctx, terms)
 
-    def component(self, deg: Fraction):
-        return type(self)(
-            self.frame, self.ctx,
-            {key: p for key, p in self.terms.items()
-             if self.degree_of(key) == deg},
-        )
+    def trim(self, max_deg: Fraction) -> "LoopElement":
+        return self._with({key: p for key, p in self.terms.items()
+                           if self.degree_of(key) <= max_deg})
 
+    def component(self, deg: Fraction) -> "LoopElement":
+        return self._with({key: p for key, p in self.terms.items()
+                           if self.degree_of(key) == deg})
 
-class LoopElement(_Loop):
-    """Loop element with DiffPoly coefficients: the form h is returned in."""
+    def __add__(self, other: "LoopElement") -> "LoopElement":
+        terms = dict(self.terms)
+        for key, p in other.terms.items():
+            got = terms.get(key)
+            if got is not None:
+                p = got + p
+            if p:
+                terms[key] = p
+            else:
+                del terms[key]
+        return self._with(terms)
 
-    __slots__ = ()
+    def __neg__(self) -> "LoopElement":
+        return self._with({key: -p for key, p in self.terms.items()})
+
+    def __sub__(self, other: "LoopElement") -> "LoopElement":
+        return self + (-other)
+
+    def scale(self, c) -> "LoopElement":
+        if not c:
+            return self._with({})
+        return self._with({key: p.scale(c) for key, p in self.terms.items()})
+
+    def derivative(self) -> "LoopElement":
+        terms = {}
+        for key, p in self.terms.items():
+            dp = p.total_derivative()
+            if dp:
+                terms[key] = dp
+        return self._with(terms)
+
+    def bracket(self, other: "LoopElement",
+                max_deg: Fraction | None = None) -> "LoopElement":
+        """[self, other], dropping products of loop degree above max_deg.
+
+        The coefficients are multiplied on their numerators and summed per
+        denominator, each output coefficient normalised once; over Q all of
+        it stays in Python ints."""
+        struct = self.frame.struct
+        zd = self.frame.z_degree
+        eig = self.frame.eig_of
+        rhs = [(j, k2, eig[j] + zd * k2, q.den, list(q.terms.items()))
+               for (j, k2), q in other.terms.items()]
+        low = min((d2 for _, _, d2, _, _ in rhs), default=0)
+        # (basis index, z power) -> {denominator: {monomial: numerator}}
+        acc: dict = {}
+        for (i, k1), p in self.terms.items():
+            d1 = eig[i] + zd * k1
+            if max_deg is not None and d1 + low > max_deg:
+                continue
+            L1, ps = p.den, p.terms.items()
+            row = struct[i]
+            for j, k2, d2, L2, qs in rhs:
+                if max_deg is not None and d1 + d2 > max_deg:
+                    continue
+                co = row[j]
+                if not co:
+                    continue
+                pq: dict = {}
+                for m1, a in ps:
+                    for m2, b in qs:
+                        m = tuple(sorted(m1 + m2))
+                        ab = a * b
+                        got = pq.get(m)
+                        pq[m] = ab if got is None else got + ab
+                pq = [(m, v) for m, v in pq.items() if v]
+                den = L1 * L2
+                for r, c in co:
+                    cn, cd = numerator_form(c)
+                    slot = acc.setdefault((r, k1 + k2), {}).setdefault(
+                        den * cd, {})
+                    for m, v in pq:
+                        cv = cn * v
+                        got = slot.get(m)
+                        slot[m] = cv if got is None else got + cv
+        terms = {}
+        for key, slots in acc.items():
+            p = DiffPoly.collect(self.ctx, slots)
+            if p:
+                terms[key] = p
+        return self._with(terms)
 
     def pair_with(self, a_z: dict) -> dict:
         """Pairing (a(z) x 1 | self): a_z maps z powers to g vectors."""
@@ -111,239 +188,54 @@ class LoopElement(_Loop):
         return " + ".join(parts)
 
 
-# ---------------------------------------------------------------------------
-# loop elements in numerator form, over Q and over Q(p)
-# ---------------------------------------------------------------------------
-#
-# A coefficient is kept as a pair (L, {monomial: n}), the sum of
-# n/L * monomial, with L > 0 and no zero n.  Over Q each n is an int and
-# gcd(L, all n) = 1, so L is the lcm of the reduced denominators; over Q(p)
-# each n is a Scalar and L = 1, since a Scalar absorbs any rational factor.
-# Either way equal values have equal pairs.  Only `_num_den`, `_value` and
-# `_term` read which ring an element is in.
-
-
-def _num_den(c) -> tuple:
-    """A ring element as (numerator, integer denominator)."""
-    if isinstance(c, Scalar):
-        return c, 1
-    return c.numerator, c.denominator
-
-
-def _value(n, L: int):
-    """The ring element n/L of a numerator n and its denominator L."""
-    return n if isinstance(n, Scalar) else Fraction(n, L)
-
-
-def _term(L: int, nums: dict):
-    """(L, nums) in normal form with zero numerators dropped, or None."""
-    nums = {m: v for m, v in nums.items() if v}
-    if not nums:
-        return None
-    if isinstance(next(iter(nums.values())), Scalar):
-        if L != 1:
-            q = Fraction(1, L)
-            nums = {m: v * q for m, v in nums.items()}
-        return 1, nums
-    g = math.gcd(L, *nums.values())
-    if g > 1:
-        L //= g
-        nums = {m: v // g for m, v in nums.items()}
-    return L, nums
-
-
-def _common(items) -> tuple:
-    """(key, ring element) items as (L, {key: numerator}) over the lcm L of
-    their denominators."""
-    split = [(k, *_num_den(c)) for k, c in items]
-    L = math.lcm(*(d for _, _, d in split))
-    return L, {k: n if d == L else n * (L // d) for k, n, d in split}
-
-
-def _add_into(out: dict, nums, s: int = 1) -> None:
-    """out[m] += s * v for the (m, v) of nums; a Scalar is never multiplied
-    by 1 nor added to 0."""
-    if s != 1:
-        nums = [(m, v * s) for m, v in nums]
-    for m, v in nums:
-        got = out.get(m)
-        out[m] = v if got is None else got + v
-
-
-class NumLoop(_Loop):
-    """Loop element with numerator pairs as coefficients.
-
-    Every loop computation runs in this form, over Q and over Q(p); `to_loop`
-    converts h to a LoopElement on the way out of the solve, and `of`
-    converts it back for the oracle.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, el: LoopElement) -> "NumLoop":
-        return cls(el.frame, el.ctx,
-                   {key: _common(p.terms.items())
-                    for key, p in el.terms.items() if p})
-
-    def to_loop(self) -> LoopElement:
-        return LoopElement(self.frame, self.ctx, {
-            key: DiffPoly(self.ctx, {m: _value(v, L) for m, v in nums.items()})
-            for key, (L, nums) in self.terms.items()})
-
-    def __add__(self, other: "NumLoop") -> "NumLoop":
-        terms = dict(self.terms)
-        for key, t in other.terms.items():
-            got = terms.get(key)
-            if got is not None:
-                (La, na), (Lb, nb) = got, t
-                L = math.lcm(La, Lb)
-                out = dict(na) if L == La else {
-                    m: v * (L // La) for m, v in na.items()}
-                _add_into(out, nb.items(), L // Lb)
-                t = _term(L, out)
-            if t is None:
-                del terms[key]
-            else:
-                terms[key] = t
-        return NumLoop(self.frame, self.ctx, terms)
-
-    def __neg__(self) -> "NumLoop":
-        return NumLoop(self.frame, self.ctx,
-                       {key: (L, {m: -v for m, v in nums.items()})
-                        for key, (L, nums) in self.terms.items()})
-
-    def __sub__(self, other: "NumLoop") -> "NumLoop":
-        return self + (-other)
-
-    def scale(self, c) -> "NumLoop":
-        if not c:
-            return NumLoop(self.frame, self.ctx)
-        n, d = _num_den(c)
-        unit = n == 1
-        return NumLoop(self.frame, self.ctx, {
-            key: _term(L * d, nums if unit else
-                       {m: v * n for m, v in nums.items()})
-            for key, (L, nums) in self.terms.items()})
-
-    def derivative(self) -> "NumLoop":
-        terms = {}
-        for key, (L, nums) in self.terms.items():
-            out: dict = {}
-            for m, v in nums.items():
-                for dm in monomial_derivative(m):
-                    got = out.get(dm)
-                    out[dm] = v if got is None else got + v
-            t = _term(L, out)
-            if t is not None:
-                terms[key] = t
-        return NumLoop(self.frame, self.ctx, terms)
-
-    def bracket(self, other: "NumLoop", max_deg: Fraction | None = None) -> "NumLoop":
-        """[self, other], dropping products of loop degree above max_deg;
-        over Q products and sums stay in Python ints."""
-        struct = self.frame.struct
-        zd = self.frame.z_degree
-        eig = self.frame.eig_of
-        rhs = [(j, k2, eig[j] + zd * k2, L2, list(qs.items()))
-               for (j, k2), (L2, qs) in other.terms.items()]
-        low = min((d2 for _, _, d2, _, _ in rhs), default=0)
-        # (basis index, z power) -> {denominator: {monomial: numerator}}
-        acc: dict = {}
-        for (i, k1), (L1, ps) in self.terms.items():
-            d1 = eig[i] + zd * k1
-            if max_deg is not None and d1 + low > max_deg:
-                continue
-            ps = ps.items()
-            row = struct[i]
-            for j, k2, d2, L2, qs in rhs:
-                if max_deg is not None and d1 + d2 > max_deg:
-                    continue
-                co = row[j]
-                if not co:
-                    continue
-                pq: dict = {}
-                for m1, a in ps:
-                    for m2, b in qs:
-                        m = tuple(sorted(m1 + m2))
-                        ab = a * b
-                        got = pq.get(m)
-                        pq[m] = ab if got is None else got + ab
-                pq = [(m, v) for m, v in pq.items() if v]
-                den = L1 * L2
-                for r, c in co:
-                    cn, cd = _num_den(c)
-                    slot = acc.setdefault((r, k1 + k2), {}).setdefault(
-                        den * cd, {})
-                    for m, v in pq:
-                        cv = cn * v
-                        got = slot.get(m)
-                        slot[m] = cv if got is None else got + cv
-        terms = {}
-        for key, by_den in acc.items():
-            L = math.lcm(*by_den)
-            if len(by_den) == 1:
-                total = by_den[L]
-            else:
-                total = {}
-                for d, slot in by_den.items():
-                    _add_into(total, slot.items(), L // d)
-            t = _term(L, total)
-            if t is not None:
-                terms[key] = t
-        return NumLoop(self.frame, self.ctx, terms)
-
-
 def _num_rows(mat: list) -> list:
     """A matrix as numerator rows (R, [(column, R * entry)]), with R the lcm
     of the row's denominators; zero entries are dropped."""
     rows = []
     for row in mat:
-        R, nums = _common((j, c) for j, c in enumerate(row) if c)
-        rows.append((R, list(nums.items())))
+        R, nums = common_denominator(row)
+        rows.append((R, [(j, n) for j, n in enumerate(nums) if n]))
     return rows
 
 
 def _apply_rows(rows: list, coeffs: list) -> list:
-    """Numerator rows applied to a vector of pairs (or None for 0): the
-    pairs (or None) of sum_j row[j] * coeffs[j], one per row, over the
-    common denominator R * M, with M the lcm of the vector's denominators."""
-    M = math.lcm(*(t[0] for t in coeffs if t is not None))
-    vec = {}
-    for j, t in enumerate(coeffs):
-        if t is not None:
-            L, nums = t
-            vec[j] = list(nums.items()) if L == M else [
-                (m, v * (M // L)) for m, v in nums.items()]
+    """Numerator rows applied to a vector of DiffPolys: the DiffPolys
+    sum_j row[j] * coeffs[j], one per row, each summed on numerators over
+    the common denominator R * M, with M the lcm of the vector's dens."""
+    ctx = coeffs[0].ctx
+    M = math.lcm(*(p.den for p in coeffs))
+    vec = [list(p.terms.items()) if p.den == M else
+           [(m, v * (M // p.den)) for m, v in p.terms.items()]
+           for p in coeffs]
     out = []
     for R, entries in rows:
         acc: dict = {}
         for j, c in entries:
-            for m, v in vec.get(j, ()):
+            for m, v in vec[j]:
                 cv = c * v
                 got = acc.get(m)
                 acc[m] = cv if got is None else got + cv
-        out.append(_term(R * M, acc))
+        out.append(DiffPoly.collect(ctx, {R * M: acc}))
     return out
 
 
-def loop_const(frame: ReductionFrame, ctx: Context, vec, zpow: int = 0) -> NumLoop:
-    return NumLoop(frame, ctx, {(i, zpow): _common([((), c)])
-                                for i, c in enumerate(frame.to_adapted(vec)) if c})
+def loop_const(frame: ReductionFrame, ctx: Context, vec, zpow: int = 0) -> LoopElement:
+    return LoopElement(frame, ctx, {(i, zpow): ctx.const(c)
+                                    for i, c in enumerate(frame.to_adapted(vec)) if c})
 
 
-def loop_from_zmap(frame: ReductionFrame, ctx: Context, zmap: dict) -> NumLoop:
-    out = NumLoop(frame, ctx)
+def loop_from_zmap(frame: ReductionFrame, ctx: Context, zmap: dict) -> LoopElement:
+    out = LoopElement(frame, ctx)
     for k, vec in zmap.items():
         out = out + loop_const(frame, ctx, vec, k)
     return out
 
 
-def loop_fzs(frame: ReductionFrame, ctx: Context) -> NumLoop:
+def loop_fzs(frame: ReductionFrame, ctx: Context) -> LoopElement:
     return loop_from_zmap(frame, ctx, {0: frame.setup.f, 1: frame.s})
 
 
-def build_q(frame: ReductionFrame, projected: bool = True) -> NumLoop:
+def build_q(frame: ReductionFrame, projected: bool = True) -> LoopElement:
     """q = sum_i q^i (x) q_i over the coordinate basis and its dual."""
     ctx = frame.w_ctx if projected else frame.coord_ctx
     coeffs: dict = {}  # basis index -> DiffPoly coefficient
@@ -356,8 +248,7 @@ def build_q(frame: ReductionFrame, projected: bool = True) -> NumLoop:
         for i, c in enumerate(frame.to_adapted(frame.dual_basis[b])):
             if c:
                 coeffs[i] = coeffs.get(i, ctx.zero()) + coeff.scale(c)
-    return NumLoop(frame, ctx, {(i, 0): _common(p.terms.items())
-                                for i, p in coeffs.items() if p})
+    return LoopElement(frame, ctx, {(i, 0): p for i, p in coeffs.items() if p})
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +262,7 @@ class HDecomposition:
     Each split degree d keeps two matrices on slice(d), built from one
     inverse: the projection onto ker ad(f+zs) along the image, and the
     inverse of ad(f+zs) from hperp(d+1), the image part of slice(d+1).
-    Both are kept as numerator rows, which `split` applies to a NumLoop.
+    Both are kept as numerator rows, which `split` applies to a LoopElement.
     """
 
     def __init__(self, frame: ReductionFrame, min_deg: Fraction, max_deg: Fraction):
@@ -442,7 +333,7 @@ class HDecomposition:
         self._solve[deg] = _num_rows(
             lift(hperp, T[len(K):], len(self.slices[deg + 1])))
 
-    def split(self, deg: Fraction, el: NumLoop) -> tuple:
+    def split(self, deg: Fraction, el: LoopElement) -> tuple:
         """(h, u) for el of degree deg: h the kernel component of el, and u
         in hperp(deg+1) with [f+zs, u] its image component."""
         coeffs = self.coeffs_of(deg, el)
@@ -452,21 +343,22 @@ class HDecomposition:
                 raise WindowOverflow(
                     f"degree {deg} outside the solved window; extend max_deg")
             co = _apply_rows(mats[deg], coeffs)
-            return NumLoop(self.frame, el.ctx,
-                           {key: t for key, t in zip(self.slices[d], co) if t})
+            return LoopElement(self.frame, el.ctx,
+                               {key: p for key, p in zip(self.slices[d], co) if p})
 
         return loop(deg, self._proj), loop(deg + 1, self._solve)
 
-    def const_loop(self, deg: Fraction, vec: list, ctx: Context) -> NumLoop:
+    def const_loop(self, deg: Fraction, vec: list, ctx: Context) -> LoopElement:
         """The constant loop element with slice(deg) coordinates vec."""
         coords = zip(self.slices[deg], vec)
-        return NumLoop(self.frame, ctx,
-                       {key: _common([((), c)]) for key, c in coords if c})
+        return LoopElement(self.frame, ctx,
+                           {key: ctx.const(c) for key, c in coords if c})
 
     def coeffs_of(self, deg: Fraction, el) -> list:
-        """Slice coordinates of el, None where it has no term."""
+        """Slice coordinates of el, 0 where it has no term."""
         got = dict(el.terms)
-        out = [got.pop(key, None) for key in self.slices[deg]]
+        zero = el.ctx.zero()
+        out = [got.pop(key, zero) for key in self.slices[deg]]
         if any(el.degree_of(k) == deg for k in got):
             raise WindowOverflow(f"element leaves the degree-{deg} slice")
         return out
@@ -477,7 +369,7 @@ class HDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _exp_ad(U: NumLoop, D: NumLoop, max_deg: Fraction) -> NumLoop:
+def _exp_ad(U: LoopElement, D: LoopElement, max_deg: Fraction) -> LoopElement:
     """Loop part of exp(ad U)(d + D) - d, truncated above max_deg.
 
     ad U acts on d by [U, d] = -dU/dx; the series terminates inside the
@@ -503,17 +395,14 @@ def solve_dressing(
     """Solve the dressing equation up to loop degree max_deg.
 
     Returns (U_parts, h_parts, dec): U_parts[j] and h_parts[j] are homogeneous
-    loop elements keyed by their degree, with U in hperp and h in ker.  U
-    stays in numerator form (NumLoop); h is a LoopElement, with DiffPoly
-    coefficients.
+    loop elements keyed by their degree, with U in hperp and h in ker.
 
     The series exp(ad U)(d + D) - d = sum_n T_n, T_0 = D and
     T_n = [U, T_{n-1}]/n (with [U, d] = -dU/dx in T_1), is kept degree by
     degree: at degree d only the degree-d piece of each T_n is formed, from
     the U_j and the lower-degree pieces already known, so every bracket of
     the series is taken once.  U_{d+1}, solved at degree d, enters T_1 at d
-    through [U_{d+1}, f+zs] only after the split.  All of this runs in
-    numerator form, and only h is converted to DiffPoly coefficients.
+    through [U_{d+1}, f+zs] only after the split.
     """
     max_deg = Fraction(max_deg)
     if dec is None:
@@ -529,9 +418,9 @@ def solve_dressing(
     deg = Fraction(-1, 2)
     while deg <= max_deg:
         if dec.slices.get(deg):
-            R = series[0].get(deg, NumLoop(frame, ctx))
+            R = series[0].get(deg, LoopElement(frame, ctx))
             for n in range(1, len(series) + 1):
-                piece = NumLoop(frame, ctx)
+                piece = LoopElement(frame, ctx)
                 for j, u in U_parts.items():
                     prev = series[n - 1].get(deg - j)
                     if prev:
@@ -553,9 +442,9 @@ def solve_dressing(
                 # later degrees read T_1 at deg; past the window nothing does
                 if deg + Fraction(1, 2) <= max_deg:
                     series[1][deg] = series[1].get(
-                        deg, NumLoop(frame, ctx)) + u_el.bracket(fzs)
+                        deg, LoopElement(frame, ctx)) + u_el.bracket(fzs)
         deg += Fraction(1, 2)
-    return U_parts, {d: h.to_loop() for d, h in h_parts.items()}, dec
+    return U_parts, h_parts, dec
 
 
 def dressing_defect(
@@ -564,7 +453,7 @@ def dressing_defect(
     h_parts: dict,
     max_deg,
     projected: bool = True,
-) -> NumLoop:
+) -> LoopElement:
     """Full-exponential re-expansion oracle.
 
     Applies exp(ad U) with the complete U to d + (f+zs) + q in one shot and
@@ -574,12 +463,12 @@ def dressing_defect(
     ctx = frame.w_ctx if projected else frame.coord_ctx
     fzs = loop_fzs(frame, ctx)
     D = fzs + build_q(frame, projected)
-    U = NumLoop(frame, ctx)
+    U = LoopElement(frame, ctx)
     for u in U_parts.values():
         U = U + u
     want = fzs
     for h in h_parts.values():
-        want = want + NumLoop.of(h)
+        want = want + h
     return (_exp_ad(U, D, max_deg) - want.trim(max_deg)).trim(max_deg)
 
 
@@ -589,7 +478,7 @@ def dressing_defect(
 
 
 def _h_loops(dec: HDecomposition, ctx: Context, d: Fraction) -> list:
-    """The kernel basis of slice(d), as NumLoops."""
+    """The kernel basis of slice(d), as constant loop elements."""
     return [dec.const_loop(d, v, ctx) for v in dec.h_basis.get(d, [])]
 
 
@@ -612,7 +501,7 @@ def center_of_h(frame: ReductionFrame, dec: HDecomposition,
             # brackets of constant loops: every coefficient is (L, {(): n})
             brs = [c.bracket(w).terms for c in cands]
             for key in sorted({key for b in brs for key in b}):
-                rows.append([_value(b[key][1][()], b[key][0]) if key in b
+                rows.append([b[key].const_term() if key in b
                              else ring.zero() for b in brs])
         coefs = linalg.kernel(rows, ring, len(cands))
         out[d] = [dec.const_loop(d, linalg.combine(co, K), ctx) for co in coefs]

@@ -16,8 +16,7 @@ from functools import partial
 from math import comb
 from typing import Callable
 from . import linalg
-from .diffpoly import (Context, DiffPoly, LambdaPoly, neg_lambda_d_power,
-                       subst_minus_lambda_d)
+from .diffpoly import Context, DiffPoly, LambdaPoly, subst_minus_lambda_d
 from .lie import GradedSetup, GradeMismatch, MINIMAL, coords_in, darboux_split
 
 
@@ -58,6 +57,12 @@ def _apply_entry(entry: LambdaPoly, arg: LambdaPoly) -> LambdaPoly:
     return out
 
 
+def _partials(p: DiffPoly, i: int) -> LambdaPoly:
+    """sum_m lambda^m dp/du_i^(m), the partials of p as one LambdaPoly."""
+    return LambdaPoly(p.ctx, [p.partial(i, m)
+                              for m in range(p.max_order(i) + 1)])
+
+
 def master_bracket(
     table: BracketTable, g: DiffPoly, h: DiffPoly
 ) -> tuple[LambdaPoly, LambdaPoly]:
@@ -72,13 +77,9 @@ def master_bracket(
     # P_i = sum_m (-lambda-d)^m dg/du_i^(m)
     P: dict[int, LambdaPoly] = {}
     for i in sorted(g.gens_used()):
-        acc = zero
-        for m in range(g.max_order(i) + 1):
-            p = g.partial(i, m)
-            if p:
-                acc = acc + neg_lambda_d_power(p, m)
-        if acc:
-            P[i] = acc
+        Pi = subst_minus_lambda_d(_partials(g, i))
+        if Pi:
+            P[i] = Pi
 
     # R_j = sum_i {u_i lambda u_j}(d+lambda) P_i, per part
     h_gens = sorted(h.gens_used())
@@ -97,23 +98,14 @@ def master_bracket(
         if accK:
             R_K[j] = accK
 
+    # sum_{j,n} (d+lambda)^n R_j dh/du_j^(n), per part
     outH = outK = zero
     for j in h_gens:
-        for which, R, out_is_h in ((0, R_H, True), (1, R_K, False)):
-            Rj = R.get(j)
-            if Rj is None:
-                continue
-            power = Rj
-            for n in range(h.max_order(j) + 1):
-                if n:
-                    power = power.apply_d_plus_lambda()
-                dh = h.partial(j, n)
-                if dh:
-                    contrib = power.mul_poly(dh)
-                    if out_is_h:
-                        outH = outH + contrib
-                    else:
-                        outK = outK + contrib
+        dh = _partials(h, j)
+        if j in R_H:
+            outH = outH + _apply_entry(dh, R_H[j])
+        if j in R_K:
+            outK = outK + _apply_entry(dh, R_K[j])
     return outH, outK
 
 

@@ -444,6 +444,24 @@ def test_no_unused_private_defs_in_src():
     assert [f"{where} {name}" for where, name in defs if name not in used] == []
 
 
+def test_closed_pipe_exits_quietly():
+    """A reader that closes stdout early (`wds ... | head -c 100`) ends the
+    run with status 1 and no traceback: the 1.8 MB of JSON overflow the
+    pipe, so the write fails once the reader is gone."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("WDS_MAX_DEGREE", None)
+    argv = ["-m", "wds.cli", "hierarchy", "--algebra", "sl4", "--nilpotent",
+            "short", "--n", "3", "--max-degree", "8", "--format", "json"]
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env, cwd=ROOT)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1, err
+    assert len(head) == 100 and "Traceback" not in err and not err
+
+
 def test_verify_all_same_under_python_O():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("WDS_MAX_DEGREE", None)

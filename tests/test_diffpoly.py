@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,8 +18,7 @@ def test_product_and_canonical_form():
     assert u * UV.zero() == UV.zero()
     up, upp = UV.gen(0, 1), UV.gen(0, 2)
     m = (u * up) * upp
-    assert list(m.terms.values())[0] == Q.one()
-    assert len(m.terms) == 1
+    assert m.coeffs() == {((0, 0), (0, 1), (0, 2)): Q.one()}
 
 
 def test_total_derivative():
@@ -170,3 +170,169 @@ def test_lambda_poly_operations():
     assert y.coeff(2) == v
     # substituting lambda -> -lambda-d twice is the identity
     assert subst_minus_lambda_d(subst_minus_lambda_d(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# the numerator kernel against a plain {monomial: coefficient} reference
+# ---------------------------------------------------------------------------
+#
+# The reference keeps one ring element per monomial (a Fraction over Q, a
+# Scalar over Q(a)) and does every operation coefficient by coefficient.
+
+QA = ParamRing(["a"])
+KERNEL_CTXS = [Context(Q, ["u", "v"]), Context(QA, ["u", "v"])]
+TARGETS = {ring: Context(ring, ["w", "x"]) for ring in (Q, QA)}
+RATIONALS = [Fraction(1, 3), Fraction(-1, 3), Fraction(7, 4), Fraction(-7, 4),
+             Fraction(1, 6), Fraction(2), Fraction(-2), Fraction(5)]
+
+
+def kernel_values(ring):
+    if not ring.nvars:
+        return RATIONALS
+    a, one = ring.param("a"), ring.one()
+    return [ring.const(q) for q in RATIONALS] + [
+        a, -a, a * Fraction(-2, 3), one / (a + one), (a + Fraction(1, 2)) / (a - 3)]
+
+
+def ref_clean(ref):
+    return {m: c for m, c in ref.items() if c}
+
+
+def ref_add(x, y, s=1):
+    out = dict(x)
+    for m, c in y.items():
+        out[m] = out.get(m, 0) + c * s
+    return ref_clean(out)
+
+
+def ref_mul(x, y):
+    out = {}
+    for mx, cx in x.items():
+        for my, cy in y.items():
+            m = tuple(sorted(mx + my))
+            out[m] = out.get(m, 0) + cx * cy
+    return ref_clean(out)
+
+
+def ref_scale(x, c):
+    return ref_clean({m: v * c for m, v in x.items()})
+
+
+def ref_derivative(x):
+    out = {}
+    for m, c in x.items():
+        for k, (g, n) in enumerate(m):
+            dm = tuple(sorted(m[:k] + ((g, n + 1),) + m[k + 1:]))
+            out[dm] = out.get(dm, 0) + c
+    return ref_clean(out)
+
+
+def ref_partial(x, gen, order):
+    out = {}
+    for m, c in x.items():
+        k = m.count((gen, order))
+        if k:
+            i = m.index((gen, order))
+            out[m[:i] + m[i + 1:]] = out.get(m[:i] + m[i + 1:], 0) + c * k
+    return ref_clean(out)
+
+
+def ref_variational(x, gen):
+    out = {}
+    top = max((n for m in x for g, n in m if g == gen), default=-1)
+    for n in range(top + 1):
+        t = ref_partial(x, gen, n)
+        for _ in range(n):
+            t = ref_derivative(t)
+        out = ref_add(out, t, (-1) ** n)
+    return out
+
+
+def ref_map(x, images):
+    out = {}
+    for m, c in x.items():
+        p = {(): c}
+        for g, n in m:
+            img = images[g]
+            for _ in range(n):
+                img = ref_derivative(img)
+            p = ref_mul(p, img)
+        out = ref_add(out, p)
+    return out
+
+
+def rebuild(ctx, ref):
+    """The DiffPoly of a reference, summed term by term from the last
+    monomial to the first: another path to the same value."""
+    p = ctx.zero()
+    for m, c in sorted(ref.items(), reverse=True):
+        term = ctx.const(c)
+        for g, n in m:
+            term = ctx.gen(g, n) * term
+        p = term + p
+    return p
+
+
+def assert_matches(p, ref):
+    """p has the reference's coefficients, is in canonical numerator form,
+    and equals (with the same hash) the value rebuilt along another path."""
+    assert p.coeffs() == ref
+    nums = list(p.terms.values())
+    assert all(nums)
+    if p.ctx.ring.nvars:
+        assert p.den == 1
+    else:
+        assert {type(v) for v in nums} <= {int} and type(p.den) is int
+        assert p.den > 0 and math.gcd(p.den, *nums) == 1
+    q = rebuild(p.ctx, ref)
+    assert p == q and hash(p) == hash(q) and q.terms == p.terms
+
+
+@st.composite
+def poly_with_ref(draw, ctx):
+    """A DiffPoly of up to five terms, built by DiffPoly arithmetic, and its
+    reference built coefficient by coefficient; terms may repeat and cancel."""
+    values = kernel_values(ctx.ring)
+    p, ref = ctx.zero(), {}
+    for _ in range(draw(st.integers(0, 5))):
+        c = draw(st.sampled_from(values))
+        m = tuple(sorted((draw(st.integers(0, ctx.ngens - 1)),
+                          draw(st.integers(0, 2)))
+                         for _ in range(draw(st.integers(0, 2)))))
+        term = ctx.const(c)
+        for g, n in m:
+            term = term * ctx.gen(g, n)
+        p = p + term
+        ref[m] = ref.get(m, 0) + c
+    return p, ref_clean(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_matches_reference(data):
+    """+, -, *, scale, total_derivative, partial, variational and
+    map_generators equal the coefficient-wise reference over Q and over
+    Q(a), in canonical form; == and hash agree with the reference's
+    equality, also on equal values built along different paths."""
+    ctx = data.draw(st.sampled_from(KERNEL_CTXS))
+    (p, P), (q, Q_) = data.draw(poly_with_ref(ctx)), data.draw(poly_with_ref(ctx))
+    c = data.draw(st.sampled_from(kernel_values(ctx.ring) + [0]))
+    assert_matches(p, P)
+    assert_matches(p + q, ref_add(P, Q_))
+    assert_matches(p - q, ref_add(P, Q_, -1))
+    assert_matches(p * q, ref_mul(P, Q_))
+    assert_matches(p.scale(c), ref_scale(P, c))
+    assert_matches(p.total_derivative(), ref_derivative(P))
+    for gen in range(ctx.ngens):
+        assert_matches(p.variational(gen), ref_variational(P, gen))
+        for order in range(4):
+            assert_matches(p.partial(gen, order), ref_partial(P, gen, order))
+    target = TARGETS[ctx.ring]
+    images = [data.draw(poly_with_ref(target)) for _ in range(ctx.ngens)]
+    assert_matches(p.map_generators(target, [i for i, _ in images]),
+                   ref_map(P, [r for _, r in images]))
+    # equal values along different paths, and unequal values
+    assert (p == q) == (P == Q_)
+    for x, y in ((p + q, q + p), ((p + q) - q, p), (p * q, q * p),
+                 (p.scale(2), p + p), (p.scale(c) * q, p * q.scale(c))):
+        assert x == y and hash(x) == hash(y) and x.terms == y.terms

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -5,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wds import MINIMAL, SHORT, GradedSetup, build_sl, linalg
-from wds.diffpoly import Context, DiffPoly
+from wds.diffpoly import Context
 from wds.hierarchy import (HDecomposition, InvalidCenter, LoopElement,
-                           NotSemisimple, NumLoop, WindowOverflow,
-                           _apply_rows, _common, _num_rows, _value, build_q,
+                           NotSemisimple, WindowOverflow,
+                           _apply_rows, _num_rows, build_q,
                            center_of_h, check_central, conserved_densities,
                            dressing_defect, hierarchy_equation,
                            loop_from_zmap, loop_fzs, reduce_mod_jk,
@@ -18,8 +19,8 @@ from wds.scalars import ParamRing, Q, Scalar
 
 
 # ---------------------------------------------------------------------------
-# the coefficient-wise oracle of the numerator kernel: loop arithmetic on
-# DiffPoly coefficients, one coefficient at a time
+# the coefficient-wise oracle of the loop arithmetic: sums, brackets and
+# derivatives on DiffPoly coefficients, one coefficient at a time
 # ---------------------------------------------------------------------------
 
 
@@ -137,19 +138,6 @@ def dense(rows, ncols):
     return out
 
 
-def poly_pair(p):
-    """The numerator pair of a DiffPoly, or None for 0."""
-    return _common(p.terms.items()) if p else None
-
-
-def pair_poly(ctx, t):
-    """The DiffPoly of a numerator pair, or 0 for None."""
-    if t is None:
-        return ctx.zero()
-    L, nums = t
-    return DiffPoly(ctx, {m: _value(v, L) for m, v in nums.items()})
-
-
 def central_g0f_element(cfg):
     g, s = cfg.algebra, cfg.setup
     base = [s.basis[i] for i in s.g0f_indices]
@@ -185,7 +173,7 @@ def test_minimal_h_slices(sl3_min):
             assert len(K) == 1
     # f + ze spans the odd part at degree 1
     fr = sl3_min.frame
-    el = loop_from_zmap(fr, fr.w_ctx, {-1: s.f, 0: s.e}).to_loop()
+    el = loop_from_zmap(fr, fr.w_ctx, {-1: s.f, 0: s.e})
     co = dec.coeffs_of(F(1), el)
     K = dec.h_basis[F(1)]
     assert len(K) == 1
@@ -246,7 +234,7 @@ def test_q_expansion_minimal(sl3_min):
     """pi q = sum a_i (x) a^i + sum v^k (x) [f,v_k] + e/(2(x|x)) (x) f."""
     cfg = sl3_min
     g, s, fr = cfg.algebra, cfg.setup, cfg.frame
-    q = build_q(fr, projected=True).to_loop()
+    q = build_q(fr, projected=True)
     xx = s.xx()
     pieces = []
     a_basis, a_dual = s.a_pairs
@@ -262,7 +250,7 @@ def test_q_expansion_minimal(sl3_min):
 def test_q_expansion_short(sl4_short):
     cfg = sl4_short
     g, s, fr = cfg.algebra, cfg.setup, cfg.frame
-    q = build_q(fr, projected=True).to_loop()
+    q = build_q(fr, projected=True)
     pieces = []
     a_basis, a_dual = s.a_pairs
     for b, bd in zip(a_basis, a_dual):
@@ -277,7 +265,7 @@ def test_q_completeness_unprojected(sl3_min):
     """(first factor | coordinate vector) reconstructs each coordinate."""
     cfg = sl3_min
     g, fr = cfg.algebra, cfg.frame
-    q = build_q(fr, projected=False).to_loop()
+    q = build_q(fr, projected=False)
     for pos, b in enumerate(fr.coord_idx):
         acc = fr.coord_ctx.zero()
         for (i, k), coeff in q.terms.items():
@@ -309,7 +297,7 @@ def test_minimal_dressing_low_degrees(sl3_min, sl4_min):
             cfg,
             [(g.bracket(s.f, vdk), -1, fr.w_lin(g.bracket(s.f, vk)))
              for vk, vdk in zip(vs, vds)])
-        assert not loop_sub(U[F(3, 2)].to_loop(), want_u32)
+        assert not loop_sub(U[F(3, 2)], want_u32)
         want_h1 = expected_loop(cfg, [
             (s.f, -1, fr.w_lin(s.f).scale(1 / (4 * xx))),
             (s.e, 0, fr.w_lin(s.f).scale(1 / (4 * xx))),
@@ -317,7 +305,7 @@ def test_minimal_dressing_low_degrees(sl3_min, sl4_min):
         assert not loop_sub(h[F(1)], want_h1)
         want_u2 = expected_loop(cfg, [
             (s.x, -1, fr.w_lin(s.f).scale(-1 / (4 * xx)))])
-        assert not loop_sub(U[F(2)].to_loop(), want_u2)
+        assert not loop_sub(U[F(2)], want_u2)
         # pi U_5/2 = -sum v^k (x) d[f,v_k] - sum [a^i, v^k] (x) a_i [f,v_k]
         pieces = []
         for vk, vdk in zip(vs, vds):
@@ -326,7 +314,7 @@ def test_minimal_dressing_low_degrees(sl3_min, sl4_min):
                 pieces.append((
                     g.bracket(bd, vdk), -1,
                     -(fr.w_lin(b) * fr.w_lin(g.bracket(s.f, vk)))))
-        assert not loop_sub(U[F(5, 2)].to_loop(), expected_loop(cfg, pieces))
+        assert not loop_sub(U[F(5, 2)], expected_loop(cfg, pieces))
         # pi h_2 = 1/2 sum [[f,v^h],v^k]# (x) [f,v_h][f,v_k]
         pieces = []
         for vh, vdh in zip(vs, vds):
@@ -341,7 +329,7 @@ def test_minimal_dressing_low_degrees(sl3_min, sl4_min):
             (s.f, -2, fr.w_lin(s.f, 1).scale(1 / (16 * xx))),
             (s.e, -1, fr.w_lin(s.f, 1).scale(-1 / (16 * xx))),
         ])
-        assert not loop_sub(U[F(3)].to_loop(), want_u3)
+        assert not loop_sub(U[F(3)], want_u3)
         # pi h_3 = (f+ze) z^-2 (x) (-f^2/(32(x|x)^2)
         #          - sum [f,v^k] d[f,v_k]/(8(x|x))
         #          - sum [a^i,[f,v^k]] a_i [f,v_k] / (8(x|x)))
@@ -376,7 +364,7 @@ def test_short_dressing_values(sl4_short):
     # pi U_2 = 1/4 sum [f, u^k] z^-1 (x) u_k
     pieces = [(g.bracket(s.f, ukd), -1, fr.w_lin(uk).scale(F(1, 4)))
               for uk, ukd in zip(us, uds)]
-    assert not loop_sub(U[F(2)].to_loop(), expected_loop(cfg, pieces))
+    assert not loop_sub(U[F(2)], expected_loop(cfg, pieces))
     # pi h_2 = 0
     assert F(2) not in h or not h[F(2)]
     # pi h_3 = 1/32 sum_k ((ad f)^2 - 2z) u^k z^-2 (x) sum_h [[f,u^h],u_k] u_h
@@ -409,7 +397,7 @@ def test_isotropic_dressing_values(sl3_iso):
          fr.w_lin(g.bracket(sv, g.bracket(s.f, ukd))))
         for uk, ukd in zip(data.gs_half, gs_half_dual)
     ]
-    assert not loop_sub(U[F(1)].to_loop(), expected_loop(cfg, pieces))
+    assert not loop_sub(U[F(1)], expected_loop(cfg, pieces))
     # pi h_1/2 = (f + zs) z^-1 (x) s^* / (6(x|x))
     want = expected_loop(cfg, [
         (s.f, -1, fr.w_lin(s_star).scale(1 / (6 * xx))),
@@ -421,7 +409,7 @@ def test_isotropic_dressing_values(sl3_iso):
     for uk, ukd in zip(data.gs_half, gs_half_dual):
         pieces.append((g.bracket(sv, g.bracket(s.f, ukd)), -1,
                        -fr.w_lin(g.bracket(s.f, uk))))
-    assert not loop_sub(U[F(3, 2)].to_loop(), expected_loop(cfg, pieces))
+    assert not loop_sub(U[F(3, 2)], expected_loop(cfg, pieces))
     # pi h_1 = (e + z^-1 s*) (x) (f/(6(x|x))
     #          + sum [s,[f,u_k]][s,[f,u^k]] / (12(x|x)))
     coeff = fr.w_lin(s.f).scale(1 / (6 * xx))
@@ -448,8 +436,8 @@ def test_conjugation_oracle_catches_errors(sl3_min, sl4_short):
         U, h, dec = cfg.dressing(4)
         for deg, u in U.items():
             first = next(iter(u.terms))
-            rest = NumLoop(fr, u.ctx, {key: t for key, t in u.terms.items()
-                                       if key != first})
+            rest = LoopElement(fr, u.ctx, {key: p for key, p in u.terms.items()
+                                           if key != first})
             for bad in (u.scale(2), rest):
                 assert dressing_defect(fr, {**U, deg: bad}, h, 4), deg
         for deg in h:
@@ -462,8 +450,8 @@ def reexpanding_solve(frame, max_deg, dec):
     keeps its degree-d component, all in DiffPoly arithmetic: the oracle of
     the incremental series and of the numerator kernel."""
     ctx = frame.w_ctx
-    fzs = loop_fzs(frame, ctx).to_loop()
-    D = loop_add(fzs, build_q(frame).to_loop())
+    fzs = loop_fzs(frame, ctx)
+    D = loop_add(fzs, build_q(frame))
     U_parts, h_parts = {}, {}
     Usum = LoopElement(frame, ctx)
     deg = F(-1, 2)
@@ -485,11 +473,6 @@ def reexpanding_solve(frame, max_deg, dec):
     return U_parts, h_parts
 
 
-def as_loops(parts):
-    """{degree: NumLoop} as {degree: LoopElement}."""
-    return {d: el.to_loop() for d, el in parts.items()}
-
-
 def assert_parts_equal(got, want):
     assert got.keys() == want.keys()
     for deg in want:
@@ -509,9 +492,9 @@ def test_incremental_solve_matches_reexpansion(name, window, request):
     cfg = request.getfixturevalue(name)
     U, h, dec = cfg.dressing(window)
     U_ref, h_ref = reexpanding_solve(cfg.frame, window, dec)
-    assert_parts_equal(as_loops(U), U_ref)
+    assert_parts_equal(U, U_ref)
     assert_parts_equal(h, h_ref)
-    for parts in (as_loops(U), h):
+    for parts in (U, h):
         for el in parts.values():
             assert_canonical(el.terms.values())
     U_low, h_low, _ = cfg.dressing(window - 2)
@@ -550,14 +533,14 @@ def test_solve_dressing_same_on_scalar_path(name, window, request):
     ring = fr.ring
     U_a, h_a, _ = solve_dressing(fr, window)
     assert U and h and not dressing_defect(fr, U_a, h_a, window)
-    for parts, parts_a in ((as_loops(U), as_loops(U_a)), (h, h_a)):
+    for parts, parts_a in ((U, U_a), (h, h_a)):
         assert parts.keys() == parts_a.keys()
         for deg, el in parts.items():
             got = parts_a[deg].terms
             assert got.keys() == el.terms.keys(), deg
             for key, p in el.terms.items():
-                assert got[key].terms == {
-                    m: ring.const(c) for m, c in p.terms.items()}, (deg, key)
+                assert got[key].coeffs() == {
+                    m: ring.const(c) for m, c in p.coeffs().items()}, (deg, key)
             assert_canonical(got.values())
 
 
@@ -567,7 +550,7 @@ def test_unprojected_solve_matches_projection(sl3_min):
     U, h, dec = cfg.dressing(3)
     U2, h2, _ = solve_dressing(fr, 3, projected=False, dec=dec)
     assert not dressing_defect(fr, U2, h2, 3, projected=False)
-    for parts, parts2 in ((h, h2), (as_loops(U), as_loops(U2))):
+    for parts, parts2 in ((h, h2), (U, U2)):
         for deg, el in parts2.items():
             want = parts.get(deg)
             pied = map_coeffs(el, fr.pi, fr.w_ctx)
@@ -587,8 +570,8 @@ def test_homogeneity_of_solution(name, window, request):
         assert not h_el
     for deg, el in h.items():
         assert not loop_sub(el, el.component(deg))
-        h_el, u_el = dec.split(deg, NumLoop.of(el))
-        assert h_el.terms == NumLoop.of(el).terms and not u_el
+        h_el, u_el = dec.split(deg, el)
+        assert h_el.terms == el.terms and not u_el
 
 
 def test_window_overflow_error(sl3_min):
@@ -671,13 +654,19 @@ def loop_elements(draw, frame):
 
 
 def assert_canonical(polys):
-    """Every coefficient is canonical: a Fraction over Q, and over Q(p) in
-    the form the canonicalising constructor gives."""
+    """Every DiffPoly is in canonical numerator form: no zero numerator;
+    over Q int numerators over a positive int den coprime to them as a
+    whole (1 for 0); over Q(p) den 1 and every Scalar numerator in the form
+    the canonicalising constructor gives."""
     for p in polys:
-        for c in p.terms.values():
-            if not p.ctx.ring.nvars:
-                assert type(c) is F
-                continue
+        nums = list(p.terms.values())
+        assert all(nums)
+        if not p.ctx.ring.nvars:
+            assert {type(v) for v in nums} <= {int} and type(p.den) is int
+            assert math.gcd(p.den, *nums) == 1 and p.den > 0
+            continue
+        assert p.den == 1
+        for c in nums:
             want = Scalar(c.ring, dict(c.num), dict(c.den))
             assert (c.num, c.den, hash(c)) == (want.num, want.den, hash(want))
 
@@ -696,9 +685,9 @@ def test_one_representation_per_ring(name, window, kind, request):
     polys = [p for pair in cfg.gens.table.entries.values()
              for lam in pair for p in lam.coeffs]
     U, h, _ = cfg.dressing(window)
-    polys += [p for parts in (as_loops(U), h) for el in parts.values()
+    polys += [p for parts in (U, h) for el in parts.values()
               for p in el.terms.values()]
-    found += [c for p in polys for c in p.terms.values()]
+    found += [c for p in polys for c in p.coeffs().values()]
     assert polys and found
     assert {type(c) for c in found} == {kind}
 
@@ -708,7 +697,7 @@ def test_one_representation_per_ring(name, window, kind, request):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_q_bracket_matches_scalar_oracle(name, data, request):
-    """The numerator kernel's bracket and derivative equal the
+    """The fused bracket and the derivative of LoopElement equal the
     coefficient-wise ones, over Q and over Q(c, s1, s2), drop what cancels,
     and build every coefficient in canonical form.  A drawn element whose
     terms all cancel is empty, and so is its bracket."""
@@ -717,17 +706,16 @@ def test_q_bracket_matches_scalar_oracle(name, data, request):
     Y = data.draw(loop_elements(fr))
     degs = sorted(X.degree_of(a) + Y.degree_of(b)
                   for a in X.terms for b in Y.terms)
-    nX, nY = NumLoop.of(X), NumLoop.of(Y)
     for max_deg in (None, degs[len(degs) // 2]) if degs else (None,):
-        got = nX.bracket(nY, max_deg).to_loop()
+        got = X.bracket(Y, max_deg)
         assert got.terms == loop_bracket(X, Y, max_deg).terms
         assert_canonical(got.terms.values())
     if not degs:
         assert not got.terms
-    got = nX.derivative().to_loop()
+    got = X.derivative()
     assert got.terms == loop_derivative(X).terms
     assert_canonical(got.terms.values())
-    assert not nX.bracket(nX).terms
+    assert not X.bracket(X).terms
     assert not loop_bracket(X, X).terms
 
 
@@ -754,27 +742,25 @@ def test_int_rows_match_lin_comb(data):
         coeffs[1] = coeffs[0].scale(q)
         rows.append([c, -c / q] + [ring.zero()] * (n - 2))
         vanish.append(len(rows) - 1)
-    got = _apply_rows(_num_rows(rows), [poly_pair(p) for p in coeffs])
-    got = [pair_poly(ctx, t) for t in got]
+    got = _apply_rows(_num_rows(rows), coeffs)
     assert got == [lin_comb(row, coeffs) for row in rows]
     assert_canonical(got)
     assert not any(got[i] for i in vanish)
 
 
 def test_scale_by_zero_keeps_no_zero_term(sl3_min):
-    """Scaling by 0 leaves no zero term, in either form: the series stops at
-    the first empty order (`while cur:`) and the solve keeps only nonempty
-    pieces."""
+    """Scaling by 0 leaves no zero term, in the engine's loop arithmetic and
+    in the oracle's: the series stops at the first empty order
+    (`while cur:`) and the solve keeps only nonempty pieces."""
     fr = sl3_min.frame
-    nz = loop_fzs(fr, fr.w_ctx)
-    z = nz.to_loop()
+    z = loop_fzs(fr, fr.w_ctx)
     zero = loop_scale(z, 0)
     for el in (zero, loop_sub(zero, zero), loop_scale(z, fr.ring.zero()),
                loop_sub(z, z)):
         assert not el and el.terms == {}
-    for el in (nz.scale(0), -nz.scale(0), nz - nz, nz.derivative()):
+    for el in (z.scale(0), -z.scale(0), z - z, z.derivative()):
         assert not el and el.terms == {}
-    assert nz.scale(F(-2, 3)).to_loop().terms == loop_scale(z, F(-2, 3)).terms
+    assert z.scale(F(-2, 3)).terms == loop_scale(z, F(-2, 3)).terms
 
 
 # ---------------------------------------------------------------------------

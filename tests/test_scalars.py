@@ -270,8 +270,8 @@ def test_distinct_rings_rejected_on_every_path():
 # each entry point, and the coefficient it stores for c
 ENTRY_POINTS = {
     "context_const": lambda ctx, g, c: ctx.const(c).const_term(),
-    "context_linear": lambda ctx, g, c: ctx.linear([1, c]).terms[((1, 0),)],
-    "diffpoly_scale": lambda ctx, g, c: ctx.gen(0).scale(c).terms[((0, 0),)],
+    "context_linear": lambda ctx, g, c: ctx.linear([1, c]).coeffs()[((1, 0),)],
+    "diffpoly_scale": lambda ctx, g, c: ctx.gen(0).scale(c).coeffs()[((0, 0),)],
     "lie_parse": lambda ctx, g, c: g.parse({"E12": c})[g.labels.index("E12")],
 }
 
