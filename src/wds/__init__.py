@@ -11,7 +11,8 @@ from .lie import (
     build_sp,
     darboux_split,
 )
-from .pva import BracketTable, ReductionFrame, check_pva_axioms, master_bracket
+from .pva import (BracketTable, LeftBracket, ReductionFrame, check_pva_axioms,
+                  master_bracket)
 from .walgebra import WGenerators, verify_table
 from .hierarchy import (
     HDecomposition,
@@ -21,6 +22,7 @@ from .hierarchy import (
     conserved_densities,
     dressing_defect,
     hierarchy_equation,
+    hierarchy_flow,
     reduce_mod_jk,
     solve_dressing,
     verify_lenard_magri,
@@ -30,10 +32,11 @@ __all__ = [
     "ParamRing", "Q", "Scalar", "Context", "DiffPoly", "LambdaPoly",
     "functional_equal", "GradedSetup", "LieAlgebra", "MINIMAL", "SHORT",
     "build_sl", "build_sp", "darboux_split",
-    "BracketTable", "ReductionFrame", "check_pva_axioms", "master_bracket",
+    "BracketTable", "LeftBracket", "ReductionFrame", "check_pva_axioms",
+    "master_bracket",
     "WGenerators", "verify_table", "HDecomposition", "LoopElement",
     "build_q", "center_of_h", "conserved_densities", "dressing_defect",
-    "hierarchy_equation", "reduce_mod_jk", "solve_dressing",
+    "hierarchy_equation", "hierarchy_flow", "reduce_mod_jk", "solve_dressing",
     "verify_lenard_magri",
 ]
 

@@ -22,7 +22,7 @@ from .lie import (GradedSetup, GradeMismatch, InvalidDimension, MINIMAL,
 from .pva import ReductionFrame, check_pva_axioms
 from .walgebra import WGenerators, verify_table
 from .hierarchy import (NotSemisimple, WindowOverflow, conserved_densities,
-                        dressing_defect, hierarchy_equation, reduce_mod_jk,
+                        dressing_defect, hierarchy_flow, reduce_mod_jk,
                         solve_dressing, verify_lenard_magri)
 
 
@@ -290,8 +290,9 @@ def cmd_hierarchy(args):
         doc[f"int g_{n}"] = fmt_poly(gn, args)
     for n in range(min(args.n, len(dens) - 1) + 1):
         eqs = {}
+        flow = hierarchy_flow(frame, gens, dens[n])
         for name, w in gens.all_generators():
-            eq = hierarchy_equation(frame, gens, dens[n], w)
+            eq = flow(w)
             if args.reduce:
                 eq = reduce_mod_jk(frame, eq)
             eqs[f"d/dt_{n} {name}"] = fmt_poly(eq, args)

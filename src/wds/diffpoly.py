@@ -129,6 +129,27 @@ def _accumulate(out: dict, items, s=1) -> None:
         out[m] = v if got is None else got + v
 
 
+def _mul_into(out: dict, items_a, items_b) -> None:
+    """out[m] += the numerator products of items_a by items_b, on the
+    product monomials m."""
+    for ma, va in items_a:
+        for mb, vb in items_b:
+            m = tuple(sorted(ma + mb))
+            v = va * vb
+            got = out.get(m)
+            out[m] = v if got is None else got + v
+
+
+def dot(ctx: "Context", pairs) -> "DiffPoly":
+    """sum a * b over the (a, b) of pairs, multiplied on numerators and
+    normalised once."""
+    slots: dict = {}
+    for a, b in pairs:
+        _mul_into(slots.setdefault(a.den * b.den, {}),
+                  a.terms.items(), b.terms.items())
+    return DiffPoly.collect(ctx, slots) if slots else ctx.zero()
+
+
 class DiffPoly:
     __slots__ = ("ctx", "terms", "den")
 
@@ -148,8 +169,10 @@ class DiffPoly:
             (den, nums), = slots.items()
         else:
             den = math.lcm(*slots)
-            nums = {}
-            for d, slot in slots.items():
+            (d, first), *rest = slots.items()
+            s = den // d
+            nums = dict(first) if s == 1 else {m: v * s for m, v in first.items()}
+            for d, slot in rest:
                 _accumulate(nums, slot.items(), den // d)
         nums = {m: v for m, v in nums.items() if v}
         if not nums:
@@ -202,12 +225,7 @@ class DiffPoly:
             return self.scale(other)
         _check_ctx(self, other)
         out: dict = {}
-        for ma, va in self.terms.items():
-            for mb, vb in other.terms.items():
-                m = tuple(sorted(ma + mb))
-                v = va * vb
-                got = out.get(m)
-                out[m] = v if got is None else got + v
+        _mul_into(out, self.terms.items(), other.terms.items())
         return DiffPoly.collect(self.ctx, {self.den * other.den: out})
 
     __rmul__ = __mul__
@@ -233,7 +251,8 @@ class DiffPoly:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.ctx, tuple(sorted(self.terms))))
+        # the monomials only: __eq__ still compares ctx, den and numerators
+        return hash(frozenset(self.terms))
 
     # -- calculus ------------------------------------------------------
 
@@ -252,36 +271,47 @@ class DiffPoly:
             p = p.total_derivative()
         return p
 
+    def partials(self) -> dict:
+        """{gen: [d/d(u_gen^(0)), ..., d/d(u_gen^(top))] of self} for each
+        generator of self, top its highest order there, gens in increasing
+        order: every plain partial derivative, in one pass over the terms."""
+        slots: dict = {}  # (gen, order) -> {monomial: numerator}
+        for m, v in self.terms.items():
+            for k, key in enumerate(m):
+                if k and m[k - 1] == key:
+                    continue  # a power: its copies are counted at the first
+                # distinct monomials with this factor stay distinct without it
+                mult = m.count(key)
+                slots.setdefault(key, {})[m[:k] + m[k + 1:]] = (
+                    v * mult if mult > 1 else v)
+        zero = self.ctx.zero()
+        out: dict = {}
+        for g, n in sorted(slots):
+            ps = out.setdefault(g, [])
+            ps += [zero] * (n - len(ps))
+            ps.append(DiffPoly.collect(self.ctx, {self.den: slots[(g, n)]}))
+        return out
+
     def partial(self, gen: int, order: int) -> "DiffPoly":
         """d/d(u_gen^(order)), a plain algebra partial derivative."""
-        out: dict = {}
-        key = (gen, order)
-        for m, v in self.terms.items():
-            mult = m.count(key)
-            if not mult:
-                continue
-            idx = m.index(key)
-            reduced = m[:idx] + m[idx + 1 :]
-            v = v * mult
-            got = out.get(reduced)
-            out[reduced] = v if got is None else got + v
-        return DiffPoly.collect(self.ctx, {self.den: out})
+        ps = self.partials().get(gen, ())
+        return ps[order] if order < len(ps) else self.ctx.zero()
 
-    def max_order(self, gen: int | None = None) -> int:
-        mo = -1
-        for m in self.terms:
-            for g, n in m:
-                if gen is None or g == gen:
-                    mo = max(mo, n)
-        return mo
+    def gradient(self) -> dict:
+        """{gen: delta self/delta u_gen} for each generator of self, with
+        delta/delta u = sum_n (-d)^n d/d(u^(n)) in Horner form:
+        acc = d/d(u^(n)) - d(acc), from the top order n down."""
+        out = {}
+        for g, ps in self.partials().items():
+            acc = self.ctx.zero()
+            for p in reversed(ps):
+                acc = p - acc.total_derivative()
+            out[g] = acc
+        return out
 
     def variational(self, gen: int) -> "DiffPoly":
-        """delta/delta(u_gen) = sum_n (-d)^n d/d(u_gen^(n)), in Horner form:
-        acc = d/d(u_gen^(n)) - d(acc), from the top order n down."""
-        acc = self.ctx.zero()
-        for n in range(self.max_order(gen), -1, -1):
-            acc = self.partial(gen, n) - acc.total_derivative()
-        return acc
+        """delta/delta(u_gen), as in `gradient`."""
+        return self.gradient().get(gen, self.ctx.zero())
 
     def gens_used(self) -> set:
         return {g for m in self.terms for g, _ in m}
@@ -436,9 +466,7 @@ def functional_equal(f: DiffPoly, g: DiffPoly) -> bool:
     variational derivatives of f - g vanish and constant terms agree.
     """
     d = f - g
-    if d.const_term():
-        return False
-    return all(not d.variational(i) for i in sorted(d.gens_used()))
+    return not d.const_term() and not any(d.gradient().values())
 
 
 # ---------------------------------------------------------------------------

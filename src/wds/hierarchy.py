@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import linalg
 from .diffpoly import (Context, DiffPoly, common_denominator,
                        functional_equal, numerator_form)
-from .pva import ReductionFrame, master_bracket
+from .pva import LeftBracket, ReductionFrame
 
 
 class NotSemisimple(ValueError):
@@ -565,6 +565,20 @@ def conserved_densities(
     return [total.get(top - n, zero) for n in range(last + 1)]
 
 
+def hierarchy_flow(frame: ReductionFrame, gens, density: DiffPoly,
+                   use_k: bool = False):
+    """The flow w -> dw/dt = {g_n lambda w}_H at lambda = 0 (the K part
+    with use_k), in V(g^f) coordinates, as a function of w.
+
+    The bracket is taken on V(g^f) through the generator table of W; the
+    element w of W enters through its image under pi.  One LeftBracket
+    serves every w the returned function is called on.
+    """
+    left = LeftBracket(gens.table, density)
+    part = int(use_k)
+    return lambda w_elt: left.at_zero(frame.pi(w_elt), part)
+
+
 def hierarchy_equation(
     frame: ReductionFrame,
     gens,
@@ -572,54 +586,50 @@ def hierarchy_equation(
     w_elt: DiffPoly,
     use_k: bool = False,
 ) -> DiffPoly:
-    """dw/dt = {g_n lambda w}_H at lambda = 0, in V(g^f) coordinates.
-
-    The bracket is taken on V(g^f) through the generator table of W; the
-    element w of W enters through its image under pi.
-    """
-    hk = master_bracket(gens.table, density, frame.pi(w_elt))
-    return hk[1 if use_k else 0].at_zero()
+    """dw/dt = {g_n lambda w}_H at lambda = 0, in V(g^f) coordinates: the
+    hierarchy_flow of one density, at one w."""
+    return hierarchy_flow(frame, gens, density, use_k)(w_elt)
 
 
-def _involution_defects(gens, da: list, db: list, what: str,
+def _involution_defects(lefts: list, db: list, what: str,
                         upper: bool = False) -> list[str]:
     """The pairs (m, n) with int{g_m lambda g_n} != 0 at lambda = 0, per
-    structure; upper restricts to n >= m."""
+    structure, for lefts[m] the LeftBracket of g_m; upper restricts to
+    n >= m.  Each integral is taken as int sum_j (delta g_n/delta u_j) R0_j
+    and compared with 0 by functional_equal."""
     bad = []
-    zero = gens.frame.w_ctx.zero()
-    for m, gm in enumerate(da):
+    grads = [g.gradient() for g in db]
+    for m, left in enumerate(lefts):
+        zero = left.table.ctx.zero()
         for n in range(m if upper else 0, len(db)):
-            h, k = master_bracket(gens.table, gm, db[n])
-            if not functional_equal(h.at_zero(), zero):
-                bad.append(f"H{what} ({m},{n})")
-            if not functional_equal(k.at_zero(), zero):
-                bad.append(f"K{what} ({m},{n})")
+            for part, name in enumerate("HK"):
+                if not functional_equal(left.integrand(grads[n], part), zero):
+                    bad.append(f"{name}{what} ({m},{n})")
     return bad
 
 
 def verify_lenard_magri(frame: ReductionFrame, gens, densities: list) -> list[str]:
-    """The recursion int{g_n w}_H = int{g_n+1 w}_K, K-exactness of g_0,
-    and pairwise involutivity in both structures."""
+    """The recursion {g_n w}_H = {g_n+1 w}_K and {g_0 w}_K = 0 on every
+    generator w, compared as exact flows, and pairwise involutivity of the
+    int g_n in both structures."""
     bad = []
-    named = gens.all_generators()
-    zero = frame.w_ctx.zero()
-    for name, w in named:
-        k0 = hierarchy_equation(frame, gens, densities[0], w, use_k=True)
-        if not functional_equal(k0, zero):
-            bad.append(f"int({{g_0 , {name}}}_K) != 0")
+    images = [(name, frame.pi(w)) for name, w in gens.all_generators()]
+    lefts = [LeftBracket(gens.table, g) for g in densities]
+    for name, w in images:
+        if lefts[0].at_zero(w, 1):
+            bad.append(f"{{g_0 , {name}}}_K != 0")
     for n in range(len(densities) - 1):
-        for name, w in named:
-            lhs = hierarchy_equation(frame, gens, densities[n], w)
-            rhs = hierarchy_equation(frame, gens, densities[n + 1], w, use_k=True)
-            if not functional_equal(lhs, rhs):
+        for name, w in images:
+            if lefts[n].at_zero(w, 0) != lefts[n + 1].at_zero(w, 1):
                 bad.append(f"recursion n={n} fails on {name}")
-    return bad + _involution_defects(gens, densities, densities,
-                                     "-involutivity", upper=True)
+    return bad + _involution_defects(lefts, densities, "-involutivity",
+                                     upper=True)
 
 
 def involution_cross(frame: ReductionFrame, gens, da: list, db: list) -> list[str]:
     """Involutivity across two density families (both structures)."""
-    return _involution_defects(gens, da, db, " cross-involutivity")
+    lefts = [LeftBracket(gens.table, g) for g in da]
+    return _involution_defects(lefts, db, " cross-involutivity")
 
 
 def reduce_mod_jk(frame: ReductionFrame, p: DiffPoly) -> DiffPoly:

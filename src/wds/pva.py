@@ -16,7 +16,7 @@ from functools import partial
 from math import comb
 from typing import Callable
 from . import linalg
-from .diffpoly import Context, DiffPoly, LambdaPoly, subst_minus_lambda_d
+from .diffpoly import Context, DiffPoly, LambdaPoly, dot, subst_minus_lambda_d
 from .lie import GradedSetup, GradeMismatch, MINIMAL, coords_in, darboux_split
 
 
@@ -57,56 +57,119 @@ def _apply_entry(entry: LambdaPoly, arg: LambdaPoly) -> LambdaPoly:
     return out
 
 
-def _partials(p: DiffPoly, i: int) -> LambdaPoly:
-    """sum_m lambda^m dp/du_i^(m), the partials of p as one LambdaPoly."""
-    return LambdaPoly(p.ctx, [p.partial(i, m)
-                              for m in range(p.max_order(i) + 1)])
+def _partials(p: DiffPoly) -> dict[int, LambdaPoly]:
+    """{i: sum_m lambda^m dp/du_i^(m)}, the partials of p as LambdaPolys."""
+    return {i: LambdaPoly(p.ctx, ps) for i, ps in p.partials().items()}
+
+
+class LeftBracket:
+    """{g_lambda .} from a generator table, for one left operand g.
+
+    The g side of the master formula does not depend on the right operand,
+    so it is built once per part and generator j, on first use, and kept
+    for the object's lifetime: P_i = sum_m (-lambda-d)^m dg/du_i^(m) and
+    R_j = sum_i {u_i lambda u_j}(d+lambda) P_i for the full bracket, and at
+    lambda = 0, with {u_i lambda u_j} = sum_p c^{ij}_p lambda^p,
+    R0_j = sum_i sum_p c^{ij}_p d^p(delta g/delta u_i) and its derivatives.
+    Calling the object on h gives {g_lambda h} as its (H, K) parts;
+    `at_zero` gives one part's lambda^0 coefficient and `integrand` a
+    density of its local functional, neither forming a power of lambda.
+    Hold one object for a loop over right operands.
+    """
+
+    def __init__(self, table: BracketTable, g: DiffPoly):
+        _check_table_ctx(table, g)
+        self.table = table
+        self.g = g
+        self._P: dict[int, LambdaPoly] | None = None
+        self._R: dict[int, tuple[LambdaPoly, LambdaPoly]] = {}
+        # per part, j -> [R0_j, d R0_j, d^2 R0_j, ...]
+        self._R0: tuple[dict, dict] = ({}, {})
+        # i -> [delta g/delta u_i, d(delta g/delta u_i), ...]
+        self._var: dict[int, list[DiffPoly]] | None = None
+
+    def _lambda_side(self, j: int) -> tuple[LambdaPoly, LambdaPoly]:
+        """R_j per part."""
+        got = self._R.get(j)
+        if got is None:
+            if self._P is None:
+                self._P = {}
+                for i, dg in _partials(self.g).items():
+                    Pi = subst_minus_lambda_d(dg)
+                    if Pi:
+                        self._P[i] = Pi
+            accH = accK = LambdaPoly.zero(self.table.ctx)
+            for i, Pi in self._P.items():
+                eh, ek = self.table.get(i, j)
+                if eh:
+                    accH = accH + _apply_entry(eh, Pi)
+                if ek:
+                    accK = accK + _apply_entry(ek, Pi)
+            got = self._R[j] = (accH, accK)
+        return got
+
+    def __call__(self, h: DiffPoly) -> tuple[LambdaPoly, LambdaPoly]:
+        """{g_lambda h}: sum_{j,n} (d+lambda)^n R_j dh/du_j^(n), per part."""
+        _check_table_ctx(self.table, h)
+        outH = outK = LambdaPoly.zero(self.table.ctx)
+        for j, dh in _partials(h).items():
+            RH, RK = self._lambda_side(j)
+            if RH:
+                outH = outH + _apply_entry(dh, RH)
+            if RK:
+                outK = outK + _apply_entry(dh, RK)
+        return outH, outK
+
+    def _r0(self, part: int, j: int, n: int = 0) -> DiffPoly:
+        """d^n R0_j for the H (0) or K (1) part."""
+        ds = self._R0[part].get(j)
+        if ds is None:
+            if self._var is None:
+                self._var = {i: [dg] for i, dg in self.g.gradient().items()}
+            pairs = []
+            for i, dg in self._var.items():
+                entry = self.table.entries.get((i, j))
+                if entry is not None:
+                    pairs += [(c, _derivative(dg, p))
+                              for p, c in enumerate(entry[part].coeffs) if c]
+            ds = self._R0[part][j] = [dot(self.table.ctx, pairs)]
+        return _derivative(ds, n)
+
+    def at_zero(self, h: DiffPoly, part: int = 0) -> DiffPoly:
+        """{g_lambda h} at lambda = 0, H (0) or K (1) part:
+        sum_{j,n} dh/du_j^(n) d^n R0_j."""
+        _check_table_ctx(self.table, h)
+        return dot(self.table.ctx,
+                   [(dh, self._r0(part, j, n))
+                    for j, ps in h.partials().items()
+                    for n, dh in enumerate(ps) if dh])
+
+    def integrand(self, grad: dict, part: int = 0) -> DiffPoly:
+        """sum_j (delta h/delta u_j) R0_j, for grad = {j: delta h/delta u_j}:
+        its integral is that of {g_lambda h} at lambda = 0, H (0) or K (1)
+        part."""
+        return dot(self.table.ctx,
+                   [(dh, self._r0(part, j)) for j, dh in grad.items()])
+
+
+def _derivative(ds: list, n: int) -> DiffPoly:
+    """The n-th derivative of ds[0], extending the list ds of its
+    successive derivatives as far as needed."""
+    while len(ds) <= n:
+        ds.append(ds[-1].total_derivative())
+    return ds[n]
+
+
+def _check_table_ctx(table: BracketTable, p: DiffPoly) -> None:
+    if p.ctx is not table.ctx and p.ctx != table.ctx:
+        raise ValueError("arguments must live in the table's context")
 
 
 def master_bracket(
     table: BracketTable, g: DiffPoly, h: DiffPoly
 ) -> tuple[LambdaPoly, LambdaPoly]:
     """{g_lambda h} from the generator table; returns the (H, K) parts."""
-    ctx = table.ctx
-    if g.ctx != ctx or h.ctx != ctx:
-        raise ValueError("arguments must live in the table's context")
-    zero = LambdaPoly.zero(ctx)
-    if not g or not h:
-        return zero, zero
-
-    # P_i = sum_m (-lambda-d)^m dg/du_i^(m)
-    P: dict[int, LambdaPoly] = {}
-    for i in sorted(g.gens_used()):
-        Pi = subst_minus_lambda_d(_partials(g, i))
-        if Pi:
-            P[i] = Pi
-
-    # R_j = sum_i {u_i lambda u_j}(d+lambda) P_i, per part
-    h_gens = sorted(h.gens_used())
-    R_H: dict[int, LambdaPoly] = {}
-    R_K: dict[int, LambdaPoly] = {}
-    for j in h_gens:
-        accH = accK = zero
-        for i, Pi in P.items():
-            eh, ek = table.get(i, j)
-            if eh:
-                accH = accH + _apply_entry(eh, Pi)
-            if ek:
-                accK = accK + _apply_entry(ek, Pi)
-        if accH:
-            R_H[j] = accH
-        if accK:
-            R_K[j] = accK
-
-    # sum_{j,n} (d+lambda)^n R_j dh/du_j^(n), per part
-    outH = outK = zero
-    for j in h_gens:
-        dh = _partials(h, j)
-        if j in R_H:
-            outH = outH + _apply_entry(dh, R_H[j])
-        if j in R_K:
-            outK = outK + _apply_entry(dh, R_K[j])
-    return outH, outK
+    return LeftBracket(table, g)(h)
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +457,23 @@ def check_pva_axioms(
 ) -> list[str]:
     """Generator-level skew/Jacobi scan plus randomized composite checks.
 
-    Every bracket of the scan is computed by master_bracket once per
-    distinct operand pair (g, h) and read from a memo local to this call
-    after that: the generator triples share most of their brackets.
+    Every bracket of the scan is computed once per distinct operand pair
+    (g, h), by one LeftBracket per distinct left operand g, and read from a
+    memo local to this call after that: the generator triples share most
+    of their brackets.
     """
     import random
 
+    lefts: dict[DiffPoly, LeftBracket] = {}
     memo: dict[tuple[DiffPoly, DiffPoly], tuple[LambdaPoly, LambdaPoly]] = {}
 
     def bracket(g: DiffPoly, h: DiffPoly) -> tuple[LambdaPoly, LambdaPoly]:
         res = memo.get((g, h))
         if res is None:
-            res = memo[(g, h)] = master_bracket(table, g, h)
+            left = lefts.get(g)
+            if left is None:
+                left = lefts[g] = LeftBracket(table, g)
+            res = memo[(g, h)] = left(h)
         return res
 
     ctx = table.ctx

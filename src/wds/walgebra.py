@@ -15,7 +15,7 @@ from functools import cached_property
 from . import linalg
 from .diffpoly import DiffPoly, LambdaPoly
 from .lie import MINIMAL, SHORT, coords_in
-from .pva import BracketTable, ReductionFrame, master_bracket
+from .pva import BracketTable, LeftBracket, ReductionFrame
 
 
 class WGenerators:
@@ -114,14 +114,16 @@ class WGenerators:
         isomorphism of differential algebras W -> V(g^f) and W is closed
         under both brackets, master_bracket on this table gives
         pi{pi^-1(a) lambda pi^-1(b)} for every a, b in V(g^f), with no lift
-        to the coordinate ring.  Built on first use.
+        to the coordinate ring.  Built on first use, one row per left
+        generator.
         """
         fr = self.frame
         table = BracketTable(fr.w_ctx)
         images = self._pi_inv_images
         for i, wi in enumerate(images):
+            left = LeftBracket(fr.coord_table, wi)
             for j, wj in enumerate(images):
-                table.set(i, j, *_pi_pair(fr, fr.w_bracket(wi, wj)))
+                table.set(i, j, *_pi_pair(fr, left(wj)))
         return table
 
     # -- helpers -------------------------------------------------------------
@@ -383,9 +385,10 @@ def verify_table(frame: ReductionFrame, gens: WGenerators
     """Check the generator table of W against the paper's closed forms.
 
     Each closed-form entry {a lambda b} is compared exactly, in V(g^f), with
-    master_bracket(gens.table, pi(a), pi(b)).  The closed forms follow the
-    frame: minimal, short, or for the isotropic variant the minimal H-parts
-    with the isotropic K-parts.  Returns {table name: {entry: mismatches}};
+    master_bracket(gens.table, pi(a), pi(b)), computed by one LeftBracket
+    per left generator a.  The closed forms follow the frame: minimal,
+    short, or for the isotropic variant the minimal H-parts with the
+    isotropic K-parts.  Returns {table name: {entry: mismatches}};
     an entry passes when its list is empty.
     """
     if frame.isotropic:
@@ -402,11 +405,12 @@ def verify_table(frame: ReductionFrame, gens: WGenerators
     else:
         tables = {"short_generators": _expected_short(frame, gens)}
     images = {name: frame.pi(p) for name, p in gens.all_generators()}
+    lefts = {name: LeftBracket(gens.table, p) for name, p in images.items()}
     out = {}
     for which, expected in tables.items():
         rows = out[which] = {}
         for (a, b), want in expected.items():
-            got = master_bracket(gens.table, images[a], images[b])
+            got = lefts[a](images[b])
             rows[f"{{{a}, {b}}}"] = [
                 f"{part}-bracket {{{a}, {b}}}: got {x}, want {y}"
                 for part, x, y in zip("HK", got, want)

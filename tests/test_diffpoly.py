@@ -50,7 +50,8 @@ def variational_oracle(p, gen):
     """delta p / delta u_gen as sum_n (-d)^n dp/du_gen^(n), each order
     differentiated n times over."""
     out = p.ctx.zero()
-    for n in range(p.max_order(gen) + 1):
+    top = max((n for m in p.terms for g, n in m if g == gen), default=-1)
+    for n in range(top + 1):
         out = out + p.partial(gen, n).d(n).scale((-1) ** n)
     return out
 

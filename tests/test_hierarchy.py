@@ -950,6 +950,53 @@ def test_lenard_magri_all_configurations(sl3_min, sl4_min, sl4_short, sl3_iso):
     assert involution_cross(cfg.frame, cfg.gens, dens_b, dens_c) == []
 
 
+@pytest.mark.parametrize("name, window", [
+    ("sl2_min", 4), ("sl3_min", 5), ("sl4_min", 4), ("sl4_short", 5),
+    ("sl3_iso", 4), ("sl4_generic", 3),
+])
+def test_left_bracket_oracles_on_densities(name, window, request):
+    """On every Tier-1 configuration, for the densities g_n of
+    a(z) = f + zs: one LeftBracket per g_n gives exactly the lambda^0
+    coefficient of master_bracket(gens.table, g_n, x), both parts, for x
+    every density and every generator image, and its integrand
+    sum_j (delta x/delta u_j) R0_j has the same integral."""
+    from wds.diffpoly import functional_equal
+    from wds.pva import LeftBracket, master_bracket
+    cfg = request.getfixturevalue(name)
+    fr, gens = cfg.frame, cfg.gens
+    U, h, dec = cfg.dressing(window)
+    dens = conserved_densities(fr, h, {0: cfg.setup.f, 1: fr.s}, dec=dec)
+    assert len(dens) >= 2 and all(dens)
+    rights = dens + [fr.pi(w) for _, w in gens.all_generators()]
+    for g in dens:
+        left = LeftBracket(gens.table, g)
+        for x in rights:
+            full = master_bracket(gens.table, g, x)
+            grad = {j: x.variational(j) for j in sorted(x.gens_used())}
+            for part in (0, 1):
+                want = full[part].at_zero()
+                assert left.at_zero(x, part) == want
+                assert functional_equal(left.integrand(grad, part), want)
+
+
+def test_lenard_magri_compares_exact_flows(sl3_min):
+    """The recursion is checked on flows, which depend on int g_n only:
+    adding a total derivative to g_1 keeps every check passing, while
+    doubling g_1 breaks the recursion on both sides of it."""
+    cfg = sl3_min
+    fr, gens = cfg.frame, cfg.gens
+    U, h, dec = cfg.dressing(5)
+    dens = conserved_densities(fr, h, {0: cfg.setup.f, 1: fr.s}, dec=dec)
+    assert len(dens) == 3
+    assert verify_lenard_magri(fr, gens, dens) == []
+    shifted = dens[:1] + [dens[1] + (dens[1] * dens[0]).d(2)] + dens[2:]
+    assert verify_lenard_magri(fr, gens, shifted) == []
+    bad = verify_lenard_magri(fr, gens, dens[:1] + [dens[1].scale(2)]
+                              + dens[2:])
+    assert any(line.startswith("recursion n=0 fails") for line in bad)
+    assert any(line.startswith("recursion n=1 fails") for line in bad)
+
+
 def test_short_svinolupov_reduction(sl4_short):
     cfg = sl4_short
     g, s, fr, gens = cfg.algebra, cfg.setup, cfg.frame, cfg.gens

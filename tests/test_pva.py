@@ -1,15 +1,19 @@
 import collections
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wds import linalg, pva
-from wds.diffpoly import LambdaPoly
+from wds import MINIMAL, GradedSetup, WGenerators, build_sl, linalg, pva
+from wds.diffpoly import LambdaPoly, functional_equal
 from wds.lie import GradeMismatch
-from wds.pva import (BracketTable, check_pva_axioms, jacobi_defect,
-                     master_bracket, random_element, skew_defect)
+from wds.pva import (BracketTable, LeftBracket, ReductionFrame,
+                     check_pva_axioms, jacobi_defect, master_bracket,
+                     random_element, skew_defect)
 
 HALF = Fraction(1, 2)
 
@@ -245,18 +249,27 @@ def test_energy_momentum_property(sl3_min):
 
 
 def test_axiom_scan_full_table(sl3_min, monkeypatch):
-    """The scan passes, and brackets each distinct operand pair once."""
-    seen = collections.Counter()
-    bracket = pva.master_bracket
+    """The scan passes; it builds the g side of the master formula once per
+    distinct left operand g, and the h side once per distinct pair (g, h)."""
+    built = collections.Counter()
+    applied = collections.Counter()
 
-    def counted(table, g, h):
-        seen[(g, h)] += 1
-        return bracket(table, g, h)
+    class Counted(pva.LeftBracket):
+        def __init__(self, table, g):
+            built[g] += 1
+            super().__init__(table, g)
 
-    monkeypatch.setattr(pva, "master_bracket", counted)
+        def __call__(self, h):
+            applied[(self.g, h)] += 1
+            return super().__call__(h)
+
+    monkeypatch.setattr(pva, "LeftBracket", Counted)
     bad = check_pva_axioms(sl3_min.frame.full_table, samples=6, gens_cap=8)
     assert bad == []
-    assert seen and max(seen.values()) == 1
+    assert built and max(built.values()) == 1
+    assert applied and max(applied.values()) == 1
+    # left operands are shared: far fewer g sides than pairs
+    assert len(built) < len(applied)
 
 
 @pytest.mark.parametrize("part", [0, 1], ids=["h_sign_flipped", "k_perturbed"])
@@ -349,3 +362,92 @@ def test_isotropic_quotient_pi_l(sl3_iso):
     # pi on the coordinate generators is pi_l in V(g^f) coordinates
     for pos, i in enumerate(fr.coord_idx):
         assert fr.pi(fr.coord_ctx.gen(pos)) == fr.w_lin(pi_l(fr.basis[i]))
+
+
+# ---------------------------------------------------------------------------
+# one left operand, many right operands: LeftBracket against master_bracket
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_tables(ring: str) -> tuple:
+    """The affine table and the W table of sl3 minimal: over Q, or over
+    Q(a) with the trace form scaled by a, so that a enters the entries."""
+    g = build_sl(3) if ring == "Q" else build_sl(3, form_scale="a")
+    setup = GradedSetup(g, g.parse({"E31": 1}), MINIMAL)
+    fr = ReductionFrame(setup, setup.e)
+    return fr.full_table, WGenerators(fr).table
+
+
+@st.composite
+def operands(draw, ctx):
+    """Up to three monomials of degree up to 2 and order up to 2; over Q(a)
+    the coefficients include a, a^2 - 1 and 1/(a + 1)."""
+    ring = ctx.ring
+    values = [ring.const(1), ring.const(-2), ring.const(Fraction(1, 3))]
+    if ring.nvars:
+        a = ring.param("a")
+        values += [a, a * a - 1, ring.one() / (a + 1)]
+    p = ctx.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = ctx.const(draw(st.sampled_from(values)))
+        for _ in range(draw(st.integers(0, 2))):
+            term = term * ctx.gen(draw(st.integers(0, ctx.ngens - 1)),
+                                  draw(st.integers(0, 2)))
+        p = p + term
+    return p
+
+
+@st.composite
+def left_and_rights(draw):
+    """A table (affine or W, over Q or Q(a)), a left operand g and three
+    right operands."""
+    ring = draw(st.sampled_from(["Q", "Q(a)"]))
+    table = oracle_tables(ring)[draw(st.integers(0, 1))]
+    g = draw(operands(table.ctx))
+    hs = [draw(operands(table.ctx)) for _ in range(3)]
+    return table, g, hs
+
+
+def gradient(h):
+    return {j: h.variational(j) for j in sorted(h.gens_used())}
+
+
+@settings(max_examples=40, deadline=None)
+@given(left_and_rights(), st.permutations(range(3)), st.data())
+def test_left_bracket_matches_fresh_master_bracket(case, order, data):
+    """One LeftBracket applied to several h, in any order and interleaved
+    with its lambda^0 methods, equals a fresh master_bracket per pair."""
+    table, g, hs = case
+    left = LeftBracket(table, g)
+    for k in order:
+        if data.draw(st.booleans()):
+            left.at_zero(hs[k], data.draw(st.integers(0, 1)))
+        assert left(hs[k]) == master_bracket(table, g, hs[k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(left_and_rights())
+def test_at_zero_matches_lambda_path(case):
+    """at_zero(h, part), built from R0_j with no power of lambda, equals the
+    lambda^0 coefficient of the full master formula, part by part; the
+    integrand has the same integral."""
+    table, g, hs = case
+    left = LeftBracket(table, g)
+    for h in hs:
+        full = master_bracket(table, g, h)
+        for part in (0, 1):
+            want = full[part].at_zero()
+            assert left.at_zero(h, part) == want
+            assert functional_equal(left.integrand(gradient(h), part), want)
+
+
+def test_left_bracket_rejects_foreign_context(sl3_min):
+    table = sl3_min.frame.full_table
+    other = sl3_min.frame.coord_ctx.gen(0)
+    with pytest.raises(ValueError):
+        LeftBracket(table, other)
+    left = LeftBracket(table, table.ctx.gen(0))
+    for method in (left, left.at_zero):
+        with pytest.raises(ValueError):
+            method(other)
