@@ -45,16 +45,32 @@ class BracketTable:
 # ---------------------------------------------------------------------------
 
 
-def _apply_entry(entry: LambdaPoly, arg: LambdaPoly) -> LambdaPoly:
-    """T(d + lambda) applied to arg: sum_p T_p (d+lambda)^p arg."""
-    out = LambdaPoly.zero(arg.ctx)
-    power = arg
+def _nth(ds: list, n: int, step: Callable):
+    """ds[n] of the list ds = [x, step(x), step(step(x)), ...], extended
+    as far as needed."""
+    while len(ds) <= n:
+        ds.append(step(ds[-1]))
+    return ds[n]
+
+
+def _apply_entry(cols: dict, entry: LambdaPoly, powers: list) -> None:
+    """Add T(d + lambda) applied to x = powers[0], sum_p T_p (d+lambda)^p x,
+    to cols: cols[k] lists the pairs (T_p, lambda^k coefficient of
+    (d+lambda)^p x), whose products sum to the lambda^k coefficient.
+    powers lists the successive (d+lambda) powers of x, extended as needed."""
     for p, cp in enumerate(entry.coeffs):
-        if p:
-            power = power.apply_d_plus_lambda()
         if cp:
-            out = out + power.mul_poly(cp)
-    return out
+            power = _nth(powers, p, LambdaPoly.apply_d_plus_lambda)
+            for k, c in enumerate(power.coeffs):
+                if c:
+                    cols.setdefault(k, []).append((cp, c))
+
+
+def _sum_cols(ctx: Context, cols: dict) -> LambdaPoly:
+    """The LambdaPoly whose lambda^k coefficient is the sum of products
+    of cols[k]."""
+    return LambdaPoly(ctx, [dot(ctx, cols.get(k, ()))
+                            for k in range(max(cols, default=-1) + 1)])
 
 
 def _partials(p: DiffPoly) -> dict[int, LambdaPoly]:
@@ -81,15 +97,16 @@ class LeftBracket:
         _check_table_ctx(table, g)
         self.table = table
         self.g = g
-        self._P: dict[int, LambdaPoly] | None = None
-        self._R: dict[int, tuple[LambdaPoly, LambdaPoly]] = {}
+        # i -> [P_i, (d+lambda) P_i, ...]; j -> per part [R_j, ...] alike
+        self._P: dict[int, list[LambdaPoly]] | None = None
+        self._R: dict[int, tuple[list, list]] = {}
         # per part, j -> [R0_j, d R0_j, d^2 R0_j, ...]
         self._R0: tuple[dict, dict] = ({}, {})
         # i -> [delta g/delta u_i, d(delta g/delta u_i), ...]
         self._var: dict[int, list[DiffPoly]] | None = None
 
-    def _lambda_side(self, j: int) -> tuple[LambdaPoly, LambdaPoly]:
-        """R_j per part."""
+    def _lambda_side(self, j: int) -> tuple[list, list]:
+        """The (d+lambda) powers of R_j, per part."""
         got = self._R.get(j)
         if got is None:
             if self._P is None:
@@ -97,28 +114,27 @@ class LeftBracket:
                 for i, dg in _partials(self.g).items():
                     Pi = subst_minus_lambda_d(dg)
                     if Pi:
-                        self._P[i] = Pi
-            accH = accK = LambdaPoly.zero(self.table.ctx)
+                        self._P[i] = [Pi]
+            colsH, colsK = {}, {}
             for i, Pi in self._P.items():
-                eh, ek = self.table.get(i, j)
-                if eh:
-                    accH = accH + _apply_entry(eh, Pi)
-                if ek:
-                    accK = accK + _apply_entry(ek, Pi)
-            got = self._R[j] = (accH, accK)
+                entry = self.table.entries.get((i, j))
+                if entry is not None:
+                    _apply_entry(colsH, entry[0], Pi)
+                    _apply_entry(colsK, entry[1], Pi)
+            ctx = self.table.ctx
+            got = self._R[j] = ([_sum_cols(ctx, colsH)], [_sum_cols(ctx, colsK)])
         return got
 
     def __call__(self, h: DiffPoly) -> tuple[LambdaPoly, LambdaPoly]:
         """{g_lambda h}: sum_{j,n} (d+lambda)^n R_j dh/du_j^(n), per part."""
         _check_table_ctx(self.table, h)
-        outH = outK = LambdaPoly.zero(self.table.ctx)
+        colsH, colsK = {}, {}
         for j, dh in _partials(h).items():
             RH, RK = self._lambda_side(j)
-            if RH:
-                outH = outH + _apply_entry(dh, RH)
-            if RK:
-                outK = outK + _apply_entry(dh, RK)
-        return outH, outK
+            _apply_entry(colsH, dh, RH)
+            _apply_entry(colsK, dh, RK)
+        ctx = self.table.ctx
+        return _sum_cols(ctx, colsH), _sum_cols(ctx, colsK)
 
     def _r0(self, part: int, j: int, n: int = 0) -> DiffPoly:
         """d^n R0_j for the H (0) or K (1) part."""
@@ -130,10 +146,10 @@ class LeftBracket:
             for i, dg in self._var.items():
                 entry = self.table.entries.get((i, j))
                 if entry is not None:
-                    pairs += [(c, _derivative(dg, p))
+                    pairs += [(c, _nth(dg, p, DiffPoly.total_derivative))
                               for p, c in enumerate(entry[part].coeffs) if c]
             ds = self._R0[part][j] = [dot(self.table.ctx, pairs)]
-        return _derivative(ds, n)
+        return _nth(ds, n, DiffPoly.total_derivative)
 
     def at_zero(self, h: DiffPoly, part: int = 0) -> DiffPoly:
         """{g_lambda h} at lambda = 0, H (0) or K (1) part:
@@ -150,14 +166,6 @@ class LeftBracket:
         part."""
         return dot(self.table.ctx,
                    [(dh, self._r0(part, j)) for j, dh in grad.items()])
-
-
-def _derivative(ds: list, n: int) -> DiffPoly:
-    """The n-th derivative of ds[0], extending the list ds of its
-    successive derivatives as far as needed."""
-    while len(ds) <= n:
-        ds.append(ds[-1].total_derivative())
-    return ds[n]
 
 
 def _check_table_ctx(table: BracketTable, p: DiffPoly) -> None:
