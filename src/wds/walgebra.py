@@ -385,11 +385,11 @@ def verify_table(frame: ReductionFrame, gens: WGenerators
     """Check the generator table of W against the paper's closed forms.
 
     Each closed-form entry {a lambda b} is compared exactly, in V(g^f), with
-    master_bracket(gens.table, pi(a), pi(b)), computed by one LeftBracket
-    per left generator a.  The closed forms follow the frame: minimal,
-    short, or for the isotropic variant the minimal H-parts with the
-    isotropic K-parts.  Returns {table name: {entry: mismatches}};
-    an entry passes when its list is empty.
+    master_bracket(gens.table, pi(a), pi(b)), computed once per pair by one
+    LeftBracket per left generator a.  The closed forms follow the frame:
+    minimal, short, or for the isotropic variant the minimal H-parts with
+    the isotropic K-parts.  Returns {table name: {entry: mismatches}}; an
+    entry passes when its list is empty.
     """
     if frame.isotropic:
         tables = {
@@ -406,11 +406,14 @@ def verify_table(frame: ReductionFrame, gens: WGenerators
         tables = {"short_generators": _expected_short(frame, gens)}
     images = {name: frame.pi(p) for name, p in gens.all_generators()}
     lefts = {name: LeftBracket(gens.table, p) for name, p in images.items()}
+    got_of: dict = {}  # the isotropic H and K tables share their pairs
     out = {}
     for which, expected in tables.items():
         rows = out[which] = {}
         for (a, b), want in expected.items():
-            got = lefts[a](images[b])
+            if (a, b) not in got_of:
+                got_of[(a, b)] = lefts[a](images[b])
+            got = got_of[(a, b)]
             rows[f"{{{a}, {b}}}"] = [
                 f"{part}-bracket {{{a}, {b}}}: got {x}, want {y}"
                 for part, x, y in zip("HK", got, want)

@@ -1,9 +1,10 @@
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
-from wds import linalg
+from wds import linalg, walgebra
 from wds.diffpoly import LambdaPoly
 from wds.lie import MINIMAL, SHORT, GradeMismatch
 from wds.pva import random_element
@@ -166,6 +167,32 @@ def test_isotropic_tables_sl3(sl3_iso):
     tables = verify_table(sl3_iso.frame, sl3_iso.gens)
     assert list(tables) == ["isotropic_h_brackets", "isotropic_k_brackets"]
     assert _failures(sl3_iso) == []
+
+
+def test_verify_table_brackets_each_pair_once(sl3_iso, monkeypatch):
+    """verify_table builds one LeftBracket per left generator and brackets
+    each pair (a, b) once, though the isotropic H and K tables share their
+    pairs."""
+    built = collections.Counter()
+    applied = collections.Counter()
+
+    class Counted(walgebra.LeftBracket):
+        def __init__(self, table, g):
+            built[g] += 1
+            super().__init__(table, g)
+
+        def __call__(self, h):
+            applied[(self.g, h)] += 1
+            return super().__call__(h)
+
+    cfg = sl3_iso
+    cfg.gens.table  # built before counting: it brackets in the coordinate ring
+    monkeypatch.setattr(walgebra, "LeftBracket", Counted)
+    tables = verify_table(cfg.frame, cfg.gens)
+    assert set(tables) == {"isotropic_h_brackets", "isotropic_k_brackets"}
+    assert all(not bad for rows in tables.values() for bad in rows.values())
+    assert built and max(built.values()) == 1
+    assert applied and max(applied.values()) == 1
 
 
 def test_table_entry_mutation_is_reported(sl3_min, capsys, monkeypatch):
