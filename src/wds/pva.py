@@ -83,7 +83,8 @@ class LeftBracket:
 
     The g side of the master formula does not depend on the right operand,
     so it is built once per part and generator j, on first use, and kept
-    for the object's lifetime: P_i = sum_m (-lambda-d)^m dg/du_i^(m) and
+    with the (d+lambda) powers formed from it for the object's lifetime:
+    P_i = sum_m (-lambda-d)^m dg/du_i^(m) and
     R_j = sum_i {u_i lambda u_j}(d+lambda) P_i for the full bracket, and at
     lambda = 0, with {u_i lambda u_j} = sum_p c^{ij}_p lambda^p,
     R0_j = sum_i sum_p c^{ij}_p d^p(delta g/delta u_i) and its derivatives.
