@@ -1,15 +1,18 @@
 """Differential polynomials in variables u_i^(n) and polynomials in lambda.
 
-A monomial is a sorted tuple of (generator index, derivative order) pairs,
-with repetition for powers.  A DiffPoly is kept in numerator form: `terms`
-maps each monomial of nonzero coefficient to its numerator over one common
-denominator `den`, so the polynomial is sum(terms[m] / den * m).  Over Q
-the numerators are ints and den is a positive int with gcd(den, all
-numerators) = 1; over Q(p) they are Scalars and den is 1, since a Scalar
-absorbs any rational factor.  The form is canonical, so equality of values
-is equality of representations.  A coefficient becomes an element of the
-context's ParamRing (a Fraction over Q, a Scalar over Q(p)) only on its
-way out: `coeffs`, `const_term` and the renderers.
+A monomial is a sorted tuple of ints, one per variable and repeated for
+powers: u_g^(n) is g << B | n, which keeps the (g, n) order and makes d of
+a variable its code plus one (an order reaching 2**B raises OrderOverflow).
+Only this module reads the codes; every way out decodes them to (g, n).  A
+DiffPoly is kept in numerator form: `terms` maps each monomial of nonzero
+coefficient to its numerator over one common denominator `den`, so the
+polynomial is sum(terms[m] / den * m).  Over Q the numerators are ints and
+den is a positive int with gcd(den, all numerators) = 1; over Q(p) they are
+Scalars and den is 1, since a Scalar absorbs any rational factor.  The form
+is canonical, so equality of values is equality of representations.  A
+coefficient becomes an element of the context's ParamRing (a Fraction over
+Q, a Scalar over Q(p)) only on its way out: `coeffs`, `const_term` and the
+renderers.
 """
 
 from __future__ import annotations
@@ -20,14 +23,23 @@ from typing import Callable, Sequence
 
 from .scalars import ParamRing, Scalar, ScalarLike
 
-Monomial = tuple  # ((gen, order), ...) sorted
+B = 16  # bits of the derivative order in a variable's code
+_TOP = (1 << B) - 1
 
 
-def monomial_derivative(m: Monomial) -> list:
-    """The monomials of d(m) by the Leibniz rule, one per factor of m (a
-    power contributes once per copy)."""
-    return [tuple(sorted(m[:k] + ((g, n + 1),) + m[k + 1 :]))
-            for k, (g, n) in enumerate(m)]
+class OrderOverflow(ArithmeticError):
+    """A derivative order past the 2**B - 1 a monomial can hold."""
+
+
+def _code(g: int, n: int) -> int:
+    if not 0 <= n <= _TOP:
+        raise OrderOverflow(f"derivative order {n} is outside 0..{_TOP}")
+    return g << B | n
+
+
+def _decode(m: tuple) -> tuple:
+    """A monomial as its ((gen, order), ...) pairs."""
+    return tuple((x >> B, x & _TOP) for x in m)
 
 
 def numerator_form(c) -> tuple:
@@ -103,12 +115,12 @@ class Context:
     def gen(self, i: int, order: int = 0) -> "DiffPoly":
         if not 0 <= i < self.ngens:
             raise IndexError(f"no generator {i} in {self}")
-        return DiffPoly(self, {((i, order),): numerator_form(self.ring.one())[0]})
+        return DiffPoly(self, {(_code(i, order),): numerator_form(self.ring.one())[0]})
 
     def linear(self, coeffs: Sequence[ScalarLike], order: int = 0) -> "DiffPoly":
         L, nums = common_denominator(self.ring.coerce(c) for c in coeffs)
         return DiffPoly(
-            self, {((i, order),): n for i, n in enumerate(nums) if n}, L)
+            self, {(_code(i, order),): n for i, n in enumerate(nums) if n}, L)
 
 
 class ContextMismatch(ValueError):
@@ -185,9 +197,10 @@ class DiffPoly:
         return cls(ctx, nums, den)
 
     def coeffs(self) -> dict:
-        """{monomial: coefficient} with coefficients in the context's ring."""
+        """{((gen, order), ...): coefficient}, with coefficients in the
+        context's ring."""
         ring, den = self.ctx.ring, self.den
-        return {m: _join(ring, v, den) for m, v in self.terms.items()}
+        return {_decode(m): _join(ring, v, den) for m, v in self.terms.items()}
 
     # -- ring operations ----------------------------------------------
 
@@ -257,12 +270,20 @@ class DiffPoly:
     # -- calculus ------------------------------------------------------
 
     def total_derivative(self) -> "DiffPoly":
-        """The derivation with d(u_i^(n)) = u_i^(n+1) and d(const) = 0."""
+        """The derivation with d(u_i^(n)) = u_i^(n+1) and d(const) = 0: for
+        each power x^c in a monomial, its last copy bumped, times c."""
         out: dict = {}
         for m, v in self.terms.items():
-            for bumped in monomial_derivative(m):
-                got = out.get(bumped)
-                out[bumped] = v if got is None else got + v
+            for k, x in enumerate(m):
+                if k and m[k - 1] == x:
+                    continue  # a power: its copies are counted at the first
+                if x & _TOP == _TOP:
+                    raise OrderOverflow(f"d(u_{x >> B}^({_TOP})) past the bound")
+                c = m.count(x)
+                dm = m[:k + c - 1] + (x + 1,) + m[k + c:]
+                cv = v * c if c > 1 else v
+                got = out.get(dm)
+                out[dm] = cv if got is None else got + cv
         return DiffPoly.collect(self.ctx, {self.den: out})
 
     def d(self, times: int = 1) -> "DiffPoly":
@@ -275,21 +296,20 @@ class DiffPoly:
         """{gen: [d/d(u_gen^(0)), ..., d/d(u_gen^(top))] of self} for each
         generator of self, top its highest order there, gens in increasing
         order: every plain partial derivative, in one pass over the terms."""
-        slots: dict = {}  # (gen, order) -> {monomial: numerator}
+        slots: dict = {}  # variable code -> {monomial: numerator}
         for m, v in self.terms.items():
-            for k, key in enumerate(m):
-                if k and m[k - 1] == key:
+            for k, x in enumerate(m):
+                if k and m[k - 1] == x:
                     continue  # a power: its copies are counted at the first
                 # distinct monomials with this factor stay distinct without it
-                mult = m.count(key)
-                slots.setdefault(key, {})[m[:k] + m[k + 1:]] = (
-                    v * mult if mult > 1 else v)
+                c = m.count(x)
+                slots.setdefault(x, {})[m[:k] + m[k + 1:]] = v * c if c > 1 else v
         zero = self.ctx.zero()
         out: dict = {}
-        for g, n in sorted(slots):
-            ps = out.setdefault(g, [])
-            ps += [zero] * (n - len(ps))
-            ps.append(DiffPoly.collect(self.ctx, {self.den: slots[(g, n)]}))
+        for x in sorted(slots):
+            ps = out.setdefault(x >> B, [])
+            ps += [zero] * ((x & _TOP) - len(ps))
+            ps.append(DiffPoly.collect(self.ctx, {self.den: slots[x]}))
         return out
 
     def partial(self, gen: int, order: int) -> "DiffPoly":
@@ -314,7 +334,7 @@ class DiffPoly:
         return self.gradient().get(gen, self.ctx.zero())
 
     def gens_used(self) -> set:
-        return {g for m in self.terms for g, _ in m}
+        return {x >> B for m in self.terms for x in m}
 
     def const_term(self) -> Scalar:
         v = self.terms.get(())
@@ -330,7 +350,7 @@ class DiffPoly:
             raise ValueError("context has no weights")
         found = None
         for m in self.terms:
-            d = sum((Fraction(w[g]) + n) for g, n in m)
+            d = sum((Fraction(w[g]) + n) for g, n in _decode(m))
             if found is None:
                 found = d
             elif found != d:
@@ -348,19 +368,20 @@ class DiffPoly:
         """
         cache: dict = {}
 
-        def img(g: int, n: int) -> DiffPoly:
-            got = cache.get((g, n))
+        def img(x: int) -> DiffPoly:
+            got = cache.get(x)
             if got is None:
-                got = images[g] if n == 0 else img(g, n - 1).total_derivative()
-                cache[(g, n)] = got
+                got = (images[x >> B] if not x & _TOP
+                       else img(x - 1).total_derivative())
+                cache[x] = got
             return got
 
         # sum_m v_m * image(m) / den, one numerator map per image denominator
         slots: dict = {}
         for m, v in self.terms.items():
             p = None
-            for g, n in m:
-                p = img(g, n) if p is None else p * img(g, n)
+            for x in m:
+                p = img(x) if p is None else p * img(x)
             if p is None:
                 p = target.one()
             _accumulate(slots.setdefault(p.den * self.den, {}),
@@ -370,10 +391,11 @@ class DiffPoly:
     # -- rendering --------------------------------------------------------
 
     def _ordered(self) -> list:
-        """(monomial, coefficient) pairs, by degree and then monomial."""
+        """(decoded monomial, coefficient) pairs, by degree and then
+        monomial."""
         return sorted(self.coeffs().items(), key=lambda t: (len(t[0]), t[0]))
 
-    def _mono_str(self, m: Monomial, prime: bool = True) -> str:
+    def _mono_str(self, m: tuple, prime: bool = True) -> str:
         if not m:
             return "1"
         parts = []

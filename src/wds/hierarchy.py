@@ -22,8 +22,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .diffpoly import (Context, DiffPoly, common_denominator,
-                       functional_equal, numerator_form)
+from .diffpoly import (Context, DiffPoly, _accumulate, _mul_into,
+                       common_denominator, functional_equal, numerator_form)
 from .pva import LeftBracket, ReductionFrame
 
 
@@ -47,8 +47,8 @@ class WindowOverflow(ValueError):
 class LoopElement:
     """Finite map (basis index, z power) -> DiffPoly coefficient, never zero.
 
-    Sums, scalings and derivatives act coefficient by coefficient; the
-    bracket multiplies the coefficients' numerators in one fused loop.
+    Sums and derivatives act coefficient by coefficient; the bracket is
+    the one-pair case of `bracket_sum`.
     """
 
     __slots__ = ("frame", "ctx", "terms")
@@ -95,11 +95,6 @@ class LoopElement:
     def __sub__(self, other: "LoopElement") -> "LoopElement":
         return self + (-other)
 
-    def scale(self, c) -> "LoopElement":
-        if not c:
-            return self._with({})
-        return self._with({key: p.scale(c) for key, p in self.terms.items()})
-
     def derivative(self) -> "LoopElement":
         terms = {}
         for key, p in self.terms.items():
@@ -110,54 +105,8 @@ class LoopElement:
 
     def bracket(self, other: "LoopElement",
                 max_deg: Fraction | None = None) -> "LoopElement":
-        """[self, other], dropping products of loop degree above max_deg.
-
-        The coefficients are multiplied on their numerators and summed per
-        denominator, each output coefficient normalised once; over Q all of
-        it stays in Python ints."""
-        struct = self.frame.struct
-        zd = self.frame.z_degree
-        eig = self.frame.eig_of
-        rhs = [(j, k2, eig[j] + zd * k2, q.den, list(q.terms.items()))
-               for (j, k2), q in other.terms.items()]
-        low = min((d2 for _, _, d2, _, _ in rhs), default=0)
-        # (basis index, z power) -> {denominator: {monomial: numerator}}
-        acc: dict = {}
-        for (i, k1), p in self.terms.items():
-            d1 = eig[i] + zd * k1
-            if max_deg is not None and d1 + low > max_deg:
-                continue
-            L1, ps = p.den, p.terms.items()
-            row = struct[i]
-            for j, k2, d2, L2, qs in rhs:
-                if max_deg is not None and d1 + d2 > max_deg:
-                    continue
-                co = row[j]
-                if not co:
-                    continue
-                pq: dict = {}
-                for m1, a in ps:
-                    for m2, b in qs:
-                        m = tuple(sorted(m1 + m2))
-                        ab = a * b
-                        got = pq.get(m)
-                        pq[m] = ab if got is None else got + ab
-                pq = [(m, v) for m, v in pq.items() if v]
-                den = L1 * L2
-                for r, c in co:
-                    cn, cd = numerator_form(c)
-                    slot = acc.setdefault((r, k1 + k2), {}).setdefault(
-                        den * cd, {})
-                    for m, v in pq:
-                        cv = cn * v
-                        got = slot.get(m)
-                        slot[m] = cv if got is None else got + cv
-        terms = {}
-        for key, slots in acc.items():
-            p = DiffPoly.collect(self.ctx, slots)
-            if p:
-                terms[key] = p
-        return self._with(terms)
+        """[self, other], dropping products of loop degree above max_deg."""
+        return bracket_sum(self.frame, self.ctx, [(self, other)], 1, max_deg)
 
     def pair_with(self, a_z: dict) -> dict:
         """Pairing (a(z) x 1 | self): a_z maps z powers to g vectors."""
@@ -188,6 +137,78 @@ class LoopElement:
         return " + ".join(parts)
 
 
+def _twice(deg: Fraction) -> int:
+    """2 deg, for a loop degree in (1/2)Z."""
+    if (2 * deg).denominator != 1:
+        raise ValueError(f"loop degree {deg} is not in (1/2)Z")
+    return int(2 * deg)
+
+
+def _over(p: DiffPoly, M: int) -> list:
+    """The numerator items of p over the denominator M, a multiple of p.den."""
+    s = M // p.den
+    return [(m, v * s) for m, v in p.terms.items()] if s != 1 else list(p.terms.items())
+
+
+def _one_den(el: LoopElement, e2: list, z2: int) -> tuple:
+    """el over the lcm L of its dens: (L, [(i, k, 2 deg, numerators)])."""
+    L = math.lcm(*(p.den for p in el.terms.values()))
+    return L, [(i, k, e2[i] + z2 * k, _over(p, L))
+               for (i, k), p in el.terms.items()]
+
+
+def bracket_sum(frame: ReductionFrame, ctx: Context, pairs: list, n: int = 1,
+                max_deg: Fraction | None = None) -> LoopElement:
+    """sum [x, y] / n over the (x, y) of pairs, dropping products of loop
+    degree above max_deg.  Each operand is put over one denominator and 1/n
+    goes into the structure constants (into their Scalar numerators over
+    Q(p)), so each output key sums its numerators over one denominator D
+    and is normalised once; loop degrees are compared as ints 2 deg."""
+    struct = frame.struct
+    e2 = [_twice(e) for e in frame.eig_of]
+    z2 = _twice(frame.z_degree)
+    top = math.inf if max_deg is None else math.floor(2 * max_deg)
+    inv = Fraction(1, n)
+    jobs, dens = [], {1}
+    for x, y in pairs:
+        if not (x and y):
+            continue
+        (L1, xs), (L2, ys) = _one_den(x, e2, z2), _one_den(y, e2, z2)
+        low = min(d2 for _, _, d2, _ in ys)
+        for i, k1, d1, ps in xs:
+            if d1 + low > top:
+                continue
+            row = struct[i]
+            for j, k2, d2, qs in ys:
+                if not row[j] or d1 + d2 > top:
+                    continue
+                co = [(r, *numerator_form(c * inv if n != 1 else c))
+                      for r, c in row[j]]
+                jobs.append((L1 * L2, co, k1 + k2, ps, qs))
+                dens.update(L1 * L2 * cd for _, _, cd in co)
+    D = math.lcm(*dens)
+    # (basis index, z power) -> {monomial: numerator over D}
+    acc: dict = {}
+    for L, co, kz, ps, qs in jobs:
+        if len(co) > 1:  # the products once, then one sum per output
+            pq: dict = {}
+            _mul_into(pq, ps, qs)
+        for r, cn, cd in co:
+            s = D // (L * cd)
+            f = cn * s if s != 1 else cn
+            out = acc.setdefault((r, kz), {})
+            if len(co) > 1:
+                _accumulate(out, pq.items(), f)
+            else:
+                _mul_into(out, [(m, a * f) for m, a in ps] if f != 1 else ps, qs)
+    terms = {}
+    for key, nums in acc.items():
+        p = DiffPoly.collect(ctx, {D: nums})
+        if p:
+            terms[key] = p
+    return LoopElement(frame, ctx, terms)
+
+
 def _num_rows(mat: list) -> list:
     """A matrix as numerator rows (R, [(column, R * entry)]), with R the lcm
     of the row's denominators; zero entries are dropped."""
@@ -204,17 +225,12 @@ def _apply_rows(rows: list, coeffs: list) -> list:
     the common denominator R * M, with M the lcm of the vector's dens."""
     ctx = coeffs[0].ctx
     M = math.lcm(*(p.den for p in coeffs))
-    vec = [list(p.terms.items()) if p.den == M else
-           [(m, v * (M // p.den)) for m, v in p.terms.items()]
-           for p in coeffs]
+    vec = [_over(p, M) for p in coeffs]
     out = []
     for R, entries in rows:
         acc: dict = {}
         for j, c in entries:
-            for m, v in vec[j]:
-                cv = c * v
-                got = acc.get(m)
-                acc[m] = cv if got is None else got + cv
+            _accumulate(acc, vec[j], c)
         out.append(DiffPoly.collect(ctx, {R * M: acc}))
     return out
 
@@ -372,17 +388,15 @@ class HDecomposition:
 def _exp_ad(U: LoopElement, D: LoopElement, max_deg: Fraction) -> LoopElement:
     """Loop part of exp(ad U)(d + D) - d, truncated above max_deg.
 
-    ad U acts on d by [U, d] = -dU/dx; the series terminates inside the
-    window because U has strictly positive loop degree.
+    ad U acts on d by [U, d] = -dU/dx; each later order [U, cur]/n is one
+    bracket_sum.  The series terminates inside the window because U has
+    strictly positive loop degree.
     """
-    base = U.bracket(D, max_deg) - U.trim(max_deg).derivative()
-    acc = D.trim(max_deg) + base
-    cur = base
-    n = 2
+    cur = U.bracket(D, max_deg) - U.trim(max_deg).derivative()
+    acc, n = D.trim(max_deg) + cur, 2
     while cur:
-        cur = U.bracket(cur, max_deg).scale(Fraction(1, n))
-        acc = acc + cur
-        n += 1
+        cur = bracket_sum(U.frame, U.ctx, [(U, cur)], n, max_deg)
+        acc, n = acc + cur, n + 1
     return acc
 
 
@@ -399,10 +413,11 @@ def solve_dressing(
 
     The series exp(ad U)(d + D) - d = sum_n T_n, T_0 = D and
     T_n = [U, T_{n-1}]/n (with [U, d] = -dU/dx in T_1), is kept degree by
-    degree: at degree d only the degree-d piece of each T_n is formed, from
-    the U_j and the lower-degree pieces already known, so every bracket of
-    the series is taken once.  U_{d+1}, solved at degree d, enters T_1 at d
-    through [U_{d+1}, f+zs] only after the split.
+    degree: at degree d the piece sum_j [U_j, T_{n-1}(d-j)]/n of each T_n
+    is formed in one bracket_sum, from the U_j and the lower-degree pieces
+    already known, so every bracket of the series is taken once.  U_{d+1},
+    solved at degree d, enters T_1 at d through [U_{d+1}, f+zs] only after
+    the split.
     """
     max_deg = Fraction(max_deg)
     if dec is None:
@@ -420,15 +435,11 @@ def solve_dressing(
         if dec.slices.get(deg):
             R = series[0].get(deg, LoopElement(frame, ctx))
             for n in range(1, len(series) + 1):
-                piece = LoopElement(frame, ctx)
-                for j, u in U_parts.items():
-                    prev = series[n - 1].get(deg - j)
-                    if prev:
-                        piece = piece + u.bracket(prev)
+                piece = bracket_sum(frame, ctx, [
+                    (u, series[n - 1][deg - j]) for j, u in U_parts.items()
+                    if deg - j in series[n - 1]], n)
                 if n == 1 and deg in U_parts:
                     piece = piece - U_parts[deg].derivative()
-                elif n > 1:
-                    piece = piece.scale(Fraction(1, n))
                 if piece:
                     if n == len(series):
                         series.append({})

@@ -129,8 +129,12 @@ class LeftBracket:
     def __call__(self, h: DiffPoly) -> tuple[LambdaPoly, LambdaPoly]:
         """{g_lambda h}: sum_{j,n} (d+lambda)^n R_j dh/du_j^(n), per part."""
         _check_table_ctx(self.table, h)
+        return self.on_partials(_partials(h))
+
+    def on_partials(self, partials: dict) -> tuple[LambdaPoly, LambdaPoly]:
+        """{g_lambda h} from _partials(h), taken once for several g."""
         colsH, colsK = {}, {}
-        for j, dh in _partials(h).items():
+        for j, dh in partials.items():
             RH, RK = self._lambda_side(j)
             _apply_entry(colsH, dh, RH)
             _apply_entry(colsK, dh, RK)
@@ -366,16 +370,19 @@ class ReductionFrame:
     def rho_action(self, a: list, p: DiffPoly) -> LambdaPoly:
         """a^rho_lambda p = rho {a_lambda p}_z for a annihilating generator."""
         coords_in(self, a, self.ann_idx, "action vector must lie in the annihilator")
-        h, k = master_bracket(
-            self.full_table, self.full_lin(a), self.embed_coord(p))
+        return self._rho_act(a, _partials(self.embed_coord(p)))
+
+    def _rho_act(self, a: list, dp: dict) -> LambdaPoly:
+        h, k = LeftBracket(self.full_table, self.full_lin(a)).on_partials(dp)
         if k:
             raise ZDependence("rho-twisted action depends on z")
         return h.map_coeffs(self.rho, self.coord_ctx)
 
     def is_in_w(self, p: DiffPoly) -> bool:
-        return all(
-            not self.rho_action(self.basis[i], p) for i in self.ann_idx
-        )
+        """a^rho_lambda p = 0 for every annihilating generator a, with p
+        embedded and differentiated once for all of them."""
+        dp = _partials(self.embed_coord(p))
+        return all(not self._rho_act(self.basis[i], dp) for i in self.ann_idx)
 
     def w_bracket(self, p: DiffPoly, q: DiffPoly) -> tuple[LambdaPoly, LambdaPoly]:
         return master_bracket(self.coord_table, p, q)

@@ -1,12 +1,15 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wds.diffpoly import Context, ContextMismatch, functional_equal
+from wds.diffpoly import (B, Context, ContextMismatch, OrderOverflow,
+                          functional_equal)
 from wds.scalars import ParamRing, Q
 
 UV = Context(Q, ["u", "v"], [Fraction(1), Fraction(1)])
@@ -50,7 +53,7 @@ def variational_oracle(p, gen):
     """delta p / delta u_gen as sum_n (-d)^n dp/du_gen^(n), each order
     differentiated n times over."""
     out = p.ctx.zero()
-    top = max((n for m in p.terms for g, n in m if g == gen), default=-1)
+    top = max((n for m in p.coeffs() for g, n in m if g == gen), default=-1)
     for n in range(top + 1):
         out = out + p.partial(gen, n).d(n).scale((-1) ** n)
     return out
@@ -337,3 +340,155 @@ def test_kernel_matches_reference(data):
     for x, y in ((p + q, q + p), ((p + q) - q, p), (p * q, q * p),
                  (p.scale(2), p + p), (p.scale(c) * q, p * q.scale(c))):
         assert x == y and hash(x) == hash(y) and x.terms == y.terms
+
+
+# ---------------------------------------------------------------------------
+# the calculus on powers and near the order bound, against the reference
+# ---------------------------------------------------------------------------
+
+TOP = 2 ** B - 1  # the highest derivative order a monomial holds
+
+
+@st.composite
+def powers_with_ref(draw, ctx, orders):
+    """A DiffPoly of up to four terms of degree up to 4, whose monomials
+    repeat variables (up to the third power, or the fourth when a variable
+    is drawn twice) at orders drawn from orders, and its reference."""
+    values = kernel_values(ctx.ring)
+    p, ref = ctx.zero(), {}
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(st.sampled_from(values))
+        m = ()
+        while len(m) < 4 and (not m or draw(st.booleans())):
+            var = (draw(st.integers(0, ctx.ngens - 1)),
+                   draw(st.sampled_from(orders)))
+            m += (var,) * min(draw(st.integers(1, 3)), 4 - len(m))
+        m = tuple(sorted(m))
+        term = ctx.const(c)
+        for g, n in m:
+            term = term * ctx.gen(g, n)
+        p = p + term
+        ref[m] = ref.get(m, 0) + c
+    return p, ref_clean(ref)
+
+
+def assert_partials_match(p, ref):
+    """partials() lists every plain partial of each generator up to its
+    top order in p, each equal to the reference."""
+    got = p.partials()
+    for gen in range(p.ctx.ngens):
+        top = max((n for m in ref for g, n in m if g == gen), default=-1)
+        assert len(got.get(gen, ())) == top + 1
+        for order, q in enumerate(got.get(gen, ())):
+            assert_matches(q, ref_partial(ref, gen, order))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_calculus_on_powers_matches_reference(data):
+    """total_derivative (once and twice), partials, gradient and
+    map_generators on monomials with powers equal the pair-monomial
+    reference, over Q and over Q(a)."""
+    ctx = data.draw(st.sampled_from(KERNEL_CTXS))
+    p, P = data.draw(powers_with_ref(ctx, [0, 1, 2]))
+    dP = ref_derivative(P)
+    assert_matches(p.total_derivative(), dP)
+    assert_matches(p.d(2), ref_derivative(dP))
+    assert_partials_match(p, P)
+    grad = p.gradient()
+    for gen in range(ctx.ngens):
+        assert_matches(grad.get(gen, ctx.zero()), ref_variational(P, gen))
+    target = TARGETS[ctx.ring]
+    images = [data.draw(poly_with_ref(target)) for _ in range(ctx.ngens)]
+    assert_matches(p.map_generators(target, [i for i, _ in images]),
+                   ref_map(P, [r for _, r in images]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_calculus_near_the_order_bound(data):
+    """Orders up to the bound differentiate, take partials and substitute
+    as the reference does; one more derivative raises OrderOverflow.  The
+    substitution sends u_g to the order TOP - 2 derivative of a target
+    generator, so u_g'' reaches the bound."""
+    ctx = data.draw(st.sampled_from(KERNEL_CTXS))
+    q, Q_ = data.draw(powers_with_ref(ctx, [0, 1, 2]))
+    target = TARGETS[ctx.ring]
+    images = [target.gen(g, TOP - 2) for g in range(ctx.ngens)]
+    assert_matches(q.map_generators(target, images),
+                   ref_map(Q_, [{((g, TOP - 2),): 1} for g in range(ctx.ngens)]))
+    p, P = data.draw(powers_with_ref(ctx, [0, TOP - 3, TOP - 2, TOP - 1]))
+    dP = ref_derivative(P)
+    assert_matches(p.total_derivative(), dP)
+    for gen in range(ctx.ngens):
+        for order in (0, TOP - 1, TOP):
+            assert_matches(p.partial(gen, order), ref_partial(P, gen, order))
+    if any(n == TOP - 1 for m in P for _, n in m):
+        with pytest.raises(OrderOverflow):
+            p.d(2)
+    else:
+        assert_matches(p.d(2), ref_derivative(dP))
+
+
+def test_leibniz_on_powers():
+    """(u^3)' = 3 u^2 u' and (u'^2 v)'' by hand."""
+    up, upp, uppp = UV.gen(0, 1), UV.gen(0, 2), UV.gen(0, 3)
+    vp, vpp = UV.gen(1, 1), UV.gen(1, 2)
+    assert (u * u * u).total_derivative() == 3 * u * u * up
+    assert (up * up * v).d(2) == (2 * upp * upp * v + 2 * up * uppp * v
+                                  + 4 * up * upp * vp + up * up * vpp)
+    assert (u * u * u).partial(0, 0) == 3 * u * u
+
+
+def test_order_past_the_bound_raises():
+    """An order of 2**B is refused where it would be made: by gen, by
+    linear and by a derivative of an order-TOP variable, also inside a
+    power, a product and map_generators."""
+    with pytest.raises(OrderOverflow):
+        UV.gen(0, TOP + 1)
+    with pytest.raises(OrderOverflow):
+        UV.linear([1, 2], TOP + 1)
+    with pytest.raises(OrderOverflow):
+        UV.gen(0, -1)
+    top = UV.gen(1, TOP)
+    assert top.coeffs() == {((1, TOP),): 1}
+    for p in (top, top * top, u * top * v, top.scale(Fraction(-1, 3))):
+        with pytest.raises(OrderOverflow):
+            p.total_derivative()
+    target = Context(Q, ["w"])
+    with pytest.raises(OrderOverflow):
+        UV.gen(0, 1).map_generators(target, [target.gen(0, TOP), target.one()])
+
+
+def test_only_diffpoly_reads_monomials():
+    """No module of wds but diffpoly builds or unpacks monomials: no
+    tuple(sorted(...)), no bit shift, and no import of the monomial
+    format's names from diffpoly.  scalars is exempt from the first rule:
+    its Q(p) polynomials are exponent tuples of its own, and it imports
+    nothing from diffpoly."""
+    private = {"B", "_TOP", "_code", "_decode"}
+    src = Path(__file__).resolve().parent.parent / "src" / "wds"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "diffpoly.py":
+            continue
+        tree = ast.parse(path.read_text())
+        if path.name == "scalars.py":
+            assert "diffpoly" not in path.read_text()
+            tree = ast.Module(body=[], type_ignores=[])
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "tuple" and node.args
+                    and isinstance(node.args[0], ast.Call)
+                    and isinstance(node.args[0].func, ast.Name)
+                    and node.args[0].func.id == "sorted"):
+                found.append(f"{where} tuple(sorted(...))")
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    node.op, (ast.LShift, ast.RShift)):
+                found.append(f"{where} bit shift")
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module or "").endswith("diffpoly"):
+                found += [f"{where} imports {a.name}" for a in node.names
+                          if a.name in private]
+    assert not found, found

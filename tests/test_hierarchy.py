@@ -9,7 +9,7 @@ from wds import MINIMAL, SHORT, GradedSetup, build_sl, linalg
 from wds.diffpoly import Context
 from wds.hierarchy import (HDecomposition, InvalidCenter, LoopElement,
                            NotSemisimple, WindowOverflow,
-                           _apply_rows, _num_rows, build_q,
+                           _apply_rows, _num_rows, bracket_sum, build_q,
                            center_of_h, check_central, conserved_densities,
                            dressing_defect, hierarchy_equation,
                            loop_from_zmap, loop_fzs, reduce_mod_jk,
@@ -438,7 +438,7 @@ def test_conjugation_oracle_catches_errors(sl3_min, sl4_short):
             first = next(iter(u.terms))
             rest = LoopElement(fr, u.ctx, {key: p for key, p in u.terms.items()
                                            if key != first})
-            for bad in (u.scale(2), rest):
+            for bad in (loop_scale(u, 2), rest):
                 assert dressing_defect(fr, {**U, deg: bad}, h, 4), deg
         for deg in h:
             assert dressing_defect(
@@ -719,6 +719,31 @@ def test_q_bracket_matches_scalar_oracle(name, data, request):
     assert not loop_bracket(X, X).terms
 
 
+@pytest.mark.parametrize("name", ["sl3_min", "sl4_short", "sl4_generic"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bracket_sum_matches_oracle(name, data, request):
+    """The fused sum of several brackets over n equals the sum of the
+    coefficient-wise brackets scaled by 1/n, over Q and over Q(c, s1, s2),
+    with and without a degree cap, in canonical form; empty operands
+    contribute nothing."""
+    fr = request.getfixturevalue(name).frame
+    pairs = [(data.draw(loop_elements(fr)), data.draw(loop_elements(fr)))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    pairs.append((LoopElement(fr, fr.w_ctx), pairs[0][1]))
+    n = data.draw(st.integers(1, 5))
+    degs = sorted(x.degree_of(a) + y.degree_of(b)
+                  for x, y in pairs for a in x.terms for b in y.terms)
+    for max_deg in (None, degs[len(degs) // 2]) if degs else (None,):
+        want = LoopElement(fr, fr.w_ctx)
+        for x, y in pairs:
+            want = loop_add(want, loop_bracket(x, y, max_deg))
+        got = bracket_sum(fr, fr.w_ctx, pairs, n, max_deg)
+        assert got.terms == loop_scale(want, F(1, n)).terms
+        assert_canonical(got.terms.values())
+    assert not bracket_sum(fr, fr.w_ctx, [], n).terms
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_int_rows_match_lin_comb(data):
@@ -749,18 +774,23 @@ def test_int_rows_match_lin_comb(data):
 
 
 def test_scale_by_zero_keeps_no_zero_term(sl3_min):
-    """Scaling by 0 leaves no zero term, in the engine's loop arithmetic and
-    in the oracle's: the series stops at the first empty order
-    (`while cur:`) and the solve keeps only nonempty pieces."""
+    """Loop arithmetic that cancels leaves no zero term: the oracle's
+    scaling by 0 and differences, and the engine's differences, derivative
+    of a constant loop and fused brackets, with 1/n, that cancel.  So the
+    series stops at the first empty order (`while cur:`) and the solve
+    keeps only nonempty pieces."""
     fr = sl3_min.frame
     z = loop_fzs(fr, fr.w_ctx)
     zero = loop_scale(z, 0)
     for el in (zero, loop_sub(zero, zero), loop_scale(z, fr.ring.zero()),
                loop_sub(z, z)):
         assert not el and el.terms == {}
-    for el in (z.scale(0), -z.scale(0), z - z, z.derivative()):
+    for el in (z - z, -(z - z), z.derivative(),
+               bracket_sum(fr, fr.w_ctx, [(z, z), (z - z, z)], 3)):
         assert not el and el.terms == {}
-    assert z.scale(F(-2, 3)).terms == loop_scale(z, F(-2, 3)).terms
+    q = build_q(fr)
+    assert (bracket_sum(fr, fr.w_ctx, [(q, z)], 3).terms
+            == loop_scale(loop_bracket(q, z), F(1, 3)).terms)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,33 @@ def test_is_in_w_examples(sl3_min):
         cfg.setup.eig_indices(HALF)[0]]))
 
 
+@pytest.mark.parametrize("name", ["sl3_min", "sl4_min", "sl4_short"])
+def test_is_in_w_matches_rho_action(name, request):
+    """is_in_w (p embedded and differentiated once for all annihilating
+    generators) agrees with the per-generator rho_action oracle on the
+    generators of W, which are members, and on each of them perturbed by a
+    coordinate or its derivative, a product with a coordinate, or a random
+    element, which are mostly not."""
+    cfg = request.getfixturevalue(name)
+    fr = cfg.frame
+
+    def oracle(p):
+        return all(not fr.rho_action(fr.basis[i], p) for i in fr.ann_idx)
+
+    rng = random.Random(7)
+    coords = [fr.coord_ctx.gen(i, n) for i in range(fr.coord_ctx.ngens)
+              for n in (0, 1)]
+    outside = 0
+    for name, p in cfg.gens.all_generators():
+        assert fr.is_in_w(p) and oracle(p), name
+        for q in (p + rng.choice(coords), p * rng.choice(coords[::2]),
+                  p + random_element(fr.coord_ctx, rng)):
+            got = fr.is_in_w(q)
+            assert got == oracle(q), name
+            outside += not got
+    assert outside >= len(cfg.gens.all_generators())
+
+
 def test_bracket_closes_in_w(sl3_min):
     """Coefficients of {g lam h} for g, h in W pass membership again."""
     cfg = sl3_min

@@ -110,7 +110,7 @@ def test_generator_leading_terms_are_free(sl3_min, sl4_short):
         seen = set()
         for name, p in cfg.gens.all_generators():
             linear = [
-                m for m in p.terms
+                m for m in p.coeffs()
                 if len(m) == 1 and m[0][1] == 0
                 and fr.coord_idx[m[0][0]] in fr._w_pos
             ]
