@@ -147,7 +147,7 @@ def _twice(deg: Fraction) -> int:
 def _over(p: DiffPoly, M: int) -> list:
     """The numerator items of p over the denominator M, a multiple of p.den."""
     s = M // p.den
-    return [(m, v * s) for m, v in p.terms.items()] if s != 1 else list(p.terms.items())
+    return [(m, v * s) for m, v in p.terms.items()] if s != 1 else p.terms.items()
 
 
 def _one_den(el: LoopElement, e2: list, z2: int) -> tuple:
