@@ -364,16 +364,23 @@ class DiffPoly:
     ) -> "DiffPoly":
         """Differential-algebra homomorphism sending u_i to images[i].
 
-        Derivatives map equivariantly: u_i^(n) goes to d^n(images[i]).
+        Derivatives map equivariantly: u_i^(n) goes to d^n(images[i]),
+        derived in a loop from the highest order below n already mapped.
         """
         cache: dict = {}
 
         def img(x: int) -> DiffPoly:
             got = cache.get(x)
             if got is None:
-                got = (images[x >> B] if not x & _TOP
-                       else img(x - 1).total_derivative())
-                cache[x] = got
+                y = x
+                while y & _TOP and y not in cache:
+                    y -= 1
+                got = cache.get(y)
+                if got is None:
+                    got = cache[y] = images[y >> B]
+                while y < x:
+                    y += 1
+                    got = cache[y] = got.total_derivative()
             return got
 
         # sum_m v_m * image(m) / den, one numerator map per image denominator

@@ -16,10 +16,27 @@ g2 = gcd(t, g), with no gcd of t when g = 1.  Products cancel across,
 a/d * b/e = (a/g1)(b/g2) / ((d/g2)(e/g1)) for g1 = gcd(a, e) and
 g2 = gcd(b, d), and a product with a rational needs only integer gcds.
 
-Every gcd is `mp_gcd`.  It splits off the shared monomial, then runs the
-heuristic gcd over Z of Char, Geddes and Gonnet (1989), which accepts a
-candidate only when it divides both operands exactly, and falls back to
-the subresultant PRS (`mp_gcd_prs`) when the heuristic gives up.
+Each Scalar also carries the factorization of its denominator,
+den = k * prod f^e (`Scalar.fac`), with k a positive integer and each f a
+primitive linear polynomial with a positive leading coefficient: f is
+irreducible, and distinct f are coprime (the coprime base of Bach, Driscoll
+and Shallit, "Factor refinement", J. Algorithms 15, 1993).  The gcds above
+then need no polynomial gcd: gcd(d, e) = gcd(k_d, k_e) prod f^min(x, y),
+and the gcd of a numerator t with a denominator is the integer gcd with k
+times each f of the denominator divided out of t up to its exponent
+(`_strip`).  A variable's power in t is read off t's least exponents; any
+other f is divided out only after t vanishes at a zero of f mod a prime,
+since a nonzero value proves that f does not divide t.  A new denominator,
+from `inv` or the general constructor, is factored over its monomial part
+and the factors the ring has met (`ParamRing._factorize`); a linear
+cofactor left becomes a new factor.  A nonlinear one leaves the Scalar
+without a factorization, and arithmetic on such a Scalar takes the
+polynomial gcds.
+
+Every polynomial gcd is `mp_gcd`.  It splits off the shared monomial, then
+runs the heuristic gcd over Z of Char, Geddes and Gonnet (1989), which
+accepts a candidate only when it divides both operands exactly, and falls
+back to the subresultant PRS (`mp_gcd_prs`) when the heuristic gives up.
 """
 
 from __future__ import annotations
@@ -33,9 +50,18 @@ MP = dict  # sparse polynomial {exponent tuple: int}
 
 
 class ParamRing:
-    """A fixed ordered set of parameter names (possibly empty): Q(names)."""
+    """A fixed ordered set of parameter names (possibly empty): Q(names).
 
-    __slots__ = ("names", "nvars", "_zero_expo", "_unit", "_zero", "_one")
+    Over Q(p) the ring also keeps what its Scalars' denominators are made of:
+    `_factors` maps each linear factor met so far, by its coefficient vector
+    (see `_lin_key`), to (v, f, point), where f is the polynomial, v the
+    index of the variable when f is one (else -1) and point a zero of f mod
+    _P (see `_vanishes`); `_products` memoizes expanded denominators
+    k * prod f^e, keyed by (k, frozenset of (key, e)).  Both only grow, and
+    a factor key carries its polynomial, so equal rings still mix."""
+
+    __slots__ = ("names", "nvars", "_zero_expo", "_unit", "_zero", "_one",
+                 "_factors", "_products")
 
     def __init__(self, names: Iterable[str] = ()):
         ordered = tuple(sorted(set(names)))
@@ -43,6 +69,8 @@ class ParamRing:
         self.nvars = len(ordered)
         self._zero_expo = (0,) * self.nvars
         self._unit = {self._zero_expo: 1}  # the polynomial 1
+        self._factors: dict = {}
+        self._products: dict = {}
         # elements are never mutated, so 0 and 1 are built once and shared
         self._zero, self._one = self.const(0), self.const(1)
 
@@ -69,9 +97,9 @@ class ParamRing:
         if not self.nvars:
             return q
         if not q:
-            return Scalar(self, {}, self._unit, True)
-        return Scalar(self, {self._zero_expo: q.numerator},
-                      {self._zero_expo: q.denominator}, True)
+            return _scalar(self, {}, self._unit, (1, {}))
+        return _scalar(self, {self._zero_expo: q.numerator},
+                       {self._zero_expo: q.denominator}, (q.denominator, {}))
 
     def coerce(self, c) -> Scalar | Fraction:
         """c in this ring: a Scalar of this ring as it is, a rational through
@@ -85,7 +113,91 @@ class ParamRing:
     def param(self, name: str) -> "Scalar":
         i = self.names.index(name)
         expo = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Scalar(self, {expo: 1}, self._unit, True)
+        return _scalar(self, {expo: 1}, self._unit, (1, {}))
+
+    # -- denominators over linear factors ------------------------------
+
+    def _lin_key(self, f: MP) -> tuple:
+        """The coefficient vector (a_1, ..., a_n, b) of a linear polynomial
+        f = a_1 p_1 + ... + a_n p_n + b."""
+        key = [0] * (self.nvars + 1)
+        for e, c in f.items():
+            key[e.index(1) if any(e) else self.nvars] = c
+        return tuple(key)
+
+    def _factor(self, key: tuple) -> tuple:
+        """(v, f, point) of the primitive linear factor with coefficient
+        vector key, entered into `_factors` on first use."""
+        info = self._factors.get(key)
+        if info is None:
+            n, b = self.nvars, key[-1]
+            f = {tuple(int(j == i) for j in range(n)): a
+                 for i, a in enumerate(key[:n]) if a}
+            v, point = -1, None
+            if b:
+                f[self._zero_expo] = b
+            elif len(f) == 1:  # a primitive monomial: the variable itself
+                v = key.index(1)
+            if v < 0:
+                # x_j = 3^(j+40) mod _P, then solve f = 0 for one x_i
+                x = [pow(3, j + 40, _P) for j in range(n)]
+                i = next((i for i in range(n) if key[i] % _P), None)
+                if i is not None:
+                    x[i] = 0
+                    rest = b + sum(a * y for a, y in zip(key, x))
+                    x[i] = -rest * pow(key[i], -1, _P) % _P
+                    point = tuple(x)
+            info = self._factors[key] = (v, f, point)
+        return info
+
+    def _den(self, k: int, fs: dict) -> MP:
+        """The expanded denominator k * prod f^e over fs = {key: e}."""
+        memo = (k, frozenset(fs.items()))
+        p = self._products.get(memo)
+        if p is None:
+            p = {self._zero_expo: k}
+            for key, x in fs.items():
+                f = self._factor(key)[1]
+                for _ in range(x):
+                    p = mp_mul(p, f)
+            self._products[memo] = p
+        return p
+
+    def _factorize(self, p: MP) -> tuple[int, dict] | None:
+        """(k, {key: e}) with p = k * prod f^e over primitive linear f with
+        positive leading coefficients, for p with a positive leading
+        coefficient; None when p has a nonlinear factor left after the
+        monomial part, the known factors and one new linear factor."""
+        k = math.gcd(*p.values())
+        if k != 1:
+            p = {e: c // k for e, c in p.items()}
+        fs = {}
+        m = _min_expo(p)
+        if any(m):
+            p = _mono_shift(p, m)
+            for i, x in enumerate(m):
+                if x:
+                    fs[tuple(int(j == i) for j in range(self.nvars + 1))] = x
+        for key, (v, f, point) in self._factors.items():
+            if len(p) == 1:
+                break
+            if v >= 0:
+                continue
+            j = 0
+            while _vanishes(p, point):
+                q = mp_quo(p, f)
+                if q is None:
+                    break
+                p, j = q, j + 1
+            if j:
+                fs[key] = j
+        if len(p) > 1:
+            if any(sum(e) > 1 for e in p):
+                return None
+            key = self._lin_key(p)
+            self._factor(key)
+            fs[key] = 1
+        return k, fs
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +523,81 @@ def mp_gcd_prs(a: MP, b: MP) -> MP:
 
 
 # ---------------------------------------------------------------------------
+# denominators over linear factors
+# ---------------------------------------------------------------------------
+
+_P = (1 << 61) - 1  # a prime; trial points lie in (Z/_P)^n
+
+
+def _vanishes(t: MP, point: tuple | None) -> bool:
+    """False only if t is nonzero at point mod _P, which proves that no
+    factor vanishing there divides t; a factor with no point gives True."""
+    if point is None:
+        return True
+    s = 0
+    for e, c in t.items():
+        for x, k in zip(point, e):
+            if k == 1:
+                c *= x
+            elif k:
+                c *= x**k
+        s += c
+    return not s % _P
+
+
+def _strip(ring: ParamRing, t: MP, k: int, fs: dict) -> tuple[MP, int, dict]:
+    """(t/g, c, mu) for g = gcd(t, k * prod f^e over fs = {key: e}) =
+    c * prod f^mu[key].  A variable's power is read off t's least exponents;
+    any other f is divided out while t vanishes at f's point and the
+    division is exact, up to its exponent in fs."""
+    c = math.gcd(k, *t.values()) if k != 1 else 1
+    if c != 1:
+        t = {e: x // c for e, x in t.items()}
+    mu = {}
+    m = None
+    for key, n in fs.items():
+        v, f, point = ring._factor(key)
+        if v >= 0:
+            if m is None:
+                m = _min_expo(t)
+            j = min(m[v], n)
+            if j:
+                t = {e[:v] + (e[v] - j,) + e[v + 1:]: x for e, x in t.items()}
+        else:
+            j = 0
+            while j < n and _vanishes(t, point):
+                q = mp_quo(t, f)
+                if q is None:
+                    break
+                t, j = q, j + 1
+        if j:
+            mu[key] = j
+    return t, c, mu
+
+
+def _fmul(fs: dict, gs: dict) -> dict:
+    """The exponents of a product of two factorizations."""
+    out = dict(fs)
+    for key, x in gs.items():
+        out[key] = out.get(key, 0) + x
+    return out
+
+
+def _fdiv(fs: dict, gs: dict) -> dict:
+    """The exponents of fs divided by gs, which divides it."""
+    if not gs:
+        return fs
+    out = dict(fs)
+    for key, x in gs.items():
+        y = out[key] - x
+        if y:
+            out[key] = y
+        else:
+            del out[key]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the field element
 # ---------------------------------------------------------------------------
 
@@ -428,24 +615,35 @@ def _cancel(a: MP, b: MP, unit: MP) -> tuple[MP, MP, MP]:
     return g, mp_quo(a, g), mp_quo(b, g)
 
 
+def _scalar(ring: ParamRing, num: MP, den: MP, fac) -> "Scalar":
+    """The Scalar num/den, already canonical, with den's factorization fac
+    (or None)."""
+    s = object.__new__(Scalar)
+    s.ring, s.num, s.den, s.fac = ring, num, den, fac
+    return s
+
+
+def _over(ring: ParamRing, num: MP, k: int, fs: dict) -> "Scalar":
+    """num / (k * prod f^e over fs), num coprime to that denominator."""
+    return _scalar(ring, num, ring._den(k, fs), (k, fs))
+
+
 class Scalar:
-    """Element of Q(p1,...,pk), k >= 1, in canonical form."""
+    """Element of Q(p1,...,pk), k >= 1, in canonical form.
 
-    __slots__ = ("ring", "num", "den")
+    `fac` is (k, {key: e}), den = k * prod f^e over the linear factors f of
+    `ParamRing._factors`, or None when den has another factor; arithmetic
+    on a Scalar without one takes the polynomial gcds of `mp_gcd`."""
 
-    def __init__(self, ring: ParamRing, num: MP, den: MP, _canonical: bool = False):
-        """num/den for polynomials with rational coefficients, den nonzero;
-        with _canonical, num and den are already in canonical form."""
+    __slots__ = ("ring", "num", "den", "fac")
+
+    def __init__(self, ring: ParamRing, num: MP, den: MP):
+        """num/den for polynomials with rational coefficients, den nonzero."""
         self.ring = ring
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            self.num = {}
-            self.den = ring._unit
+            self.num, self.den, self.fac = {}, ring._unit, (1, {})
             return
         (num, ln), (den, ld) = _zz_clear(num), _zz_clear(den)
         if ld != 1:
@@ -457,6 +655,7 @@ class Scalar:
             num, den = mp_neg(num), mp_neg(den)
         self.num = num
         self.den = den
+        self.fac = ring._factorize(den)
 
     # -- predicates ---------------------------------------------------
 
@@ -471,17 +670,22 @@ class Scalar:
     # gcd(a, d) = gcd(b, e) = 1 for self = a/d and other = b/e, and d, e
     # have positive leading coefficients.  A quotient of two polynomials with
     # positive leading coefficients has one, as has their product, so no
-    # result below needs a sign fix.
+    # result below needs a sign fix.  With d = k_d prod f^x and
+    # e = k_e prod f^y over coprime irreducible f, gcd(d, e) is
+    # gcd(k_d, k_e) prod f^min(x, y), and the gcd of a numerator with a
+    # denominator comes from `_strip`.
 
     def _scaled(self, n: int, d: int) -> "Scalar":
         """self * n/d, for coprime integers n != 0 and d > 0: only integer
         gcds with the contents of num and den."""
-        num, den = self.num, self.den
+        num, den, fac = self.num, self.den, self.fac
         if n != 1 and n != -1:
             g = math.gcd(n, *den.values())
             if g != 1:
                 n //= g
                 den = {e: c // g for e, c in den.items()}
+                if fac is not None:
+                    fac = (fac[0] // g, fac[1])
         if d != 1:
             g = math.gcd(d, *num.values())
             if g != 1:
@@ -491,7 +695,9 @@ class Scalar:
             num = {e: c * n for e, c in num.items()}
         if d != 1:
             den = {e: c * d for e, c in den.items()}
-        return Scalar(self.ring, num, den, True)
+            if fac is not None:
+                fac = (fac[0] * d, fac[1])
+        return _scalar(self.ring, num, den, fac)
 
     def __add__(self, other):
         if other.__class__ is not Scalar or other.ring is not self.ring:
@@ -500,6 +706,27 @@ class Scalar:
             return self
         if not self.num:
             return other
+        if self.fac is None or other.fac is None:
+            return self._add_gcd(other)
+        ring = self.ring
+        (kd, fd), (ke, fe) = self.fac, other.fac
+        kg = math.gcd(kd, ke)
+        common = {key: min(x, fe[key]) for key, x in fd.items() if key in fe}
+        if kg == 1 and not common:
+            t = mp_add(mp_mul(self.num, other.den), mp_mul(other.num, self.den))
+            if not t:
+                return ring._zero
+            return _over(ring, t, kd * ke, _fmul(fd, fe))
+        dg = _fdiv(fd, common)
+        t = mp_add(mp_mul(self.num, ring._den(ke // kg, _fdiv(fe, common))),
+                   mp_mul(other.num, ring._den(kd // kg, dg)))
+        if not t:
+            return ring._zero
+        t, c, mu = _strip(ring, t, kg, common)
+        return _over(ring, t, kd // kg * (ke // c), _fdiv(_fmul(dg, fe), mu))
+
+    def _add_gcd(self, other: "Scalar") -> "Scalar":
+        """self + other by Henrici with polynomial gcds, both nonzero."""
         unit = self.ring._unit
         a, d, b, e = self.num, self.den, other.num, other.den
         g, dg, eg = _cancel(d, e, unit)
@@ -509,12 +736,12 @@ class Scalar:
         g2, t, _ = _cancel(t, g, unit)
         if g2 != unit:
             e = mp_quo(e, g2)
-        return Scalar(self.ring, t, mp_mul(dg, e), True)
+        return _scalar(self.ring, t, mp_mul(dg, e), None)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ring, mp_neg(self.num), self.den, True)
+        return _scalar(self.ring, mp_neg(self.num), self.den, self.fac)
 
     def __sub__(self, other):
         return self + (-self.ring.coerce(other))
@@ -533,10 +760,16 @@ class Scalar:
             return self._scaled(b[z], other.den[z])
         if self.is_const():
             return other._scaled(a[z], self.den[z])
-        unit = self.ring._unit
-        _, a, e = _cancel(a, other.den, unit)
-        _, b, d = _cancel(b, self.den, unit)
-        return Scalar(self.ring, mp_mul(a, b), mp_mul(d, e), True)
+        if self.fac is None or other.fac is None:
+            unit = self.ring._unit
+            _, a, e = _cancel(a, other.den, unit)
+            _, b, d = _cancel(b, self.den, unit)
+            return _scalar(self.ring, mp_mul(a, b), mp_mul(d, e), None)
+        (kd, fd), (ke, fe) = self.fac, other.fac
+        a, c1, mu1 = _strip(self.ring, a, ke, fe)
+        b, c2, mu2 = _strip(self.ring, b, kd, fd)
+        return _over(self.ring, mp_mul(a, b), kd // c2 * (ke // c1),
+                     _fdiv(_fdiv(_fmul(fd, fe), mu1), mu2))
 
     __rmul__ = __mul__
 
@@ -546,7 +779,7 @@ class Scalar:
         num, den = self.den, self.num
         if mp_leading(den)[1] < 0:
             num, den = mp_neg(num), mp_neg(den)
-        return Scalar(self.ring, num, den, True)
+        return _scalar(self.ring, num, den, self.ring._factorize(den))
 
     def __truediv__(self, other):
         return self * self.ring.coerce(other).inv()

@@ -154,6 +154,31 @@ def test_substitution_homomorphism():
     assert got == w * w + (w * w).total_derivative()
 
 
+def test_substitution_derives_each_order_from_d():
+    """u_g^(n) maps to images[g].d(n), also when one call maps several
+    orders of a generator, in any order of the terms."""
+    target = Context(Q, ["w", "x"])
+    w, x = target.gen(0), target.gen(1)
+    images = [w * x + target.gen(0, 1), w * w.scale(Fraction(1, 3)) + x]
+    for orders in ([3, 1, 5], [0, 2], [6, 4, 0, 1], [2, 2]):
+        p, want = UV.zero(), target.zero()
+        for i, n in enumerate(orders):
+            g, m = i % 2, orders[-1 - i]
+            p = p + UV.gen(g, n) * UV.gen(1 - g, m)
+            want = want + images[g].d(n) * images[1 - g].d(m)
+        assert p.map_generators(target, images) == want
+
+
+def test_substitution_at_high_order():
+    """Orders far past the interpreter's recursion limit map too: u^(1200)
+    goes to w^(1200)."""
+    target = Context(Q, ["w"])
+    w = target.gen(0)
+    p = UV.gen(0, 1200) * UV.gen(1, 2) + UV.gen(0, 1199)
+    got = p.map_generators(target, [w, w * w])
+    assert got == target.gen(0, 1200) * (w * w).d(2) + target.gen(0, 1199)
+
+
 def test_renderers():
     up = UV.gen(0, 1)
     p = u * up.scale(Fraction(-1, 2)) + v

@@ -462,3 +462,165 @@ def test_div_exact_by_a_monomial(data):
     assert mp_quo(mp_mul(p, q), q) == p
     if len(q) > 1 or any(next(iter(q))):
         assert mp_quo(mp_add(mp_mul(p, q), {ring._zero_expo: 1}), q) is None
+
+
+# -- denominators over their linear factors ----------------------------------
+#
+# A Scalar carries den = k * prod f^e over primitive linear f with positive
+# leading coefficients (`fac`), or None when den has another factor.  Sums
+# and products of two factored Scalars take no polynomial gcd; the
+# canonicalising constructor, which runs `mp_gcd`, is their oracle.  The
+# factor pools hold linear factors with a coefficient +-1 and without one
+# (2t + 3, 2x + 3y, 2s1 + 3s2), and nonlinear irreducibles, whose inverses
+# carry no factorization and so take the gcd path.
+
+FACTOR_POOLS = {
+    ("t",): lambda t: [t, t + 1, 2 * t + 3, t * t + 1],
+    ("x", "y"): lambda x, y: [x, y, x - y, 2 * x + 3 * y, x + y + 1, x * x + y],
+    ("c", "s1", "s2"): lambda c, s1, s2: [c, s2, s1 - s2, s1 + s2, 2 * s1 + 3 * s2,
+                                          c * s1 + 2, s1 * s1 + s2],
+}
+
+
+def linear_from_key(ring, key):
+    """The polynomial with coefficient vector key = (a_1, ..., a_n, b)."""
+    n = ring.nvars
+    f = {tuple(int(j == i) for j in range(n)): a for i, a in enumerate(key[:n]) if a}
+    if key[n]:
+        f[ring._zero_expo] = key[n]
+    return f
+
+
+def assert_factored(s):
+    """s.fac, if any, is (k, {key: e}) with den == k * prod f^e, k > 0, and
+    each f linear, primitive, with a positive leading coefficient; the ring
+    divides by the same f.  True when s carries a factorization."""
+    if s.fac is None:
+        return False
+    k, fs = s.fac
+    assert type(k) is int and k > 0
+    prod = {s.ring._zero_expo: k}
+    for key, x in fs.items():
+        f = linear_from_key(s.ring, key)
+        assert type(x) is int and x > 0
+        assert any(any(e) for e in f) and all(sum(e) <= 1 for e in f)
+        assert math.gcd(*f.values()) == 1 and mp_leading(f)[1] > 0
+        assert s.ring._factor(key)[1] == f
+        for _ in range(x):
+            prod = mp_mul(prod, f)
+    assert prod == s.den
+    return True
+
+
+@st.composite
+def factored_scalars(draw, ring):
+    """A Scalar built from a small polynomial, powers of pool factors and of
+    their inverses, and a rational: through the engine's own arithmetic, or
+    through the canonicalising constructor from the expanded product."""
+    pool = FACTOR_POOLS[ring.names](*map(ring.param, ring.names))
+    kind = draw(st.sampled_from(["zero", "const", "engine", "constructor"]))
+    if kind == "zero":
+        return ring.zero()
+    if kind == "const":
+        return ring.const(draw(small.filter(bool)))
+    ups = draw(st.lists(st.sampled_from(pool), max_size=2))
+    downs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    body = Scalar(ring, draw(polys(ring, degree=1)) or {ring._zero_expo: 1},
+                  {ring._zero_expo: 1}) * draw(small.filter(bool))
+    if kind == "engine":
+        out = body
+        for f in ups:
+            out = out * f
+        for f in downs:
+            out = out / f
+        return out
+    num, den = body.num, {ring._zero_expo: 1}
+    for f in ups:
+        num = mp_mul(num, f.num)
+    for f in downs:
+        den = mp_mul(den, f.num)
+    return Scalar(ring, num, den)
+
+
+def no_gcd(*args):
+    raise AssertionError("mp_gcd called on factored operands")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_factored_denominators_match_canonicalising_constructor(data):
+    """+ - * / and inv of Scalars with factored denominators, in a fresh
+    ring (no factor known yet) or in one that has met the pool already,
+    against the constructor; every result's factorization is checked, and
+    when both operands carry one, + - * take no polynomial gcd."""
+    names = data.draw(st.sampled_from(sorted(FACTOR_POOLS)))
+    ring = ParamRing(names) if data.draw(st.booleans()) else RINGS[len(names) - 1]
+    a, b = data.draw(factored_scalars(ring)), data.draw(factored_scalars(ring))
+    factored = assert_factored(a) & assert_factored(b)
+    with mock.patch.object(scalars_mod, "mp_gcd",
+                           side_effect=no_gcd if factored else mp_gcd):
+        got = [a + b, b + a, a - b, a * b, b * a]
+    for s, want in zip(got, [add_oracle(a, b), add_oracle(b, a), add_oracle(a, -b),
+                             mul_oracle(a, b), mul_oracle(b, a)]):
+        assert_same(s, want)
+        assert_factored(s)
+    total = a + b
+    assert_same(total - b, add_oracle(total, -b))
+    assert_factored(total - b)
+    if b:
+        inv = b.inv()
+        assert_same(inv, Scalar(ring, b.den, b.num))
+        assert_factored(inv)
+        for s, want in ((a / b, mul_oracle(a, inv)), ((a * b) / b, a)):
+            assert_same(s, want)
+            assert_factored(s)
+
+
+def test_factorization_of_new_denominators():
+    """inv and the constructor factor a new denominator over the monomial
+    part, the ring's known factors and one new linear factor; a nonlinear
+    cofactor leaves the Scalar without a factorization, and its sums and
+    products still equal the constructor's."""
+    r = ParamRing(["x", "y"])
+    x, y = r.param("x"), r.param("y")
+    q = (4 * x + 6 * y).inv()
+    assert q.fac == (2, {(2, 3, 0): 1})
+    v, f, point = r._factor((2, 3, 0))
+    assert (v, f) == (-1, {(1, 0): 2, (0, 1): 3})
+    assert (2 * point[0] + 3 * point[1]) % scalars_mod._P == 0
+    assert r._factor((0, 1, 0))[:2] == (1, {(0, 1): 1})
+    s = Scalar(r, {(0, 0): 1}, mp_mul((x * x * y).num, (2 * x + 3 * y).num))
+    assert s.fac == (1, {(1, 0, 0): 2, (0, 1, 0): 1, (2, 3, 0): 1})
+    # two new linear factors at once: the cofactor is not linear
+    assert Scalar(r, {(0, 0): 1}, ((x + 1) * (y + 1)).num).fac is None
+    odd = (x * x + y).inv()
+    assert odd.fac is None
+    for other in (q, s, x + 1, odd, r.const(3)):
+        for got, want in ((odd + other, add_oracle(odd, other)),
+                          (odd * other, mul_oracle(odd, other)),
+                          (other * odd, mul_oracle(other, odd))):
+            assert_same(got, want)
+            assert_factored(got)
+
+
+def test_symbolic_sl4_solve_takes_no_gcd():
+    """The symbolic sl4 short dressing over Q(c, s1, s2) to degree 4 calls
+    no polynomial gcd, and every Scalar in its frame, generator table and
+    U and h parts carries den's factorization."""
+    from wds import SHORT, GradedSetup, ReductionFrame, WGenerators, build_sl
+    from wds.hierarchy import solve_dressing
+    with mock.patch.object(scalars_mod, "mp_gcd", side_effect=no_gcd):
+        g = build_sl(4, params=["s1", "s2"], form_scale="c")
+        s1, s2 = g.ring.param("s1"), g.ring.param("s2")
+        s = [s1 * a + s2 * b
+             for a, b in zip(g.parse({"E13": 1}), g.parse({"E24": 1}))]
+        frame = ReductionFrame(GradedSetup(g, g.parse({"E31": 1, "E42": 1}), SHORT), s)
+        entries = WGenerators(frame).table.entries
+        U, h, _ = solve_dressing(frame, 4)
+    found = [c for row in frame.struct for entry in row for _, c in entry]
+    found += [c for row in frame.gram for c in row]
+    polys = [p for pair in entries.values() for lam in pair for p in lam.coeffs]
+    polys += [p for parts in (U, h) for el in parts.values() for p in el.terms.values()]
+    found += [c for p in polys for c in p.coeffs().values()]
+    assert found and all(type(c) is Scalar and assert_factored(c) for c in found)
+    assert any(c.fac[1] for c in found)
