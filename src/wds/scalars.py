@@ -57,8 +57,9 @@ class ParamRing:
     (see `_lin_key`), to (v, f, point), where f is the polynomial, v the
     index of the variable when f is one (else -1) and point a zero of f mod
     _P (see `_vanishes`); `_products` memoizes expanded denominators
-    k * prod f^e, keyed by (k, frozenset of (key, e)).  Both only grow, and
-    a factor key carries its polynomial, so equal rings still mix."""
+    k * prod f^e, which measured faster than expanding them on each use.
+    Both only grow, and a factor key carries its polynomial, so equal rings
+    still mix."""
 
     __slots__ = ("names", "nvars", "_zero_expo", "_unit", "_zero", "_one",
                  "_factors", "_products")
@@ -670,10 +671,7 @@ class Scalar:
     # gcd(a, d) = gcd(b, e) = 1 for self = a/d and other = b/e, and d, e
     # have positive leading coefficients.  A quotient of two polynomials with
     # positive leading coefficients has one, as has their product, so no
-    # result below needs a sign fix.  With d = k_d prod f^x and
-    # e = k_e prod f^y over coprime irreducible f, gcd(d, e) is
-    # gcd(k_d, k_e) prod f^min(x, y), and the gcd of a numerator with a
-    # denominator comes from `_strip`.
+    # result below needs a sign fix.
 
     def _scaled(self, n: int, d: int) -> "Scalar":
         """self * n/d, for coprime integers n != 0 and d > 0: only integer
