@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -624,3 +625,35 @@ def test_symbolic_sl4_solve_takes_no_gcd():
     found += [c for p in polys for c in p.coeffs().values()]
     assert found and all(type(c) is Scalar and assert_factored(c) for c in found)
     assert any(c.fac[1] for c in found)
+
+
+# -- a generic symbolic s ------------------------------------------------------
+#
+# The paper's formulas hold for every s in g_1 with f + zs semisimple.  Over
+# Q(c, p11, p12, p21, p22), the top block s = p11 E13 + p12 E14 + p21 E23 +
+# p22 E24 on sl4 short puts det s, the discriminant of s and their products
+# with linear factors into the denominators.  No CLI flag builds this s.
+
+GENERIC_S_GOLDEN = Path(__file__).resolve().parent / "golden" / "dressing_sl4_short_generic_s.out"
+
+
+def generic_s_frame():
+    from wds import SHORT, GradedSetup, ReductionFrame, build_sl
+    names = ["p11", "p12", "p21", "p22"]
+    g = build_sl(4, params=names, form_scale="c")
+    s = [g.ring.zero()] * g.dim
+    for name in names:
+        root = g.parse({f"E{name[1]}{int(name[2]) + 2}": 1})
+        s = [a + g.ring.param(name) * b for a, b in zip(s, root)]
+    return ReductionFrame(GradedSetup(g, g.parse({"E31": 1, "E42": 1}), SHORT), s)
+
+
+def test_generic_symbolic_s_dressing():
+    """The dressing to degree 2 with the generic top-block s: h as in the
+    golden, and the one-shot exp(ad U) oracle gives zero."""
+    from wds.hierarchy import dressing_defect, solve_dressing
+    frame = generic_s_frame()
+    U, h, _ = solve_dressing(frame, 2)
+    got = "".join(f"deg {d}: {h[d]}\n" for d in sorted(h))
+    assert got == GENERIC_S_GOLDEN.read_text()
+    assert not dressing_defect(frame, U, h, 2).terms
