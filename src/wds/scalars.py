@@ -10,33 +10,34 @@ equality of values is equality of representations.  Fraction and Scalar
 share the operations the engine uses: + - * /, ==, bool and str.  `str`
 prints the quotient with a monic denominator over Q.
 
+Each Scalar carries the factorization of its denominator,
+den = k * prod f^e (`Scalar.fac`), with k a positive integer and each f a
+primitive polynomial with a positive leading coefficient from the ring's
+base: distinct base elements are coprime (a coprime base in the sense of
+Bach, Driscoll and Shallit, "Factor refinement", J. Algorithms 15, 1993).
 Sums follow Henrici (1956; Knuth, TAOCP vol. 2, 4.5.1): with g = gcd(d, e),
 a/d + b/e = (t/g2) / ((d/g)(e/g2)) for t = a(e/g) + b(d/g) and
-g2 = gcd(t, g), with no gcd of t when g = 1.  Products cancel across,
-a/d * b/e = (a/g1)(b/g2) / ((d/g2)(e/g1)) for g1 = gcd(a, e) and
-g2 = gcd(b, d), and a product with a rational needs only integer gcds.
+g2 = gcd(t, g).  Products cancel across, a/d * b/e =
+(a/g1)(b/g2) / ((d/g2)(e/g1)) for g1 = gcd(a, e) and g2 = gcd(b, d), and a
+product with a rational needs only integer gcds.  Over a coprime base,
+gcd(d, e) = gcd(k_d, k_e) prod f^min(x, y), and the gcd of a numerator t
+with a denominator is the integer gcd with k times each f of the
+denominator divided out of t up to its exponent (`_strip`).
 
-Each Scalar also carries the factorization of its denominator,
-den = k * prod f^e (`Scalar.fac`), with k a positive integer and each f a
-primitive linear polynomial with a positive leading coefficient: f is
-irreducible, and distinct f are coprime (the coprime base of Bach, Driscoll
-and Shallit, "Factor refinement", J. Algorithms 15, 1993).  The gcds above
-then need no polynomial gcd: gcd(d, e) = gcd(k_d, k_e) prod f^min(x, y),
-and the gcd of a numerator t with a denominator is the integer gcd with k
-times each f of the denominator divided out of t up to its exponent
-(`_strip`).  A variable's power in t is read off t's least exponents; any
-other f is divided out only after t vanishes at a zero of f mod a prime,
-since a nonzero value proves that f does not divide t.  A new denominator,
-from `inv` or the general constructor, is factored over its monomial part
-and the factors the ring has met (`ParamRing._factorize`); a linear
-cofactor left becomes a new factor.  A nonlinear one leaves the Scalar
-without a factorization, and arithmetic on such a Scalar takes the
-polynomial gcds.
+Most base elements are certified irreducible: a variable, whose power in t
+is read off t's least exponents, or an f of degree 1 in some variable x
+and primitive in x (Gauss's lemma), linear f included.  Such an f is
+divided out only after t vanishes at a zero of f mod a prime, since a
+nonzero value proves that f does not divide t.  Any other base element is
+divided out by its polynomial gcd with t; a gcd that is a proper divisor
+refines the element into coprime parts (`ParamRing._refine`).  A new
+denominator, from `inv` or the general constructor, is factored over its
+monomial part and the ring's base; what is left enters the base
+(`ParamRing._factorize`).
 
-Every polynomial gcd is `mp_gcd`.  It splits off the shared monomial, then
-runs the heuristic gcd over Z of Char, Geddes and Gonnet (1989), which
-accepts a candidate only when it divides both operands exactly, and falls
-back to the subresultant PRS (`mp_gcd_prs`) when the heuristic gives up.
+The one polynomial gcd is `mp_gcd`, the shared monomial split off and the
+subresultant PRS (`mp_gcd_prs`) on the rest, and only the factorization
+code calls it.
 """
 
 from __future__ import annotations
@@ -52,17 +53,19 @@ MP = dict  # sparse polynomial {exponent tuple: int}
 class ParamRing:
     """A fixed ordered set of parameter names (possibly empty): Q(names).
 
-    Over Q(p) the ring also keeps what its Scalars' denominators are made of:
-    `_factors` maps each linear factor met so far, by its coefficient vector
-    (see `_lin_key`), to (v, f, point), where f is the polynomial, v the
-    index of the variable when f is one (else -1) and point a zero of f mod
-    _P (see `_vanishes`); `_products` memoizes expanded denominators
-    k * prod f^e, which measured faster than expanding them on each use.
-    Both only grow, and a factor key carries its polynomial, so equal rings
-    still mix."""
+    Over Q(p) the ring also keeps the coprime base of its Scalars'
+    denominators: `_factors` maps the key of each base element met so far,
+    its coefficient vector when linear (`_lin_key`) and its sorted items
+    otherwise, to (v, f, point), where f is the polynomial, v the index of
+    the variable when f is one (else -1) and point a zero of f mod _P when
+    f is certified irreducible (`_root`), else None; `_refined` maps each
+    refined element to its parts; `_products` memoizes expanded
+    denominators k * prod f^e, which measured faster than expanding them on
+    each use.  All three only grow.  A Scalar of an equal ring is factored
+    over this ring's base when it enters its arithmetic (`coerce`)."""
 
     __slots__ = ("names", "nvars", "_zero_expo", "_unit", "_zero", "_one",
-                 "_factors", "_products")
+                 "_factors", "_refined", "_products")
 
     def __init__(self, names: Iterable[str] = ()):
         ordered = tuple(sorted(set(names)))
@@ -71,6 +74,7 @@ class ParamRing:
         self._zero_expo = (0,) * self.nvars
         self._unit = {self._zero_expo: 1}  # the polynomial 1
         self._factors: dict = {}
+        self._refined: dict = {}
         self._products: dict = {}
         # elements are never mutated, so 0 and 1 are built once and shared
         self._zero, self._one = self.const(0), self.const(1)
@@ -103,11 +107,14 @@ class ParamRing:
                        {self._zero_expo: q.denominator}, (q.denominator, {}))
 
     def coerce(self, c) -> Scalar | Fraction:
-        """c in this ring: a Scalar of this ring as it is, a rational through
+        """c in this ring: a Scalar of this ring as it is, one of an equal
+        ring with den factored over this ring's base, a rational through
         `const`; a Scalar of another ring raises ValueError."""
         if c.__class__ is Scalar:
-            if c.ring is not self and c.ring != self:
-                raise ValueError("scalars from different parameter rings")
+            if c.ring is not self:
+                if c.ring != self:
+                    raise ValueError("scalars from different parameter rings")
+                return _scalar(self, c.num, c.den, self._factorize(c.den))
             return c
         return self.const(c)
 
@@ -116,7 +123,7 @@ class ParamRing:
         expo = tuple(1 if j == i else 0 for j in range(self.nvars))
         return _scalar(self, {expo: 1}, self._unit, (1, {}))
 
-    # -- denominators over linear factors ------------------------------
+    # -- denominators over a coprime base -----------------------------
 
     def _lin_key(self, f: MP) -> tuple:
         """The coefficient vector (a_1, ..., a_n, b) of a linear polynomial
@@ -127,28 +134,21 @@ class ParamRing:
         return tuple(key)
 
     def _factor(self, key: tuple) -> tuple:
-        """(v, f, point) of the primitive linear factor with coefficient
-        vector key, entered into `_factors` on first use."""
+        """(v, f, point) of the base element with this key, entered into
+        `_factors` on first use."""
         info = self._factors.get(key)
         if info is None:
-            n, b = self.nvars, key[-1]
-            f = {tuple(int(j == i) for j in range(n)): a
-                 for i, a in enumerate(key[:n]) if a}
-            v, point = -1, None
-            if b:
-                f[self._zero_expo] = b
-            elif len(f) == 1:  # a primitive monomial: the variable itself
-                v = key.index(1)
-            if v < 0:
-                # x_j = 3^(j+40) mod _P, then solve f = 0 for one x_i
-                x = [pow(3, j + 40, _P) for j in range(n)]
-                i = next((i for i in range(n) if key[i] % _P), None)
-                if i is not None:
-                    x[i] = 0
-                    rest = b + sum(a * y for a, y in zip(key, x))
-                    x[i] = -rest * pow(key[i], -1, _P) % _P
-                    point = tuple(x)
-            info = self._factors[key] = (v, f, point)
+            if key[0].__class__ is tuple:  # the items of a nonlinear f
+                f, v = dict(key), -1
+            else:
+                n = self.nvars
+                f = {tuple(int(j == i) for j in range(n)): a
+                     for i, a in enumerate(key[:n]) if a}
+                if key[-1]:
+                    f[self._zero_expo] = key[-1]
+                # a primitive monomial is the variable itself
+                v = key.index(1) if len(f) == 1 and not key[-1] else -1
+            info = self._factors[key] = (v, f, _root(f) if v < 0 else None)
         return info
 
     def _den(self, k: int, fs: dict) -> MP:
@@ -164,41 +164,108 @@ class ParamRing:
             self._products[memo] = p
         return p
 
-    def _factorize(self, p: MP) -> tuple[int, dict] | None:
-        """(k, {key: e}) with p = k * prod f^e over primitive linear f with
-        positive leading coefficients, for p with a positive leading
-        coefficient; None when p has a nonlinear factor left after the
-        monomial part, the known factors and one new linear factor."""
+    def _rebase(self, fs: dict) -> dict:
+        """fs = {key: e} with each refined key replaced by its parts."""
+        out = {}
+        for key, x in fs.items():
+            for part, y in self._refined.get(key, {key: 1}).items():
+                out[part] = out.get(part, 0) + x * y
+        return out
+
+    def _factorize(self, p: MP) -> tuple[int, dict]:
+        """(k, {key: e}) with p = k * prod f^e over the base, for p with a
+        positive leading coefficient: its content, its monomial part, the
+        base elements that divide it, and new base elements for the rest."""
         k = math.gcd(*p.values())
         if k != 1:
             p = {e: c // k for e, c in p.items()}
-        fs = {}
-        m = _min_expo(p)
-        if any(m):
-            p = _mono_shift(p, m)
-            for i, x in enumerate(m):
-                if x:
-                    fs[tuple(int(j == i) for j in range(self.nvars + 1))] = x
-        for key, (v, f, point) in self._factors.items():
-            if len(p) == 1:
-                break
-            if v >= 0:
-                continue
-            j = 0
-            while _vanishes(p, point):
-                q = mp_quo(p, f)
-                if q is None:
-                    break
-                p, j = q, j + 1
-            if j:
-                fs[key] = j
+        n = max(map(sum, p))  # no factor divides p more often
+        variables = (tuple(int(j == i) for j in range(self.nvars + 1))
+                     for i in range(self.nvars))
+        p, _, fs = _strip(self, p, 1, {key: n for key in (*variables, *self._factors)
+                                       if key not in self._refined})
         if len(p) > 1:
-            if any(sum(e) > 1 for e in p):
-                return None
-            key = self._lin_key(p)
-            self._factor(key)
-            fs[key] = 1
+            self._enter(p, 1, fs)
         return k, fs
+
+    def _enter(self, p: MP, x: int, fs: dict) -> None:
+        """Add the factors of p^x to fs as new base elements, for p
+        nonconstant, primitive, with a positive leading coefficient, no
+        monomial factor and no factor in common with the base.
+
+        Where p = a y + b has degree 1 in a variable y, its content
+        gcd(a, b) in y is entered first and p divided by it; the rest is
+        primitive of degree 1 in y, so irreducible.  A p of degree 0 or at
+        least 2 in every variable enters as it is, uncertified."""
+        for i in range(self.nvars):
+            if max(e[i] for e in p) == 1:
+                a = {e[:i] + (0,) + e[i + 1:]: c for e, c in p.items() if e[i]}
+                b = {e: c for e, c in p.items() if not e[i]}
+                # a single term in a or b leaves p, primitive and without a
+                # monomial factor, content 1
+                if len(a) > 1 and len(b) > 1:
+                    g = mp_gcd(a, b)
+                    if len(g) > 1:
+                        self._enter(g, x, fs)
+                        p = mp_quo(p, g)
+                break
+        key = (self._lin_key(p) if all(sum(e) <= 1 for e in p)
+               else tuple(sorted(p.items())))
+        self._factor(key)
+        fs[key] = fs.get(key, 0) + x
+
+    def _gcd_strip(self, t: MP, key: tuple, n: int) -> tuple[MP, dict]:
+        """(t/g, {key: e}) for g = gcd(t, f^n), f the base element `key`,
+        over the current base: f is divided out while gcd(t, f) = f, and a
+        gcd that is a proper divisor of f refines f."""
+        out = {}
+        work = [(key, n)]
+        while work:
+            key, n = work.pop()
+            parts = self._refined.get(key)
+            if parts is not None:
+                work.extend((part, n * y) for part, y in parts.items())
+                continue
+            f = self._factors[key][1]
+            j = 0
+            while j < n and len(t) > 1:
+                g = mp_gcd(t, f)
+                if g == f:
+                    t, j = mp_quo(t, f), j + 1
+                    continue
+                if len(g) > 1:
+                    self._refine(key, g)
+                    work.append((key, n - j))
+                break
+            if j:
+                out = _fmul(out, self._rebase({key: j}))
+        return t, out
+
+    def _refine(self, key: tuple, g: MP) -> None:
+        """Replace the base element f of `key` by coprime parts of
+        f = g (f/g), for a proper divisor g of f: two parts a^x b^y with a
+        common factor d become d^(x+y) (a/d)^x (b/d)^y until no two share
+        one, and each part enters the base (`_enter`)."""
+        f = self._factors[key][1]
+        parts, done = [(g, 1), (mp_quo(f, g), 1)], []
+        while parts:
+            a, x = parts.pop()
+            for i, (b, y) in enumerate(done):
+                d = mp_gcd(a, b)
+                if len(d) > 1:
+                    del done[i]
+                    parts += [(q, e) for q, e in ((d, x + y), (mp_quo(a, d), x),
+                                                  (mp_quo(b, d), y)) if len(q) > 1]
+                    break
+            else:
+                done.append((a, x))
+        fs = {}
+        for a, x in done:
+            self._enter(a, x, fs)
+        self._refined[key] = fs
+        for old, m in self._refined.items():
+            if key in m:  # an earlier refinement with f among its parts
+                self._refined[old] = self._rebase(m)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +407,8 @@ def mp_gcd(a: MP, b: MP) -> MP:
     The monomial part is split off first: x^m, with m the componentwise
     minimum exponent over both operands, times the gcd of all coefficients
     is the gcd when either operand is a single term, and otherwise
-    multiplies the gcd of the two monomial-free parts.  That gcd comes from
-    the heuristic gcd over Z (`_heu_gcd`), and from the subresultant PRS
-    (`mp_gcd_prs`) when the heuristic gives up.
+    multiplies the subresultant PRS gcd (`mp_gcd_prs`) of the two
+    monomial-free parts.
     """
     if not a or not b:
         return _positive(a or b)
@@ -354,86 +420,10 @@ def mp_gcd(a: MP, b: MP) -> MP:
         a = _mono_shift(a, ma)
     if any(mb):
         b = _mono_shift(b, mb)
-    g = _heu_gcd(a, b, len(m) - 1)
-    g = mp_gcd_prs(a, b) if g is None else _positive(g)
+    g = mp_gcd_prs(a, b)
     if any(m):
         g = {tuple(x + y for x, y in zip(e, m)): c for e, c in g.items()}
     return g
-
-
-# -- the heuristic gcd over Z (GCDHEU; Char, Geddes and Gonnet, 1989) ------
-#
-# Evaluating the main variable at an integer xi maps a gcd problem over Z
-# to one in a variable fewer, down to an integer gcd; the symmetric xi-adic
-# digits of that gcd, read as coefficients of the main variable, give a
-# candidate.  For xi >= 2 min(|a|, |b|) + 2 (max norms of the primitive
-# parts; the code adds 29), a candidate that divides both primitive parts is
-# their gcd.  That needs the evaluated gcd to be the whole gcd of the
-# evaluated polynomials, integer content included, so each level returns
-# its content with it; a constant candidate needs no division check.
-
-_HEU_TRIES = 6
-
-
-def _heu_gcd(a: MP, b: MP, v: int) -> MP | None:
-    """The gcd over Z of integer polynomials a, b in variables 0..v, not
-    both zero, with the gcd of their contents as its content (sign free);
-    None when the heuristic gives up."""
-    if not a or not b:  # an evaluation at xi can vanish
-        return a or b
-    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
-    c = math.gcd(ca, cb)
-    if mp_is_const(a) or mp_is_const(b):
-        return {(0,) * len(next(iter(a))): c}
-    while not any(e[v] for e in a) and not any(e[v] for e in b):
-        v -= 1
-    if ca != 1:
-        a = {e: x // ca for e, x in a.items()}
-    if cb != 1:
-        b = {e: x // cb for e, x in b.items()}
-    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
-    for _ in range(_HEU_TRIES):
-        g = _heu_gcd(_zz_eval(a, v, xi), _zz_eval(b, v, xi), v - 1)
-        if g is None:
-            return None
-        g = _zz_interp(g, v, xi)
-        if mp_is_const(g) or (mp_quo(a, g) is not None
-                              and mp_quo(b, g) is not None):
-            return {e: c * x for e, x in g.items()} if c != 1 else g
-        # a larger xi, by the paper's odd factor 73794/27011 and xi^(1/4)
-        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
-    return None
-
-
-def _zz_eval(a: MP, v: int, xi: int) -> MP:
-    """a with variable v set to xi (its exponent becomes 0)."""
-    out: MP = {}
-    for e, c in a.items():
-        k = e[v]
-        if k:
-            c *= xi**k
-            e = e[:v] + (0,) + e[v + 1 :]
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
-
-
-def _zz_interp(g: MP, v: int, xi: int) -> MP:
-    """The primitive part of the polynomial whose coefficients in variable v
-    are the symmetric xi-adic digits of g's coefficients."""
-    half = xi // 2
-    out: MP = {}
-    for e, c in g.items():
-        k = 0
-        while c:
-            d = c % xi
-            if d > half:
-                d -= xi
-            if d:
-                out[e[:v] + (k,) + e[v + 1 :]] = d
-            c = (c - d) // xi
-            k += 1
-    cont = math.gcd(*out.values())
-    return {e: d // cont for e, d in out.items()} if cont != 1 else out
 
 
 # -- the subresultant PRS over Z[p] (Collins 1967; Brown, J. ACM 18, 1971) -
@@ -487,9 +477,8 @@ def _content(p: list[MP]) -> MP:
 
 def mp_gcd_prs(a: MP, b: MP) -> MP:
     """The gcd of `mp_gcd`, by the recursive subresultant PRS (Knuth, TAOCP
-    vol. 2, 4.6.1, algorithm C); the contents recurse into mp_gcd_prs.
-
-    The fallback of `mp_gcd`, and its oracle in the tests.
+    vol. 2, 4.6.1, algorithm C); the contents recurse into mp_gcd_prs, so
+    it is also the oracle of `mp_gcd`'s monomial split in the tests.
     """
     if not a or not b:
         return _positive(a or b)
@@ -524,17 +513,15 @@ def mp_gcd_prs(a: MP, b: MP) -> MP:
 
 
 # ---------------------------------------------------------------------------
-# denominators over linear factors
+# denominators over a coprime base
 # ---------------------------------------------------------------------------
 
 _P = (1 << 61) - 1  # a prime; trial points lie in (Z/_P)^n
 
 
-def _vanishes(t: MP, point: tuple | None) -> bool:
-    """False only if t is nonzero at point mod _P, which proves that no
-    factor vanishing there divides t; a factor with no point gives True."""
-    if point is None:
-        return True
+def _value(t: MP, point: tuple) -> int:
+    """t at point, mod _P: nonzero proves that no factor vanishing there
+    divides t."""
     s = 0
     for e, c in t.items():
         for x, k in zip(point, e):
@@ -543,14 +530,33 @@ def _vanishes(t: MP, point: tuple | None) -> bool:
             elif k:
                 c *= x**k
         s += c
-    return not s % _P
+    return s % _P
+
+
+def _root(f: MP) -> tuple | None:
+    """A zero of f mod _P: x_j = 3^(j+40), except for the first variable x_i
+    in which f = a x_i + b has degree 1 and a is nonzero there, solved for;
+    None when there is no such variable."""
+    n = len(next(iter(f)))
+    for i in range(n):
+        if max(e[i] for e in f) == 1:
+            x = [pow(3, j + 40, _P) for j in range(n)]
+            x[i] = 0
+            b = _value(f, x)
+            x[i] = 1
+            a = (_value(f, x) - b) % _P
+            if a:
+                x[i] = -b * pow(a, -1, _P) % _P
+                return tuple(x)
+    return None
 
 
 def _strip(ring: ParamRing, t: MP, k: int, fs: dict) -> tuple[MP, int, dict]:
     """(t/g, c, mu) for g = gcd(t, k * prod f^e over fs = {key: e}) =
-    c * prod f^mu[key].  A variable's power is read off t's least exponents;
-    any other f is divided out while t vanishes at f's point and the
-    division is exact, up to its exponent in fs."""
+    c * prod f^mu[key], mu over the current base.  A variable's power is
+    read off t's least exponents; any other certified f is divided out
+    while t vanishes at f's point and the division is exact, up to its
+    exponent in fs, and the rest by polynomial gcds (`_gcd_strip`)."""
     c = math.gcd(k, *t.values()) if k != 1 else 1
     if c != 1:
         t = {e: x // c for e, x in t.items()}
@@ -564,9 +570,13 @@ def _strip(ring: ParamRing, t: MP, k: int, fs: dict) -> tuple[MP, int, dict]:
             j = min(m[v], n)
             if j:
                 t = {e[:v] + (e[v] - j,) + e[v + 1:]: x for e, x in t.items()}
+        elif point is None:
+            t, got = ring._gcd_strip(t, key, n)
+            mu.update(got)
+            continue
         else:
             j = 0
-            while j < n and _vanishes(t, point):
+            while j < n and not _value(t, point):
                 q = mp_quo(t, f)
                 if q is None:
                     break
@@ -603,38 +613,30 @@ def _fdiv(fs: dict, gs: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cancel(a: MP, b: MP, unit: MP) -> tuple[MP, MP, MP]:
-    """(g, a/g, b/g) for g = mp_gcd(a, b); no gcd is taken when a or b is
-    the polynomial 1 or when a == b."""
-    if a == unit or b == unit:
-        return unit, a, b
-    if a == b:
-        return a, unit, unit
-    g = mp_gcd(a, b)
-    if g == unit:
-        return unit, a, b
-    return g, mp_quo(a, g), mp_quo(b, g)
-
-
 def _scalar(ring: ParamRing, num: MP, den: MP, fac) -> "Scalar":
-    """The Scalar num/den, already canonical, with den's factorization fac
-    (or None)."""
+    """The Scalar num/den, already canonical, with den's factorization fac."""
     s = object.__new__(Scalar)
     s.ring, s.num, s.den, s.fac = ring, num, den, fac
     return s
 
 
-def _over(ring: ParamRing, num: MP, k: int, fs: dict) -> "Scalar":
-    """num / (k * prod f^e over fs), num coprime to that denominator."""
+def _over(ring: ParamRing, num: MP, k: int, fs: dict, mu: dict = None) -> "Scalar":
+    """num / (k * prod f^e over fs, divided by prod f^e over mu), num
+    coprime to that denominator.  Once the ring has refined an element, fs
+    and mu are read over the current base: a strip can refine one."""
+    if ring._refined:
+        fs, mu = ring._rebase(fs), mu and ring._rebase(mu)
+    if mu:
+        fs = _fdiv(fs, mu)
     return _scalar(ring, num, ring._den(k, fs), (k, fs))
 
 
 class Scalar:
     """Element of Q(p1,...,pk), k >= 1, in canonical form.
 
-    `fac` is (k, {key: e}), den = k * prod f^e over the linear factors f of
-    `ParamRing._factors`, or None when den has another factor; arithmetic
-    on a Scalar without one takes the polynomial gcds of `mp_gcd`."""
+    `fac` is (k, {key: e}), den = k * prod f^e over elements f of the
+    ring's base (`ParamRing._factors`); a key that the ring has refined
+    since stands for its parts (`ParamRing._rebase`)."""
 
     __slots__ = ("ring", "num", "den", "fac")
 
@@ -651,12 +653,12 @@ class Scalar:
             num = {e: c * ld for e, c in num.items()}
         if ln != 1:
             den = {e: c * ln for e, c in den.items()}
-        _, num, den = _cancel(num, den, ring._unit)
         if mp_leading(den)[1] < 0:
             num, den = mp_neg(num), mp_neg(den)
-        self.num = num
-        self.den = den
-        self.fac = ring._factorize(den)
+        k, fs = ring._factorize(den)
+        num, c, mu = _strip(ring, num, k, fs)
+        fs = _fdiv(ring._rebase(fs), mu)
+        self.num, self.den, self.fac = num, ring._den(k // c, fs), (k // c, fs)
 
     # -- predicates ---------------------------------------------------
 
@@ -664,26 +666,29 @@ class Scalar:
         return bool(self.num)
 
     def is_const(self) -> bool:
-        return mp_is_const(self.num) and mp_is_const(self.den)
+        """num and den are constants: den is one exactly when `fac` lists
+        no factor."""
+        num = self.num
+        return not self.fac[1] and (
+            not num or (len(num) == 1 and self.ring._zero_expo in num))
 
     # -- arithmetic ---------------------------------------------------
 
     # gcd(a, d) = gcd(b, e) = 1 for self = a/d and other = b/e, and d, e
     # have positive leading coefficients.  A quotient of two polynomials with
     # positive leading coefficients has one, as has their product, so no
-    # result below needs a sign fix.
+    # result below needs a sign fix.  Factorizations are read over the
+    # current base once the ring has refined an element.
 
     def _scaled(self, n: int, d: int) -> "Scalar":
         """self * n/d, for coprime integers n != 0 and d > 0: only integer
         gcds with the contents of num and den."""
-        num, den, fac = self.num, self.den, self.fac
+        num, den, (k, fs) = self.num, self.den, self.fac
         if n != 1 and n != -1:
-            g = math.gcd(n, *den.values())
+            g = math.gcd(n, k)
             if g != 1:
-                n //= g
+                n, k = n // g, k // g
                 den = {e: c // g for e, c in den.items()}
-                if fac is not None:
-                    fac = (fac[0] // g, fac[1])
         if d != 1:
             g = math.gcd(d, *num.values())
             if g != 1:
@@ -692,10 +697,9 @@ class Scalar:
         if n != 1:
             num = {e: c * n for e, c in num.items()}
         if d != 1:
+            k *= d
             den = {e: c * d for e, c in den.items()}
-            if fac is not None:
-                fac = (fac[0] * d, fac[1])
-        return _scalar(self.ring, num, den, fac)
+        return _scalar(self.ring, num, den, (k, fs))
 
     def __add__(self, other):
         if other.__class__ is not Scalar or other.ring is not self.ring:
@@ -704,10 +708,10 @@ class Scalar:
             return self
         if not self.num:
             return other
-        if self.fac is None or other.fac is None:
-            return self._add_gcd(other)
         ring = self.ring
         (kd, fd), (ke, fe) = self.fac, other.fac
+        if ring._refined:
+            fd, fe = ring._rebase(fd), ring._rebase(fe)
         kg = math.gcd(kd, ke)
         common = {key: min(x, fe[key]) for key, x in fd.items() if key in fe}
         if kg == 1 and not common:
@@ -721,20 +725,7 @@ class Scalar:
         if not t:
             return ring._zero
         t, c, mu = _strip(ring, t, kg, common)
-        return _over(ring, t, kd // kg * (ke // c), _fdiv(_fmul(dg, fe), mu))
-
-    def _add_gcd(self, other: "Scalar") -> "Scalar":
-        """self + other by Henrici with polynomial gcds, both nonzero."""
-        unit = self.ring._unit
-        a, d, b, e = self.num, self.den, other.num, other.den
-        g, dg, eg = _cancel(d, e, unit)
-        t = mp_add(mp_mul(a, eg), mp_mul(b, dg))
-        if not t:
-            return self.ring._zero
-        g2, t, _ = _cancel(t, g, unit)
-        if g2 != unit:
-            e = mp_quo(e, g2)
-        return _scalar(self.ring, t, mp_mul(dg, e), None)
+        return _over(ring, t, kd // kg * (ke // c), _fmul(dg, fe), mu)
 
     __radd__ = __add__
 
@@ -753,21 +744,19 @@ class Scalar:
         a, b = self.num, other.num
         if not a or not b:
             return self.ring.zero()
-        z = self.ring._zero_expo
+        ring = self.ring
+        z = ring._zero_expo
         if other.is_const():
             return self._scaled(b[z], other.den[z])
         if self.is_const():
             return other._scaled(a[z], self.den[z])
-        if self.fac is None or other.fac is None:
-            unit = self.ring._unit
-            _, a, e = _cancel(a, other.den, unit)
-            _, b, d = _cancel(b, self.den, unit)
-            return _scalar(self.ring, mp_mul(a, b), mp_mul(d, e), None)
         (kd, fd), (ke, fe) = self.fac, other.fac
-        a, c1, mu1 = _strip(self.ring, a, ke, fe)
-        b, c2, mu2 = _strip(self.ring, b, kd, fd)
-        return _over(self.ring, mp_mul(a, b), kd // c2 * (ke // c1),
-                     _fdiv(_fdiv(_fmul(fd, fe), mu1), mu2))
+        if ring._refined:
+            fd, fe = ring._rebase(fd), ring._rebase(fe)
+        a, c1, mu1 = _strip(ring, a, ke, fe)
+        b, c2, mu2 = _strip(ring, b, kd, fd)
+        return _over(ring, mp_mul(a, b), kd // c2 * (ke // c1), _fmul(fd, fe),
+                     _fmul(mu1, mu2))
 
     __rmul__ = __mul__
 

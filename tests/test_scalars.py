@@ -1,4 +1,6 @@
 import math
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -8,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wds import scalars as scalars_mod
-from wds.scalars import (ParamRing, Q, Scalar, _positive, _zz_clear, mp_add,
-                         mp_gcd, mp_gcd_prs, mp_leading, mp_mul, mp_neg, mp_quo)
+from wds.scalars import (ParamRing, Q, Scalar, _zz_clear, mp_add, mp_gcd,
+                         mp_gcd_prs, mp_leading, mp_mul, mp_neg, mp_quo)
 
 
 def test_rational_arithmetic():
@@ -112,24 +114,42 @@ def test_str_rendering():
     assert str(r.const(Fraction(-1, 2))) == "-1/2"
 
 
-# -- the fast paths against the canonicalising constructor -----------------
+# -- the fast paths against a gcd reference ---------------------------------
 #
 # Scalar sums (Henrici's), products (cancelled across), products with a
-# constant and inverses are built directly in canonical form.  The general
-# constructor, which clears denominators and runs one gcd, is the oracle of
-# every sum and product: the two must agree on num, den and hash.
+# constant and inverses are built directly in canonical form.  Their
+# reference is `canonical`, which clears denominators and divides by one
+# polynomial gcd, as the engine did before it factored every denominator:
+# the two must agree on num, den and hash.
 
 RINGS = [ParamRing(["t"]), ParamRing(["x", "y"]), ParamRing(["c", "s1", "s2"])]
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
+def canonical(ring, num, den):
+    """num/den divided by gcd(num, den) after clearing rational
+    coefficients, with den's leading coefficient positive; the general
+    constructor must leave that pair as it is."""
+    (num, ln), (den, ld) = _zz_clear(num), _zz_clear(den)
+    num = {e: c * ld for e, c in num.items()}
+    den = {e: c * ln for e, c in den.items()} if num else {ring._zero_expo: 1}
+    if num:
+        g = mp_gcd(num, den)
+        num, den = mp_quo(num, g), mp_quo(den, g)
+    if mp_leading(den)[1] < 0:
+        num, den = mp_neg(num), mp_neg(den)
+    s = Scalar(ring, num, den)
+    assert (s.num, s.den) == (num, den)
+    return s
+
+
 def mul_oracle(a, b):
-    return Scalar(a.ring, mp_mul(a.num, b.num), mp_mul(a.den, b.den))
+    return canonical(a.ring, mp_mul(a.num, b.num), mp_mul(a.den, b.den))
 
 
 def add_oracle(a, b):
     num = mp_add(mp_mul(a.num, b.den), mp_mul(b.num, a.den))
-    return Scalar(a.ring, num, mp_mul(a.den, b.den))
+    return canonical(a.ring, num, mp_mul(a.den, b.den))
 
 
 def assert_same(got, want):
@@ -191,7 +211,7 @@ def test_fast_paths_match_canonicalising_constructor(data):
     assert_same(total - b, add_oracle(total, -b))
     assert total - b == a
     if b:
-        assert_same(b.inv(), Scalar(ring, b.den, b.num))
+        assert_same(b.inv(), canonical(ring, b.den, b.num))
         prod = a * b
         assert_same(prod / b, mul_oracle(prod, b.inv()))
         assert prod / b == a
@@ -302,10 +322,9 @@ def test_scalar_entry_points_refuse_foreign_rings(entry, ring):
 # -- mp_gcd against the subresultant PRS ----------------------------------
 #
 # mp_gcd splits off the monomial content x^m of its operands, then takes the
-# gcd of the two monomial-free parts by the heuristic gcd over Z, and by the
-# subresultant PRS when the heuristic gives up.  The oracle is mp_gcd_prs,
-# whose contents recurse into itself, so no part of it goes through the
-# split or the heuristic.  Operands are integer polynomials.
+# gcd of the two monomial-free parts by the subresultant PRS.  The oracle is
+# mp_gcd_prs, whose contents recurse into itself, so no part of it goes
+# through the split.  Operands are integer polynomials.
 
 GCD_RINGS = [ParamRing(["x", "y"]), ParamRing(["c", "s1", "s2"])]
 
@@ -361,12 +380,11 @@ def test_gcd_monomial_split_matches_prs(ops):
         assert g == {m: math.gcd(*a.values(), *b.values())}
 
 
-# The heuristic on wider inputs: coefficients up to 10^6 over denominators
-# up to 60, cleared, so that an evaluated gcd spans several xi-adic digits;
-# negative leading coefficients; a shared factor in every variable; a
-# one-variable ring.
+# Wider inputs: coefficients up to 10^6 over denominators up to 60,
+# cleared; negative leading coefficients; a shared factor in every
+# variable; a one-variable ring.
 
-HEU_RINGS = [ParamRing(["t"]), ParamRing(["x", "y"]), ParamRing(["c", "s1", "s2"])]
+WIDE_RINGS = [ParamRing(["t"]), ParamRing(["x", "y"]), ParamRing(["c", "s1", "s2"])]
 wide = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60)
 
 
@@ -385,20 +403,15 @@ def wide_polys(draw, ring, every_variable=False):
 
 
 def assert_gcd(a, b, want):
-    """mp_gcd(a, b) is `want`, with a positive leading coefficient, and so,
-    up to sign, is the heuristic alone on a and b, monomial factors
-    included."""
+    """mp_gcd(a, b) is `want`, with a positive leading coefficient."""
     assert mp_gcd(a, b) == want
     assert mp_leading(want)[1] > 0
-    h = scalars_mod._heu_gcd(a, b, len(next(iter(a))) - 1)
-    if h is not None:
-        assert _positive(h) == want
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_gcd_heuristic_matches_prs(data):
-    ring = data.draw(st.sampled_from(HEU_RINGS))
+def test_gcd_on_wide_coefficients_matches_prs(data):
+    ring = data.draw(st.sampled_from(WIDE_RINGS))
     shared = data.draw(wide_polys(ring, every_variable=True))
     a, b = (mp_mul(shared, data.draw(st.one_of(wide_polys(ring), monomials(ring))))
             for _ in range(2))
@@ -434,18 +447,6 @@ def test_gcd_of_symbolic_denominators(data):
     assert_gcd(a, b, mp_gcd_prs(a, b))
 
 
-def test_gcd_falls_back_to_prs():
-    """When the heuristic gives up, mp_gcd returns the PRS gcd."""
-    r = GCD_RINGS[1]
-    c, s1, s2 = (r.param(n) for n in r.names)
-    a = ((s1 - s2) * (s1 - s2) * c * (s2 + 3)).num
-    b = ((s1 - s2) * c * c * (c * s1 + 2)).num
-    with mock.patch.object(scalars_mod, "_heu_gcd", return_value=None) as heu:
-        got = mp_gcd(a, b)
-    assert heu.called
-    assert got == mp_gcd_prs(a, b) == ((s1 - s2) * c).num
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_div_exact_by_a_monomial(data):
@@ -465,26 +466,38 @@ def test_div_exact_by_a_monomial(data):
         assert mp_quo(mp_add(mp_mul(p, q), {ring._zero_expo: 1}), q) is None
 
 
-# -- denominators over their linear factors ----------------------------------
+# -- denominators over a coprime base ------------------------------------------
 #
-# A Scalar carries den = k * prod f^e over primitive linear f with positive
-# leading coefficients (`fac`), or None when den has another factor.  Sums
-# and products of two factored Scalars take no polynomial gcd; the
-# canonicalising constructor, which runs `mp_gcd`, is their oracle.  The
-# factor pools hold linear factors with a coefficient +-1 and without one
-# (2t + 3, 2x + 3y, 2s1 + 3s2), and nonlinear irreducibles, whose inverses
-# carry no factorization and so take the gcd path.
+# A Scalar carries den = k * prod f^e over the ring's base (`fac`).  Sums and
+# products of Scalars whose factors are all certified (a variable, or
+# irreducible with a zero mod the prime) take no polynomial gcd; any gcd
+# comes from the factorization code.  The factor pools hold linear factors
+# with a coefficient +-1 and without one (2t + 3, 2x + 3y, 2s1 + 3s2),
+# factors of degree 1 in a variable (x^2 + y, x*y + 1, c*s1 + 2,
+# s1^2 + s2), products that factor at once ((x + 1)(y + 1)), uncertified
+# ones (t^2 + 1, t^2 + 2) and powers and products of those, which the ring
+# refines when it meets a proper divisor ((x*y + 1)^2, (t^2 + 1)(t^2 + 2)).
 
 FACTOR_POOLS = {
-    ("t",): lambda t: [t, t + 1, 2 * t + 3, t * t + 1],
-    ("x", "y"): lambda x, y: [x, y, x - y, 2 * x + 3 * y, x + y + 1, x * x + y],
+    ("t",): lambda t: [t, t + 1, 2 * t + 3, t * t + 1, t * t + 2,
+                       (t * t + 1) * (t * t + 2)],
+    ("x", "y"): lambda x, y: [x, y, x - y, 2 * x + 3 * y, x + y + 1, x * x + y,
+                              x * y + 1, (x * y + 1) * (x * y + 1),
+                              (x + 1) * (y + 1)],
     ("c", "s1", "s2"): lambda c, s1, s2: [c, s2, s1 - s2, s1 + s2, 2 * s1 + 3 * s2,
                                           c * s1 + 2, s1 * s1 + s2],
 }
 
+# the methods of ParamRing that factor denominators: the only callers of
+# mp_gcd in the engine
+FACTORING = {"ParamRing._enter", "ParamRing._gcd_strip", "ParamRing._refine"}
 
-def linear_from_key(ring, key):
-    """The polynomial with coefficient vector key = (a_1, ..., a_n, b)."""
+
+def poly_from_key(ring, key):
+    """The polynomial of a factor key: the coefficient vector
+    (a_1, ..., a_n, b) of a linear one, the sorted items of any other."""
+    if isinstance(key[0], tuple):
+        return dict(key)
     n = ring.nvars
     f = {tuple(int(j == i) for j in range(n)): a for i, a in enumerate(key[:n]) if a}
     if key[n]:
@@ -492,32 +505,54 @@ def linear_from_key(ring, key):
     return f
 
 
+def certified(ring, key):
+    """The ring divides by this factor without a polynomial gcd."""
+    v, _, point = ring._factor(key)
+    return v >= 0 or point is not None
+
+
 def assert_factored(s):
-    """s.fac, if any, is (k, {key: e}) with den == k * prod f^e, k > 0, and
-    each f linear, primitive, with a positive leading coefficient; the ring
-    divides by the same f.  True when s carries a factorization."""
-    if s.fac is None:
-        return False
+    """s.fac is (k, {key: e}) with den == k * prod f^e, k > 0, each f read
+    from the ring as its key says, primitive, with a positive leading
+    coefficient; a linear f is keyed by its coefficients, and a certified
+    one vanishes at its point.  True when every factor is certified."""
     k, fs = s.fac
     assert type(k) is int and k > 0
     prod = {s.ring._zero_expo: k}
     for key, x in fs.items():
-        f = linear_from_key(s.ring, key)
+        f = poly_from_key(s.ring, key)
         assert type(x) is int and x > 0
-        assert any(any(e) for e in f) and all(sum(e) <= 1 for e in f)
+        assert any(any(e) for e in f)
+        assert isinstance(key[0], tuple) != all(sum(e) <= 1 for e in f)
         assert math.gcd(*f.values()) == 1 and mp_leading(f)[1] > 0
-        assert s.ring._factor(key)[1] == f
+        v, got, point = s.ring._factor(key)
+        assert got == f
+        if point is not None:
+            assert scalars_mod._value(f, point) == 0
         for _ in range(x):
             prod = mp_mul(prod, f)
     assert prod == s.den
-    return True
+    return all(certified(s.ring, key) for key in fs)
+
+
+@contextmanager
+def gcd_callers():
+    """mp_gcd patched to record the qualified name of each caller."""
+    callers = []
+
+    def spy(a, b):
+        callers.append(sys._getframe(1).f_code.co_qualname)
+        return mp_gcd(a, b)
+
+    with mock.patch.object(scalars_mod, "mp_gcd", spy):
+        yield callers
 
 
 @st.composite
 def factored_scalars(draw, ring):
     """A Scalar built from a small polynomial, powers of pool factors and of
     their inverses, and a rational: through the engine's own arithmetic, or
-    through the canonicalising constructor from the expanded product."""
+    through the constructor from the expanded product."""
     pool = FACTOR_POOLS[ring.names](*map(ring.param, ring.names))
     kind = draw(st.sampled_from(["zero", "const", "engine", "constructor"]))
     if kind == "zero":
@@ -543,24 +578,22 @@ def factored_scalars(draw, ring):
     return Scalar(ring, num, den)
 
 
-def no_gcd(*args):
-    raise AssertionError("mp_gcd called on factored operands")
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_factored_denominators_match_canonicalising_constructor(data):
-    """+ - * / and inv of Scalars with factored denominators, in a fresh
-    ring (no factor known yet) or in one that has met the pool already,
-    against the constructor; every result's factorization is checked, and
-    when both operands carry one, + - * take no polynomial gcd."""
+    """+ - * / and inv over the factor pools, in a fresh ring (no factor
+    known yet) or in one that has met the pools already, against the gcd
+    reference; every result's factorization is checked.  Only the
+    factorization code calls mp_gcd, and + - * of two Scalars with
+    certified factors call it not at all."""
     names = data.draw(st.sampled_from(sorted(FACTOR_POOLS)))
     ring = ParamRing(names) if data.draw(st.booleans()) else RINGS[len(names) - 1]
     a, b = data.draw(factored_scalars(ring)), data.draw(factored_scalars(ring))
-    factored = assert_factored(a) & assert_factored(b)
-    with mock.patch.object(scalars_mod, "mp_gcd",
-                           side_effect=no_gcd if factored else mp_gcd):
+    plain = assert_factored(a) & assert_factored(b)
+    with gcd_callers() as callers:
         got = [a + b, b + a, a - b, a * b, b * a]
+    assert set(callers) <= FACTORING
+    assert not (plain and callers)
     for s, want in zip(got, [add_oracle(a, b), add_oracle(b, a), add_oracle(a, -b),
                              mul_oracle(a, b), mul_oracle(b, a)]):
         assert_same(s, want)
@@ -570,18 +603,21 @@ def test_factored_denominators_match_canonicalising_constructor(data):
     assert_factored(total - b)
     if b:
         inv = b.inv()
-        assert_same(inv, Scalar(ring, b.den, b.num))
+        assert_same(inv, canonical(ring, b.den, b.num))
         assert_factored(inv)
         for s, want in ((a / b, mul_oracle(a, inv)), ((a * b) / b, a)):
             assert_same(s, want)
             assert_factored(s)
 
 
+def items_key(f):
+    return tuple(sorted(f.num.items()))
+
+
 def test_factorization_of_new_denominators():
     """inv and the constructor factor a new denominator over the monomial
-    part, the ring's known factors and one new linear factor; a nonlinear
-    cofactor leaves the Scalar without a factorization, and its sums and
-    products still equal the constructor's."""
+    part, the ring's base and new base elements, and sums and products of
+    the results equal the gcd reference."""
     r = ParamRing(["x", "y"])
     x, y = r.param("x"), r.param("y")
     q = (4 * x + 6 * y).inv()
@@ -592,16 +628,94 @@ def test_factorization_of_new_denominators():
     assert r._factor((0, 1, 0))[:2] == (1, {(0, 1): 1})
     s = Scalar(r, {(0, 0): 1}, mp_mul((x * x * y).num, (2 * x + 3 * y).num))
     assert s.fac == (1, {(1, 0, 0): 2, (0, 1, 0): 1, (2, 3, 0): 1})
-    # two new linear factors at once: the cofactor is not linear
-    assert Scalar(r, {(0, 0): 1}, ((x + 1) * (y + 1)).num).fac is None
-    odd = (x * x + y).inv()
-    assert odd.fac is None
-    for other in (q, s, x + 1, odd, r.const(3)):
+    # two new linear factors at once: y + 1 is the content of the
+    # denominator in x
+    u = Scalar(r, {(0, 0): 1}, ((x + 1) * (y + 1)).num)
+    assert u.fac == (1, {(0, 1, 1): 1, (1, 0, 1): 1})
+    # x*y + 1 and x^2 + y have degree 1 in a variable: irreducible, with a
+    # zero mod the prime
+    w, odd = (x * y + 1).inv(), (x * x + y).inv()
+    for el in (w, odd):
+        (key, e), = el.fac[1].items()
+        assert (key, e) == (items_key(el.inv()), 1) and certified(r, key)
+    for other in (q, s, u, w, x + 1, odd, r.const(3)):
         for got, want in ((odd + other, add_oracle(odd, other)),
                           (odd * other, mul_oracle(odd, other)),
                           (other * odd, mul_oracle(other, odd))):
             assert_same(got, want)
-            assert_factored(got)
+            assert assert_factored(got)
+
+
+def test_uncertified_factors_and_refinement():
+    """A factor of degree 0 or >= 2 in every variable enters the base
+    uncertified and is divided out by polynomial gcds; meeting a proper
+    divisor of it, in a new denominator or in a strip, refines it into
+    coprime parts, and Scalars that carry the old key still combine."""
+    r = ParamRing(["t"])
+    t = r.param("t")
+    a, b = t * t + 1, t * t + 2
+    odd = a.inv()
+    assert odd.fac == (1, {items_key(a): 1}) and not certified(r, items_key(a))
+    square = (a * a).inv()
+    assert square.fac == (1, {items_key(a): 2})
+    with gcd_callers() as callers:
+        got = [odd + (t + 1).inv(), odd * (a * (t + 1)), square + odd]
+    assert callers and set(callers) <= FACTORING
+    for s, want in zip(got, [add_oracle(odd, (t + 1).inv()), t + 1,
+                             add_oracle(square, odd)]):
+        assert_same(s, want)
+        assert_factored(s)
+    # (t^2 + 1)(t^2 + 2) met before t^2 + 1, which refines it as a new
+    # denominator or in the strip of a product
+    for in_strip in (False, True):
+        r = ParamRing(["t"])
+        t = r.param("t")
+        a, b = t * t + 1, t * t + 2
+        big = (a * b).inv()
+        old = items_key(a * b)
+        assert big.fac == (1, {old: 1})
+        if in_strip:
+            assert_same(big * a, canonical(r, {(0,): 1}, b.num))
+        else:
+            a.inv()
+        assert r._refined == {old: {items_key(a): 1, items_key(b): 1}}
+        for other in (a.inv(), b.inv(), big, a, (t + 1).inv()):
+            for got, want in ((big + other, add_oracle(big, other)),
+                              (big * other, mul_oracle(big, other)),
+                              (other * big, mul_oracle(other, big))):
+                assert_same(got, want)
+                assert_factored(got)
+                assert old not in got.fac[1]
+    # (x*y + 1)^2 met before x*y + 1: the square enters uncertified, and x*y + 1
+    # refines it into its certified root
+    r = ParamRing(["x", "y"])
+    x, y = r.param("x"), r.param("y")
+    f = x * y + 1
+    sq = (f * f).inv()
+    assert not certified(r, items_key(f * f))
+    assert f.inv().fac == (1, {items_key(f): 1})
+    assert r._refined == {items_key(f * f): {items_key(f): 2}}
+    assert certified(r, items_key(f))
+    for got, want in ((sq + f.inv(), add_oracle(sq, f.inv())), (sq * f, f.inv()),
+                      (sq * (x + 1), mul_oracle(sq, x + 1))):
+        assert_same(got, want)
+        assert assert_factored(got)
+
+
+def test_only_factorization_calls_gcd():
+    """Every mp_gcd call during mixed arithmetic, inverses and constructor
+    calls over the pools comes from ParamRing's factorization methods."""
+    callers = []
+    for names, pool in FACTOR_POOLS.items():
+        r = ParamRing(names)
+        fs = pool(*map(r.param, names))
+        with gcd_callers() as seen:
+            acc = r.one()
+            for i, f in enumerate(fs):
+                acc = acc * f.inv() + fs[i - 1] / f
+                Scalar(r, mp_mul(acc.num, f.num), mp_mul(acc.den, f.den))
+        callers += seen
+    assert callers and set(callers) <= FACTORING
 
 
 def test_symbolic_sl4_solve_takes_no_gcd():
@@ -610,7 +724,7 @@ def test_symbolic_sl4_solve_takes_no_gcd():
     U and h parts carries den's factorization."""
     from wds import SHORT, GradedSetup, ReductionFrame, WGenerators, build_sl
     from wds.hierarchy import solve_dressing
-    with mock.patch.object(scalars_mod, "mp_gcd", side_effect=no_gcd):
+    with gcd_callers() as callers:
         g = build_sl(4, params=["s1", "s2"], form_scale="c")
         s1, s2 = g.ring.param("s1"), g.ring.param("s2")
         s = [s1 * a + s2 * b
@@ -618,6 +732,7 @@ def test_symbolic_sl4_solve_takes_no_gcd():
         frame = ReductionFrame(GradedSetup(g, g.parse({"E31": 1, "E42": 1}), SHORT), s)
         entries = WGenerators(frame).table.entries
         U, h, _ = solve_dressing(frame, 4)
+    assert not callers
     found = [c for row in frame.struct for entry in row for _, c in entry]
     found += [c for row in frame.gram for c in row]
     polys = [p for pair in entries.values() for lam in pair for p in lam.coeffs]
@@ -650,10 +765,19 @@ def generic_s_frame():
 
 def test_generic_symbolic_s_dressing():
     """The dressing to degree 2 with the generic top-block s: h as in the
-    golden, and the one-shot exp(ad U) oracle gives zero."""
+    golden, the one-shot exp(ad U) oracle gives zero, every coefficient of
+    h carries a factorization over certified factors, and the whole run
+    takes few polynomial gcds (26,744 when the engine still fell back to
+    gcd arithmetic for denominators it could not factor)."""
     from wds.hierarchy import dressing_defect, solve_dressing
-    frame = generic_s_frame()
-    U, h, _ = solve_dressing(frame, 2)
+    with gcd_callers() as callers:
+        frame = generic_s_frame()
+        U, h, _ = solve_dressing(frame, 2)
+        defect = dressing_defect(frame, U, h, 2)
     got = "".join(f"deg {d}: {h[d]}\n" for d in sorted(h))
     assert got == GENERIC_S_GOLDEN.read_text()
-    assert not dressing_defect(frame, U, h, 2).terms
+    assert not defect.terms
+    coeffs = [c for el in h.values() for p in el.terms.values()
+              for c in p.coeffs().values()]
+    assert coeffs and all(assert_factored(c) for c in coeffs)
+    assert len(callers) <= 10
