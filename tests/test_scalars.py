@@ -256,15 +256,18 @@ def test_fast_paths_with_int_and_fraction_operands(data):
 
 
 def test_equal_but_distinct_rings_combine():
+    """Also with factors that each ring met in another form: r1 keeps
+    (a^2 + 1)(a^2 + 2) whole, r2 has met a^2 + 1 alone."""
     r1, r2 = ParamRing(["a"]), ParamRing(["a"])
     assert r1 is not r2 and r1 == r2
-    x = r1.param("a")
-    for y in (r2.param("a") + 1, r2.const(3), r2.zero(), (r2.param("a") + 2).inv()):
-        assert_same(x * y, mul_oracle(x, y))
-        assert_same(y * x, mul_oracle(y, x))
-        assert_same(x + y, add_oracle(x, y))
-        assert_same(y + x, add_oracle(y, x))
-        assert x * y == y * x and x + y == y + x
+    a1, a2 = r1.param("a"), r2.param("a")
+    for x in (((a1 * a1 + 1) * (a1 * a1 + 2)).inv(), a1):
+        for y in ((a2 * a2 + 1).inv(), a2 + 1, r2.const(3), r2.zero(), (a2 + 2).inv()):
+            got = [x * y, y * x, x + y, y + x]  # before the references meet r1
+            for s, want in zip(got, [mul_oracle(x, y), mul_oracle(y, x),
+                                     add_oracle(x, y), add_oracle(y, x)]):
+                assert_same(s, want)
+            assert x * y == y * x and x + y == y + x
 
 
 def test_distinct_rings_rejected_on_every_path():
@@ -653,7 +656,7 @@ def test_uncertified_factors_and_refinement():
     coprime parts, and Scalars that carry the old key still combine."""
     r = ParamRing(["t"])
     t = r.param("t")
-    a, b = t * t + 1, t * t + 2
+    a = t * t + 1
     odd = a.inv()
     assert odd.fac == (1, {items_key(a): 1}) and not certified(r, items_key(a))
     square = (a * a).inv()
