@@ -8,11 +8,12 @@ short nilpotent, and embeddable elements of the half eigenspace.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .scalars import ParamRing, Scalar, ScalarLike
+from .scalars import ParamRing, Q, Scalar, ScalarLike
 
 Vec = list  # coordinate vector over the algebra's ordered basis
 
@@ -231,31 +232,42 @@ class LieAlgebra:
 
 
 def _matrix_algebra(ring: ParamRing, labels: list[str],
-                    mats: list[list[list[Fraction]]],
-                    coords_of, form_scale: Scalar) -> LieAlgebra:
-    n = len(mats[0])
-    # the nonzero entries (r, c, x) of each matrix
-    nz = [[(r, c, x) for r, row in enumerate(m) for c, x in enumerate(row) if x]
-          for m in mats]
+                    mats: list[dict[tuple[int, int], int]],
+                    form_scale: Scalar) -> LieAlgebra:
+    """The span of the basis matrices mats, each given by its nonzero
+    entries {(r, c): x}, with (a|b) = form_scale tr(ab).
 
-    def comm(a, b):
-        out = [[Fraction(0)] * n for _ in range(n)]
+    Coordinate k of a commutator X is tr(X D^k), over the basis D^k
+    trace-dual to mats, read off the one inverse of the trace Gram matrix.
+    """
+    gram = [[sum((x * b.get((c, r), 0) for (r, c), x in a.items()), Fraction(0))
+             for b in mats] for a in mats]
+    # dual_at[(r, c)] maps k to the (c, r) entry of D^k
+    dual_at = {}
+    for inv_col, m in zip(zip(*linalg.inverse(gram, Q)), mats):
+        for (r, c), x in m.items():
+            at = dual_at.setdefault((c, r), {})
+            for k, y in enumerate(inv_col):
+                if y:
+                    at[k] = at.get(k, 0) + x * y
+
+    def coords(a, b):
+        comm = {}
         for left, right, sign in ((a, b, 1), (b, a, -1)):
-            for r, k, x in left:
-                for k1, c, y in right:
+            for (r, k), x in left.items():
+                for (k1, c), y in right.items():
                     if k == k1:
-                        out[r][c] += sign * x * y
-        return out
+                        comm[r, c] = comm.get((r, c), 0) + sign * x * y
+        out = {}
+        for pos, x in comm.items():
+            for k, y in dual_at.get(pos, {}).items():
+                out[k] = out.get(k, 0) + x * y
+        return sorted(out.items())
 
-    def trace(a, b):
-        return sum((x * y for r, k, x in a for k1, c, y in b
-                    if k == k1 and c == r), Fraction(0))
-
-    struct = [[[(k, ring.const(c))
-                for k, c in enumerate(coords_of(comm(a, b))) if c]
-               for b in nz] for a in nz]
-    form = [[(j, form_scale * ring.const(tr)) for j, b in enumerate(nz)
-             if (tr := trace(a, b))] for a in nz]
+    struct = [[[(k, ring.const(c)) for k, c in coords(a, b) if c]
+               for b in mats] for a in mats]
+    form = [[(j, form_scale * ring.const(tr)) for j, tr in enumerate(row) if tr]
+            for row in gram]
     return LieAlgebra(ring, labels, struct, form)
 
 
@@ -274,93 +286,40 @@ def build_sl(n: int, params: Sequence[str] = (), form_scale: str | None = None) 
     """
     if n < 2:
         raise InvalidDimension(f"sl_{n} needs n >= 2")
+    if n > sys.maxsize:
+        raise OverflowError(f"sl_{n}: n exceeds sys.maxsize")
     names = list(params)
     if form_scale is not None and form_scale not in names:
         names.append(form_scale)
     ring = ParamRing(names)
     scale = ring.param(form_scale) if form_scale is not None else ring.one()
 
-    labels, mats = [], []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                labels.append(index_label("E", i + 1, j + 1))
-                m = [[Fraction(0)] * n for _ in range(n)]
-                m[i][j] = Fraction(1)
-                mats.append(m)
-    for i in range(n - 1):
-        labels.append(f"H{i + 1}")
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i][i], m[i + 1][i + 1] = Fraction(1), Fraction(-1)
-        mats.append(m)
-
-    def coords_of(mat) -> list[Fraction]:
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    out.append(mat[i][j])
-        # diagonal over H_i: coefficient of H_i is the partial sum d_1+...+d_i
-        acc = Fraction(0)
-        for i in range(n - 1):
-            acc += mat[i][i]
-            out.append(acc)
-        return out
-
-    return _matrix_algebra(ring, labels, mats, coords_of, scale)
+    labels = [index_label("E", i + 1, j + 1)
+              for i in range(n) for j in range(n) if i != j]
+    mats = [{(i, j): 1} for i in range(n) for j in range(n) if i != j]
+    labels += [f"H{i + 1}" for i in range(n - 1)]
+    mats += [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
+    return _matrix_algebra(ring, labels, mats, scale)
 
 
 def build_sp(n: int, params: Sequence[str] = ()) -> LieAlgebra:
     """sp_n (n even) as block matrices [[A, B], [C, -A^T]], B and C symmetric."""
     if n < 2 or n % 2:
         raise InvalidDimension(f"sp_{n} needs even n >= 2")
+    if n > sys.maxsize:
+        raise OverflowError(f"sp_{n}: n exceeds sys.maxsize")
     m = n // 2
     ring = ParamRing(params)
 
-    labels, mats = [], []
-
-    def emb(block_r, block_c, i, j, val=Fraction(1)):
-        return (block_r * m + i, block_c * m + j, val)
-
-    def mat_from(entries):
-        M = [[Fraction(0)] * n for _ in range(n)]
-        for r, c, v in entries:
-            M[r][c] += v
-        return M
-
-    for i in range(m):
-        for j in range(m):
-            labels.append(index_label("A", i + 1, j + 1))
-            mats.append(mat_from([emb(0, 0, i, j), emb(1, 1, j, i, Fraction(-1))]))
-    for i in range(m):
-        for j in range(i, m):
-            labels.append(index_label("B", i + 1, j + 1))
-            ent = [emb(0, 1, i, j)]
-            if i != j:
-                ent.append(emb(0, 1, j, i))
-            mats.append(mat_from(ent))
-    for i in range(m):
-        for j in range(i, m):
-            labels.append(index_label("C", i + 1, j + 1))
-            ent = [emb(1, 0, i, j)]
-            if i != j:
-                ent.append(emb(1, 0, j, i))
-            mats.append(mat_from(ent))
-
-    def coords_of(mat) -> list[Fraction]:
-        out = []
-        for i in range(m):
-            for j in range(m):
-                out.append(mat[i][j])
-        for i in range(m):
-            for j in range(i, m):
-                out.append(mat[i][m + j])
-        for i in range(m):
-            for j in range(i, m):
-                out.append(mat[m + i][j])
-        return out
-
-    return _matrix_algebra(ring, labels, mats, coords_of, ring.one())
+    # B_ij and C_ij are symmetric: for i == j the two entries coincide
+    upper = [(i, j) for i in range(m) for j in range(i, m)]
+    labels = ([index_label("A", i + 1, j + 1) for i in range(m) for j in range(m)]
+              + [index_label("B", i + 1, j + 1) for i, j in upper]
+              + [index_label("C", i + 1, j + 1) for i, j in upper])
+    mats = ([{(i, j): 1, (m + j, m + i): -1} for i in range(m) for j in range(m)]
+            + [{(i, m + j): 1, (j, m + i): 1} for i, j in upper]
+            + [{(m + i, j): 1, (m + j, i): 1} for i, j in upper])
+    return _matrix_algebra(ring, labels, mats, ring.one())
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +476,7 @@ class GradedSetup:
         self.basis = basis
         self.eig_of = eig_of
         self.grading = grading
-        # columns of the transpose are the adapted vectors
-        self._adapted_from_orig = linalg.inverse(linalg.transpose(basis), ring)
+        self.gram, self.dual_basis, self._adapted_from_orig = self.dual_data(basis)
         self.labels = self._make_labels()
 
     def _make_labels(self) -> list[str]:
@@ -586,6 +544,20 @@ class GradedSetup:
         return [linalg.combine([row[h] for row in inv], vecs)
                 for h in range(len(vecs))]
 
+    def dual_data(self, basis: list[Vec]):
+        """The Gram matrix (b_i|b_j) of a basis of g, the dual basis b^i with
+        (b_j|b^i) = delta_ij from its one inverse, and the coordinate map
+        whose row i is (.|b^i): coordinate i of v is (v|b^i)."""
+        form, z = self.algebra.form, self.ring.zero()
+
+        def lower(v):  # the covector (.|v) over the original basis
+            return [sum((c * v[j] for j, c in row if v[j]), z) for row in form]
+
+        gram = [[sum((x * y for x, y in zip(low, v) if x and y), z) for v in basis]
+                for low in map(lower, basis)]
+        dual = self.dual_of_gram(gram, basis)
+        return gram, dual, [lower(d) for d in dual]
+
     def omega_minus(self, u: Vec, u1: Vec) -> Scalar:
         return self.algebra.pair(self.e, self.algebra.bracket(u, u1))
 
@@ -593,24 +565,18 @@ class GradedSetup:
         return self.algebra.pair(self.f, self.algebra.bracket(v, v1))
 
     def _build_duals(self):
-        g = self.algebra
-        self.a_pairs = (
-            [self.basis[i] for i in self.g0f_indices],
-            self._dual_in(
-                [self.basis[i] for i in self.g0f_indices],
-                [self.basis[i] for i in self.g0f_indices],
-                g.pair,
-            ),
-        )
-        g0 = [self.basis[i] for i in self.eig_indices(0)]
-        self.g0_pairs = (g0, self._dual_in(g0, g0, g.pair))
+        # the form pairs g_k only with g_-k and g_0^f only with itself, so
+        # these dual bases are restrictions of the full one
+        def restricted(idx):
+            return [self.basis[i] for i in idx], [self.dual_basis[i] for i in idx]
+
+        self.a_pairs = restricted(self.g0f_indices)
+        self.g0_pairs = restricted(self.eig_indices(0))
         if self.kind == MINIMAL:
             vs = [self.basis[i] for i in self.eig_indices(Fraction(1, 2))]
             self.v_pairs = (vs, self._dual_in(vs, vs, self.omega_plus))
         else:
-            us = [self.basis[i] for i in self.eig_indices(-1)]
-            g1 = [self.basis[i] for i in self.eig_indices(1)]
-            self.u_pairs = (us, self._dual_in(us, g1, g.pair))
+            self.u_pairs = restricted(self.eig_indices(-1))
 
     # -- derived structure ---------------------------------------------
 

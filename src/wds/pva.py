@@ -194,9 +194,10 @@ class ReductionFrame:
     """Coordinate data of one Hamiltonian reduction W(g, f; l).
 
     Owns the adapted basis of the reduction: the setup's basis, with g_1/2
-    re-split into l and l' for the isotropic variant.  Everything derived
-    from that basis is computed once, here: the coordinate map, the Gram
-    matrix and dual basis, the sparse structure constants, the loop degree
+    re-split into l and l' for the isotropic variant.  The coordinate map,
+    the Gram matrix and the dual basis are the setup's, recomputed only for
+    that re-split basis.  Everything else derived from the basis is
+    computed once, here: the sparse structure constants, the loop degree
     of z, the generator contexts for V(g), the coordinate ring and V(g^f),
     the reduction maps and the generator-level bracket tables.
     """
@@ -210,6 +211,7 @@ class ReductionFrame:
         self.basis = list(setup.basis)
         self.labels = list(setup.labels)
         self.eig_of = list(setup.eig_of)
+        self.gram, self.dual_basis = setup.gram, setup.dual_basis
         self._adapted_from_orig = setup._adapted_from_orig
         self._l_indices = self._lp_indices = []
         n = len(self.basis)
@@ -230,8 +232,8 @@ class ReductionFrame:
             for i, v, name in zip(half_idx, l_side + lp_side, names):
                 self.basis[i] = v
                 self.labels[i] = name
-            self._adapted_from_orig = linalg.inverse(
-                linalg.transpose(self.basis), self.ring)
+            self.gram, self.dual_basis, self._adapted_from_orig = (
+                setup.dual_data(self.basis))
         if setup.kind == MINIMAL:
             # the g_1/2 pairs the minimal generators sum over: l with l', or
             # a basis of g_1/2 with its omega_+ dual
@@ -259,8 +261,6 @@ class ReductionFrame:
         self._coord_pos = {b: p for p, b in enumerate(self.coord_idx)}
         self._w_pos = {b: p for p, b in enumerate(self.w_idx)}
 
-        self.gram = [[g.pair(u, v) for v in self.basis] for u in self.basis]
-        self.dual_basis = setup.dual_of_gram(self.gram, self.basis)
         # struct[i][j] lists the (r, c) with [b_i, b_j] = sum c b_r
         self.struct = [
             [[(r, c) for r, c in enumerate(self.to_adapted(g.bracket(u, v))) if c]

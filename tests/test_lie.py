@@ -13,7 +13,7 @@ from wds.lie import (EmbeddableData, GradedSetup, GradeMismatch,
                      InvalidDimension, InvariantFailed, LieAlgebra, MINIMAL,
                      NotNilpotent, SHORT, SingularPairing, WrongKind,
                      build_sl, build_sp, darboux_split, index_label)
-from wds.cli import default_nilpotent
+from wds.cli import default_nilpotent, find_isotropic_s
 from wds.pva import ReductionFrame
 
 
@@ -607,29 +607,85 @@ def _matrix_of(label, n):
 
 
 @pytest.mark.parametrize("build, n", [(build_sl, 2), (build_sl, 3),
-                                      (build_sl, 4), (build_sp, 4)])
+                                      (build_sl, 4), (build_sp, 4),
+                                      (build_sl, 5), (build_sl, 6),
+                                      (build_sp, 2), (build_sp, 6),
+                                      (build_sp, 8)])
 def test_structure_constants_match_matrices(build, n):
-    """[e_a, e_b] = sum c_ab^k e_k and (e_a|e_b) = tr(e_a e_b) for the
+    """[e_a, e_b] = sum c_ab^k e_k and (e_a|e_b) = scale tr(e_a e_b) for the
     matrix realisation, so the sparse table is right, not only
-    self-consistent."""
-    g = build(n)
-    mats = [_matrix_of(lab, n) for lab in g.labels]
+    self-consistent; sl_n is checked with the plain and the c-scaled form."""
+    algebras = [build(n)]
+    if build is build_sl:
+        algebras.append(build(n, form_scale="c"))
+    mats = [_matrix_of(lab, n) for lab in algebras[0].labels]
 
     def mul(a, b):
         return [[sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)]
                 for r in range(n)]
 
-    for a, ma in enumerate(mats):
-        for b, mb in enumerate(mats):
-            ab, ba = mul(ma, mb), mul(mb, ma)
-            want = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
-            got = [[0] * n for _ in range(n)]
-            for k, c in g.struct[a][b]:
-                got = [[x + c * y for x, y in zip(r1, r2)]
-                       for r1, r2 in zip(got, mats[k])]
-            assert got == want, (g.labels[a], g.labels[b])
-            tr = sum(ab[r][r] for r in range(n))
-            assert g.pair(g.basis_vec(a), g.basis_vec(b)) == g.ring.const(tr)
+    for g in algebras:
+        scale = g.ring.param("c") if g.ring.names else g.ring.one()
+        for a, ma in enumerate(mats):
+            for b, mb in enumerate(mats):
+                ab, ba = mul(ma, mb), mul(mb, ma)
+                want = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+                got = [[0] * n for _ in range(n)]
+                for k, c in g.struct[a][b]:
+                    got = [[x + c * y for x, y in zip(r1, r2)]
+                           for r1, r2 in zip(got, mats[k])]
+                assert got == want, (g.labels[a], g.labels[b])
+                tr = sum(ab[r][r] for r in range(n))
+                assert (g.pair(g.basis_vec(a), g.basis_vec(b))
+                        == scale * g.ring.const(tr))
+
+
+def _setup(g, f_labels, kind):
+    return GradedSetup(g, g.parse(dict.fromkeys(f_labels, 1)), kind)
+
+
+def _isotropic_frame(n):
+    setup = _setup(build_sl(n), [index_label("E", n, 1)], MINIMAL)
+    return ReductionFrame(setup, find_isotropic_s(setup), isotropic=True)
+
+
+DUAL_OWNERS = {
+    "sl3_minimal": lambda: _setup(build_sl(3), ["E31"], MINIMAL),
+    "sl4_minimal": lambda: _setup(build_sl(4), ["E41"], MINIMAL),
+    "sl4_short": lambda: _setup(build_sl(4), ["E31", "E42"], SHORT),
+    "sl6_short": lambda: _setup(build_sl(6), ["E41", "E52", "E63"], SHORT),
+    "sp6_short": lambda: _setup(build_sp(6), ["C11", "C22", "C33"], SHORT),
+    "sl4_short_symbolic": lambda: _setup(
+        build_sl(4, params=["s1", "s2"], form_scale="c"), ["E31", "E42"], SHORT),
+    "sl3_isotropic_frame": lambda: _isotropic_frame(3),
+    "sl4_isotropic_frame": lambda: _isotropic_frame(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_OWNERS))
+def test_coordinates_and_dual_bases(name):
+    """to_adapted(b_j) is the j-th unit vector and (b_i|b^j) = delta_ij for
+    a setup's or a frame's adapted basis; the setup's a_pairs, g0_pairs and
+    u_pairs are the restrictions of its full dual basis and agree with a
+    dual found by inverting each subspace's own Gram matrix."""
+    owner = DUAL_OWNERS[name]()
+    setup = getattr(owner, "setup", owner)
+    g, ring = setup.algebra, setup.ring
+    for j, b in enumerate(owner.basis):
+        assert owner.to_adapted(b) == [ring.const(int(i == j))
+                                       for i in range(g.dim)]
+        assert [g.pair(bi, owner.dual_basis[j]) for bi in owner.basis] == [
+            ring.const(int(i == j)) for i in range(g.dim)]
+    basis, dual = setup.basis, setup.dual_basis
+    g1 = [basis[i] for i in setup.eig_indices(1)]
+    checks = [(setup.a_pairs, setup.g0f_indices, None),
+              (setup.g0_pairs, setup.eig_indices(0), None)]
+    if setup.kind == SHORT:
+        checks.append((setup.u_pairs, setup.eig_indices(-1), g1))
+    for (vecs, duals), idx, partner in checks:
+        assert vecs == [basis[i] for i in idx]
+        assert duals == [dual[i] for i in idx]
+        assert duals == setup._dual_in(vecs, partner or vecs, g.pair)
 
 
 def _corrupt_constant(dense, i, j, k, delta):
