@@ -133,14 +133,12 @@ def parse_s(setup: GradedSetup, choice: str):
         pairs = []
         try:
             for part in choice[9:].split(","):
-                if part.count("*") > 1:
+                co, star, lab = part.rpartition("*")
+                try:
+                    pairs.append((lab, Fraction(co) if star else 1))
+                except ValueError:
                     raise UsageError(f"--s {choice}: {part!r} is neither "
-                                     "COEFF*LABEL nor LABEL")
-                if "*" in part:
-                    co, lab = part.split("*")
-                    pairs.append((lab, Fraction(co)))
-                else:
-                    pairs.append((part, 1))
+                                     "COEFF*LABEL nor LABEL") from None
             return g.parse(unique_terms(f"--s {choice}", pairs)), False
         except ValueError as e:
             raise UsageError(f"--s {choice}: {e}") from None

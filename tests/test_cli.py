@@ -215,6 +215,8 @@ def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
      "eigenvalues [-1, -1/2, 0, 1/2, 1] invalid for kind short"),
     (("setup", "--algebra", "sl2", "--s", "explicit:2*E12*3"),
      "'2*E12*3' is neither COEFF*LABEL nor LABEL"),
+    (("setup", "--algebra", "sl4", "--s", "explicit:E14*2"),
+     "'E14*2' is neither COEFF*LABEL nor LABEL"),
     (("hierarchy", "--algebra", "sl2", "--nilpotent", "minimal",
       "--form-scale", "2", "--n", "1", "--max-degree", "4"),
      "--form-scale '2' is not a parameter name"),
@@ -237,6 +239,7 @@ def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
     (("setup", "--algebra", "sl99999999999999999999"),
      "--algebra sl99999999999999999999: n is too large"),
 ], ids=["f_deep_grading", "f_wrong_kind", "explicit_two_stars",
+        "explicit_label_first",
         "form_scale_number", "form_scale_zero_denominator", "form_scale_zero",
         "form_scale_empty", "form_scale_on_sp", "explicit_repeated_label",
         "f_repeated_label", "f_empty_label", "explicit_empty_label",
