@@ -27,7 +27,7 @@ print("{L lam L} K-part:", k.map_coeffs(frame.pi, frame.w_ctx))
 
 U, hp, dec = solve_dressing(frame, 4)
 dens = conserved_densities(frame, hp, {0: setup.f, 1: setup.e},
-                           n_max=1, dec=dec)
+                           n_max=1, dec=dec, max_deg=4)
 print("\nconserved densities (V(g^f) coordinates, E21 is the L-coordinate):")
 for n, d in enumerate(dens):
     print(f"  int g_{n} =", d)

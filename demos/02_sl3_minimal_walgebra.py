@@ -42,9 +42,10 @@ print("                 K:", k.map_coeffs(frame.pi, frame.w_ctx))
 
 print("\n== hierarchies ==")
 U, hp, dec = solve_dressing(frame, 4)
-dens_a = conserved_densities(frame, hp, {0: a}, n_max=1, dec=dec)
+dens_a = conserved_densities(frame, hp, {0: a}, n_max=1, dec=dec,
+                             max_deg=4)
 dens_b = conserved_densities(frame, hp, {0: setup.f, 1: setup.e},
-                             n_max=1, dec=dec)
+                             n_max=1, dec=dec, max_deg=4)
 print("central-element family:   int g_0 =", dens_a[0],
       " int g_1 =", dens_a[1])
 print("f + ze family:            int g_0 =", dens_b[0])

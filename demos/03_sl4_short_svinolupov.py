@@ -35,7 +35,7 @@ for rows in verify_table(frame, gens).values():
 
 U, h, dec = solve_dressing(frame, 4)
 dens = conserved_densities(frame, h, {0: setup.f, 1: setup.e},
-                           n_max=1, dec=dec)
+                           n_max=1, dec=dec, max_deg=4)
 print("\nint g_0 =", dens[0])
 print("int g_1 =", dens[1])
 

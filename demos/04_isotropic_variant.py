@@ -32,9 +32,9 @@ for which, rows in verify_table(frame, gens).items():
 
 U, h, dec = solve_dressing(frame, 3)
 dens_b = conserved_densities(frame, h, {0: setup.e, -1: s_star},
-                             n_max=1, dec=dec)
+                             n_max=1, dec=dec, max_deg=3)
 dens_c = conserved_densities(frame, h, {0: setup.f, 1: s},
-                             n_max=1, dec=dec)
+                             n_max=1, dec=dec, max_deg=3)
 print("\ne + s*/z family:  int g_0 =", dens_b[0])
 print("f + zs  family:   int g_0 =", dens_c[0])
 

@@ -32,7 +32,8 @@ for d in (F(0), F(1), F(2)):
         print(f"\npi h(z)_{d} =", h[d])
 
 A11 = g.parse({"H1": 1, "H3": 1})
-dens = conserved_densities(frame, h, {0: A11}, n_max=1, dec=dec)
+dens = conserved_densities(frame, h, {0: A11}, n_max=1, dec=dec,
+                          max_deg=2)
 print("\nA11-family:  int g_0 =", dens[0])
 print("             int g_1 =", dens[1])
 

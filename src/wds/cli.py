@@ -263,11 +263,12 @@ def dress(frame, max_deg, args):
         raise UsageError(f"--s {args.s}: {e}") from None
 
 
-def densities(frame, h, a_z, dec, args):
-    """conserved_densities up to --n, with an --n past the solved window
-    reported as a usage error."""
+def densities(frame, h, a_z, dec, max_deg, args):
+    """conserved_densities up to --n of h solved to max_deg, with an --n
+    past the solved window reported as a usage error."""
     try:
-        return conserved_densities(frame, h, a_z, n_max=args.n, dec=dec)
+        return conserved_densities(frame, h, a_z, n_max=args.n, dec=dec,
+                                   max_deg=max_deg)
     except WindowOverflow as e:
         raise UsageError(f"--n {args.n} needs --max-degree >= "
                          f"{math.ceil(e.needed)}") from None
@@ -282,7 +283,7 @@ def cmd_hierarchy(args):
     if frame.isotropic:
         emb_star = setup.find_embeddable(frame.s)
     a_z = parse_a_choice(setup, frame, args.a_choice, emb_star)
-    dens = densities(frame, h, a_z, dec, args)
+    dens = densities(frame, h, a_z, dec, max_deg, args)
     doc = {}
     for n, gn in enumerate(dens):
         doc[f"int g_{n}"] = fmt_poly(gn, args)
@@ -330,7 +331,7 @@ def cmd_verify_all(args):
     report("dressing conjugation oracle", [] if not defect else ["nonzero"])
     emb_star = setup.find_embeddable(frame.s) if frame.isotropic else None
     a_z = parse_a_choice(setup, frame, args.a_choice, emb_star)
-    dens = densities(frame, h, a_z, dec, args)
+    dens = densities(frame, h, a_z, dec, max_deg, args)
     report("lenard-magri recursion", verify_lenard_magri(frame, gens, dens))
     failed = sum(not group["passed"] for group in groups)
     if args.format == "json":

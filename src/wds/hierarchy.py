@@ -36,10 +36,10 @@ class InvalidCenter(ValueError):
 
 
 class WindowOverflow(ValueError):
-    """A request past the solved loop-degree window; `needed` is the loop
-    degree it needs, when known."""
+    """A density past the loop degree the dressing was solved to; `needed`
+    is the loop degree it needs."""
 
-    def __init__(self, msg: str, needed: Fraction | None = None):
+    def __init__(self, msg: str, needed: Fraction):
         super().__init__(msg)
         self.needed = needed
 
@@ -273,66 +273,81 @@ def build_q(frame: ReductionFrame, projected: bool = True) -> LoopElement:
 
 
 class HDecomposition:
-    """Per-degree kernel/image split of ad(f+zs) on loop-degree slices.
+    """Kernel/image split of ad(f+zs) on the loop-degree slices.
 
-    Each split degree d keeps two matrices on slice(d), built from one
-    inverse: the projection onto ker ad(f+zs) along the image, and the
-    inverse of ad(f+zs) from hperp(d+1), the image part of slice(d+1).
-    Both are kept as numerator rows, which `split` applies to a LoopElement.
+    ad(f+zs) commutes with z, and z shifts the loop degree by z_degree, so
+    the split repeats with period P = -z_degree: slice(r + tP) is slice(r)
+    with every z power lowered by t, and ad(f+zs) has the same matrix on
+    both.  Each residue class r of the degree mod P, taken in [-1, -1 + P),
+    keeps its slice and one split, built from one inverse: the kernel basis
+    of ad(f+zs) on slice(r), the projection onto that kernel along the
+    image, and the inverse of ad(f+zs) from hperp(r+1), the image part of
+    slice(r+1).  Both matrices are kept as numerator rows, which `split`
+    applies to a LoopElement of any degree of the class.
     """
 
-    def __init__(self, frame: ReductionFrame, min_deg: Fraction, max_deg: Fraction):
+    def __init__(self, frame: ReductionFrame):
         if not frame.setup.is_semisimple(
             linalg.vec_add(frame.setup.f, frame.s)
         ):
             raise NotSemisimple("f + s is not semisimple")
         self.frame = frame
-        self.zd = frame.z_degree
-        self._ad_fzs = ((frame.ad_adapted(frame.setup.f), 0),
-                        (frame.ad_adapted(frame.s), 1))
-        self.min_deg = Fraction(min_deg)
-        self.max_deg = Fraction(max_deg)
-        self.h_basis: dict[Fraction, list[list]] = {}
-        self._proj: dict[Fraction, list] = {}
-        self._solve: dict[Fraction, list] = {}
-        # split degrees min_deg .. max_deg + 1; splitting d reads ad(f+zs)
-        # on slice(d), slice(d+1) and slice(d+2)
-        top = int(2 * (self.max_deg + 1 - self.min_deg))
-        degs = [self.min_deg + Fraction(j, 2) for j in range(-2, top + 5)]
-        self.slices = {d: self._slice(d) for d in degs}
-        self._mats = {d: self._ad_matrix(d) for d in degs[2:]}
-        for d in degs[2:top + 3]:
-            self._split(d)
+        self.period = -frame.z_degree
+        # the 2P classes of (1/2)Z mod P, from -1 up
+        self.classes = [Fraction(j - 2, 2) for j in range(int(2 * self.period))]
+        self._slices = {r: self._slice(r) for r in self.classes}
+        ad_fzs = ((frame.ad_adapted(frame.setup.f), 0),
+                  (frame.ad_adapted(frame.s), 1))
+        mats = {r: self._ad_matrix(r, ad_fzs) for r in self.classes}
+        # r -> (kernel basis, projection rows, solve rows)
+        self._splits = {r: self._split(r, mats) for r in self.classes}
+
+    def residue(self, deg: Fraction) -> tuple[Fraction, int]:
+        """(r, t) with deg = r + tP and r in [-1, -1 + P)."""
+        t = math.floor((deg + 1) / self.period)
+        return deg - t * self.period, t
+
+    def slice(self, deg: Fraction) -> list[tuple[int, int]]:
+        """The (basis index, z power) keys of loop degree deg."""
+        r, t = self.residue(deg)
+        return [(i, k - t) for i, k in self._slices[r]]
+
+    def h_basis(self, deg: Fraction) -> list[list]:
+        """The kernel basis of ad(f+zs) on slice(deg), in slice coordinates."""
+        return self._splits[self.residue(deg)[0]][0]
 
     def _slice(self, deg: Fraction) -> list[tuple[int, int]]:
         out = []
-        for i in range(len(self.frame.basis)):
-            num = self.frame.eig_of[i] - deg
-            k = num / (-self.zd)
+        for i, e in enumerate(self.frame.eig_of):
+            k = (e - deg) / self.period
             if k.denominator == 1:
                 out.append((i, int(k)))
         return out
 
-    def _ad_matrix(self, deg: Fraction):
+    def _ad_matrix(self, deg: Fraction, ad_fzs: tuple):
         """Matrix of ad(f+zs): slice(deg) -> slice(deg - 1) in slice coords."""
-        dst = self.slices[deg - 1]
+        dst = self.slice(deg - 1)
         pos = {key: p for p, key in enumerate(dst)}
         cols = []
-        for (i, k) in self.slices[deg]:
+        for (i, k) in self.slice(deg):
             col = [self.frame.ring.zero()] * len(dst)
-            for ad, dz in self._ad_fzs:
+            for ad, dz in ad_fzs:
                 for r, c in ad[i]:
                     col[pos[(r, k + dz)]] = col[pos[(r, k + dz)]] + c
             cols.append(col)
         return linalg.transpose(cols)
 
-    def _split(self, deg: Fraction):
+    def _split(self, deg: Fraction, mats: dict) -> tuple:
         ring = self.frame.ring
-        m = len(self.slices[deg])
-        K = linalg.kernel(self._mats[deg], ring, m)
+
+        def mat(d):
+            return mats[self.residue(d)[0]]
+
+        m = len(self._slices[deg])
+        K = linalg.kernel(mat(deg), ring, m)
         # hperp(deg+1) = ad(f+zs) slice(deg+2), spanned by its pivot columns
-        hperp = linalg.independent(linalg.transpose(self._mats[deg + 2]))
-        cols = K + [linalg.mat_vec(self._mats[deg + 1], v, ring) for v in hperp]
+        hperp = linalg.independent(linalg.transpose(mat(deg + 2)))
+        cols = K + [linalg.mat_vec(mat(deg + 1), v, ring) for v in hperp]
         if len(cols) != m:
             raise NotSemisimple(
                 f"slice at degree {deg} does not split (kernel + image)")
@@ -344,40 +359,32 @@ class HDecomposition:
             return [[sum((v[i] * r[j] for v, r in zip(vecs, rows) if v[i]),
                          ring.zero()) for j in range(m)] for i in range(n)]
 
-        self.h_basis[deg] = K
-        self._proj[deg] = _num_rows(lift(K, T[:len(K)], m))
-        self._solve[deg] = _num_rows(
-            lift(hperp, T[len(K):], len(self.slices[deg + 1])))
+        return (K, _num_rows(lift(K, T[:len(K)], m)),
+                _num_rows(lift(hperp, T[len(K):], len(self.slice(deg + 1)))))
 
     def split(self, deg: Fraction, el: LoopElement) -> tuple:
         """(h, u) for el of degree deg: h the kernel component of el, and u
         in hperp(deg+1) with [f+zs, u] its image component."""
+        _, proj, solve = self._splits[self.residue(deg)[0]]
         coeffs = self.coeffs_of(deg, el)
 
-        def loop(d, mats):
-            if deg not in mats:
-                raise WindowOverflow(
-                    f"degree {deg} outside the solved window; extend max_deg")
-            co = _apply_rows(mats[deg], coeffs)
+        def loop(d, rows):
+            co = _apply_rows(rows, coeffs)
             return LoopElement(self.frame, el.ctx,
-                               {key: p for key, p in zip(self.slices[d], co) if p})
+                               {key: p for key, p in zip(self.slice(d), co) if p})
 
-        return loop(deg, self._proj), loop(deg + 1, self._solve)
+        return loop(deg, proj), loop(deg + 1, solve)
 
     def const_loop(self, deg: Fraction, vec: list, ctx: Context) -> LoopElement:
         """The constant loop element with slice(deg) coordinates vec."""
-        coords = zip(self.slices[deg], vec)
+        coords = zip(self.slice(deg), vec)
         return LoopElement(self.frame, ctx,
                            {key: ctx.const(c) for key, c in coords if c})
 
     def coeffs_of(self, deg: Fraction, el) -> list:
         """Slice coordinates of el, 0 where it has no term."""
-        got = dict(el.terms)
         zero = el.ctx.zero()
-        out = [got.pop(key, zero) for key in self.slices[deg]]
-        if any(el.degree_of(k) == deg for k in got):
-            raise WindowOverflow(f"element leaves the degree-{deg} slice")
-        return out
+        return [el.terms.get(key, zero) for key in self.slice(deg)]
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +428,7 @@ def solve_dressing(
     """
     max_deg = Fraction(max_deg)
     if dec is None:
-        dec = HDecomposition(frame, Fraction(-1), max_deg)
+        dec = HDecomposition(frame)
     ctx = frame.w_ctx if projected else frame.coord_ctx
     fzs = loop_fzs(frame, ctx)
     D = fzs + build_q(frame, projected)
@@ -432,7 +439,7 @@ def solve_dressing(
     series = [{d: D.component(d) for d in map(D.degree_of, D.terms)}, {}]
     deg = Fraction(-1, 2)
     while deg <= max_deg:
-        if dec.slices.get(deg):
+        if dec.slice(deg):
             R = series[0].get(deg, LoopElement(frame, ctx))
             for n in range(1, len(series) + 1):
                 piece = bracket_sum(frame, ctx, [
@@ -490,19 +497,25 @@ def dressing_defect(
 
 def _h_loops(dec: HDecomposition, ctx: Context, d: Fraction) -> list:
     """The kernel basis of slice(d), as constant loop elements."""
-    return [dec.const_loop(d, v, ctx) for v in dec.h_basis.get(d, [])]
+    return [dec.const_loop(d, v, ctx) for v in dec.h_basis(d)]
+
+
+def _period_h(dec: HDecomposition, ctx: Context) -> list:
+    """The kernel bases of one period, as constant loop elements: every
+    kernel element is a sum of their z shifts, and [c, z^t w] = z^t [c, w]."""
+    return [w for r in dec.classes for w in _h_loops(dec, ctx, r)]
 
 
 def center_of_h(frame: ReductionFrame, dec: HDecomposition,
                 degrees: list) -> dict:
-    """Degree-wise center of ker(ad(f+zs)) within the decomposition window."""
+    """Degree-wise center of ker(ad(f+zs)), at each of the loop degrees."""
     ring = frame.ring
     ctx = frame.w_ctx
-    all_h = [w for d in sorted(dec.h_basis) for w in _h_loops(dec, ctx, d)]
+    all_h = _period_h(dec, ctx)
     out = {}
     for d in degrees:
         d = Fraction(d)
-        K = dec.h_basis.get(d, [])
+        K = dec.h_basis(d)
         if not K:
             out[d] = []
             continue
@@ -522,7 +535,7 @@ def center_of_h(frame: ReductionFrame, dec: HDecomposition,
 def check_central(frame: ReductionFrame, dec: HDecomposition, a_z: dict) -> bool:
     ctx = frame.w_ctx
     el = loop_from_zmap(frame, ctx, a_z)
-    if any(el.bracket(w) for d in dec.h_basis for w in _h_loops(dec, ctx, d)):
+    if any(el.bracket(w) for w in _period_h(dec, ctx)):
         return False
     # membership of a(z) itself in ker ad(f+zs)
     return not loop_fzs(frame, ctx).bracket(el)
@@ -535,14 +548,15 @@ def conserved_densities(
     n_max: int | None = None,
     *,
     dec: HDecomposition,
+    max_deg,
 ) -> list[DiffPoly]:
     """Densities g_n from int g(z) = int (a(z) x 1 | h(z)), in V(g^f) coordinates.
 
     a_z maps z powers to g-vectors; the leading power is read off as the top
     nonzero z power of the pairing.  g_n needs h up to loop degree
     d_0 + |z_degree| n, where d_0 is the degree of the h that g_0 reads.
-    dec.max_deg is the solved window: an n_max past it raises
-    WindowOverflow, and n_max=None gives the densities it resolves.
+    max_deg is the loop degree h_parts were solved to: an n_max past it
+    raises WindowOverflow, and n_max=None gives the densities it resolves.
     """
     if not check_central(frame, dec, a_z):
         raise InvalidCenter("a(z) does not lie in the center of ker ad(f+zs)")
@@ -565,12 +579,13 @@ def conserved_densities(
               for k, vec in a_z.items()
               for i, c in enumerate(frame.to_adapted(vec)) if c)
     d0 = zd * top - low
-    resolved = math.floor((dec.max_deg - d0) / -zd)
+    max_deg = Fraction(max_deg)
+    resolved = math.floor((max_deg - d0) / -zd)
     if n_max is not None and n_max > resolved:
         needed = d0 - zd * n_max
         raise WindowOverflow(
             f"g_{n_max} needs h up to loop degree {needed}; the dressing"
-            f" is solved up to {dec.max_deg}", needed)
+            f" is solved up to {max_deg}", needed)
     last = resolved if n_max is None else n_max
     zero = frame.w_ctx.zero()
     return [total.get(top - n, zero) for n in range(last + 1)]

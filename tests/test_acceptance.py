@@ -73,9 +73,10 @@ def sl3_worked(sl3_min):
     }
     U, h, dec = cfg.dressing(4)
     data["dens_a"] = conserved_densities(cfg.frame, h, {0: a}, n_max=1,
-                                         dec=dec)
+                                         dec=dec, max_deg=4)
     data["dens_b"] = conserved_densities(
-        cfg.frame, h, {0: cfg.setup.f, 1: cfg.setup.e}, n_max=1, dec=dec)
+        cfg.frame, h, {0: cfg.setup.f, 1: cfg.setup.e}, n_max=1, dec=dec,
+        max_deg=4)
     return data
 
 
@@ -368,7 +369,7 @@ def test_a11_sl4_generic_s(sl4_generic):
 
     # case (a): a(z) = f + zs; t_0 system
     dens_a = conserved_densities(fr, h, {0: cfg.setup.f, 1: fr.s},
-                                 n_max=0, dec=dec)
+                                 n_max=0, dec=dec, max_deg=2)
     assert functional_equal(
         dens_a[0],
         wl({"E31": 1, "E42": 1}) + (A12 * A21).scale(one / (2 * c)))
@@ -393,7 +394,7 @@ def test_a11_sl4_generic_s(sl4_generic):
         assert got == want
 
     # case (c): a(z) = A11
-    dens_c = conserved_densities(fr, h, {0: a11v}, n_max=1, dec=dec)
+    dens_c = conserved_densities(fr, h, {0: a11v}, n_max=1, dec=dec, max_deg=2)
     assert dens_c[0] == A11
     want_g1 = (A12.d() * A21).scale(2 * (s1 + s2) / (c * (s1 - s2) ** 2 if False else c * (s1 - s2) * (s1 - s2))) \
         - (A11 * A12 * A21).scale((s1 + s2) / (c * c * (s1 - s2) * (s1 - s2))) \

@@ -66,7 +66,7 @@ def map_coeffs(X, fn, ctx):
 def slice_loop(dec, deg, coeffs, ctx):
     """The LoopElement with DiffPoly coordinates coeffs on slice(deg)."""
     out = LoopElement(dec.frame, ctx)
-    for (i, k), p in zip(dec.slices[deg], coeffs):
+    for (i, k), p in zip(dec.slice(deg), coeffs):
         add_term(out, i, k, p)
     return out
 
@@ -162,9 +162,10 @@ def test_z_degree(sl3_min, sl4_short, sl3_iso):
 
 def test_minimal_h_slices(sl3_min):
     """No kernel at half-integer degrees; g_0^f at even, f+ze line at odd."""
-    dec = HDecomposition(sl3_min.frame, F(-1), F(3))
+    dec = HDecomposition(sl3_min.frame)
     s = sl3_min.setup
-    for d, K in dec.h_basis.items():
+    for d in (F(j, 2) for j in range(-2, 9)):
+        K = dec.h_basis(d)
         if d.denominator == 2:
             assert K == []
         elif int(d) % 2 == 0:
@@ -175,7 +176,7 @@ def test_minimal_h_slices(sl3_min):
     fr = sl3_min.frame
     el = loop_from_zmap(fr, fr.w_ctx, {-1: s.f, 0: s.e})
     co = dec.coeffs_of(F(1), el)
-    K = dec.h_basis[F(1)]
+    K = dec.h_basis(F(1))
     assert len(K) == 1
     ratio = None
     for c, kc in zip(co, K[0]):
@@ -189,7 +190,7 @@ def test_short_h_slices(sl4_short):
     """Odd kernel = ((ad f)^2 - 2z) g_1; image side gets ((ad f)^2 + 2z) g_1."""
     cfg = sl4_short
     g, s, fr = cfg.algebra, cfg.setup, cfg.frame
-    dec = HDecomposition(fr, F(-1), F(3))
+    dec = HDecomposition(fr)
     for i in s.eig_indices(1):
         v = s.basis[i]
         adf2 = g.bracket(s.f, g.bracket(s.f, v))
@@ -207,11 +208,11 @@ def test_generic_s_h_structure(sl4_generic):
     """Kernel elements have commuting diagonal blocks: [S,A] = [S,B] = 0."""
     cfg = sl4_generic
     g, fr = cfg.algebra, cfg.frame
-    dec = HDecomposition(fr, F(-1), F(2))
+    dec = HDecomposition(fr)
     # at degree 0 the kernel is 1-dimensional: the A11 direction
-    K0 = dec.h_basis[F(0)]
+    K0 = dec.h_basis(F(0))
     assert len(K0) == 1
-    vecs = dec.slices[F(0)]
+    vecs = dec.slice(F(0))
     v = g.zero_vec()
     for c, (i, k) in zip(K0[0], vecs):
         assert k == 0
@@ -220,14 +221,109 @@ def test_generic_s_h_structure(sl4_generic):
     ratio = next(c / w for c, w in zip(v, want) if w)
     assert v == linalg.vec_scale(want, ratio)
     # odd kernel at degree 1 is 2-dimensional (diagonal B blocks)
-    assert len(dec.h_basis[F(1)]) == 2
+    assert len(dec.h_basis(F(1))) == 2
 
 
 def test_not_semisimple_rejected(sl3_min):
     setup = sl3_min.setup
     fr = ReductionFrame(setup, setup.f)  # f + f is not semisimple
     with pytest.raises(NotSemisimple):
-        HDecomposition(fr, F(-1), F(1))
+        HDecomposition(fr)
+
+
+class WindowedDecomposition:
+    """The per-degree split of ad(f+zs), the oracle of HDecomposition's one
+    split per residue class: for every degree d of the window
+    [-1, max_deg + 1] its own slice and ad(f+zs) matrices, the kernel of
+    the matrix on slice(d), hperp(d+1) from the pivot columns of the matrix
+    on slice(d+2), and one inverse.  proj[d] and solve[d] are dense."""
+
+    def __init__(self, frame, max_deg):
+        ring, zd = frame.ring, frame.z_degree
+        ad_fzs = ((frame.ad_adapted(frame.setup.f), 0),
+                  (frame.ad_adapted(frame.s), 1))
+        degs = [F(j, 2) for j in range(-4, 2 * max_deg + 7)]
+        self.slices = {d: [(i, int((e - d) / -zd))
+                           for i, e in enumerate(frame.eig_of)
+                           if ((e - d) / -zd).denominator == 1]
+                       for d in degs}
+        mats = {}
+        for d in degs[2:]:
+            dst = {key: p for p, key in enumerate(self.slices[d - 1])}
+            cols = []
+            for i, k in self.slices[d]:
+                col = [ring.zero()] * len(dst)
+                for ad, dz in ad_fzs:
+                    for r, c in ad[i]:
+                        col[dst[(r, k + dz)]] += c
+                cols.append(col)
+            mats[d] = linalg.transpose(cols)
+        self.h_basis, self.proj, self.solve = {}, {}, {}
+        for d in degs[2:-4]:
+            m = len(self.slices[d])
+            K = linalg.kernel(mats[d], ring, m)
+            hperp = linalg.independent(linalg.transpose(mats[d + 2]))
+            cols = K + [linalg.mat_vec(mats[d + 1], v, ring) for v in hperp]
+            assert len(cols) == m
+            T = linalg.inverse(linalg.transpose(cols), ring)
+
+            def lift(vecs, rows, n):
+                return [[sum((v[i] * r[j] for v, r in zip(vecs, rows)),
+                             ring.zero()) for j in range(m)]
+                        for i in range(n)]
+
+            self.h_basis[d] = K
+            self.proj[d] = lift(K, T[:len(K)], m)
+            self.solve[d] = lift(hperp, T[len(K):], len(self.slices[d + 1]))
+
+
+def sl4_generic_over_q():
+    """sl4 short with the generic s = E13 + 3 E24 over Q."""
+    g = build_sl(4)
+    setup = GradedSetup(g, g.parse({"E31": 1, "E42": 1}), SHORT)
+    return ReductionFrame(setup, g.parse({"E13": 1, "E24": 3}))
+
+
+@pytest.mark.parametrize("name", [
+    "sl3_min", "sl4_short", "sl3_iso", "sl4_generic", "sl4_generic_q"])
+def test_periodic_split_matches_per_degree_split(name, request):
+    """At every loop degree -1 .. 9 the split shifted in z from its residue
+    class has the slice keys, the kernel basis and the projection and solve
+    rows of the split built at that degree, exactly; over Q and over
+    Q(c, s1, s2), with period 2 and, isotropic, 3/2."""
+    fr = (sl4_generic_over_q() if name == "sl4_generic_q"
+          else request.getfixturevalue(name).frame)
+    dec = HDecomposition(fr)
+    oracle = WindowedDecomposition(fr, 8)
+    assert len(dec.classes) == 2 * -fr.z_degree
+    assert sorted(oracle.h_basis) == [F(j, 2) for j in range(-2, 19)]
+    for d in oracle.h_basis:
+        _, proj, solve = dec._splits[dec.residue(d)[0]]
+        assert dec.slice(d) == oracle.slices[d], d
+        assert dec.h_basis(d) == oracle.h_basis[d], d
+        assert proj == _num_rows(oracle.proj[d]), d
+        assert solve == _num_rows(oracle.solve[d]), d
+
+
+def test_decomposition_does_not_grow_with_depth(sl2_min, sl3_min, sl4_short,
+                                                sl3_iso, monkeypatch):
+    """HDecomposition makes one split, one inverse, per residue class: 4
+    for s in g_1 and 3 for the isotropic s in g_1/2; solves of any depth
+    that share it make no further split."""
+    calls = []
+    inverse = linalg.inverse
+    monkeypatch.setattr(linalg, "inverse",
+                        lambda rows, ring: calls.append(1) or inverse(rows, ring))
+    for cfg, splits in ((sl4_short, 4), (sl3_min, 4), (sl3_iso, 3)):
+        calls.clear()
+        HDecomposition(cfg.frame)
+        assert len(calls) == splits
+    fr = sl2_min.frame
+    calls.clear()
+    dec = HDecomposition(fr)
+    for max_deg in (4, 8):
+        assert solve_dressing(fr, max_deg, dec=dec)[2] is dec
+    assert len(calls) == 4
 
 
 def test_q_expansion_minimal(sl3_min):
@@ -456,14 +552,14 @@ def reexpanding_solve(frame, max_deg, dec):
     Usum = LoopElement(frame, ctx)
     deg = F(-1, 2)
     while deg <= max_deg:
-        if dec.slices.get(deg):
+        if dec.slice(deg):
             R = loop_sub(exp_ad_oracle(Usum, D, deg), fzs).component(deg)
-            coeffs = [R.terms.get(key, ctx.zero()) for key in dec.slices[deg]]
+            coeffs = [R.terms.get(key, ctx.zero()) for key in dec.slice(deg)]
+            _, proj, solve = dec._splits[dec.residue(deg)[0]]
             h_el, u_el = (
                 slice_loop(dec, d, [lin_comb(row, coeffs) for row in
                                     dense(rows, len(coeffs))], ctx)
-                for d, rows in ((deg, dec._proj[deg]),
-                                (deg + 1, dec._solve[deg])))
+                for d, rows in ((deg, proj), (deg + 1, solve)))
             if h_el:
                 h_parts[deg] = h_el
             if u_el:
@@ -574,11 +670,22 @@ def test_homogeneity_of_solution(name, window, request):
         assert h_el.terms == el.terms and not u_el
 
 
-def test_window_overflow_error(sl3_min):
-    fr = sl3_min.frame
-    dec = HDecomposition(fr, F(-1), F(1))
-    with pytest.raises(WindowOverflow):
-        solve_dressing(fr, 4, dec=dec)
+def test_densities_check_the_solved_degree(sl2_min):
+    """conserved_densities checks n_max against the degree h was solved to,
+    not against a decomposition that a deeper solve shares."""
+    cfg = sl2_min
+    fr, s = cfg.frame, cfg.setup
+    a_z = {0: s.f, 1: s.e}
+    dec = HDecomposition(fr)
+    solve_dressing(fr, 6, dec=dec)
+    U, h, _ = solve_dressing(fr, 4, dec=dec)
+    with pytest.raises(WindowOverflow) as e:
+        conserved_densities(fr, h, a_z, n_max=2, dec=dec, max_deg=4)
+    assert e.value.needed == 5
+    U, h, _ = solve_dressing(fr, 5, dec=dec)
+    g2 = conserved_densities(fr, h, a_z, n_max=2, dec=dec, max_deg=5)[2]
+    E = fr.w_lin(s.f)
+    assert g2 == (E * E.d(2)).scale(F(-1, 16)) + (E * E * E).scale(F(1, 8))
 
 
 def test_densities_past_the_window_refused(sl2_min, sl3_iso):
@@ -590,21 +697,23 @@ def test_densities_past_the_window_refused(sl2_min, sl3_iso):
     U, h, dec = cfg.dressing(4)
     a_z = {0: s.f, 1: s.e}
     with pytest.raises(WindowOverflow) as e:
-        conserved_densities(cfg.frame, h, a_z, n_max=2, dec=dec)
+        conserved_densities(cfg.frame, h, a_z, n_max=2, dec=dec, max_deg=4)
     assert e.value.needed == 5
-    assert len(conserved_densities(cfg.frame, h, a_z, dec=dec)) == 2
-    with pytest.raises(TypeError):  # the window is never optional
-        conserved_densities(cfg.frame, h, a_z, n_max=2)
+    assert len(conserved_densities(cfg.frame, h, a_z, dec=dec, max_deg=4)) == 2
+    with pytest.raises(TypeError):  # the solved degree is never optional
+        conserved_densities(cfg.frame, h, a_z, n_max=2, dec=dec)
     U, h, dec = cfg.dressing(5)
-    dens = conserved_densities(cfg.frame, h, a_z, n_max=2, dec=dec)
-    assert dens[2] and dens == conserved_densities(cfg.frame, h, a_z, dec=dec)
+    dens = conserved_densities(cfg.frame, h, a_z, n_max=2, dec=dec, max_deg=5)
+    assert dens[2] and dens == conserved_densities(cfg.frame, h, a_z, dec=dec,
+                                                   max_deg=5)
     # isotropic: z has loop degree -3/2, so the needed degree is fractional
     cfg = sl3_iso
     U, h, dec = cfg.dressing(4)
     a_z = {0: cfg.setup.f, 1: cfg.frame.s}
-    last = len(conserved_densities(cfg.frame, h, a_z, dec=dec)) - 1
+    last = len(conserved_densities(cfg.frame, h, a_z, dec=dec, max_deg=4)) - 1
     with pytest.raises(WindowOverflow) as e:
-        conserved_densities(cfg.frame, h, a_z, n_max=last + 1, dec=dec)
+        conserved_densities(cfg.frame, h, a_z, n_max=last + 1, dec=dec,
+                            max_deg=4)
     assert 4 < e.value.needed <= 4 + F(3, 2)
 
 
@@ -809,7 +918,7 @@ def test_center_of_h_minimal(sl3_min):
     assert check_central(fr, dec, {0: s.f, 1: s.e})
     assert not check_central(fr, dec, {0: s.x})
     with pytest.raises(InvalidCenter):
-        conserved_densities(fr, h, {0: s.x}, dec=dec)
+        conserved_densities(fr, h, {0: s.x}, dec=dec, max_deg=4)
 
 
 def test_center_of_h_sl2_trivial_even_part(sl2_min):
@@ -824,6 +933,44 @@ def test_center_contains_claimed_elements_short(sl4_short):
     cfg = sl4_short
     U, h, dec = cfg.dressing(4)
     assert check_central(cfg.frame, dec, {0: cfg.setup.f, 1: cfg.setup.e})
+
+
+def windowed_center(frame, oracle, d):
+    """The center at degree d as the per-degree split finds it: the kernel
+    basis of slice(d) against every kernel element of the window."""
+    ring, ctx = frame.ring, frame.w_ctx
+
+    def loops(e, vecs):
+        return [LoopElement(frame, ctx, {key: ctx.const(c) for key, c in
+                                         zip(oracle.slices[e], v) if c})
+                for v in vecs]
+
+    all_h = [w for e in sorted(oracle.h_basis)
+             for w in loops(e, oracle.h_basis[e])]
+    K = oracle.h_basis[d]
+    rows = []
+    for w in all_h:
+        brs = [c.bracket(w).terms for c in loops(d, K)]
+        for key in sorted({key for b in brs for key in b}):
+            rows.append([b[key].const_term() if key in b else ring.zero()
+                         for b in brs])
+    return loops(d, [linalg.combine(co, K)
+                     for co in linalg.kernel(rows, ring, len(K))])
+
+
+def test_center_of_h_at_every_degree(sl3_min):
+    """center_of_h answers at any loop degree: at 6 and 7 it gives the
+    centers the per-degree split over [-1, 9] finds, which are the z^-3
+    shifts of those at 0 and 1."""
+    fr = sl3_min.frame
+    z = center_of_h(fr, HDecomposition(fr), [0, 1, 2, 6, 7])
+    assert [len(z[F(d)]) for d in (0, 1, 2, 6, 7)] == [1] * 5
+    oracle = WindowedDecomposition(fr, 8)
+    for d in (6, 7):
+        got = [c.terms for c in z[F(d)]]
+        assert got == [c.terms for c in windowed_center(fr, oracle, F(d))]
+        assert got == [{(i, k - 3): p for (i, k), p in c.terms.items()}
+                       for c in z[F(d - 6)]]
 
 
 def test_center_isotropic_cases(sl3_iso):
@@ -842,8 +989,9 @@ def test_sl3_densities_and_flows(sl3_min):
     g, s, fr, gens = cfg.algebra, cfg.setup, cfg.frame, cfg.gens
     U, h, dec = cfg.dressing(4)
     a1 = s.basis[s.g0f_indices[0]]  # a1 = -(E11 - 2 E22 + E33)
-    dens_a = conserved_densities(fr, h, {0: a1}, n_max=1, dec=dec)
-    dens_b = conserved_densities(fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec)
+    dens_a = conserved_densities(fr, h, {0: a1}, n_max=1, dec=dec, max_deg=4)
+    dens_b = conserved_densities(fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec,
+                                 max_deg=4)
     wl = fr.w_lin
     A = wl(a1)
     Psi_p, Psi_m = wl(g.parse({"E21": 1})), wl(g.parse({"E32": 1}))
@@ -909,7 +1057,8 @@ def test_sl3_reduced_systems(sl3_min):
     cfg = sl3_min
     g, s, fr, gens = cfg.algebra, cfg.setup, cfg.frame, cfg.gens
     U, h, dec = cfg.dressing(4)
-    dens_b = conserved_densities(fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec)
+    dens_b = conserved_densities(fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec,
+                                 max_deg=4)
     wl = fr.w_lin
     Psi_p, Psi_m = wl(g.parse({"E21": 1})), wl(g.parse({"E32": 1}))
     Lred = wl(s.f)
@@ -940,7 +1089,7 @@ def test_reduced_case_a_system(sl3_min):
     g, s, fr, gens = cfg.algebra, cfg.setup, cfg.frame, cfg.gens
     U, h, dec = cfg.dressing(4)
     a1 = s.basis[s.g0f_indices[0]]
-    dens_a = conserved_densities(fr, h, {0: a1}, n_max=1, dec=dec)
+    dens_a = conserved_densities(fr, h, {0: a1}, n_max=1, dec=dec, max_deg=4)
     wl = fr.w_lin
     Psi_p, Lred = wl(g.parse({"E21": 1})), wl(s.f)
     got = reduce_mod_jk(fr, hierarchy_equation(
@@ -957,24 +1106,28 @@ def test_lenard_magri_all_configurations(sl3_min, sl4_min, sl4_short, sl3_iso):
         fr, gens, s = cfg.frame, cfg.gens, cfg.setup
         U, h, dec = cfg.dressing(window)
         dens_a = conserved_densities(
-            fr, h, {0: central_g0f_element(cfg)}, n_max=1, dec=dec)
+            fr, h, {0: central_g0f_element(cfg)}, n_max=1, dec=dec,
+            max_deg=window)
         dens_b = conserved_densities(
-            fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec)
+            fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec, max_deg=window)
         assert verify_lenard_magri(fr, gens, dens_a) == []
         assert verify_lenard_magri(fr, gens, dens_b) == []
         assert involution_cross(fr, gens, dens_a, dens_b) == []
     cfg = sl4_short
     U, h, dec = cfg.dressing(4)
     dens = conserved_densities(
-        cfg.frame, h, {0: cfg.setup.f, 1: cfg.setup.e}, n_max=1, dec=dec)
+        cfg.frame, h, {0: cfg.setup.f, 1: cfg.setup.e}, n_max=1, dec=dec,
+        max_deg=4)
     assert verify_lenard_magri(cfg.frame, cfg.gens, dens) == []
     cfg = sl3_iso
     U, h, dec = cfg.dressing(3)
     s_star = cfg.setup.find_embeddable(cfg.frame.s)
     dens_b = conserved_densities(
-        cfg.frame, h, {0: cfg.setup.e, -1: s_star}, n_max=1, dec=dec)
+        cfg.frame, h, {0: cfg.setup.e, -1: s_star}, n_max=1, dec=dec,
+        max_deg=3)
     dens_c = conserved_densities(
-        cfg.frame, h, {0: cfg.setup.f, 1: cfg.frame.s}, n_max=1, dec=dec)
+        cfg.frame, h, {0: cfg.setup.f, 1: cfg.frame.s}, n_max=1, dec=dec,
+        max_deg=3)
     assert verify_lenard_magri(cfg.frame, cfg.gens, dens_b) == []
     assert verify_lenard_magri(cfg.frame, cfg.gens, dens_c) == []
     assert involution_cross(cfg.frame, cfg.gens, dens_b, dens_c) == []
@@ -995,7 +1148,8 @@ def test_left_bracket_oracles_on_densities(name, window, request):
     cfg = request.getfixturevalue(name)
     fr, gens = cfg.frame, cfg.gens
     U, h, dec = cfg.dressing(window)
-    dens = conserved_densities(fr, h, {0: cfg.setup.f, 1: fr.s}, dec=dec)
+    dens = conserved_densities(fr, h, {0: cfg.setup.f, 1: fr.s}, dec=dec,
+                               max_deg=window)
     assert len(dens) >= 2 and all(dens)
     rights = dens + [fr.pi(w) for _, w in gens.all_generators()]
     for g in dens:
@@ -1016,7 +1170,8 @@ def test_lenard_magri_compares_exact_flows(sl3_min):
     cfg = sl3_min
     fr, gens = cfg.frame, cfg.gens
     U, h, dec = cfg.dressing(5)
-    dens = conserved_densities(fr, h, {0: cfg.setup.f, 1: fr.s}, dec=dec)
+    dens = conserved_densities(fr, h, {0: cfg.setup.f, 1: fr.s}, dec=dec,
+                               max_deg=5)
     assert len(dens) == 3
     assert verify_lenard_magri(fr, gens, dens) == []
     shifted = dens[:1] + [dens[1] + (dens[1] * dens[0]).d(2)] + dens[2:]
@@ -1031,7 +1186,8 @@ def test_short_svinolupov_reduction(sl4_short):
     cfg = sl4_short
     g, s, fr, gens = cfg.algebra, cfg.setup, cfg.frame, cfg.gens
     U, h, dec = cfg.dressing(4)
-    dens = conserved_densities(fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec)
+    dens = conserved_densities(fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec,
+                               max_deg=4)
     us, uds = s.u_pairs
     for i in s.eig_indices(-1):
         u = s.basis[i]
@@ -1055,7 +1211,8 @@ def test_short_t1_unreduced_phi_is_constant(sl4_short):
     cfg = sl4_short
     U, h, dec = cfg.dressing(4)
     dens = conserved_densities(
-        cfg.frame, h, {0: cfg.setup.f, 1: cfg.setup.e}, n_max=1, dec=dec)
+        cfg.frame, h, {0: cfg.setup.f, 1: cfg.setup.e}, n_max=1, dec=dec,
+        max_deg=4)
     for a in cfg.gens.phi_args:
         for n in (0, 1):
             assert hierarchy_equation(
@@ -1068,7 +1225,8 @@ def test_sl2_kdv(sl2_min):
     cfg = sl2_min
     g, s, fr, gens = cfg.algebra, cfg.setup, cfg.frame, cfg.gens
     U, h, dec = cfg.dressing(4)
-    dens = conserved_densities(fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec)
+    dens = conserved_densities(fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec,
+                               max_deg=4)
     Lv = fr.w_lin(s.f)
     got = hierarchy_equation(fr, gens, dens[1], gens.L)
     assert got == Lv.d(3).scale(F(1, 4)) - (Lv * Lv.d()).scale(F(3, 2))
@@ -1080,7 +1238,7 @@ def test_generic_s_case_c(sl4_generic):
     g, fr, gens = cfg.algebra, cfg.frame, cfg.gens
     U, h, dec = cfg.dressing(2)
     A11v = g.parse({"H1": 1, "H3": 1})
-    dens = conserved_densities(fr, h, {0: A11v}, n_max=1, dec=dec)
+    dens = conserved_densities(fr, h, {0: A11v}, n_max=1, dec=dec, max_deg=2)
     assert dens[0] == fr.w_lin(A11v)
     assert verify_lenard_magri(fr, gens, dens) == []
 
@@ -1100,7 +1258,7 @@ def test_table_path_matches_lift_oracle(name, window, request):
     fr, gens = cfg.frame, cfg.gens
     U, h, dec = cfg.dressing(window)
     dens = conserved_densities(fr, h, {0: cfg.setup.f, 1: fr.s},
-                               n_max=2, dec=dec)
+                               n_max=2, dec=dec, max_deg=window)
     assert len(dens) == 3 and all(dens)
     lifted = [gens.pi_inverse(g) for g in dens]
     for G, g in zip(lifted, dens):
