@@ -958,19 +958,23 @@ def windowed_center(frame, oracle, d):
                      for co in linalg.kernel(rows, ring, len(K))])
 
 
-def test_center_of_h_at_every_degree(sl3_min):
-    """center_of_h answers at any loop degree: at 6 and 7 it gives the
-    centers the per-degree split over [-1, 9] finds, which are the z^-3
-    shifts of those at 0 and 1."""
-    fr = sl3_min.frame
-    z = center_of_h(fr, HDecomposition(fr), [0, 1, 2, 6, 7])
-    assert [len(z[F(d)]) for d in (0, 1, 2, 6, 7)] == [1] * 5
+@pytest.mark.parametrize("name", ["sl3_min", "sl4_min"])
+def test_center_of_h_at_every_degree(name, request):
+    """center_of_h answers at any loop degree, from the kernel bases of one
+    period: at 0, 1, 2, 6 and 7 it gives the centers the per-degree split
+    over [-1, 9] finds, and those at 6 and 7 are the z^-3 shifts of those
+    at 0 and 1."""
+    fr = request.getfixturevalue(name).frame
+    degs = [F(d) for d in (0, 1, 2, 6, 7)]
+    z = center_of_h(fr, HDecomposition(fr), degs)
+    assert [len(z[d]) for d in degs] == [1] * 5
     oracle = WindowedDecomposition(fr, 8)
-    for d in (6, 7):
-        got = [c.terms for c in z[F(d)]]
-        assert got == [c.terms for c in windowed_center(fr, oracle, F(d))]
-        assert got == [{(i, k - 3): p for (i, k), p in c.terms.items()}
-                       for c in z[F(d - 6)]]
+    for d in degs:
+        got = [c.terms for c in z[d]]
+        assert got == [c.terms for c in windowed_center(fr, oracle, d)], d
+        if d >= 6:
+            assert got == [{(i, k - 3): p for (i, k), p in c.terms.items()}
+                           for c in z[d - 6]]
 
 
 def test_center_isotropic_cases(sl3_iso):
