@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import linalg
-from .diffpoly import DiffPoly
+from .diffpoly import MAX_ORDER, DiffPoly
 from .lie import (GradedSetup, GradeMismatch, InvalidDimension, MINIMAL,
                   NotNilpotent, SHORT, UnknownLabel, WrongKind, build_sl,
                   build_sp, coords_in, index_label)
@@ -147,14 +147,14 @@ def parse_s(setup: GradedSetup, choice: str):
     raise UsageError(f"unknown s choice {choice!r}")
 
 
-def parse_a_choice(setup, frame, choice: str, emb_s_star=None):
+def parse_a_choice(setup, frame, choice: str):
     g = setup.algebra
     if choice == "f_plus_ze":
         return {0: setup.f, 1: frame.s}
     if choice == "e_plus_s_star":
-        if emb_s_star is None:
+        if not frame.isotropic:
             raise UsageError("e_plus_s_star needs an embeddable isotropic s")
-        return {0: setup.e, -1: emb_s_star}
+        return {0: setup.e, -1: setup.find_embeddable(frame.s)}
     if choice == "center":
         # a central element of the centralizer of s in g_0^f
         base = [setup.basis[i] for i in setup.g0f_indices]
@@ -279,10 +279,7 @@ def cmd_hierarchy(args):
     gens = WGenerators(frame)
     max_deg = Fraction(args.max_degree)
     U, h, dec = dress(frame, max_deg, args)
-    emb_star = None
-    if frame.isotropic:
-        emb_star = setup.find_embeddable(frame.s)
-    a_z = parse_a_choice(setup, frame, args.a_choice, emb_star)
+    a_z = parse_a_choice(setup, frame, args.a_choice)
     dens = densities(frame, h, a_z, dec, max_deg, args)
     doc = {}
     for n, gn in enumerate(dens):
@@ -329,8 +326,7 @@ def cmd_verify_all(args):
     U, h, dec = dress(frame, max_deg, args)
     defect = dressing_defect(frame, U, h, max_deg)
     report("dressing conjugation oracle", [] if not defect else ["nonzero"])
-    emb_star = setup.find_embeddable(frame.s) if frame.isotropic else None
-    a_z = parse_a_choice(setup, frame, args.a_choice, emb_star)
+    a_z = parse_a_choice(setup, frame, args.a_choice)
     dens = densities(frame, h, a_z, dec, max_deg, args)
     report("lenard-magri recursion", verify_lenard_magri(frame, gens, dens))
     failed = sum(not group["passed"] for group in groups)
@@ -360,6 +356,11 @@ def check_ranges(args):
         raise UsageError(f"--n must be >= 0, got {args.n}")
     if args.max_degree < 1:
         raise UsageError(f"--max-degree must be >= 1, got {args.max_degree}")
+    # the dressing to loop degree D differentiates up to order D
+    if args.max_degree > MAX_ORDER:
+        raise UsageError(f"--max-degree must be <= {MAX_ORDER}, the highest "
+                         "derivative order a monomial holds, got "
+                         f"{args.max_degree}")
 
 
 def main(argv=None) -> int:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from .scalars import ParamRing, Scalar, ScalarLike
 
 B = 16  # bits of the derivative order in a variable's code
-_TOP = (1 << B) - 1
+MAX_ORDER = (1 << B) - 1  # the highest derivative order a monomial holds
 
 
 class OrderOverflow(ArithmeticError):
@@ -32,14 +32,14 @@ class OrderOverflow(ArithmeticError):
 
 
 def _code(g: int, n: int) -> int:
-    if not 0 <= n <= _TOP:
-        raise OrderOverflow(f"derivative order {n} is outside 0..{_TOP}")
+    if not 0 <= n <= MAX_ORDER:
+        raise OrderOverflow(f"derivative order {n} is outside 0..{MAX_ORDER}")
     return g << B | n
 
 
 def _decode(m: tuple) -> tuple:
     """A monomial as its ((gen, order), ...) pairs."""
-    return tuple((x >> B, x & _TOP) for x in m)
+    return tuple((x >> B, x & MAX_ORDER) for x in m)
 
 
 def numerator_form(c) -> tuple:
@@ -277,8 +277,9 @@ class DiffPoly:
             for k, x in enumerate(m):
                 if k and m[k - 1] == x:
                     continue  # a power: its copies are counted at the first
-                if x & _TOP == _TOP:
-                    raise OrderOverflow(f"d(u_{x >> B}^({_TOP})) past the bound")
+                if x & MAX_ORDER == MAX_ORDER:
+                    raise OrderOverflow(
+                        f"d(u_{x >> B}^({MAX_ORDER})) past the bound")
                 c = m.count(x)
                 dm = m[:k + c - 1] + (x + 1,) + m[k + c:]
                 cv = v * c if c > 1 else v
@@ -308,7 +309,7 @@ class DiffPoly:
         out: dict = {}
         for x in sorted(slots):
             ps = out.setdefault(x >> B, [])
-            ps += [zero] * ((x & _TOP) - len(ps))
+            ps += [zero] * ((x & MAX_ORDER) - len(ps))
             ps.append(DiffPoly.collect(self.ctx, {self.den: slots[x]}))
         return out
 
@@ -373,7 +374,7 @@ class DiffPoly:
             got = cache.get(x)
             if got is None:
                 y = x
-                while y & _TOP and y not in cache:
+                while y & MAX_ORDER and y not in cache:
                     y -= 1
                 got = cache.get(y)
                 if got is None:

@@ -219,11 +219,11 @@ def _num_rows(mat: list) -> list:
     return rows
 
 
-def _apply_rows(rows: list, coeffs: list) -> list:
-    """Numerator rows applied to a vector of DiffPolys: the DiffPolys
-    sum_j row[j] * coeffs[j], one per row, each summed on numerators over
-    the common denominator R * M, with M the lcm of the vector's dens."""
-    ctx = coeffs[0].ctx
+def _apply_rows(ctx: Context, rows: list, coeffs: list) -> list:
+    """Numerator rows applied to a vector of DiffPolys over ctx: the
+    DiffPolys sum_j row[j] * coeffs[j], one per row, each summed on
+    numerators over the common denominator R * M, with M the lcm of the
+    vector's dens."""
     M = math.lcm(*(p.den for p in coeffs))
     vec = [_over(p, M) for p in coeffs]
     out = []
@@ -369,7 +369,7 @@ class HDecomposition:
         coeffs = self.coeffs_of(deg, el)
 
         def loop(d, rows):
-            co = _apply_rows(rows, coeffs)
+            co = _apply_rows(el.ctx, rows, coeffs)
             return LoopElement(self.frame, el.ctx,
                                {key: p for key, p in zip(self.slice(d), co) if p})
 

@@ -168,19 +168,67 @@ def _lam(frame, *coeffs) -> LambdaPoly:
     return LambdaPoly(frame.w_ctx, list(coeffs))
 
 
+def _const(frame, c):
+    return frame.w_ctx.const(c)
+
+
+# -- the three rules both kinds share ---------------------------------------
+
+
+def _affine(frame: ReductionFrame, x, y):
+    """Every pair with a phi: {x lambda y} = w([x,y]) + (x|y) lambda
+    - z (s|[x,y])."""
+    g = frame.algebra
+    xy = g.bracket(x, y)
+    return (_lam(frame, frame.w_lin(xy), _const(frame, g.pair(x, y))),
+            _lam(frame, _const(frame, -g.pair(frame.s, xy))))
+
+
+def _l_primary(frame: ReductionFrame, v, skew: bool = False):
+    """{L lambda w(v)} = (d + D lambda) w(v) - 1/2 (e|v) lambda^3
+    - z D (s|v) lambda, with D = 1 - eig(v) the weight of w(v); with skew,
+    its skew {w(v) lambda L}, which is (D - 1) w(v)' + D w(v) lambda with
+    the same lambda^3 and z parts."""
+    g = frame.algebra
+    wv = frame.w_lin(v)
+    delta = wv.conformal_weight()
+    return (_lam(frame, wv.d().scale(delta - 1 if skew else 1), wv.scale(delta),
+                 frame.w_ctx.zero(), _const(frame, -g.pair(frame.setup.e, v) / 2)),
+            _lam(frame, frame.w_ctx.zero(),
+                 _const(frame, g.pair(frame.s, v) * -delta)))
+
+
+def _virasoro(frame: ReductionFrame, gens: WGenerators):
+    """{L lambda L} = L' + 2L lambda - (x|x) lambda^3 - 2z (f|s) lambda."""
+    g, setup = frame.algebra, frame.setup
+    piL = frame.pi(gens.L)
+    wz = frame.w_ctx.zero()
+    return (_lam(frame, piL.d(), piL.scale(2), wz, _const(frame, -setup.xx())),
+            _lam(frame, wz, _const(frame, -2 * g.pair(setup.f, frame.s))))
+
+
+def _phi_rows(frame: ReductionFrame, na: str, a, phis, psis) -> dict:
+    """The affine rows of phi(a): {a, b} for each phi, then {a, u} and
+    {u, a} for each psi."""
+    rows = {(na, nb): _affine(frame, a, b) for nb, b in phis}
+    for nu, u in psis:
+        rows[(na, nu)] = _affine(frame, a, u)
+        rows[(nu, na)] = _affine(frame, u, a)
+    return rows
+
+
+# -- the closed-form table of each kind --------------------------------------
+
+
 def _expected_minimal(frame: ReductionFrame, gens: WGenerators):
-    """Closed forms for all generator brackets, minimal nilpotent, s = e."""
+    """Closed forms for a minimal nilpotent, s = e or an embeddable s in an
+    isotropic l."""
     setup = frame.setup
     g = setup.algebra
     xx = setup.xx()
-    wz = frame.w_ctx.zero()
-    piL = frame.pi(gens.L)
     piLt = frame.pi(gens.Ltilde)
-    vs, vds = frame.half_pairs
-    if frame.isotropic:
-        vs = vs + vds
-        vds = vds + [linalg.vec_scale(v, frame.ring.const(-1)) for v in vs[: len(vds)]]
-
+    # the omega_+ contraction over g_1/2 does not depend on its basis
+    vs, vds = setup.v_pairs
     wl, sharp = frame.w_lin, setup.sharp
 
     phis, psis = _named(gens, "phi"), _named(gens, "psi")
@@ -188,64 +236,24 @@ def _expected_minimal(frame: ReductionFrame, gens: WGenerators):
     e_u = {nu: g.bracket(setup.e, u) for nu, u in psis}
     sh_d = {nu: [wl(sharp(g.bracket(u, vkd))) for vkd in vds] for nu, u in psis}
     sh_v = {nu: [wl(sharp(g.bracket(u, vk))) for vk in vs] for nu, u in psis}
-    rows = {}
-    rows[("L", "L")] = (
-        _lam(frame, piL.d(), piL.scale(2), wz, frame.w_ctx.const(-xx)),
-        _lam(frame, wz, frame.w_ctx.const(
-            -2 * g.pair(setup.f, frame.s))),
-    )
+    rows = {("L", "L"): _virasoro(frame, gens)}
     for na, a in phis:
-        rows[("L", na)] = (
-            _lam(frame, wl(a, 1), wl(a)),
-            LambdaPoly.zero(frame.w_ctx),
-        )
-        rows[(na, "L")] = (
-            _lam(frame, wz, wl(a)),
-            LambdaPoly.zero(frame.w_ctx),
-        )
-        for nb, b in phis:
-            rows[(na, nb)] = (
-                _lam(frame, wl(g.bracket(a, b)),
-                     frame.w_ctx.const(g.pair(a, b))),
-                LambdaPoly.zero(frame.w_ctx),
-            )
-        for nu1, u1 in psis:
-            rows[(na, nu1)] = (
-                _lam(frame, wl(g.bracket(a, u1))),
-                _lam(frame, frame.w_ctx.const(
-                    -g.pair(frame.s, g.bracket(a, u1)))),
-            )
-            rows[(nu1, na)] = (
-                _lam(frame, wl(g.bracket(u1, a))),
-                _lam(frame, frame.w_ctx.const(
-                    -g.pair(frame.s, g.bracket(u1, a)))),
-            )
+        rows[("L", na)] = _l_primary(frame, a)
+        rows[(na, "L")] = _l_primary(frame, a, skew=True)
+        rows.update(_phi_rows(frame, na, a, phis, psis))
     for nu, u in psis:
-        rows[("L", nu)] = (
-            _lam(frame, wl(u, 1), wl(u).scale(Fraction(3, 2))),
-            LambdaPoly.zero(frame.w_ctx),
-        )
-        rows[(nu, "L")] = (
-            _lam(frame, wl(u, 1).scale(Fraction(1, 2)),
-                 wl(u).scale(Fraction(3, 2))),
-            LambdaPoly.zero(frame.w_ctx),
-        )
+        rows[("L", nu)] = _l_primary(frame, u)
+        rows[(nu, "L")] = _l_primary(frame, u, skew=True)
         for nu1, u1 in psis:
             om = setup.omega_minus(u, u1)
             quad = frame.w_ctx.zero()
             for p, q in zip(sh_d[nu], sh_v[nu1]):
                 quad += p * q
             mid = wl(sharp(g.bracket(u, e_u[nu1])))
-            h = LambdaPoly(
-                frame.w_ctx,
-                [
-                    quad + mid.d() + piLt.scale(om / (2 * xx)),
-                    mid.scale(2),
-                    frame.w_ctx.const(-om),
-                ],
-            )
-            k = _lam(frame, frame.w_ctx.const(
-                -om * g.pair(frame.s, setup.f) / (2 * xx)))
+            h = _lam(frame, quad + mid.d() + piLt.scale(om / (2 * xx)),
+                     mid.scale(2), _const(frame, -om))
+            k = _lam(frame,
+                     _const(frame, -om * g.pair(frame.s, setup.f) / (2 * xx)))
             rows[(nu, nu1)] = (h, k)
     return rows
 
@@ -263,21 +271,7 @@ def _expected_short(frame: ReductionFrame, gens: WGenerators):
     phis, psis = _named(gens, "phi"), _named(gens, "psi")
     rows = {}
     for na, a in phis:
-        for nb, b in phis:
-            rows[(na, nb)] = (
-                _lam(frame, wl(g.bracket(a, b)),
-                     frame.w_ctx.const(g.pair(a, b))),
-                LambdaPoly.zero(frame.w_ctx),
-            )
-        for nu1, u1 in psis:
-            rows[(na, nu1)] = (
-                _lam(frame, wl(g.bracket(a, u1))),
-                _lam(frame, frame.w_ctx.const(-g.pair(s, g.bracket(a, u1)))),
-            )
-            rows[(nu1, na)] = (
-                _lam(frame, wl(g.bracket(u1, a))),
-                _lam(frame, frame.w_ctx.const(-g.pair(s, g.bracket(u1, a)))),
-            )
+        rows.update(_phi_rows(frame, na, a, phis, psis))
     e_us = [g.bracket(setup.e, uk) for uk in us]
     # wl([[e, u_h], [e, u_k]]), and per psi argument u: [e, u], [s, u],
     # wl(sharp([u, u^k])), wl(u o u_k) and wl([[e, u], [e, u_k]])
@@ -329,54 +323,9 @@ def _expected_short(frame: ReductionFrame, gens: WGenerators):
                 [kz0, frame.w_ctx.const(g.pair(s, circ_uu1))],
             )
             rows[(nu, nu1)] = (h, k)
-    # L-brackets; L = psi(f) + 1/2 sum a_i a^i
-    piL = frame.pi(gens.L)
-    for na, a in phis:
-        rows[("L", na)] = (
-            _lam(frame, wl(a, 1), wl(a)), LambdaPoly.zero(frame.w_ctx))
-    for nu, u in psis:
-        # the z-part is 2(s|u)z lambda, as forced by the psi-psi bracket at
-        # u1 = f together with skew-symmetry
-        rows[("L", nu)] = (
-            _lam(frame, wl(u, 1), wl(u).scale(2), wz,
-                 frame.w_ctx.const(-g.pair(setup.e, u) / 2)),
-            _lam(frame, wz, frame.w_ctx.const(-2 * g.pair(s, u))),
-        )
-    rows[("L", "L")] = (
-        _lam(frame, piL.d(), piL.scale(2), wz,
-             frame.w_ctx.const(-setup.xx())),
-        _lam(frame, wz, frame.w_ctx.const(-2 * g.pair(setup.f, s))),
-    )
-    return rows
-
-
-def _expected_isotropic_k(frame: ReductionFrame, gens: WGenerators):
-    """K-brackets for a maximal isotropic l and embeddable s in l."""
-    g = frame.algebra
-    wz = frame.w_ctx.zero()
-    s = frame.s
-    phis, psis = _named(gens, "phi"), _named(gens, "psi")
-    rows = {}
-    rows[("L", "L")] = _lam(frame, wz)
-    for na, a in phis:
-        rows[("L", na)] = _lam(frame, wz)
-        rows[(na, "L")] = _lam(frame, wz)
-        for nb, b in phis:
-            rows[(na, nb)] = _lam(frame, wz)
-        for nu1, u1 in psis:
-            rows[(na, nu1)] = _lam(
-                frame, frame.w_ctx.const(g.pair(s, g.bracket(u1, a))))
-            rows[(nu1, na)] = _lam(
-                frame, frame.w_ctx.const(g.pair(s, g.bracket(a, u1))))
-    for nu, u in psis:
-        rows[("L", nu)] = _lam(
-            frame, wz,
-            frame.w_ctx.const(g.pair(s, u) * Fraction(-3, 2)))
-        rows[(nu, "L")] = _lam(
-            frame, wz,
-            frame.w_ctx.const(g.pair(s, u) * Fraction(-3, 2)))
-        for nu1, u1 in psis:
-            rows[(nu, nu1)] = _lam(frame, wz)
+    for n, v in phis + psis:
+        rows[("L", n)] = _l_primary(frame, v)
+    rows[("L", "L")] = _virasoro(frame, gens)
     return rows
 
 
@@ -386,24 +335,23 @@ def verify_table(frame: ReductionFrame, gens: WGenerators
 
     Each closed-form entry {a lambda b} is compared exactly, in V(g^f), with
     master_bracket(gens.table, pi(a), pi(b)), computed once per pair by one
-    LeftBracket per left generator a.  The closed forms follow the frame:
-    minimal, short, or for the isotropic variant the minimal H-parts with
-    the isotropic K-parts.  Returns {table name: {entry: mismatches}}; an
-    entry passes when its list is empty.
+    LeftBracket per left generator a.  Each kind has one closed-form table;
+    for the isotropic variant the minimal table is reported as the paper's
+    two, its H column and its K column.  Returns {table name: {entry:
+    mismatches}}; an entry passes when its list is empty.
     """
+    kind = frame.setup.kind
+    forms = (_expected_minimal if kind == MINIMAL else _expected_short)(
+        frame, gens)
     if frame.isotropic:
         tables = {
             "isotropic_h_brackets": {
-                key: (h, None)
-                for key, (h, _) in _expected_minimal(frame, gens).items()},
+                key: (h, None) for key, (h, _) in forms.items()},
             "isotropic_k_brackets": {
-                key: (None, k)
-                for key, k in _expected_isotropic_k(frame, gens).items()},
+                key: (None, k) for key, (_, k) in forms.items()},
         }
-    elif frame.setup.kind == MINIMAL:
-        tables = {"minimal_generators": _expected_minimal(frame, gens)}
     else:
-        tables = {"short_generators": _expected_short(frame, gens)}
+        tables = {f"{kind}_generators": forms}
     images = {name: frame.pi(p) for name, p in gens.all_generators()}
     lefts = {name: LeftBracket(gens.table, p) for name, p in images.items()}
     got_of: dict = {}  # the isotropic H and K tables share their pairs

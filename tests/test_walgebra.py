@@ -1,3 +1,4 @@
+import argparse
 import collections
 import random
 from fractions import Fraction
@@ -5,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from wds import linalg, walgebra
+from wds.cli import make_frame
 from wds.diffpoly import LambdaPoly
 from wds.lie import MINIMAL, SHORT, GradeMismatch
-from wds.pva import random_element
-from wds.walgebra import verify_table
+from wds.pva import ReductionFrame, random_element
+from wds.walgebra import (WGenerators, _expected_minimal, _expected_short,
+                          _lam, _named, verify_table)
 
 HALF = Fraction(1, 2)
 
@@ -169,6 +172,70 @@ def test_isotropic_tables_sl3(sl3_iso):
     assert _failures(sl3_iso) == []
 
 
+def _cli_frame(algebra: str, s: str):
+    """The frame and generators `wds --algebra ALGEBRA --s S` builds for
+    the default minimal nilpotent."""
+    args = argparse.Namespace(algebra=algebra, nilpotent="minimal", f=None,
+                              s=s, form_scale=None)
+    frame = make_frame(args)[2]
+    return frame, WGenerators(frame)
+
+
+def _expected_isotropic_k(frame: ReductionFrame, gens: WGenerators):
+    """K-brackets for a maximal isotropic l and embeddable s in l."""
+    g = frame.algebra
+    wz = frame.w_ctx.zero()
+    s = frame.s
+    phis, psis = _named(gens, "phi"), _named(gens, "psi")
+    rows = {}
+    rows[("L", "L")] = _lam(frame, wz)
+    for na, a in phis:
+        rows[("L", na)] = _lam(frame, wz)
+        rows[(na, "L")] = _lam(frame, wz)
+        for nb, b in phis:
+            rows[(na, nb)] = _lam(frame, wz)
+        for nu1, u1 in psis:
+            rows[(na, nu1)] = _lam(
+                frame, frame.w_ctx.const(g.pair(s, g.bracket(u1, a))))
+            rows[(nu1, na)] = _lam(
+                frame, frame.w_ctx.const(g.pair(s, g.bracket(a, u1))))
+    for nu, u in psis:
+        rows[("L", nu)] = _lam(
+            frame, wz,
+            frame.w_ctx.const(g.pair(s, u) * Fraction(-3, 2)))
+        rows[(nu, "L")] = _lam(
+            frame, wz,
+            frame.w_ctx.const(g.pair(s, u) * Fraction(-3, 2)))
+        for nu1, u1 in psis:
+            rows[(nu, nu1)] = _lam(frame, wz)
+    return rows
+
+
+@pytest.mark.parametrize("algebra", ["sl3", "sl4", "sl5"])
+def test_isotropic_k_table_is_the_minimal_k_column(algebra):
+    """The paper's isotropic K-table, written out on its own, is the K
+    column of the minimal closed forms on the isotropic frame: the same
+    keys in the same order, and the same values."""
+    frame, gens = _cli_frame(algebra, "isotropic")
+    want = _expected_isotropic_k(frame, gens)
+    got = {key: k for key, (_, k) in _expected_minimal(frame, gens).items()}
+    assert list(got.items()) == list(want.items())
+    psis = _named(gens, "psi")
+    assert any(want[("L", nu)] for nu, _ in psis)
+
+
+@pytest.mark.parametrize("algebra", ["sl3", "sl4", "sp6"])
+def test_l_psi_k_part_vanishes_at_s_e(algebra):
+    """At s = e the K-part -(3/2)(s|u) lambda of {L, psi(u)} and
+    {psi(u), L} is 0, since (e|u) = 0 for u in g_-1/2."""
+    frame, gens = _cli_frame(algebra, "e")
+    rows = _expected_minimal(frame, gens)
+    psis = _named(gens, "psi")
+    assert psis
+    for nu, _ in psis:
+        assert not rows[("L", nu)][1] and not rows[(nu, "L")][1], nu
+
+
 def test_verify_table_brackets_each_pair_once(sl3_iso, monkeypatch):
     """verify_table builds one LeftBracket per left generator and brackets
     each pair (a, b) once, though the isotropic H and K tables share their
@@ -200,7 +267,6 @@ def test_table_entry_mutation_is_reported(sl3_min, capsys, monkeypatch):
     report that entry, and `wds tables` exit 1."""
     from functools import cached_property
     import wds.cli
-    from wds.walgebra import WGenerators
     fr = sl3_min.frame
     # table rows follow w_idx; pick the (psi, phi) entry of the first of each
     i = next(k for k, b in enumerate(fr.w_idx) if fr.eig_of[b] == -HALF)
@@ -302,7 +368,6 @@ def test_w_table_is_pva_and_matches_closed_forms(name, request):
     """The generator table of W on V(g^f) is a Poisson vertex algebra in its
     own right, and its phi/psi entries are the paper's closed forms."""
     from wds.pva import check_pva_axioms
-    from wds.walgebra import _expected_minimal, _expected_short
     cfg = request.getfixturevalue(name)
     fr, gens = cfg.frame, cfg.gens
     assert check_pva_axioms(gens.table, seed=11, samples=8) == []
