@@ -168,20 +168,16 @@ def _lam(frame, *coeffs) -> LambdaPoly:
     return LambdaPoly(frame.w_ctx, list(coeffs))
 
 
-def _const(frame, c):
-    return frame.w_ctx.const(c)
-
-
 # -- the three rules both kinds share ---------------------------------------
 
 
 def _affine(frame: ReductionFrame, x, y):
     """Every pair with a phi: {x lambda y} = w([x,y]) + (x|y) lambda
     - z (s|[x,y])."""
-    g = frame.algebra
+    g, const = frame.algebra, frame.w_ctx.const
     xy = g.bracket(x, y)
-    return (_lam(frame, frame.w_lin(xy), _const(frame, g.pair(x, y))),
-            _lam(frame, _const(frame, -g.pair(frame.s, xy))))
+    return (_lam(frame, frame.w_lin(xy), const(g.pair(x, y))),
+            _lam(frame, const(-g.pair(frame.s, xy))))
 
 
 def _l_primary(frame: ReductionFrame, v, skew: bool = False):
@@ -189,22 +185,21 @@ def _l_primary(frame: ReductionFrame, v, skew: bool = False):
     - z D (s|v) lambda, with D = 1 - eig(v) the weight of w(v); with skew,
     its skew {w(v) lambda L}, which is (D - 1) w(v)' + D w(v) lambda with
     the same lambda^3 and z parts."""
-    g = frame.algebra
+    g, const, wz = frame.algebra, frame.w_ctx.const, frame.w_ctx.zero()
     wv = frame.w_lin(v)
     delta = wv.conformal_weight()
-    return (_lam(frame, wv.d().scale(delta - 1 if skew else 1), wv.scale(delta),
-                 frame.w_ctx.zero(), _const(frame, -g.pair(frame.setup.e, v) / 2)),
-            _lam(frame, frame.w_ctx.zero(),
-                 _const(frame, g.pair(frame.s, v) * -delta)))
+    return (_lam(frame, wv.d().scale(delta - 1 if skew else 1),
+                 wv.scale(delta), wz, const(-g.pair(frame.setup.e, v) / 2)),
+            _lam(frame, wz, const(g.pair(frame.s, v) * -delta)))
 
 
 def _virasoro(frame: ReductionFrame, gens: WGenerators):
     """{L lambda L} = L' + 2L lambda - (x|x) lambda^3 - 2z (f|s) lambda."""
     g, setup = frame.algebra, frame.setup
+    const, wz = frame.w_ctx.const, frame.w_ctx.zero()
     piL = frame.pi(gens.L)
-    wz = frame.w_ctx.zero()
-    return (_lam(frame, piL.d(), piL.scale(2), wz, _const(frame, -setup.xx())),
-            _lam(frame, wz, _const(frame, -2 * g.pair(setup.f, frame.s))))
+    return (_lam(frame, piL.d(), piL.scale(2), wz, const(-setup.xx())),
+            _lam(frame, wz, const(-2 * g.pair(setup.f, frame.s))))
 
 
 def _phi_rows(frame: ReductionFrame, na: str, a, phis, psis) -> dict:
@@ -251,9 +246,9 @@ def _expected_minimal(frame: ReductionFrame, gens: WGenerators):
                 quad += p * q
             mid = wl(sharp(g.bracket(u, e_u[nu1])))
             h = _lam(frame, quad + mid.d() + piLt.scale(om / (2 * xx)),
-                     mid.scale(2), _const(frame, -om))
-            k = _lam(frame,
-                     _const(frame, -om * g.pair(frame.s, setup.f) / (2 * xx)))
+                     mid.scale(2), frame.w_ctx.const(-om))
+            k = _lam(frame, frame.w_ctx.const(
+                -om * g.pair(frame.s, setup.f) / (2 * xx)))
             rows[(nu, nu1)] = (h, k)
     return rows
 
