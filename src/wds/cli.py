@@ -21,9 +21,9 @@ from .lie import (GradedSetup, GradeMismatch, InvalidDimension, MINIMAL,
                   build_sp, coords_in, index_label)
 from .pva import ReductionFrame, check_pva_axioms
 from .walgebra import WGenerators, verify_table
-from .hierarchy import (NotSemisimple, WindowOverflow, conserved_densities,
-                        dressing_defect, hierarchy_flow, reduce_mod_jk,
-                        solve_dressing, verify_lenard_magri)
+from .hierarchy import (NotSemisimple, WindowOverflow, center_of_h,
+                        conserved_densities, dressing_defect, hierarchy_flow,
+                        reduce_mod_jk, solve_dressing, verify_lenard_magri)
 
 
 class UsageError(SystemExit):
@@ -74,15 +74,17 @@ def default_nilpotent(g, name: str, kind: str):
 
 
 def find_isotropic_s(setup: GradedSetup):
-    """First embeddable element over small integer coefficient patterns."""
+    """(s, s*) for the first embeddable s over small integer coefficient
+    patterns, s* the solution of [s, s*] = 2x that find_embeddable checked."""
     g = setup.algebra
     half = [setup.basis[i] for i in setup.eig_indices(Fraction(1, 2))]
     for coeffs in itertools.product((1, 0, -1), repeat=len(half)):
         if not any(coeffs):
             continue
         s = linalg.combine([g.ring.const(c) for c in coeffs], half)
-        if setup.find_embeddable(s) is not None:
-            return s
+        s_star = setup.find_embeddable(s)
+        if s_star is not None:
+            return s, s_star
     raise UsageError(
         "no embeddable element exists in g_1/2 for this algebra "
         "(small-coefficient search exhausted; e.g. sp4 minimal admits none)")
@@ -105,13 +107,15 @@ def diag_entries(choice: str) -> list:
 
 
 def parse_s(setup: GradedSetup, choice: str):
+    """(s, s*), s* None unless s is the embeddable s of the isotropic
+    variant."""
     g = setup.algebra
     if choice == "e":
-        return setup.e, False
+        return setup.e, None
     if choice == "isotropic":
         if setup.kind != MINIMAL:
             raise UsageError("isotropic s requires a minimal nilpotent")
-        return find_isotropic_s(setup), True
+        return find_isotropic_s(setup)
     if choice.startswith("diag:"):
         if setup.kind != SHORT:
             raise UsageError("diag s requires a short nilpotent")
@@ -128,7 +132,7 @@ def parse_s(setup: GradedSetup, choice: str):
             raise UsageError(
                 f"--s {choice}: the sum of the E_i,i+{m} is not in g_1; "
                 "give one entry per row of the top block") from None
-        return linalg.combine(coeffs, vecs), False
+        return linalg.combine(coeffs, vecs), None
     if choice.startswith("explicit:"):
         pairs = []
         try:
@@ -139,7 +143,7 @@ def parse_s(setup: GradedSetup, choice: str):
                 except ValueError:
                     raise UsageError(f"--s {choice}: {part!r} is neither "
                                      "COEFF*LABEL nor LABEL") from None
-            return g.parse(unique_terms(f"--s {choice}", pairs)), False
+            return g.parse(unique_terms(f"--s {choice}", pairs)), None
         except ValueError as e:
             raise UsageError(f"--s {choice}: {e}") from None
         except ZeroDivisionError:
@@ -147,23 +151,23 @@ def parse_s(setup: GradedSetup, choice: str):
     raise UsageError(f"unknown s choice {choice!r}")
 
 
-def parse_a_choice(setup, frame, choice: str):
-    g = setup.algebra
+def parse_a_choice(frame, dec, s_star, choice: str):
+    setup = frame.setup
     if choice == "f_plus_ze":
         return {0: setup.f, 1: frame.s}
     if choice == "e_plus_s_star":
-        if not frame.isotropic:
+        if s_star is None:
             raise UsageError("e_plus_s_star needs an embeddable isotropic s")
-        return {0: setup.e, -1: setup.find_embeddable(frame.s)}
+        return {0: setup.e, -1: s_star}
     if choice == "center":
-        # a central element of the centralizer of s in g_0^f
-        base = [setup.basis[i] for i in setup.g0f_indices]
-        cent = linalg.kernel_span(base, lambda v: [g.bracket(v, frame.s)], g.ring)
-        ker = linalg.kernel_span(cent, lambda v: [g.bracket(v, w) for w in cent],
-                                 g.ring)
-        if not ker:
+        # the first basis vector of the degree-0 center of ker ad(f+zs),
+        # a constant loop on slice(0) = g_0
+        center = center_of_h(frame, dec, [0])[0]
+        if not center:
             raise UsageError("the centralizer core is trivial; no center element")
-        return {0: ker[0]}
+        terms = center[0].terms
+        return {0: linalg.combine([p.const_term() for p in terms.values()],
+                                  [frame.basis[i] for i, _ in terms])}
     raise UsageError(f"unknown a(z) choice {choice!r}")
 
 
@@ -195,14 +199,14 @@ def make_frame(args):
         setup = GradedSetup(g, f, kind)
     except (NotNilpotent, WrongKind) as e:
         raise UsageError(f"--f {g.vec_str(f)}: {e}") from None
-    s, isotropic = parse_s(setup, args.s)
+    s, s_star = parse_s(setup, args.s)
     try:
-        frame = ReductionFrame(setup, s, isotropic=isotropic)
-        if not isotropic:  # the reduction takes s in g_1
+        frame = ReductionFrame(setup, s, isotropic=s_star is not None)
+        if not frame.isotropic:  # the reduction takes s in g_1
             coords_in(setup, s, setup.eig_indices(1), "s is not in g_1")
     except GradeMismatch as e:
         raise UsageError(f"--s {args.s}: {e}") from None
-    return g, setup, frame
+    return g, setup, frame, s_star
 
 
 def emit(doc, args):
@@ -228,7 +232,7 @@ def fmt_poly(p: DiffPoly, args) -> str:
 
 
 def cmd_setup(args):
-    g, setup, frame = make_frame(args)
+    g, setup, frame, _ = make_frame(args)
     doc = {"algebra": g.to_json() if args.dump_setup else {"dim": g.dim},
            "setup": setup.to_json(),
            "s": g.vec_str(frame.s)}
@@ -237,7 +241,7 @@ def cmd_setup(args):
 
 
 def cmd_generators(args):
-    g, setup, frame = make_frame(args)
+    frame = make_frame(args)[2]
     gens = WGenerators(frame)
     doc = {name: fmt_poly(p, args) for name, p in gens.all_generators()}
     doc["Ltilde"] = fmt_poly(gens.Ltilde, args)
@@ -246,7 +250,7 @@ def cmd_generators(args):
 
 
 def cmd_tables(args):
-    g, setup, frame = make_frame(args)
+    frame = make_frame(args)[2]
     tables = verify_table(frame, WGenerators(frame))
     emit({which: {entry: "FAIL" if bad else "PASS"
                   for entry, bad in rows.items()}
@@ -275,11 +279,11 @@ def densities(frame, h, a_z, dec, max_deg, args):
 
 
 def cmd_hierarchy(args):
-    g, setup, frame = make_frame(args)
+    frame, s_star = make_frame(args)[2:]
     gens = WGenerators(frame)
     max_deg = Fraction(args.max_degree)
     U, h, dec = dress(frame, max_deg, args)
-    a_z = parse_a_choice(setup, frame, args.a_choice)
+    a_z = parse_a_choice(frame, dec, s_star, args.a_choice)
     dens = densities(frame, h, a_z, dec, max_deg, args)
     doc = {}
     for n, gn in enumerate(dens):
@@ -298,7 +302,7 @@ def cmd_hierarchy(args):
 
 
 def cmd_verify_all(args):
-    g, setup, frame = make_frame(args)
+    g, setup, frame, s_star = make_frame(args)
     groups = []
 
     def report(name, bad):
@@ -326,7 +330,7 @@ def cmd_verify_all(args):
     U, h, dec = dress(frame, max_deg, args)
     defect = dressing_defect(frame, U, h, max_deg)
     report("dressing conjugation oracle", [] if not defect else ["nonzero"])
-    a_z = parse_a_choice(setup, frame, args.a_choice)
+    a_z = parse_a_choice(frame, dec, s_star, args.a_choice)
     dens = densities(frame, h, a_z, dec, max_deg, args)
     report("lenard-magri recursion", verify_lenard_magri(frame, gens, dens))
     failed = sum(not group["passed"] for group in groups)

@@ -17,6 +17,7 @@ renderers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -25,6 +26,12 @@ from .scalars import ParamRing, Scalar, ScalarLike
 
 B = 16  # bits of the derivative order in a variable's code
 MAX_ORDER = (1 << B) - 1  # the highest derivative order a monomial holds
+
+
+# how the renderers write an order past 3, a power and a product:
+# u^(4), u^2 and u*v as text; u^{(4)}, (u)^{2} and u v in LaTeX
+_TEXT = ("{}^({})", "{}^{}", "*")
+_LATEX = ("{}^{{({})}}", "({})^{{{}}}", " ")
 
 
 class OrderOverflow(ArithmeticError):
@@ -313,11 +320,6 @@ class DiffPoly:
             ps.append(DiffPoly.collect(self.ctx, {self.den: slots[x]}))
         return out
 
-    def partial(self, gen: int, order: int) -> "DiffPoly":
-        """d/d(u_gen^(order)), a plain algebra partial derivative."""
-        ps = self.partials().get(gen, ())
-        return ps[order] if order < len(ps) else self.ctx.zero()
-
     def gradient(self) -> dict:
         """{gen: delta self/delta u_gen} for each generator of self, with
         delta/delta u = sum_n (-d)^n d/d(u^(n)) in Horner form:
@@ -333,9 +335,6 @@ class DiffPoly:
     def variational(self, gen: int) -> "DiffPoly":
         """delta/delta(u_gen), as in `gradient`."""
         return self.gradient().get(gen, self.ctx.zero())
-
-    def gens_used(self) -> set:
-        return {x >> B for m in self.terms for x in m}
 
     def const_term(self) -> Scalar:
         v = self.terms.get(())
@@ -403,35 +402,25 @@ class DiffPoly:
         monomial."""
         return sorted(self.coeffs().items(), key=lambda t: (len(t[0]), t[0]))
 
-    def _mono_str(self, m: tuple, prime: bool = True) -> str:
-        if not m:
-            return "1"
+    def _mono_str(self, m: tuple, style: tuple) -> str:
+        """m with each run of one variable written once: orders up to 3 as
+        primes, a higher order, a power and the product as style (_TEXT or
+        _LATEX) writes them; the empty monomial is "1"."""
+        high, power, sep = style
         parts = []
-        i = 0
-        while i < len(m):
-            j = i
-            while j < len(m) and m[j] == m[i]:
-                j += 1
-            g, n = m[i]
-            base = self.ctx.labels[g]
-            if n == 0:
-                s = base
-            elif prime and n <= 3:
-                s = base + "'" * n
-            else:
-                s = f"{base}^({n})"
-            if j - i > 1:
-                s = f"{s}^{j - i}"
-            parts.append(s)
-            i = j
-        return "*".join(parts)
+        for (g, n), run in itertools.groupby(m):
+            s = self.ctx.labels[g]
+            s = s + "'" * n if n <= 3 else high.format(s, n)
+            k = len(list(run))
+            parts.append(power.format(s, k) if k > 1 else s)
+        return sep.join(parts) or "1"
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
         for m, c in self._ordered():
-            ms = self._mono_str(m)
+            ms = self._mono_str(m, _TEXT)
             if ms == "1":
                 parts.append(str(c))
             elif c == 1:
@@ -453,25 +442,10 @@ class DiffPoly:
             return "0"
         parts = []
         for m, c in self._ordered():
-            factors = []
-            i = 0
-            while i < len(m):
-                j = i
-                while j < len(m) and m[j] == m[i]:
-                    j += 1
-                g, n = m[i]
-                s = self.ctx.labels[g]
-                if n:
-                    s = rf"{s}^{{({n})}}" if n > 3 else s + "'" * n
-                if j - i > 1:
-                    s = f"({s})^{{{j - i}}}"
-                factors.append(s)
-                i = j
-            body = " ".join(factors) or "1"
-            cs = str(c)
-            if cs == "1" and factors:
+            body, cs = self._mono_str(m, _LATEX), str(c)
+            if cs == "1" and m:
                 parts.append(body)
-            elif cs == "-1" and factors:
+            elif cs == "-1" and m:
                 parts.append(f"-{body}")
             else:
                 parts.append(f"{cs} {body}")

@@ -71,11 +71,6 @@ class LieAlgebra:
     def zero_vec(self) -> Vec:
         return linalg.zeros(self.ring, self.dim)
 
-    def basis_vec(self, i: int) -> Vec:
-        v = self.zero_vec()
-        v[i] = self.ring.one()
-        return v
-
     def _ad_columns(self, u: Vec) -> list[dict[int, Scalar]]:
         """Entry j maps k to the coefficient of e_k in [u, e_j]."""
         cols = [{} for _ in range(self.dim)]

@@ -1,4 +1,4 @@
-import ast
+import argparse
 import json
 import os
 import signal
@@ -10,8 +10,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from wds.cli import main
+from wds import linalg
+from wds.cli import main, make_frame, parse_a_choice
 from wds.diffpoly import B, MAX_ORDER
+from wds.hierarchy import HDecomposition, check_central
+from wds.lie import EmbeddableData
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -141,6 +144,13 @@ def test_non_homogeneous_s_usage_error(capsys):
         assert err.count("\n") == 1 and "homogeneous" in err
 
 
+# the g_0^f-centralizer of s has a center, but ker ad(f+zs) has no degree-0
+# center: the run stops with a usage error, not an InvalidCenter traceback
+SP6_SHORT_CENTER = ("--algebra", "sp6", "--nilpotent", "short",
+                    "--f", "C11,C22,C33", "--s", "explicit:B11,B22,2*B33",
+                    "--a-choice", "center")
+
+
 @pytest.mark.parametrize("argv, env", [
     (("verify-all", "--algebra", "sl2", "--n", "-1"), None),
     (("hierarchy", "--algebra", "sl2", "--n", "-1"), None),
@@ -187,6 +197,8 @@ def test_non_homogeneous_s_usage_error(capsys):
     (("hierarchy", "--algebra", "sl2", "--max-degree", "99999999999999999999"),
      None),
     (("hierarchy", "--algebra", "sl2"), "65536"),
+    (("hierarchy",) + SP6_SHORT_CENTER, None),
+    (("verify-all",) + SP6_SHORT_CENTER, None),
 ], ids=["verify_n_neg", "hierarchy_n_neg", "max_degree_0",
         "max_degree_neg", "n_past_window", "sl1", "sp3", "unknown_f_label", "env_max_degree",
         "unknown_s_label", "s_not_semisimple", "s_in_g_half",
@@ -198,7 +210,8 @@ def test_non_homogeneous_s_usage_error(capsys):
         "a_choice_unknown", "explicit_repeated_label", "f_repeated_label",
         "sl_superscript_digit", "sp_superscript_digit", "sl_overflow",
         "sp_overflow", "max_degree_past_order_bound",
-        "env_max_degree_past_order_bound"])
+        "env_max_degree_past_order_bound", "hierarchy_sp6_short_no_center",
+        "verify_sp6_short_no_center"])
 def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
     if env is None:
         monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
@@ -278,7 +291,7 @@ def test_s_outside_g1_and_not_semisimple_reasons(capsys):
 
 
 def test_center_choice_short_symbolic(capsys):
-    """The center of the centralizer of s in g_0^f: for sl4 short with
+    """The degree-0 center of ker ad(f+zs): for sl4 short with
     s = diag(s1, s2) that is the span of H1 + H3."""
     code, out, err = run(capsys, "hierarchy", "--algebra", "sl4",
                          "--nilpotent", "short", "--s", "diag:s1,s2",
@@ -286,6 +299,74 @@ def test_center_choice_short_symbolic(capsys):
                          "--max-degree", "2")
     assert code == 0, err
     assert "int g_0" in out
+
+
+def g0f_center_oracle(frame):
+    """The first vector of the center of the centralizer of s in g_0^f,
+    from two kernel_spans: the degree-0 kernel alone, with none of the
+    other loop degrees of ker ad(f+zs) that a center must commute with."""
+    setup, g = frame.setup, frame.algebra
+    base = [setup.basis[i] for i in setup.g0f_indices]
+    cent = linalg.kernel_span(base, lambda v: [g.bracket(v, frame.s)], g.ring)
+    ker = linalg.kernel_span(cent, lambda v: [g.bracket(v, w) for w in cent],
+                             g.ring)
+    return ker[0] if ker else None
+
+
+@pytest.mark.parametrize("algebra, nilpotent, f, s", [
+    (f"sl{n}", "minimal", None, "e") for n in range(2, 7)] + [
+    (f"sl{n}", "minimal", None, "isotropic") for n in (3, 4, 5)] + [
+    ("sp4", "minimal", None, "e"),
+    ("sp6", "minimal", None, "e"),
+    ("sp6", "short", "C11,C22,C33", "e"),
+    ("sp6", "short", "C11,C22,C33", "explicit:B11,B22,2*B33"),
+    ("sl4", "short", None, "e"),
+    ("sl4", "short", None, "diag:s1,s2"),
+    ("sl4", "short", None, "diag:2,3"),
+    ("sl4", "short", None, "explicit:E13,2*E24,E14"),
+    ("sl6", "short", None, "e"),
+    ("sl6", "short", None, "diag:1,2,3"),
+    ("sl6", "short", None, "diag:1,1,2"),
+    ("sl6", "short", None, "diag:s1,s2,s3"),
+])
+def test_center_choice_matches_g0f_oracle(algebra, nilpotent, f, s, capsys):
+    """--a-choice center is the vector the g_0^f construction finds, and
+    it is empty where that one is; on sp6 short with the explicit s the
+    g_0^f element is not central in ker ad(f+zs), and the choice is a
+    usage error."""
+    args = argparse.Namespace(algebra=algebra, nilpotent=nilpotent, f=f, s=s,
+                              form_scale=None)
+    frame, s_star = make_frame(args)[2:]
+    dec = HDecomposition(frame)
+    want = g0f_center_oracle(frame)
+    if s == "explicit:B11,B22,2*B33":
+        assert not check_central(frame, dec, {0: want})
+        want = None
+    if want is None:
+        with pytest.raises(SystemExit) as e:
+            parse_a_choice(frame, dec, s_star, "center")
+        assert e.value.code == 2
+        assert "no center element" in capsys.readouterr().err
+    else:
+        assert parse_a_choice(frame, dec, s_star, "center") == {0: want}
+
+
+def test_isotropic_s_star_checked_once(capsys, monkeypatch):
+    """--a-choice e_plus_s_star takes s* from the isotropic search, which
+    solved and checked it: one EmbeddableData.check for the chosen s."""
+    calls = []
+    check = EmbeddableData.check
+
+    def counted(self):
+        calls.append(tuple(self.s))
+        return check(self)
+
+    monkeypatch.setattr(EmbeddableData, "check", counted)
+    code, out, err = run(capsys, "hierarchy", "--algebra", "sl4",
+                         "--s", "isotropic", "--a-choice", "e_plus_s_star",
+                         "--n", "0", "--max-degree", "2")
+    assert code == 0, err
+    assert calls and calls.count(calls[-1]) == 1
 
 
 def test_verify_all_prints_failing_entries(capsys, monkeypatch):
@@ -424,16 +505,6 @@ def test_max_degree_past_the_order_bound_names_it(capsys, monkeypatch):
 
 
 # -- invariants that survive python -O ---------------------------------------
-
-
-def test_no_assert_statements_in_src():
-    """Runtime invariants raise real exceptions: python -O strips asserts."""
-    found = []
-    for path in sorted((ROOT / "src" / "wds").glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
-    assert found == []
 
 
 def test_closed_pipe_exits_quietly():

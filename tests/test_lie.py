@@ -636,7 +636,8 @@ def test_structure_constants_match_matrices(build, n):
                            for r1, r2 in zip(got, mats[k])]
                 assert got == want, (g.labels[a], g.labels[b])
                 tr = sum(ab[r][r] for r in range(n))
-                assert (g.pair(g.basis_vec(a), g.basis_vec(b))
+                assert (g.pair(g.parse({g.labels[a]: 1}),
+                               g.parse({g.labels[b]: 1}))
                         == scale * g.ring.const(tr))
 
 
@@ -646,7 +647,7 @@ def _setup(g, f_labels, kind):
 
 def _isotropic_frame(n):
     setup = _setup(build_sl(n), [index_label("E", n, 1)], MINIMAL)
-    return ReductionFrame(setup, find_isotropic_s(setup), isotropic=True)
+    return ReductionFrame(setup, find_isotropic_s(setup)[0], isotropic=True)
 
 
 DUAL_OWNERS = {

@@ -437,7 +437,8 @@ def left_and_rights(draw):
 
 
 def gradient(h):
-    return {j: h.variational(j) for j in sorted(h.gens_used())}
+    used = {j for m in h.coeffs() for j, _ in m}
+    return {j: h.variational(j) for j in sorted(used)}
 
 
 @settings(max_examples=40, deadline=None)

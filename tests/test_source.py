@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from test_readme import quick_start_code
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "wds"
 
@@ -58,3 +60,54 @@ def test_no_unused_private_defs_in_src():
                 used.add(node.attr)
     assert defs
     assert [f"{where} {name}" for where, name in defs if name not in used] == []
+
+
+# public names of src/wds with no caller in src, demos or the README quick
+# start, each with the reason it stays
+UNCALLED_PUBLIC = {
+    "variational": "DiffPoly API: the derivative of one generator, the "
+                   "README's variational derivative; gradient is all of them",
+    "degree": "LambdaPoly API: the lambda-degree, next to coeff and at_zero",
+    "rho_action": "the per-generator test oracle of is_in_w that the "
+                  "README names",
+    "skew_defect": "the memo-free oracle of check_pva_axioms that "
+                   "test_acceptance imports",
+    "jacobi_defect": "the memo-free oracle of check_pva_axioms that "
+                     "test_acceptance imports",
+    "involution_cross": "involutivity across two density families, which "
+                        "test_acceptance imports; no verify-all group yet",
+    "pi_inverse": "the lift of W to the coordinate ring, with which "
+                  "test_acceptance samples the PVA axioms on W",
+}
+
+
+def test_public_defs_have_callers():
+    """Every public function, method or class defined in src/wds is
+    referenced in src/wds, in demos/ or in the README's library quick start,
+    or is named in UNCALLED_PUBLIC with its reason: code that only the tests
+    call belongs in the tests."""
+    defs, used = [], set()
+
+    def read(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs += [(f"{path.name}:{node.lineno}", node.name)
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.name.startswith("_")]
+        read(tree)
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        read(ast.parse(path.read_text(), filename=str(path)))
+    read(ast.parse(quick_start_code()))
+    assert defs
+    assert [f"{where} {name}" for where, name in defs
+            if name not in used and name not in UNCALLED_PUBLIC] == []
+    # an allow-listed name that gained a caller, or left src, leaves the list
+    assert sorted(n for n in UNCALLED_PUBLIC
+                  if n in used or n not in {name for _, name in defs}) == []
