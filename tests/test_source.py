@@ -44,22 +44,36 @@ def test_no_unused_imports_in_src():
     assert found == []
 
 
+def referenced(tree) -> set:
+    """The names a module reads, plain or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def src_defs() -> tuple[list, set]:
+    """(where, name) of every function, method and class defined in
+    src/wds, and the names src/wds references."""
+    defs, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs += [(f"{path.name}:{node.lineno}", node.name)
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        used |= referenced(tree)
+    return defs, used
+
+
 def test_no_unused_private_defs_in_src():
     """Every private function, method or class (`_name`, not a dunder)
     defined in src/wds is referenced somewhere in src/wds: a helper that
     only the tests call belongs in the tests."""
-    defs, used = [], set()
-    for path in sorted((ROOT / "src" / "wds").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    defs.append((f"{path.name}:{node.lineno}", node.name))
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    assert defs
-    assert [f"{where} {name}" for where, name in defs if name not in used] == []
+    defs, used = src_defs()
+    private = [(where, name) for where, name in defs
+               if name.startswith("_") and not name.endswith("__")]
+    assert private
+    assert [f"{where} {name}" for where, name in private
+            if name not in used] == []
 
 
 # public names of src/wds with no caller in src, demos or the README quick
@@ -86,28 +100,14 @@ def test_public_defs_have_callers():
     referenced in src/wds, in demos/ or in the README's library quick start,
     or is named in UNCALLED_PUBLIC with its reason: code that only the tests
     call belongs in the tests."""
-    defs, used = [], set()
-
-    def read(tree):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        defs += [(f"{path.name}:{node.lineno}", node.name)
-                 for node in ast.walk(tree)
-                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                 and not node.name.startswith("_")]
-        read(tree)
+    defs, used = src_defs()
+    public = [(where, name) for where, name in defs if not name.startswith("_")]
     for path in sorted((ROOT / "demos").glob("*.py")):
-        read(ast.parse(path.read_text(), filename=str(path)))
-    read(ast.parse(quick_start_code()))
-    assert defs
-    assert [f"{where} {name}" for where, name in defs
+        used |= referenced(ast.parse(path.read_text(), filename=str(path)))
+    used |= referenced(ast.parse(quick_start_code()))
+    assert public
+    assert [f"{where} {name}" for where, name in public
             if name not in used and name not in UNCALLED_PUBLIC] == []
     # an allow-listed name that gained a caller, or left src, leaves the list
     assert sorted(n for n in UNCALLED_PUBLIC
-                  if n in used or n not in {name for _, name in defs}) == []
+                  if n in used or n not in {name for _, name in public}) == []
