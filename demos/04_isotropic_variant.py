@@ -17,7 +17,7 @@ s = g.parse({"E12": 1, "E23": 1})
 s_star = setup.find_embeddable(s)
 print("s  =", g.vec_str(s))
 print("s* =", g.vec_str(s_star), "  with [s, s*] = 2x:",
-      g.bracket(s, s_star) == [2 * c for c in setup.x])
+      g.bracket(s, s_star) == {i: 2 * c for i, c in setup.x.items()})
 
 frame = ReductionFrame(setup, s, isotropic=True)
 l, lp = frame.l_pairs

@@ -15,12 +15,11 @@ ring = g.ring
 s1, s2 = ring.param("s1"), ring.param("s2")
 
 setup = GradedSetup(g, g.parse({"E31": 1, "E42": 1}), SHORT)
-s = [s1 * a + s2 * b
-     for a, b in zip(g.parse({"E13": 1}), g.parse({"E24": 1}))]
+s = g.parse({"E13": s1, "E24": s2})
 print("form scale:", g.pair(g.parse({"E13": 1}), g.parse({"E31": 1})))
 print("s =", g.vec_str(s))
 print("f + s semisimple:",
-      setup.is_semisimple([a + b for a, b in zip(setup.f, s)]))
+      setup.is_semisimple(g.parse({"E31": 1, "E42": 1, "E13": s1, "E24": s2})))
 
 frame = ReductionFrame(setup, s)
 gens = WGenerators(frame)

@@ -164,7 +164,8 @@ def parse_a_choice(frame, dec, s_star, choice: str):
         # a constant loop on slice(0) = g_0
         center = center_of_h(frame, dec, [0])[0]
         if not center:
-            raise UsageError("the centralizer core is trivial; no center element")
+            raise UsageError("the degree-0 center of ker ad(f+zs) is trivial; "
+                             "no center element")
         terms = center[0].terms
         return {0: linalg.combine([p.const_term() for p in terms.values()],
                                   [frame.basis[i] for i, _ in terms])}

@@ -124,10 +124,11 @@ class Context:
             raise IndexError(f"no generator {i} in {self}")
         return DiffPoly(self, {(_code(i, order),): numerator_form(self.ring.one())[0]})
 
-    def linear(self, coeffs: Sequence[ScalarLike], order: int = 0) -> "DiffPoly":
-        L, nums = common_denominator(self.ring.coerce(c) for c in coeffs)
+    def linear(self, coeffs: dict[int, ScalarLike], order: int = 0) -> "DiffPoly":
+        """sum c u_i^(order) over the {i: c} of coeffs, each c nonzero."""
+        L, nums = common_denominator(map(self.ring.coerce, coeffs.values()))
         return DiffPoly(
-            self, {(_code(i, order),): n for i, n in enumerate(nums) if n}, L)
+            self, {(_code(i, order),): n for i, n in zip(coeffs, nums)}, L)
 
 
 class ContextMismatch(ValueError):

@@ -237,7 +237,7 @@ def _apply_rows(ctx: Context, rows: list, coeffs: list) -> list:
 
 def loop_const(frame: ReductionFrame, ctx: Context, vec, zpow: int = 0) -> LoopElement:
     return LoopElement(frame, ctx, {(i, zpow): ctx.const(c)
-                                    for i, c in enumerate(frame.to_adapted(vec)) if c})
+                                    for i, c in frame.to_adapted(vec).items()})
 
 
 def loop_from_zmap(frame: ReductionFrame, ctx: Context, zmap: dict) -> LoopElement:
@@ -261,9 +261,8 @@ def build_q(frame: ReductionFrame, projected: bool = True) -> LoopElement:
             coeff = frame.pi(coeff)
         if not coeff:
             continue
-        for i, c in enumerate(frame.to_adapted(frame.dual_basis[b])):
-            if c:
-                coeffs[i] = coeffs.get(i, ctx.zero()) + coeff.scale(c)
+        for i, c in frame.to_adapted(frame.dual_basis[b]).items():
+            coeffs[i] = coeffs.get(i, ctx.zero()) + coeff.scale(c)
     return LoopElement(frame, ctx, {(i, 0): p for i, p in coeffs.items() if p})
 
 
@@ -287,9 +286,9 @@ class HDecomposition:
     """
 
     def __init__(self, frame: ReductionFrame):
+        one = frame.ring.one()
         if not frame.setup.is_semisimple(
-            linalg.vec_add(frame.setup.f, frame.s)
-        ):
+                linalg.combine([one, one], [frame.setup.f, frame.s])):
             raise NotSemisimple("f + s is not semisimple")
         self.frame = frame
         self.period = -frame.z_degree
@@ -346,7 +345,8 @@ class HDecomposition:
         m = len(self._slices[deg])
         K = linalg.kernel(mat(deg), ring, m)
         # hperp(deg+1) = ad(f+zs) slice(deg+2), spanned by its pivot columns
-        hperp = linalg.independent(linalg.transpose(mat(deg + 2)))
+        image = linalg.transpose(mat(deg + 2))
+        hperp = [image[c] for c in linalg.rref(mat(deg + 2))[1]]
         cols = K + [linalg.mat_vec(mat(deg + 1), v, ring) for v in hperp]
         if len(cols) != m:
             raise NotSemisimple(
@@ -528,7 +528,8 @@ def center_of_h(frame: ReductionFrame, dec: HDecomposition,
                 rows.append([b[key].const_term() if key in b
                              else ring.zero() for b in brs])
         coefs = linalg.kernel(rows, ring, len(cands))
-        out[d] = [dec.const_loop(d, linalg.combine(co, K), ctx) for co in coefs]
+        out[d] = [dec.const_loop(d, linalg.mat_vec(linalg.transpose(K), co, ring), ctx)
+                  for co in coefs]
     return out
 
 
@@ -577,7 +578,7 @@ def conserved_densities(
     zd = frame.z_degree
     low = min(frame.eig_of[i] + zd * k
               for k, vec in a_z.items()
-              for i, c in enumerate(frame.to_adapted(vec)) if c)
+              for i in frame.to_adapted(vec))
     d0 = zd * top - low
     max_deg = Fraction(max_deg)
     resolved = math.floor((max_deg - d0) / -zd)
@@ -667,9 +668,8 @@ def reduce_mod_jk(frame: ReductionFrame, p: DiffPoly) -> DiffPoly:
     """
     images = []
     for pos, b in enumerate(frame.w_idx):
-        if frame.eig_of[b] == 0 and not any(
-            frame.algebra.bracket(frame.basis[b], frame.s)
-        ):
+        if frame.eig_of[b] == 0 and not frame.algebra.bracket(
+                frame.basis[b], frame.s):
             images.append(frame.w_ctx.zero())
         else:
             images.append(frame.w_ctx.gen(pos))

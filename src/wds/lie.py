@@ -15,7 +15,7 @@ from typing import Sequence
 from . import linalg
 from .scalars import ParamRing, Q, Scalar, ScalarLike
 
-Vec = list  # coordinate vector over the algebra's ordered basis
+Vec = linalg.Vec  # {basis index: nonzero coefficient}
 
 
 class InvalidDimension(ValueError):
@@ -65,55 +65,39 @@ class LieAlgebra:
         self.dim = len(labels)
         self.struct = struct
         self.form = form
+        self.units = [{i: ring.one()} for i in range(self.dim)]
 
     # -- bilinear operations ------------------------------------------
-
-    def zero_vec(self) -> Vec:
-        return linalg.zeros(self.ring, self.dim)
 
     def _ad_columns(self, u: Vec) -> list[dict[int, Scalar]]:
         """Entry j maps k to the coefficient of e_k in [u, e_j]."""
         cols = [{} for _ in range(self.dim)]
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
+        for i, ci in u.items():
             for col, row in zip(cols, self.struct[i]):
                 for k, c in row:
                     col[k] = col[k] + ci * c if k in col else ci * c
         return cols
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
-        vs = [(j, cj) for j, cj in enumerate(v) if cj]
         acc = {}
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
+        for i, ci in u.items():
             row = self.struct[i]
-            for j, cj in vs:
-                c = ci * cj
-                for k, b in row[j]:
-                    acc[k] = acc[k] + c * b if k in acc else c * b
-        out = self.zero_vec()
-        for k, a in acc.items():
-            out[k] = a
-        return out
+            for j, cj in v.items():
+                terms = row[j]
+                if terms:
+                    c = ci * cj
+                    for k, b in terms:
+                        acc[k] = acc[k] + c * b if k in acc else c * b
+        return {k: a for k, a in acc.items() if a}
 
     def pair(self, u: Vec, v: Vec) -> Scalar:
         acc = self.ring.zero()
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
+        for i, ci in u.items():
             for j, c in self.form[i]:
-                cj = v[j]
-                if cj:
+                cj = v.get(j)
+                if cj is not None:
                     acc = acc + ci * cj * c
         return acc
-
-    def ad(self, u: Vec) -> list[list[Scalar]]:
-        """Matrix of ad(u) acting on coordinate columns."""
-        z = self.ring.zero()
-        cols = self._ad_columns(u)
-        return [[col.get(i, z) for col in cols] for i in range(self.dim)]
 
     def killing(self, u: Vec, v: Vec) -> Scalar:
         """tr(ad u ad v)."""
@@ -179,7 +163,7 @@ class LieAlgebra:
         return bad
 
     def _dense_form(self) -> list[list[Scalar]]:
-        out = [self.zero_vec() for _ in range(self.dim)]
+        out = [[self.ring.zero()] * self.dim for _ in range(self.dim)]
         for i, row in enumerate(self.form):
             for j, c in row:
                 out[i][j] = c
@@ -187,9 +171,8 @@ class LieAlgebra:
 
     def vec_str(self, v: Vec) -> str:
         parts = []
-        for i, c in enumerate(v):
-            if not c:
-                continue
+        for i in sorted(v):
+            c = v[i]
             if c == 1:
                 parts.append(self.labels[i])
             elif c == -1:
@@ -199,11 +182,13 @@ class LieAlgebra:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     def parse(self, expr: dict[str, ScalarLike]) -> Vec:
-        v = self.zero_vec()
+        v = {}
         for label, c in expr.items():
             if label not in self.labels:
                 raise UnknownLabel(f"unknown basis label {label!r}")
-            v[self.labels.index(label)] = self.ring.coerce(c)
+            c = self.ring.coerce(c)
+            if c:
+                v[self.labels.index(label)] = c
         return v
 
     def to_json(self) -> dict:
@@ -339,7 +324,7 @@ class GradedSetup:
         self.algebra = algebra
         self.ring = algebra.ring
         self.kind = kind
-        self.f = list(f)
+        self.f = dict(f)
         self._complete_triple()
         self._grade()
         self._build_adapted_basis()
@@ -348,55 +333,42 @@ class GradedSetup:
     # -- sl2 completion -------------------------------------------------
 
     def _complete_triple(self):
-        g, ring = self.algebra, self.ring
-        adf = g.ad(self.f)
-        adf2 = [linalg.mat_vec(adf, col, ring) for col in linalg.transpose(adf)]
-        adf2 = linalg.transpose(adf2)
-        target = linalg.vec_scale(self.f, ring.const(2))
-        y = linalg.solve(adf2, target, ring)
+        g, ring, f = self.algebra, self.ring, self.f
+        y = linalg.solve(g.units, lambda v: [g.bracket(f, g.bracket(f, v))],
+                         [linalg.scale(f, ring.const(2))], ring)
         if y is None:
             raise NotNilpotent("no sl2-completion: ad(f)^2 y = 2f unsolvable")
-        h = g.bracket(self.f, y)
-        self.x = linalg.vec_scale(h, ring.const(Fraction(1, 2)))
+        self.x = linalg.scale(g.bracket(f, y), ring.const(Fraction(1, 2)))
         # e: [x, e] = e and [f, e] = -2x, free components set to zero
-        adx = g.ad(self.x)
-        rows = [
-            [adx[i][j] - (ring.one() if i == j else ring.zero()) for j in range(g.dim)]
-            for i in range(g.dim)
-        ] + [[adf[i][j] for j in range(g.dim)] for i in range(g.dim)]
-        rhs = linalg.zeros(ring, g.dim) + linalg.vec_scale(self.x, ring.const(-2))
-        e = linalg.solve(rows, rhs, ring)
+        e = linalg.solve(
+            g.units, lambda v: [self._shifted(v, 1), g.bracket(f, v)],
+            [{}, linalg.scale(self.x, ring.const(-2))], ring)
         if e is None:
             raise NotNilpotent("no sl2-completion: e equations unsolvable")
         self.e = e
         if not self._is_triple():
             raise InvariantFailed("sl2-triple relations failed")
 
+    def _shifted(self, v: Vec, ev) -> Vec:
+        """[x, v] - ev v."""
+        return linalg.combine([self.ring.one(), self.ring.const(-ev)],
+                              [self.algebra.bracket(self.x, v), v])
+
     def _is_triple(self) -> bool:
-        g = self.algebra
-        ok1 = linalg.vec_is_zero(
-            linalg.vec_sub(g.bracket(self.x, self.e), self.e))
-        ok2 = linalg.vec_is_zero(
-            linalg.vec_add(g.bracket(self.x, self.f), self.f))
-        ok3 = linalg.vec_is_zero(
-            linalg.vec_sub(g.bracket(self.e, self.f),
-                           linalg.vec_scale(self.x, self.ring.const(2))))
-        return ok1 and ok2 and ok3
+        g, ring = self.algebra, self.ring
+        return (g.bracket(self.x, self.e) == self.e
+                and g.bracket(self.x, self.f) == linalg.scale(self.f, ring.const(-1))
+                and g.bracket(self.e, self.f) == linalg.scale(self.x, ring.const(2)))
 
     # -- eigenspaces ------------------------------------------------------
 
     def _grade(self):
         g, ring = self.algebra, self.ring
-        adx = g.ad(self.x)
         allowed = _ALLOWED[self.kind]
 
         def eigenspace(ev: Fraction) -> list[Vec]:
-            rows = [
-                [adx[i][j] - (ring.const(ev) if i == j else ring.zero())
-                 for j in range(g.dim)]
-                for i in range(g.dim)
-            ]
-            return linalg.kernel(rows, ring, g.dim)
+            return linalg.kernel_span(
+                g.units, lambda v: [self._shifted(v, ev)], ring)
 
         spaces = {ev: ker for ev in sorted(allowed) if (ker := eigenspace(ev))}
         if sum(map(len, spaces.values())) != g.dim:
@@ -444,7 +416,7 @@ class GradedSetup:
                 if ev == -1 and self.kind == MINIMAL:
                     vecs = [self.f]
                 elif ev == -1:
-                    vecs = linalg.independent([self.f] + vecs)
+                    vecs = linalg.independent([self.f] + vecs, ring)
                 for v in vecs:
                     push(v, ev, True)
             elif ev == 0:
@@ -471,7 +443,7 @@ class GradedSetup:
         self.basis = basis
         self.eig_of = eig_of
         self.grading = grading
-        self.gram, self.dual_basis, self._adapted_from_orig = self.dual_data(basis)
+        self.gram, self.dual_basis, self._coords = self.dual_data(basis)
         self.labels = self._make_labels()
 
     def _make_labels(self) -> list[str]:
@@ -479,9 +451,8 @@ class GradedSetup:
         labels = []
         counters: dict[str, int] = {}
         for idx, v in enumerate(self.basis):
-            nz = [(i, c) for i, c in enumerate(v) if c]
-            if len(nz) == 1 and nz[0][1] == 1:
-                labels.append(g.labels[nz[0][0]])
+            if len(v) == 1 and list(v.values()) == [1]:
+                labels.append(g.labels[next(iter(v))])
                 continue
             ev = self.eig_of[idx]
             if self.kind == MINIMAL and idx == self.grading[Fraction(-1)][0]:
@@ -511,7 +482,7 @@ class GradedSetup:
     # -- coordinates ----------------------------------------------------
 
     def to_adapted(self, v: Vec) -> Vec:
-        return linalg.mat_vec(self._adapted_from_orig, v, self.ring)
+        return linalg.combine(v, self._coords)
 
     def eig_indices(self, ev) -> list[int]:
         return self.grading.get(Fraction(ev), [])
@@ -541,17 +512,18 @@ class GradedSetup:
 
     def dual_data(self, basis: list[Vec]):
         """The Gram matrix (b_i|b_j) of a basis of g, the dual basis b^i with
-        (b_j|b^i) = delta_ij from its one inverse, and the coordinate map
-        whose row i is (.|b^i): coordinate i of v is (v|b^i)."""
-        form, z = self.algebra.form, self.ring.zero()
-
-        def lower(v):  # the covector (.|v) over the original basis
-            return [sum((c * v[j] for j, c in row if v[j]), z) for row in form]
-
-        gram = [[sum((x * y for x, y in zip(low, v) if x and y), z) for v in basis]
-                for low in map(lower, basis)]
+        (b_j|b^i) = delta_ij from its one inverse, and the coordinate map:
+        coordinate i of v is (v|b^i), and entry j of the map is the Vec of
+        the coordinates of e_j, which to_adapted combines."""
+        g = self.algebra
+        gram = [[g.pair(u, v) for v in basis] for u in basis]
         dual = self.dual_of_gram(gram, basis)
-        return gram, dual, [lower(d) for d in dual]
+        rows = [dict(row) for row in g.form]  # (e_j|.) as a Vec
+        coords = [{} for _ in range(g.dim)]
+        for i, d in enumerate(dual):
+            for j, c in linalg.combine(d, rows).items():
+                coords[j][i] = c
+        return gram, dual, coords
 
     def omega_minus(self, u: Vec, u1: Vec) -> Scalar:
         return self.algebra.pair(self.e, self.algebra.bracket(u, u1))
@@ -586,8 +558,6 @@ class GradedSetup:
         """Projection of a in g_0 onto g_0^f (orthogonal complement split)."""
         coords_in(self, a, self.eig_indices(0), "sharp projection needs a in g_0")
         a_basis, a_dual = self.a_pairs
-        if not a_basis:
-            return self.algebra.zero_vec()
         return linalg.combine([self.algebra.pair(a, bd) for bd in a_dual], a_basis)
 
     def jordan(self, a: Vec, b: Vec, eigen: int = -1) -> Vec:
@@ -608,14 +578,13 @@ class GradedSetup:
         """
         if self.kind != MINIMAL:
             raise GradeMismatch("embeddable elements live in a minimal grading")
-        half = self.eig_indices(Fraction(-1, 2))
-        cols = [self.algebra.bracket(s, self.basis[i]) for i in half]
-        rows = linalg.transpose(cols)
-        rhs = linalg.vec_scale(self.x, self.ring.const(2))
-        co = linalg.solve(rows, rhs, self.ring)
-        if co is None:
+        g = self.algebra
+        out = linalg.solve(
+            [self.basis[i] for i in self.eig_indices(Fraction(-1, 2))],
+            lambda v: [g.bracket(s, v)],
+            [linalg.scale(self.x, self.ring.const(2))], self.ring)
+        if out is None:
             return None
-        out = linalg.combine(co, [self.basis[i] for i in half])
         bad = EmbeddableData(self, s, out).check()
         if bad:
             raise InvariantFailed(f"embeddable structure checks failed: {bad}")
@@ -623,12 +592,11 @@ class GradedSetup:
 
     def is_semisimple(self, v: Vec) -> bool:
         """Rank test: ker(ad v) and im(ad v) intersect trivially."""
-        ad = self.algebra.ad(v)
-        ad2 = [
-            linalg.mat_vec(ad, col, self.ring)
-            for col in linalg.transpose(ad)
-        ]
-        return linalg.rank(ad) == linalg.rank(linalg.transpose(ad2))
+        g = self.algebra
+        ad = [g.bracket(v, u) for u in g.units]
+        ad2 = [g.bracket(v, w) for w in ad]
+        return (len(linalg.independent(ad, self.ring))
+                == len(linalg.independent(ad2, self.ring)))
 
     def to_json(self) -> dict:
         g = self.algebra
@@ -654,7 +622,7 @@ def coords_in(owner, v: Vec, allowed, what: str) -> Vec:
     Raises GradeMismatch(what) unless they vanish off the indices allowed.
     """
     co = owner.to_adapted(v)
-    if any(c and i not in allowed for i, c in enumerate(co)):
+    if any(i not in allowed for i in co):
         raise GradeMismatch(what)
     return co
 
@@ -667,9 +635,10 @@ def darboux_split(setup: GradedSetup, seed: Vec | None = None):
     """
     if setup.kind != MINIMAL:
         raise GradeMismatch("isotropic splits need a minimal grading")
+    ring = setup.ring
     pool = [setup.basis[i] for i in setup.eig_indices(Fraction(1, 2))]
     if seed is not None:
-        pool = linalg.independent([seed] + pool)
+        pool = linalg.independent([seed] + pool, ring)
     l_side, lp_side = [], []
     while pool:
         v1 = pool[0]
@@ -677,16 +646,17 @@ def darboux_split(setup: GradedSetup, seed: Vec | None = None):
         wi = next((i for i, u in enumerate(rest) if setup.omega_plus(v1, u)), None)
         if wi is None:
             raise SingularPairing("omega_+ degenerate on remaining space")
-        w = linalg.vec_scale(rest[wi], 1 / setup.omega_plus(v1, rest[wi]))
+        w = linalg.scale(rest[wi], 1 / setup.omega_plus(v1, rest[wi]))
         l_side.append(v1)
         lp_side.append(w)
         new_pool = []
         for i, u in enumerate(rest):
             if i == wi:
                 continue
-            u1 = linalg.vec_sub(u, linalg.vec_scale(v1, setup.omega_plus(u, w)))
-            u1 = linalg.vec_add(u1, linalg.vec_scale(w, setup.omega_plus(u, v1)))
-            if any(u1):
+            u1 = linalg.combine(
+                [ring.one(), -setup.omega_plus(u, w), setup.omega_plus(u, v1)],
+                [u, v1, w])
+            if u1:
                 new_pool.append(u1)
         pool = new_pool
     return l_side, lp_side
@@ -701,8 +671,8 @@ class EmbeddableData:
 
     def __init__(self, setup: GradedSetup, s: Vec, s_star: Vec):
         self.setup = setup
-        self.s = list(s)
-        self.s_star = list(s_star)
+        self.s = dict(s)
+        self.s_star = dict(s_star)
         g = setup.algebra
         half = Fraction(1, 2)
 
@@ -725,7 +695,11 @@ class EmbeddableData:
         setup, g, ring = self.setup, self.setup.algebra, self.setup.ring
         s, st = self.s, self.s_star
         half = Fraction(1, 2)
-        two_x = linalg.vec_scale(setup.x, ring.const(2))
+        two_x = linalg.scale(setup.x, ring.const(2))
+
+        def rank(vecs):
+            return len(linalg.independent(vecs, ring))
+
         if g.bracket(s, st) != two_x:
             bad.append("[s, s*] != 2x")
         # sl2-triple {2s*, 4x, s}
@@ -733,7 +707,7 @@ class EmbeddableData:
             bad.append("[2x, s] != s")
         # (a) g_0^s inside g_0^f
         for v in self.g0s:
-            if any(g.bracket(setup.f, v)):
+            if g.bracket(setup.f, v):
                 bad.append("g_0^s not inside g_0^f")
         # (b) bijectivity of ad f, ad s ad f, ad s ad s ad f on g^s_1/2
         imgs = [
@@ -743,23 +717,21 @@ class EmbeddableData:
              for u in self.gs_half],
         ]
         for m, im in enumerate(imgs):
-            if im and linalg.rank(im) != len(self.gs_half):
+            if im and rank(im) != len(self.gs_half):
                 bad.append(f"ad-map {m} not injective on g^s_1/2")
         # (e) g_0^f = g_0^s + [s, [f, g^s_1/2]], orthogonal direct sum
         comp = imgs[1]
-        span = [list(v) for v in self.g0s] + [list(v) for v in comp]
-        if span and linalg.rank(span) != len(setup.g0f_indices):
+        span = self.g0s + comp
+        if span and rank(span) != len(setup.g0f_indices):
             bad.append("g_0^f does not split as g_0^s + [s,[f,g^s_1/2]]")
         for a in self.g0s:
             for b in comp:
                 if g.pair(a, b):
                     bad.append("g_0^s not orthogonal to [s,[f,g^s_1/2]]")
         # (f) dual decompositions of the half eigenspaces
-        top = [list(v) for v in imgs[2]] + [list(s)]
-        if linalg.rank(top) != len(setup.eig_indices(half)):
+        if rank(imgs[2] + [s]) != len(setup.eig_indices(half)):
             bad.append("g_1/2 != [s,[s,[f,g^s_1/2]]] + F s")
-        bottom = [list(g.bracket(setup.f, u)) for u in self.gs_half] + [list(st)]
-        if linalg.rank(bottom) != len(setup.eig_indices(half)):
+        if rank(imgs[0] + [st]) != len(setup.eig_indices(half)):
             bad.append("g_-1/2 != [f, g^s_1/2] + F s*")
         for u in imgs[2]:
             if g.pair(u, st):

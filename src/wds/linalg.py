@@ -1,5 +1,11 @@
-"""Exact dense linear algebra over a ParamRing: entries are Fractions over Q
-and Scalars over Q(p), and only the operations they share are used."""
+"""Exact linear algebra over a ParamRing: entries are Fractions over Q and
+Scalars over Q(p), and only the operations they share are used.
+
+A vector is a Vec {index: coefficient} with no zero coefficient, so equal
+vectors are equal dicts.  A matrix is a dense list of rows, on which the
+RREF, kernel and inverse run; `columns` lays vectors out as one, for
+`independent`, `kernel_span` and `solve`.
+"""
 
 from __future__ import annotations
 
@@ -7,38 +13,38 @@ from typing import Sequence
 
 from .scalars import ParamRing, Scalar
 
-Vec = list
+Vec = dict  # {index: nonzero coefficient}
 Mat = list  # list of rows
 
 
-def zeros(ring: ParamRing, n: int) -> Vec:
-    z = ring.zero()
-    return [z] * n
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return [x + y for x, y in zip(a, b)]
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return [x - y for x, y in zip(a, b)]
-
-def vec_scale(a: Vec, c: Scalar) -> Vec:
-    return [c * x for x in a]
-
-def vec_is_zero(a: Vec) -> bool:
-    return not any(a)
-
-
-def combine(coeffs: Sequence[Scalar], vecs: Sequence[Vec]) -> Vec:
-    """The linear combination sum_k coeffs[k] * vecs[k] of a non-empty list."""
-    out = [coeffs[0] * x if x else x for x in vecs[0]]
-    for c, v in zip(coeffs[1:], vecs[1:]):
+def combine(coeffs, vecs: Sequence[Vec]) -> Vec:
+    """sum_k coeffs[k] * vecs[k], over the k of a coefficient sequence or
+    of a Vec of coefficients."""
+    acc = {}
+    for k, c in coeffs.items() if coeffs.__class__ is dict else enumerate(coeffs):
         if c:
-            out = [a + c * x if x else a for a, x in zip(out, v)]
-    return out
+            for i, x in vecs[k].items():
+                acc[i] = acc[i] + c * x if i in acc else c * x
+    return {i: x for i, x in acc.items() if x}
 
 
-def mat_vec(m: Mat, v: Vec, ring: ParamRing) -> Vec:
+def scale(v: Vec, c: Scalar) -> Vec:
+    return {i: c * x for i, x in v.items()} if c else {}
+
+
+def columns(vecs: Sequence[Vec], ring: ParamRing) -> Mat:
+    """The matrix whose columns are vecs, over the indices where one of them
+    is nonzero: the rows left out are zero."""
+    z = ring.zero()
+    return [[v.get(i, z) for v in vecs] for i in sorted(set().union(*vecs))]
+
+
+def _stacked(vecs: Sequence[Vec]) -> Vec:
+    """A list of vectors as one, over the keys (position, index)."""
+    return {(a, i): x for a, v in enumerate(vecs) for i, x in v.items()}
+
+
+def mat_vec(m: Mat, v: list, ring: ParamRing) -> list:
     nonzero = [(k, x) for k, x in enumerate(v) if x]
     out = []
     for row in m:
@@ -63,11 +69,11 @@ def rref(rows: Mat) -> tuple[Mat, list[int]]:
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = 1 / m[r][c]
-        m[r] = [inv * x for x in m[r]]
+        m[r] = row = [inv * x if x else x for x in m[r]]
         for i in range(nrow):
             if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], row)]
         pivots.append(c)
         r += 1
         if r == nrow:
@@ -81,8 +87,9 @@ def rank(rows: Mat) -> int:
     return len(rref(rows)[0])
 
 
-def kernel(rows: Mat, ring: ParamRing, ncols: int) -> list[Vec]:
-    """Basis of the right kernel {v : M v = 0}, echelonized, free vars in order."""
+def kernel(rows: Mat, ring: ParamRing, ncols: int) -> list[list]:
+    """Basis of the right kernel {v : M v = 0}, echelonized, free vars in
+    order, as dense columns."""
     if not rows:
         return [[ring.one() if j == i else ring.zero() for j in range(ncols)]
                 for i in range(ncols)]
@@ -90,7 +97,7 @@ def kernel(rows: Mat, ring: ParamRing, ncols: int) -> list[Vec]:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = zeros(ring, ncols)
+        v = [ring.zero()] * ncols
         v[fc] = ring.one()
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
@@ -98,10 +105,10 @@ def kernel(rows: Mat, ring: ParamRing, ncols: int) -> list[Vec]:
     return basis
 
 
-def independent(vecs: Sequence[Vec]) -> list[Vec]:
+def independent(vecs: Sequence[Vec], ring: ParamRing) -> list[Vec]:
     """The vecs outside the span of those before them: the pivot columns of
     one rref, which are the vectors a greedy rank test would keep."""
-    return [vecs[c] for c in rref(transpose(vecs))[1]]
+    return [vecs[c] for c in rref(columns(vecs, ring))[1]]
 
 
 def kernel_span(vecs: Sequence[Vec], images, ring: ParamRing) -> list[Vec]:
@@ -109,23 +116,21 @@ def kernel_span(vecs: Sequence[Vec], images, ring: ParamRing) -> list[Vec]:
     vector to a list of vectors, linearly."""
     if not vecs:
         return []
-    rows = transpose([[x for w in images(v) for x in w] for v in vecs])
-    return [combine(c, vecs) for c in kernel(rows, ring, len(vecs))]
+    cols = columns([_stacked(images(v)) for v in vecs], ring)
+    return [combine(c, vecs) for c in kernel(cols, ring, len(vecs))]
 
 
-def solve(rows: Mat, rhs: Vec, ring: ParamRing) -> Vec | None:
-    """One solution of M x = b (free variables set to zero), or None."""
-    if not rows:
-        return None
-    ncol = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncol in pivots:
+def solve(vecs: Sequence[Vec], images, rhs: Sequence[Vec],
+          ring: ParamRing) -> Vec | None:
+    """One v = sum x_k vecs[k] with images(v) = rhs, the free x_k zero, or
+    None; images maps a vector to a list of vectors, linearly, and rhs is
+    such a list."""
+    n = len(vecs)
+    cols = [_stacked(images(v)) for v in vecs] + [_stacked(rhs)]
+    red, pivots = rref(columns(cols, ring))
+    if n in pivots:
         return None  # inconsistent
-    x = zeros(ring, ncol)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncol]
-    return x
+    return combine({pc: red[r][n] for r, pc in enumerate(pivots)}, vecs)
 
 
 def inverse(rows: Mat, ring: ParamRing) -> Mat:

@@ -202,17 +202,17 @@ class ReductionFrame:
     the reduction maps and the generator-level bracket tables.
     """
 
-    def __init__(self, setup: GradedSetup, s: list, isotropic: bool = False):
+    def __init__(self, setup: GradedSetup, s: dict, isotropic: bool = False):
         self.setup = setup
         self.algebra = g = setup.algebra
         self.ring = setup.ring
-        self.s = list(s)
+        self.s = dict(s)
         self.isotropic = isotropic
         self.basis = list(setup.basis)
         self.labels = list(setup.labels)
         self.eig_of = list(setup.eig_of)
         self.gram, self.dual_basis = setup.gram, setup.dual_basis
-        self._adapted_from_orig = setup._adapted_from_orig
+        self._coords = setup._coords
         self._l_indices = self._lp_indices = []
         n = len(self.basis)
         half = Fraction(1, 2)
@@ -220,8 +220,7 @@ class ReductionFrame:
         if isotropic:
             if setup.kind != MINIMAL:
                 raise GradeMismatch("isotropic variant needs a minimal grading")
-            l_side, lp_side = darboux_split(
-                setup, seed=self.s if any(self.s) else None)
+            l_side, lp_side = darboux_split(setup, seed=self.s or None)
             self.l_pairs = (l_side, lp_side)
             # l then l' take the place of the setup's g_1/2 block
             half_idx = setup.eig_indices(half)
@@ -232,8 +231,7 @@ class ReductionFrame:
             for i, v, name in zip(half_idx, l_side + lp_side, names):
                 self.basis[i] = v
                 self.labels[i] = name
-            self.gram, self.dual_basis, self._adapted_from_orig = (
-                setup.dual_data(self.basis))
+            self.gram, self.dual_basis, self._coords = setup.dual_data(self.basis)
         if setup.kind == MINIMAL:
             # the g_1/2 pairs the minimal generators sum over: l with l', or
             # a basis of g_1/2 with its omega_+ dual
@@ -263,13 +261,11 @@ class ReductionFrame:
 
         # struct[i][j] lists the (r, c) with [b_i, b_j] = sum c b_r
         self.struct = [
-            [[(r, c) for r, c in enumerate(self.to_adapted(g.bracket(u, v))) if c]
-             for v in self.basis]
+            [sorted(self.to_adapted(g.bracket(u, v)).items()) for v in self.basis]
             for u in self.basis
         ]
         # loop degree of z, so that f + zs is homogeneous of degree -1
-        co = self.to_adapted(self.s)
-        grades = {self.eig_of[i] for i, c in enumerate(co) if c}
+        grades = {self.eig_of[i] for i in self.to_adapted(self.s)}
         if len(grades) > 1:
             raise GradeMismatch("s must be homogeneous in the ad(x)-grading")
         self.z_degree = -(Fraction(1) + grades.pop()) if grades else None
@@ -277,7 +273,7 @@ class ReductionFrame:
         # the quotient p -> g^f: g^f stays, g_0 goes through sharp and the
         # rest dies; v maps to linalg.combine(to_adapted(v), quotient_images)
         self.quotient_images = [
-            b if i in self._w_pos else setup.sharp(b) if ev == 0 else g.zero_vec()
+            b if i in self._w_pos else setup.sharp(b) if ev == 0 else {}
             for i, (b, ev) in enumerate(zip(self.basis, self.eig_of))]
         self._build_maps()
         self.full_table = self._build_table(
@@ -288,14 +284,14 @@ class ReductionFrame:
 
     # -- construction helpers -------------------------------------------
 
-    def to_adapted(self, v: list) -> list:
-        return linalg.mat_vec(self._adapted_from_orig, v, self.ring)
+    def to_adapted(self, v: dict) -> dict:
+        return linalg.combine(v, self._coords)
 
-    def ad_adapted(self, v: list) -> list:
+    def ad_adapted(self, v: dict) -> list:
         """ad(v) in adapted coordinates: entry i lists the (r, c) with
         [v, b_i] = sum c b_r."""
         out = []
-        co = [(j, c) for j, c in enumerate(self.to_adapted(v)) if c]
+        co = self.to_adapted(v).items()
         for i in range(len(self.basis)):
             acc = {}
             for j, cj in co:
@@ -316,8 +312,8 @@ class ReductionFrame:
         # pi on coordinate generators: quotient onto V(g^f)
         self._pi_images = []
         for i in self.coord_idx:
-            co = self.to_adapted(self.quotient_images[i])
-            self._pi_images.append(self.w_ctx.linear([co[b] for b in self.w_idx]))
+            self._pi_images.append(self._lin(
+                self.w_ctx, self._w_pos, self.to_adapted(self.quotient_images[i])))
 
     def _build_table(self, idx, ctx: Context, images: list) -> BracketTable:
         """{b_i lambda b_j}_z = [b_i,b_j] + (b_i|b_j) lambda + z (s|[b_i,b_j])
@@ -337,23 +333,30 @@ class ReductionFrame:
 
     # -- element builders --------------------------------------------------
 
-    def full_lin(self, v: list) -> DiffPoly:
+    @staticmethod
+    def _lin(ctx: Context, pos: dict, co: dict, order: int = 0) -> DiffPoly:
+        """The linear polynomial of the adapted coordinates co on the
+        generators of ctx, generator pos[b] for basis index b; the
+        coordinates off pos are dropped."""
+        return ctx.linear({pos[b]: c for b, c in co.items() if b in pos}, order)
+
+    def full_lin(self, v: dict) -> DiffPoly:
         return self.full_ctx.linear(self.to_adapted(v))
 
-    def coord_lin(self, v: list, order: int = 0) -> DiffPoly:
+    def coord_lin(self, v: dict, order: int = 0) -> DiffPoly:
         """v in g_<=1/2 (resp. p) as a linear coordinate polynomial."""
-        coords_in(self, v, self._coord_pos, "vector leaves the coordinate subspace")
-        return self.p_lin(v, order)
+        co = coords_in(self, v, self._coord_pos,
+                       "vector leaves the coordinate subspace")
+        return self._lin(self.coord_ctx, self._coord_pos, co, order)
 
-    def p_lin(self, v: list, order: int = 0) -> DiffPoly:
+    def p_lin(self, v: dict, order: int = 0) -> DiffPoly:
         """As coord_lin, but first drop the components of v off the
         coordinate subspace (g_>=1, and l for the isotropic variant)."""
-        co = self.to_adapted(v)
-        return self.coord_ctx.linear([co[b] for b in self.coord_idx], order)
+        return self._lin(self.coord_ctx, self._coord_pos, self.to_adapted(v), order)
 
-    def w_lin(self, v: list, order: int = 0) -> DiffPoly:
+    def w_lin(self, v: dict, order: int = 0) -> DiffPoly:
         co = coords_in(self, v, self._w_pos, "vector leaves g^f")
-        return self.w_ctx.linear([co[b] for b in self.w_idx], order)
+        return self._lin(self.w_ctx, self._w_pos, co, order)
 
     # -- the reduction maps -------------------------------------------------
 
@@ -367,12 +370,12 @@ class ReductionFrame:
         images = [self.full_ctx.gen(i) for i in self.coord_idx]
         return p.map_generators(self.full_ctx, images)
 
-    def rho_action(self, a: list, p: DiffPoly) -> LambdaPoly:
+    def rho_action(self, a: dict, p: DiffPoly) -> LambdaPoly:
         """a^rho_lambda p = rho {a_lambda p}_z for a annihilating generator."""
         coords_in(self, a, self.ann_idx, "action vector must lie in the annihilator")
         return self._rho_act(a, _partials(self.embed_coord(p)))
 
-    def _rho_act(self, a: list, dp: dict) -> LambdaPoly:
+    def _rho_act(self, a: dict, dp: dict) -> LambdaPoly:
         h, k = LeftBracket(self.full_table, self.full_lin(a)).on_partials(dp)
         if k:
             raise ZDependence("rho-twisted action depends on z")

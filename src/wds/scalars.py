@@ -98,7 +98,8 @@ class ParamRing:
 
     def const(self, q) -> Scalar | Fraction:
         """q in this ring: a Fraction over Q, a Scalar over Q(p)."""
-        q = Fraction(q)
+        if q.__class__ is not Fraction:
+            q = Fraction(q)
         if not self.nvars:
             return q
         if not q:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from . import linalg
 from .diffpoly import DiffPoly, LambdaPoly
 from .lie import MINIMAL, SHORT, coords_in
 from .pva import BracketTable, LeftBracket, ReductionFrame
@@ -57,7 +56,7 @@ class WGenerators:
         """The weight-1 generator over a in g_0^f."""
         fr = self.frame
         setup = fr.setup
-        if linalg.vec_is_zero(a):
+        if not a:
             return fr.coord_ctx.zero()
         coords_in(setup, a, setup.g0f_indices, "phi argument must lie in g_0^f")
         out = fr.coord_lin(a)

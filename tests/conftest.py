@@ -58,8 +58,7 @@ def sl3_iso():
 def sl4_generic():
     g = build_sl(4, params=["s1", "s2"], form_scale="c")
     s1, s2 = g.ring.param("s1"), g.ring.param("s2")
-    s = [s1 * a + s2 * b
-         for a, b in zip(g.parse({"E13": 1}), g.parse({"E24": 1}))]
+    s = g.parse({"E13": s1, "E24": s2})
     return Config(g, {"E31": 1, "E42": 1}, SHORT, s=s)
 
 

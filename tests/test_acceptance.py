@@ -280,10 +280,8 @@ def test_a09_structural_counts():
         assert s.find_embeddable(s.basis[i]) is None
     rng = random.Random(106)
     for _ in range(100):
-        v = sp.zero_vec()
-        for i in half:
-            v = linalg.vec_add(v, linalg.vec_scale(
-                s.basis[i], sp.ring.const(rng.randint(-3, 3))))
+        v = linalg.combine([sp.ring.const(rng.randint(-3, 3)) for _ in half],
+                           [s.basis[i] for i in half])
         assert s.find_embeddable(v) is None
     ok(9, "dim g_1/2 = 2h^v - 4 for sl3..sl5; sp4 has no embeddable s")
 

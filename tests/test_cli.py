@@ -235,6 +235,9 @@ def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
         assert err.startswith(f"error: {argv[-1][:-3]} ")
     assert "Traceback" not in err + out
     assert "Fraction(" not in err
+    if argv[1:] == SP6_SHORT_CENTER:  # the degree-0 center is what is empty
+        assert err == ("error: the degree-0 center of ker ad(f+zs) is "
+                       "trivial; no center element\n")
 
 
 @pytest.mark.parametrize("argv, reason", [

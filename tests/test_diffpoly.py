@@ -478,7 +478,7 @@ def test_order_past_the_bound_raises():
     with pytest.raises(OrderOverflow):
         UV.gen(0, TOP + 1)
     with pytest.raises(OrderOverflow):
-        UV.linear([1, 2], TOP + 1)
+        UV.linear({0: 1, 1: 2}, TOP + 1)
     with pytest.raises(OrderOverflow):
         UV.gen(0, -1)
     top = UV.gen(1, TOP)

@@ -385,7 +385,7 @@ def test_isotropic_quotient_pi_l(sl3_iso):
         elif fr.eig_of[i] == 0:
             assert img == fr.setup.sharp(b)
         else:
-            assert img == fr.algebra.zero_vec()
+            assert img == {}
     # pi on the coordinate generators is pi_l in V(g^f) coordinates
     for pos, i in enumerate(fr.coord_idx):
         assert fr.pi(fr.coord_ctx.gen(pos)) == fr.w_lin(pi_l(fr.basis[i]))

@@ -294,7 +294,7 @@ def test_distinct_rings_rejected_on_every_path():
 # each entry point, and the coefficient it stores for c
 ENTRY_POINTS = {
     "context_const": lambda ctx, g, c: ctx.const(c).const_term(),
-    "context_linear": lambda ctx, g, c: ctx.linear([1, c]).coeffs()[((1, 0),)],
+    "context_linear": lambda ctx, g, c: ctx.linear({0: 1, 1: c}).coeffs()[((1, 0),)],
     "diffpoly_scale": lambda ctx, g, c: ctx.gen(0).scale(c).coeffs()[((0, 0),)],
     "lie_parse": lambda ctx, g, c: g.parse({"E12": c})[g.labels.index("E12")],
 }
@@ -730,8 +730,7 @@ def test_symbolic_sl4_solve_takes_no_gcd():
     with gcd_callers() as callers:
         g = build_sl(4, params=["s1", "s2"], form_scale="c")
         s1, s2 = g.ring.param("s1"), g.ring.param("s2")
-        s = [s1 * a + s2 * b
-             for a, b in zip(g.parse({"E13": 1}), g.parse({"E24": 1}))]
+        s = g.parse({"E13": s1, "E24": s2})
         frame = ReductionFrame(GradedSetup(g, g.parse({"E31": 1, "E42": 1}), SHORT), s)
         entries = WGenerators(frame).table.entries
         U, h, _ = solve_dressing(frame, 4)
@@ -759,10 +758,8 @@ def generic_s_frame():
     from wds import SHORT, GradedSetup, ReductionFrame, build_sl
     names = ["p11", "p12", "p21", "p22"]
     g = build_sl(4, params=names, form_scale="c")
-    s = [g.ring.zero()] * g.dim
-    for name in names:
-        root = g.parse({f"E{name[1]}{int(name[2]) + 2}": 1})
-        s = [a + g.ring.param(name) * b for a, b in zip(s, root)]
+    s = g.parse({f"E{name[1]}{int(name[2]) + 2}": g.ring.param(name)
+                 for name in names})
     return ReductionFrame(GradedSetup(g, g.parse({"E31": 1, "E42": 1}), SHORT), s)
 
 

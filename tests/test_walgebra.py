@@ -41,9 +41,9 @@ def test_phi_psi_linearity_and_grade_errors(sl3_min):
     cfg = sl3_min
     g, s, gens = cfg.algebra, cfg.setup, cfg.gens
     u1, u2 = g.parse({"E21": 1}), g.parse({"E32": 1})
-    both = linalg.vec_add(u1, u2)
+    both = linalg.combine([1, 1], [u1, u2])
     assert gens.psi(both) == gens.psi(u1) + gens.psi(u2)
-    assert gens.phi(g.zero_vec()) == cfg.frame.coord_ctx.zero()
+    assert gens.phi({}) == cfg.frame.coord_ctx.zero()
     with pytest.raises(GradeMismatch):
         gens.phi(s.x)
     with pytest.raises(GradeMismatch):
@@ -320,15 +320,12 @@ def test_short_jordan_tensor_identity(sl4_short):
                 b = s.sharp(g.bracket(u1, ukd))
                 c = s.sharp(g.bracket(u, ukd))
                 d = g.bracket(g.bracket(s.e, u1), g.bracket(s.e, uk))
-                for i, ca in enumerate(a):
-                    for j, cb in enumerate(b):
-                        if ca and cb:
-                            lhs[(i, j)] = lhs.get(i, j) if False else \
-                                lhs.get((i, j), g.ring.zero()) + ca * cb
-                for i, cc in enumerate(c):
-                    for j, cd in enumerate(d):
-                        if cc and cd:
-                            rhs[(i, j)] = rhs.get((i, j), g.ring.zero()) + cc * cd
+                for i, ca in a.items():
+                    for j, cb in b.items():
+                        lhs[(i, j)] = lhs.get((i, j), g.ring.zero()) + ca * cb
+                for i, cc in c.items():
+                    for j, cd in d.items():
+                        rhs[(i, j)] = rhs.get((i, j), g.ring.zero()) + cc * cd
             keys = set(lhs) | set(rhs)
             for key in keys:
                 zl = lhs.get(key, g.ring.zero())
