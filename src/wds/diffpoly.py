@@ -444,9 +444,11 @@ class DiffPoly:
         parts = []
         for m, c in self._ordered():
             body, cs = self._mono_str(m, _LATEX), str(c)
-            if cs == "1" and m:
+            if not m:
+                parts.append(cs)
+            elif cs == "1":
                 parts.append(body)
-            elif cs == "-1" and m:
+            elif cs == "-1":
                 parts.append(f"-{body}")
             else:
                 parts.append(f"{cs} {body}")

@@ -195,6 +195,21 @@ def test_renderers():
     assert "u" in p.latex()
 
 
+@pytest.mark.parametrize("p, text, latex", [
+    (UV.const(Fraction(1, 2)), "1/2", "1/2"),
+    (UV.one(), "1", "1"),
+    (UV.const(-3), "-3", "-3"),
+    (u + UV.one(), "1 + u", "1 + u"),
+    (u * v.scale(Fraction(1, 2)) - UV.const(3), "-3 + 1/2*u*v",
+     "-3 + 1/2 u v"),
+    (UV.one() - u * u * UV.gen(1, 4), "1 - u^2*v^(4)", "1 - (u)^{2} v^{(4)}"),
+])
+def test_latex_writes_constant_terms_bare(p, text, latex):
+    """A constant term is its coefficient alone, in LaTeX as in text."""
+    assert str(p) == text
+    assert p.latex() == latex
+
+
 def test_lambda_poly_operations():
     from wds.diffpoly import LambdaPoly, subst_minus_lambda_d
     x = LambdaPoly(UV, [u, v])

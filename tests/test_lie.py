@@ -12,7 +12,8 @@ from wds.scalars import Q
 from wds.lie import (EmbeddableData, GradedSetup, GradeMismatch,
                      InvalidDimension, InvariantFailed, LieAlgebra, MINIMAL,
                      NotNilpotent, SHORT, SingularPairing, WrongKind,
-                     build_sl, build_sp, darboux_split, index_label)
+                     build_sl, build_sp, coords_in, darboux_split,
+                     index_label)
 from wds.cli import default_nilpotent, find_isotropic_s
 from wds.pva import ReductionFrame
 
@@ -683,6 +684,140 @@ def test_coordinates_and_dual_bases(name):
         assert vecs == [basis[i] for i in idx]
         assert duals == [dual[i] for i in idx]
         assert duals == setup._dual_in(vecs, partner or vecs, g.pair)
+
+
+def _symbolic_frame():
+    g = build_sl(4, params=["s1", "s2"], form_scale="c")
+    setup = _setup(g, ["E31", "E42"], SHORT)
+    s1, s2 = g.ring.param("s1"), g.ring.param("s2")
+    return ReductionFrame(setup, g.parse({"E13": s1, "E24": s2}))
+
+
+def _frame_with_e(setup):
+    return ReductionFrame(setup, setup.e)
+
+
+# the frames of the sparse-against-dense vector oracle: sl3, sp4, sl4
+# isotropic, and sl4 short over Q(c, s1, s2)
+VECTOR_FRAMES = {
+    "sl3_minimal": lambda: _frame_with_e(_setup(build_sl(3), ["E31"], MINIMAL)),
+    "sp4_minimal": lambda: _frame_with_e(_setup(build_sp(4), ["C11"], MINIMAL)),
+    "sl4_isotropic": lambda: _isotropic_frame(4),
+    "sl4_short_symbolic": _symbolic_frame,
+}
+
+
+def basis_inverse(basis, g):
+    """The dense inverse of the matrix whose columns are basis: the dense
+    coordinate map of that basis, found without a dual basis."""
+    cols = [dense_of(b, g.dim, g.ring.zero()) for b in basis]
+    return linalg.inverse(linalg.transpose(cols), g.ring)
+
+
+@functools.cache
+def dense_frame(name):
+    """A frame, the dense Lie layer of its algebra, and the dense
+    coordinate maps of the frame's and of its setup's adapted basis."""
+    frame = VECTOR_FRAMES[name]()
+    g = frame.algebra
+    return (frame, DenseLie.of(g), basis_inverse(frame.basis, g),
+            basis_inverse(frame.setup.basis, g))
+
+
+def dense_coords_in(to_adapted, v, allowed):
+    """coords_in on dense coordinates: the coordinates, or GradeMismatch."""
+    co = to_adapted(v)
+    if any(c and i not in allowed for i, c in enumerate(co)):
+        raise GradeMismatch("off the allowed indices")
+    return co
+
+
+@st.composite
+def frame_and_vectors(draw):
+    """A VECTOR_FRAMES frame with its dense oracle, three sparse vectors,
+    three coefficients and a set of adapted indices; over Q(c, s1, s2) a
+    coefficient is a + b p for a parameter p."""
+    name = draw(st.sampled_from(sorted(VECTOR_FRAMES)))
+    frame, dense, inv, setup_inv = dense_frame(name)
+    g, ring = frame.algebra, frame.ring
+
+    def coeff():
+        c = ring.const(draw(st.integers(-3, 3)))
+        if ring.names:
+            p = ring.param(draw(st.sampled_from(ring.names)))
+            c = c + ring.const(draw(st.integers(-2, 2))) * p
+        return c
+
+    vecs = []
+    for _ in range(3):
+        # a basis vector of the frame, or a few entries over g's basis
+        if draw(st.booleans()):
+            v = frame.basis[draw(st.integers(0, g.dim - 1))]
+        else:
+            v = {i: coeff() for i in draw(
+                st.lists(st.integers(0, g.dim - 1), max_size=4))}
+        vecs.append({i: c for i, c in v.items() if c})
+    coeffs = [coeff() for _ in range(3)]
+    allowed = set(draw(st.lists(st.integers(0, g.dim - 1), max_size=g.dim)))
+    return (frame, dense, inv, setup_inv, vecs, coeffs, allowed,
+            draw(st.integers(0, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(frame_and_vectors())
+def test_sparse_vectors_match_dense_oracle(data):
+    """bracket, pair, to_adapted, coords_in, linalg.combine and
+    Context.linear on sparse vectors equal the dense list versions, on sl3,
+    sp4, sl4 isotropic and sl4 over Q(c, s1, s2); no sparse result holds
+    a zero coefficient."""
+    frame, dense, inv, setup_inv, vecs, coeffs, allowed, order = data
+    g, ring = frame.algebra, frame.ring
+    n, z = g.dim, ring.zero()
+    su, sv, sw = vecs
+    u, v, w = (dense_of(x, n, z) for x in vecs)
+
+    def dense_out(x):
+        assert all(x.values())
+        return dense_of(x, n, z)
+
+    def to_adapted(x):
+        return linalg.mat_vec(inv, x, ring)
+
+    assert dense_out(g.bracket(su, sv)) == dense.bracket(u, v)
+    assert g.pair(su, sw) == dense.pair(u, w)
+    assert dense_out(frame.to_adapted(sw)) == to_adapted(w)
+    assert (dense_out(frame.setup.to_adapted(sw))
+            == linalg.mat_vec(setup_inv, w, ring))
+    try:
+        want = dense_coords_in(to_adapted, w, allowed)
+    except GradeMismatch:
+        with pytest.raises(GradeMismatch):
+            coords_in(frame, sw, allowed, "off the allowed indices")
+    else:
+        assert dense_out(coords_in(frame, sw, allowed, "")) == want
+    dense_sum = [sum((c * x[i] for c, x in zip(coeffs, (u, v, w))), z)
+                 for i in range(n)]
+    assert dense_out(linalg.combine(coeffs, vecs)) == dense_sum
+    ctx, co = frame.full_ctx, to_adapted(w)
+    want = ctx.zero()
+    for i, c in enumerate(co):
+        if c:
+            want = want + ctx.gen(i, order).scale(c)
+    assert ctx.linear(frame.to_adapted(sw), order) == want
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_FRAMES))
+def test_frame_struct_matches_dense_construction(name):
+    """frame.struct[i][j] is the (r, c), c nonzero and r increasing, of the
+    dense adapted coordinates of the dense bracket [b_i, b_j], entry for
+    entry over all dim^2 pairs."""
+    frame, dense, inv, _ = dense_frame(name)
+    g, ring = frame.algebra, frame.ring
+    basis = [dense_of(b, g.dim, ring.zero()) for b in frame.basis]
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            co = linalg.mat_vec(inv, dense.bracket(bi, bj), ring)
+            assert frame.struct[i][j] == [(r, c) for r, c in enumerate(co) if c]
 
 
 def _corrupt_constant(dense, i, j, k, delta):

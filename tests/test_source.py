@@ -111,3 +111,62 @@ def test_public_defs_have_callers():
     # an allow-listed name that gained a caller, or left src, leaves the list
     assert sorted(n for n in UNCALLED_PUBLIC
                   if n in used or n not in {name for _, name in public}) == []
+
+
+# module-level mutable displays of src/wds, by module.name, each with the
+# reason it stays
+MODULE_STATE_ALLOWED = {
+    "__init__.__all__": "the package's export list, read by import *, "
+                        "never mutated",
+    "lie._ALLOWED": "the ad(x)-eigenvalues each nilpotent kind admits, a "
+                    "constant table read by GradedSetup._grade",
+    "pva.Bracket": "the parameter list of a Callable type alias: type "
+                   "syntax, not state",
+}
+
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set,
+                    ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict"}
+
+
+def evaluated_at_import(stmt):
+    """The nodes of a module-level statement that run when the module is
+    imported: all of it but function bodies, whose decorators and default
+    values still run."""
+    stack = [stmt]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack += node.decorator_list + node.args.defaults
+            stack += [d for d in node.args.kw_defaults if d is not None]
+        elif isinstance(node, ast.Lambda):
+            stack += node.args.defaults
+        else:
+            stack += ast.iter_child_nodes(node)
+
+
+def test_no_module_level_caches():
+    """No module of src/wds builds a dict, list or set when it is imported,
+    as a display or through dict(), list(), set() or defaultdict(), at
+    module level or in a class body: the engine keeps no mutable module
+    state and no cache outside the objects that own it.  The exceptions
+    are MODULE_STATE_ALLOWED, each with its reason."""
+    found, seen = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            key = f"{path.stem}.{names[0]}" if names else None
+            for node in evaluated_at_import(stmt):
+                call = isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) in MUTABLE_CALLS
+                    or getattr(node.func, "attr", None) in MUTABLE_CALLS)
+                if isinstance(node, MUTABLE_DISPLAYS) or call:
+                    if key in MODULE_STATE_ALLOWED:
+                        seen.add(key)
+                    else:
+                        found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    # an allowed name that left src, or lost its display, leaves the list
+    assert sorted(set(MODULE_STATE_ALLOWED) - seen) == []
