@@ -318,16 +318,21 @@ class ReductionFrame:
     def _build_table(self, idx, ctx: Context, images: list) -> BracketTable:
         """{b_i lambda b_j}_z = [b_i,b_j] + (b_i|b_j) lambda + z (s|[b_i,b_j])
         for i, j in idx, with each b_r replaced by images[r]."""
-        s_pair = [self.algebra.pair(self.s, b) for b in self.basis]
+        s_pair = {r: c for r, c in enumerate(
+            self.algebra.pair(self.s, b) for b in self.basis) if c}
         pos = {b: p for p, b in enumerate(idx)}
         table = BracketTable(ctx)
         for i in idx:
             for j in idx:
+                terms, gram = self.struct[i][j], self.gram[i][j]
+                if not (terms or gram):
+                    continue
                 lin, kconst = ctx.zero(), self.ring.zero()
-                for r, c in self.struct[i][j]:
+                for r, c in terms:
                     lin = lin + images[r].scale(c)
-                    kconst = kconst - c * s_pair[r]
-                h = LambdaPoly(ctx, [lin, ctx.const(self.gram[i][j])])
+                    if r in s_pair:
+                        kconst = kconst - c * s_pair[r]
+                h = LambdaPoly(ctx, [lin, ctx.const(gram)])
                 table.set(pos[i], pos[j], h, LambdaPoly(ctx, [ctx.const(kconst)]))
         return table
 
