@@ -69,15 +69,6 @@ class LieAlgebra:
 
     # -- bilinear operations ------------------------------------------
 
-    def _ad_columns(self, u: Vec) -> list[dict[int, Scalar]]:
-        """Entry j maps k to the coefficient of e_k in [u, e_j]."""
-        cols = [{} for _ in range(self.dim)]
-        for i, ci in u.items():
-            for col, row in zip(cols, self.struct[i]):
-                for k, c in row:
-                    col[k] = col[k] + ci * c if k in col else ci * c
-        return cols
-
     def bracket(self, u: Vec, v: Vec) -> Vec:
         acc = {}
         for i, ci in u.items():
@@ -100,14 +91,13 @@ class LieAlgebra:
         return acc
 
     def killing(self, u: Vec, v: Vec) -> Scalar:
-        """tr(ad u ad v)."""
-        au, av = self._ad_columns(u), self._ad_columns(v)
+        """tr(ad u ad v): the sum over j of the e_j coefficient of
+        [u, [v, e_j]]."""
         acc = self.ring.zero()
-        for k, col in enumerate(au):
-            for i, a in col.items():
-                b = av[i].get(k)
-                if a and b:
-                    acc = acc + a * b
+        for j, e in enumerate(self.units):
+            c = self.bracket(u, self.bracket(v, e)).get(j)
+            if c is not None:
+                acc = acc + c
         return acc
 
     # -- structural checks ---------------------------------------------

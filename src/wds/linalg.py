@@ -3,8 +3,8 @@ Scalars over Q(p), and only the operations they share are used.
 
 A vector is a Vec {index: coefficient} with no zero coefficient, so equal
 vectors are equal dicts.  A matrix is a dense list of rows, on which the
-RREF, kernel and inverse run; `columns` lays vectors out as one, for
-`independent`, `kernel_span` and `solve`.
+RREF, kernel and inverse run; `independent`, `kernel_span` and `solve`
+lay vectors out as the columns of one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def scale(v: Vec, c: Scalar) -> Vec:
     return {i: c * x for i, x in v.items()} if c else {}
 
 
-def columns(vecs: Sequence[Vec], ring: ParamRing) -> Mat:
+def _columns(vecs: Sequence[Vec], ring: ParamRing) -> Mat:
     """The matrix whose columns are vecs, over the indices where one of them
     is nonzero: the rows left out are zero."""
     z = ring.zero()
@@ -108,7 +108,7 @@ def kernel(rows: Mat, ring: ParamRing, ncols: int) -> list[list]:
 def independent(vecs: Sequence[Vec], ring: ParamRing) -> list[Vec]:
     """The vecs outside the span of those before them: the pivot columns of
     one rref, which are the vectors a greedy rank test would keep."""
-    return [vecs[c] for c in rref(columns(vecs, ring))[1]]
+    return [vecs[c] for c in rref(_columns(vecs, ring))[1]]
 
 
 def kernel_span(vecs: Sequence[Vec], images, ring: ParamRing) -> list[Vec]:
@@ -116,7 +116,7 @@ def kernel_span(vecs: Sequence[Vec], images, ring: ParamRing) -> list[Vec]:
     vector to a list of vectors, linearly."""
     if not vecs:
         return []
-    cols = columns([_stacked(images(v)) for v in vecs], ring)
+    cols = _columns([_stacked(images(v)) for v in vecs], ring)
     return [combine(c, vecs) for c in kernel(cols, ring, len(vecs))]
 
 
@@ -127,7 +127,7 @@ def solve(vecs: Sequence[Vec], images, rhs: Sequence[Vec],
     such a list."""
     n = len(vecs)
     cols = [_stacked(images(v)) for v in vecs] + [_stacked(rhs)]
-    red, pivots = rref(columns(cols, ring))
+    red, pivots = rref(_columns(cols, ring))
     if n in pivots:
         return None  # inconsistent
     return combine({pc: red[r][n] for r, pc in enumerate(pivots)}, vecs)
