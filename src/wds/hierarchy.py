@@ -527,9 +527,9 @@ def center_of_h(frame: ReductionFrame, dec: HDecomposition,
             for key in sorted({key for b in brs for key in b}):
                 rows.append([b[key].const_term() if key in b
                              else ring.zero() for b in brs])
-        coefs = linalg.kernel(rows, ring, len(cands))
-        out[d] = [dec.const_loop(d, linalg.mat_vec(linalg.transpose(K), co, ring), ctx)
-                  for co in coefs]
+        span = linalg.transpose(K)  # its columns are the kernel basis
+        out[d] = [dec.const_loop(d, linalg.mat_vec(span, co, ring), ctx)
+                  for co in linalg.kernel(rows, ring, len(cands))]
     return out
 
 

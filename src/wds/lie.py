@@ -345,10 +345,10 @@ class GradedSetup:
                               [self.algebra.bracket(self.x, v), v])
 
     def _is_triple(self) -> bool:
-        g, ring = self.algebra, self.ring
-        return (g.bracket(self.x, self.e) == self.e
-                and g.bracket(self.x, self.f) == linalg.scale(self.f, ring.const(-1))
-                and g.bracket(self.e, self.f) == linalg.scale(self.x, ring.const(2)))
+        g, ring, x = self.algebra, self.ring, self.x
+        return (g.bracket(x, self.e) == self.e
+                and g.bracket(x, self.f) == linalg.scale(self.f, ring.const(-1))
+                and g.bracket(self.e, self.f) == linalg.scale(x, ring.const(2)))
 
     # -- eigenspaces ------------------------------------------------------
 
