@@ -2,9 +2,10 @@
 Scalars over Q(p), and only the operations they share are used.
 
 A vector is a Vec {index: coefficient} with no zero coefficient, so equal
-vectors are equal dicts.  A matrix is a dense list of rows, on which the
-RREF, kernel and inverse run; `independent`, `kernel_span` and `solve`
-lay vectors out as the columns of one.
+vectors are equal dicts; `independent`, `kernel_span` and `solve` eliminate
+on vectors.  A matrix is a dense list of rows, on which the RREF, kernel
+and inverse run: the Gram matrices and the slice matrices of the loop
+decomposition.
 """
 
 from __future__ import annotations
@@ -32,11 +33,28 @@ def scale(v: Vec, c: Scalar) -> Vec:
     return {i: c * x for i, x in v.items()} if c else {}
 
 
-def _columns(vecs: Sequence[Vec], ring: ParamRing) -> Mat:
-    """The matrix whose columns are vecs, over the indices where one of them
-    is nonzero: the rows left out are zero."""
-    z = ring.zero()
-    return [[v.get(i, z) for v in vecs] for i in sorted(set().union(*vecs))]
+def _eliminate(cols: Sequence[Vec], ring: ParamRing) -> list[tuple[Vec, Vec]]:
+    """Forward elimination of vectors, in order: per column, (rest, combo)
+    with column = rest + sum_k combo[k] cols[k] over the earlier columns k
+    outside the span of those before them; rest is zero exactly when the
+    column lies in the span of the columns before it, and then combo is
+    the one combination of those k that gives it."""
+    one = ring.one()
+    pivots, out = [], []  # (key, rest scaled to 1 at key, as a combination)
+    for n, col in enumerate(cols):
+        rest, combo = col, {}
+        for key, red, red_combo in pivots:
+            c = rest.get(key)
+            if c is not None:
+                rest = combine([one, -c], [rest, red])
+                combo = combine([one, c], [combo, red_combo])
+        if rest:
+            key = next(iter(rest))
+            inv = 1 / rest[key]
+            pivots.append((key, scale(rest, inv),
+                           combine([inv, -inv], [{n: one}, combo])))
+        out.append((rest, combo))
+    return out
 
 
 def _stacked(vecs: Sequence[Vec]) -> Vec:
@@ -106,18 +124,22 @@ def kernel(rows: Mat, ring: ParamRing, ncols: int) -> list[list]:
 
 
 def independent(vecs: Sequence[Vec], ring: ParamRing) -> list[Vec]:
-    """The vecs outside the span of those before them: the pivot columns of
-    one rref, which are the vectors a greedy rank test would keep."""
-    return [vecs[c] for c in rref(_columns(vecs, ring))[1]]
+    """The vecs outside the span of those before them, which are the
+    vectors a greedy rank test would keep."""
+    return [v for v, (rest, _) in zip(vecs, _eliminate(vecs, ring)) if rest]
 
 
 def kernel_span(vecs: Sequence[Vec], images, ring: ParamRing) -> list[Vec]:
     """A basis of the v in span(vecs) with images(v) all zero; images maps a
-    vector to a list of vectors, linearly."""
-    if not vecs:
-        return []
-    cols = _columns([_stacked(images(v)) for v in vecs], ring)
-    return [combine(c, vecs) for c in kernel(cols, ring, len(vecs))]
+    vector to a list of vectors, linearly.  One basis vector per vecs[n]
+    whose image lies in the span of the images before it: vecs[n] minus
+    the combination of the independent earlier vecs with that image, the
+    kernel basis an rref gives with its free variables in order."""
+    one = ring.one()
+    cols = [_stacked(images(v)) for v in vecs]
+    return [combine({**{k: -c for k, c in combo.items()}, n: one}, vecs)
+            for n, (rest, combo) in enumerate(_eliminate(cols, ring))
+            if not rest]
 
 
 def solve(vecs: Sequence[Vec], images, rhs: Sequence[Vec],
@@ -125,12 +147,9 @@ def solve(vecs: Sequence[Vec], images, rhs: Sequence[Vec],
     """One v = sum x_k vecs[k] with images(v) = rhs, the free x_k zero, or
     None; images maps a vector to a list of vectors, linearly, and rhs is
     such a list."""
-    n = len(vecs)
     cols = [_stacked(images(v)) for v in vecs] + [_stacked(rhs)]
-    red, pivots = rref(_columns(cols, ring))
-    if n in pivots:
-        return None  # inconsistent
-    return combine({pc: red[r][n] for r, pc in enumerate(pivots)}, vecs)
+    rest, combo = _eliminate(cols, ring)[-1]
+    return None if rest else combine(combo, vecs)
 
 
 def inverse(rows: Mat, ring: ParamRing) -> Mat:
