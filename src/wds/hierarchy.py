@@ -209,14 +209,19 @@ def bracket_sum(frame: ReductionFrame, ctx: Context, pairs: list, n: int = 1,
     return LoopElement(frame, ctx, terms)
 
 
-def _num_rows(mat: list) -> list:
-    """A matrix as numerator rows (R, [(column, R * entry)]), with R the lcm
-    of the row's denominators; zero entries are dropped."""
-    rows = []
-    for row in mat:
-        R, nums = common_denominator(row)
-        rows.append((R, [(j, n) for j, n in enumerate(nums) if n]))
-    return rows
+def _num_rows(cols: list, n: int) -> list:
+    """The n-row matrix with the Vec columns cols as numerator rows
+    (R, [(column, R * entry)]) over the nonzero entries, with R the lcm of
+    the row's denominators."""
+    rows = [{} for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    out = []
+    for row in rows:
+        R, nums = common_denominator(row.values())
+        out.append((R, list(zip(row, nums))))
+    return out
 
 
 def _apply_rows(ctx: Context, rows: list, coeffs: list) -> list:
@@ -281,8 +286,9 @@ class HDecomposition:
     keeps its slice and one split, built from one inverse: the kernel basis
     of ad(f+zs) on slice(r), the projection onto that kernel along the
     image, and the inverse of ad(f+zs) from hperp(r+1), the image part of
-    slice(r+1).  Both matrices are kept as numerator rows, which `split`
-    applies to a LoopElement of any degree of the class.
+    slice(r+1).  Vectors of a slice are Vecs over its positions; both
+    matrices are kept as numerator rows, which `split` applies to a
+    LoopElement of any degree of the class.
     """
 
     def __init__(self, frame: ReductionFrame):
@@ -297,9 +303,9 @@ class HDecomposition:
         self._slices = {r: self._slice(r) for r in self.classes}
         ad_fzs = ((frame.ad_adapted(frame.setup.f), 0),
                   (frame.ad_adapted(frame.s), 1))
-        mats = {r: self._ad_matrix(r, ad_fzs) for r in self.classes}
+        ads = {r: self._ad_columns(r, ad_fzs) for r in self.classes}
         # r -> (kernel basis, projection rows, solve rows)
-        self._splits = {r: self._split(r, mats) for r in self.classes}
+        self._splits = {r: self._split(r, ads) for r in self.classes}
 
     def residue(self, deg: Fraction) -> tuple[Fraction, int]:
         """(r, t) with deg = r + tP and r in [-1, -1 + P)."""
@@ -311,7 +317,7 @@ class HDecomposition:
         r, t = self.residue(deg)
         return [(i, k - t) for i, k in self._slices[r]]
 
-    def h_basis(self, deg: Fraction) -> list[list]:
+    def h_basis(self, deg: Fraction) -> list[linalg.Vec]:
         """The kernel basis of ad(f+zs) on slice(deg), in slice coordinates."""
         return self._splits[self.residue(deg)[0]][0]
 
@@ -323,44 +329,46 @@ class HDecomposition:
                 out.append((i, int(k)))
         return out
 
-    def _ad_matrix(self, deg: Fraction, ad_fzs: tuple):
-        """Matrix of ad(f+zs): slice(deg) -> slice(deg - 1) in slice coords."""
-        dst = self.slice(deg - 1)
-        pos = {key: p for p, key in enumerate(dst)}
+    def _ad_columns(self, deg: Fraction, ad_fzs: tuple) -> list[linalg.Vec]:
+        """ad(f+zs): slice(deg) -> slice(deg - 1), as the Vecs of its
+        columns over the positions of slice(deg - 1)."""
+        pos = {key: p for p, key in enumerate(self.slice(deg - 1))}
         cols = []
         for (i, k) in self.slice(deg):
-            col = [self.frame.ring.zero()] * len(dst)
+            col = {}
             for ad, dz in ad_fzs:
                 for r, c in ad[i]:
-                    col[pos[(r, k + dz)]] = col[pos[(r, k + dz)]] + c
-            cols.append(col)
-        return linalg.transpose(cols)
+                    p = pos[(r, k + dz)]
+                    col[p] = col[p] + c if p in col else c
+            cols.append({p: c for p, c in col.items() if c})
+        return cols
 
-    def _split(self, deg: Fraction, mats: dict) -> tuple:
+    def _split(self, deg: Fraction, ads: dict) -> tuple:
         ring = self.frame.ring
 
-        def mat(d):
-            return mats[self.residue(d)[0]]
+        def ad(d):
+            return ads[self.residue(d)[0]]
 
         m = len(self._slices[deg])
-        K = linalg.kernel(mat(deg), ring, m)
-        # hperp(deg+1) = ad(f+zs) slice(deg+2), spanned by its pivot columns
-        image = linalg.transpose(mat(deg + 2))
-        hperp = [image[c] for c in linalg.rref(mat(deg + 2))[1]]
-        cols = K + [linalg.mat_vec(mat(deg + 1), v, ring) for v in hperp]
+        K = linalg.kernel_span([{p: ring.one()} for p in range(m)],
+                               lambda v: [linalg.combine(v, ad(deg))], ring)
+        # hperp(deg+1) = ad(f+zs) slice(deg+2), spanned by its independent
+        # columns
+        hperp = linalg.independent(ad(deg + 2), ring)
+        cols = K + [linalg.combine(v, ad(deg + 1)) for v in hperp]
         if len(cols) != m:
             raise NotSemisimple(
                 f"slice at degree {deg} does not split (kernel + image)")
-        T = linalg.inverse(linalg.transpose(cols), ring)
-
-        def lift(vecs, rows, n):
-            # sum_a vecs[a] (x) rows[a]: the n x m matrix taking slice(deg)
-            # coordinates through T to the span of vecs
-            return [[sum((v[i] * r[j] for v, r in zip(vecs, rows) if v[i]),
-                         ring.zero()) for j in range(m)] for i in range(n)]
-
-        return (K, _num_rows(lift(K, T[:len(K)], m)),
-                _num_rows(lift(hperp, T[len(K):], len(self.slice(deg + 1)))))
+        T = linalg.inverse(cols, ring)
+        nk = len(K)
+        # column j of each matrix: the parts of T's column j along the
+        # kernel basis and along hperp
+        proj = [linalg.combine({a: c for a, c in t.items() if a < nk}, K)
+                for t in T]
+        solve = [linalg.combine({a - nk: c for a, c in t.items() if a >= nk},
+                                hperp) for t in T]
+        return (K, _num_rows(proj, m),
+                _num_rows(solve, len(self.slice(deg + 1))))
 
     def split(self, deg: Fraction, el: LoopElement) -> tuple:
         """(h, u) for el of degree deg: h the kernel component of el, and u
@@ -375,11 +383,12 @@ class HDecomposition:
 
         return loop(deg, proj), loop(deg + 1, solve)
 
-    def const_loop(self, deg: Fraction, vec: list, ctx: Context) -> LoopElement:
+    def const_loop(self, deg: Fraction, vec: linalg.Vec,
+                   ctx: Context) -> LoopElement:
         """The constant loop element with slice(deg) coordinates vec."""
-        coords = zip(self.slice(deg), vec)
+        keys = self.slice(deg)
         return LoopElement(self.frame, ctx,
-                           {key: ctx.const(c) for key, c in coords if c})
+                           {keys[p]: ctx.const(vec[p]) for p in sorted(vec)})
 
     def coeffs_of(self, deg: Fraction, el) -> list:
         """Slice coordinates of el, 0 where it has no term."""
@@ -508,28 +517,23 @@ def _period_h(dec: HDecomposition, ctx: Context) -> list:
 
 def center_of_h(frame: ReductionFrame, dec: HDecomposition,
                 degrees: list) -> dict:
-    """Degree-wise center of ker(ad(f+zs)), at each of the loop degrees."""
-    ring = frame.ring
+    """Degree-wise center of ker(ad(f+zs)), at each of the loop degrees:
+    the combinations of the kernel basis of slice(d) whose brackets with
+    the kernel bases of one period vanish."""
     ctx = frame.w_ctx
     all_h = _period_h(dec, ctx)
     out = {}
     for d in degrees:
         d = Fraction(d)
-        K = dec.h_basis(d)
-        if not K:
-            out[d] = []
-            continue
-        cands = _h_loops(dec, ctx, d)
-        rows = []
-        for w in all_h:
+
+        def brackets(v):
             # brackets of constant loops: every coefficient is (L, {(): n})
-            brs = [c.bracket(w).terms for c in cands]
-            for key in sorted({key for b in brs for key in b}):
-                rows.append([b[key].const_term() if key in b
-                             else ring.zero() for b in brs])
-        span = linalg.transpose(K)  # its columns are the kernel basis
-        out[d] = [dec.const_loop(d, linalg.mat_vec(span, co, ring), ctx)
-                  for co in linalg.kernel(rows, ring, len(cands))]
+            c = dec.const_loop(d, v, ctx)
+            return [{key: p.const_term() for key, p in c.bracket(w).terms.items()}
+                    for w in all_h]
+
+        out[d] = [dec.const_loop(d, v, ctx) for v in linalg.kernel_span(
+            dec.h_basis(d), brackets, frame.ring)]
     return out
 
 

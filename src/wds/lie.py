@@ -148,16 +148,10 @@ class LieAlgebra:
                 for k in sorted(inv):
                     if inv[k]:
                         bad.append(f"invariance ({lab[i]},{lab[j]},{lab[k]})")
-        if linalg.rank(self._dense_form()) != n:
+        if len(linalg.independent([dict(row) for row in self.form],
+                                  self.ring)) != n:
             bad.append("degenerate form")
         return bad
-
-    def _dense_form(self) -> list[list[Scalar]]:
-        out = [[self.ring.zero()] * self.dim for _ in range(self.dim)]
-        for i, row in enumerate(self.form):
-            for j, c in row:
-                out[i][j] = c
-        return out
 
     def vec_str(self, v: Vec) -> str:
         parts = []
@@ -182,7 +176,7 @@ class LieAlgebra:
         return v
 
     def to_json(self) -> dict:
-        lab = self.labels
+        lab, zero = self.labels, self.ring.zero()
         entries = {}
         for i in range(self.dim):
             for j in range(self.dim):
@@ -192,7 +186,8 @@ class LieAlgebra:
             "dim": self.dim,
             "basis": list(lab),
             "structure": entries,
-            "form": [[str(c) for c in row] for row in self._dense_form()],
+            "form": [[str(row.get(j, zero)) for j in range(self.dim)]
+                     for row in map(dict, self.form)],
         }
 
 
@@ -208,18 +203,19 @@ def _matrix_algebra(ring: ParamRing, labels: list[str],
     entries {(r, c): x}, with (a|b) = form_scale tr(ab).
 
     Coordinate k of a commutator X is tr(X D^k), over the basis D^k
-    trace-dual to mats, read off the one inverse of the trace Gram matrix.
+    trace-dual to mats, read off the one inverse of the trace Gram matrix;
+    gram[a] is the Vec of the tr(a b), its row and its column a.
     """
-    gram = [[sum((x * b.get((c, r), 0) for (r, c), x in a.items()), Fraction(0))
-             for b in mats] for a in mats]
+    gram = [{k: tr for k, b in enumerate(mats) if (tr := sum(
+        (x * b.get((c, r), 0) for (r, c), x in a.items()), Fraction(0)))}
+        for a in mats]
     # dual_at[(r, c)] maps k to the (c, r) entry of D^k
     dual_at = {}
-    for inv_col, m in zip(zip(*linalg.inverse(gram, Q)), mats):
+    for inv_col, m in zip(linalg.inverse(gram, Q), mats):
         for (r, c), x in m.items():
             at = dual_at.setdefault((c, r), {})
-            for k, y in enumerate(inv_col):
-                if y:
-                    at[k] = at.get(k, 0) + x * y
+            for k, y in inv_col.items():
+                at[k] = at.get(k, 0) + x * y
 
     def coords(a, b):
         comm = {}
@@ -236,7 +232,7 @@ def _matrix_algebra(ring: ParamRing, labels: list[str],
 
     struct = [[[(k, ring.const(c)) for k, c in coords(a, b) if c]
                for b in mats] for a in mats]
-    form = [[(j, form_scale * ring.const(tr)) for j, tr in enumerate(row) if tr]
+    form = [[(j, form_scale * ring.const(tr)) for j, tr in row.items()]
             for row in gram]
     return LieAlgebra(ring, labels, struct, form)
 
@@ -483,30 +479,31 @@ class GradedSetup:
         if len(vecs_p) != len(vecs_q):
             raise SingularPairing("degenerate pairing between subspaces")
         return self.dual_of_gram(
-            [[pairing(p, q) for q in vecs_q] for p in vecs_p], vecs_q)
+            [{h: c for h, p in enumerate(vecs_p) if (c := pairing(p, q))}
+             for q in vecs_q], vecs_q)
 
-    def dual_of_gram(self, gram: list[list[Scalar]], vecs: list[Vec]) -> list[Vec]:
+    def dual_of_gram(self, gram: list[Vec], vecs: list[Vec]) -> list[Vec]:
         """The basis v^h of span(vecs) dual to vectors p_h, given the Gram
-        matrix gram[h][k] = pairing(p_h, vecs[k]): pairing(p_h, v^k) = delta.
+        columns gram[k] = {h: pairing(p_h, vecs[k])}: pairing(p_h, v^k) =
+        delta.
 
-        Raises SingularPairing when gram is singular.
+        Raises SingularPairing when the Gram matrix is singular.
         """
-        if not vecs:
-            return []
         try:
             inv = linalg.inverse(gram, self.ring)
         except ArithmeticError:
             raise SingularPairing("degenerate pairing between subspaces") from None
-        return [linalg.combine([row[h] for row in inv], vecs)
-                for h in range(len(vecs))]
+        return [linalg.combine(col, vecs) for col in inv]
 
     def dual_data(self, basis: list[Vec]):
-        """The Gram matrix (b_i|b_j) of a basis of g, the dual basis b^i with
-        (b_j|b^i) = delta_ij from its one inverse, and the coordinate map:
+        """The Gram matrix of a basis of g, as the Vecs gram[j] of the
+        (b_i|b_j), each its row and its column j; the dual basis b^i with
+        (b_j|b^i) = delta_ij from its one inverse; and the coordinate map:
         coordinate i of v is (v|b^i), and entry j of the map is the Vec of
         the coordinates of e_j, which to_adapted combines."""
         g = self.algebra
-        gram = [[g.pair(u, v) for v in basis] for u in basis]
+        gram = [{i: c for i, u in enumerate(basis) if (c := g.pair(u, v))}
+                for v in basis]
         dual = self.dual_of_gram(gram, basis)
         rows = [dict(row) for row in g.form]  # (e_j|.) as a Vec
         coords = [{} for _ in range(g.dim)]
@@ -687,7 +684,7 @@ class EmbeddableData:
         half = Fraction(1, 2)
         two_x = linalg.scale(setup.x, ring.const(2))
 
-        def rank(vecs):
+        def dim_of(vecs):
             return len(linalg.independent(vecs, ring))
 
         if g.bracket(s, st) != two_x:
@@ -707,28 +704,29 @@ class EmbeddableData:
              for u in self.gs_half],
         ]
         for m, im in enumerate(imgs):
-            if im and rank(im) != len(self.gs_half):
+            if im and dim_of(im) != len(self.gs_half):
                 bad.append(f"ad-map {m} not injective on g^s_1/2")
         # (e) g_0^f = g_0^s + [s, [f, g^s_1/2]], orthogonal direct sum
         comp = imgs[1]
         span = self.g0s + comp
-        if span and rank(span) != len(setup.g0f_indices):
+        if span and dim_of(span) != len(setup.g0f_indices):
             bad.append("g_0^f does not split as g_0^s + [s,[f,g^s_1/2]]")
         for a in self.g0s:
             for b in comp:
                 if g.pair(a, b):
                     bad.append("g_0^s not orthogonal to [s,[f,g^s_1/2]]")
         # (f) dual decompositions of the half eigenspaces
-        if rank(imgs[2] + [s]) != len(setup.eig_indices(half)):
+        if dim_of(imgs[2] + [s]) != len(setup.eig_indices(half)):
             bad.append("g_1/2 != [s,[s,[f,g^s_1/2]]] + F s")
-        if rank(imgs[0] + [st]) != len(setup.eig_indices(half)):
+        if dim_of(imgs[0] + [st]) != len(setup.eig_indices(half)):
             bad.append("g_-1/2 != [f, g^s_1/2] + F s*")
         for u in imgs[2]:
             if g.pair(u, st):
                 bad.append("[s,[s,[f,g^s_1/2]]] not orthogonal to s*")
         # (h) chi nondegenerate and g_0^s invariant
-        M = [[self.chi(u, v) for v in self.gs_half] for u in self.gs_half]
-        if self.gs_half and linalg.rank(M) != len(self.gs_half):
+        M = [{k: c for k, v in enumerate(self.gs_half) if (c := self.chi(u, v))}
+             for u in self.gs_half]
+        if dim_of(M) != len(self.gs_half):
             bad.append("chi degenerate")
         for c in self.g0s:
             for u in self.gs_half:

@@ -2,10 +2,9 @@
 Scalars over Q(p), and only the operations they share are used.
 
 A vector is a Vec {index: coefficient} with no zero coefficient, so equal
-vectors are equal dicts; `independent`, `kernel_span` and `solve` eliminate
-on vectors.  A matrix is a dense list of rows, on which the RREF, kernel
-and inverse run: the Gram matrices and the slice matrices of the loop
-decomposition.
+vectors are equal dicts, and a matrix is the list of the Vecs of its
+columns.  One forward elimination, `_eliminate`, serves `independent`,
+`kernel_span`, `solve` and `inverse`.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Sequence
 from .scalars import ParamRing, Scalar
 
 Vec = dict  # {index: nonzero coefficient}
-Mat = list  # list of rows
 
 
 def combine(coeffs, vecs: Sequence[Vec]) -> Vec:
@@ -62,67 +60,6 @@ def _stacked(vecs: Sequence[Vec]) -> Vec:
     return {(a, i): x for a, v in enumerate(vecs) for i, x in v.items()}
 
 
-def mat_vec(m: Mat, v: list, ring: ParamRing) -> list:
-    nonzero = [(k, x) for k, x in enumerate(v) if x]
-    out = []
-    for row in m:
-        acc = ring.zero()
-        for k, x in nonzero:
-            if row[k]:
-                acc = acc + row[k] * x
-        out.append(acc)
-    return out
-
-
-def rref(rows: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column list)."""
-    m = [list(r) for r in rows]
-    nrow = len(m)
-    ncol = len(m[0]) if nrow else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncol):
-        pr = next((i for i in range(r, nrow) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = row = [inv * x if x else x for x in m[r]]
-        for i in range(nrow):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y if y else x for x, y in zip(m[i], row)]
-        pivots.append(c)
-        r += 1
-        if r == nrow:
-            break
-    return m[:r], pivots
-
-
-def rank(rows: Mat) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[0])
-
-
-def kernel(rows: Mat, ring: ParamRing, ncols: int) -> list[list]:
-    """Basis of the right kernel {v : M v = 0}, echelonized, free vars in
-    order, as dense columns."""
-    if not rows:
-        return [[ring.one() if j == i else ring.zero() for j in range(ncols)]
-                for i in range(ncols)]
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ring.zero()] * ncols
-        v[fc] = ring.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
-
-
 def independent(vecs: Sequence[Vec], ring: ParamRing) -> list[Vec]:
     """The vecs outside the span of those before them, which are the
     vectors a greedy rank test would keep."""
@@ -152,15 +89,13 @@ def solve(vecs: Sequence[Vec], images, rhs: Sequence[Vec],
     return None if rest else combine(combo, vecs)
 
 
-def inverse(rows: Mat, ring: ParamRing) -> Mat:
-    n = len(rows)
-    aug = [list(r) + [ring.one() if j == i else ring.zero() for j in range(n)]
-           for i, r in enumerate(rows)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+def inverse(cols: Sequence[Vec], ring: ParamRing) -> list[Vec]:
+    """The columns of the inverse of the n x n matrix whose columns are
+    cols, keyed 0 .. n-1: column j is the one x with sum_k x[k] cols[k] the
+    j-th unit vector, its keys in order.  Raises ArithmeticError when a
+    column lies in the span of those before it."""
+    n, one = len(cols), ring.one()
+    solved = _eliminate(list(cols) + [{j: one} for j in range(n)], ring)
+    if not all(rest for rest, _ in solved[:n]):
         raise ArithmeticError("singular matrix")
-    return [row[n:] for row in red]
-
-
-def transpose(rows: Mat) -> Mat:
-    return [list(col) for col in zip(*rows)]
+    return [{k: combo[k] for k in sorted(combo)} for _, combo in solved[n:]]

@@ -128,8 +128,7 @@ class LeftBracket:
 
     def __call__(self, h: DiffPoly) -> tuple[LambdaPoly, LambdaPoly]:
         """{g_lambda h}: sum_{j,n} (d+lambda)^n R_j dh/du_j^(n), per part."""
-        _check_table_ctx(self.table, h)
-        return self.on_partials(_partials(h))
+        return self.on_partials(_table_partials(self.table, h))
 
     def on_partials(self, partials: dict) -> tuple[LambdaPoly, LambdaPoly]:
         """{g_lambda h} from _partials(h), taken once for several g."""
@@ -176,6 +175,12 @@ class LeftBracket:
 def _check_table_ctx(table: BracketTable, p: DiffPoly) -> None:
     if p.ctx is not table.ctx and p.ctx != table.ctx:
         raise ValueError("arguments must live in the table's context")
+
+
+def _table_partials(table: BracketTable, h: DiffPoly) -> dict:
+    """_partials(h), for the brackets on table; h must live in its context."""
+    _check_table_ctx(table, h)
+    return _partials(h)
 
 
 def master_bracket(
@@ -322,12 +327,13 @@ class ReductionFrame:
             self.algebra.pair(self.s, b) for b in self.basis) if c}
         pos = {b: p for p, b in enumerate(idx)}
         table = BracketTable(ctx)
+        zero = self.ring.zero()
         for i in idx:
             for j in idx:
-                terms, gram = self.struct[i][j], self.gram[i][j]
+                terms, gram = self.struct[i][j], self.gram[i].get(j, zero)
                 if not (terms or gram):
                     continue
-                lin, kconst = ctx.zero(), self.ring.zero()
+                lin, kconst = ctx.zero(), zero
                 for r, c in terms:
                     lin = lin + images[r].scale(c)
                     if r in s_pair:

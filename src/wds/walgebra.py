@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .diffpoly import DiffPoly, LambdaPoly
 from .lie import MINIMAL, SHORT, coords_in
-from .pva import BracketTable, LeftBracket, ReductionFrame
+from .pva import BracketTable, LeftBracket, ReductionFrame, _table_partials
 
 
 class WGenerators:
@@ -114,15 +114,16 @@ class WGenerators:
         under both brackets, master_bracket on this table gives
         pi{pi^-1(a) lambda pi^-1(b)} for every a, b in V(g^f), with no lift
         to the coordinate ring.  Built on first use, one row per left
-        generator.
+        generator, from the partials of each right operand taken once.
         """
         fr = self.frame
         table = BracketTable(fr.w_ctx)
         images = self._pi_inv_images
+        partials = [_table_partials(fr.coord_table, wj) for wj in images]
         for i, wi in enumerate(images):
             left = LeftBracket(fr.coord_table, wi)
-            for j, wj in enumerate(images):
-                table.set(i, j, *_pi_pair(fr, left(wj)))
+            for j, dj in enumerate(partials):
+                table.set(i, j, *_pi_pair(fr, left.on_partials(dj)))
         return table
 
     # -- helpers -------------------------------------------------------------
@@ -329,9 +330,10 @@ def verify_table(frame: ReductionFrame, gens: WGenerators
 
     Each closed-form entry {a lambda b} is compared exactly, in V(g^f), with
     master_bracket(gens.table, pi(a), pi(b)), computed once per pair by one
-    LeftBracket per left generator a.  Each kind has one closed-form table;
-    for the isotropic variant the minimal table is reported as the paper's
-    two, its H column and its K column.  Returns {table name: {entry:
+    LeftBracket per left generator a, on the partials of pi(b) taken once.
+    Each kind has one closed-form table; for the isotropic variant the
+    minimal table is reported as the paper's two, its H column and its K
+    column.  Returns {table name: {entry:
     mismatches}}; an entry passes when its list is empty.
     """
     kind = frame.setup.kind
@@ -348,13 +350,15 @@ def verify_table(frame: ReductionFrame, gens: WGenerators
         tables = {f"{kind}_generators": forms}
     images = {name: frame.pi(p) for name, p in gens.all_generators()}
     lefts = {name: LeftBracket(gens.table, p) for name, p in images.items()}
+    partials = {name: _table_partials(gens.table, p)
+                for name, p in images.items()}
     got_of: dict = {}  # the isotropic H and K tables share their pairs
     out = {}
     for which, expected in tables.items():
         rows = out[which] = {}
         for (a, b), want in expected.items():
             if (a, b) not in got_of:
-                got_of[(a, b)] = lefts[a](images[b])
+                got_of[(a, b)] = lefts[a].on_partials(partials[b])
             got = got_of[(a, b)]
             rows[f"{{{a}, {b}}}"] = [
                 f"{part}-bracket {{{a}, {b}}}: got {x}, want {y}"

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle as dense_la
+from dense_oracle import dense_of, sparse_of
 from wds import MINIMAL, SHORT, GradedSetup, build_sl, linalg
 from wds.diffpoly import Context
 from wds.hierarchy import (HDecomposition, InvalidCenter, LoopElement,
@@ -173,11 +175,12 @@ def test_minimal_h_slices(sl3_min):
     co = dec.coeffs_of(F(1), el)
     K = dec.h_basis(F(1))
     assert len(K) == 1
+    k0 = dense_of(K[0], len(co), fr.ring.zero())
     ratio = None
-    for c, kc in zip(co, K[0]):
+    for c, kc in zip(co, k0):
         if kc:
             ratio = c.const_term() / kc if ratio is None else ratio
-    for c, kc in zip(co, K[0]):
+    for c, kc in zip(co, k0):
         assert c.const_term() == ratio * kc
 
 
@@ -229,7 +232,8 @@ class WindowedDecomposition:
     split per residue class: for every degree d of the window
     [-1, max_deg + 1] its own slice and ad(f+zs) matrices, the kernel of
     the matrix on slice(d), hperp(d+1) from the pivot columns of the matrix
-    on slice(d+2), and one inverse.  proj[d] and solve[d] are dense."""
+    on slice(d+2), and one inverse.  h_basis[d], proj[d] and solve[d] are
+    dense."""
 
     def __init__(self, frame, max_deg):
         ring, zd = frame.ring, frame.z_degree
@@ -250,18 +254,18 @@ class WindowedDecomposition:
                     for r, c in ad[i]:
                         col[dst[(r, k + dz)]] += c
                 cols.append(col)
-            mats[d] = linalg.transpose(cols)
+            mats[d] = dense_la.transpose(cols)
         self.h_basis, self.proj, self.solve = {}, {}, {}
         for d in degs[2:-4]:
             m = len(self.slices[d])
-            K = linalg.kernel(mats[d], ring, m)
+            K = dense_la.kernel(mats[d], ring, m)
             hperp = []  # a greedy rank test on the image columns
-            for v in linalg.transpose(mats[d + 2]):
-                if linalg.rank(hperp + [v]) > len(hperp):
+            for v in dense_la.transpose(mats[d + 2]):
+                if dense_la.rank(hperp + [v]) > len(hperp):
                     hperp.append(v)
-            cols = K + [linalg.mat_vec(mats[d + 1], v, ring) for v in hperp]
+            cols = K + [dense_la.mat_vec(mats[d + 1], v, ring) for v in hperp]
             assert len(cols) == m
-            T = linalg.inverse(linalg.transpose(cols), ring)
+            T = dense_la.inverse(dense_la.transpose(cols), ring)
 
             def lift(vecs, rows, n):
                 return [[sum((v[i] * r[j] for v, r in zip(vecs, rows)),
@@ -280,6 +284,12 @@ def sl4_generic_over_q():
     return ReductionFrame(setup, g.parse({"E13": 1, "E24": 3}))
 
 
+def num_rows_of(rows):
+    """_num_rows of a dense matrix given by its rows."""
+    return _num_rows([sparse_of(c) for c in dense_la.transpose(rows)],
+                     len(rows))
+
+
 @pytest.mark.parametrize("name", [
     "sl3_min", "sl4_short", "sl3_iso", "sl4_generic", "sl4_generic_q"])
 def test_periodic_split_matches_per_degree_split(name, request):
@@ -296,9 +306,10 @@ def test_periodic_split_matches_per_degree_split(name, request):
     for d in oracle.h_basis:
         _, proj, solve = dec._splits[dec.residue(d)[0]]
         assert dec.slice(d) == oracle.slices[d], d
-        assert dec.h_basis(d) == oracle.h_basis[d], d
-        assert proj == _num_rows(oracle.proj[d]), d
-        assert solve == _num_rows(oracle.solve[d]), d
+        assert [dense_of(v, len(dec.slice(d)), fr.ring.zero())
+                for v in dec.h_basis(d)] == oracle.h_basis[d], d
+        assert proj == num_rows_of(oracle.proj[d]), d
+        assert solve == num_rows_of(oracle.solve[d]), d
 
 
 def test_decomposition_does_not_grow_with_depth(sl2_min, sl3_min, sl4_short,
@@ -309,7 +320,7 @@ def test_decomposition_does_not_grow_with_depth(sl2_min, sl3_min, sl4_short,
     calls = []
     inverse = linalg.inverse
     monkeypatch.setattr(linalg, "inverse",
-                        lambda rows, ring: calls.append(1) or inverse(rows, ring))
+                        lambda cols, ring: calls.append(1) or inverse(cols, ring))
     for cfg, splits in ((sl4_short, 4), (sl3_min, 4), (sl3_iso, 3)):
         calls.clear()
         HDecomposition(cfg.frame)
@@ -799,7 +810,7 @@ def test_one_representation_per_ring(name, window, kind, request):
     cfg = request.getfixturevalue(name)
     fr = cfg.frame
     found = [c for row in fr.struct for entry in row for _, c in entry]
-    found += [c for row in fr.gram for c in row]
+    found += [c for row in fr.gram for c in row.values()]
     polys = [p for pair in cfg.gens.table.entries.values()
              for lam in pair for p in lam.coeffs]
     U, h, _ = cfg.dressing(window)
@@ -885,7 +896,7 @@ def test_int_rows_match_lin_comb(data):
         coeffs[1] = coeffs[0].scale(q)
         rows.append([c, -c / q] + [ring.zero()] * (n - 2))
         vanish.append(len(rows) - 1)
-    got = _apply_rows(ctx, _num_rows(rows), coeffs)
+    got = _apply_rows(ctx, num_rows_of(rows), coeffs)
     assert got == [lin_comb(row, coeffs) for row in rows]
     assert_canonical(got)
     assert not any(got[i] for i in vanish)
@@ -965,7 +976,7 @@ def windowed_center(frame, oracle, d):
                          for b in brs])
     return loops(d, [[sum((c * k[i] for c, k in zip(co, K)), ring.zero())
                       for i in range(len(K[0]))]
-                     for co in linalg.kernel(rows, ring, len(K))])
+                     for co in dense_la.kernel(rows, ring, len(K))])
 
 
 @pytest.mark.parametrize("name", ["sl3_min", "sl4_min"])

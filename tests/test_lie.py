@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle as dense_la
+from dense_oracle import dense_of, sparse_of
 from wds import linalg
-from wds.scalars import Q
+from wds.scalars import ParamRing, Q
 from wds.lie import (EmbeddableData, GradedSetup, GradeMismatch,
                      InvalidDimension, InvariantFailed, LieAlgebra, MINIMAL,
                      NotNilpotent, SHORT, SingularPairing, WrongKind,
@@ -166,7 +168,7 @@ def test_dual_basis_op_and_errors(sl3):
     vs, dual = s.v_pairs  # g_1/2 with its omega_+ dual
     assert s.omega_plus(vs[0], dual[0]) == g.ring.one()
     with pytest.raises(SingularPairing):  # (g_1/2 | g_1/2) = 0
-        s.dual_of_gram([[g.pair(p, q) for q in vs] for p in vs], vs)
+        s.dual_of_gram([sparse_of([g.pair(p, q) for p in vs]) for q in vs], vs)
     a_basis, ad = s.a_pairs  # g_0^f with its (.|.) dual
     assert g.pair(a_basis[0], ad[0]) == g.ring.one()
 
@@ -356,7 +358,7 @@ def test_loop_kernel_image_split(sl3):
         ad = dense.ad(dense_of(v, g.dim))
         ad2 = [[sum(a * b for a, b in zip(row, col)) for col in zip(*ad)]
                for row in ad]
-        return linalg.rank(ad), linalg.rank(ad2)
+        return dense_la.rank(ad), dense_la.rank(ad2)
 
     r1, r2 = ad_ranks(linalg.combine([1, 1], [s.f, s.e]))
     assert r1 == r2
@@ -364,19 +366,12 @@ def test_loop_kernel_image_split(sl3):
     assert r1 != r2
 
 
-def dense_of(v, n, z=Q.zero()):
-    """The sparse vector v as a full list of n coefficients."""
-    return [v.get(i, z) for i in range(n)]
-
-
-def sparse_of(row):
-    return {i: x for i, x in enumerate(row) if x}
-
-
 @st.composite
 def vectors_and_map(draw):
     """Vectors over Q, some of them combinations of earlier ones, and a
-    linear map given by one to three matrices."""
+    linear map given by one to three matrices; and a square matrix over Q
+    or Q(c), its entries a + b c, some of its columns combinations of
+    earlier ones."""
     dim = draw(st.integers(1, 4))
     entry = st.integers(-2, 2).map(Q.const)
     vecs = []
@@ -390,7 +385,23 @@ def vectors_and_map(draw):
     mats = [draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
                           min_size=1, max_size=3))
             for _ in range(draw(st.integers(1, 3)))]
-    return vecs, mats
+    ring = draw(st.sampled_from([Q, ParamRing(["c"])]))
+
+    def coeff():
+        c = ring.const(draw(st.integers(-2, 2)))
+        if ring.names:
+            c = c + ring.const(draw(st.integers(-2, 2))) * ring.param("c")
+        return c
+
+    cols = []
+    for _ in range(dim):
+        if cols and draw(st.integers(0, 3)) == 0:
+            cols.append(dense_of(linalg.combine(
+                [coeff() for _ in cols], [sparse_of(c) for c in cols]),
+                dim, ring.zero()))
+        else:
+            cols.append([coeff() for _ in range(dim)])
+    return vecs, mats, ring, dense_la.transpose(cols)
 
 
 @settings(max_examples=150, deadline=None)
@@ -398,12 +409,14 @@ def vectors_and_map(draw):
 def test_independent_and_kernel_span_match_oracles(data):
     """independent keeps exactly the vectors a greedy rank test keeps;
     every kernel_span vector maps to zero, and there are len(vecs) - rank
-    of them."""
-    vecs, mats = data
+    of them; over the unit vectors kernel_span is the rref kernel basis.
+    inverse gives the columns of the dense inverse of a square matrix over
+    Q or Q(c), and both refuse a singular one."""
+    vecs, mats, ring, square = data
     n = len(mats[0][0])
     greedy = []
     for v in vecs:
-        if (linalg.rank([dense_of(w, n) for w in greedy + [v]])
+        if (dense_la.rank([dense_of(w, n) for w in greedy + [v]])
                 > len(greedy)):
             greedy.append(v)
     got = linalg.independent(vecs, Q)
@@ -411,13 +424,27 @@ def test_independent_and_kernel_span_match_oracles(data):
     assert all(any(w is v for v in vecs) for w in got)
 
     def images(v):
-        return [sparse_of(linalg.mat_vec(m, dense_of(v, n), Q)) for m in mats]
+        return [sparse_of(dense_la.mat_vec(m, dense_of(v, n), Q)) for m in mats]
 
     span = linalg.kernel_span(vecs, images, Q)
     assert all(not any(images(v)) for v in span)
-    flat = [[x for m in mats for x in linalg.mat_vec(m, dense_of(v, n), Q)]
+    flat = [[x for m in mats for x in dense_la.mat_vec(m, dense_of(v, n), Q)]
             for v in vecs]
-    assert len(span) == len(vecs) - linalg.rank(flat)
+    assert len(span) == len(vecs) - dense_la.rank(flat)
+    units = [{i: Q.one()} for i in range(n)]
+    assert (linalg.kernel_span(units, images, Q)
+            == [sparse_of(v) for v in dense_la.kernel(
+                [row for m in mats for row in m], Q, n)])
+
+    cols = [sparse_of(col) for col in dense_la.transpose(square)]
+    try:
+        want = dense_la.inverse(square, ring)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            linalg.inverse(cols, ring)
+    else:
+        assert ([dense_of(c, n, ring.zero()) for c in linalg.inverse(cols, ring)]
+                == dense_la.transpose(want))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +556,7 @@ class DenseLie:
                         bad.append(
                             f"invariance ({self.labels[i]},{self.labels[j]},{self.labels[k]})"
                         )
-        if linalg.rank(self.form) != n:
+        if dense_la.rank(self.form) != n:
             bad.append("degenerate form")
         return bad
 
@@ -580,7 +607,7 @@ def test_sparse_layer_matches_dense_oracle(data):
     su, sv, sw = vecs
     assert dense_of(g.bracket(su, sv), g.dim, z) == dense.bracket(u, v)
     assert g.pair(su, sw) == dense.pair(u, w)
-    assert linalg.transpose([dense_of(g.bracket(sw, e), g.dim, z)
+    assert dense_la.transpose([dense_of(g.bracket(sw, e), g.dim, z)
                              for e in g.units]) == dense.ad(w)
     assert g.killing(su, sv) == dense.killing(u, v)
 
@@ -711,7 +738,7 @@ def basis_inverse(basis, g):
     """The dense inverse of the matrix whose columns are basis: the dense
     coordinate map of that basis, found without a dual basis."""
     cols = [dense_of(b, g.dim, g.ring.zero()) for b in basis]
-    return linalg.inverse(linalg.transpose(cols), g.ring)
+    return dense_la.inverse(dense_la.transpose(cols), g.ring)
 
 
 @functools.cache
@@ -781,13 +808,13 @@ def test_sparse_vectors_match_dense_oracle(data):
         return dense_of(x, n, z)
 
     def to_adapted(x):
-        return linalg.mat_vec(inv, x, ring)
+        return dense_la.mat_vec(inv, x, ring)
 
     assert dense_out(g.bracket(su, sv)) == dense.bracket(u, v)
     assert g.pair(su, sw) == dense.pair(u, w)
     assert dense_out(frame.to_adapted(sw)) == to_adapted(w)
     assert (dense_out(frame.setup.to_adapted(sw))
-            == linalg.mat_vec(setup_inv, w, ring))
+            == dense_la.mat_vec(setup_inv, w, ring))
     try:
         want = dense_coords_in(to_adapted, w, allowed)
     except GradeMismatch:
@@ -816,7 +843,7 @@ def test_frame_struct_matches_dense_construction(name):
     basis = [dense_of(b, g.dim, ring.zero()) for b in frame.basis]
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
-            co = linalg.mat_vec(inv, dense.bracket(bi, bj), ring)
+            co = dense_la.mat_vec(inv, dense.bracket(bi, bj), ring)
             assert frame.struct[i][j] == [(r, c) for r, c in enumerate(co) if c]
 
 

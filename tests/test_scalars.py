@@ -736,7 +736,7 @@ def test_symbolic_sl4_solve_takes_no_gcd():
         U, h, _ = solve_dressing(frame, 4)
     assert not callers
     found = [c for row in frame.struct for entry in row for _, c in entry]
-    found += [c for row in frame.gram for c in row]
+    found += [c for row in frame.gram for c in row.values()]
     polys = [p for pair in entries.values() for lam in pair for p in lam.coeffs]
     polys += [p for parts in (U, h) for el in parts.values() for p in el.terms.values()]
     found += [c for p in polys for c in p.coeffs().values()]

@@ -20,6 +20,27 @@ def test_no_assert_in_engine():
     assert found == []
 
 
+# the names of the dense matrix path the sparse elimination replaced
+DENSE_NAMES = {"rref", "rank", "kernel", "mat_vec", "transpose", "Mat",
+               "_dense_form"}
+
+
+def test_one_elimination_in_engine():
+    """linalg._eliminate is the engine's one elimination and the sparse Vec
+    its one vector and matrix format: no module of src/wds defines or
+    references a name of the dense path, as a function, class, variable,
+    argument, attribute or import.  The dense path lives on as the tests'
+    oracle in tests/dense_oracle.py."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, attr, None)
+                     for attr in ("id", "attr", "name", "arg", "asname")}
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in sorted(names & DENSE_NAMES)]
+    assert found == []
+
+
 def test_no_unused_imports_in_src():
     """Every name a module of src/wds imports is read in it; the package
     __init__ counts its __all__ as a use."""

@@ -9,7 +9,7 @@ from wds import linalg, walgebra
 from wds.cli import make_frame
 from wds.diffpoly import LambdaPoly
 from wds.lie import MINIMAL, SHORT, GradeMismatch
-from wds.pva import ReductionFrame, random_element
+from wds.pva import ReductionFrame, master_bracket, random_element
 from wds.walgebra import (WGenerators, _expected_minimal, _expected_short,
                           _lam, _named, verify_table)
 
@@ -237,29 +237,60 @@ def test_l_psi_k_part_vanishes_at_s_e(algebra):
 
 
 def test_verify_table_brackets_each_pair_once(sl3_iso, monkeypatch):
-    """verify_table builds one LeftBracket per left generator and brackets
-    each pair (a, b) once, though the isotropic H and K tables share their
-    pairs."""
+    """verify_table builds one LeftBracket per left generator, takes the
+    partials of each right operand once and brackets each pair (a, b)
+    once, though the isotropic H and K tables share their pairs."""
     built = collections.Counter()
     applied = collections.Counter()
+    taken = collections.Counter()
 
     class Counted(walgebra.LeftBracket):
         def __init__(self, table, g):
             built[g] += 1
             super().__init__(table, g)
 
-        def __call__(self, h):
-            applied[(self.g, h)] += 1
-            return super().__call__(h)
+        def on_partials(self, partials):
+            applied[(self.g, id(partials))] += 1
+            return super().on_partials(partials)
+
+    partials = walgebra._table_partials
+
+    def counted_partials(table, h):
+        taken[h] += 1
+        return partials(table, h)
 
     cfg = sl3_iso
     cfg.gens.table  # built before counting: it brackets in the coordinate ring
     monkeypatch.setattr(walgebra, "LeftBracket", Counted)
+    monkeypatch.setattr(walgebra, "_table_partials", counted_partials)
     tables = verify_table(cfg.frame, cfg.gens)
     assert set(tables) == {"isotropic_h_brackets", "isotropic_k_brackets"}
     assert all(not bad for rows in tables.values() for bad in rows.values())
     assert built and max(built.values()) == 1
     assert applied and max(applied.values()) == 1
+    assert taken and max(taken.values()) == 1
+
+
+def test_generator_table_takes_partials_once(sl3_min, monkeypatch):
+    """WGenerators.table takes the partials of each right operand once, for
+    all its left generators, and gives the table master_bracket gives."""
+    taken = collections.Counter()
+    partials = walgebra._table_partials
+
+    def counted_partials(table, h):
+        taken[h] += 1
+        return partials(table, h)
+
+    monkeypatch.setattr(walgebra, "_table_partials", counted_partials)
+    fr = sl3_min.frame
+    gens = WGenerators(fr)
+    table = gens.table
+    images = gens._pi_inv_images
+    assert sorted(taken.values()) == [1] * len(images)
+    for i, wi in enumerate(images):
+        for j, wj in enumerate(images):
+            want = walgebra._pi_pair(fr, master_bracket(fr.coord_table, wi, wj))
+            assert table.get(i, j) == want, (i, j)
 
 
 def test_table_entry_mutation_is_reported(sl3_min, capsys, monkeypatch):
