@@ -350,13 +350,6 @@ def check_ranges(args):
         if isinstance(value, list):  # argparse reads --opt=-- as []
             raise UsageError(f"--{name.replace('_', '-')} needs a value, "
                              "got '--'")
-    if args.max_degree is None:
-        env = os.environ.get("WDS_MAX_DEGREE", "4")
-        try:
-            args.max_degree = int(env)
-        except ValueError:
-            raise UsageError(
-                f"WDS_MAX_DEGREE must be an integer, got {env!r}") from None
     if args.n < 0:
         raise UsageError(f"--n must be >= 0, got {args.n}")
     if args.max_degree < 1:
@@ -394,9 +387,8 @@ def main(argv=None) -> int:
                        help="f_plus_ze | e_plus_s_star | center")
         p.add_argument("--n", type=int, default=1,
                        help="highest hierarchy time index")
-        p.add_argument("--max-degree", type=int, default=None,
-                       help="highest loop degree of the dressing "
-                            "(default: $WDS_MAX_DEGREE, else 4)")
+        p.add_argument("--max-degree", type=int, default=4,
+                       help="highest loop degree of the dressing")
         p.add_argument("--format", choices=("text", "latex", "json"),
                        default="text")
         p.add_argument("--seed", type=int, default=1729)

@@ -34,6 +34,13 @@ _TEXT = ("{}^({})", "{}^{}", "*")
 _LATEX = ("{}^{{({})}}", "({})^{{{}}}", " ")
 
 
+def _is_sum(cs: str) -> bool:
+    """Whether the written coefficient cs is a sum or a difference, which
+    needs parentheses before a product; a fraction a/b and a leading minus
+    do not."""
+    return "+" in cs or ("-" in cs[1:] and "/" not in cs)
+
+
 class OrderOverflow(ArithmeticError):
     """A derivative order past the 2**B - 1 a monomial can hold."""
 
@@ -416,13 +423,16 @@ class DiffPoly:
             parts.append(power.format(s, k) if k > 1 else s)
         return sep.join(parts) or "1"
 
-    def __str__(self):
+    def _render(self, style: tuple) -> str:
+        """The terms in _ordered order, each monomial as _mono_str writes it
+        in style, times its coefficient; a constant term is written bare and
+        a coefficient that is a sum in parentheses."""
         if not self.terms:
             return "0"
         parts = []
         for m, c in self._ordered():
-            ms = self._mono_str(m, _TEXT)
-            if ms == "1":
+            ms = self._mono_str(m, style)
+            if not m:
                 parts.append(str(c))
             elif c == 1:
                 parts.append(ms)
@@ -430,29 +440,19 @@ class DiffPoly:
                 parts.append(f"-{ms}")
             else:
                 cs = str(c)
-                if "+" in cs or ("-" in cs[1:] and "/" not in cs):
+                if _is_sum(cs):
                     cs = f"({cs})"
-                parts.append(f"{cs}*{ms}")
+                parts.append(f"{cs}{style[2]}{ms}")
         return " + ".join(parts).replace("+ -", "- ")
+
+    def __str__(self):
+        return self._render(_TEXT)
 
     def __repr__(self):
         return f"DiffPoly({self})"
 
     def latex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self._ordered():
-            body, cs = self._mono_str(m, _LATEX), str(c)
-            if not m:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{cs} {body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return self._render(_LATEX)
 
     def to_json(self) -> list:
         return [{"coeff": str(c),
@@ -576,8 +576,9 @@ class LambdaPoly:
                 parts.append(body)
             else:
                 lam = "lam" if k == 1 else f"lam^{k}"
-                body = f"({body})*{lam}" if len(c.terms) > 1 else f"{body}*{lam}"
-                parts.append(body)
+                if len(c.terms) > 1 or (() in c.terms and _is_sum(body)):
+                    body = f"({body})"
+                parts.append(f"{body}*{lam}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):

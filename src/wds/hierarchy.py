@@ -183,7 +183,7 @@ def bracket_sum(frame: ReductionFrame, ctx: Context, pairs: list, n: int = 1,
                 if not row[j] or d1 + d2 > top:
                     continue
                 co = [(r, *numerator_form(c * inv if n != 1 else c))
-                      for r, c in row[j]]
+                      for r, c in row[j].items()]
                 jobs.append((L1 * L2, co, k1 + k2, ps, qs))
                 dens.update(L1 * L2 * cd for _, _, cd in co)
     D = math.lcm(*dens)
@@ -337,7 +337,7 @@ class HDecomposition:
         for (i, k) in self.slice(deg):
             col = {}
             for ad, dz in ad_fzs:
-                for r, c in ad[i]:
+                for r, c in ad[i].items():
                     p = pos[(r, k + dz)]
                     col[p] = col[p] + c if p in col else c
             cols.append({p: c for p, c in col.items() if c})

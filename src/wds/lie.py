@@ -49,14 +49,12 @@ class InvariantFailed(ValueError):
 class LieAlgebra:
     """Ordered basis, sparse structure constants and an invariant form.
 
-    struct[i][j] lists the (k, c) with [e_i, e_j] = sum c e_k, and
-    form[i] lists the (j, c) with (e_i|e_j) = c, both with c nonzero and
-    k, j increasing.
+    struct[i][j] is the Vec of [e_i, e_j] and form[i] the Vec of the
+    (e_i|e_j) over j, each with its keys increasing.
     """
 
     def __init__(self, ring: ParamRing, labels: Sequence[str],
-                 struct: list[list[list[tuple[int, Scalar]]]],
-                 form: list[list[tuple[int, Scalar]]]):
+                 struct: list[list[Vec]], form: list[Vec]):
         if len(set(labels)) != len(labels):
             dup = sorted({x for x in labels if labels.count(x) > 1})
             raise InvariantFailed(f"duplicate basis labels {dup}")
@@ -77,14 +75,14 @@ class LieAlgebra:
                 terms = row[j]
                 if terms:
                     c = ci * cj
-                    for k, b in terms:
+                    for k, b in terms.items():
                         acc[k] = acc[k] + c * b if k in acc else c * b
         return {k: a for k, a in acc.items() if a}
 
     def pair(self, u: Vec, v: Vec) -> Scalar:
         acc = self.ring.zero()
         for i, ci in u.items():
-            for j, c in self.form[i]:
+            for j, c in self.form[i].items():
                 cj = v.get(j)
                 if cj is not None:
                     acc = acc + ci * cj * c
@@ -109,16 +107,16 @@ class LieAlgebra:
         n, lab, st = self.dim, self.labels, self.struct
         for i in range(n):
             for j in range(n):
-                sym = dict(st[i][j])
-                for k, c in st[j][i]:
+                sym = st[i][j].copy()
+                for k, c in st[j][i].items():
                     sym[k] = sym[k] + c if k in sym else c
                 if any(sym.values()):
                     bad.append(f"antisymmetry [{lab[i]},{lab[j]}]")
 
         def brackets_with(terms, k, acc):
-            # acc += sum_m c_m [e_m, e_k] over the (m, c_m) in terms
-            for m, c in terms:
-                for l, b in st[m][k]:
+            # acc += sum_m c_m [e_m, e_k] over the m, c_m of terms
+            for m, c in terms.items():
+                for l, b in st[m][k].items():
                     acc[l] = acc[l] + c * b if l in acc else c * b
 
         for i in range(n):
@@ -134,22 +132,21 @@ class LieAlgebra:
             # into[m] lists the (k, c_ik^m)
             into = [[] for _ in range(n)]
             for k, row in enumerate(st[i]):
-                for m, c in row:
+                for m, c in row.items():
                     into[m].append((k, c))
             for j in range(n):
                 # sum_m c_ij^m (e_m|e_k) + sum_m (e_j|e_m) c_ik^m, by k
                 inv = {}
-                for m, c in st[i][j]:
-                    for k, b in self.form[m]:
+                for m, c in st[i][j].items():
+                    for k, b in self.form[m].items():
                         inv[k] = inv[k] + c * b if k in inv else c * b
-                for m, b in self.form[j]:
+                for m, b in self.form[j].items():
                     for k, c in into[m]:
                         inv[k] = inv[k] + b * c if k in inv else b * c
                 for k in sorted(inv):
                     if inv[k]:
                         bad.append(f"invariance ({lab[i]},{lab[j]},{lab[k]})")
-        if len(linalg.independent([dict(row) for row in self.form],
-                                  self.ring)) != n:
+        if len(linalg.independent(self.form, self.ring)) != n:
             bad.append("degenerate form")
         return bad
 
@@ -180,14 +177,14 @@ class LieAlgebra:
         entries = {}
         for i in range(self.dim):
             for j in range(self.dim):
-                for k, c in self.struct[i][j]:
+                for k, c in self.struct[i][j].items():
                     entries[f"{lab[i]},{lab[j]},{lab[k]}"] = str(c)
         return {
             "dim": self.dim,
             "basis": list(lab),
             "structure": entries,
             "form": [[str(row.get(j, zero)) for j in range(self.dim)]
-                     for row in map(dict, self.form)],
+                     for row in self.form],
         }
 
 
@@ -218,6 +215,7 @@ def _matrix_algebra(ring: ParamRing, labels: list[str],
                 at[k] = at.get(k, 0) + x * y
 
     def coords(a, b):
+        """The Vec of [a, b] over mats, its keys increasing."""
         comm = {}
         for left, right, sign in ((a, b, 1), (b, a, -1)):
             for (r, k), x in left.items():
@@ -228,11 +226,10 @@ def _matrix_algebra(ring: ParamRing, labels: list[str],
         for pos, x in comm.items():
             for k, y in dual_at.get(pos, {}).items():
                 out[k] = out.get(k, 0) + x * y
-        return sorted(out.items())
+        return {k: ring.const(x) for k, x in sorted(out.items()) if x}
 
-    struct = [[[(k, ring.const(c)) for k, c in coords(a, b) if c]
-               for b in mats] for a in mats]
-    form = [[(j, form_scale * ring.const(tr)) for j, tr in row.items()]
+    struct = [[coords(a, b) for b in mats] for a in mats]
+    form = [{j: form_scale * ring.const(tr) for j, tr in row.items()}
             for row in gram]
     return LieAlgebra(ring, labels, struct, form)
 
@@ -475,13 +472,6 @@ class GradedSetup:
 
     # -- dual bases --------------------------------------------------------
 
-    def _dual_in(self, vecs_p: list[Vec], vecs_q: list[Vec], pairing) -> list[Vec]:
-        if len(vecs_p) != len(vecs_q):
-            raise SingularPairing("degenerate pairing between subspaces")
-        return self.dual_of_gram(
-            [{h: c for h, p in enumerate(vecs_p) if (c := pairing(p, q))}
-             for q in vecs_q], vecs_q)
-
     def dual_of_gram(self, gram: list[Vec], vecs: list[Vec]) -> list[Vec]:
         """The basis v^h of span(vecs) dual to vectors p_h, given the Gram
         columns gram[k] = {h: pairing(p_h, vecs[k])}: pairing(p_h, v^k) =
@@ -505,10 +495,9 @@ class GradedSetup:
         gram = [{i: c for i, u in enumerate(basis) if (c := g.pair(u, v))}
                 for v in basis]
         dual = self.dual_of_gram(gram, basis)
-        rows = [dict(row) for row in g.form]  # (e_j|.) as a Vec
         coords = [{} for _ in range(g.dim)]
         for i, d in enumerate(dual):
-            for j, c in linalg.combine(d, rows).items():
+            for j, c in linalg.combine(d, g.form).items():
                 coords[j][i] = c
         return gram, dual, coords
 
@@ -527,8 +516,10 @@ class GradedSetup:
         self.a_pairs = restricted(self.g0f_indices)
         self.g0_pairs = restricted(self.eig_indices(0))
         if self.kind == MINIMAL:
-            vs = [self.basis[i] for i in self.eig_indices(Fraction(1, 2))]
-            self.v_pairs = (vs, self._dual_in(vs, vs, self.omega_plus))
+            # the basis l + l' of g_1/2 has omega_+-dual basis l' + (-l)
+            l_side, lp_side = darboux_split(self)
+            self.v_pairs = (l_side + lp_side, lp_side + [
+                linalg.scale(v, self.ring.const(-1)) for v in l_side])
         else:
             self.u_pairs = restricted(self.eig_indices(-1))
 
@@ -653,7 +644,8 @@ class EmbeddableData:
     """Centralizer bases g_0^s, g^s_1/2 and the form chi of an s in g_1/2.
 
     Nothing is inverted here, so check() can report a degenerate chi; a
-    chi-dual basis of g^s_1/2 is setup._dual_in(gs_half, gs_half, chi).
+    chi-dual basis of g^s_1/2 is setup.dual_of_gram over the Gram columns
+    {h: chi(p_h, q)} of gs_half.
     """
 
     def __init__(self, setup: GradedSetup, s: Vec, s_star: Vec):

@@ -264,9 +264,10 @@ class ReductionFrame:
         self._coord_pos = {b: p for p, b in enumerate(self.coord_idx)}
         self._w_pos = {b: p for p, b in enumerate(self.w_idx)}
 
-        # struct[i][j] lists the (r, c) with [b_i, b_j] = sum c b_r
+        # struct[i][j] is [b_i, b_j] in adapted coordinates, keys increasing
         self.struct = [
-            [sorted(self.to_adapted(g.bracket(u, v)).items()) for v in self.basis]
+            [dict(sorted(self.to_adapted(g.bracket(u, v)).items()))
+             for v in self.basis]
             for u in self.basis
         ]
         # loop degree of z, so that f + zs is homogeneous of degree -1
@@ -293,17 +294,11 @@ class ReductionFrame:
         return linalg.combine(v, self._coords)
 
     def ad_adapted(self, v: dict) -> list:
-        """ad(v) in adapted coordinates: entry i lists the (r, c) with
-        [v, b_i] = sum c b_r."""
-        out = []
-        co = self.to_adapted(v).items()
-        for i in range(len(self.basis)):
-            acc = {}
-            for j, cj in co:
-                for r, c in self.struct[j][i]:
-                    acc[r] = acc[r] + cj * c if r in acc else cj * c
-            out.append([(r, c) for r, c in sorted(acc.items()) if c])
-        return out
+        """ad(v) in adapted coordinates: entry i is the Vec of [v, b_i],
+        its keys increasing."""
+        co = self.to_adapted(v)
+        return [dict(sorted(linalg.combine(co, col).items()))
+                for col in zip(*self.struct)]
 
     def _build_maps(self):
         g = self.algebra
@@ -334,7 +329,7 @@ class ReductionFrame:
                 if not (terms or gram):
                     continue
                 lin, kconst = ctx.zero(), zero
-                for r, c in terms:
+                for r, c in terms.items():
                     lin = lin + images[r].scale(c)
                     if r in s_pair:
                         kconst = kconst - c * s_pair[r]

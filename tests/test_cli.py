@@ -127,12 +127,14 @@ def test_explicit_f_and_s(capsys):
     assert "PASS" in out
 
 
-def test_max_degree_env_override(capsys, monkeypatch):
+def test_max_degree_env_is_not_read(capsys, monkeypatch):
+    """--max-degree is the one way to set the dressing degree: a
+    WDS_MAX_DEGREE in the environment changes nothing."""
+    argv = ("hierarchy", "--algebra", "sl2", "--n", "1")
+    plain = run(capsys, *argv)
     monkeypatch.setenv("WDS_MAX_DEGREE", "2")
-    code, out, _ = run(capsys, "hierarchy", "--algebra", "sl3",
-                       "--nilpotent", "minimal", "--n", "0")
-    assert code == 0
-    assert "int g_0" in out
+    assert run(capsys, *argv) == plain
+    assert plain[0] == 0 and "int g_1" in plain[1]
 
 
 def test_non_homogeneous_s_usage_error(capsys):
@@ -151,56 +153,48 @@ SP6_SHORT_CENTER = ("--algebra", "sp6", "--nilpotent", "short",
                     "--a-choice", "center")
 
 
-@pytest.mark.parametrize("argv, env", [
-    (("verify-all", "--algebra", "sl2", "--n", "-1"), None),
-    (("hierarchy", "--algebra", "sl2", "--n", "-1"), None),
-    (("hierarchy", "--algebra", "sl2", "--max-degree", "0"), None),
-    (("hierarchy", "--algebra", "sl2", "--max-degree", "-3"), None),
-    (("hierarchy", "--algebra", "sl2", "--nilpotent", "minimal", "--n", "2"),
-     None),
-    (("setup", "--algebra", "sl1"), None),
-    (("setup", "--algebra", "sp3"), None),
-    (("setup", "--algebra", "sl3", "--f", "E12,E99"), None),
-    (("hierarchy", "--algebra", "sl2"), "x"),
-    (("hierarchy", "--algebra", "sl3", "--s", "explicit:E99"), None),
-    (("hierarchy", "--algebra", "sl3", "--s", "explicit:0*E13"), None),
-    (("hierarchy", "--algebra", "sl3", "--s", "explicit:E12"), None),
-    (("verify-all", "--algebra", "sl3", "--s", "explicit:E12,E23"), None),
-    (("tables", "--algebra", "sl3", "--s", "explicit:E12,E23"), None),
-    (("setup", "--algebra", "sl3", "--f", "H1"), None),
-    (("setup", "--algebra", "sl3", "--nilpotent", "short", "--f", "E31"),
-     None),
-    (("setup", "--algebra", "sl2", "--nilpotent", "short", "--s=diag:1/0"),
-     None),
-    (("setup", "--algebra", "sl2", "--nilpotent", "short", "--s=diag:a-b"),
-     None),
-    (("setup", "--algebra", "sl2", "--s=explicit:1/0*E12"), None),
-    (("tables", "--algebra", "sl2", "--nilpotent", "short",
-      "--s=diag:s1,s2"), None),
-    (("tables", "--algebra", "sl4", "--nilpotent", "short", "--s=diag:a"),
-     None),
-    (("setup", "--algebra", "sl2", "--s=--"), None),
-    (("hierarchy", "--algebra", "sl2", "--a-choice=--"), None),
-    (("hierarchy", "--algebra", "sl2", "--n=--"), None),
-    (("hierarchy", "--algebra", "sl2", "--max-degree=--"), None),
-    (("setup", "--algebra", "sl2", "--f=--"), None),
-    (("setup", "--algebra", "sl2", "--form-scale=--"), None),
-    (("setup", "--algebra", "sl2", "--seed=--"), None),
-    (("setup", "--algebra=--"), None),
-    (("hierarchy", "--algebra", "sl3", "--a-choice", "centerfoo"), None),
-    (("setup", "--algebra", "sl3", "--s", "explicit:E13,2*E13"), None),
-    (("setup", "--algebra", "sl3", "--f", "E31,E31"), None),
-    (("setup", "--algebra", "sl\u00b2"), None),
-    (("setup", "--algebra", "sp\u2074"), None),
-    (("setup", "--algebra", "sl99999999999999999999"), None),
-    (("setup", "--algebra", "sp99999999999999999998"), None),
-    (("hierarchy", "--algebra", "sl2", "--max-degree", "99999999999999999999"),
-     None),
-    (("hierarchy", "--algebra", "sl2"), "65536"),
-    (("hierarchy",) + SP6_SHORT_CENTER, None),
-    (("verify-all",) + SP6_SHORT_CENTER, None),
+@pytest.mark.parametrize("argv", [
+    ("verify-all", "--algebra", "sl2", "--n", "-1"),
+    ("hierarchy", "--algebra", "sl2", "--n", "-1"),
+    ("hierarchy", "--algebra", "sl2", "--max-degree", "0"),
+    ("hierarchy", "--algebra", "sl2", "--max-degree", "-3"),
+    ("hierarchy", "--algebra", "sl2", "--nilpotent", "minimal", "--n", "2"),
+    ("setup", "--algebra", "sl1"),
+    ("setup", "--algebra", "sp3"),
+    ("setup", "--algebra", "sl3", "--f", "E12,E99"),
+    ("hierarchy", "--algebra", "sl3", "--s", "explicit:E99"),
+    ("hierarchy", "--algebra", "sl3", "--s", "explicit:0*E13"),
+    ("hierarchy", "--algebra", "sl3", "--s", "explicit:E12"),
+    ("verify-all", "--algebra", "sl3", "--s", "explicit:E12,E23"),
+    ("tables", "--algebra", "sl3", "--s", "explicit:E12,E23"),
+    ("setup", "--algebra", "sl3", "--f", "H1"),
+    ("setup", "--algebra", "sl3", "--nilpotent", "short", "--f", "E31"),
+    ("setup", "--algebra", "sl2", "--nilpotent", "short", "--s=diag:1/0"),
+    ("setup", "--algebra", "sl2", "--nilpotent", "short", "--s=diag:a-b"),
+    ("setup", "--algebra", "sl2", "--s=explicit:1/0*E12"),
+    ("tables", "--algebra", "sl2", "--nilpotent", "short",
+     "--s=diag:s1,s2"),
+    ("tables", "--algebra", "sl4", "--nilpotent", "short", "--s=diag:a"),
+    ("setup", "--algebra", "sl2", "--s=--"),
+    ("hierarchy", "--algebra", "sl2", "--a-choice=--"),
+    ("hierarchy", "--algebra", "sl2", "--n=--"),
+    ("hierarchy", "--algebra", "sl2", "--max-degree=--"),
+    ("setup", "--algebra", "sl2", "--f=--"),
+    ("setup", "--algebra", "sl2", "--form-scale=--"),
+    ("setup", "--algebra", "sl2", "--seed=--"),
+    ("setup", "--algebra=--"),
+    ("hierarchy", "--algebra", "sl3", "--a-choice", "centerfoo"),
+    ("setup", "--algebra", "sl3", "--s", "explicit:E13,2*E13"),
+    ("setup", "--algebra", "sl3", "--f", "E31,E31"),
+    ("setup", "--algebra", "sl\u00b2"),
+    ("setup", "--algebra", "sp\u2074"),
+    ("setup", "--algebra", "sl99999999999999999999"),
+    ("setup", "--algebra", "sp99999999999999999998"),
+    ("hierarchy", "--algebra", "sl2", "--max-degree", "99999999999999999999"),
+    ("hierarchy",) + SP6_SHORT_CENTER,
+    ("verify-all",) + SP6_SHORT_CENTER,
 ], ids=["verify_n_neg", "hierarchy_n_neg", "max_degree_0",
-        "max_degree_neg", "n_past_window", "sl1", "sp3", "unknown_f_label", "env_max_degree",
+        "max_degree_neg", "n_past_window", "sl1", "sp3", "unknown_f_label",
         "unknown_s_label", "s_not_semisimple", "s_in_g_half",
         "verify_s_not_in_g1", "tables_s_not_in_g1", "f_not_nilpotent",
         "f_wrong_kind", "diag_zero_denominator", "diag_bad_name",
@@ -210,14 +204,9 @@ SP6_SHORT_CENTER = ("--algebra", "sp6", "--nilpotent", "short",
         "a_choice_unknown", "explicit_repeated_label", "f_repeated_label",
         "sl_superscript_digit", "sp_superscript_digit", "sl_overflow",
         "sp_overflow", "max_degree_past_order_bound",
-        "env_max_degree_past_order_bound", "hierarchy_sp6_short_no_center",
+        "hierarchy_sp6_short_no_center",
         "verify_sp6_short_no_center"])
-def test_bad_input_usage_error(argv, env, capsys, monkeypatch):
-    if env is None:
-        monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
-    else:
-        monkeypatch.setenv("WDS_MAX_DEGREE", env)
-
+def test_bad_input_usage_error(argv, capsys):
     def too_slow(signum, frame):
         raise TimeoutError(f"{argv} ran for 10 s without a usage error")
 
@@ -483,8 +472,7 @@ def test_hierarchy_fuzz_exits_cleanly(capsys, algebra, max_degree, n, a_choice):
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
 
 
-def test_n_past_window_names_the_degree(capsys, monkeypatch):
-    monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
+def test_n_past_window_names_the_degree(capsys):
     code, out, err = run(capsys, "hierarchy", "--algebra", "sl2", "--n", "2")
     assert (code, out, err) == (
         2, "", "error: --n 2 needs --max-degree >= 5\n")
@@ -493,11 +481,10 @@ def test_n_past_window_names_the_degree(capsys, monkeypatch):
     assert code == 2 and err == "error: --n 3 needs --max-degree >= 7\n"
 
 
-def test_max_degree_past_the_order_bound_names_it(capsys, monkeypatch):
+def test_max_degree_past_the_order_bound_names_it(capsys):
     """The dressing to loop degree D differentiates up to order D, and a
     monomial holds orders up to 2**B - 1: a larger --max-degree is refused
     at once, with the bound in the message."""
-    monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
     assert MAX_ORDER == 2 ** B - 1
     code, out, err = run(capsys, "hierarchy", "--algebra", "sl2",
                          "--max-degree", str(MAX_ORDER + 1))
@@ -515,7 +502,6 @@ def test_closed_pipe_exits_quietly():
     run with status 1 and no traceback: the 1.8 MB of JSON overflow the
     pipe, so the write fails once the reader is gone."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("WDS_MAX_DEGREE", None)
     argv = ["-m", "wds.cli", "hierarchy", "--algebra", "sl4", "--nilpotent",
             "short", "--n", "3", "--max-degree", "8", "--format", "json"]
     proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
@@ -530,7 +516,6 @@ def test_closed_pipe_exits_quietly():
 
 def test_verify_all_same_under_python_O():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("WDS_MAX_DEGREE", None)
     argv = ["-m", "wds.cli", "verify-all", "--algebra", "sl3",
             "--nilpotent", "minimal"]
     plain, optimized = [

@@ -14,6 +14,10 @@ from wds.scalars import ParamRing, Q
 
 UV = Context(Q, ["u", "v"], [Fraction(1), Fraction(1)])
 u, v = UV.gen(0), UV.gen(1)
+QS = ParamRing(["s1", "s2"])
+s1, s2 = QS.param("s1"), QS.param("s2")
+UVS = Context(QS, ["u", "v"], [Fraction(1), Fraction(1)])
+us, vs = UVS.gen(0), UVS.gen(1)
 
 
 def test_product_and_canonical_form():
@@ -193,6 +197,10 @@ def test_renderers():
     assert js[0] == {"coeff": "1", "monomial": [["v", 0]]}
     assert js[1] == {"coeff": "-1/2", "monomial": [["u", 0], ["u", 1]]}
     assert "u" in p.latex()
+    # a constant lambda coefficient that is a sum is put in parentheses
+    from wds.diffpoly import LambdaPoly
+    x = LambdaPoly(UVS, [us, UVS.const(s1 + 1), UVS.const(-s1 - 1)])
+    assert str(x) == "u + (s1 + 1)*lam + (-s1 - 1)*lam^2"
 
 
 @pytest.mark.parametrize("p, text, latex", [
@@ -203,9 +211,14 @@ def test_renderers():
     (u * v.scale(Fraction(1, 2)) - UV.const(3), "-3 + 1/2*u*v",
      "-3 + 1/2 u v"),
     (UV.one() - u * u * UV.gen(1, 4), "1 - u^2*v^(4)", "1 - (u)^{2} v^{(4)}"),
+    (us.scale(s1 + s2) + vs.scale(s1 - s2) + (us * vs).scale(-s1 - s2)
+     + UVS.const(s1 + 1),
+     "s1 + 1 + (s1 + s2)*u + (s1 - s2)*v + (-s1 - s2)*u*v",
+     "s1 + 1 + (s1 + s2) u + (s1 - s2) v + (-s1 - s2) u v"),
 ])
 def test_latex_writes_constant_terms_bare(p, text, latex):
-    """A constant term is its coefficient alone, in LaTeX as in text."""
+    """A constant term is its coefficient alone, in LaTeX as in text; a
+    coefficient that is a sum stands in parentheses before its monomial."""
     assert str(p) == text
     assert p.latex() == latex
 

@@ -22,8 +22,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
-def test_cli_golden(name, capsys, monkeypatch):
-    monkeypatch.delenv("WDS_MAX_DEGREE", raising=False)
+def test_cli_golden(name, capsys):
     case = CLI_CASES[name]
     try:
         code = main(list(case["argv"]))
@@ -36,7 +35,6 @@ def test_cli_golden(name, capsys, monkeypatch):
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_golden(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("WDS_MAX_DEGREE", None)
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, env=env, cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -93,7 +93,7 @@ def loop_bracket(X, Y, max_deg=None):
             if max_deg is not None and \
                     X.degree_of((i, k1)) + Y.degree_of((j, k2)) > max_deg:
                 continue
-            for r, c in struct[i][j]:
+            for r, c in struct[i][j].items():
                 add_term(out, r, k1 + k2, (p * q).scale(c))
     return out
 
@@ -251,7 +251,7 @@ class WindowedDecomposition:
             for i, k in self.slices[d]:
                 col = [ring.zero()] * len(dst)
                 for ad, dz in ad_fzs:
-                    for r, c in ad[i]:
+                    for r, c in ad[i].items():
                         col[dst[(r, k + dz)]] += c
                 cols.append(col)
             mats[d] = dense_la.transpose(cols)
@@ -504,7 +504,9 @@ def test_isotropic_dressing_values(sl3_iso):
     s_star = s.find_embeddable(sv)
     from wds.lie import EmbeddableData
     data = EmbeddableData(s, sv, s_star)
-    gs_half_dual = s._dual_in(data.gs_half, data.gs_half, data.chi)
+    gs_half_dual = s.dual_of_gram(
+        [{h: c for h, p in enumerate(data.gs_half) if (c := data.chi(p, q))}
+         for q in data.gs_half], data.gs_half)
     # no g_0^s part on sl3, so pi h_0 = 0 and pi h_3/2 = 0
     assert F(0) not in h and F(3, 2) not in h
     # pi U_1 = sum [f,u_k] z^-1 (x) [s,[f,u^k]]
@@ -809,7 +811,7 @@ def test_one_representation_per_ring(name, window, kind, request):
     generator table of W, and the U and h parts of the dressing."""
     cfg = request.getfixturevalue(name)
     fr = cfg.frame
-    found = [c for row in fr.struct for entry in row for _, c in entry]
+    found = [c for row in fr.struct for entry in row for c in entry.values()]
     found += [c for row in fr.gram for c in row.values()]
     polys = [p for pair in cfg.gens.table.entries.values()
              for lam in pair for p in lam.coeffs]

@@ -167,6 +167,11 @@ def test_dual_basis_op_and_errors(sl3):
     g, s = sl3
     vs, dual = s.v_pairs  # g_1/2 with its omega_+ dual
     assert s.omega_plus(vs[0], dual[0]) == g.ring.one()
+    # the Darboux halves give the dual that inverting the omega_+ Gram
+    # matrix gives
+    assert dual == s.dual_of_gram(
+        [{h: c for h, p in enumerate(vs) if (c := s.omega_plus(p, q))}
+         for q in vs], vs)
     with pytest.raises(SingularPairing):  # (g_1/2 | g_1/2) = 0
         s.dual_of_gram([sparse_of([g.pair(p, q) for p in vs]) for q in vs], vs)
     a_basis, ad = s.a_pairs  # g_0^f with its (.|.) dual
@@ -467,20 +472,19 @@ class DenseLie:
         brackets = [[[z] * g.dim for _ in range(g.dim)] for _ in range(g.dim)]
         for i, row in enumerate(g.struct):
             for j, terms in enumerate(row):
-                for k, c in terms:
+                for k, c in terms.items():
                     brackets[i][j][k] = c
         form = [[z] * g.dim for _ in range(g.dim)]
         for i, terms in enumerate(g.form):
-            for j, c in terms:
+            for j, c in terms.items():
                 form[i][j] = c
         return cls(g.ring, g.labels, brackets, form)
 
     def sparse(self):
         """The LieAlgebra with the same constants."""
-        nz = lambda vec: [(k, c) for k, c in enumerate(vec) if c]
         return LieAlgebra(self.ring, self.labels,
-                          [[nz(v) for v in row] for row in self.brackets],
-                          [nz(row) for row in self.form])
+                          [[sparse_of(v) for v in row] for row in self.brackets],
+                          [sparse_of(row) for row in self.form])
 
     def zero_vec(self):
         return [self.ring.zero()] * self.dim
@@ -656,7 +660,7 @@ def test_structure_constants_match_matrices(build, n):
                 ab, ba = mul(ma, mb), mul(mb, ma)
                 want = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
                 got = [[0] * n for _ in range(n)]
-                for k, c in g.struct[a][b]:
+                for k, c in g.struct[a][b].items():
                     got = [[x + c * y for x, y in zip(r1, r2)]
                            for r1, r2 in zip(got, mats[k])]
                 assert got == want, (g.labels[a], g.labels[b])
@@ -710,7 +714,10 @@ def test_coordinates_and_dual_bases(name):
     for (vecs, duals), idx, partner in checks:
         assert vecs == [basis[i] for i in idx]
         assert duals == [dual[i] for i in idx]
-        assert duals == setup._dual_in(vecs, partner or vecs, g.pair)
+        partner = partner or vecs
+        assert duals == setup.dual_of_gram(
+            [{h: c for h, p in enumerate(vecs) if (c := g.pair(p, q))}
+             for q in partner], partner)
 
 
 def _symbolic_frame():
@@ -835,16 +842,41 @@ def test_sparse_vectors_match_dense_oracle(data):
 
 @pytest.mark.parametrize("name", sorted(VECTOR_FRAMES))
 def test_frame_struct_matches_dense_construction(name):
-    """frame.struct[i][j] is the (r, c), c nonzero and r increasing, of the
-    dense adapted coordinates of the dense bracket [b_i, b_j], entry for
-    entry over all dim^2 pairs."""
+    """frame.struct[i][j] is the Vec, keys increasing, of the nonzero dense
+    adapted coordinates of the dense bracket [b_i, b_j], entry for entry
+    over all dim^2 pairs."""
     frame, dense, inv, _ = dense_frame(name)
     g, ring = frame.algebra, frame.ring
     basis = [dense_of(b, g.dim, ring.zero()) for b in frame.basis]
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
             co = dense_la.mat_vec(inv, dense.bracket(bi, bj), ring)
-            assert frame.struct[i][j] == [(r, c) for r, c in enumerate(co) if c]
+            assert (list(frame.struct[i][j].items())
+                    == list(sparse_of(co).items()))
+
+
+# sl3, sp4 and sl4 short, each over Q(c, s1, s2)
+SYMBOLIC_FRAMES = {
+    "sl3": lambda: _frame_with_e(_setup(
+        build_sl(3, params=["s1", "s2"], form_scale="c"), ["E31"], MINIMAL)),
+    "sp4": lambda: _frame_with_e(_setup(
+        build_sp(4, params=["c", "s1", "s2"]), ["C11"], MINIMAL)),
+    "sl4": _symbolic_frame,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMBOLIC_FRAMES))
+def test_tables_are_vecs_in_key_order(name):
+    """The one sparse format: every structure constant entry and form row
+    of the algebra, every structure constant entry of the frame and every
+    column of ad(f) and ad(s) is a Vec, a dict with no zero value, with its
+    keys increasing."""
+    frame = SYMBOLIC_FRAMES[name]()
+    g = frame.algebra
+    vecs = [v for row in g.struct + frame.struct for v in row] + g.form
+    vecs += frame.ad_adapted(frame.setup.f) + frame.ad_adapted(frame.s)
+    assert all(type(v) is dict and list(v) == sorted(v) and all(v.values())
+               for v in vecs)
 
 
 def _corrupt_constant(dense, i, j, k, delta):

@@ -735,7 +735,7 @@ def test_symbolic_sl4_solve_takes_no_gcd():
         entries = WGenerators(frame).table.entries
         U, h, _ = solve_dressing(frame, 4)
     assert not callers
-    found = [c for row in frame.struct for entry in row for _, c in entry]
+    found = [c for row in frame.struct for entry in row for c in entry.values()]
     found += [c for row in frame.gram for c in row.values()]
     polys = [p for pair in entries.values() for lam in pair for p in lam.coeffs]
     polys += [p for parts in (U, h) for el in parts.values() for p in el.terms.values()]

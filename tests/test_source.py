@@ -41,6 +41,18 @@ def test_one_elimination_in_engine():
     assert found == []
 
 
+def test_no_environment_reads_in_engine():
+    """The command line is the one way to configure a run: no module of
+    src/wds reads os.environ or os.getenv, as an attribute or an import."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "name")}
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in sorted(names & {"environ", "getenv"})]
+    assert found == []
+
+
 def test_no_unused_imports_in_src():
     """Every name a module of src/wds imports is read in it; the package
     __init__ counts its __all__ as a use."""
