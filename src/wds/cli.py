@@ -28,8 +28,13 @@ from .hierarchy import (NotSemisimple, WindowOverflow, center_of_h,
 
 class UsageError(SystemExit):
     def __init__(self, msg: str):
-        print(f"error: {msg}", file=sys.stderr)
+        print("error: " + msg.replace("\n", "\\n"), file=sys.stderr)
         super().__init__(2)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own refusals: one line, exit 2
+        raise UsageError(message)
 
 
 def build_algebra(name: str, params: list[str], form_scale: str | None):
@@ -64,9 +69,8 @@ def default_nilpotent(g, name: str, kind: str):
     block for a short element."""
     n = int(name[2:])
     if kind == MINIMAL:
-        if name.startswith("sl"):
-            return g.parse({index_label("E", n, 1): 1})
-        return g.parse({"C11": 1})
+        return g.parse({index_label("E", n, 1) if name.startswith("sl")
+                        else "C11": 1})
     if not name.startswith("sl") or n % 2:
         raise UsageError(f"no short nilpotent constructor for {name}")
     m = n // 2
@@ -210,26 +214,20 @@ def make_frame(args):
     return g, setup, frame, s_star
 
 
-def emit(doc, args):
+def emit(doc, args, indent=0):
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        def walk(d, indent=0):
-            for k, v in d.items():
-                if isinstance(v, dict):
-                    print(" " * indent + f"{k}:")
-                    walk(v, indent + 2)
-                else:
-                    print(" " * indent + f"{k}: {v}")
-        walk(doc)
+        return
+    for k, v in doc.items():
+        if isinstance(v, dict):
+            print(" " * indent + f"{k}:")
+            emit(v, args, indent + 2)
+        else:
+            print(" " * indent + f"{k}: {v}")
 
 
 def fmt_poly(p: DiffPoly, args) -> str:
-    if args.format == "latex":
-        return p.latex()
-    if args.format == "json":
-        return p.to_json()
-    return str(p)
+    return {"latex": DiffPoly.latex, "json": DiffPoly.to_json}.get(args.format, str)(p)
 
 
 def cmd_setup(args):
@@ -242,8 +240,7 @@ def cmd_setup(args):
 
 
 def cmd_generators(args):
-    frame = make_frame(args)[2]
-    gens = WGenerators(frame)
+    gens = WGenerators(make_frame(args)[2])
     doc = {name: fmt_poly(p, args) for name, p in gens.all_generators()}
     doc["Ltilde"] = fmt_poly(gens.Ltilde, args)
     emit(doc, args)
@@ -286,9 +283,7 @@ def cmd_hierarchy(args):
     U, h, dec = dress(frame, max_deg, args)
     a_z = parse_a_choice(frame, dec, s_star, args.a_choice)
     dens = densities(frame, h, a_z, dec, max_deg, args)
-    doc = {}
-    for n, gn in enumerate(dens):
-        doc[f"int g_{n}"] = fmt_poly(gn, args)
+    doc = {f"int g_{n}": fmt_poly(gn, args) for n, gn in enumerate(dens)}
     for n in range(min(args.n, len(dens) - 1) + 1):
         eqs = {}
         flow = hierarchy_flow(frame, gens, dens[n])
@@ -350,53 +345,58 @@ def check_ranges(args):
         if isinstance(value, list):  # argparse reads --opt=-- as []
             raise UsageError(f"--{name.replace('_', '-')} needs a value, "
                              "got '--'")
-    if args.n < 0:
-        raise UsageError(f"--n must be >= 0, got {args.n}")
-    if args.max_degree < 1:
-        raise UsageError(f"--max-degree must be >= 1, got {args.max_degree}")
+    # defaults that pass, for the commands without --n and --max-degree
+    n, max_degree = getattr(args, "n", 0), getattr(args, "max_degree", 1)
+    if n < 0:
+        raise UsageError(f"--n must be >= 0, got {n}")
+    if max_degree < 1:
+        raise UsageError(f"--max-degree must be >= 1, got {max_degree}")
     # the dressing to loop degree D differentiates up to order D
-    if args.max_degree > MAX_ORDER:
+    if max_degree > MAX_ORDER:
         raise UsageError(f"--max-degree must be <= {MAX_ORDER}, the highest "
-                         "derivative order a monomial holds, got "
-                         f"{args.max_degree}")
+                         f"derivative order a monomial holds, got {max_degree}")
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="wds",
-        description="classical W-algebras and Drinfeld-Sokolov hierarchies, exactly",
-    )
+    parser = _Parser(prog="wds", description="classical W-algebras and "
+                     "Drinfeld-Sokolov hierarchies, exactly")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("setup", cmd_setup),
-        ("generators", cmd_generators),
-        ("tables", cmd_tables),
-        ("hierarchy", cmd_hierarchy),
-        ("verify-all", cmd_verify_all),
-    ):
-        p = sub.add_parser(name)
+    commands = {"setup": cmd_setup, "generators": cmd_generators,
+                "tables": cmd_tables, "hierarchy": cmd_hierarchy,
+                "verify-all": cmd_verify_all}
+    dressing = ("hierarchy", "verify-all")
+    # each option, the commands that read it (no other takes it), settings
+    options = (
+        ("--algebra", commands, dict(required=True, help="slN or spN")),
+        ("--nilpotent", commands,
+         dict(choices=("minimal", "short"), default="minimal")),
+        ("--f", commands,
+         dict(help="explicit nilpotent as comma-separated basis labels")),
+        ("--s", commands, dict(
+            default="e", help="e | isotropic | diag:a,b | explicit:LABEL,...")),
+        ("--form-scale", commands,
+         dict(help="scale the trace form by a named parameter")),
+        ("--format", ("generators", "hierarchy"),
+         dict(choices=("text", "latex", "json"), default="text")),
+        ("--format", ("setup", "tables", "verify-all"),
+         dict(choices=("text", "json"), default="text")),
+        ("--dump-setup", ("setup",), dict(action="store_true")),
+        ("--a-choice", dressing,
+         dict(default="f_plus_ze", help="f_plus_ze | e_plus_s_star | center")),
+        ("--n", dressing,
+         dict(type=int, default=1, help="highest hierarchy time index")),
+        ("--max-degree", dressing,
+         dict(type=int, default=4, help="highest loop degree of the dressing")),
+        ("--reduce", ("hierarchy",), dict(action="store_true", help=(
+            "apply the J_K reduction to printed equations"))),
+        ("--seed", ("verify-all",), dict(type=int, default=1729)),
+    )
+    for name, fn in commands.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(fn=fn)
-        p.add_argument("--algebra", required=True, help="slN or spN")
-        p.add_argument("--nilpotent", choices=("minimal", "short"),
-                       default="minimal")
-        p.add_argument("--f", default=None,
-                       help="explicit nilpotent as comma-separated basis labels")
-        p.add_argument("--s", default="e",
-                       help="e | isotropic | diag:a,b | explicit:LABEL,...")
-        p.add_argument("--a-choice", default="f_plus_ze",
-                       help="f_plus_ze | e_plus_s_star | center")
-        p.add_argument("--n", type=int, default=1,
-                       help="highest hierarchy time index")
-        p.add_argument("--max-degree", type=int, default=4,
-                       help="highest loop degree of the dressing")
-        p.add_argument("--format", choices=("text", "latex", "json"),
-                       default="text")
-        p.add_argument("--seed", type=int, default=1729)
-        p.add_argument("--reduce", action="store_true",
-                       help="apply the J_K reduction to printed equations")
-        p.add_argument("--dump-setup", action="store_true")
-        p.add_argument("--form-scale", default=None,
-                       help="scale the trace form by a named parameter")
+        for option, readers, settings in options:
+            if name in readers:
+                p.add_argument(option, **settings)
     args = parser.parse_args(argv)
     check_ranges(args)
     try:

@@ -340,10 +340,6 @@ class DiffPoly:
             out[g] = acc
         return out
 
-    def variational(self, gen: int) -> "DiffPoly":
-        """delta/delta(u_gen), as in `gradient`."""
-        return self.gradient().get(gen, self.ctx.zero())
-
     def const_term(self) -> Scalar:
         v = self.terms.get(())
         ring = self.ctx.ring
@@ -503,9 +499,6 @@ class LambdaPoly:
 
     def __bool__(self):
         return bool(self.coeffs)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def coeff(self, k: int) -> DiffPoly:
         return self.coeffs[k] if k < len(self.coeffs) else self.ctx.zero()

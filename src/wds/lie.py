@@ -119,15 +119,20 @@ class LieAlgebra:
                 for l, b in st[m][k].items():
                     acc[l] = acc[l] + c * b if l in acc else c * b
 
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j, n):
-                    jac = {}
-                    brackets_with(st[i][j], k, jac)
-                    brackets_with(st[j][k], i, jac)
-                    brackets_with(st[k][i], j, jac)
-                    if any(jac.values()):
-                        bad.append(f"jacobi ({lab[i]},{lab[j]},{lab[k]})")
+        # [[e_a, e_b], e_c] is nonzero only if some e_m of [e_a, e_b]
+        # brackets nonzero with e_c; (a, b, c) is a rotation of the triple
+        # whose Jacobi sum it enters, which is checked if i < j <= k
+        partners = [{c for c, row in enumerate(rows) if row} for rows in st]
+        reached = {min((a, b, c), (b, c, a), (c, a, b))
+                   for a, rows in enumerate(st) for b, row in enumerate(rows)
+                   for c in set().union(*(partners[m] for m in row))}
+        for i, j, k in sorted(t for t in reached if t[0] < t[1] <= t[2]):
+            jac = {}
+            brackets_with(st[i][j], k, jac)
+            brackets_with(st[j][k], i, jac)
+            brackets_with(st[k][i], j, jac)
+            if any(jac.values()):
+                bad.append(f"jacobi ({lab[i]},{lab[j]},{lab[k]})")
         for i in range(n):
             # into[m] lists the (k, c_ik^m)
             into = [[] for _ in range(n)]

@@ -16,7 +16,8 @@ from functools import partial
 from math import comb
 from typing import Callable
 from . import linalg
-from .diffpoly import Context, DiffPoly, LambdaPoly, dot, subst_minus_lambda_d
+from .diffpoly import (Context, ContextMismatch, DiffPoly, LambdaPoly, dot,
+                       subst_minus_lambda_d)
 from .lie import GradedSetup, GradeMismatch, MINIMAL, coords_in, darboux_split
 
 
@@ -174,7 +175,7 @@ class LeftBracket:
 
 def _check_table_ctx(table: BracketTable, p: DiffPoly) -> None:
     if p.ctx is not table.ctx and p.ctx != table.ctx:
-        raise ValueError("arguments must live in the table's context")
+        raise ContextMismatch(f"{p.ctx} is not the table's {table.ctx}")
 
 
 def _table_partials(table: BracketTable, h: DiffPoly) -> dict:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wds import linalg
-from wds.cli import main, make_frame, parse_a_choice
+from wds.cli import check_ranges, main, make_frame, parse_a_choice
 from wds.diffpoly import B, MAX_ORDER
 from wds.hierarchy import HDecomposition, check_central
 from wds.lie import EmbeddableData
@@ -92,11 +93,12 @@ def test_generators_emission(capsys):
 
 
 def test_deterministic_output(capsys):
-    args = ("hierarchy", "--algebra", "sl3", "--nilpotent", "minimal",
-            "--n", "1", "--format", "json", "--seed", "7")
-    _, out1, _ = run(capsys, *args)
-    _, out2, _ = run(capsys, *args)
-    assert out1 == out2
+    for args in (("hierarchy", "--algebra", "sl3", "--nilpotent", "minimal",
+                  "--n", "1", "--format", "json"),
+                 ("verify-all", "--algebra", "sl3", "--nilpotent", "minimal",
+                  "--n", "1", "--format", "json", "--seed", "7")):
+        code, out1, _ = run(capsys, *args)
+        assert code == 0 and run(capsys, *args) == (0, out1, "")
 
 
 def test_isotropic_tables_cli(capsys):
@@ -181,7 +183,7 @@ SP6_SHORT_CENTER = ("--algebra", "sp6", "--nilpotent", "short",
     ("hierarchy", "--algebra", "sl2", "--max-degree=--"),
     ("setup", "--algebra", "sl2", "--f=--"),
     ("setup", "--algebra", "sl2", "--form-scale=--"),
-    ("setup", "--algebra", "sl2", "--seed=--"),
+    ("verify-all", "--algebra", "sl2", "--seed=--"),
     ("setup", "--algebra=--"),
     ("hierarchy", "--algebra", "sl3", "--a-choice", "centerfoo"),
     ("setup", "--algebra", "sl3", "--s", "explicit:E13,2*E13"),
@@ -260,12 +262,14 @@ def test_bad_input_usage_error(argv, capsys):
      "--s explicit:,: unknown basis label ''"),
     (("setup", "--algebra", "sl99999999999999999999"),
      "--algebra sl99999999999999999999: n is too large"),
+    (("setup", "--algebra", "sl3", "--f", "E12\nX"),
+     "--f E12\\nX: unknown basis label 'E12\\nX'"),
 ], ids=["f_deep_grading", "f_wrong_kind", "explicit_two_stars",
         "explicit_label_first",
         "form_scale_number", "form_scale_zero_denominator", "form_scale_zero",
         "form_scale_empty", "form_scale_on_sp", "explicit_repeated_label",
         "f_repeated_label", "f_empty_label", "explicit_empty_label",
-        "sl_overflow"])
+        "sl_overflow", "f_label_with_newline"])
 def test_usage_error_reason(argv, reason, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2 and err.count("\n") == 1
@@ -392,6 +396,87 @@ def test_verify_all_json_pass(capsys):
     assert all(grp["passed"] and grp["failures"] == [] for grp in doc["groups"])
 
 
+# -- the options of each command ---------------------------------------------
+
+EVERY_COMMAND = ("--algebra", "--nilpotent", "--f", "--s", "--form-scale",
+                 "--format")
+# the options each command reads; it refuses every other one
+READS = {
+    "setup": EVERY_COMMAND + ("--dump-setup",),
+    "generators": EVERY_COMMAND,
+    "tables": EVERY_COMMAND,
+    "hierarchy": EVERY_COMMAND + ("--a-choice", "--n", "--max-degree",
+                                  "--reduce"),
+    "verify-all": EVERY_COMMAND + ("--a-choice", "--n", "--max-degree",
+                                   "--seed"),
+}
+FORMATS = {"setup": ("text", "json"), "generators": ("text", "latex", "json"),
+           "tables": ("text", "json"), "hierarchy": ("text", "latex", "json"),
+           "verify-all": ("text", "json")}
+# a value of each option that a run on sl2 takes (None: a flag)
+SL2_VALUES = {"--nilpotent": "minimal", "--f": "E21", "--s": "e",
+              "--form-scale": "c", "--format": "json", "--dump-setup": None,
+              "--a-choice": "f_plus_ze", "--n": "0", "--max-degree": "3",
+              "--reduce": None, "--seed": "5"}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in READS for option in SL2_VALUES])
+def test_each_command_takes_only_the_options_it_reads(command, option, capsys):
+    """An option the command reads runs; any other exits 2 with one line."""
+    value = SL2_VALUES[option]
+    given = [option] if value is None else [option, value]
+    code, out, err = run(capsys, command, "--algebra", "sl2", *given)
+    if option in READS[command]:
+        assert (code, err) == (0, ""), err
+    else:
+        assert (code, out, err) == (
+            2, "", f"error: unrecognized arguments: {' '.join(given)}\n")
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_help_lists_the_options_read(command, capsys):
+    """-h lists exactly the options the command reads, and the formats it
+    prints; a format it does not print exits 2 with one line."""
+    code, out, err = run(capsys, command, "-h")
+    assert (code, err) == (0, "")
+    listed = re.findall(r"^  (-[-\w]+)", out.split("options:", 1)[1], re.M)
+    assert listed == ["-h", *READS[command]]
+    assert f"--format {{{','.join(FORMATS[command])}}}" in out
+    for fmt in ("text", "latex", "json"):
+        if fmt not in FORMATS[command]:
+            code, out, err = run(capsys, command, "--algebra", "sl2",
+                                 "--format", fmt)
+            assert (code, out) == (2, "") and err.count("\n") == 1
+            assert err.startswith("error: argument --format: invalid choice:")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    ((), "the following arguments are required: command"),
+    (("frobnicate",), "argument command: invalid choice:"),
+    (("setup",), "the following arguments are required: --algebra"),
+    (("setup", "--algebra", "sl3", "--nilpotent", "foo"),
+     "argument --nilpotent: invalid choice:"),
+    (("hierarchy", "--algebra", "sl2", "--n", "x"),
+     "argument --n: invalid int value: 'x'"),
+    (("setup", "--algebra", "sl2", "--n", "1"),
+     "unrecognized arguments: --n 1"),
+    (("setup", "--alg", "sl2"),
+     "the following arguments are required: --algebra"),
+    (("setup", "--algebra", "sl2", "a\nb"),
+     "unrecognized arguments: a\\nb\n"),
+], ids=["command_missing", "command_unknown", "algebra_missing",
+        "nilpotent_unknown_choice", "n_not_integer",
+        "n_not_an_abbreviation_of_nilpotent", "no_abbreviated_options",
+        "newline_in_argument"])
+def test_argparse_errors_are_one_line(argv, reason, capsys):
+    """argparse's own refusals are one `error:` line with exit status 2, no
+    usage block, like the engine's; a long option is never abbreviated."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith(f"error: {reason}")
+
+
 # -- fuzz over flag combinations -----------------------------------------------
 
 LABELS = {
@@ -412,6 +497,10 @@ def optional(values):
 
 @st.composite
 def cli_argv(draw):
+    """setup, generators or tables, with values drawn for options that the
+    command reads, and no other option: an ignored one stops the run before
+    the engine."""
+    command = draw(st.sampled_from(["setup", "generators", "tables"]))
     algebra = draw(st.sampled_from(sorted(LABELS)))
     junk = st.text(alphabet="diagexplct:E123*,/0s-", max_size=10)
     labels = st.lists(st.sampled_from(LABELS[algebra] + ["E99", "X", ""]),
@@ -420,18 +509,16 @@ def cli_argv(draw):
         "--nilpotent": optional(st.sampled_from(["minimal", "short"])),
         "--s": optional(st.sampled_from(S_CHOICES) | junk),
         "--f": optional(labels),
-        "--a-choice": optional(st.sampled_from(
-            ["f_plus_ze", "e_plus_s_star", "center", "junk"])),
-        "--format": optional(st.sampled_from(["text", "latex", "json"])),
-        "--n": optional(st.integers(-2, 3)),
-        "--max-degree": optional(st.integers(-1, 5)),
+        "--format": optional(st.sampled_from(FORMATS[command])),
     }
-    argv = [draw(st.sampled_from(["setup", "generators", "tables"])),
-            "--algebra", algebra]
+    argv = [command, "--algebra", algebra]
     for flag, values in options.items():
+        assert flag in READS[command]
         value = draw(values)
         if value is not None:
             argv.append(f"{flag}={value}")
+    if command == "setup" and draw(st.booleans()):
+        argv.append("--dump-setup")
     return argv
 
 
@@ -490,8 +577,7 @@ def test_max_degree_past_the_order_bound_names_it(capsys):
                          "--max-degree", str(MAX_ORDER + 1))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: --max-degree must be <= {MAX_ORDER}, ")
-    assert run(capsys, "setup", "--algebra", "sl2",
-               "--max-degree", str(MAX_ORDER))[0] == 0
+    check_ranges(argparse.Namespace(n=0, max_degree=MAX_ORDER))  # accepted
 
 
 # -- invariants that survive python -O ---------------------------------------

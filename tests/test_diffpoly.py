@@ -35,12 +35,17 @@ def test_total_derivative():
     assert UV.one().total_derivative() == UV.zero()
 
 
+def variational(p, gen):
+    """delta p / delta u_gen, read from gradient()."""
+    return p.gradient().get(gen, p.ctx.zero())
+
+
 def test_variational_derivative():
     up = UV.gen(0, 1)
-    assert (u * u).variational(0) == 2 * u
-    assert (u * up).variational(0) == UV.zero()  # exact: (u^2/2)'
+    assert variational(u * u, 0) == 2 * u
+    assert variational(u * up, 0) == UV.zero()  # exact: (u^2/2)'
     upp = UV.gen(0, 2)
-    assert (u * upp).variational(0) == 2 * upp
+    assert variational(u * upp, 0) == 2 * upp
 
 
 def test_variational_kills_total_derivatives():
@@ -49,8 +54,8 @@ def test_variational_kills_total_derivatives():
     for _ in range(25):
         p = random_element(UV, rng, max_degree=4, max_order=2)
         dp = p.total_derivative()
-        assert dp.variational(0) == UV.zero()
-        assert dp.variational(1) == UV.zero()
+        assert variational(dp, 0) == UV.zero()
+        assert variational(dp, 1) == UV.zero()
 
 
 def partial(p, gen, order):
@@ -98,7 +103,7 @@ def test_variational_horner_matches_oracle(data):
     p = data.draw(diffpolys(ctx))
     for f in (p, p.total_derivative()):
         for gen in range(ctx.ngens):
-            assert f.variational(gen) == variational_oracle(f, gen)
+            assert variational(f, gen) == variational_oracle(f, gen)
 
 
 def test_functional_equality():
@@ -226,7 +231,7 @@ def test_latex_writes_constant_terms_bare(p, text, latex):
 def test_lambda_poly_operations():
     from wds.diffpoly import LambdaPoly, subst_minus_lambda_d
     x = LambdaPoly(UV, [u, v])
-    assert x.degree() == 1
+    assert len(x.coeffs) - 1 == 1  # the lambda-degree
     y = x.apply_d_plus_lambda()
     assert y.coeff(0) == u.d()
     assert y.coeff(1) == u + v.d()
@@ -387,7 +392,7 @@ def test_kernel_matches_reference(data):
     assert_matches(p.scale(c), ref_scale(P, c))
     assert_matches(p.total_derivative(), ref_derivative(P))
     for gen in range(ctx.ngens):
-        assert_matches(p.variational(gen), ref_variational(P, gen))
+        assert_matches(variational(p, gen), ref_variational(P, gen))
         for order in range(4):
             assert_matches(partial(p, gen, order), ref_partial(P, gen, order))
     target = TARGETS[ctx.ring]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wds import MINIMAL, GradedSetup, WGenerators, build_sl, linalg, pva
-from wds.diffpoly import LambdaPoly, functional_equal
+from wds.diffpoly import ContextMismatch, LambdaPoly, functional_equal
 from wds.lie import GradeMismatch
 from wds.pva import (BracketTable, LeftBracket, ReductionFrame,
                      check_pva_axioms, jacobi_defect, master_bracket,
@@ -438,7 +438,8 @@ def left_and_rights(draw):
 
 def gradient(h):
     used = {j for m in h.coeffs() for j, _ in m}
-    return {j: h.variational(j) for j in sorted(used)}
+    grad = h.gradient()
+    return {j: grad.get(j, h.ctx.zero()) for j in sorted(used)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -479,3 +480,14 @@ def test_left_bracket_rejects_foreign_context(sl3_min):
     for method in (left, left.at_zero):
         with pytest.raises(ValueError):
             method(other)
+
+
+def test_foreign_context_is_a_context_mismatch(sl3_min):
+    """A coordinate-ring polynomial bracketed on the generator table of W
+    raises the engine's one wrong-context error, naming both contexts."""
+    table = sl3_min.gens.table
+    p = sl3_min.frame.coord_ctx.gen(0)
+    for left, right in ((p, table.ctx.gen(0)), (table.ctx.gen(0), p)):
+        with pytest.raises(ContextMismatch) as e:
+            master_bracket(table, left, right)
+        assert str(e.value) == f"{p.ctx} is not the table's {table.ctx}"

@@ -112,9 +112,6 @@ def test_no_unused_private_defs_in_src():
 # public names of src/wds with no caller in src, demos or the README quick
 # start, each with the reason it stays
 UNCALLED_PUBLIC = {
-    "variational": "DiffPoly API: the derivative of one generator, the "
-                   "README's variational derivative; gradient is all of them",
-    "degree": "LambdaPoly API: the lambda-degree, next to coeff and at_zero",
     "rho_action": "the per-generator test oracle of is_in_w that the "
                   "README names",
     "skew_defect": "the memo-free oracle of check_pva_axioms that "
@@ -125,6 +122,8 @@ UNCALLED_PUBLIC = {
                         "test_acceptance imports; no verify-all group yet",
     "pi_inverse": "the lift of W to the coordinate ring, with which "
                   "test_acceptance samples the PVA axioms on W",
+    "error": "cli._Parser's override of the ArgumentParser hook that "
+             "argparse calls, so that its refusals are one line",
 }
 
 
