@@ -299,6 +299,11 @@ def cmd_hierarchy(args):
 
 def cmd_verify_all(args):
     g, setup, frame, s_star = make_frame(args)
+    # what can refuse the input runs before the first report, as in hierarchy
+    max_deg = Fraction(args.max_degree)
+    U, h, dec = dress(frame, max_deg, args)
+    a_z = parse_a_choice(frame, dec, s_star, args.a_choice)
+    dens = densities(frame, h, a_z, dec, max_deg, args)
     groups = []
 
     def report(name, bad):
@@ -322,12 +327,8 @@ def cmd_verify_all(args):
     report("generator membership", memb)
     for which, rows in verify_table(frame, gens).items():
         report(f"bracket table {which}", [m for bad in rows.values() for m in bad])
-    max_deg = Fraction(args.max_degree)
-    U, h, dec = dress(frame, max_deg, args)
     defect = dressing_defect(frame, U, h, max_deg)
     report("dressing conjugation oracle", [] if not defect else ["nonzero"])
-    a_z = parse_a_choice(frame, dec, s_star, args.a_choice)
-    dens = densities(frame, h, a_z, dec, max_deg, args)
     report("lenard-magri recursion", verify_lenard_magri(frame, gens, dens))
     failed = sum(not group["passed"] for group in groups)
     if args.format == "json":

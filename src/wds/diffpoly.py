@@ -167,14 +167,54 @@ def _mul_into(out: dict, items_a, items_b) -> None:
             out[m] = v if got is None else got + v
 
 
-def dot(ctx: "Context", pairs) -> "DiffPoly":
-    """sum a * b over the (a, b) of pairs, multiplied on numerators and
+def gather(ctx: "Context", jobs) -> dict:
+    """{key: sum c * a * b} over the jobs (a, b, [(key, c), ...]), b None
+    for 1 and each c a ring element: the one sum of scaled products of the
+    engine.  Keys whose sum vanishes are left out; the others keep the
+    order in which they first appear.  Each product a * b is formed once on
+    numerators and shared by its keys.  Each key sums numerators per
+    denominator, a term over d joining a sum over a multiple of d, and is
     normalised once."""
-    slots: dict = {}
-    for a, b in pairs:
-        _mul_into(slots.setdefault(a.den * b.den, {}),
-                  a.terms.items(), b.terms.items())
-    return DiffPoly.collect(ctx, slots) if slots else ctx.zero()
+    slots: dict = {}  # key -> {denominator: {monomial: numerator}}
+    for a, b, scaled in jobs:
+        items, den = a.terms.items(), a.den
+        if b is not None:
+            den *= b.den
+            if len(scaled) > 1:  # the product once, then one sum per key
+                pq: dict = {}
+                _mul_into(pq, items, b.terms.items())
+                items, b = pq.items(), None
+        for key, c in scaled:
+            n, d = numerator_form(c)
+            by_den = slots.get(key)
+            if by_den is None:
+                by_den = slots[key] = {}
+            d *= den
+            out = by_den.get(d)
+            if out is None:  # a slot over a multiple of d, else a new one
+                for D, out in by_den.items():
+                    if D % d == 0:
+                        n *= D // d
+                        break
+                else:
+                    out = by_den[d] = {}
+            if b is None:
+                _accumulate(out, items, n)
+            else:
+                _mul_into(out, [(m, v * n) for m, v in items] if n != 1
+                          else items, b.terms.items())
+    sums = {}
+    for key, by_den in slots.items():
+        p = DiffPoly.collect(ctx, by_den)
+        if p:
+            sums[key] = p
+    return sums
+
+
+def dot(ctx: "Context", pairs) -> "DiffPoly":
+    """sum a * b over the (a, b) of pairs: gather with one key."""
+    got = gather(ctx, [(a, b, ((0, 1),)) for a, b in pairs])
+    return got[0] if got else ctx.zero()
 
 
 class DiffPoly:

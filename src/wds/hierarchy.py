@@ -9,11 +9,11 @@ fixed-degree slice is finite dimensional.  The dressing equation
 
 is solved degree by degree; pairing h against a central element a(z) of
 ker(ad(f+zs)) yields the conserved densities and the hierarchy flows.
-Every loop element is a LoopElement with DiffPoly coefficients, which are
-in numerator form over Q and over Q(p) alike: the inputs f + zs, q and
-a(z), the kernel bases, U, h and the oracle's defect.  The bracket
-multiplies coefficients on their numerators, and the slice matrices act as
-numerator rows.
+Every loop element is a LoopElement with DiffPoly coefficients, over Q
+and over Q(p) alike: the inputs f + zs, q and a(z), the kernel bases, U,
+h and the oracle's defect.  Every sum of
+scaled coefficient products (the bracket, the slice matrices applied to a
+slice, the pairing with a(z)) is one `diffpoly.gather`.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .diffpoly import (Context, DiffPoly, _accumulate, _mul_into,
-                       common_denominator, functional_equal, numerator_form)
+from .diffpoly import Context, DiffPoly, functional_equal, gather
 from .pva import LeftBracket, ReductionFrame
 
 
@@ -109,22 +108,13 @@ class LoopElement:
         return bracket_sum(self.frame, self.ctx, [(self, other)], 1, max_deg)
 
     def pair_with(self, a_z: dict) -> dict:
-        """Pairing (a(z) x 1 | self): a_z maps z powers to g vectors."""
-        g = self.frame.algebra
-        out: dict[int, DiffPoly] = {}
-        for (i, k), p in self.terms.items():
-            for k2, vec in a_z.items():
-                c = g.pair(vec, self.frame.basis[i])
-                if c:
-                    zp = k + k2
-                    got = out.get(zp)
-                    add = p.scale(c)
-                    got = add if got is None else got + add
-                    if got:
-                        out[zp] = got
-                    else:
-                        out.pop(zp, None)
-        return out
+        """Pairing (a(z) x 1 | self), as {z power: nonzero DiffPoly}: a_z
+        maps z powers to g vectors."""
+        pair, basis = self.frame.algebra.pair, self.frame.basis
+        return gather(self.ctx, [
+            (p, None, [(k + k2, c) for k2, vec in a_z.items()
+                       if (c := pair(vec, basis[i]))])
+            for (i, k), p in self.terms.items()])
 
     def __str__(self):
         if not self.terms:
@@ -144,100 +134,34 @@ def _twice(deg: Fraction) -> int:
     return int(2 * deg)
 
 
-def _over(p: DiffPoly, M: int) -> list:
-    """The numerator items of p over the denominator M, a multiple of p.den."""
-    s = M // p.den
-    return [(m, v * s) for m, v in p.terms.items()] if s != 1 else p.terms.items()
-
-
-def _one_den(el: LoopElement, e2: list, z2: int) -> tuple:
-    """el over the lcm L of its dens: (L, [(i, k, 2 deg, numerators)])."""
-    L = math.lcm(*(p.den for p in el.terms.values()))
-    return L, [(i, k, e2[i] + z2 * k, _over(p, L))
-               for (i, k), p in el.terms.items()]
-
-
 def bracket_sum(frame: ReductionFrame, ctx: Context, pairs: list, n: int = 1,
                 max_deg: Fraction | None = None) -> LoopElement:
     """sum [x, y] / n over the (x, y) of pairs, dropping products of loop
-    degree above max_deg.  Each operand is put over one denominator and 1/n
-    goes into the structure constants (into their Scalar numerators over
-    Q(p)), so each output key sums its numerators over one denominator D
-    and is normalised once; loop degrees are compared as ints 2 deg."""
+    degree above max_deg, in one gather: each product of coefficients is
+    one job, with 1/n in the structure constants that scale it, so each
+    output key is normalised once.  Loop degrees are compared as ints
+    2 deg."""
     struct = frame.struct
     e2 = [_twice(e) for e in frame.eig_of]
     z2 = _twice(frame.z_degree)
     top = math.inf if max_deg is None else math.floor(2 * max_deg)
     inv = Fraction(1, n)
-    jobs, dens = [], {1}
+    jobs = []
     for x, y in pairs:
         if not (x and y):
             continue
-        (L1, xs), (L2, ys) = _one_den(x, e2, z2), _one_den(y, e2, z2)
+        ys = [(j, k2, e2[j] + z2 * k2, q) for (j, k2), q in y.terms.items()]
         low = min(d2 for _, _, d2, _ in ys)
-        for i, k1, d1, ps in xs:
+        for (i, k1), p in x.terms.items():
+            d1 = e2[i] + z2 * k1
             if d1 + low > top:
                 continue
             row = struct[i]
-            for j, k2, d2, qs in ys:
-                if not row[j] or d1 + d2 > top:
-                    continue
-                co = [(r, *numerator_form(c * inv if n != 1 else c))
-                      for r, c in row[j].items()]
-                jobs.append((L1 * L2, co, k1 + k2, ps, qs))
-                dens.update(L1 * L2 * cd for _, _, cd in co)
-    D = math.lcm(*dens)
-    # (basis index, z power) -> {monomial: numerator over D}
-    acc: dict = {}
-    for L, co, kz, ps, qs in jobs:
-        if len(co) > 1:  # the products once, then one sum per output
-            pq: dict = {}
-            _mul_into(pq, ps, qs)
-        for r, cn, cd in co:
-            s = D // (L * cd)
-            f = cn * s if s != 1 else cn
-            out = acc.setdefault((r, kz), {})
-            if len(co) > 1:
-                _accumulate(out, pq.items(), f)
-            else:
-                _mul_into(out, [(m, a * f) for m, a in ps] if f != 1 else ps, qs)
-    terms = {}
-    for key, nums in acc.items():
-        p = DiffPoly.collect(ctx, {D: nums})
-        if p:
-            terms[key] = p
-    return LoopElement(frame, ctx, terms)
-
-
-def _num_rows(cols: list, n: int) -> list:
-    """The n-row matrix with the Vec columns cols as numerator rows
-    (R, [(column, R * entry)]) over the nonzero entries, with R the lcm of
-    the row's denominators."""
-    rows = [{} for _ in range(n)]
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            rows[i][j] = x
-    out = []
-    for row in rows:
-        R, nums = common_denominator(row.values())
-        out.append((R, list(zip(row, nums))))
-    return out
-
-
-def _apply_rows(ctx: Context, rows: list, coeffs: list) -> list:
-    """Numerator rows applied to a vector of DiffPolys over ctx: the
-    DiffPolys sum_j row[j] * coeffs[j], one per row, each summed on
-    numerators over the common denominator R * M, with M the lcm of the
-    vector's dens."""
-    M = math.lcm(*(p.den for p in coeffs))
-    vec = [_over(p, M) for p in coeffs]
-    out = []
-    for R, entries in rows:
-        acc: dict = {}
-        for j, c in entries:
-            _accumulate(acc, vec[j], c)
-        out.append(DiffPoly.collect(ctx, {R * M: acc}))
-    return out
+            for j, k2, d2, q in ys:
+                if row[j] and d1 + d2 <= top:
+                    jobs.append((p, q, [((r, k1 + k2), c * inv if n != 1 else c)
+                                        for r, c in row[j].items()]))
+    return LoopElement(frame, ctx, gather(ctx, jobs))
 
 
 def loop_const(frame: ReductionFrame, ctx: Context, vec, zpow: int = 0) -> LoopElement:
@@ -259,16 +183,15 @@ def loop_fzs(frame: ReductionFrame, ctx: Context) -> LoopElement:
 def build_q(frame: ReductionFrame, projected: bool = True) -> LoopElement:
     """q = sum_i q^i (x) q_i over the coordinate basis and its dual."""
     ctx = frame.w_ctx if projected else frame.coord_ctx
-    coeffs: dict = {}  # basis index -> DiffPoly coefficient
+    jobs = []
     for pos, b in enumerate(frame.coord_idx):
         coeff = frame.coord_ctx.gen(pos)
         if projected:
             coeff = frame.pi(coeff)
-        if not coeff:
-            continue
-        for i, c in frame.to_adapted(frame.dual_basis[b]).items():
-            coeffs[i] = coeffs.get(i, ctx.zero()) + coeff.scale(c)
-    return LoopElement(frame, ctx, {(i, 0): p for i, p in coeffs.items() if p})
+        if coeff:
+            jobs.append((coeff, None, [((i, 0), c) for i, c in
+                                       frame.to_adapted(frame.dual_basis[b]).items()]))
+    return LoopElement(frame, ctx, gather(ctx, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +210,8 @@ class HDecomposition:
     of ad(f+zs) on slice(r), the projection onto that kernel along the
     image, and the inverse of ad(f+zs) from hperp(r+1), the image part of
     slice(r+1).  Vectors of a slice are Vecs over its positions; both
-    matrices are kept as numerator rows, which `split` applies to a
-    LoopElement of any degree of the class.
+    matrices are kept as the Vecs of their columns, which `split` applies
+    to a LoopElement of any degree of the class in one gather each.
     """
 
     def __init__(self, frame: ReductionFrame):
@@ -304,7 +227,7 @@ class HDecomposition:
         ad_fzs = ((frame.ad_adapted(frame.setup.f), 0),
                   (frame.ad_adapted(frame.s), 1))
         ads = {r: self._ad_columns(r, ad_fzs) for r in self.classes}
-        # r -> (kernel basis, projection rows, solve rows)
+        # r -> (kernel basis, projection columns, solve columns)
         self._splits = {r: self._split(r, ads) for r in self.classes}
 
     def residue(self, deg: Fraction) -> tuple[Fraction, int]:
@@ -367,8 +290,7 @@ class HDecomposition:
                 for t in T]
         solve = [linalg.combine({a - nk: c for a, c in t.items() if a >= nk},
                                 hperp) for t in T]
-        return (K, _num_rows(proj, m),
-                _num_rows(solve, len(self.slice(deg + 1))))
+        return K, proj, solve
 
     def split(self, deg: Fraction, el: LoopElement) -> tuple:
         """(h, u) for el of degree deg: h the kernel component of el, and u
@@ -376,10 +298,12 @@ class HDecomposition:
         _, proj, solve = self._splits[self.residue(deg)[0]]
         coeffs = self.coeffs_of(deg, el)
 
-        def loop(d, rows):
-            co = _apply_rows(el.ctx, rows, coeffs)
+        def loop(d, cols):
+            got = gather(el.ctx, [(p, None, col.items())
+                                  for p, col in zip(coeffs, cols) if p])
+            keys = self.slice(d)
             return LoopElement(self.frame, el.ctx,
-                               {key: p for key, p in zip(self.slice(d), co) if p})
+                               {keys[i]: got[i] for i in sorted(got)})
 
         return loop(deg, proj), loop(deg + 1, solve)
 
@@ -527,7 +451,7 @@ def center_of_h(frame: ReductionFrame, dec: HDecomposition,
         d = Fraction(d)
 
         def brackets(v):
-            # brackets of constant loops: every coefficient is (L, {(): n})
+            # brackets of constant loops: every coefficient is a constant
             c = dec.const_loop(d, v, ctx)
             return [{key: p.const_term() for key, p in c.bracket(w).terms.items()}
                     for w in all_h]
@@ -565,15 +489,10 @@ def conserved_densities(
     """
     if not check_central(frame, dec, a_z):
         raise InvalidCenter("a(z) does not lie in the center of ker ad(f+zs)")
-    total: dict[int, DiffPoly] = {}
-    for h in h_parts.values():
-        for zp, p in h.pair_with(a_z).items():
-            got = total.get(zp)
-            got = p if got is None else got + p
-            if got:
-                total[zp] = got
-            else:
-                total.pop(zp, None)
+    # the parts have distinct loop degrees, so their keys are disjoint
+    total = LoopElement(frame, frame.w_ctx, {
+        key: p for h in h_parts.values() for key, p in h.terms.items()
+    }).pair_with(a_z)
     if not total:
         return []
     top = max(total)

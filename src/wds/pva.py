@@ -12,12 +12,11 @@ projection pi onto V(g^f).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import comb
 from typing import Callable
 from . import linalg
 from .diffpoly import (Context, ContextMismatch, DiffPoly, LambdaPoly, dot,
-                       subst_minus_lambda_d)
+                       gather, subst_minus_lambda_d)
 from .lie import GradedSetup, GradeMismatch, MINIMAL, coords_in, darboux_split
 
 
@@ -54,24 +53,23 @@ def _nth(ds: list, n: int, step: Callable):
     return ds[n]
 
 
-def _apply_entry(cols: dict, entry: LambdaPoly, powers: list) -> None:
+def _apply_entry(jobs: list, entry: LambdaPoly, powers: list) -> None:
     """Add T(d + lambda) applied to x = powers[0], sum_p T_p (d+lambda)^p x,
-    to cols: cols[k] lists the pairs (T_p, lambda^k coefficient of
-    (d+lambda)^p x), whose products sum to the lambda^k coefficient.
-    powers lists the successive (d+lambda) powers of x, extended as needed."""
+    to jobs: one gather job (T_p, lambda^k coefficient of (d+lambda)^p x)
+    on key k for each lambda^k.  powers lists the successive (d+lambda)
+    powers of x, extended as needed."""
     for p, cp in enumerate(entry.coeffs):
         if cp:
             power = _nth(powers, p, LambdaPoly.apply_d_plus_lambda)
-            for k, c in enumerate(power.coeffs):
-                if c:
-                    cols.setdefault(k, []).append((cp, c))
+            jobs += [(cp, c, ((k, 1),)) for k, c in enumerate(power.coeffs) if c]
 
 
-def _sum_cols(ctx: Context, cols: dict) -> LambdaPoly:
-    """The LambdaPoly whose lambda^k coefficient is the sum of products
-    of cols[k]."""
-    return LambdaPoly(ctx, [dot(ctx, cols.get(k, ()))
-                            for k in range(max(cols, default=-1) + 1)])
+def _sum_jobs(ctx: Context, jobs: list) -> LambdaPoly:
+    """The LambdaPoly whose lambda^k coefficient is the sum of the jobs on
+    key k, in one gather."""
+    got = gather(ctx, jobs)
+    return LambdaPoly(ctx, [got.get(k, ctx.zero())
+                            for k in range(max(got, default=-1) + 1)])
 
 
 def _partials(p: DiffPoly) -> dict[int, LambdaPoly]:
@@ -117,14 +115,14 @@ class LeftBracket:
                     Pi = subst_minus_lambda_d(dg)
                     if Pi:
                         self._P[i] = [Pi]
-            colsH, colsK = {}, {}
+            jobsH, jobsK = [], []
             for i, Pi in self._P.items():
                 entry = self.table.entries.get((i, j))
                 if entry is not None:
-                    _apply_entry(colsH, entry[0], Pi)
-                    _apply_entry(colsK, entry[1], Pi)
+                    _apply_entry(jobsH, entry[0], Pi)
+                    _apply_entry(jobsK, entry[1], Pi)
             ctx = self.table.ctx
-            got = self._R[j] = ([_sum_cols(ctx, colsH)], [_sum_cols(ctx, colsK)])
+            got = self._R[j] = ([_sum_jobs(ctx, jobsH)], [_sum_jobs(ctx, jobsK)])
         return got
 
     def __call__(self, h: DiffPoly) -> tuple[LambdaPoly, LambdaPoly]:
@@ -133,13 +131,13 @@ class LeftBracket:
 
     def on_partials(self, partials: dict) -> tuple[LambdaPoly, LambdaPoly]:
         """{g_lambda h} from _partials(h), taken once for several g."""
-        colsH, colsK = {}, {}
+        jobsH, jobsK = [], []
         for j, dh in partials.items():
             RH, RK = self._lambda_side(j)
-            _apply_entry(colsH, dh, RH)
-            _apply_entry(colsK, dh, RK)
+            _apply_entry(jobsH, dh, RH)
+            _apply_entry(jobsK, dh, RK)
         ctx = self.table.ctx
-        return _sum_cols(ctx, colsH), _sum_cols(ctx, colsK)
+        return _sum_jobs(ctx, jobsH), _sum_jobs(ctx, jobsK)
 
     def _r0(self, part: int, j: int, n: int = 0) -> DiffPoly:
         """d^n R0_j for the H (0) or K (1) part."""
@@ -407,12 +405,8 @@ Bracket = Callable[[DiffPoly, DiffPoly], tuple[LambdaPoly, LambdaPoly]]
 BiLambda = dict  # {(lambda_power, mu_power): DiffPoly}
 
 
-def skew_defect(table: BracketTable, g: DiffPoly, h: DiffPoly):
-    """{g_l h} + {h_-l-d g} per part; zero iff skew-symmetry holds."""
-    return _skew_defect(partial(master_bracket, table), g, h)
-
-
 def _skew_defect(bracket: Bracket, g: DiffPoly, h: DiffPoly):
+    """{g_l h} + {h_-l-d g} per part; zero iff skew-symmetry holds."""
     gh_H, gh_K = bracket(g, h)
     hg_H, hg_K = bracket(h, g)
     return (
@@ -431,23 +425,13 @@ def _bi_acc(out: BiLambda, key: tuple[int, int], c: DiffPoly) -> None:
         out.pop(key, None)
 
 
-def jacobi_defect(
-    table: BracketTable,
-    g1: DiffPoly,
-    g2: DiffPoly,
-    h: DiffPoly,
-    parts: tuple[int, int] = (0, 0),
-) -> BiLambda:
+def _jacobi_defect(bracket: Bracket, g1: DiffPoly, g2: DiffPoly, h: DiffPoly,
+                   parts: tuple[int, int]) -> BiLambda:
     """Jacobi defect {g1 l {g2 m h}} - {g2 m {g1 l h}} - {{g1 l g2} l+m h}.
 
     parts = (outer, inner) selects the H (0) or K (1) structure in each slot;
     symmetrised over the two orders so (0, 1) is the H/K compatibility check.
     """
-    return _jacobi_defect(partial(master_bracket, table), g1, g2, h, parts)
-
-
-def _jacobi_defect(bracket: Bracket, g1: DiffPoly, g2: DiffPoly, h: DiffPoly,
-                   parts: tuple[int, int]) -> BiLambda:
     po, pi_ = parts
     combos = [(po, pi_)] if po == pi_ else [(po, pi_), (pi_, po)]
     total: BiLambda = {}

@@ -568,6 +568,20 @@ def test_n_past_window_names_the_degree(capsys):
     assert code == 2 and err == "error: --n 3 needs --max-degree >= 7\n"
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (SP6_SHORT_CENTER,
+     "the degree-0 center of ker ad(f+zs) is trivial; no center element"),
+    (("--algebra", "sl3", "--n", "9", "--max-degree", "2"),
+     "--n 9 needs --max-degree >= 19"),
+], ids=["no_center", "n_past_window"])
+def test_verify_all_refuses_before_it_prints(argv, reason, capsys):
+    """verify-all solves the dressing, picks a(z) and takes the densities
+    before its first report, so a refused run prints no group: stdout is
+    empty and stderr is one error: line."""
+    code, out, err = run(capsys, "verify-all", *argv)
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
 def test_max_degree_past_the_order_bound_names_it(capsys):
     """The dressing to loop degree D differentiates up to order D, and a
     monomial holds orders up to 2**B - 1: a larger --max-degree is refused

@@ -556,3 +556,26 @@ def test_only_diffpoly_reads_monomials():
                 found += [f"{where} imports {a.name}" for a in node.names
                           if a.name in private]
     assert not found, found
+
+
+def test_only_diffpoly_reads_numerator_form():
+    """No module of wds but diffpoly reads a DiffPoly's numerator form: no
+    use of the numerator kernel's names (imported from diffpoly or read as
+    its attributes), and no `.den`.  scalars is exempt: a Scalar's `den` is
+    its own denominator, and it imports nothing from diffpoly."""
+    private = {"_accumulate", "_mul_into", "numerator_form",
+               "common_denominator"}
+    src = Path(__file__).resolve().parent.parent / "src" / "wds"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("diffpoly.py", "scalars.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Attribute) and node.attr in private | {"den"}:
+                found.append(f"{where} reads .{node.attr}")
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module or "").endswith("diffpoly"):
+                found += [f"{where} imports {a.name}" for a in node.names
+                          if a.name in private]
+    assert not found, found

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 import dense_oracle as dense_la
 from dense_oracle import dense_of, sparse_of
 from wds import MINIMAL, SHORT, GradedSetup, build_sl, linalg
-from wds.diffpoly import Context
+from wds.diffpoly import Context, dot, gather
 from wds.hierarchy import (HDecomposition, InvalidCenter, LoopElement,
-                           NotSemisimple, WindowOverflow,
-                           _apply_rows, _num_rows, bracket_sum, build_q,
+                           NotSemisimple, WindowOverflow, bracket_sum, build_q,
                            center_of_h, check_central, conserved_densities,
                            dressing_defect, hierarchy_equation,
                            loop_from_zmap, loop_fzs, reduce_mod_jk,
@@ -128,15 +127,10 @@ def lin_comb(row, coeffs):
     return acc
 
 
-def dense(rows, ncols):
-    """Numerator rows (R, [(column, numerator)]) as rows of ring elements."""
-    out = []
-    for R, entries in rows:
-        row = [F(0)] * ncols
-        for j, n in entries:
-            row[j] = F(1, R) * n
-        out.append(row)
-    return out
+def dense(cols, nrows):
+    """The matrix with the column Vecs cols, as nrows rows of ring
+    elements."""
+    return [[col.get(i, F(0)) for col in cols] for i in range(nrows)]
 
 
 def central_g0f_element(cfg):
@@ -284,10 +278,10 @@ def sl4_generic_over_q():
     return ReductionFrame(setup, g.parse({"E13": 1, "E24": 3}))
 
 
-def num_rows_of(rows):
-    """_num_rows of a dense matrix given by its rows."""
-    return _num_rows([sparse_of(c) for c in dense_la.transpose(rows)],
-                     len(rows))
+def columns_of(rows, ncols):
+    """The column Vecs of a dense matrix with ncols columns, given by its
+    rows."""
+    return [sparse_of([row[j] for row in rows]) for j in range(ncols)]
 
 
 @pytest.mark.parametrize("name", [
@@ -308,8 +302,8 @@ def test_periodic_split_matches_per_degree_split(name, request):
         assert dec.slice(d) == oracle.slices[d], d
         assert [dense_of(v, len(dec.slice(d)), fr.ring.zero())
                 for v in dec.h_basis(d)] == oracle.h_basis[d], d
-        assert proj == num_rows_of(oracle.proj[d]), d
-        assert solve == num_rows_of(oracle.solve[d]), d
+        assert proj == columns_of(oracle.proj[d], len(dec.slice(d))), d
+        assert solve == columns_of(oracle.solve[d], len(dec.slice(d))), d
 
 
 def test_decomposition_does_not_grow_with_depth(sl2_min, sl3_min, sl4_short,
@@ -580,8 +574,8 @@ def reexpanding_solve(frame, max_deg, dec):
             _, proj, solve = dec._splits[dec.residue(deg)[0]]
             h_el, u_el = (
                 slice_loop(dec, d, [lin_comb(row, coeffs) for row in
-                                    dense(rows, len(coeffs))], ctx)
-                for d, rows in ((deg, proj), (deg + 1, solve)))
+                                    dense(cols, len(dec.slice(d)))], ctx)
+                for d, cols in ((deg, proj), (deg + 1, solve)))
             if h_el:
                 h_parts[deg] = h_el
             if u_el:
@@ -877,14 +871,19 @@ def test_bracket_sum_matches_oracle(name, data, request):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_int_rows_match_lin_comb(data):
-    """A slice matrix applied as numerator rows gives the DiffPolys of
-    lin_comb, with canonical coefficients, over Q and over Q(c): rows of
-    mixed denominators, zero rows, zero entries and coefficients, and rows
-    whose contributions cancel."""
+def test_gather_matches_diffpoly_arithmetic(data):
+    """gather gives, key by key, the sum of c * a * b that DiffPoly
+    arithmetic forms one scale, product and sum at a time, with canonical
+    coefficients, the keys in the order they first appear and no key whose
+    sum vanishes, over Q and over Q(c).  A slice matrix applied by columns
+    (b None): rows of mixed denominators, zero rows, zero entries and
+    coefficients, and rows whose contributions cancel.  Product jobs on
+    several keys, a key repeated, b None and zero operands; and dot, the
+    one-key case."""
     ring = data.draw(st.sampled_from([Q, QC]))
     values = ring_values(ring)
     ctx = Context(ring, ["u", "v"])
+    zero = ctx.zero()
     n = data.draw(st.integers(1, 4))
     coeffs = [random_poly(data.draw, ctx, values) for _ in range(n)]
     entry = st.sampled_from(values + [ring.zero()])
@@ -898,10 +897,30 @@ def test_int_rows_match_lin_comb(data):
         coeffs[1] = coeffs[0].scale(q)
         rows.append([c, -c / q] + [ring.zero()] * (n - 2))
         vanish.append(len(rows) - 1)
-    got = _apply_rows(ctx, num_rows_of(rows), coeffs)
-    assert got == [lin_comb(row, coeffs) for row in rows]
-    assert_canonical(got)
-    assert not any(got[i] for i in vanish)
+    got = gather(ctx, [(p, None, [(i, row[j]) for i, row in enumerate(rows)])
+                       for j, p in enumerate(coeffs)])
+    want = [lin_comb(row, coeffs) for row in rows]
+    assert got == {i: p for i, p in enumerate(want) if p}
+    assert list(got) == [i for i, p in enumerate(want) if p]
+    assert_canonical(got.values())
+    assert not any(i in got for i in vanish)
+    jobs, want = [], {}
+    for _ in range(data.draw(st.integers(0, 4))):
+        a = random_poly(data.draw, ctx, values)
+        b = data.draw(st.sampled_from(
+            [None, zero, random_poly(data.draw, ctx, values, 1)]))
+        scaled = [(k, data.draw(entry)) for k in data.draw(
+            st.lists(st.integers(0, 2), max_size=3))]
+        jobs.append((a, b, scaled))
+        for k, c in scaled:
+            want[k] = want.get(k, zero) + (a if b is None else a * b).scale(c)
+    got = gather(ctx, jobs)
+    assert list(got.items()) == [(k, p) for k, p in want.items() if p]
+    assert_canonical(got.values())
+    pairs = [(a, b) for a, b, _ in jobs if b is not None]
+    got = dot(ctx, pairs)
+    assert got == sum((a * b for a, b in pairs), zero)
+    assert_canonical([got])
 
 
 def test_scale_by_zero_keeps_no_zero_term(sl3_min):

@@ -114,10 +114,6 @@ def test_no_unused_private_defs_in_src():
 UNCALLED_PUBLIC = {
     "rho_action": "the per-generator test oracle of is_in_w that the "
                   "README names",
-    "skew_defect": "the memo-free oracle of check_pva_axioms that "
-                   "test_acceptance imports",
-    "jacobi_defect": "the memo-free oracle of check_pva_axioms that "
-                     "test_acceptance imports",
     "involution_cross": "involutivity across two density families, which "
                         "test_acceptance imports; no verify-all group yet",
     "pi_inverse": "the lift of W to the coordinate ring, with which "
