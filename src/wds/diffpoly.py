@@ -172,10 +172,10 @@ def gather(ctx: "Context", jobs) -> dict:
     for 1 and each c a ring element: the one sum of scaled products of the
     engine.  Keys whose sum vanishes are left out; the others keep the
     order in which they first appear.  Each product a * b is formed once on
-    numerators and shared by its keys.  Each key sums numerators per
-    denominator, a term over d joining a sum over a multiple of d, and is
-    normalised once."""
-    slots: dict = {}  # key -> {denominator: {monomial: numerator}}
+    numerators and shared by its keys.  Each key sums its numerators over
+    the lcm of the denominators met so far, rescaled when a term's
+    denominator does not divide it, and is normalised once."""
+    sums: dict = {}  # key -> [denominator, {monomial: numerator}]
     for a, b, scaled in jobs:
         items, den = a.terms.items(), a.den
         if b is not None:
@@ -186,29 +186,30 @@ def gather(ctx: "Context", jobs) -> dict:
                 items, b = pq.items(), None
         for key, c in scaled:
             n, d = numerator_form(c)
-            by_den = slots.get(key)
-            if by_den is None:
-                by_den = slots[key] = {}
             d *= den
-            out = by_den.get(d)
-            if out is None:  # a slot over a multiple of d, else a new one
-                for D, out in by_den.items():
-                    if D % d == 0:
-                        n *= D // d
-                        break
-                else:
-                    out = by_den[d] = {}
+            slot = sums.get(key)
+            if slot is None:
+                slot = sums[key] = [d, {}]
+            D, out = slot
+            if D % d:  # the sum moves to the lcm of D and d
+                L = slot[0] = math.lcm(D, d)
+                s = L // D
+                for m in out:
+                    out[m] *= s
+                D = L
+            if D != d:
+                n *= D // d
             if b is None:
                 _accumulate(out, items, n)
             else:
                 _mul_into(out, [(m, v * n) for m, v in items] if n != 1
                           else items, b.terms.items())
-    sums = {}
-    for key, by_den in slots.items():
-        p = DiffPoly.collect(ctx, by_den)
+    got = {}
+    for key, (D, out) in sums.items():
+        p = DiffPoly.collect(ctx, {D: out})
         if p:
-            sums[key] = p
-    return sums
+            got[key] = p
+    return got
 
 
 def dot(ctx: "Context", pairs) -> "DiffPoly":
