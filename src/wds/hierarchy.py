@@ -11,9 +11,9 @@ is solved degree by degree; pairing h against a central element a(z) of
 ker(ad(f+zs)) yields the conserved densities and the hierarchy flows.
 Every loop element is a LoopElement with DiffPoly coefficients, over Q
 and over Q(p) alike: the inputs f + zs, q and a(z), the kernel bases, U,
-h and the oracle's defect.  Every sum of
-scaled coefficient products (the bracket, the slice matrices applied to a
-slice, the pairing with a(z)) is one `diffpoly.gather`.
+h and the oracle's defect.  Every sum of scaled coefficient products (the
+bracket, the slice matrices applied to a slice, the pairing with a(z)) is
+one `diffpoly.gather`.
 """
 
 from __future__ import annotations
