@@ -22,8 +22,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .diffpoly import Context, DiffPoly, functional_equal, gather
-from .pva import LeftBracket, ReductionFrame
+from .diffpoly import Context, DiffPoly, gather
+from .pva import LeftBracket, ReductionFrame, skew_failures
 
 
 class NotSemisimple(ValueError):
@@ -541,28 +541,27 @@ def hierarchy_equation(
     return hierarchy_flow(frame, gens, density, use_k)(w_elt)
 
 
-def _involution_defects(lefts: list, db: list, what: str,
-                        upper: bool = False) -> list[str]:
-    """The pairs (m, n) with int{g_m lambda g_n} != 0 at lambda = 0, per
-    structure, for lefts[m] the LeftBracket of g_m; upper restricts to
-    n >= m.  Each integral is taken as int sum_j (delta g_n/delta u_j) R0_j
-    and compared with 0 by functional_equal."""
-    bad = []
-    grads = [g.gradient() for g in db]
-    for m, left in enumerate(lefts):
-        zero = left.table.ctx.zero()
-        for n in range(m if upper else 0, len(db)):
-            for part, name in enumerate("HK"):
-                if not functional_equal(left.integrand(grads[n], part), zero):
-                    bad.append(f"{name}{what} ({m},{n})")
-    return bad
-
-
 def verify_lenard_magri(frame: ReductionFrame, gens, densities: list) -> list[str]:
-    """The recursion {g_n w}_H = {g_n+1 w}_K and {g_0 w}_K = 0 on every
-    generator w, compared as exact flows, and pairwise involutivity of the
-    int g_n in both structures."""
-    bad = []
+    """The Lenard-Magri chain g_0 ... g_N of the densities, which makes the
+    int g_n pairwise involutive in both structures by Lenard's argument.
+
+    Checked exactly, one line per failure: skew-symmetry of both parts of
+    the W table on every generator pair (`pva.skew_failures`), which by
+    the master formula makes <a|X|b> = int {g_a lambda g_b}_X at lambda = 0
+    skew in (a, b), X = H, K; and, as flows at lambda = 0 on every
+    generator image w, {g_0 w}_K = 0 and {g_n w}_H = {g_n+1 w}_K for n < N.
+    Both flows are derivations that commute with d, and the pi(w) generate
+    V(g^f) (for a minimal nilpotent pi(L) and the a-generators give f), so
+    <0|K|b> = 0 and <n|H|b> = <n+1|K|b> for every b.  Then H, for
+    a < b <= N: <a|H|b> = -<b|K|a+1> = <a+1|H|b-1>, repeated until the
+    indices meet (zero by skew-symmetry) or are adjacent
+    (<a|H|a+1> = -<a+1|K|a+1> = 0); K: <a|K|b> = <a|H|b-1>, and
+    <a|K|0> = 0.  Only recursion indices below N are used.  With no
+    density only the table is checked.
+    """
+    bad = [f"W table {line}" for line in skew_failures(gens.table)]
+    if not densities:
+        return bad
     images = [(name, frame.pi(w)) for name, w in gens.all_generators()]
     lefts = [LeftBracket(gens.table, g) for g in densities]
     for name, w in images:
@@ -572,14 +571,7 @@ def verify_lenard_magri(frame: ReductionFrame, gens, densities: list) -> list[st
         for name, w in images:
             if lefts[n].at_zero(w, 0) != lefts[n + 1].at_zero(w, 1):
                 bad.append(f"recursion n={n} fails on {name}")
-    return bad + _involution_defects(lefts, densities, "-involutivity",
-                                     upper=True)
-
-
-def involution_cross(frame: ReductionFrame, gens, da: list, db: list) -> list[str]:
-    """Involutivity across two density families (both structures)."""
-    lefts = [LeftBracket(gens.table, g) for g in da]
-    return _involution_defects(lefts, db, " cross-involutivity")
+    return bad
 
 
 def reduce_mod_jk(frame: ReductionFrame, p: DiffPoly) -> DiffPoly:

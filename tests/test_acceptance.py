@@ -10,7 +10,7 @@ from wds import linalg
 from wds.diffpoly import LambdaPoly, functional_equal
 from wds.hierarchy import (conserved_densities, dressing_defect,
                            hierarchy_equation, reduce_mod_jk, solve_dressing,
-                           verify_lenard_magri, involution_cross)
+                           verify_lenard_magri)
 from wds.lie import GradedSetup, MINIMAL, build_sl, build_sp
 from wds.pva import master_bracket, random_element
 from wds.walgebra import verify_table

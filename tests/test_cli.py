@@ -382,6 +382,36 @@ def test_verify_all_prints_failing_entries(capsys, monkeypatch):
                     "failures": ["x"]}]
 
 
+def test_verify_all_names_a_non_skew_w_table_entry(capsys, monkeypatch):
+    """A W table whose entry (1, 0) is not the skew of entry (0, 1) fails
+    the lenard-magri recursion group, which names that pair."""
+    from wds.diffpoly import LambdaPoly
+    from wds.pva import BracketTable
+    from wds.walgebra import WGenerators
+    build, labels = WGenerators.table.func, []
+
+    def broken(self):
+        if "_broken" not in self.__dict__:
+            table = build(self)
+            out = self._broken = BracketTable(table.ctx)
+            out.entries = dict(table.entries)
+            h, k = table.get(1, 0)
+            out.entries[(1, 0)] = (h + LambdaPoly(table.ctx,
+                                                  [table.ctx.gen(0)]), k)
+            labels[:] = table.ctx.labels[:2]
+        return self._broken
+
+    monkeypatch.setattr(WGenerators, "table", property(broken))
+    code, out, _ = run(capsys, "verify-all", "--algebra", "sl3",
+                       "--nilpotent", "minimal", "--format", "json")
+    assert code == 1
+    group = {grp["name"]: grp for grp in json.loads(out)["groups"]}[
+        "lenard-magri recursion"]
+    assert not group["passed"]
+    assert [line for line in group["failures"] if "skew" in line] == [
+        f"W table skew ({labels[0]},{labels[1]})"]
+
+
 def test_verify_all_json_pass(capsys):
     argv = ("verify-all", "--algebra", "sl3", "--nilpotent", "minimal")
     code, text, _ = run(capsys, *argv)

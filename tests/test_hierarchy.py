@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction as F
 
@@ -7,15 +8,16 @@ from hypothesis import strategies as st
 
 import dense_oracle as dense_la
 from dense_oracle import dense_of, sparse_of
+from involution_oracle import integrand, involution_cross, involutivity
 from wds import MINIMAL, SHORT, GradedSetup, build_sl, linalg
-from wds.diffpoly import Context, dot, gather
+from wds.diffpoly import Context, LambdaPoly, dot, gather
 from wds.hierarchy import (HDecomposition, InvalidCenter, LoopElement,
                            NotSemisimple, WindowOverflow, bracket_sum, build_q,
                            center_of_h, check_central, conserved_densities,
                            dressing_defect, hierarchy_equation,
                            loop_from_zmap, loop_fzs, reduce_mod_jk,
                            solve_dressing, verify_lenard_magri)
-from wds.pva import ReductionFrame
+from wds.pva import BracketTable, ReductionFrame
 from wds.scalars import ParamRing, Q, Scalar
 
 
@@ -1146,8 +1148,9 @@ def test_reduced_case_a_system(sl3_min):
 
 
 def test_lenard_magri_all_configurations(sl3_min, sl4_min, sl4_short, sl3_iso):
-    from wds.hierarchy import involution_cross
-    # sl3 minimal, both families + cross involutivity
+    """verify_lenard_magri passes on both families of each configuration,
+    and the pairwise integrals it establishes by Lenard's argument vanish:
+    within each family and across the two."""
     for cfg, window in ((sl3_min, 4), (sl4_min, 4)):
         fr, gens, s = cfg.frame, cfg.gens, cfg.setup
         U, h, dec = cfg.dressing(window)
@@ -1156,15 +1159,17 @@ def test_lenard_magri_all_configurations(sl3_min, sl4_min, sl4_short, sl3_iso):
             max_deg=window)
         dens_b = conserved_densities(
             fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec, max_deg=window)
-        assert verify_lenard_magri(fr, gens, dens_a) == []
-        assert verify_lenard_magri(fr, gens, dens_b) == []
-        assert involution_cross(fr, gens, dens_a, dens_b) == []
+        for dens in (dens_a, dens_b):
+            assert verify_lenard_magri(fr, gens, dens) == []
+            assert involutivity(gens, dens) == []
+        assert involution_cross(gens, dens_a, dens_b) == []
     cfg = sl4_short
     U, h, dec = cfg.dressing(4)
     dens = conserved_densities(
         cfg.frame, h, {0: cfg.setup.f, 1: cfg.setup.e}, n_max=1, dec=dec,
         max_deg=4)
     assert verify_lenard_magri(cfg.frame, cfg.gens, dens) == []
+    assert involutivity(cfg.gens, dens) == []
     cfg = sl3_iso
     U, h, dec = cfg.dressing(3)
     s_star = cfg.setup.find_embeddable(cfg.frame.s)
@@ -1174,9 +1179,67 @@ def test_lenard_magri_all_configurations(sl3_min, sl4_min, sl4_short, sl3_iso):
     dens_c = conserved_densities(
         cfg.frame, h, {0: cfg.setup.f, 1: cfg.frame.s}, n_max=1, dec=dec,
         max_deg=3)
-    assert verify_lenard_magri(cfg.frame, cfg.gens, dens_b) == []
-    assert verify_lenard_magri(cfg.frame, cfg.gens, dens_c) == []
-    assert involution_cross(cfg.frame, cfg.gens, dens_b, dens_c) == []
+    for dens in (dens_b, dens_c):
+        assert verify_lenard_magri(cfg.frame, cfg.gens, dens) == []
+        assert involutivity(cfg.gens, dens) == []
+    assert involution_cross(cfg.gens, dens_b, dens_c) == []
+
+
+@pytest.mark.parametrize("name, window, center", [
+    ("sl3_min", 5, "f+zs"), ("sl4_generic", 4, {"H1": 1, "H3": 1})],
+    ids=["sl3_min", "sl4_generic"])
+def test_lenard_magri_longer_chain(name, window, center, request):
+    """On a chain of three densities Lenard's argument reaches past
+    adjacent indices, and it agrees with the pairwise oracle: both find
+    nothing.  a(z) is f + zs on sl3, and the central H1 + H3 of
+    test_generic_s_case_c on the symbolic sl4."""
+    cfg = request.getfixturevalue(name)
+    fr, gens = cfg.frame, cfg.gens
+    U, h, dec = cfg.dressing(window)
+    a_z = ({0: cfg.setup.f, 1: fr.s} if center == "f+zs"
+           else {0: cfg.algebra.parse(center)})
+    dens = conserved_densities(fr, h, a_z, dec=dec, max_deg=window)
+    assert len(dens) == 3 and all(dens)
+    assert verify_lenard_magri(fr, gens, dens) == []
+    assert involutivity(gens, dens) == []
+
+
+def _with_entry(table, i, j, h, k):
+    """A copy of the generator table with entry (i, j) set to (h, k)."""
+    out = BracketTable(table.ctx)
+    out.entries = dict(table.entries)
+    out.entries[(i, j)] = (h, k)
+    return out
+
+
+@pytest.mark.parametrize("part", [0, 1])
+def test_lenard_magri_names_a_non_skew_entry(sl3_min, part):
+    """Entry (j, i) of the W table, moved off the skew of entry (i, j) in
+    one part, is named by verify_lenard_magri, and no other pair is."""
+    fr, table = sl3_min.frame, sl3_min.gens.table
+    U, h, dec = sl3_min.dressing(4)
+    dens = conserved_densities(fr, h, {0: fr.setup.f, 1: fr.s}, n_max=1,
+                               dec=dec, max_deg=4)
+    i, j = 0, 1
+    moved = list(table.get(j, i))
+    moved[part] = moved[part] + LambdaPoly(table.ctx, [table.ctx.gen(i)])
+    gens = copy.copy(sl3_min.gens)
+    gens.table = _with_entry(table, j, i, *moved)
+    want = f"W table skew ({table.ctx.labels[i]},{table.ctx.labels[j]})"
+    bad = verify_lenard_magri(fr, gens, dens)
+    assert [line for line in bad if "skew" in line] == [want]
+    assert verify_lenard_magri(fr, gens, []) == [want]
+    assert verify_lenard_magri(fr, sl3_min.gens, dens) == []
+
+
+def test_lenard_magri_with_no_density(sl3_min):
+    """An a(z) whose pairing with h vanishes gives no density, and the chain
+    of no density checks only the W table."""
+    fr, gens = sl3_min.frame, sl3_min.gens
+    U, h, dec = sl3_min.dressing(4)
+    dens = conserved_densities(fr, h, {}, dec=dec, max_deg=4)
+    assert dens == []
+    assert verify_lenard_magri(fr, gens, dens) == []
 
 
 @pytest.mark.parametrize("name, window", [
@@ -1187,7 +1250,7 @@ def test_left_bracket_oracles_on_densities(name, window, request):
     """On every Tier-1 configuration, for the densities g_n of
     a(z) = f + zs: one LeftBracket per g_n gives exactly the lambda^0
     coefficient of master_bracket(gens.table, g_n, x), both parts, for x
-    every density and every generator image, and its integrand
+    every density and every generator image, and the oracle's integrand
     sum_j (delta x/delta u_j) R0_j has the same integral."""
     from wds.diffpoly import functional_equal
     from wds.pva import LeftBracket, master_bracket
@@ -1208,7 +1271,8 @@ def test_left_bracket_oracles_on_densities(name, window, request):
             for part in (0, 1):
                 want = full[part].at_zero()
                 assert left.at_zero(x, part) == want
-                assert functional_equal(left.integrand(grad, part), want)
+                assert functional_equal(integrand(left, grad, part),
+                                        want)
 
 
 def test_lenard_magri_compares_exact_flows(sl3_min):

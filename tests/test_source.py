@@ -114,8 +114,9 @@ def test_no_unused_private_defs_in_src():
 UNCALLED_PUBLIC = {
     "rho_action": "the per-generator test oracle of is_in_w that the "
                   "README names",
-    "involution_cross": "involutivity across two density families, which "
-                        "test_acceptance imports; no verify-all group yet",
+    "functional_equal": "equality of local functionals, exported by the "
+                        "package; the tests' involutivity oracle compares "
+                        "integrals with it",
     "pi_inverse": "the lift of W to the coordinate ring, with which "
                   "test_acceptance samples the PVA axioms on W",
     "error": "cli._Parser's override of the ArgumentParser hook that "
