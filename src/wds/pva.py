@@ -472,14 +472,13 @@ def check_pva_axioms(
     samples: int = 40,
     gens_cap: int | None = None,
 ) -> list[str]:
-    """Generator-level skew/Jacobi scan plus randomized composite checks,
-    on the first gens_cap generators (all by default).
+    """Generator-level skew/Jacobi scan plus randomized composite checks.
 
-    Skew-symmetry of the generators is `skew_failures`, read off the
-    table.  Every other bracket is computed once per distinct operand pair
-    (g, h), by one LeftBracket per distinct left operand g, and read from a
-    memo local to this call after that: the generator triples share most
-    of their brackets.
+    The generator skew scan is `skew_failures`, read off the table.  Every
+    other bracket is computed once per distinct operand pair (g, h), by one
+    LeftBracket per distinct left operand g, and read from a memo local to
+    this call after that: the generator triples share most of their
+    brackets.
     """
     import random
 
