@@ -8,7 +8,7 @@ f + ze collapses to the KdV hierarchy: the first nontrivial flow is
 """
 
 from wds import GradedSetup, MINIMAL, ReductionFrame, WGenerators, build_sl
-from wds.hierarchy import conserved_densities, hierarchy_equation, \
+from wds.hierarchy import conserved_densities, hierarchy_flow, \
     solve_dressing, verify_lenard_magri
 
 g = build_sl(2)
@@ -25,16 +25,15 @@ h, k = frame.w_bracket(gens.L, gens.L)
 print("\n{L lam L} H-part:", h.map_coeffs(frame.pi, frame.w_ctx))
 print("{L lam L} K-part:", k.map_coeffs(frame.pi, frame.w_ctx))
 
-U, hp, dec = solve_dressing(frame, 4)
-dens = conserved_densities(frame, hp, {0: setup.f, 1: setup.e},
-                           n_max=1, dec=dec, max_deg=4)
+dressing = solve_dressing(frame, 4)
+dens = conserved_densities(dressing, {0: setup.f, 1: setup.e}, n_max=1)
 print("\nconserved densities (V(g^f) coordinates, E21 is the L-coordinate):")
 for n, d in enumerate(dens):
     print(f"  int g_{n} =", d)
 
 print("\nflows:")
 for n in (0, 1):
-    print(f"  dL/dt_{n} =", hierarchy_equation(frame, gens, dens[n], gens.L))
+    print(f"  dL/dt_{n} =", hierarchy_flow(frame, gens, dens[n])(gens.L))
 
 print("\nLenard-Magri recursion:",
       "PASS" if not verify_lenard_magri(frame, gens, dens) else "FAIL")

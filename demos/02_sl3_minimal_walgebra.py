@@ -7,7 +7,7 @@ including the coupled-KdV reduction.
 """
 
 from wds import GradedSetup, MINIMAL, ReductionFrame, WGenerators, build_sl
-from wds.hierarchy import (conserved_densities, hierarchy_equation,
+from wds.hierarchy import (conserved_densities, hierarchy_flow,
                            reduce_mod_jk, solve_dressing)
 from wds.walgebra import verify_table
 
@@ -41,21 +41,20 @@ print("\n{psi+ lam psi-}  H:", h.map_coeffs(frame.pi, frame.w_ctx))
 print("                 K:", k.map_coeffs(frame.pi, frame.w_ctx))
 
 print("\n== hierarchies ==")
-U, hp, dec = solve_dressing(frame, 4)
-dens_a = conserved_densities(frame, hp, {0: a}, n_max=1, dec=dec,
-                             max_deg=4)
-dens_b = conserved_densities(frame, hp, {0: setup.f, 1: setup.e},
-                             n_max=1, dec=dec, max_deg=4)
+dressing = solve_dressing(frame, 4)
+dens_a = conserved_densities(dressing, {0: a}, n_max=1)
+dens_b = conserved_densities(dressing, {0: setup.f, 1: setup.e}, n_max=1)
 print("central-element family:   int g_0 =", dens_a[0],
       " int g_1 =", dens_a[1])
 print("f + ze family:            int g_0 =", dens_b[0])
 print("                          int g_1 =", dens_b[1])
 
 print("\nsecond flow of the f + ze family:")
+flow = hierarchy_flow(frame, gens, dens_b[1])
 for name, w in gens.all_generators():
-    print(f"  d({name})/dt_1 =", hierarchy_equation(frame, gens, dens_b[1], w))
+    print(f"  d({name})/dt_1 =", flow(w))
 
 print("\nreduced (weight-1 ideal set to zero) -> coupled KdV:")
 for name, w in gens.all_generators():
-    eq = reduce_mod_jk(frame, hierarchy_equation(frame, gens, dens_b[1], w))
+    eq = reduce_mod_jk(frame, flow(w))
     print(f"  d({name})/dt_1 =", eq)

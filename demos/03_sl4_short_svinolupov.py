@@ -9,7 +9,7 @@ K-central weight-1 ideal produces the Jordan-algebra evolution equation
 """
 
 from wds import GradedSetup, ReductionFrame, SHORT, WGenerators, build_sl
-from wds.hierarchy import (conserved_densities, hierarchy_equation,
+from wds.hierarchy import (conserved_densities, hierarchy_flow,
                            reduce_mod_jk, solve_dressing)
 from wds.walgebra import verify_table
 
@@ -33,15 +33,14 @@ for rows in verify_table(frame, gens).values():
     bad = [m for ms in rows.values() for m in ms]
     print("\nclosed-form bracket table:", "all entries PASS" if not bad else bad)
 
-U, h, dec = solve_dressing(frame, 4)
-dens = conserved_densities(frame, h, {0: setup.f, 1: setup.e},
-                           n_max=1, dec=dec, max_deg=4)
+dens = conserved_densities(solve_dressing(frame, 4),
+                           {0: setup.f, 1: setup.e}, n_max=1)
 print("\nint g_0 =", dens[0])
 print("int g_1 =", dens[1])
 
 print("\nreduced t_1 flow (the Svinolupov equation):")
+flow = hierarchy_flow(frame, gens, dens[1])
 for i in setup.eig_indices(-1):
     uvec = setup.basis[i]
-    eq = reduce_mod_jk(frame, hierarchy_equation(
-        frame, gens, dens[1], gens.psi(uvec)))
+    eq = reduce_mod_jk(frame, flow(gens.psi(uvec)))
     print(f"  d psi({g.vec_str(uvec)})/dt_1 =", eq)

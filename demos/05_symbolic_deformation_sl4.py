@@ -7,7 +7,7 @@ on the parameters, and so do the conserved densities and flows.
 """
 
 from wds import GradedSetup, ReductionFrame, SHORT, WGenerators, build_sl
-from wds.hierarchy import (conserved_densities, hierarchy_equation,
+from wds.hierarchy import (conserved_densities, hierarchy_flow,
                            reduce_mod_jk, solve_dressing)
 
 g = build_sl(4, params=["s1", "s2"], form_scale="c")
@@ -24,19 +24,18 @@ print("f + s semisimple:",
 frame = ReductionFrame(setup, s)
 gens = WGenerators(frame)
 
-U, h, dec = solve_dressing(frame, 2)
+dressing = solve_dressing(frame, 2)
 from fractions import Fraction as F
 for d in (F(0), F(1), F(2)):
-    if d in h:
-        print(f"\npi h(z)_{d} =", h[d])
+    if d in dressing.h:
+        print(f"\npi h(z)_{d} =", dressing.h[d])
 
 A11 = g.parse({"H1": 1, "H3": 1})
-dens = conserved_densities(frame, h, {0: A11}, n_max=1, dec=dec,
-                          max_deg=2)
+dens = conserved_densities(dressing, {0: A11}, n_max=1)
 print("\nA11-family:  int g_0 =", dens[0])
 print("             int g_1 =", dens[1])
 
 print("\nreduced t_1 flow of psi(E32):")
-eq = reduce_mod_jk(frame, hierarchy_equation(
-    frame, gens, dens[1], gens.psi(g.parse({"E32": 1}))))
+eq = reduce_mod_jk(frame, hierarchy_flow(frame, gens, dens[1])(
+    gens.psi(g.parse({"E32": 1}))))
 print("  ", eq)

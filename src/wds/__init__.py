@@ -15,13 +15,13 @@ from .pva import (BracketTable, LeftBracket, ReductionFrame, check_pva_axioms,
                   master_bracket)
 from .walgebra import WGenerators, verify_table
 from .hierarchy import (
+    Dressing,
     HDecomposition,
     LoopElement,
     build_q,
     center_of_h,
     conserved_densities,
     dressing_defect,
-    hierarchy_equation,
     hierarchy_flow,
     reduce_mod_jk,
     solve_dressing,
@@ -34,10 +34,9 @@ __all__ = [
     "build_sl", "build_sp", "darboux_split",
     "BracketTable", "LeftBracket", "ReductionFrame", "check_pva_axioms",
     "master_bracket",
-    "WGenerators", "verify_table", "HDecomposition", "LoopElement",
+    "WGenerators", "verify_table", "Dressing", "HDecomposition", "LoopElement",
     "build_q", "center_of_h", "conserved_densities", "dressing_defect",
-    "hierarchy_equation", "hierarchy_flow", "reduce_mod_jk", "solve_dressing",
-    "verify_lenard_magri",
+    "hierarchy_flow", "reduce_mod_jk", "solve_dressing", "verify_lenard_magri",
 ]
 
 __version__ = "0.1.0"

@@ -155,7 +155,10 @@ def parse_s(setup: GradedSetup, choice: str):
     raise UsageError(f"unknown s choice {choice!r}")
 
 
-def parse_a_choice(frame, dec, s_star, choice: str):
+def parse_a_choice(dr, s_star, choice: str):
+    """a(z) for --a-choice, as {z power: g vector}; the center is read off
+    the dressing's decomposition."""
+    frame = dr.dec.frame
     setup = frame.setup
     if choice == "f_plus_ze":
         return {0: setup.f, 1: frame.s}
@@ -166,7 +169,7 @@ def parse_a_choice(frame, dec, s_star, choice: str):
     if choice == "center":
         # the first basis vector of the degree-0 center of ker ad(f+zs),
         # a constant loop on slice(0) = g_0
-        center = center_of_h(frame, dec, [0])[0]
+        center = center_of_h(frame, dr.dec, [0])[0]
         if not center:
             raise UsageError("the degree-0 center of ker ad(f+zs) is trivial; "
                              "no center element")
@@ -256,21 +259,18 @@ def cmd_tables(args):
     return int(any(any(rows.values()) for rows in tables.values()))
 
 
-def dress(frame, max_deg, args):
-    """solve_dressing, with an s that makes f + s non-semisimple reported
-    as a usage error."""
+def dress(frame, s_star, args):
+    """(Dressing, densities): the dressing solved to --max-degree and its
+    densities up to --n for --a-choice, with an s that makes f + s
+    non-semisimple, or an --n past the solved window, reported as a usage
+    error."""
     try:
-        return solve_dressing(frame, max_deg, projected=True)
+        dr = solve_dressing(frame, args.max_degree)
     except NotSemisimple as e:
         raise UsageError(f"--s {args.s}: {e}") from None
-
-
-def densities(frame, h, a_z, dec, max_deg, args):
-    """conserved_densities up to --n of h solved to max_deg, with an --n
-    past the solved window reported as a usage error."""
+    a_z = parse_a_choice(dr, s_star, args.a_choice)
     try:
-        return conserved_densities(frame, h, a_z, n_max=args.n, dec=dec,
-                                   max_deg=max_deg)
+        return dr, conserved_densities(dr, a_z, n_max=args.n)
     except WindowOverflow as e:
         raise UsageError(f"--n {args.n} needs --max-degree >= "
                          f"{math.ceil(e.needed)}") from None
@@ -279,10 +279,7 @@ def densities(frame, h, a_z, dec, max_deg, args):
 def cmd_hierarchy(args):
     frame, s_star = make_frame(args)[2:]
     gens = WGenerators(frame)
-    max_deg = Fraction(args.max_degree)
-    U, h, dec = dress(frame, max_deg, args)
-    a_z = parse_a_choice(frame, dec, s_star, args.a_choice)
-    dens = densities(frame, h, a_z, dec, max_deg, args)
+    dens = dress(frame, s_star, args)[1]
     doc = {f"int g_{n}": fmt_poly(gn, args) for n, gn in enumerate(dens)}
     for n in range(min(args.n, len(dens) - 1) + 1):
         eqs = {}
@@ -300,10 +297,7 @@ def cmd_hierarchy(args):
 def cmd_verify_all(args):
     g, setup, frame, s_star = make_frame(args)
     # what can refuse the input runs before the first report, as in hierarchy
-    max_deg = Fraction(args.max_degree)
-    U, h, dec = dress(frame, max_deg, args)
-    a_z = parse_a_choice(frame, dec, s_star, args.a_choice)
-    dens = densities(frame, h, a_z, dec, max_deg, args)
+    dr, dens = dress(frame, s_star, args)
     groups = []
 
     def report(name, bad):
@@ -327,7 +321,7 @@ def cmd_verify_all(args):
     report("generator membership", memb)
     for which, rows in verify_table(frame, gens).items():
         report(f"bracket table {which}", [m for bad in rows.values() for m in bad])
-    defect = dressing_defect(frame, U, h, max_deg)
+    defect = dressing_defect(dr)
     report("dressing conjugation oracle", [] if not defect else ["nonzero"])
     report("lenard-magri recursion", verify_lenard_magri(frame, gens, dens))
     failed = sum(not group["passed"] for group in groups)

@@ -576,9 +576,6 @@ class LambdaPoly:
     def mul_poly(self, p: DiffPoly) -> "LambdaPoly":
         return LambdaPoly(self.ctx, [p * c for c in self.coeffs])
 
-    def scale(self, c) -> "LambdaPoly":
-        return LambdaPoly(self.ctx, [x.scale(c) for x in self.coeffs])
-
     def shift(self, k: int = 1) -> "LambdaPoly":
         """Multiply by lambda^k."""
         if not self.coeffs:
@@ -617,13 +614,6 @@ class LambdaPoly:
 
     def __repr__(self):
         return f"LambdaPoly({self})"
-
-    def to_json(self) -> list:
-        return [
-            {"lambda_power": k, "terms": c.to_json()}
-            for k, c in enumerate(self.coeffs)
-            if c
-        ]
 
 
 def subst_minus_lambda_d(x: LambdaPoly) -> LambdaPoly:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .diffpoly import Context, DiffPoly, gather
@@ -164,16 +165,11 @@ def bracket_sum(frame: ReductionFrame, ctx: Context, pairs: list, n: int = 1,
     return LoopElement(frame, ctx, gather(ctx, jobs))
 
 
-def loop_const(frame: ReductionFrame, ctx: Context, vec, zpow: int = 0) -> LoopElement:
-    return LoopElement(frame, ctx, {(i, zpow): ctx.const(c)
-                                    for i, c in frame.to_adapted(vec).items()})
-
-
 def loop_from_zmap(frame: ReductionFrame, ctx: Context, zmap: dict) -> LoopElement:
-    out = LoopElement(frame, ctx)
-    for k, vec in zmap.items():
-        out = out + loop_const(frame, ctx, vec, k)
-    return out
+    """The constant loop element sum vec z^k over the (k, vec) of zmap."""
+    return LoopElement(frame, ctx, {(i, k): ctx.const(c)
+                                    for k, vec in zmap.items()
+                                    for i, c in frame.to_adapted(vec).items()})
 
 
 def loop_fzs(frame: ReductionFrame, ctx: Context) -> LoopElement:
@@ -340,16 +336,36 @@ def _exp_ad(U: LoopElement, D: LoopElement, max_deg: Fraction) -> LoopElement:
     return acc
 
 
+class Dressing(NamedTuple):
+    """One solve of the dressing equation: the parts of U and of h, keyed by
+    their loop degree, the decomposition it split with, the loop degree it
+    is solved to, and the ring of its coefficients (frame.w_ctx, or
+    frame.coord_ctx unprojected).  h stays at index 1, where callers that
+    read the solve as a tuple find it."""
+
+    U: dict
+    h: dict
+    dec: HDecomposition
+    max_deg: Fraction
+    ctx: Context
+
+
+def _dressing_input(frame: ReductionFrame, ctx: Context) -> tuple:
+    """(f+zs, f+zs+q) over ctx, q projected on V(g^f) when ctx is w_ctx."""
+    fzs = loop_fzs(frame, ctx)
+    return fzs, fzs + build_q(frame, ctx is frame.w_ctx)
+
+
 def solve_dressing(
     frame: ReductionFrame,
     max_deg,
     projected: bool = True,
     dec: HDecomposition | None = None,
-):
+) -> Dressing:
     """Solve the dressing equation up to loop degree max_deg.
 
-    Returns (U_parts, h_parts, dec): U_parts[j] and h_parts[j] are homogeneous
-    loop elements keyed by their degree, with U in hperp and h in ker.
+    Returns a Dressing: U[j] and h[j] are homogeneous loop elements keyed
+    by their degree, with U in hperp and h in ker.
 
     The series exp(ad U)(d + D) - d = sum_n T_n, T_0 = D and
     T_n = [U, T_{n-1}]/n (with [U, d] = -dU/dx in T_1), is kept degree by
@@ -363,8 +379,7 @@ def solve_dressing(
     if dec is None:
         dec = HDecomposition(frame)
     ctx = frame.w_ctx if projected else frame.coord_ctx
-    fzs = loop_fzs(frame, ctx)
-    D = fzs + build_q(frame, projected)
+    fzs, D = _dressing_input(frame, ctx)
 
     U_parts: dict = {}
     h_parts: dict = {}
@@ -395,32 +410,25 @@ def solve_dressing(
                     series[1][deg] = series[1].get(
                         deg, LoopElement(frame, ctx)) + u_el.bracket(fzs)
         deg += Fraction(1, 2)
-    return U_parts, h_parts, dec
+    return Dressing(U_parts, h_parts, dec, max_deg, ctx)
 
 
-def dressing_defect(
-    frame: ReductionFrame,
-    U_parts: dict,
-    h_parts: dict,
-    max_deg,
-    projected: bool = True,
-) -> LoopElement:
+def dressing_defect(dr: Dressing) -> LoopElement:
     """Full-exponential re-expansion oracle.
 
     Applies exp(ad U) with the complete U to d + (f+zs) + q in one shot and
-    subtracts d + (f+zs) + sum(h); exact zero certifies the incremental solve.
+    subtracts d + (f+zs) + sum(h), in the ring and up to the loop degree of
+    the solve; exact zero certifies the incremental solve.
     """
-    max_deg = Fraction(max_deg)
-    ctx = frame.w_ctx if projected else frame.coord_ctx
-    fzs = loop_fzs(frame, ctx)
-    D = fzs + build_q(frame, projected)
+    frame, ctx = dr.dec.frame, dr.ctx
+    fzs, D = _dressing_input(frame, ctx)
     U = LoopElement(frame, ctx)
-    for u in U_parts.values():
+    for u in dr.U.values():
         U = U + u
     want = fzs
-    for h in h_parts.values():
+    for h in dr.h.values():
         want = want + h
-    return (_exp_ad(U, D, max_deg) - want.trim(max_deg)).trim(max_deg)
+    return (_exp_ad(U, D, dr.max_deg) - want.trim(dr.max_deg)).trim(dr.max_deg)
 
 
 # ---------------------------------------------------------------------------
@@ -428,15 +436,11 @@ def dressing_defect(
 # ---------------------------------------------------------------------------
 
 
-def _h_loops(dec: HDecomposition, ctx: Context, d: Fraction) -> list:
-    """The kernel basis of slice(d), as constant loop elements."""
-    return [dec.const_loop(d, v, ctx) for v in dec.h_basis(d)]
-
-
 def _period_h(dec: HDecomposition, ctx: Context) -> list:
     """The kernel bases of one period, as constant loop elements: every
     kernel element is a sum of their z shifts, and [c, z^t w] = z^t [c, w]."""
-    return [w for r in dec.classes for w in _h_loops(dec, ctx, r)]
+    return [dec.const_loop(r, v, ctx) for r in dec.classes
+            for v in dec.h_basis(r)]
 
 
 def center_of_h(frame: ReductionFrame, dec: HDecomposition,
@@ -470,28 +474,23 @@ def check_central(frame: ReductionFrame, dec: HDecomposition, a_z: dict) -> bool
     return not loop_fzs(frame, ctx).bracket(el)
 
 
-def conserved_densities(
-    frame: ReductionFrame,
-    h_parts: dict,
-    a_z: dict,
-    n_max: int | None = None,
-    *,
-    dec: HDecomposition,
-    max_deg,
-) -> list[DiffPoly]:
-    """Densities g_n from int g(z) = int (a(z) x 1 | h(z)), in V(g^f) coordinates.
+def conserved_densities(dr: Dressing, a_z: dict,
+                        n_max: int | None = None) -> list[DiffPoly]:
+    """Densities g_n from int g(z) = int (a(z) x 1 | h(z)), in the ring of
+    the dressing (V(g^f) coordinates when it is projected).
 
     a_z maps z powers to g-vectors; the leading power is read off as the top
     nonzero z power of the pairing.  g_n needs h up to loop degree
-    d_0 + |z_degree| n, where d_0 is the degree of the h that g_0 reads.
-    max_deg is the loop degree h_parts were solved to: an n_max past it
-    raises WindowOverflow, and n_max=None gives the densities it resolves.
+    d_0 + |z_degree| n, where d_0 is the degree of the h that g_0 reads:
+    an n_max past dr.max_deg raises WindowOverflow, and n_max=None gives
+    the densities the dressing resolves.
     """
-    if not check_central(frame, dec, a_z):
+    frame = dr.dec.frame
+    if not check_central(frame, dr.dec, a_z):
         raise InvalidCenter("a(z) does not lie in the center of ker ad(f+zs)")
     # the parts have distinct loop degrees, so their keys are disjoint
-    total = LoopElement(frame, frame.w_ctx, {
-        key: p for h in h_parts.values() for key, p in h.terms.items()
+    total = LoopElement(frame, dr.ctx, {
+        key: p for h in dr.h.values() for key, p in h.terms.items()
     }).pair_with(a_z)
     if not total:
         return []
@@ -503,42 +502,27 @@ def conserved_densities(
               for k, vec in a_z.items()
               for i in frame.to_adapted(vec))
     d0 = zd * top - low
-    max_deg = Fraction(max_deg)
-    resolved = math.floor((max_deg - d0) / -zd)
+    resolved = math.floor((dr.max_deg - d0) / -zd)
     if n_max is not None and n_max > resolved:
         needed = d0 - zd * n_max
         raise WindowOverflow(
             f"g_{n_max} needs h up to loop degree {needed}; the dressing"
-            f" is solved up to {max_deg}", needed)
+            f" is solved up to {dr.max_deg}", needed)
     last = resolved if n_max is None else n_max
-    zero = frame.w_ctx.zero()
+    zero = dr.ctx.zero()
     return [total.get(top - n, zero) for n in range(last + 1)]
 
 
-def hierarchy_flow(frame: ReductionFrame, gens, density: DiffPoly,
-                   use_k: bool = False):
-    """The flow w -> dw/dt = {g_n lambda w}_H at lambda = 0 (the K part
-    with use_k), in V(g^f) coordinates, as a function of w.
+def hierarchy_flow(frame: ReductionFrame, gens, density: DiffPoly):
+    """The flow w -> dw/dt = {g_n lambda w}_H at lambda = 0, in V(g^f)
+    coordinates, as a function of w.
 
     The bracket is taken on V(g^f) through the generator table of W; the
     element w of W enters through its image under pi.  One LeftBracket
     serves every w the returned function is called on.
     """
     left = LeftBracket(gens.table, density)
-    part = int(use_k)
-    return lambda w_elt: left.at_zero(frame.pi(w_elt), part)
-
-
-def hierarchy_equation(
-    frame: ReductionFrame,
-    gens,
-    density: DiffPoly,
-    w_elt: DiffPoly,
-    use_k: bool = False,
-) -> DiffPoly:
-    """dw/dt = {g_n lambda w}_H at lambda = 0, in V(g^f) coordinates: the
-    hierarchy_flow of one density, at one w."""
-    return hierarchy_flow(frame, gens, density, use_k)(w_elt)
+    return lambda w_elt: left.at_zero(frame.pi(w_elt), 0)
 
 
 def verify_lenard_magri(frame: ReductionFrame, gens, densities: list) -> list[str]:

@@ -9,7 +9,7 @@ import pytest
 from wds import linalg
 from wds.diffpoly import LambdaPoly, functional_equal
 from wds.hierarchy import (conserved_densities, dressing_defect,
-                           hierarchy_equation, reduce_mod_jk, solve_dressing,
+                           hierarchy_flow, reduce_mod_jk, solve_dressing,
                            verify_lenard_magri)
 from wds.lie import GradedSetup, MINIMAL, build_sl, build_sp
 from wds.pva import master_bracket, random_element
@@ -72,12 +72,10 @@ def sl3_worked(sl3_min):
         "Psi_m": cfg.frame.w_lin(g.parse({"E32": 1})),
         "Lt": cfg.frame.w_lin(cfg.setup.f),
     }
-    U, h, dec = cfg.dressing(4)
-    data["dens_a"] = conserved_densities(cfg.frame, h, {0: a}, n_max=1,
-                                         dec=dec, max_deg=4)
+    dr = cfg.dressing(4)
+    data["dens_a"] = conserved_densities(dr, {0: a}, n_max=1)
     data["dens_b"] = conserved_densities(
-        cfg.frame, h, {0: cfg.setup.f, 1: cfg.setup.e}, n_max=1, dec=dec,
-        max_deg=4)
+        dr, {0: cfg.setup.f, 1: cfg.setup.e}, n_max=1)
     return data
 
 
@@ -132,7 +130,7 @@ def test_a04_sl3_worked_example_densities_and_flows(sl3_min, sl3_worked):
     assert functional_equal(dens_b[1], want_g1)
 
     def flow(dens, n, w):
-        return hierarchy_equation(fr, gens, dens[n], w)
+        return hierarchy_flow(fr, gens, dens[n])(w)
 
     phi, psi_p, psi_m = d["phi"], d["psi_p"], d["psi_m"]
     z = fr.w_ctx.zero()
@@ -206,21 +204,21 @@ def test_a04_sl3_reduced_systems(sl3_min, sl3_worked):
     assert not kLp
     # third-order reduced system, c = 3/(4(x|x)) = 3/2
     c = F(3, 2)
-    got = red(hierarchy_equation(fr, gens, d["dens_b"][1], d["psi_p"]))
+    got = red(hierarchy_flow(fr, gens, d["dens_b"][1])(d["psi_p"]))
     assert got == Psi_p.d(3) - (Lt * Psi_p.d()).scale(c) \
         - (Psi_p * Lt.d()).scale(c / 2) \
         + (Psi_p * Psi_p * Psi_m).scale(F(2, 3) * c * c)
-    got = red(hierarchy_equation(fr, gens, d["dens_b"][1], gens.L))
+    got = red(hierarchy_flow(fr, gens, d["dens_b"][1])(gens.L))
     assert got == Lt.d(3).scale(F(1, 4)) - (Lt * Lt.d()).scale(c) \
         + (Psi_p * Psi_m.d(2) - Psi_m * Psi_p.d(2)).scale(c)
     # first reduced flow (central-element family), psi lines: c = 3/(2(x|x))
     c1 = F(3, 1)
-    got = red(hierarchy_equation(fr, gens, d["dens_a"][1], d["psi_p"]))
+    got = red(hierarchy_flow(fr, gens, d["dens_a"][1])(d["psi_p"]))
     assert got == (Lt * Psi_p).scale(c1) - Psi_p.d(2).scale(3)
-    got = red(hierarchy_equation(fr, gens, d["dens_a"][1], d["psi_m"]))
+    got = red(hierarchy_flow(fr, gens, d["dens_a"][1])(d["psi_m"]))
     assert got == -(Lt * Psi_m).scale(c1) + Psi_m.d(2).scale(3)
     # its L-line: the self-consistent coefficient is 2c, not c/4
-    got = red(hierarchy_equation(fr, gens, d["dens_a"][1], gens.L))
+    got = red(hierarchy_flow(fr, gens, d["dens_a"][1])(gens.L))
     assert got == (Psi_p * Psi_m).scale(2 * c1).total_derivative()
     ok(4, "sl3 worked example: reduced systems (3/3)")
 
@@ -233,8 +231,7 @@ def test_a04_reduced_L_line_exactly_as_printed(sl3_min, sl3_worked):
     cfg, d = sl3_min, sl3_worked
     fr, gens = cfg.frame, cfg.gens
     c1 = F(3, 1)
-    got = reduce_mod_jk(fr, hierarchy_equation(
-        fr, gens, d["dens_a"][1], gens.L))
+    got = reduce_mod_jk(fr, hierarchy_flow(fr, gens, d["dens_a"][1])(gens.L))
     assert got == (d["Psi_p"] * d["Psi_m"]).scale(c1 / 4).total_derivative()
 
 
@@ -247,11 +244,11 @@ def test_a05_dressing_recursion_values(sl3_min, sl4_min, sl4_short, sl3_iso):
 
 def test_a06_oracle_equivalence(sl3_min):
     fr = sl3_min.frame
-    U, h, dec = solve_dressing(fr, 4, projected=False)
-    assert not dressing_defect(fr, U, h, 4, projected=False)
-    Up, hp, _ = sl3_min.dressing(4)
+    dr = solve_dressing(fr, 4, projected=False)
+    assert not dressing_defect(dr)
+    hp = sl3_min.dressing(4).h
     for deg, el in hp.items():
-        got = th.map_coeffs(h[deg], fr.pi, fr.w_ctx)
+        got = th.map_coeffs(dr.h[deg], fr.pi, fr.w_ctx)
         assert dict(got.terms) == dict(el.terms)
     ok(6, "incremental conjugation equals the full-exponential oracle")
 
@@ -332,7 +329,7 @@ def test_a11_sl4_generic_s(sl4_generic):
     ring = g.ring
     s1, s2, c = ring.param("s1"), ring.param("s2"), ring.param("c")
     one = ring.one()
-    U, h, dec = cfg.dressing(2)
+    dr = cfg.dressing(2)
 
     def wl(labels):
         return fr.w_lin(g.parse(labels))
@@ -344,7 +341,7 @@ def test_a11_sl4_generic_s(sl4_generic):
     A12, A21, A11 = wl({"E12": 1, "E34": 1}), wl({"E21": 1, "E43": 1}), \
         wl({"H1": 1, "H3": 1})
     # h_0 = A11 (x) A11/(4c)
-    assert not th.loop_sub(h[F(0)], loop_of(
+    assert not th.loop_sub(dr.h[F(0)], loop_of(
         [({"H1": 1, "H3": 1}, 0, A11.scale(one / (4 * c)))]))
     # h_1 over the kernel lines (E13 s1 + E31 z^-1) and (E24 s2 + E42 z^-1);
     # the psi coefficients carry the block-swap-symmetric signs
@@ -354,7 +351,7 @@ def test_a11_sl4_generic_s(sl4_generic):
         + wl({"E42": 1}).scale(one / (2 * c * s2))
     want1 = loop_of([({"E13": 1}, 0, co1.scale(s1)), ({"E31": 1}, -1, co1),
                      ({"E24": 1}, 0, co2.scale(s2)), ({"E42": 1}, -1, co2)])
-    assert not th.loop_sub(h[F(1)], want1)
+    assert not th.loop_sub(dr.h[F(1)], want1)
     # h_2 = A11 z^-1 (x) [(s1+s2)(c A12'A21 - c A12 A21' - A11A12A21)
     #                     /(4c^3(s1-s2)^2)
     #                     + (A12 psi(E41) + A21 psi(E32))/(2c^2(s1-s2))]
@@ -364,17 +361,17 @@ def test_a11_sl4_generic_s(sl4_generic):
             (s1 + s2) / (4 * c * c * c * (s1 - s2) * (s1 - s2))) \
         + (A12 * wl({"E41": 1}) + A21 * wl({"E32": 1})).scale(
             one / (2 * c * c * (s1 - s2)))
-    assert not th.loop_sub(h[F(2)], loop_of([({"H1": 1, "H3": 1}, -1, coh2)]))
+    assert not th.loop_sub(dr.h[F(2)],
+                           loop_of([({"H1": 1, "H3": 1}, -1, coh2)]))
 
     # case (a): a(z) = f + zs; t_0 system
-    dens_a = conserved_densities(fr, h, {0: cfg.setup.f, 1: fr.s},
-                                 n_max=0, dec=dec, max_deg=2)
+    dens_a = conserved_densities(dr, {0: cfg.setup.f, 1: fr.s}, n_max=0)
     assert functional_equal(
         dens_a[0],
         wl({"E31": 1, "E42": 1}) + (A12 * A21).scale(one / (2 * c)))
 
     def flow(dens, w):
-        return hierarchy_equation(fr, gens, dens, w)
+        return hierarchy_flow(fr, gens, dens)(w)
 
     a12v = g.parse({"E12": 1, "E34": 1})
     a21v = g.parse({"E21": 1, "E43": 1})
@@ -393,7 +390,7 @@ def test_a11_sl4_generic_s(sl4_generic):
         assert got == want
 
     # case (c): a(z) = A11
-    dens_c = conserved_densities(fr, h, {0: a11v}, n_max=1, dec=dec, max_deg=2)
+    dens_c = conserved_densities(dr, {0: a11v}, n_max=1)
     assert dens_c[0] == A11
     want_g1 = (A12.d() * A21).scale(2 * (s1 + s2) / (c * (s1 - s2) ** 2 if False else c * (s1 - s2) * (s1 - s2))) \
         - (A11 * A12 * A21).scale((s1 + s2) / (c * c * (s1 - s2) * (s1 - s2))) \

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from wds import linalg
 from wds.cli import check_ranges, main, make_frame, parse_a_choice
 from wds.diffpoly import B, MAX_ORDER
-from wds.hierarchy import HDecomposition, check_central
+from wds.hierarchy import check_central, solve_dressing
 from wds.lie import EmbeddableData
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -333,18 +333,18 @@ def test_center_choice_matches_g0f_oracle(algebra, nilpotent, f, s, capsys):
     args = argparse.Namespace(algebra=algebra, nilpotent=nilpotent, f=f, s=s,
                               form_scale=None)
     frame, s_star = make_frame(args)[2:]
-    dec = HDecomposition(frame)
+    dr = solve_dressing(frame, 1)
     want = g0f_center_oracle(frame)
     if s == "explicit:B11,B22,2*B33":
-        assert not check_central(frame, dec, {0: want})
+        assert not check_central(frame, dr.dec, {0: want})
         want = None
     if want is None:
         with pytest.raises(SystemExit) as e:
-            parse_a_choice(frame, dec, s_star, "center")
+            parse_a_choice(dr, s_star, "center")
         assert e.value.code == 2
         assert "no center element" in capsys.readouterr().err
     else:
-        assert parse_a_choice(frame, dec, s_star, "center") == {0: want}
+        assert parse_a_choice(dr, s_star, "center") == {0: want}
 
 
 def test_isotropic_s_star_checked_once(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from wds.diffpoly import Context, LambdaPoly, dot, gather
 from wds.hierarchy import (HDecomposition, InvalidCenter, LoopElement,
                            NotSemisimple, WindowOverflow, bracket_sum, build_q,
                            center_of_h, check_central, conserved_densities,
-                           dressing_defect, hierarchy_equation,
+                           dressing_defect, hierarchy_flow,
                            loop_from_zmap, loop_fzs, reduce_mod_jk,
                            solve_dressing, verify_lenard_magri)
 from wds.pva import BracketTable, ReductionFrame
@@ -325,7 +325,7 @@ def test_decomposition_does_not_grow_with_depth(sl2_min, sl3_min, sl4_short,
     calls.clear()
     dec = HDecomposition(fr)
     for max_deg in (4, 8):
-        assert solve_dressing(fr, max_deg, dec=dec)[2] is dec
+        assert solve_dressing(fr, max_deg, dec=dec).dec is dec
     assert len(calls) == 4
 
 
@@ -396,28 +396,28 @@ def test_q_completeness_unprojected(sl3_min):
 def test_minimal_dressing_low_degrees(sl3_min, sl4_min):
     for cfg in (sl3_min, sl4_min):
         g, s, fr = cfg.algebra, cfg.setup, cfg.frame
-        U, h, dec = cfg.dressing(4)
+        dr = cfg.dressing(4)
         xx = s.xx()
         one = fr.w_ctx.one()
-        assert F(1, 2) not in U and F(1) not in U  # pi U_1/2 = pi U_1 = 0
+        assert F(1, 2) not in dr.U and F(1) not in dr.U  # pi U_1/2 = pi U_1 = 0
         a_basis, a_dual = s.a_pairs
         want_h0 = expected_loop(
             cfg, [(b, 0, fr.w_lin(bd)) for b, bd in zip(a_basis, a_dual)])
-        assert not loop_sub(h[F(0)], want_h0)
+        assert not loop_sub(dr.h[F(0)], want_h0)
         vs, vds = s.v_pairs
         want_u32 = expected_loop(
             cfg,
             [(g.bracket(s.f, vdk), -1, fr.w_lin(g.bracket(s.f, vk)))
              for vk, vdk in zip(vs, vds)])
-        assert not loop_sub(U[F(3, 2)], want_u32)
+        assert not loop_sub(dr.U[F(3, 2)], want_u32)
         want_h1 = expected_loop(cfg, [
             (s.f, -1, fr.w_lin(s.f).scale(1 / (4 * xx))),
             (s.e, 0, fr.w_lin(s.f).scale(1 / (4 * xx))),
         ])
-        assert not loop_sub(h[F(1)], want_h1)
+        assert not loop_sub(dr.h[F(1)], want_h1)
         want_u2 = expected_loop(cfg, [
             (s.x, -1, fr.w_lin(s.f).scale(-1 / (4 * xx)))])
-        assert not loop_sub(U[F(2)], want_u2)
+        assert not loop_sub(dr.U[F(2)], want_u2)
         # pi U_5/2 = -sum v^k (x) d[f,v_k] - sum [a^i, v^k] (x) a_i [f,v_k]
         pieces = []
         for vk, vdk in zip(vs, vds):
@@ -426,7 +426,7 @@ def test_minimal_dressing_low_degrees(sl3_min, sl4_min):
                 pieces.append((
                     g.bracket(bd, vdk), -1,
                     -(fr.w_lin(b) * fr.w_lin(g.bracket(s.f, vk)))))
-        assert not loop_sub(U[F(5, 2)], expected_loop(cfg, pieces))
+        assert not loop_sub(dr.U[F(5, 2)], expected_loop(cfg, pieces))
         # pi h_2 = 1/2 sum [[f,v^h],v^k]# (x) [f,v_h][f,v_k]
         pieces = []
         for vh, vdh in zip(vs, vds):
@@ -435,13 +435,13 @@ def test_minimal_dressing_low_degrees(sl3_min, sl4_min):
                 tail = (fr.w_lin(g.bracket(s.f, vh))
                         * fr.w_lin(g.bracket(s.f, vk))).scale(F(1, 2))
                 pieces.append((head, -1, tail))
-        assert not loop_sub(h[F(2)], expected_loop(cfg, pieces))
+        assert not loop_sub(dr.h[F(2)], expected_loop(cfg, pieces))
         # pi U_3 = (f - ze) z^-2 (x) df / (16(x|x))
         want_u3 = expected_loop(cfg, [
             (s.f, -2, fr.w_lin(s.f, 1).scale(1 / (16 * xx))),
             (s.e, -1, fr.w_lin(s.f, 1).scale(-1 / (16 * xx))),
         ])
-        assert not loop_sub(U[F(3)], want_u3)
+        assert not loop_sub(dr.U[F(3)], want_u3)
         # pi h_3 = (f+ze) z^-2 (x) (-f^2/(32(x|x)^2)
         #          - sum [f,v^k] d[f,v_k]/(8(x|x))
         #          - sum [a^i,[f,v^k]] a_i [f,v_k] / (8(x|x)))
@@ -455,13 +455,13 @@ def test_minimal_dressing_low_degrees(sl3_min, sl4_min):
                     * fr.w_lin(b) * fr.w_lin(g.bracket(s.f, vk))
                 ).scale(1 / (8 * xx))
         want_h3 = expected_loop(cfg, [(s.f, -2, coeff), (s.e, -1, coeff)])
-        assert not loop_sub(h[F(3)], want_h3)
+        assert not loop_sub(dr.h[F(3)], want_h3)
 
 
 def test_short_dressing_values(sl4_short):
     cfg = sl4_short
     g, s, fr = cfg.algebra, cfg.setup, cfg.frame
-    U, h, dec = cfg.dressing(4)
+    dr = cfg.dressing(4)
     us, uds = s.u_pairs
 
     def adf2(v):
@@ -472,13 +472,13 @@ def test_short_dressing_values(sl4_short):
     for uk, ukd in zip(us, uds):
         pieces.append((adf2(ukd), -1, fr.w_lin(uk).scale(F(-1, 4))))
         pieces.append((ukd, 0, fr.w_lin(uk).scale(F(1, 2))))
-    assert not loop_sub(h[F(1)], expected_loop(cfg, pieces))
+    assert not loop_sub(dr.h[F(1)], expected_loop(cfg, pieces))
     # pi U_2 = 1/4 sum [f, u^k] z^-1 (x) u_k
     pieces = [(g.bracket(s.f, ukd), -1, fr.w_lin(uk).scale(F(1, 4)))
               for uk, ukd in zip(us, uds)]
-    assert not loop_sub(U[F(2)], expected_loop(cfg, pieces))
+    assert not loop_sub(dr.U[F(2)], expected_loop(cfg, pieces))
     # pi h_2 = 0
-    assert F(2) not in h or not h[F(2)]
+    assert F(2) not in dr.h or not dr.h[F(2)]
     # pi h_3 = 1/32 sum_k ((ad f)^2 - 2z) u^k z^-2 (x) sum_h [[f,u^h],u_k] u_h
     pieces = []
     for uk, ukd in zip(us, uds):
@@ -488,13 +488,13 @@ def test_short_dressing_values(sl4_short):
         tail = tail.scale(F(1, 32))
         pieces.append((adf2(ukd), -2, tail))
         pieces.append((ukd, -1, tail.scale(-2)))
-    assert not loop_sub(h[F(3)], expected_loop(cfg, pieces))
+    assert not loop_sub(dr.h[F(3)], expected_loop(cfg, pieces))
 
 
 def test_isotropic_dressing_values(sl3_iso):
     cfg = sl3_iso
     g, s, fr = cfg.algebra, cfg.setup, cfg.frame
-    U, h, dec = cfg.dressing(3)
+    dr = cfg.dressing(3)
     xx = s.xx()
     sv = fr.s
     s_star = s.find_embeddable(sv)
@@ -504,26 +504,26 @@ def test_isotropic_dressing_values(sl3_iso):
         [{h: c for h, p in enumerate(data.gs_half) if (c := data.chi(p, q))}
          for q in data.gs_half], data.gs_half)
     # no g_0^s part on sl3, so pi h_0 = 0 and pi h_3/2 = 0
-    assert F(0) not in h and F(3, 2) not in h
+    assert F(0) not in dr.h and F(3, 2) not in dr.h
     # pi U_1 = sum [f,u_k] z^-1 (x) [s,[f,u^k]]
     pieces = [
         (g.bracket(s.f, uk), -1,
          fr.w_lin(g.bracket(sv, g.bracket(s.f, ukd))))
         for uk, ukd in zip(data.gs_half, gs_half_dual)
     ]
-    assert not loop_sub(U[F(1)], expected_loop(cfg, pieces))
+    assert not loop_sub(dr.U[F(1)], expected_loop(cfg, pieces))
     # pi h_1/2 = (f + zs) z^-1 (x) s^* / (6(x|x))
     want = expected_loop(cfg, [
         (s.f, -1, fr.w_lin(s_star).scale(1 / (6 * xx))),
         (sv, 0, fr.w_lin(s_star).scale(1 / (6 * xx))),
     ])
-    assert not loop_sub(h[F(1, 2)], want)
+    assert not loop_sub(dr.h[F(1, 2)], want)
     # pi U_3/2 = -x z^-1 (x) s^*/(6(x|x)) - sum [s,[f,u^k]] z^-1 (x) [f,u_k]
     pieces = [(s.x, -1, fr.w_lin(s_star).scale(-1 / (6 * xx)))]
     for uk, ukd in zip(data.gs_half, gs_half_dual):
         pieces.append((g.bracket(sv, g.bracket(s.f, ukd)), -1,
                        -fr.w_lin(g.bracket(s.f, uk))))
-    assert not loop_sub(U[F(3, 2)], expected_loop(cfg, pieces))
+    assert not loop_sub(dr.U[F(3, 2)], expected_loop(cfg, pieces))
     # pi h_1 = (e + z^-1 s*) (x) (f/(6(x|x))
     #          + sum [s,[f,u_k]][s,[f,u^k]] / (12(x|x)))
     coeff = fr.w_lin(s.f).scale(1 / (6 * xx))
@@ -533,13 +533,12 @@ def test_isotropic_dressing_values(sl3_iso):
             * fr.w_lin(s.sharp(g.bracket(sv, g.bracket(s.f, ukd))))
         ).scale(1 / (12 * xx))
     want = expected_loop(cfg, [(s.e, 0, coeff), (s_star, -1, coeff)])
-    assert not loop_sub(h[F(1)], want)
+    assert not loop_sub(dr.h[F(1)], want)
 
 
 def test_conjugation_oracle(sl3_min, sl4_short, sl3_iso):
     for cfg, deg in ((sl3_min, 4), (sl4_short, 4), (sl3_iso, 3)):
-        U, h, dec = cfg.dressing(deg)
-        assert not dressing_defect(cfg.frame, U, h, deg)
+        assert not dressing_defect(cfg.dressing(deg))
 
 
 def test_conjugation_oracle_catches_errors(sl3_min, sl4_short):
@@ -547,16 +546,16 @@ def test_conjugation_oracle_catches_errors(sl3_min, sl4_short):
     term, and once any h part is dropped."""
     for cfg in (sl3_min, sl4_short):
         fr = cfg.frame
-        U, h, dec = cfg.dressing(4)
-        for deg, u in U.items():
+        dr = cfg.dressing(4)
+        for deg, u in dr.U.items():
             first = next(iter(u.terms))
             rest = LoopElement(fr, u.ctx, {key: p for key, p in u.terms.items()
                                            if key != first})
             for bad in (loop_scale(u, 2), rest):
-                assert dressing_defect(fr, {**U, deg: bad}, h, 4), deg
-        for deg in h:
-            assert dressing_defect(
-                fr, U, {d: el for d, el in h.items() if d != deg}, 4), deg
+                assert dressing_defect(dr._replace(U={**dr.U, deg: bad})), deg
+        for deg in dr.h:
+            assert dressing_defect(dr._replace(
+                h={d: el for d, el in dr.h.items() if d != deg})), deg
 
 
 def reexpanding_solve(frame, max_deg, dec):
@@ -604,16 +603,18 @@ def test_incremental_solve_matches_reexpansion(name, window, request):
     DiffPolys), over Q and over Q(c, s1, s2); and the solve at window m is a
     prefix of the one at window m + 2."""
     cfg = request.getfixturevalue(name)
-    U, h, dec = cfg.dressing(window)
-    U_ref, h_ref = reexpanding_solve(cfg.frame, window, dec)
-    assert_parts_equal(U, U_ref)
-    assert_parts_equal(h, h_ref)
-    for parts in (U, h):
+    dr = cfg.dressing(window)
+    U_ref, h_ref = reexpanding_solve(cfg.frame, window, dr.dec)
+    assert_parts_equal(dr.U, U_ref)
+    assert_parts_equal(dr.h, h_ref)
+    for parts in (dr.U, dr.h):
         for el in parts.values():
             assert_canonical(el.terms.values())
-    U_low, h_low, _ = cfg.dressing(window - 2)
-    assert_parts_equal(U_low, {d: u for d, u in U.items() if d <= window - 1})
-    assert_parts_equal(h_low, {d: v for d, v in h.items() if d <= window - 2})
+    low = cfg.dressing(window - 2)
+    assert_parts_equal(low.U, {d: u for d, u in dr.U.items()
+                               if d <= window - 1})
+    assert_parts_equal(low.h, {d: v for d, v in dr.h.items()
+                               if d <= window - 2})
 
 
 SPECS = {
@@ -642,12 +643,12 @@ def test_solve_dressing_same_on_scalar_path(name, window, request):
     whether the numerator kernel runs on integer numerators over Q or on
     Scalar numerators over Q(a) (the path every parameter ring takes), for
     the same reduction with a unused."""
-    U, h, _ = request.getfixturevalue(name).dressing(window)
+    dr = request.getfixturevalue(name).dressing(window)
     fr = frame_over_qa(name)
     ring = fr.ring
-    U_a, h_a, _ = solve_dressing(fr, window)
-    assert U and h and not dressing_defect(fr, U_a, h_a, window)
-    for parts, parts_a in ((U, U_a), (h, h_a)):
+    dr_a = solve_dressing(fr, window)
+    assert dr.U and dr.h and not dressing_defect(dr_a)
+    for parts, parts_a in ((dr.U, dr_a.U), (dr.h, dr_a.h)):
         assert parts.keys() == parts_a.keys()
         for deg, el in parts.items():
             got = parts_a[deg].terms
@@ -661,14 +662,36 @@ def test_solve_dressing_same_on_scalar_path(name, window, request):
 def test_unprojected_solve_matches_projection(sl3_min):
     cfg = sl3_min
     fr = cfg.frame
-    U, h, dec = cfg.dressing(3)
-    U2, h2, _ = solve_dressing(fr, 3, projected=False, dec=dec)
-    assert not dressing_defect(fr, U2, h2, 3, projected=False)
-    for parts, parts2 in ((h, h2), (U, U2)):
+    dr = cfg.dressing(3)
+    dr2 = solve_dressing(fr, 3, projected=False, dec=dr.dec)
+    assert dr2.ctx is fr.coord_ctx and not dressing_defect(dr2)
+    for parts, parts2 in ((dr.h, dr2.h), (dr.U, dr2.U)):
         for deg, el in parts2.items():
             want = parts.get(deg)
             pied = map_coeffs(el, fr.pi, fr.w_ctx)
             assert dict(pied.terms) == dict(want.terms if want else {})
+
+
+def test_unprojected_densities_match_projection(sl3_min):
+    """The densities of an unprojected Dressing are paired in its coordinate
+    ring, where they print, and pi maps them onto the projected ones, for
+    both families of sl3 minimal."""
+    cfg = sl3_min
+    fr = cfg.frame
+    dr, dr2 = cfg.dressing(4), cfg.dressing(4, projected=False)
+    for a_z in ({0: central_g0f_element(cfg)}, {0: fr.setup.f, 1: fr.s}):
+        want = conserved_densities(dr, a_z)
+        got = conserved_densities(dr2, a_z)
+        assert len(want) >= 2 and all(want)
+        assert all(g.ctx is fr.coord_ctx and str(g) for g in got)
+        assert [fr.pi(g) for g in got] == want
+
+
+def test_solve_dressing_keeps_h_at_index_1(sl2_min):
+    """A Dressing is a tuple with h at index 1: the benchmark's tracer
+    (perfbench/tracer.py, h_terms) reads the solve's h as result[1]."""
+    dr = solve_dressing(sl2_min.frame, 2)
+    assert dr[1] is dr.h and dr.max_deg == 2
 
 
 @pytest.mark.parametrize("name, window", [
@@ -677,14 +700,14 @@ def test_unprojected_solve_matches_projection(sl3_min):
 def test_homogeneity_of_solution(name, window, request):
     """Each U part lies in hperp and each h part in the kernel of its slice,
     over Q and over Q(c, s1, s2)."""
-    U, h, dec = request.getfixturevalue(name).dressing(window)
-    for deg, el in U.items():
+    dr = request.getfixturevalue(name).dressing(window)
+    for deg, el in dr.U.items():
         assert not (el - el.component(deg))
-        h_el, _ = dec.split(deg, el)
+        h_el, _ = dr.dec.split(deg, el)
         assert not h_el
-    for deg, el in h.items():
+    for deg, el in dr.h.items():
         assert not loop_sub(el, el.component(deg))
-        h_el, u_el = dec.split(deg, el)
+        h_el, u_el = dr.dec.split(deg, el)
         assert h_el.terms == el.terms and not u_el
 
 
@@ -696,14 +719,27 @@ def test_densities_check_the_solved_degree(sl2_min):
     a_z = {0: s.f, 1: s.e}
     dec = HDecomposition(fr)
     solve_dressing(fr, 6, dec=dec)
-    U, h, _ = solve_dressing(fr, 4, dec=dec)
+    dr = solve_dressing(fr, 4, dec=dec)
     with pytest.raises(WindowOverflow) as e:
-        conserved_densities(fr, h, a_z, n_max=2, dec=dec, max_deg=4)
+        conserved_densities(dr, a_z, n_max=2)
     assert e.value.needed == 5
-    U, h, _ = solve_dressing(fr, 5, dec=dec)
-    g2 = conserved_densities(fr, h, a_z, n_max=2, dec=dec, max_deg=5)[2]
+    dr = solve_dressing(fr, 5, dec=dec)
+    g2 = conserved_densities(dr, a_z, n_max=2)[2]
     E = fr.w_lin(s.f)
     assert g2 == (E * E.d(2)).scale(F(-1, 16)) + (E * E * E).scale(F(1, 8))
+
+
+def test_densities_refuse_a_window_past_the_solve(sl3_min):
+    """An n_max past dr.max_deg raises WindowOverflow: g_2 of f + ze on sl3
+    minimal needs h up to loop degree 5, and a solve to 3 has none of it,
+    so it is refused rather than read as 0."""
+    fr = sl3_min.frame
+    dr = sl3_min.dressing(3)
+    a_z = {0: fr.setup.f, 1: fr.s}
+    with pytest.raises(WindowOverflow) as e:
+        conserved_densities(dr, a_z, n_max=2)
+    assert e.value.needed > dr.max_deg
+    assert len(conserved_densities(dr, a_z)) == 2
 
 
 def test_densities_past_the_window_refused(sl2_min, sl3_iso):
@@ -712,26 +748,22 @@ def test_densities_past_the_window_refused(sl2_min, sl3_iso):
     last density the window resolves."""
     cfg = sl2_min
     s = cfg.setup
-    U, h, dec = cfg.dressing(4)
+    dr = cfg.dressing(4)
     a_z = {0: s.f, 1: s.e}
     with pytest.raises(WindowOverflow) as e:
-        conserved_densities(cfg.frame, h, a_z, n_max=2, dec=dec, max_deg=4)
+        conserved_densities(dr, a_z, n_max=2)
     assert e.value.needed == 5
-    assert len(conserved_densities(cfg.frame, h, a_z, dec=dec, max_deg=4)) == 2
-    with pytest.raises(TypeError):  # the solved degree is never optional
-        conserved_densities(cfg.frame, h, a_z, n_max=2, dec=dec)
-    U, h, dec = cfg.dressing(5)
-    dens = conserved_densities(cfg.frame, h, a_z, n_max=2, dec=dec, max_deg=5)
-    assert dens[2] and dens == conserved_densities(cfg.frame, h, a_z, dec=dec,
-                                                   max_deg=5)
+    assert len(conserved_densities(dr, a_z)) == 2
+    dr = cfg.dressing(5)
+    dens = conserved_densities(dr, a_z, n_max=2)
+    assert dens[2] and dens == conserved_densities(dr, a_z)
     # isotropic: z has loop degree -3/2, so the needed degree is fractional
     cfg = sl3_iso
-    U, h, dec = cfg.dressing(4)
+    dr = cfg.dressing(4)
     a_z = {0: cfg.setup.f, 1: cfg.frame.s}
-    last = len(conserved_densities(cfg.frame, h, a_z, dec=dec, max_deg=4)) - 1
+    last = len(conserved_densities(dr, a_z)) - 1
     with pytest.raises(WindowOverflow) as e:
-        conserved_densities(cfg.frame, h, a_z, n_max=last + 1, dec=dec,
-                            max_deg=4)
+        conserved_densities(dr, a_z, n_max=last + 1)
     assert 4 < e.value.needed <= 4 + F(3, 2)
 
 
@@ -811,8 +843,8 @@ def test_one_representation_per_ring(name, window, kind, request):
     found += [c for row in fr.gram for c in row.values()]
     polys = [p for pair in cfg.gens.table.entries.values()
              for lam in pair for p in lam.coeffs]
-    U, h, _ = cfg.dressing(window)
-    polys += [p for parts in (U, h) for el in parts.values()
+    dr = cfg.dressing(window)
+    polys += [p for parts in (dr.U, dr.h) for el in parts.values()
               for p in el.terms.values()]
     found += [c for p in polys for c in p.coeffs().values()]
     assert polys and found
@@ -953,7 +985,8 @@ def test_scale_by_zero_keeps_no_zero_term(sl3_min):
 def test_center_of_h_minimal(sl3_min):
     cfg = sl3_min
     fr, s = cfg.frame, cfg.setup
-    U, h, dec = cfg.dressing(4)
+    dr = cfg.dressing(4)
+    dec = dr.dec
     z = center_of_h(fr, dec, [F(0), F(1)])
     assert len(z[F(0)]) == 1  # Z(g_0^f) is one-dimensional for sl_n
     assert len(z[F(1)]) == 1  # the f + ze line
@@ -961,12 +994,12 @@ def test_center_of_h_minimal(sl3_min):
     assert check_central(fr, dec, {0: s.f, 1: s.e})
     assert not check_central(fr, dec, {0: s.x})
     with pytest.raises(InvalidCenter):
-        conserved_densities(fr, h, {0: s.x}, dec=dec, max_deg=4)
+        conserved_densities(dr, {0: s.x})
 
 
 def test_center_of_h_sl2_trivial_even_part(sl2_min):
     cfg = sl2_min
-    U, h, dec = cfg.dressing(4)
+    dec = cfg.dressing(4).dec
     z = center_of_h(cfg.frame, dec, [F(0)])
     assert z[F(0)] == []  # g_0^f = 0 for sl2
     assert check_central(cfg.frame, dec, {0: cfg.setup.f, 1: cfg.setup.e})
@@ -974,7 +1007,7 @@ def test_center_of_h_sl2_trivial_even_part(sl2_min):
 
 def test_center_contains_claimed_elements_short(sl4_short):
     cfg = sl4_short
-    U, h, dec = cfg.dressing(4)
+    dec = cfg.dressing(4).dec
     assert check_central(cfg.frame, dec, {0: cfg.setup.f, 1: cfg.setup.e})
 
 
@@ -1026,7 +1059,7 @@ def test_center_isotropic_cases(sl3_iso):
     s = cfg.setup
     sv = cfg.frame.s
     s_star = s.find_embeddable(sv)
-    U, h, dec = cfg.dressing(3)
+    dec = cfg.dressing(3).dec
     assert check_central(cfg.frame, dec, {0: s.f, 1: sv})
     assert check_central(cfg.frame, dec, {0: s.e, -1: s_star})
 
@@ -1035,11 +1068,10 @@ def test_sl3_densities_and_flows(sl3_min):
     """The full worked example: both density families and all four systems."""
     cfg = sl3_min
     g, s, fr, gens = cfg.algebra, cfg.setup, cfg.frame, cfg.gens
-    U, h, dec = cfg.dressing(4)
+    dr = cfg.dressing(4)
     a1 = s.basis[s.g0f_indices[0]]  # a1 = -(E11 - 2 E22 + E33)
-    dens_a = conserved_densities(fr, h, {0: a1}, n_max=1, dec=dec, max_deg=4)
-    dens_b = conserved_densities(fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec,
-                                 max_deg=4)
+    dens_a = conserved_densities(dr, {0: a1}, n_max=1)
+    dens_b = conserved_densities(dr, {0: s.f, 1: s.e}, n_max=1)
     wl = fr.w_lin
     A = wl(a1)
     Psi_p, Psi_m = wl(g.parse({"E21": 1})), wl(g.parse({"E32": 1}))
@@ -1054,9 +1086,9 @@ def test_sl3_densities_and_flows(sl3_min):
         + (A * Psi_p * Psi_m).scale(F(1, 2)) - (Lt * Lt).scale(F(1, 4))
     assert functional_equal(dens_b[1], want)
 
-    def flow(n, w, fam, use_k=False):
+    def flow(n, w, fam):
         dens = dens_a if fam == "a" else dens_b
-        return hierarchy_equation(fr, gens, dens[n], w, use_k=use_k)
+        return hierarchy_flow(fr, gens, dens[n])(w)
 
     L, phi = gens.L, gens.phis[0]
     psi_p, psi_m = gens.psi(g.parse({"E21": 1})), gens.psi(g.parse({"E32": 1}))
@@ -1104,20 +1136,19 @@ def test_sl3_reduced_systems(sl3_min):
     """Coupled KdV: the J_K-reduced t_1 system, c = 3/(4(x|x)) = 3/2."""
     cfg = sl3_min
     g, s, fr, gens = cfg.algebra, cfg.setup, cfg.frame, cfg.gens
-    U, h, dec = cfg.dressing(4)
-    dens_b = conserved_densities(fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec,
-                                 max_deg=4)
+    dr = cfg.dressing(4)
+    dens_b = conserved_densities(dr, {0: s.f, 1: s.e}, n_max=1)
     wl = fr.w_lin
     Psi_p, Psi_m = wl(g.parse({"E21": 1})), wl(g.parse({"E32": 1}))
     Lred = wl(s.f)
     c = F(3, 2)
-    got = reduce_mod_jk(fr, hierarchy_equation(
-        fr, gens, dens_b[1], gens.psi(g.parse({"E21": 1}))))
+    got = reduce_mod_jk(fr, hierarchy_flow(fr, gens, dens_b[1])(
+        gens.psi(g.parse({"E21": 1}))))
     want = Psi_p.d(3) - (Lred * Psi_p.d()).scale(c) \
         - (Psi_p * Lred.d()).scale(c / 2) \
         + (Psi_p * Psi_p * Psi_m).scale(F(2, 3) * c * c)
     assert got == want
-    got = reduce_mod_jk(fr, hierarchy_equation(fr, gens, dens_b[1], gens.L))
+    got = reduce_mod_jk(fr, hierarchy_flow(fr, gens, dens_b[1])(gens.L))
     want = Lred.d(3).scale(F(1, 4)) - (Lred * Lred.d()).scale(c) \
         + (Psi_p * Psi_m.d(2) - Psi_m * Psi_p.d(2)).scale(c)
     assert got == want
@@ -1135,13 +1166,13 @@ def test_sl3_reduced_systems(sl3_min):
 def test_reduced_case_a_system(sl3_min):
     cfg = sl3_min
     g, s, fr, gens = cfg.algebra, cfg.setup, cfg.frame, cfg.gens
-    U, h, dec = cfg.dressing(4)
+    dr = cfg.dressing(4)
     a1 = s.basis[s.g0f_indices[0]]
-    dens_a = conserved_densities(fr, h, {0: a1}, n_max=1, dec=dec, max_deg=4)
+    dens_a = conserved_densities(dr, {0: a1}, n_max=1)
     wl = fr.w_lin
     Psi_p, Lred = wl(g.parse({"E21": 1})), wl(s.f)
-    got = reduce_mod_jk(fr, hierarchy_equation(
-        fr, gens, dens_a[1], gens.psi(g.parse({"E21": 1}))))
+    got = reduce_mod_jk(fr, hierarchy_flow(fr, gens, dens_a[1])(
+        gens.psi(g.parse({"E21": 1}))))
     # reduction of psi([c,u])'' - L psi([c,u])/(2(x|x)) with c = -a
     want = Psi_p.d(2).scale(3) - (Lred * Psi_p).scale(3)
     assert got == want
@@ -1153,32 +1184,24 @@ def test_lenard_magri_all_configurations(sl3_min, sl4_min, sl4_short, sl3_iso):
     within each family and across the two."""
     for cfg, window in ((sl3_min, 4), (sl4_min, 4)):
         fr, gens, s = cfg.frame, cfg.gens, cfg.setup
-        U, h, dec = cfg.dressing(window)
+        dr = cfg.dressing(window)
         dens_a = conserved_densities(
-            fr, h, {0: central_g0f_element(cfg)}, n_max=1, dec=dec,
-            max_deg=window)
-        dens_b = conserved_densities(
-            fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec, max_deg=window)
+            dr, {0: central_g0f_element(cfg)}, n_max=1)
+        dens_b = conserved_densities(dr, {0: s.f, 1: s.e}, n_max=1)
         for dens in (dens_a, dens_b):
             assert verify_lenard_magri(fr, gens, dens) == []
             assert involutivity(gens, dens) == []
         assert involution_cross(gens, dens_a, dens_b) == []
     cfg = sl4_short
-    U, h, dec = cfg.dressing(4)
-    dens = conserved_densities(
-        cfg.frame, h, {0: cfg.setup.f, 1: cfg.setup.e}, n_max=1, dec=dec,
-        max_deg=4)
+    dr = cfg.dressing(4)
+    dens = conserved_densities(dr, {0: cfg.setup.f, 1: cfg.setup.e}, n_max=1)
     assert verify_lenard_magri(cfg.frame, cfg.gens, dens) == []
     assert involutivity(cfg.gens, dens) == []
     cfg = sl3_iso
-    U, h, dec = cfg.dressing(3)
+    dr = cfg.dressing(3)
     s_star = cfg.setup.find_embeddable(cfg.frame.s)
-    dens_b = conserved_densities(
-        cfg.frame, h, {0: cfg.setup.e, -1: s_star}, n_max=1, dec=dec,
-        max_deg=3)
-    dens_c = conserved_densities(
-        cfg.frame, h, {0: cfg.setup.f, 1: cfg.frame.s}, n_max=1, dec=dec,
-        max_deg=3)
+    dens_b = conserved_densities(dr, {0: cfg.setup.e, -1: s_star}, n_max=1)
+    dens_c = conserved_densities(dr, {0: cfg.setup.f, 1: cfg.frame.s}, n_max=1)
     for dens in (dens_b, dens_c):
         assert verify_lenard_magri(cfg.frame, cfg.gens, dens) == []
         assert involutivity(cfg.gens, dens) == []
@@ -1195,10 +1218,10 @@ def test_lenard_magri_longer_chain(name, window, center, request):
     test_generic_s_case_c on the symbolic sl4."""
     cfg = request.getfixturevalue(name)
     fr, gens = cfg.frame, cfg.gens
-    U, h, dec = cfg.dressing(window)
+    dr = cfg.dressing(window)
     a_z = ({0: cfg.setup.f, 1: fr.s} if center == "f+zs"
            else {0: cfg.algebra.parse(center)})
-    dens = conserved_densities(fr, h, a_z, dec=dec, max_deg=window)
+    dens = conserved_densities(dr, a_z)
     assert len(dens) == 3 and all(dens)
     assert verify_lenard_magri(fr, gens, dens) == []
     assert involutivity(gens, dens) == []
@@ -1217,9 +1240,8 @@ def test_lenard_magri_names_a_non_skew_entry(sl3_min, part):
     """Entry (j, i) of the W table, moved off the skew of entry (i, j) in
     one part, is named by verify_lenard_magri, and no other pair is."""
     fr, table = sl3_min.frame, sl3_min.gens.table
-    U, h, dec = sl3_min.dressing(4)
-    dens = conserved_densities(fr, h, {0: fr.setup.f, 1: fr.s}, n_max=1,
-                               dec=dec, max_deg=4)
+    dr = sl3_min.dressing(4)
+    dens = conserved_densities(dr, {0: fr.setup.f, 1: fr.s}, n_max=1)
     i, j = 0, 1
     moved = list(table.get(j, i))
     moved[part] = moved[part] + LambdaPoly(table.ctx, [table.ctx.gen(i)])
@@ -1236,8 +1258,8 @@ def test_lenard_magri_with_no_density(sl3_min):
     """An a(z) whose pairing with h vanishes gives no density, and the chain
     of no density checks only the W table."""
     fr, gens = sl3_min.frame, sl3_min.gens
-    U, h, dec = sl3_min.dressing(4)
-    dens = conserved_densities(fr, h, {}, dec=dec, max_deg=4)
+    dr = sl3_min.dressing(4)
+    dens = conserved_densities(dr, {})
     assert dens == []
     assert verify_lenard_magri(fr, gens, dens) == []
 
@@ -1256,9 +1278,8 @@ def test_left_bracket_oracles_on_densities(name, window, request):
     from wds.pva import LeftBracket, master_bracket
     cfg = request.getfixturevalue(name)
     fr, gens = cfg.frame, cfg.gens
-    U, h, dec = cfg.dressing(window)
-    dens = conserved_densities(fr, h, {0: cfg.setup.f, 1: fr.s}, dec=dec,
-                               max_deg=window)
+    dr = cfg.dressing(window)
+    dens = conserved_densities(dr, {0: cfg.setup.f, 1: fr.s})
     assert len(dens) >= 2 and all(dens)
     rights = dens + [fr.pi(w) for _, w in gens.all_generators()]
     for g in dens:
@@ -1281,9 +1302,8 @@ def test_lenard_magri_compares_exact_flows(sl3_min):
     doubling g_1 breaks the recursion on both sides of it."""
     cfg = sl3_min
     fr, gens = cfg.frame, cfg.gens
-    U, h, dec = cfg.dressing(5)
-    dens = conserved_densities(fr, h, {0: cfg.setup.f, 1: fr.s}, dec=dec,
-                               max_deg=5)
+    dr = cfg.dressing(5)
+    dens = conserved_densities(dr, {0: cfg.setup.f, 1: fr.s})
     assert len(dens) == 3
     assert verify_lenard_magri(fr, gens, dens) == []
     shifted = dens[:1] + [dens[1] + (dens[1] * dens[0]).d(2)] + dens[2:]
@@ -1297,14 +1317,12 @@ def test_lenard_magri_compares_exact_flows(sl3_min):
 def test_short_svinolupov_reduction(sl4_short):
     cfg = sl4_short
     g, s, fr, gens = cfg.algebra, cfg.setup, cfg.frame, cfg.gens
-    U, h, dec = cfg.dressing(4)
-    dens = conserved_densities(fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec,
-                               max_deg=4)
+    dr = cfg.dressing(4)
+    dens = conserved_densities(dr, {0: s.f, 1: s.e}, n_max=1)
     us, uds = s.u_pairs
     for i in s.eig_indices(-1):
         u = s.basis[i]
-        got = reduce_mod_jk(fr, hierarchy_equation(
-            fr, gens, dens[1], gens.psi(u)))
+        got = reduce_mod_jk(fr, hierarchy_flow(fr, gens, dens[1])(gens.psi(u)))
         want = fr.w_lin(u, 3).scale(F(1, 4))
         for uh, uhd in zip(us, uds):
             for uk, ukd in zip(us, uds):
@@ -1314,33 +1332,28 @@ def test_short_svinolupov_reduction(sl4_short):
                         F(3, 4) * cstar)
         assert got == want
         # t_0 flow reduces to a plain translation
-        t0 = reduce_mod_jk(fr, hierarchy_equation(fr, gens, dens[0],
-                                                  gens.psi(u)))
+        t0 = reduce_mod_jk(fr, hierarchy_flow(fr, gens, dens[0])(gens.psi(u)))
         assert t0 == fr.w_lin(u, 1)
 
 
 def test_short_t1_unreduced_phi_is_constant(sl4_short):
     cfg = sl4_short
-    U, h, dec = cfg.dressing(4)
-    dens = conserved_densities(
-        cfg.frame, h, {0: cfg.setup.f, 1: cfg.setup.e}, n_max=1, dec=dec,
-        max_deg=4)
+    dr = cfg.dressing(4)
+    dens = conserved_densities(dr, {0: cfg.setup.f, 1: cfg.setup.e}, n_max=1)
     for a in cfg.gens.phi_args:
         for n in (0, 1):
-            assert hierarchy_equation(
-                cfg.frame, cfg.gens, dens[n], cfg.gens.phi(a)
-            ) == cfg.frame.w_ctx.zero()
+            assert hierarchy_flow(cfg.frame, cfg.gens, dens[n])(
+                cfg.gens.phi(a)) == cfg.frame.w_ctx.zero()
 
 
 def test_sl2_kdv(sl2_min):
     """For sl2 both reductions collapse to the KdV equation."""
     cfg = sl2_min
     g, s, fr, gens = cfg.algebra, cfg.setup, cfg.frame, cfg.gens
-    U, h, dec = cfg.dressing(4)
-    dens = conserved_densities(fr, h, {0: s.f, 1: s.e}, n_max=1, dec=dec,
-                               max_deg=4)
+    dr = cfg.dressing(4)
+    dens = conserved_densities(dr, {0: s.f, 1: s.e}, n_max=1)
     Lv = fr.w_lin(s.f)
-    got = hierarchy_equation(fr, gens, dens[1], gens.L)
+    got = hierarchy_flow(fr, gens, dens[1])(gens.L)
     assert got == Lv.d(3).scale(F(1, 4)) - (Lv * Lv.d()).scale(F(3, 2))
     assert verify_lenard_magri(fr, gens, dens) == []
 
@@ -1348,9 +1361,9 @@ def test_sl2_kdv(sl2_min):
 def test_generic_s_case_c(sl4_generic):
     cfg = sl4_generic
     g, fr, gens = cfg.algebra, cfg.frame, cfg.gens
-    U, h, dec = cfg.dressing(2)
+    dr = cfg.dressing(2)
     A11v = g.parse({"H1": 1, "H3": 1})
-    dens = conserved_densities(fr, h, {0: A11v}, n_max=1, dec=dec, max_deg=2)
+    dens = conserved_densities(dr, {0: A11v}, n_max=1)
     assert dens[0] == fr.w_lin(A11v)
     assert verify_lenard_magri(fr, gens, dens) == []
 
@@ -1364,13 +1377,12 @@ def test_table_path_matches_lift_oracle(name, window, request):
     apply pi.  Flows of g_0, g_1, g_2 on every generator, both parts, and
     the full lambda-brackets {g_m lambda g_n} for m + n <= 2 (the lifted
     (1,2) and (2,2) brackets take minutes)."""
-    from wds.pva import master_bracket
+    from wds.pva import LeftBracket, master_bracket
     from wds.walgebra import _pi_pair
     cfg = request.getfixturevalue(name)
     fr, gens = cfg.frame, cfg.gens
-    U, h, dec = cfg.dressing(window)
-    dens = conserved_densities(fr, h, {0: cfg.setup.f, 1: fr.s},
-                               n_max=2, dec=dec, max_deg=window)
+    dr = cfg.dressing(window)
+    dens = conserved_densities(dr, {0: cfg.setup.f, 1: fr.s}, n_max=2)
     assert len(dens) == 3 and all(dens)
     lifted = [gens.pi_inverse(g) for g in dens]
     for G, g in zip(lifted, dens):
@@ -1378,7 +1390,7 @@ def test_table_path_matches_lift_oracle(name, window, request):
             slow = fr.w_bracket(G, w)
             for part in (0, 1):
                 want = fr.pi(slow[part].at_zero())
-                got = hierarchy_equation(fr, gens, g, w, use_k=bool(part))
+                got = LeftBracket(gens.table, g).at_zero(fr.pi(w), part)
                 assert got == want, (wname, part)
     for m in range(3):
         for n in range(3 - m):

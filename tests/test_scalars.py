@@ -733,12 +733,12 @@ def test_symbolic_sl4_solve_takes_no_gcd():
         s = g.parse({"E13": s1, "E24": s2})
         frame = ReductionFrame(GradedSetup(g, g.parse({"E31": 1, "E42": 1}), SHORT), s)
         entries = WGenerators(frame).table.entries
-        U, h, _ = solve_dressing(frame, 4)
+        dr = solve_dressing(frame, 4)
     assert not callers
     found = [c for row in frame.struct for entry in row for c in entry.values()]
     found += [c for row in frame.gram for c in row.values()]
     polys = [p for pair in entries.values() for lam in pair for p in lam.coeffs]
-    polys += [p for parts in (U, h) for el in parts.values() for p in el.terms.values()]
+    polys += [p for parts in (dr.U, dr.h) for el in parts.values() for p in el.terms.values()]
     found += [c for p in polys for c in p.coeffs().values()]
     assert found and all(type(c) is Scalar and assert_factored(c) for c in found)
     assert any(c.fac[1] for c in found)
@@ -772,8 +772,9 @@ def test_generic_symbolic_s_dressing():
     from wds.hierarchy import dressing_defect, solve_dressing
     with gcd_callers() as callers:
         frame = generic_s_frame()
-        U, h, _ = solve_dressing(frame, 2)
-        defect = dressing_defect(frame, U, h, 2)
+        dr = solve_dressing(frame, 2)
+        defect = dressing_defect(dr)
+    h = dr.h
     got = "".join(f"deg {d}: {h[d]}\n" for d in sorted(h))
     assert got == GENERIC_S_GOLDEN.read_text()
     assert not defect.terms

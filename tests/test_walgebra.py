@@ -308,7 +308,7 @@ def test_table_entry_mutation_is_reported(sl3_min, capsys, monkeypatch):
         def table(self):
             table = WGenerators.table.func(self)
             h, k = table.get(i, j)
-            table.set(i, j, h.scale(2), k)
+            table.set(i, j, h + h, k)
             return table
 
     gens = Mutated(fr)
